@@ -56,9 +56,18 @@ pub fn filter_candidates(cands: &Candidates, preds: &Predictions) -> Candidates 
 
 /// Extracts an adder tree using the model's predictions for detection.
 pub fn extract_from_predictions(aig: &Aig, preds: &Predictions) -> Vec<ExtractedAdder> {
-    let cands = detect(aig);
-    let filtered = filter_candidates(&cands, preds);
-    extract_adders(aig, &filtered)
+    extract_from_predictions_with(aig, &detect(aig), preds)
+}
+
+/// [`extract_from_predictions`] with a pre-computed candidate index — the
+/// same one [`crate::lsb_correction_with`] takes, so a caller that runs
+/// both pays for [`detect`] once.
+pub fn extract_from_predictions_with(
+    aig: &Aig,
+    cands: &Candidates,
+    preds: &Predictions,
+) -> Vec<ExtractedAdder> {
+    extract_adders(aig, &filter_candidates(cands, preds))
 }
 
 /// Extracts from predictions and compares against the exact tree.

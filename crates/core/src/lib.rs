@@ -49,7 +49,9 @@ mod reasoner;
 pub mod snapshot;
 
 pub use dataset::BatchScratch;
-pub use extract::{compare_extraction, extract_from_predictions, filter_candidates};
+pub use extract::{
+    compare_extraction, extract_from_predictions, extract_from_predictions_with, filter_candidates,
+};
 pub use features::FeatureMode;
 pub use postprocess::{lsb_correction, lsb_correction_with};
 pub use reasoner::{

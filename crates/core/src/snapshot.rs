@@ -681,6 +681,27 @@ fn expect_v3_section<'t>(
     Ok(entry)
 }
 
+/// The payload bytes of one validated section — a checked sub-slice, so
+/// even a table that slipped past the canonical walk could only produce a
+/// typed error here, never an out-of-bounds index.
+fn v3_section_bytes<'a>(
+    payload: &'a [u8],
+    entry: &SectionEntry,
+) -> Result<&'a [u8], SnapshotError> {
+    usize::try_from(entry.offset)
+        .ok()
+        .zip(usize::try_from(entry.len).ok())
+        .and_then(|(offset, len)| payload.get(offset..offset.checked_add(len)?))
+        .ok_or_else(|| {
+            corrupt(format!(
+                "section at {}+{} escapes the {}-byte payload",
+                entry.offset,
+                entry.len,
+                payload.len()
+            ))
+        })
+}
+
 /// Parses a complete v3 image. With `region` set (the mmap path), weight
 /// matrices borrow their spans from it in O(header) — only biases are
 /// copied — and the payload hash is *not* recomputed; otherwise all
@@ -777,91 +798,26 @@ fn read_v3_from_bytes(
         }
     }
 
-    // Canonical walk over the skeleton's linears; every declared entry
-    // must match exactly.
+    // Pass 1 — the table against the skeleton, without touching the
+    // payload: every declared entry must match the canonical walk exactly,
+    // and the walk must end exactly at `payload_len`. Only then does any
+    // offset below index into the file.
     let mut reasoner = GamoraReasoner::new_zeroed(config);
     let mut idx = 0usize;
     let mut cursor = 0u64;
-    for lin in reasoner.model_mut().linears_mut() {
-        let (rows, cols) = (lin.w.rows(), lin.w.cols());
+    for lin in reasoner.model().linears() {
+        let (rows, cols, bias) = (lin.w.rows(), lin.w.cols(), lin.b.len());
         let quantised = table.get(idx).map(|e| e.tag) == Some(SECTION_I8);
+        let mut expect = |tag, rows, cols, byte_len| {
+            expect_v3_section(&table, &mut idx, &mut cursor, tag, rows, cols, byte_len)
+        };
         if quantised {
-            let values = expect_v3_section(
-                &table,
-                &mut idx,
-                &mut cursor,
-                SECTION_I8,
-                rows,
-                cols,
-                rows * cols,
-            )?;
-            let scales = expect_v3_section(
-                &table,
-                &mut idx,
-                &mut cursor,
-                SECTION_F32,
-                1,
-                cols,
-                cols * 4,
-            )?;
-            let bias = expect_v3_section(
-                &table,
-                &mut idx,
-                &mut cursor,
-                SECTION_F32,
-                1,
-                lin.b.len(),
-                lin.b.len() * 4,
-            )?;
-            let (voff, soff) = (base + values.offset as usize, base + scales.offset as usize);
-            match region {
-                Some(region) => {
-                    let q = QuantisedMatrix::from_region(rows, cols, region, voff, soff)
-                        .map_err(|e| corrupt(e.to_string()))?;
-                    lin.install_quantised_serving(q);
-                }
-                None => {
-                    let data: Vec<i8> = bytes[voff..voff + rows * cols]
-                        .iter()
-                        .map(|&b| b as i8)
-                        .collect();
-                    let mut sc = vec![0.0f32; cols];
-                    parse_f32s(&bytes[soff..soff + cols * 4], &mut sc);
-                    lin.install_quantised(QuantisedMatrix::from_parts(rows, cols, data, sc));
-                }
-            }
-            let boff = base + bias.offset as usize;
-            parse_f32s(&bytes[boff..boff + lin.b.len() * 4], &mut lin.b);
+            expect(SECTION_I8, rows, cols, rows * cols)?;
+            expect(SECTION_F32, 1, cols, cols * 4)?;
         } else {
-            let weights = expect_v3_section(
-                &table,
-                &mut idx,
-                &mut cursor,
-                SECTION_F32,
-                rows,
-                cols,
-                rows * cols * 4,
-            )?;
-            let bias = expect_v3_section(
-                &table,
-                &mut idx,
-                &mut cursor,
-                SECTION_F32,
-                1,
-                lin.b.len(),
-                lin.b.len() * 4,
-            )?;
-            let woff = base + weights.offset as usize;
-            match region {
-                Some(region) => {
-                    lin.w = Matrix::from_region(rows, cols, region, woff)
-                        .map_err(|e| corrupt(e.to_string()))?;
-                }
-                None => parse_f32s(&bytes[woff..woff + rows * cols * 4], lin.w.as_mut_slice()),
-            }
-            let boff = base + bias.offset as usize;
-            parse_f32s(&bytes[boff..boff + lin.b.len() * 4], &mut lin.b);
+            expect(SECTION_F32, rows, cols, rows * cols * 4)?;
         }
+        expect(SECTION_F32, 1, bias, bias * 4)?;
     }
     if idx != table.len() {
         return Err(corrupt(format!(
@@ -873,6 +829,49 @@ fn read_v3_from_bytes(
         return Err(corrupt(format!(
             "payload length {payload_len} does not match the canonical {cursor}"
         )));
+    }
+
+    // Pass 2 — fill (or borrow) every tensor from its validated section.
+    let payload = &bytes[base..];
+    let mut sections = table.iter();
+    let mut next = || {
+        sections
+            .next()
+            .expect("pass 1 matched the table to the model")
+    };
+    for lin in reasoner.model_mut().linears_mut() {
+        let (rows, cols) = (lin.w.rows(), lin.w.cols());
+        let first = next();
+        if first.tag == SECTION_I8 {
+            let (values, scales) = (first, next());
+            match region {
+                Some(region) => {
+                    let (voff, soff) =
+                        (base + values.offset as usize, base + scales.offset as usize);
+                    let q = QuantisedMatrix::from_region(rows, cols, region, voff, soff)
+                        .map_err(|e| corrupt(e.to_string()))?;
+                    lin.install_quantised_serving(q);
+                }
+                None => {
+                    let data: Vec<i8> = v3_section_bytes(payload, values)?
+                        .iter()
+                        .map(|&b| b as i8)
+                        .collect();
+                    let mut sc = vec![0.0f32; cols];
+                    parse_f32s(v3_section_bytes(payload, scales)?, &mut sc);
+                    lin.install_quantised(QuantisedMatrix::from_parts(rows, cols, data, sc));
+                }
+            }
+        } else {
+            match region {
+                Some(region) => {
+                    lin.w = Matrix::from_region(rows, cols, region, base + first.offset as usize)
+                        .map_err(|e| corrupt(e.to_string()))?;
+                }
+                None => parse_f32s(v3_section_bytes(payload, first)?, lin.w.as_mut_slice()),
+            }
+        }
+        parse_f32s(v3_section_bytes(payload, next())?, &mut lin.b);
     }
     Ok(reasoner)
 }

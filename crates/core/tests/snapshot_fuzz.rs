@@ -10,10 +10,12 @@
 //! anywhere hash differently. In v3 the header hash covers the header,
 //! the payload hash covers the payload, and the inter-region padding is
 //! required to be zero, so the three cases tile the whole file. Beyond
-//! blind flips, v3 headers are also fuzzed *re-signed* (valid checksum,
-//! lying fields): the reader recomputes every section's canonical
-//! tag/shape/offset/length from the model skeleton, so a signature
-//! alone never buys a deviant layout. Run under `--release` in CI
+//! blind flips, v3 files are also fuzzed *re-signed* (mutate, recompute
+//! both FxHashes, load: valid checksums, lying geometry or a resized
+//! payload): the reader recomputes every section's canonical
+//! tag/shape/offset/length and the payload total from the model skeleton
+//! before it touches the payload, so a signature alone never buys a
+//! deviant layout. Run under `--release` in CI
 //! alongside the snapshot back-compat guard.
 
 use gamora::snapshot::{read_snapshot, write_snapshot, write_snapshot_legacy};
@@ -94,17 +96,46 @@ fn assert_mutation_rejected(base: &[u8], pos: usize, value: u8, what: &str) {
     );
 }
 
-/// Recomputes and installs the v3 header hash so tampered header fields
-/// carry a *valid* signature — the canonical-layout checks, not the
-/// checksum, must then be what rejects the stream.
-fn resign_v3(buf: &mut [u8]) {
-    const ENTRY: usize = 1 + 4 + 4 + 8 + 8;
+/// Byte size of one v3 section-table entry.
+const ENTRY: usize = 1 + 4 + 4 + 8 + 8;
+
+/// Offset of the v3 header tail (`payload_base`, `payload_len`,
+/// `payload_hash`, `header_hash`: four u64s) behind the section table.
+fn v3_tail(buf: &[u8]) -> usize {
     let count = u32::from_le_bytes(buf[28..32].try_into().unwrap()) as usize;
-    let hash_pos = 32 + ENTRY * count + 24;
+    32 + ENTRY * count
+}
+
+/// Recomputes and installs **both** v3 FxHashes (no secret is involved):
+/// the payload hash over everything behind the original payload base,
+/// then the header hash over the header including it. Tampered geometry
+/// and resized payloads then carry valid signatures — the canonical-layout
+/// checks, not the checksums, must be what rejects the stream.
+fn resign_v3(buf: &mut [u8], payload_base: usize) {
+    let tail = v3_tail(buf);
     let mut h = FxHasher::default();
-    h.write(&buf[..hash_pos]);
+    h.write(&buf[payload_base.min(buf.len())..]);
     let sig = h.finish();
-    buf[hash_pos..hash_pos + 8].copy_from_slice(&sig.to_le_bytes());
+    buf[tail + 16..tail + 24].copy_from_slice(&sig.to_le_bytes());
+    let mut h = FxHasher::default();
+    h.write(&buf[..tail + 24]);
+    let sig = h.finish();
+    buf[tail + 24..tail + 32].copy_from_slice(&sig.to_le_bytes());
+}
+
+/// `Err(what happened instead)` unless the reader rejects `bytes` with a
+/// typed error.
+fn typed_error(bytes: &[u8]) -> Result<(), &'static str> {
+    match std::panic::catch_unwind(|| read_snapshot(bytes).is_err()) {
+        Ok(true) => Ok(()),
+        Ok(false) => Err("loaded cleanly"),
+        Err(_) => Err("reader panicked"),
+    }
+}
+
+fn v3_payload_base(buf: &[u8]) -> usize {
+    let tail = v3_tail(buf);
+    u64::from_le_bytes(buf[tail..tail + 8].try_into().unwrap()) as usize
 }
 
 proptest! {
@@ -133,28 +164,29 @@ proptest! {
         assert_mutation_rejected(base, pos as usize % base.len(), value, "v3");
     }
 
-    /// A corrupted-then-RE-SIGNED v3 section table is still rejected:
-    /// the header checksum verifies, but the canonical section walk
-    /// (tag/rows/cols/offset/len recomputed from the skeleton) does not
-    /// accept any deviation, so a lying header can never size an
-    /// allocation or a borrow.
+    /// Corrupted-then-RE-SIGNED v3 geometry (the section table, the
+    /// payload base and the payload length) is still rejected: both
+    /// checksums verify, but the canonical section walk
+    /// (tag/rows/cols/offset/len and the total recomputed from the
+    /// skeleton) accepts no deviation, so a lying header can never size
+    /// an allocation, a borrow or a slice.
     #[test]
-    fn v3_resigned_table_corruption_is_rejected(pos in any::<u64>(), value in any::<u8>()) {
-        const ENTRY: usize = 1 + 4 + 4 + 8 + 8;
+    fn v3_resigned_geometry_corruption_is_rejected(pos in any::<u64>(), value in any::<u8>()) {
         let base = v3_bytes();
-        let count = u32::from_le_bytes(base[28..32].try_into().unwrap()) as usize;
-        // Mutate inside the section table only (count stays intact so
-        // the re-sign helper and the reader agree on the header extent).
-        let pos = 32 + pos as usize % (ENTRY * count);
+        // Mutate inside the table and the two geometry words behind it
+        // (the count stays intact so the re-sign helper and the reader
+        // agree on the header extent).
+        let pos = 32 + pos as usize % (v3_tail(base) + 16 - 32);
         if base[pos] == value {
             return;
         }
         let mut bytes = base.to_vec();
         bytes[pos] = value;
-        resign_v3(&mut bytes);
+        resign_v3(&mut bytes, v3_payload_base(base));
+        let outcome = typed_error(&bytes);
         prop_assert!(
-            read_snapshot(&bytes[..]).is_err(),
-            "re-signed table byte {pos} set to {value:#04x} must still be rejected"
+            outcome.is_ok(),
+            "re-signed header byte {pos} set to {value:#04x} must be a typed error: {outcome:?}"
         );
     }
 
@@ -169,6 +201,29 @@ proptest! {
         let cut = cut as usize % base.len(); // strictly shorter than the full stream
         let result = read_snapshot(&base[..cut]);
         prop_assert!(result.is_err(), "truncation at {cut}/{} must be rejected", base.len());
+    }
+}
+
+/// A payload resized by any amount — file cut or zero-extended to match,
+/// `payload_len` rewritten, both hashes re-signed — is a typed error: the
+/// reader compares the canonical plan length with the declared one before
+/// it slices a single section. (The shrunk case indexed out of bounds
+/// before that order was fixed.)
+#[test]
+fn v3_resigned_resized_payload_is_rejected() {
+    let base = v3_bytes();
+    let (tail, payload_base) = (v3_tail(base), v3_payload_base(base));
+    let payload_len = base.len() - payload_base;
+    for new_len in (0..payload_len + 130).filter(|&l| l != payload_len) {
+        let mut bytes = base.to_vec();
+        bytes.resize(payload_base + new_len, 0);
+        bytes[tail + 8..tail + 16].copy_from_slice(&(new_len as u64).to_le_bytes());
+        resign_v3(&mut bytes, payload_base);
+        let outcome = typed_error(&bytes);
+        assert!(
+            outcome.is_ok(),
+            "payload resized {payload_len} -> {new_len} must be a typed error: {outcome:?}"
+        );
     }
 }
 

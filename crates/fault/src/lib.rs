@@ -439,6 +439,19 @@ pub fn arm(spec: &str) -> ArmedGuard {
     ArmedGuard { _gate: gate }
 }
 
+impl ArmedGuard {
+    /// Replaces the armed spec (`""` disarms) without releasing the gate,
+    /// so a test's fault-free phases cannot overlap another test's
+    /// faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid spec.
+    pub fn rearm(&self, spec: &str) {
+        configure(spec).expect("invalid fault spec");
+    }
+}
+
 impl Drop for ArmedGuard {
     fn drop(&mut self) {
         disarm();

@@ -1,5 +1,6 @@
 //! CSR graphs and mean-aggregation message passing.
 
+use crate::kernel::{self, AggArgs, Kernels};
 use crate::parallel;
 use crate::tensor::Matrix;
 
@@ -515,28 +516,28 @@ impl Graph {
     ///
     /// Panics if `h.rows() != num_nodes`.
     pub fn mean_aggregate_into(&self, h: &Matrix, out: &mut Matrix) {
+        self.mean_aggregate_with(kernel::active(), h, out);
+    }
+
+    /// [`Graph::mean_aggregate_into`] over an explicit kernel variant.
+    pub(crate) fn mean_aggregate_with(&self, kernels: &Kernels, h: &Matrix, out: &mut Matrix) {
         assert_eq!(h.rows(), self.num_nodes, "one embedding row per node");
         let dim = h.cols();
-        out.reset(self.num_nodes, dim);
-        let width = dim.max(1);
-        parallel::for_each_row_block(out.as_mut_slice(), width, AGG_BLOCK_ROWS, |v0, block| {
-            for (i, row) in block.chunks_mut(width).enumerate() {
-                let v = v0 + i;
-                let neigh = self.neighbors(v);
-                if neigh.is_empty() {
-                    continue;
-                }
-                for &u in neigh {
-                    for (o, &x) in row.iter_mut().zip(h.row(u as usize)) {
-                        *o += x;
-                    }
-                }
-                let inv = self.inv_deg[v];
-                for o in row.iter_mut() {
-                    *o *= inv;
-                }
-            }
-        });
+        // Every element is written by the kernel: no zero-fill pass.
+        out.reshape_for_overwrite(self.num_nodes, dim);
+        let args = AggArgs {
+            offsets: &self.offsets,
+            neighbors: &self.neighbors,
+            inv_deg: &self.inv_deg,
+            h: h.as_slice(),
+            dim,
+        };
+        parallel::for_each_row_block(
+            out.as_mut_slice(),
+            dim.max(1),
+            AGG_BLOCK_ROWS,
+            |v0, block| kernels.aggregate_block(&args, v0, block),
+        );
     }
 
     /// Backward of [`Graph::mean_aggregate`]: given `d(out)`, returns

@@ -167,6 +167,84 @@ impl Linear {
         }
     }
 
+    /// Applies several layers to the same input as **one** GEMM over their
+    /// column-concatenated weights, then splits the result into `outs`
+    /// (one matrix per layer, reshaped here). Output columns never
+    /// interact, so every `outs[i]` is bit-identical to
+    /// `layers[i].forward_into(x, ..)` — at the price of one wide GEMM
+    /// instead of several narrow ones, which is what the task heads
+    /// (`n = 4, 2, 2`) need to fill a vector register.
+    ///
+    /// The concatenated weights live in `fused` and the wide result in
+    /// `wide`; both are rebuilt on every call (a few hundred floats of
+    /// weights), so neither can go stale. Layers that disagree on input
+    /// width, activation or weight storage class cannot share a GEMM and
+    /// run one by one instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outs.len() != layers.len()`.
+    pub(crate) fn forward_many_into(
+        layers: &[Linear],
+        x: &Matrix,
+        fused: &mut FusedLinears,
+        wide: &mut Matrix,
+        outs: &mut [Matrix],
+    ) {
+        assert_eq!(outs.len(), layers.len(), "one output per layer");
+        let Some(first) = layers.first() else {
+            return;
+        };
+        let class = |l: &Linear| (l.w.rows(), l.relu, l.qw.is_some());
+        if layers.iter().any(|l| class(l) != class(first)) {
+            for (layer, out) in layers.iter().zip(outs) {
+                layer.forward_into(x, out);
+            }
+            return;
+        }
+        let k = first.w.rows();
+        let total: usize = layers.iter().map(|l| l.w.cols()).sum();
+        let FusedLinears { w, q, scales, bias } = fused;
+        bias.clear();
+        bias.extend(layers.iter().flat_map(|l| &l.b));
+        let mut epilogue = Epilogue {
+            scales: None,
+            bias: Some(bias),
+            relu: first.relu,
+        };
+        if first.qw.is_some() {
+            let stores = || layers.iter().map(|l| l.qw.as_ref().expect("class checked"));
+            q.clear();
+            for r in 0..k {
+                for s in stores() {
+                    q.extend_from_slice(&s.values()[r * s.cols()..(r + 1) * s.cols()]);
+                }
+            }
+            scales.clear();
+            scales.extend(stores().flat_map(|s| s.scales()));
+            epilogue.scales = Some(scales);
+            fused_gemm_into(x, Weights::I8(q), None, epilogue, total, wide);
+        } else {
+            w.clear();
+            for r in 0..k {
+                for l in layers {
+                    w.extend_from_slice(l.w.row(r));
+                }
+            }
+            fused_gemm_into(x, Weights::F32(w), None, epilogue, total, wide);
+        }
+        let mut c0 = 0;
+        for (layer, out) in layers.iter().zip(outs) {
+            let c = layer.w.cols();
+            out.reshape_for_overwrite(x.rows(), c);
+            let rows = out.as_mut_slice().chunks_exact_mut(c.max(1));
+            for (dst, src) in rows.zip(wide.as_slice().chunks_exact(total.max(1))) {
+                dst.copy_from_slice(&src[c0..c0 + c]);
+            }
+            c0 += c;
+        }
+    }
+
     /// Training forward pass: records the input and output on `tape` for
     /// the backward pass. Always computes through the `f32` weights (the
     /// tape and backward pass differentiate those), even when a quantised
@@ -262,6 +340,16 @@ impl Linear {
     }
 }
 
+/// Reusable concatenated-weight buffers for
+/// [`Linear::forward_many_into`]; only the storage class in use grows.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FusedLinears {
+    w: Vec<f32>,
+    q: Vec<i8>,
+    scales: Vec<f32>,
+    bias: Vec<f32>,
+}
+
 /// Reusable aggregation buffer for allocation-free SAGE forwards (shared
 /// by every layer of a model, since layers run in sequence).
 ///
@@ -272,6 +360,14 @@ impl Linear {
 #[derive(Clone, Debug, Default)]
 pub struct SageScratch {
     agg: Matrix,
+}
+
+impl SageScratch {
+    /// The aggregation buffer, for use as scratch between SAGE forwards
+    /// (every forward overwrites it whole).
+    pub(crate) fn spare(&mut self) -> &mut Matrix {
+        &mut self.agg
+    }
 }
 
 /// One GraphSAGE convolution (Hamilton et al., Eq. 1 of the paper):

@@ -41,6 +41,7 @@
 
 mod adam;
 mod graph;
+mod kernel;
 mod layers;
 pub mod loss;
 mod model;
@@ -54,5 +55,15 @@ pub use layers::{Linear, LinearTape, SageLayer, SageScratch};
 pub use model::{
     ForwardObserver, ForwardStage, InferenceScratch, ModelConfig, MultiTaskSage, Tape,
 };
+#[doc(hidden)]
+pub use tensor::{Epilogue, KernelVariant, Weights};
 pub use tensor::{Matrix, QuantisedMatrix, StorageError, WeightRegion};
+
+/// The instruction-set variant of the GEMM and aggregation kernels this
+/// process runs — `"portable"`, `"avx2"` or `"avx512f"` — picked from the
+/// CPU on first use. Every variant computes the same bits; reports carry
+/// the name so a timing says which code path produced it.
+pub fn kernel_isa() -> &'static str {
+    kernel::active().isa()
+}
 pub use trainer::{evaluate, train, GraphData, TrainConfig, TrainReport};

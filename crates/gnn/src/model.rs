@@ -8,7 +8,7 @@
 //! model for Booth multipliers and complex technology mapping.
 
 use crate::graph::Graph;
-use crate::layers::{Linear, LinearTape, SageLayer, SageScratch};
+use crate::layers::{FusedLinears, Linear, LinearTape, SageLayer, SageScratch};
 use crate::tensor::Matrix;
 use rand::SeedableRng;
 
@@ -41,6 +41,8 @@ pub struct InferenceScratch {
     h_out: Matrix,
     z: Matrix,
     logits: Vec<Matrix>,
+    /// Column-concatenated task-head weights (rebuilt every pass).
+    heads: FusedLinears,
     /// Compacted embedding rows for the row-masked epilogue
     /// ([`MultiTaskSage::infer_rows_observed`]).
     gather: Matrix,
@@ -279,18 +281,30 @@ impl MultiTaskSage {
         }
         let started = observer.map(|_| std::time::Instant::now());
         {
-            let InferenceScratch { z, logits, .. } = &mut *scratch;
-            if logits.len() != self.heads.len() {
-                logits.resize_with(self.heads.len(), Matrix::default);
-            }
-            for (head, out) in self.heads.iter().zip(logits.iter_mut()) {
-                head.forward_into(z, out);
-            }
+            self.heads_into(scratch);
         }
         if let (Some(obs), Some(t)) = (observer, started) {
             obs.record_stage(ForwardStage::Heads, t.elapsed().as_micros() as u64);
         }
         &scratch.logits
+    }
+
+    /// All task heads over `scratch.z` as one GEMM (see
+    /// [`Linear::forward_many_into`]). The wide `rows x Σclasses` result
+    /// goes through the aggregation buffer, which is dead once the trunk
+    /// has run, so the fusion adds no per-node memory.
+    fn heads_into(&self, scratch: &mut InferenceScratch) {
+        let InferenceScratch {
+            ws,
+            z,
+            logits,
+            heads,
+            ..
+        } = scratch;
+        if logits.len() != self.heads.len() {
+            logits.resize_with(self.heads.len(), Matrix::default);
+        }
+        Linear::forward_many_into(&self.heads, z, heads, ws.spare(), logits);
     }
 
     /// Row-masked inference: the trunk runs on the **full** graph (message
@@ -357,13 +371,7 @@ impl MultiTaskSage {
         }
         let started = observer.map(|_| std::time::Instant::now());
         {
-            let InferenceScratch { z, logits, .. } = &mut *scratch;
-            if logits.len() != self.heads.len() {
-                logits.resize_with(self.heads.len(), Matrix::default);
-            }
-            for (head, out) in self.heads.iter().zip(logits.iter_mut()) {
-                head.forward_into(z, out);
-            }
+            self.heads_into(scratch);
         }
         if let (Some(obs), Some(t)) = (observer, started) {
             obs.record_stage(ForwardStage::Heads, t.elapsed().as_micros() as u64);
@@ -605,6 +613,38 @@ mod tests {
                         "task {task} row {r} diverged under masking"
                     );
                 }
+            }
+        }
+    }
+
+    /// The fused-heads GEMM equals one `Linear::forward_into` per head,
+    /// bit for bit: with f32 heads, with i8 heads, and — heads that
+    /// disagree on storage class cannot share a GEMM — through the
+    /// one-by-one fallback.
+    #[test]
+    fn fused_heads_match_separate_head_forwards() {
+        let graph = tiny_graph();
+        let mut x = Matrix::zeros(6, 3);
+        for r in 0..6 {
+            x.set(r, r % 3, 1.0);
+        }
+        let f32_heads = tiny_model();
+        let mut i8_heads = tiny_model();
+        i8_heads.quantise();
+        let mut mixed = tiny_model();
+        mixed.heads[1].quantise();
+        for (model, what) in [(f32_heads, "f32"), (i8_heads, "i8"), (mixed, "mixed")] {
+            let mut scratch = InferenceScratch::default();
+            model.infer(&graph, &x, &mut scratch);
+            for (t, head) in model.heads.iter().enumerate() {
+                let separate = head.forward(&scratch.z);
+                assert_eq!(
+                    (scratch.logits[t].rows(), scratch.logits[t].cols()),
+                    (6, model.config.task_classes[t])
+                );
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&scratch.logits[t]), bits(&separate), "{what} head {t}");
             }
         }
     }

@@ -5,22 +5,22 @@
 //! which preserves the batching/parallelism story of Figures 7 and 8 at CPU
 //! scale. Only the operations the GNN stack needs are implemented.
 //!
-//! The forward-pass GEMMs all funnel through one register-blocked tile
-//! micro-kernel ([`gemm_tile`]): up to [`MR`] output rows are processed
-//! per sweep, the K dimension is swept in [`KC`]-sized cache panels and
-//! unrolled four-wide, so each loaded weight panel is reused across every
-//! row of the tile and the compiler vectorises the N loop.
-//! [`fused_gemm_into`] drives that kernel with an optional *second*
+//! The forward-pass GEMMs all funnel through [`fused_gemm_into`], which
+//! fans row blocks out to the register-tiled micro-kernel in
+//! [`crate::kernel`]: a 4-row accumulator tile stays in registers across
+//! the whole K sweep, and the kernel takes an optional *second*
 //! input/weight pair (the split-weight SAGE trick: `concat([h, agg]) @ W
 //! == h @ W_self + agg @ W_neigh`, no concat buffer) and a fused
 //! scale + bias + ReLU epilogue, so a whole layer is one pass over the
-//! output instead of matmul-then-bias-then-activation.
+//! output instead of matmul-then-bias-then-activation. That module also
+//! says which instruction-set variant runs and why all of them produce
+//! the same bits.
 //!
 //! Weights come in two storage classes behind the same kernel: plain
 //! `f32` ([`Matrix`]) and a read-only i8-quantised store
 //! ([`QuantisedMatrix`], per-output-column scale). The quantised path
-//! accumulates `f32` sums of `activation x i8-weight` products inside the
-//! K-panel loop and applies the column scales once in the epilogue —
+//! accumulates `f32` sums of `activation x i8-weight` products over the
+//! K sweep and applies the column scales once in the epilogue —
 //! mathematically the dequantised product, at a quarter of the resident
 //! weight bytes, with no layer or model code aware of the difference.
 //!
@@ -34,6 +34,7 @@
 //! (copy-on-write), and overwrite-style entry points simply swap in owned
 //! storage. Layers, models and kernels never observe the difference.
 
+use crate::kernel::{self, GemmArgs, Kernels, Operand, WeightElem};
 use crate::parallel;
 use rand::Rng;
 use std::fmt;
@@ -379,7 +380,7 @@ impl Matrix {
     /// Reshapes to `rows x cols` *without* zeroing retained elements —
     /// for kernels that overwrite every element anyway (skips the memset
     /// that [`Matrix::reset`] pays).
-    fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.owned_for_overwrite().resize(rows * cols, 0.0);
@@ -407,7 +408,7 @@ impl Matrix {
     }
 
     /// `out = self @ other`, writing into a caller-owned buffer (no heap
-    /// allocation once `out` has enough capacity). Runs the blocked
+    /// allocation once `out` has enough capacity). Runs the register-tiled
     /// micro-kernel (see the module docs).
     ///
     /// # Panics
@@ -434,17 +435,7 @@ impl Matrix {
     /// Panics if `self.cols != other.rows` or `out` is not
     /// `self.rows x other.cols`.
     pub fn matmul_add_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.cols),
-            "matmul_add_into accumulator shape mismatch"
-        );
-        let n = other.cols;
-        parallel::for_each_row_block(out.data.make_owned(), n.max(1), MR, |row0, block| {
-            let rows = block.len() / n.max(1);
-            gemm_tile(self, row0, rows, other.as_slice(), n, block);
-        });
+        KernelVariant::active().matmul_add_into(self, other, out);
     }
 
     /// `self^T @ other` without materialising the transpose
@@ -790,45 +781,16 @@ impl QuantisedMatrix {
     }
 }
 
-/// K-dimension cache-block size: one `KC x n` panel of the weight matrix
-/// (64 KiB at `n = 64`) stays resident in L1/L2 across the accumulation
-/// sweep of a row block.
-const KC: usize = 256;
-
-/// Register-tile height: output rows processed per micro-kernel sweep.
-/// Each loaded weight panel (the four `b` row slices of a K-quad) is
-/// reused across all `MR` rows, cutting weight-load traffic by the tile
-/// height; `MR` output rows of accumulators stay live at once, which at
-/// `n <= 64` still fits the architectural register/L1 budget.
-const MR: usize = 4;
-
-/// A weight element the micro-kernel can promote to `f32` on load — the
-/// one seam between the `f32` and i8-quantised storage classes. Both
-/// monomorphisations keep the vectorisable N loop; `promote` is an
-/// identity for `f32` and a lane-wise int-to-float convert for `i8`.
-trait WeightElem: Copy + Send + Sync {
-    fn promote(self) -> f32;
-}
-
-impl WeightElem for f32 {
-    #[inline(always)]
-    fn promote(self) -> f32 {
-        self
-    }
-}
-
-impl WeightElem for i8 {
-    #[inline(always)]
-    fn promote(self) -> f32 {
-        self as f32
-    }
-}
+/// Rows handed to one kernel call: a multiple of the register-tile height
+/// [`kernel::MR`] (so tiles never straddle a worker boundary), large
+/// enough that the indirect call through the variant table is noise.
+const GEMM_BLOCK_ROWS: usize = 16 * kernel::MR;
 
 /// A weight operand for [`fused_gemm_into`]: a plain row-major `f32`
 /// slice, or the raw i8 values of a [`QuantisedMatrix`] (whose column
 /// scales the caller passes separately for the epilogue).
 #[derive(Copy, Clone)]
-pub(crate) enum Weights<'a> {
+pub enum Weights<'a> {
     /// Row-major `k x n` `f32` weights.
     F32(&'a [f32]),
     /// Row-major `k x n` i8-quantised weights (apply column scales in the
@@ -836,105 +798,37 @@ pub(crate) enum Weights<'a> {
     I8(&'a [i8]),
 }
 
-impl Weights<'_> {
+impl<'a> Weights<'a> {
     fn len(&self) -> usize {
         match self {
             Weights::F32(w) => w.len(),
             Weights::I8(w) => w.len(),
         }
     }
-}
 
-/// Register-blocked tile micro-kernel: `out[i] += x.row(row0 + i) @ b`
-/// for `i in 0..rows`, where `b` is a row-major `x.cols() x n` weight
-/// slice and `out` is the contiguous `rows x n` output block.
-///
-/// K is swept in [`KC`]-sized panels and unrolled four-wide; the four
-/// weight-row slices of each K-quad are hoisted out of the row loop, so
-/// one panel load feeds all `rows` output rows of the tile (the
-/// multi-row register tile). Per output element each step folds four
-/// independent products, which the compiler turns into FMA chains
-/// vectorised over N. Per-row accumulation order is identical to the
-/// single-row kernel this replaces, so `f32` results are bit-identical.
-/// The per-row skip on all-zero coefficient quads (and the scalar
-/// remainder's zero skip) keeps the sparse 0/1 feature matrices of the
-/// first layer cheap.
-#[inline]
-fn gemm_tile<E: WeightElem>(
-    x: &Matrix,
-    row0: usize,
-    rows: usize,
-    b: &[E],
-    n: usize,
-    out: &mut [f32],
-) {
-    let k_total = x.cols;
-    // Resolve the activation storage once: the inner loops index a plain
-    // slice, so borrowed (region-backed) matrices pay nothing per row.
-    let a_all = x.as_slice();
-    debug_assert_eq!(b.len(), k_total * n);
-    debug_assert_eq!(out.len(), rows * n);
-    let mut kb = 0;
-    while kb < k_total {
-        let kend = (kb + KC).min(k_total);
-        let mut k = kb;
-        while k + 4 <= kend {
-            let b0 = &b[k * n..(k + 1) * n];
-            let b1 = &b[(k + 1) * n..(k + 2) * n];
-            let b2 = &b[(k + 2) * n..(k + 3) * n];
-            let b3 = &b[(k + 3) * n..(k + 4) * n];
-            for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
-                let a_row = &a_all[(row0 + i) * k_total..(row0 + i + 1) * k_total];
-                let a0 = a_row[k];
-                let a1 = a_row[k + 1];
-                let a2 = a_row[k + 2];
-                let a3 = a_row[k + 3];
-                if a0 != 0.0 || a1 != 0.0 || a2 != 0.0 || a3 != 0.0 {
-                    for ((((o, &v0), &v1), &v2), &v3) in
-                        out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                    {
-                        *o += a0 * v0.promote()
-                            + a1 * v1.promote()
-                            + a2 * v2.promote()
-                            + a3 * v3.promote();
-                    }
-                }
-            }
-            k += 4;
+    /// The second operand of an `f32` GEMM.
+    fn f32(self) -> &'a [f32] {
+        match self {
+            Weights::F32(w) => w,
+            Weights::I8(_) => panic!("fused GEMM operands must share one weight storage class"),
         }
-        while k < kend {
-            let bk = &b[k * n..(k + 1) * n];
-            for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
-                let a = a_all[(row0 + i) * k_total + k];
-                if a != 0.0 {
-                    for (o, &v) in out_row.iter_mut().zip(bk) {
-                        *o += a * v.promote();
-                    }
-                }
-            }
-            k += 1;
-        }
-        kb = kend;
     }
-}
 
-/// Dispatches one tile through [`gemm_tile`] for either weight storage
-/// class.
-#[inline]
-fn gemm_tile_dyn(x: &Matrix, row0: usize, rows: usize, w: Weights<'_>, n: usize, out: &mut [f32]) {
-    match w {
-        Weights::F32(b) => gemm_tile(x, row0, rows, b, n, out),
-        Weights::I8(b) => gemm_tile(x, row0, rows, b, n, out),
+    /// The second operand of an i8 GEMM.
+    fn i8(self) -> &'a [i8] {
+        match self {
+            Weights::I8(w) => w,
+            Weights::F32(_) => panic!("fused GEMM operands must share one weight storage class"),
+        }
     }
 }
 
 /// The post-accumulation work fused into the GEMM: optional per-output-
 /// column scales (the i8 dequantisation step — applied *before* the
 /// bias, which is stored unscaled), optional bias add, optional ReLU.
-/// All of it runs on each freshly accumulated tile while it is still in
-/// cache.
+/// All of it runs on the accumulator tile before it is stored.
 #[derive(Copy, Clone, Default)]
-pub(crate) struct Epilogue<'a> {
+pub struct Epilogue<'a> {
     /// Per-output-column multipliers (i8 dequantisation), length `n`.
     pub scales: Option<&'a [f32]>,
     /// Per-output-column bias, length `n`.
@@ -943,56 +837,44 @@ pub(crate) struct Epilogue<'a> {
     pub relu: bool,
 }
 
-impl Epilogue<'_> {
-    #[inline]
-    fn apply(&self, out_row: &mut [f32]) {
-        if let Some(s) = self.scales {
-            for (o, &sv) in out_row.iter_mut().zip(s) {
-                *o *= sv;
-            }
-        }
-        match (self.bias, self.relu) {
-            (Some(b), true) => {
-                for (o, &bv) in out_row.iter_mut().zip(b) {
-                    *o = (*o + bv).max(0.0);
-                }
-            }
-            (Some(b), false) => {
-                for (o, &bv) in out_row.iter_mut().zip(b) {
-                    *o += bv;
-                }
-            }
-            (None, true) => {
-                for o in out_row.iter_mut() {
-                    *o = o.max(0.0);
-                }
-            }
-            (None, false) => {}
-        }
-    }
-}
-
 /// Fused layer GEMM: `out = act((x1 @ w1 [+ x2 @ w2]) [* scales] [+
-/// bias])` in one pass over the output, parallel over [`MR`]-row tile
-/// blocks.
+/// bias])` in one pass over the output, parallel over row blocks, each
+/// block computed by the process's kernel variant (see [`crate::kernel`]).
 ///
 /// `w1`/`w2` are row-major `x.cols() x n` weight operands (for the SAGE
 /// split-weight trick they are the two contiguous halves of one combined
 /// `2d x n` matrix, so no weights are copied — and, being halves of one
 /// quantised store, they share the one set of column scales in
-/// `epilogue`). The epilogue runs while the freshly accumulated rows are
-/// still in cache.
+/// `epilogue`).
 ///
 /// # Panics
 ///
 /// Panics on any shape mismatch between the inputs, weights, epilogue
-/// vectors and `n`.
+/// vectors and `n`, or when `w1` and `w2` differ in storage class.
 pub(crate) fn fused_gemm_into(
     x1: &Matrix,
     w1: Weights<'_>,
     pair2: Option<(&Matrix, Weights<'_>)>,
     epilogue: Epilogue<'_>,
     n: usize,
+    out: &mut Matrix,
+) {
+    KernelVariant::active().fused_gemm_into(x1, w1, pair2, epilogue, n, out);
+}
+
+/// The shape checks and row-block fan-out behind
+/// [`KernelVariant::fused_gemm_into`] and
+/// [`KernelVariant::matmul_add_into`]. `out`
+/// must already be `x1.rows x n`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_with(
+    kernels: &Kernels,
+    x1: &Matrix,
+    w1: Weights<'_>,
+    pair2: Option<(&Matrix, Weights<'_>)>,
+    epilogue: Epilogue<'_>,
+    n: usize,
+    accumulate: bool,
     out: &mut Matrix,
 ) {
     assert_eq!(w1.len(), x1.cols * n, "weight shape mismatch");
@@ -1006,18 +888,121 @@ pub(crate) fn fused_gemm_into(
     if let Some(b) = epilogue.bias {
         assert_eq!(b.len(), n, "bias width mismatch");
     }
-    out.reshape_for_overwrite(x1.rows, n);
-    parallel::for_each_row_block(out.data.make_owned(), n.max(1), MR, |row0, block| {
-        block.fill(0.0);
-        let rows = block.len() / n.max(1);
-        gemm_tile_dyn(x1, row0, rows, w1, n, block);
-        if let Some((x2, w2)) = pair2 {
-            gemm_tile_dyn(x2, row0, rows, w2, n, block);
+    assert_eq!(
+        (out.rows, out.cols),
+        (x1.rows, n),
+        "GEMM output/accumulator shape mismatch"
+    );
+    fn run<E: WeightElem>(
+        kernels: &Kernels,
+        operands: [Operand<'_, E>; 2],
+        epilogue: Epilogue<'_>,
+        n: usize,
+        accumulate: bool,
+        out: &mut [f32],
+    ) {
+        let args = GemmArgs {
+            operands,
+            epilogue,
+            n,
+            accumulate,
+        };
+        parallel::for_each_row_block(out, n.max(1), GEMM_BLOCK_ROWS, |row0, block| {
+            kernels.gemm_block(&args, row0, block);
+        });
+    }
+    fn operand<'a, E>(x: &'a Matrix, w: &'a [E]) -> Operand<'a, E> {
+        Operand {
+            x: x.as_slice(),
+            k: x.cols,
+            w,
         }
-        for out_row in block.chunks_exact_mut(n.max(1)) {
-            epilogue.apply(out_row);
+    }
+    let dst = out.data.make_owned();
+    match w1 {
+        Weights::F32(w1) => {
+            let second = pair2.map_or(Operand::none(), |(x2, w2)| operand(x2, w2.f32()));
+            run(
+                kernels,
+                [operand(x1, w1), second],
+                epilogue,
+                n,
+                accumulate,
+                dst,
+            );
         }
-    });
+        Weights::I8(w1) => {
+            let second = pair2.map_or(Operand::none(), |(x2, w2)| operand(x2, w2.i8()));
+            run(
+                kernels,
+                [operand(x1, w1), second],
+                epilogue,
+                n,
+                accumulate,
+                dst,
+            );
+        }
+    }
+}
+
+/// The kernel-backed operations over one compiled kernel variant. The
+/// library only ever uses [`KernelVariant::active`]; the list of all
+/// variants the CPU supports is the seam `tests/kernel_variants.rs`
+/// compares them through — not a setting.
+#[doc(hidden)]
+#[derive(Copy, Clone)]
+pub struct KernelVariant(&'static Kernels);
+
+#[doc(hidden)]
+impl KernelVariant {
+    /// The variant this process runs ([`crate::kernel_isa`]).
+    pub(crate) fn active() -> KernelVariant {
+        KernelVariant(kernel::active())
+    }
+
+    /// Every variant this CPU can run, `portable` first.
+    pub fn supported() -> Vec<KernelVariant> {
+        kernel::supported().into_iter().map(KernelVariant).collect()
+    }
+
+    /// `"portable"`, `"avx2"` or `"avx512f"`.
+    pub fn isa(&self) -> &'static str {
+        self.0.isa()
+    }
+
+    /// [`fused_gemm_into`] through this variant.
+    ///
+    /// # Panics
+    ///
+    /// As [`fused_gemm_into`].
+    pub fn fused_gemm_into(
+        &self,
+        x1: &Matrix,
+        w1: Weights<'_>,
+        pair2: Option<(&Matrix, Weights<'_>)>,
+        epilogue: Epilogue<'_>,
+        n: usize,
+        out: &mut Matrix,
+    ) {
+        out.reshape_for_overwrite(x1.rows, n);
+        gemm_with(self.0, x1, w1, pair2, epilogue, n, false, out);
+    }
+
+    /// [`Matrix::matmul_add_into`] through this variant.
+    ///
+    /// # Panics
+    ///
+    /// As [`Matrix::matmul_add_into`].
+    pub fn matmul_add_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        assert_eq!(a.cols, b.rows, "matmul shape mismatch");
+        let w = Weights::F32(b.as_slice());
+        gemm_with(self.0, a, w, None, Epilogue::default(), b.cols, true, out);
+    }
+
+    /// [`crate::Graph::mean_aggregate_into`] through this variant.
+    pub fn mean_aggregate_into(&self, graph: &crate::Graph, h: &Matrix, out: &mut Matrix) {
+        graph.mean_aggregate_with(self.0, h, out);
+    }
 }
 
 #[cfg(test)]
@@ -1093,10 +1078,10 @@ mod tests {
         assert_close(&a.matmul(&b), &naive_matmul(&a, &b));
     }
 
-    /// The blocked kernel must survive K spanning multiple cache panels
-    /// plus a non-multiple-of-4 remainder, and N not a register multiple.
+    /// The tiled kernel must survive a long K with a non-multiple-of-4
+    /// remainder, and N not a register multiple.
     #[test]
-    fn blocked_matmul_handles_odd_shapes_across_panels() {
+    fn tiled_matmul_handles_odd_shapes() {
         for (m, k, n) in [(3, 2 * 256 + 3, 5), (1, 255, 1), (4, 7, 13)] {
             let a = small(m, k, 21 + k as u64);
             let b = small(k, n, 22 + n as u64);
@@ -1374,7 +1359,7 @@ mod tests {
     }
 
     /// Multi-row tiles must survive row counts off the tile height: every
-    /// `m mod MR` residue, including sub-tile matrices.
+    /// `m mod 4` residue, including sub-tile matrices.
     #[test]
     fn tiled_matmul_handles_all_row_remainders() {
         for m in 1..=9usize {

@@ -1,4 +1,4 @@
-//! Property tests for the blocked/fused GEMM kernels against naive
+//! Property tests for the tiled/fused GEMM kernels against naive
 //! references (vendored proptest shim).
 //!
 //! Activation values are dyadic rationals (multiples of 1/64 in [-1, 1]),
@@ -6,7 +6,7 @@
 //! inside the 24-bit mantissa: the blocked kernel and the naive triple
 //! loop must then agree *exactly*, which makes the 1e-5 tolerance a hard
 //! bound rather than a statistical one, while still exercising every
-//! cache-panel and register-remainder path.
+//! column-chunk and register-remainder path.
 
 use gamora_gnn::{Direction, Graph, Linear, Matrix, SageLayer};
 use proptest::collection;
@@ -54,10 +54,10 @@ fn assert_close(got: &Matrix, want: &Matrix, tol: f32, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The register-blocked matmul matches the naive triple loop to 1e-5
-    /// across shapes that hit every kernel path: K below / across / beyond
-    /// one 256-wide cache panel, K and N not multiples of the 4-wide
-    /// unroll, single rows and single columns.
+    /// The register-tiled matmul matches the naive triple loop to 1e-5
+    /// across shapes that hit every kernel path: short and long K, K and
+    /// N not multiples of the 4-wide unroll, single rows and single
+    /// columns.
     #[test]
     fn blocked_matmul_matches_naive_reference(
         case in (1usize..5, 1usize..600, 1usize..10).prop_flat_map(|(m, k, n)| {

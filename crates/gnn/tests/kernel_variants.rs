@@ -1,0 +1,331 @@
+//! Bit-identity guards for the CPU-dispatched kernels (`src/kernel.rs`).
+//!
+//! Every compiled variant the running CPU supports — reached through the
+//! `#[doc(hidden)]` [`KernelVariant`] list, a test seam and not a setting —
+//! must produce exactly the bits of the `portable` build, which in turn
+//! must produce exactly the bits of the scalar definitions written out
+//! below, over shapes that hit every column-chunk width, every row-tile
+//! remainder, the K-quad remainder, the zero-quad skip and both weight
+//! storage classes. A golden hash recorded from the previous kernel pins
+//! the whole forward pass across the rewrite. CI runs this file in debug
+//! and `--release`: code generation differs per `target_feature`.
+
+use gamora_gnn::parallel::set_intra_threads;
+use gamora_gnn::{
+    Direction, Epilogue, Graph, KernelVariant, Matrix, ModelConfig, MultiTaskSage, QuantisedMatrix,
+    Weights,
+};
+use rand::{Rng, SeedableRng};
+
+const NS: [usize; 9] = [1, 2, 4, 8, 31, 32, 33, 80, 96];
+const KS: [usize; 8] = [1, 3, 4, 5, 32, 64, 160, 257];
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Dense activations in [-1, 1] with ReLU-style exact zeros, or sparse
+/// 0/1 features with a few `-0.0`s — whole zero K-quads in either case.
+fn activations(rows: usize, k: usize, sparse: bool, rng: &mut impl Rng) -> Matrix {
+    let mut m = Matrix::zeros(rows, k);
+    for v in m.as_mut_slice() {
+        *v = if sparse {
+            [0.0, 0.0, -0.0, 1.0][rng.gen_range(0..4usize)]
+        } else {
+            let x: f32 = rng.gen_range(-1.0..1.0);
+            x.max(0.0)
+                - if rng.gen_range(0..8u32) == 0 {
+                    0.5
+                } else {
+                    0.0
+                }
+        };
+    }
+    // One all-zero row: every quad of it is skipped.
+    if rows > 1 {
+        m.row_mut(rows / 2).fill(0.0);
+    }
+    m
+}
+
+/// The scalar definition of the fused GEMM, one output element at a time:
+/// K-quads in ascending K as `acc += ((a0*v0 + a1*v1) + a2*v2) + a3*v3`,
+/// skipped when all four activations are zero, then single steps for the
+/// last `k % 4`, operand after operand; then scales, bias, ReLU.
+fn scalar_gemm(
+    init: Option<&Matrix>,
+    operands: &[(&Matrix, &[f32])],
+    epilogue: Epilogue<'_>,
+    n: usize,
+) -> Matrix {
+    let rows = operands[0].0.rows();
+    let mut out = Matrix::zeros(rows, n);
+    for r in 0..rows {
+        for c in 0..n {
+            let mut acc = init.map_or(0.0, |m| m.get(r, c));
+            for &(x, w) in operands {
+                let a = x.row(r);
+                let mut k = 0;
+                while k + 4 <= a.len() {
+                    if a[k..k + 4].iter().any(|&v| v != 0.0) {
+                        acc += a[k] * w[k * n + c]
+                            + a[k + 1] * w[(k + 1) * n + c]
+                            + a[k + 2] * w[(k + 2) * n + c]
+                            + a[k + 3] * w[(k + 3) * n + c];
+                    }
+                    k += 4;
+                }
+                while k < a.len() {
+                    if a[k] != 0.0 {
+                        acc += a[k] * w[k * n + c];
+                    }
+                    k += 1;
+                }
+            }
+            if let Some(s) = epilogue.scales {
+                acc *= s[c];
+            }
+            if let Some(b) = epilogue.bias {
+                acc += b[c];
+            }
+            if epilogue.relu {
+                acc = acc.max(0.0);
+            }
+            out.set(r, c, acc);
+        }
+    }
+    out
+}
+
+/// Every variant, f32 and i8, one and two operands, all four epilogues,
+/// over the shape grid and row counts 1..=9 (every remainder of the
+/// 4-row tile, with and without full tiles before it).
+#[test]
+fn every_variant_matches_the_scalar_gemm_definition() {
+    let variants = KernelVariant::supported();
+    assert_eq!(variants[0].isa(), "portable");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB175);
+    let mut out = Matrix::default();
+    let shapes = NS
+        .iter()
+        .flat_map(|&n| KS.iter().map(move |&k| (n, k)))
+        .flat_map(|(n, k)| (1..=9).map(move |rows| (rows, k, n)));
+    for (case, (rows, k, n)) in shapes.enumerate() {
+        let sparse = case % 2 == 1;
+        let x1 = activations(rows, k, sparse, &mut rng);
+        let x2 = activations(rows, k, !sparse, &mut rng);
+        let w = Matrix::glorot(2 * k, n, &mut rng);
+        let (w1, w2) = w.as_slice().split_at(k * n);
+        let q = QuantisedMatrix::quantise(&w);
+        let (q1, q2) = q.values().split_at(k * n);
+        let qf: Vec<f32> = q.values().iter().map(|&v| f32::from(v)).collect();
+        let (qf1, qf2) = qf.split_at(k * n);
+        let bias: Vec<f32> = (0..n).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let f32_epilogue = Epilogue {
+            scales: None,
+            bias: (case % 4 < 2).then_some(&bias[..]),
+            relu: case % 4 % 2 == 0,
+        };
+        let i8_epilogue = Epilogue {
+            scales: Some(q.scales()),
+            ..f32_epilogue
+        };
+        for pair in [false, true] {
+            let ops = if pair { 2 } else { 1 };
+            let want_f32 = scalar_gemm(None, &[(&x1, w1), (&x2, w2)][..ops], f32_epilogue, n);
+            let want_i8 = scalar_gemm(None, &[(&x1, qf1), (&x2, qf2)][..ops], i8_epilogue, n);
+            for v in &variants {
+                let what = format!("{} rows={rows} k={k} n={n} pair={pair}", v.isa());
+                let second = pair.then_some((&x2, Weights::F32(w2)));
+                v.fused_gemm_into(&x1, Weights::F32(w1), second, f32_epilogue, n, &mut out);
+                assert_eq!(bits(&out), bits(&want_f32), "f32 {what}");
+                let second = pair.then_some((&x2, Weights::I8(q2)));
+                v.fused_gemm_into(&x1, Weights::I8(q1), second, i8_epilogue, n, &mut out);
+                assert_eq!(bits(&out), bits(&want_i8), "i8 {what}");
+            }
+        }
+    }
+}
+
+/// `matmul_add_into` starts from what the buffer holds — including a
+/// `-0.0`, which only survives because an all-zero activation quad is
+/// skipped rather than added as `+0.0`.
+#[test]
+fn matmul_add_into_keeps_negative_zero_under_every_variant() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xADD);
+    for (rows, k, n) in [(5, 8, 33), (9, 7, 4), (4, 160, 80), (1, 4, 1)] {
+        let a = activations(rows, k, true, &mut rng);
+        let b = Matrix::glorot(k, n, &mut rng);
+        let mut start = Matrix::zeros(rows, n);
+        for (i, v) in start.as_mut_slice().iter_mut().enumerate() {
+            *v = [-0.0, 1.5, -0.0, -2.25][i % 4];
+        }
+        let want = scalar_gemm(Some(&start), &[(&a, b.as_slice())], Epilogue::default(), n);
+        if rows > 1 {
+            // The all-zero row of `a` leaves its accumulator row untouched.
+            assert_eq!(
+                want.row(rows / 2)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                start
+                    .row(rows / 2)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+            );
+        }
+        for v in KernelVariant::supported() {
+            let mut out = start.clone();
+            v.matmul_add_into(&a, &b, &mut out);
+            assert_eq!(bits(&out), bits(&want), "{} {rows}x{k}x{n}", v.isa());
+        }
+        let mut out = start.clone();
+        a.matmul_add_into(&b, &mut out);
+        assert_eq!(bits(&out), bits(&want), "dispatched {rows}x{k}x{n}");
+    }
+}
+
+/// A hub touching every 7th node, random sparse edges, and a band of
+/// isolated nodes at the end.
+fn hub_graph(n: usize, rng: &mut impl Rng) -> Graph {
+    let live = (n - n / 16).max(2) as u32;
+    let mut edges: Vec<(u32, u32)> = (0..2 * n)
+        .map(|_| (rng.gen_range(0..live), rng.gen_range(0..live)))
+        .collect();
+    edges.extend((1..live).step_by(7).map(|v| (0, v)));
+    Graph::from_edges(n, &edges, Direction::Bidirectional)
+}
+
+/// Mean aggregation: sum over neighbours in CSR order from `0.0`, times
+/// `1 / degree`; isolated nodes get `+0.0` rows.
+#[test]
+fn every_variant_matches_the_scalar_mean_aggregate_definition() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xA66);
+    let graph = hub_graph(300, &mut rng);
+    assert!(graph.neighbors(0).len() > 40, "high-degree hub");
+    assert!(graph.neighbors(299).is_empty(), "isolated tail");
+    let mut out = Matrix::default();
+    for dim in NS {
+        let mut h = Matrix::glorot(300, dim, &mut rng);
+        h.row_mut(3).fill(-0.0);
+        let mut want = Matrix::zeros(300, dim);
+        for v in 0..300 {
+            let neigh = graph.neighbors(v);
+            for c in 0..dim {
+                let mut acc = 0.0f32;
+                for &u in neigh {
+                    acc += h.get(u as usize, c);
+                }
+                let inv = if neigh.is_empty() {
+                    0.0
+                } else {
+                    1.0 / neigh.len() as f32
+                };
+                want.set(v, c, acc * inv);
+            }
+        }
+        for v in KernelVariant::supported() {
+            // A dirty, differently shaped buffer: every element is rewritten.
+            out.reset(7, 5);
+            out.as_mut_slice().fill(f32::NAN);
+            v.mean_aggregate_into(&graph, &h, &mut out);
+            assert_eq!(bits(&out), bits(&want), "{} dim={dim}", v.isa());
+        }
+    }
+}
+
+/// The row-block-parallel fan-out hands each worker whole tiles of the
+/// same kernel: two threads produce the bits of one.
+#[test]
+fn row_block_parallel_matches_serial_under_every_variant() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x2C0);
+    let rows = 2 * 4096 + 5;
+    let graph = hub_graph(rows, &mut rng);
+    let h = activations(rows, 32, false, &mut rng);
+    let w = Matrix::glorot(64, 32, &mut rng);
+    let (w1, w2) = w.as_slice().split_at(32 * 32);
+    let epilogue = Epilogue {
+        relu: true,
+        ..Epilogue::default()
+    };
+    for v in KernelVariant::supported() {
+        let run = |threads: usize| {
+            set_intra_threads(threads);
+            let (mut agg, mut out) = (Matrix::default(), Matrix::default());
+            v.mean_aggregate_into(&graph, &h, &mut agg);
+            let second = Some((&agg, Weights::F32(w2)));
+            v.fused_gemm_into(&h, Weights::F32(w1), second, epilogue, 32, &mut out);
+            set_intra_threads(0);
+            (bits(&agg), bits(&out))
+        };
+        assert_eq!(run(1), run(2), "{}", v.isa());
+    }
+}
+
+/// FNV-1a over the `to_bits` of every element, in order.
+fn bits_hash(acc: &mut u64, values: &[f32]) {
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            *acc = (*acc ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// The [`hub_graph`] plus the 0/1 three-column features the first layer's
+/// zero-quad skip is there for.
+fn golden_subject(n: usize, seed: u64) -> (Graph, Matrix) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let graph = hub_graph(n, &mut rng);
+    let mut x = Matrix::zeros(n, 3);
+    for r in 0..n {
+        for c in 0..3 {
+            if rng.gen_range(0..3u32) == 0 {
+                x.set(r, c, 1.0);
+            }
+        }
+    }
+    (graph, x)
+}
+
+fn golden_hash(hidden: usize, layers: usize, n: usize, quantise: bool) -> u64 {
+    let mut model = MultiTaskSage::new(ModelConfig {
+        in_dim: 3,
+        hidden,
+        layers,
+        shared_dim: hidden,
+        task_classes: vec![4, 2, 2],
+        seed: 0x60_1D + hidden as u64,
+    });
+    if quantise {
+        model.quantise();
+    }
+    let (graph, x) = golden_subject(n, 0xA16 + layers as u64);
+    let mut acc = 0xCBF2_9CE4_8422_2325u64;
+    for logits in model.forward(&graph, &x) {
+        bits_hash(&mut acc, logits.as_slice());
+    }
+    acc
+}
+
+/// Logit bits of fixed seeded models over a fixed seeded graph, recorded
+/// from the row-sweep kernel this crate shipped before the register-tiled
+/// one (commit 3b9a4ff). 9001 rows cross the row-block-parallel threshold
+/// on multi-core hosts and leave a one-row remainder tile.
+#[test]
+fn golden_logits_hash_matches_the_previous_kernel() {
+    let cases = [
+        (32, 4, 9001, false, 0x9b4fe4487356316f_u64),
+        (80, 8, 1203, false, 0x6685ae9cc6020082),
+        (37, 3, 1202, false, 0x9e39fd77426fc708),
+        (32, 4, 1201, true, 0xc157590e9588f887),
+        (37, 3, 9001, true, 0x94c3f5781a948a03),
+    ];
+    for (hidden, layers, n, quantise, want) in cases {
+        let got = golden_hash(hidden, layers, n, quantise);
+        assert_eq!(
+            got, want,
+            "{hidden}x{layers} model, {n} nodes, quantised {quantise}: {got:#018x}"
+        );
+    }
+}

@@ -63,6 +63,14 @@ impl Registry {
         g
     }
 
+    /// Register an info metric: a constant-`1` gauge whose payload is its
+    /// one label, exposed as `<name>{<label>="<value>"} 1` — for facts
+    /// about the process (which build, which code path) rather than
+    /// measurements. Merging shards keeps the `1`.
+    pub fn info(&mut self, name: &str, label: &str, value: &str) {
+        self.gauge(&format!("{name}{{{label}=\"{value}\"}}")).set(1);
+    }
+
     /// Register (or fetch) a latency histogram.
     pub fn histogram(&mut self, name: &str) -> Arc<Histogram> {
         if let Some(m) = self.find(name) {
@@ -181,7 +189,10 @@ impl Snapshot {
                     let _ = writeln!(out, "{name} {v}");
                 }
                 MetricSnapshot::Gauge(v) => {
-                    let _ = writeln!(out, "# TYPE {name} gauge");
+                    // An info metric carries a label set; the TYPE line
+                    // names the family only.
+                    let family = name.split('{').next().unwrap_or(name);
+                    let _ = writeln!(out, "# TYPE {family} gauge");
                     let _ = writeln!(out, "{name} {v}");
                 }
                 MetricSnapshot::Histogram(h) => {
@@ -272,5 +283,16 @@ mod tests {
         assert!(text.contains("lat_micros_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("lat_micros_sum 42"));
         assert!(text.contains("lat_micros_count 3"));
+    }
+
+    #[test]
+    fn info_metric_exposes_its_label_and_survives_a_merge() {
+        let mut reg = Registry::new();
+        reg.info("build_isa", "isa", "avx2");
+        let mut snap = reg.snapshot();
+        snap.merge(&reg.snapshot());
+        let text = snap.prometheus();
+        assert!(text.contains("# TYPE build_isa gauge\n"), "{text}");
+        assert!(text.contains("build_isa{isa=\"avx2\"} 1\n"), "{text}");
     }
 }

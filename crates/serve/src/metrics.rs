@@ -145,6 +145,8 @@ impl ServeMetrics {
     /// Registers every serve metric in `reg`. `layer_count` switches on the
     /// optional per-layer forward histograms.
     pub fn register(reg: &mut Registry, layer_count: Option<usize>) -> ServeMetrics {
+        // Which kernel variant produced every timing below.
+        reg.info("gamora_kernel_isa", "isa", gamora_gnn::kernel_isa());
         ServeMetrics {
             jobs_submitted: reg.counter("serve_jobs_submitted_total"),
             jobs: reg.counter("serve_jobs_completed_total"),

@@ -185,7 +185,9 @@ impl fmt::Display for Json {
 /// overload-hardening counters (`jobs_dropped`, `jobs_expired`,
 /// `rejected_overload`, `peak_queued`) and the self-healing counters
 /// (`jobs_failed`, `workers_respawned`, `quarantines`, `retries`,
-/// `health`) alongside the serving totals.
+/// `health`) alongside the serving totals, and `kernel_isa` — the GEMM /
+/// aggregation kernel variant this process runs — so the timings printed
+/// next to these counters name the code path that produced them.
 pub fn serve_stats_json(stats: &ServeStats) -> Json {
     Json::obj([
         ("jobs_submitted", Json::u64(stats.jobs_submitted)),
@@ -203,6 +205,7 @@ pub fn serve_stats_json(stats: &ServeStats) -> Json {
         ("retries", Json::u64(stats.retries)),
         ("peak_queued", Json::u64(stats.peak_queued)),
         ("health", Json::str(stats.health.name())),
+        ("kernel_isa", Json::str(gamora_gnn::kernel_isa())),
     ])
 }
 
@@ -427,6 +430,7 @@ mod tests {
             "\"retries\":8",
             "\"peak_queued\":6",
             "\"health\":\"degraded\"",
+            &format!("\"kernel_isa\":\"{}\"", gamora_gnn::kernel_isa()),
         ] {
             assert!(rendered.contains(field), "{field} missing from {rendered}");
         }

@@ -78,8 +78,8 @@ use crate::cache::{
 };
 use crate::metrics::ServeMetrics;
 use gamora::{
-    extract_from_predictions, lsb_correction, BatchScratch, GamoraReasoner, InferenceScratch,
-    Predictions,
+    extract_from_predictions_with, lsb_correction_with, BatchScratch, GamoraReasoner,
+    InferenceScratch, Predictions,
 };
 use gamora_aig::hasher::FxHashMap;
 use gamora_aig::Aig;
@@ -1568,8 +1568,11 @@ fn run_batch(
         let adders = match job.kind {
             AnalysisKind::Classify => None,
             AnalysisKind::ExtractAdders => {
-                let mut adders = extract_from_predictions(&job.aig, &predictions);
-                lsb_correction(&job.aig, &mut adders);
+                // Both steps pair candidates from the same cut-based
+                // detection pass; run it once per job.
+                let cands = gamora_exact::detect(&job.aig);
+                let mut adders = extract_from_predictions_with(&job.aig, &cands, &predictions);
+                lsb_correction_with(&job.aig, &cands, &mut adders);
                 Some(adders)
             }
             #[cfg(test)]

@@ -3,9 +3,12 @@
 //! end — worker respawn, poison-fingerprint quarantine, deadline-aware
 //! retry, and health reporting.
 //!
-//! Every test arms `gamora-fault` via [`gamora_fault::arm`], whose
-//! process-global gate serialises the tests in this binary, so the
-//! global fail-point registry never sees two specs at once. The
+//! Every test takes `gamora-fault`'s process-global gate with
+//! [`gamora_fault::arm`] as its first statement and holds it to the end,
+//! switching specs with `rearm`: the fail-point registry is global, so a
+//! test's fault-free phases (training, warm-up, "served again once
+//! disarmed") must not run while another test's faults are armed — they
+//! did on multi-core hosts, and failed at random. The
 //! acceptance invariant throughout: **every submitted job gets exactly
 //! one terminal outcome** (a prediction, `JobDropped`, `AnalysisFailed`
 //! or `DeadlineExpired` — never a hang, never two answers), and the
@@ -57,6 +60,7 @@ fn assert_balanced(stats: &gamora_serve::scheduler::ServeStats) {
 /// lapsed) the fleet reports `Healthy` again.
 #[test]
 fn chaos_storm_every_job_gets_exactly_one_terminal_outcome() {
+    let faults = gamora_fault::arm("");
     let submissions = if cfg!(debug_assertions) { 64 } else { 256 };
     let router = ShardRouter::start(
         Arc::new(tiny_trained()),
@@ -76,14 +80,14 @@ fn chaos_storm_every_job_gets_exactly_one_terminal_outcome() {
         .map(|i| (subjects[i % subjects.len()].clone(), AnalysisKind::Classify))
         .collect();
 
-    let guard = gamora_fault::arm("all:panic:prob=0.15,seed=11");
+    faults.rearm("all:panic:prob=0.15,seed=11");
     let policy = RetryPolicy {
         max_retries: 2,
         backoff_micros: 200,
         deadline: None,
     };
     let outcomes = router.submit_all_retrying(jobs, &policy);
-    drop(guard);
+    faults.rearm("");
 
     assert_eq!(outcomes.len(), submissions, "one outcome per submission");
     for (i, outcome) in outcomes.iter().enumerate() {
@@ -127,6 +131,7 @@ fn chaos_storm_every_job_gets_exactly_one_terminal_outcome() {
 /// fingerprint gets a fresh chance.
 #[test]
 fn poison_fingerprint_is_quarantined_after_two_worker_deaths() {
+    let faults = gamora_fault::arm("");
     let server = Server::start(
         tiny_trained(),
         ServeConfig {
@@ -141,7 +146,7 @@ fn poison_fingerprint_is_quarantined_after_two_worker_deaths() {
     );
     let poison = csa_multiplier(5).aig;
 
-    let guard = gamora_fault::arm("forward:panic");
+    faults.rearm("forward:panic");
     for strike in 0..2 {
         let err = server
             .submit(poison.clone(), AnalysisKind::Classify)
@@ -154,7 +159,7 @@ fn poison_fingerprint_is_quarantined_after_two_worker_deaths() {
             "strike {strike}: a worker death drops the batch"
         );
     }
-    drop(guard);
+    faults.rearm("");
 
     // Third submission: the fingerprint now has two strikes, so it is
     // quarantined at the gate — `AnalysisFailed`, no forward, no death.
@@ -200,6 +205,7 @@ fn poison_fingerprint_is_quarantined_after_two_worker_deaths() {
 /// (no respawn), and serving resumes the moment the fault is disarmed.
 #[test]
 fn injected_stage_error_fails_jobs_without_killing_workers() {
+    let faults = gamora_fault::arm("");
     let server = Server::start(
         tiny_trained(),
         ServeConfig {
@@ -213,7 +219,7 @@ fn injected_stage_error_fails_jobs_without_killing_workers() {
     );
     let subject = csa_multiplier(4).aig;
 
-    let guard = gamora_fault::arm("forward:err");
+    faults.rearm("forward:err");
     let err = server
         .submit(subject.clone(), AnalysisKind::Classify)
         .expect("admitted")
@@ -225,7 +231,7 @@ fn injected_stage_error_fails_jobs_without_killing_workers() {
         Health::Degraded,
         "a just-failed batch is a recent incident"
     );
-    drop(guard);
+    faults.rearm("");
 
     server
         .submit(subject, AnalysisKind::Classify)
@@ -248,6 +254,7 @@ fn injected_stage_error_fails_jobs_without_killing_workers() {
 /// is lost — and it comes back the moment the fault clears.
 #[test]
 fn cache_fault_degrades_to_miss_serving() {
+    let faults = gamora_fault::arm("");
     let server = Server::start(
         tiny_trained(),
         ServeConfig {
@@ -271,13 +278,13 @@ fn cache_fault_degrades_to_miss_serving() {
     assert!(!serve(&subject).cache_hit, "cold: a miss");
     assert!(serve(&subject).cache_hit, "warm: a hit");
 
-    let guard = gamora_fault::arm("cache:err");
+    faults.rearm("cache:err");
     let degraded = serve(&subject);
     assert!(
         !degraded.cache_hit,
         "with the cache faulted the job is served as a miss — degraded, not failed"
     );
-    drop(guard);
+    faults.rearm("");
 
     assert!(
         serve(&subject).cache_hit,
@@ -302,6 +309,7 @@ fn cache_fault_degrades_to_miss_serving() {
 /// and the caller can retry.
 #[test]
 fn admission_fault_sheds_as_overloaded() {
+    let faults = gamora_fault::arm("");
     let server = Server::start(
         tiny_trained(),
         ServeConfig {
@@ -316,7 +324,7 @@ fn admission_fault_sheds_as_overloaded() {
     let subject = csa_multiplier(4).aig;
 
     for spec in ["admission:err", "admission:panic"] {
-        let _guard = gamora_fault::arm(spec);
+        faults.rearm(spec);
         assert_eq!(
             server
                 .try_submit(subject.clone(), AnalysisKind::Classify)
@@ -327,6 +335,7 @@ fn admission_fault_sheds_as_overloaded() {
     }
 
     // Disarmed: the very next submission is admitted and served.
+    faults.rearm("");
     server
         .submit(subject, AnalysisKind::Classify)
         .expect("admitted once disarmed")
@@ -345,6 +354,7 @@ fn admission_fault_sheds_as_overloaded() {
 /// out the full linger window.
 #[test]
 fn shutdown_during_linger_with_injected_assembly_delay() {
+    let faults = gamora_fault::arm("");
     let server = Server::start(
         tiny_trained(),
         ServeConfig {
@@ -356,7 +366,7 @@ fn shutdown_during_linger_with_injected_assembly_delay() {
             ..ServeConfig::default()
         },
     );
-    let _guard = gamora_fault::arm("assemble:delay(20000)");
+    faults.rearm("assemble:delay(20000)");
 
     let start = Instant::now();
     let ticket = server
@@ -388,6 +398,7 @@ fn shutdown_during_linger_with_injected_assembly_delay() {
 /// caller gets a prompt error — and nobody hangs, nothing leaks.
 #[test]
 fn burst_retract_under_injected_forward_delay() {
+    let faults = gamora_fault::arm("");
     let router = ShardRouter::start(
         Arc::new(tiny_trained()),
         2,
@@ -415,7 +426,7 @@ fn burst_retract_under_injected_forward_delay() {
 
     // Each forward sleeps 100ms, so the 2-slot queues stay backed up and
     // the 8-job slice for shard 1 must wait through several waves.
-    let _guard = gamora_fault::arm("forward:delay(100000)");
+    faults.rearm("forward:delay(100000)");
     let mut jobs = vec![(s0, AnalysisKind::Classify); 2];
     jobs.extend(vec![(s1, AnalysisKind::Classify); 8]);
 
@@ -454,6 +465,7 @@ fn burst_retract_under_injected_forward_delay() {
 /// job.
 #[test]
 fn retry_deadline_bounds_total_wait() {
+    let faults = gamora_fault::arm("");
     let router = ShardRouter::start(
         Arc::new(tiny_trained()),
         1,
@@ -467,7 +479,7 @@ fn retry_deadline_bounds_total_wait() {
         },
     );
     let subject = csa_multiplier(5).aig;
-    let _guard = gamora_fault::arm("forward:delay(200000)");
+    faults.rearm("forward:delay(200000)");
 
     // Wedge the shard: one job on the worker (sleeping 200ms per
     // forward), one filling the single queue slot.

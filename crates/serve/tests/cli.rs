@@ -58,6 +58,8 @@ fn saved_model_served_by_binary_reproduces_in_process_scores() {
     let out = Command::new(env!("CARGO_BIN_EXE_gamora"))
         .args(["infer", "--score", "--compact", "--batch", "4", "--model"])
         .arg(&model_path)
+        .arg("--metrics-out")
+        .arg(dir.join("metrics.prom"))
         .arg(&aag_path)
         .arg(&aag_path)
         .output()
@@ -85,6 +87,19 @@ fn saved_model_served_by_binary_reproduces_in_process_scores() {
     assert!(stdout.contains("\"cache_hit\":true"), "{stdout}");
     assert!(stdout.contains("\"forward_passes\":1"), "{stdout}");
     assert!(stdout.contains("\"cache_hits\":1"), "{stdout}");
+
+    // The report and the metric registry both name the kernel variant the
+    // numbers came from.
+    let isa = gamora_gnn::kernel_isa();
+    assert!(
+        stdout.contains(&format!("\"kernel_isa\":\"{isa}\"")),
+        "{stdout}"
+    );
+    let prom = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
+    assert!(
+        prom.contains(&format!("gamora_kernel_isa{{isa=\"{isa}\"}} 1\n")),
+        "{prom}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
