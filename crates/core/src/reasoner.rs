@@ -70,7 +70,7 @@ impl Default for ReasonerConfig {
 }
 
 impl ReasonerConfig {
-    fn model_config(&self) -> ModelConfig {
+    pub(crate) fn model_config(&self) -> ModelConfig {
         let (layers, hidden) = match self.depth {
             ModelDepth::Shallow => (4, 32),
             ModelDepth::Deep => (8, 80),
@@ -185,24 +185,8 @@ impl GamoraReasoner {
         self.model.num_params()
     }
 
-    /// Builds the i8-quantised read-only weight store (per-output-column
-    /// scales, `f32` accumulation): inference serves i8 weights from
-    /// then on at ~4x smaller resident size, with argmax predictions
-    /// matching the `f32` path on ≥ 99.9% of nodes (guarded by the
-    /// `quant_equivalence` test). Training still reads the `f32` weights
-    /// and invalidates the store; re-invoke after further `fit` calls.
-    /// [`GamoraReasoner::save`] persists a quantised reasoner in the v2
-    /// snapshot format (i8 payload + scales).
-    pub fn quantise(&mut self) {
-        self.model.quantise();
-    }
-
-    /// Whether inference currently serves from the quantised store.
-    pub fn is_quantised(&self) -> bool {
-        self.model.is_quantised()
-    }
-
-    /// Resident bytes of the weight stores as currently served.
+    /// Process-owned bytes of the weights and biases (zero for weights
+    /// borrowed from a memory-mapped snapshot).
     pub fn resident_weight_bytes(&self) -> usize {
         self.model.resident_weight_bytes()
     }

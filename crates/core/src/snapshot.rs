@@ -1,41 +1,24 @@
-//! Versioned binary snapshots of trained reasoners (`.gsnap`).
+//! Binary snapshots of trained reasoners (`.gsnap`).
 //!
 //! The format is hand-rolled little-endian with no external dependencies —
-//! the first durable on-disk artifact of the workspace, written once by
+//! the one durable on-disk artifact of the workspace, written once by
 //! `gamora train` and served many times by `gamora infer` / `gamora-serve`.
 //!
-//! Layout of the legacy v1/v2 stream formats (all integers
-//! little-endian):
-//!
-//! ```text
-//! magic    : 4 bytes  b"GMRS"
-//! version  : u32      (1 = f32, 2 = section-tagged)
-//! config   : depth tag u8, layers u32, hidden u32,
-//!            feature_mode u8, direction u8, multi_task u8, seed u64
-//! tensors  : count u32, then per tensor
-//!            v1: { len u32, f32 data (LE bits) }
-//!            v2: { section tag u8,
-//!                  tag 0 (f32): len u32, f32 data (LE bits)
-//!                  tag 1 (i8):  rows u32, cols u32, i8 data,
-//!                               f32 scales (cols) }
-//! checksum : u64      Fx hash of every byte from magic through the last
-//!                     tensor, in file order
-//! ```
-//!
-//! **v3** is the mmap-ready layout [`write_snapshot`] emits today: the
-//! header carries an explicit section table (tag, rows, cols, byte
+//! The header carries an explicit section table (tag, rows, cols, byte
 //! offset, byte length per tensor) and the weight payloads live in a
 //! trailing 64-byte-aligned payload region, so a loader can validate the
 //! header in O(header) and borrow every weight slice straight out of a
 //! memory-mapped file ([`GamoraReasoner::load_mmap`]) — zero copies, one
-//! physical page-cache copy shared across processes:
+//! physical page-cache copy shared across processes. All integers are
+//! little-endian:
 //!
 //! ```text
 //! magic         : 4 bytes  b"GMRS"
 //! version       : u32     (3)
-//! config        : 20 bytes (identical to v1/v2)
+//! config        : depth tag u8, layers u32, hidden u32,
+//!                 feature_mode u8, direction u8, multi_task u8, seed u64
 //! section_count : u32
-//! sections      : per section { tag u8, rows u32, cols u32,
+//! sections      : per section { tag u8 (0 = f32), rows u32, cols u32,
 //!                               offset u64 (payload-relative, 64-aligned),
 //!                               len u64 (bytes) }
 //! payload_base  : u64     (absolute file offset, 64-aligned)
@@ -44,67 +27,60 @@
 //! header_hash   : u64     Fx hash of every preceding header byte
 //! padding       : zeros to payload_base
 //! payload       : the sections' bytes, each 64-aligned, in model order
-//!                 (per linear: f32 weights + f32 bias, or i8 values +
-//!                 f32 scales + f32 bias when quantised)
+//!                 (per linear: f32 weights, then f32 bias)
 //! ```
 //!
 //! Both hashes are computed as a single `FxHasher::write` over the
-//! covered byte range. The reader recomputes the *canonical* section
-//! offsets from the model shapes and rejects any deviation, so even a
-//! re-signed lying header can never size an allocation or a borrow from
-//! attacker-chosen fields. Owned loads verify both hashes; mmap loads
-//! verify the header hash only (payload pages are faulted in lazily).
-//!
-//! An unquantised reasoner used to be written in the **v1** layout and a
-//! quantised one (see [`GamoraReasoner::quantise`]) as **v2** (i8 weight
-//! sections, ~4x smaller); [`write_snapshot_legacy`] still emits those
-//! byte-exact layouts and the reader accepts the full `v1..=v3` range
-//! (guarded by the `snapshot_compat` test).
+//! covered byte range. The section table is redundant on purpose: the
+//! config fixes every layer shape, the shapes fix the one canonical
+//! section plan ([`section_plan`]), and the reader rejects a file whose
+//! table, section count or payload length deviates from that plan
+//! *before* it builds the model — so even a re-signed lying header can
+//! never size an allocation or a borrow from attacker-chosen fields, and
+//! the model built for a file is never larger than the bytes the file
+//! actually holds. Owned loads verify both hashes; mmap loads verify the
+//! header hash only (payload pages are faulted in lazily).
 //!
 //! Floats are serialised via `f32::to_le_bytes`, so a save/load round trip
-//! is bit-exact (for quantised stores: the i8 payload and scales
-//! round-trip exactly, and served predictions are bit-identical) and a
-//! reloaded reasoner reproduces in-process predictions and `evaluate`
-//! scores exactly. The checksums turn truncation and bit corruption into
-//! [`SnapshotError::Corrupt`] instead of a silently wrong model.
+//! is bit-exact and a reloaded reasoner reproduces in-process predictions
+//! and `evaluate` scores exactly. The checksums turn truncation and bit
+//! corruption into [`SnapshotError::Corrupt`] instead of a silently wrong
+//! model.
+//!
+//! **Replace snapshots by rename, never rewrite them in place.** A process
+//! that has a file [`GamoraReasoner::load_mmap`]-ed reads its weights from
+//! the mapping for as long as it serves; truncating or overwriting that
+//! file faults the reader (`SIGBUS`) or feeds it torn weights.
+//! [`GamoraReasoner::save`] therefore writes a sibling temporary file and
+//! renames it over the target: readers of the old file keep the old
+//! inode, new loads see the new one.
 
 use crate::features::FeatureMode;
 use crate::reasoner::{GamoraReasoner, ModelDepth, ReasonerConfig};
 use gamora_aig::hasher::FxHasher;
-use gamora_gnn::{Direction, Matrix, MultiTaskSage, QuantisedMatrix, WeightRegion};
+use gamora_gnn::{Direction, Matrix, WeightRegion};
 use std::fmt;
 use std::fs::File;
 use std::hash::Hasher;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, Read, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// File magic: "GaMoRa Snapshot".
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"GMRS";
 
-/// Oldest snapshot format version this build reads.
-pub const SNAPSHOT_VERSION_MIN: u32 = 1;
+/// The snapshot format version this build reads and writes.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// Newest snapshot format version this build reads and writes. v3 is the
-/// mmap-ready layout — a header-resident section table with explicit
-/// offsets/lengths and 64-byte-aligned weight payloads — and is what
-/// [`write_snapshot`] always emits; v1 (plain f32) and v2 (i8 sections)
-/// files remain fully readable, and [`write_snapshot_legacy`] still
-/// emits them byte-exactly for compatibility tooling.
-pub const SNAPSHOT_VERSION_MAX: u32 = 3;
-
-/// Alignment of the v3 payload region and of every section inside it:
-/// each tensor's bytes start on a 64-byte boundary, both file-relative
-/// and payload-relative, so mapped weight slices are always aligned for
+/// Alignment of the payload region and of every section inside it: each
+/// tensor's bytes start on a 64-byte boundary, both file-relative and
+/// payload-relative, so mapped weight slices are always aligned for
 /// their element type (and for cache lines).
 pub const SNAPSHOT_ALIGN: usize = 64;
 
-/// Section tag of a plain `f32` tensor in a v2/v3 snapshot.
+/// Section tag of an `f32` tensor — the only element type.
 const SECTION_F32: u8 = 0;
-
-/// Section tag of an i8-quantised weight block in a v2/v3 snapshot.
-const SECTION_I8: u8 = 1;
 
 /// Errors produced by snapshot I/O.
 #[derive(Debug)]
@@ -113,7 +89,8 @@ pub enum SnapshotError {
     Io(io::Error),
     /// The file does not start with the snapshot magic.
     BadMagic,
-    /// The file is a snapshot, but of an unknown format version.
+    /// The file is a snapshot, but of a format version this build does
+    /// not read.
     UnsupportedVersion(u32),
     /// Structurally invalid or checksum-mismatched content.
     Corrupt(String),
@@ -127,8 +104,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (this build reads \
-                     v{SNAPSHOT_VERSION_MIN}-v{SNAPSHOT_VERSION_MAX})"
+                    "unsupported snapshot version {v} (this build reads v{SNAPSHOT_VERSION})"
                 )
             }
             SnapshotError::Corrupt(m) => write!(f, "corrupt snapshot: {m}"),
@@ -155,82 +131,10 @@ fn corrupt(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(msg.into())
 }
 
-/// Writer adapter that Fx-hashes every byte it forwards.
-struct HashingWriter<W> {
-    inner: W,
-    hasher: FxHasher,
-}
-
-impl<W: Write> HashingWriter<W> {
-    fn new(inner: W) -> Self {
-        HashingWriter {
-            inner,
-            hasher: FxHasher::default(),
-        }
-    }
-}
-
-impl<W: Write> Write for HashingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hasher.write(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Reader adapter that Fx-hashes every byte it yields.
-struct HashingReader<R> {
-    inner: R,
-    hasher: FxHasher,
-}
-
-impl<R: Read> HashingReader<R> {
-    fn new(inner: R) -> Self {
-        HashingReader {
-            inner,
-            hasher: FxHasher::default(),
-        }
-    }
-
-    fn read_exact_hashed(&mut self, buf: &mut [u8]) -> Result<(), SnapshotError> {
-        self.inner.read_exact(buf).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => corrupt("truncated snapshot"),
-            _ => SnapshotError::Io(e),
-        })?;
-        self.hasher.write(buf);
-        Ok(())
-    }
-
-    fn read_u8(&mut self) -> Result<u8, SnapshotError> {
-        let mut b = [0u8; 1];
-        self.read_exact_hashed(&mut b)?;
-        Ok(b[0])
-    }
-
-    fn read_u32(&mut self) -> Result<u32, SnapshotError> {
-        let mut b = [0u8; 4];
-        self.read_exact_hashed(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn read_u64(&mut self) -> Result<u64, SnapshotError> {
-        let mut b = [0u8; 8];
-        self.read_exact_hashed(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn read_f32s(&mut self, out: &mut [f32]) -> Result<(), SnapshotError> {
-        let mut buf = [0u8; 4];
-        for v in out.iter_mut() {
-            self.read_exact_hashed(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
-        }
-        Ok(())
-    }
+fn fx_hash(bytes: &[u8]) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write(bytes);
+    hasher.finish()
 }
 
 fn depth_tag(depth: ModelDepth) -> (u8, u32, u32) {
@@ -246,8 +150,6 @@ fn depth_from_tag(tag: u8, layers: u32, hidden: u32) -> Result<ModelDepth, Snaps
         0 => Ok(ModelDepth::Shallow),
         1 => Ok(ModelDepth::Deep),
         2 => {
-            // Sanity caps: a corrupt header must not trigger a huge model
-            // allocation before the checksum gets a chance to reject it.
             if layers == 0 || hidden == 0 || layers > 1024 || hidden > 65536 {
                 return Err(corrupt(format!(
                     "implausible custom depth ({layers} layers, {hidden} hidden)"
@@ -294,18 +196,16 @@ fn direction_from_tag(tag: u8) -> Result<Direction, SnapshotError> {
     }
 }
 
-fn write_f32s<W: Write>(w: &mut W, values: &[f32]) -> Result<(), SnapshotError> {
-    for &v in values {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
 fn align_up(v: usize, align: usize) -> usize {
     v.div_ceil(align) * align
 }
 
-/// One entry of the v3 header section table.
+fn to_usize(v: u64, what: &str) -> Result<usize, SnapshotError> {
+    usize::try_from(v).map_err(|_| corrupt(format!("{what} overflows the address space")))
+}
+
+/// One entry of the header section table.
+#[derive(Debug, PartialEq, Eq)]
 struct SectionEntry {
     tag: u8,
     rows: u32,
@@ -316,69 +216,50 @@ struct SectionEntry {
     len: u64,
 }
 
+impl SectionEntry {
+    /// First payload-relative byte past the section.
+    fn end(&self) -> u64 {
+        self.offset + self.len
+    }
+}
+
 /// Byte size of one serialised [`SectionEntry`].
 const SECTION_ENTRY_BYTES: usize = 1 + 4 + 4 + 8 + 8;
 
-/// Byte size of the v3 header around the section table: magic + version
-/// + config + count before it, payload_base/len/hash + header hash after.
-const V3_FIXED_HEADER_BYTES: usize = 32 + 32;
+/// Byte size of the header around the section table: magic + version +
+/// config + count before it, payload_base/len/hash + header hash after.
+const FIXED_HEADER_BYTES: usize = 32 + 32;
 
-/// The canonical v3 section plan for a model: per linear, `f32` weights
-/// and bias, or (quantised) i8 values, scales and bias, each section
-/// packed at the next 64-aligned payload offset. Returns the entries and
-/// the total payload length. Writer and reader both derive offsets from
-/// this one function, which is what lets the reader reject lying headers.
-fn v3_section_plan(model: &MultiTaskSage) -> (Vec<SectionEntry>, usize) {
-    let mut sections = Vec::new();
-    let mut cursor = 0usize;
-    let mut push =
-        |sections: &mut Vec<SectionEntry>, tag: u8, rows: usize, cols: usize, byte_len: usize| {
-            cursor = align_up(cursor, SNAPSHOT_ALIGN);
-            sections.push(SectionEntry {
-                tag,
-                rows: rows as u32,
-                cols: cols as u32,
-                offset: cursor as u64,
-                len: byte_len as u64,
-            });
-            cursor += byte_len;
-            cursor
-        };
-    let mut total = 0;
-    for lin in model.linears() {
-        match lin.quantised() {
-            Some(q) => {
-                push(
-                    &mut sections,
-                    SECTION_I8,
-                    q.rows(),
-                    q.cols(),
-                    q.rows() * q.cols(),
-                );
-                push(&mut sections, SECTION_F32, 1, q.cols(), q.cols() * 4);
-                total = push(&mut sections, SECTION_F32, 1, lin.b.len(), lin.b.len() * 4);
-            }
-            None => {
-                let (r, c) = (lin.w.rows(), lin.w.cols());
-                push(&mut sections, SECTION_F32, r, c, r * c * 4);
-                total = push(&mut sections, SECTION_F32, 1, lin.b.len(), lin.b.len() * 4);
-            }
-        }
-    }
-    (sections, total)
-}
-
-/// Bump-pointer writer into a preallocated image buffer.
-struct ImageWriter<'a> {
-    buf: &'a mut [u8],
-    pos: usize,
-}
-
-impl ImageWriter<'_> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.buf[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
-        self.pos += bytes.len();
-    }
+/// The canonical section plan for linear layers of the given `(rows,
+/// cols)` weight shapes: per layer an `f32` weight section and an `f32`
+/// bias section, each packed at the next 64-aligned payload offset; the
+/// payload ends where the last section does. The writer lays a file out
+/// by it, and the reader compares a file's table with it before anything
+/// is allocated — nothing is, here, and every product and sum is checked,
+/// so shapes read from a hostile header yield an error, not a wrap.
+fn section_plan(
+    shapes: impl Iterator<Item = (usize, usize)>,
+) -> impl Iterator<Item = Result<SectionEntry, SnapshotError>> {
+    let mut cursor = 0u64;
+    let tensors = shapes.flat_map(|(rows, cols)| [(rows, cols), (1, cols)]);
+    tensors.map(move |(rows, cols)| {
+        let overflow = || corrupt(format!("a {rows}x{cols} section overflows the layout"));
+        let len = (rows as u64)
+            .checked_mul(cols as u64)
+            .and_then(|scalars| scalars.checked_mul(4))
+            .ok_or_else(overflow)?;
+        let offset = cursor
+            .checked_next_multiple_of(SNAPSHOT_ALIGN as u64)
+            .ok_or_else(overflow)?;
+        cursor = offset.checked_add(len).ok_or_else(overflow)?;
+        Ok(SectionEntry {
+            tag: SECTION_F32,
+            rows: u32::try_from(rows).map_err(|_| overflow())?,
+            cols: u32::try_from(cols).map_err(|_| overflow())?,
+            offset,
+            len,
+        })
+    })
 }
 
 fn copy_f32s(dst: &mut [u8], src: &[f32]) {
@@ -387,12 +268,14 @@ fn copy_f32s(dst: &mut [u8], src: &[f32]) {
     }
 }
 
-/// Builds the complete v3 file image in memory (payload first, then the
+/// Builds the complete file image in memory (payload first, then the
 /// hashes, then the header around them).
-fn build_v3_image(reasoner: &GamoraReasoner) -> Vec<u8> {
-    let model = reasoner.model();
-    let (sections, payload_len) = v3_section_plan(model);
-    let header_len = V3_FIXED_HEADER_BYTES + SECTION_ENTRY_BYTES * sections.len();
+fn build_image(reasoner: &GamoraReasoner) -> Result<Vec<u8>, SnapshotError> {
+    let linears = reasoner.model().linears();
+    let shapes = linears.iter().map(|lin| (lin.w.rows(), lin.w.cols()));
+    let sections = section_plan(shapes).collect::<Result<Vec<_>, _>>()?;
+    let payload_len = to_usize(sections.last().map_or(0, SectionEntry::end), "payload")?;
+    let header_len = FIXED_HEADER_BYTES + SECTION_ENTRY_BYTES * sections.len();
     let payload_base = align_up(header_len, SNAPSHOT_ALIGN);
     let mut image = vec![0u8; payload_base + payload_len];
 
@@ -402,206 +285,52 @@ fn build_v3_image(reasoner: &GamoraReasoner) -> Vec<u8> {
         let at = payload_base + entry.offset as usize;
         at..at + entry.len as usize
     };
-    let mut si = 0;
-    for lin in model.linears() {
-        match lin.quantised() {
-            Some(q) => {
-                for (d, &v) in image[span(&sections[si])].iter_mut().zip(q.values()) {
-                    // i8 -> u8 is a bit-preserving cast.
-                    *d = v as u8;
-                }
-                copy_f32s(&mut image[span(&sections[si + 1])], q.scales());
-                copy_f32s(&mut image[span(&sections[si + 2])], &lin.b);
-                si += 3;
-            }
-            None => {
-                copy_f32s(&mut image[span(&sections[si])], lin.w.as_slice());
-                copy_f32s(&mut image[span(&sections[si + 1])], &lin.b);
-                si += 2;
-            }
-        }
+    for (lin, pair) in linears.iter().zip(sections.chunks_exact(2)) {
+        copy_f32s(&mut image[span(&pair[0])], lin.w.as_slice());
+        copy_f32s(&mut image[span(&pair[1])], &lin.b);
     }
-    debug_assert_eq!(si, sections.len());
-    let mut payload_hasher = FxHasher::default();
-    payload_hasher.write(&image[payload_base..]);
-    let payload_hash = payload_hasher.finish();
+    let payload_hash = fx_hash(&image[payload_base..]);
 
     // Header.
-    let mut w = ImageWriter {
-        buf: &mut image,
-        pos: 0,
-    };
-    w.put(&SNAPSHOT_MAGIC);
-    w.put(&3u32.to_le_bytes());
     let cfg = reasoner.config();
     let (tag, layers, hidden) = depth_tag(cfg.depth);
-    w.put(&[tag]);
-    w.put(&layers.to_le_bytes());
-    w.put(&hidden.to_le_bytes());
-    w.put(&[feature_mode_tag(cfg.feature_mode)]);
-    w.put(&[direction_tag(cfg.direction)]);
-    w.put(&[cfg.multi_task as u8]);
-    w.put(&cfg.seed.to_le_bytes());
-    w.put(&(sections.len() as u32).to_le_bytes());
+    let mut header = Vec::with_capacity(header_len);
+    header.extend_from_slice(&SNAPSHOT_MAGIC);
+    header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    header.push(tag);
+    header.extend_from_slice(&layers.to_le_bytes());
+    header.extend_from_slice(&hidden.to_le_bytes());
+    header.push(feature_mode_tag(cfg.feature_mode));
+    header.push(direction_tag(cfg.direction));
+    header.push(cfg.multi_task as u8);
+    header.extend_from_slice(&cfg.seed.to_le_bytes());
+    header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     for s in &sections {
-        w.put(&[s.tag]);
-        w.put(&s.rows.to_le_bytes());
-        w.put(&s.cols.to_le_bytes());
-        w.put(&s.offset.to_le_bytes());
-        w.put(&s.len.to_le_bytes());
+        header.push(s.tag);
+        header.extend_from_slice(&s.rows.to_le_bytes());
+        header.extend_from_slice(&s.cols.to_le_bytes());
+        header.extend_from_slice(&s.offset.to_le_bytes());
+        header.extend_from_slice(&s.len.to_le_bytes());
     }
-    w.put(&(payload_base as u64).to_le_bytes());
-    w.put(&(payload_len as u64).to_le_bytes());
-    w.put(&payload_hash.to_le_bytes());
-    let hash_pos = w.pos;
-    debug_assert_eq!(hash_pos + 8, header_len);
-    let mut header_hasher = FxHasher::default();
-    header_hasher.write(&image[..hash_pos]);
-    let header_hash = header_hasher.finish();
-    image[hash_pos..hash_pos + 8].copy_from_slice(&header_hash.to_le_bytes());
-    image
+    header.extend_from_slice(&(payload_base as u64).to_le_bytes());
+    header.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    header.extend_from_slice(&payload_hash.to_le_bytes());
+    header.extend_from_slice(&fx_hash(&header).to_le_bytes());
+    assert_eq!(header.len(), header_len, "header layout");
+    image[..header_len].copy_from_slice(&header);
+    Ok(image)
 }
 
 /// Serialises a reasoner (config + every parameter tensor) to `w` in the
-/// mmap-ready **v3** layout (see the module docs): section table in the
-/// header, 64-byte-aligned weight payloads, independent header and
-/// payload checksums. Quantised reasoners write their i8 stores; the
-/// served bits round-trip exactly either way.
+/// layout of the module docs: section table in the header, 64-byte-aligned
+/// weight payloads, independent header and payload checksums.
 ///
 /// # Errors
 ///
 /// Propagates writer failures.
-pub fn write_snapshot<W: Write>(reasoner: &GamoraReasoner, w: W) -> Result<(), SnapshotError> {
-    let image = build_v3_image(reasoner);
-    let mut w = BufWriter::new(w);
-    w.write_all(&image)?;
+pub fn write_snapshot<W: Write>(reasoner: &GamoraReasoner, mut w: W) -> Result<(), SnapshotError> {
+    w.write_all(&build_image(reasoner)?)?;
     w.flush()?;
-    Ok(())
-}
-
-/// Serialises a reasoner in the **legacy** stream layouts: v1 for an
-/// unquantised reasoner (byte-exact with pre-v2 files), section-tagged
-/// v2 with i8 weight blocks for a quantised one (see
-/// [`GamoraReasoner::quantise`]). [`write_snapshot`] emits v3 today;
-/// this writer exists for compatibility tooling and the pinned-layout
-/// tests, and its outputs stay loadable forever.
-///
-/// # Errors
-///
-/// Propagates writer failures.
-pub fn write_snapshot_legacy<W: Write>(
-    reasoner: &GamoraReasoner,
-    w: W,
-) -> Result<(), SnapshotError> {
-    let quantised = reasoner.is_quantised();
-    let version = if quantised { 2 } else { SNAPSHOT_VERSION_MIN };
-    let mut w = HashingWriter::new(BufWriter::new(w));
-    w.write_all(&SNAPSHOT_MAGIC)?;
-    w.write_all(&version.to_le_bytes())?;
-
-    let cfg = reasoner.config();
-    let (tag, layers, hidden) = depth_tag(cfg.depth);
-    w.write_all(&[tag])?;
-    w.write_all(&layers.to_le_bytes())?;
-    w.write_all(&hidden.to_le_bytes())?;
-    w.write_all(&[feature_mode_tag(cfg.feature_mode)])?;
-    w.write_all(&[direction_tag(cfg.direction)])?;
-    w.write_all(&[cfg.multi_task as u8])?;
-    w.write_all(&cfg.seed.to_le_bytes())?;
-
-    if quantised {
-        // v2: one weight + one bias section per linear, section-tagged.
-        let linears = reasoner.model().linears();
-        w.write_all(&((linears.len() * 2) as u32).to_le_bytes())?;
-        for lin in linears {
-            let q = lin
-                .quantised()
-                .expect("is_quantised() implies a store on every layer");
-            w.write_all(&[SECTION_I8])?;
-            w.write_all(&(q.rows() as u32).to_le_bytes())?;
-            w.write_all(&(q.cols() as u32).to_le_bytes())?;
-            // i8 -> u8 is a bit-preserving cast.
-            let bytes: Vec<u8> = q.values().iter().map(|&v| v as u8).collect();
-            w.write_all(&bytes)?;
-            write_f32s(&mut w, q.scales())?;
-            w.write_all(&[SECTION_F32])?;
-            w.write_all(&(lin.b.len() as u32).to_le_bytes())?;
-            write_f32s(&mut w, &lin.b)?;
-        }
-    } else {
-        let tensors = reasoner.model().param_slices();
-        w.write_all(&(tensors.len() as u32).to_le_bytes())?;
-        for t in tensors {
-            w.write_all(&(t.len() as u32).to_le_bytes())?;
-            write_f32s(&mut w, t)?;
-        }
-    }
-
-    let checksum = w.hasher.finish();
-    w.inner.write_all(&checksum.to_le_bytes())?;
-    w.inner.flush()?;
-    Ok(())
-}
-
-/// Reads the section-tagged v2 tensor stream into a freshly built model:
-/// per linear layer, one weight section (f32 or an i8-quantised block,
-/// whose shape must match the skeleton) followed by one f32 bias
-/// section. Every length is validated against the skeleton before any
-/// payload-sized buffer is allocated, so a lying header cannot trigger a
-/// huge allocation, and a truncated stream surfaces as
-/// [`SnapshotError::Corrupt`] from the hashed reads — never a panic.
-fn read_v2_sections<R: Read>(
-    r: &mut HashingReader<R>,
-    model: &mut MultiTaskSage,
-) -> Result<(), SnapshotError> {
-    for (i, lin) in model.linears_mut().into_iter().enumerate() {
-        match r.read_u8()? {
-            SECTION_F32 => {
-                let len = r.read_u32()? as usize;
-                let want = lin.w.rows() * lin.w.cols();
-                if len != want {
-                    return Err(corrupt(format!(
-                        "weight tensor {i} has {len} scalars, model expects {want}"
-                    )));
-                }
-                r.read_f32s(lin.w.as_mut_slice())?;
-            }
-            SECTION_I8 => {
-                let rows = r.read_u32()? as usize;
-                let cols = r.read_u32()? as usize;
-                if (rows, cols) != (lin.w.rows(), lin.w.cols()) {
-                    return Err(corrupt(format!(
-                        "quantised block {i} is {rows}x{cols}, model expects {}x{}",
-                        lin.w.rows(),
-                        lin.w.cols()
-                    )));
-                }
-                let mut bytes = vec![0u8; rows * cols];
-                r.read_exact_hashed(&mut bytes)?;
-                let data: Vec<i8> = bytes.into_iter().map(|b| b as i8).collect();
-                let mut scales = vec![0.0f32; cols];
-                r.read_f32s(&mut scales)?;
-                lin.install_quantised(QuantisedMatrix::from_parts(rows, cols, data, scales));
-            }
-            t => return Err(corrupt(format!("unknown section tag {t} (tensor {i})"))),
-        }
-        match r.read_u8()? {
-            SECTION_F32 => {
-                let len = r.read_u32()? as usize;
-                if len != lin.b.len() {
-                    return Err(corrupt(format!(
-                        "bias tensor {i} has {len} scalars, model expects {}",
-                        lin.b.len()
-                    )));
-                }
-                r.read_f32s(&mut lin.b)?;
-            }
-            SECTION_I8 => {
-                return Err(corrupt(format!("bias tensor {i} cannot be an i8 section")));
-            }
-            t => return Err(corrupt(format!("unknown section tag {t} (bias {i})"))),
-        }
-    }
     Ok(())
 }
 
@@ -639,81 +368,52 @@ impl<'a> ByteParser<'a> {
     }
 }
 
-fn parse_f32s(bytes: &[u8], out: &mut [f32]) {
-    debug_assert_eq!(bytes.len(), out.len() * 4);
-    for (chunk, v) in bytes.chunks_exact(4).zip(out.iter_mut()) {
-        *v = f32::from_le_bytes(chunk.try_into().unwrap());
-    }
-}
-
-/// Advances the canonical section walk by one expected section and
-/// validates the declared table entry against it — tag, shape, offset
-/// and length all have exactly one legal value, so a header that lies
-/// about any of them (even a re-signed one) is rejected before its
-/// fields can size an allocation or a borrow.
-fn expect_v3_section<'t>(
-    table: &'t [SectionEntry],
-    idx: &mut usize,
-    cursor: &mut u64,
-    tag: u8,
-    rows: usize,
-    cols: usize,
-    byte_len: usize,
-) -> Result<&'t SectionEntry, SnapshotError> {
-    let i = *idx;
-    let entry = table
-        .get(i)
-        .ok_or_else(|| corrupt(format!("missing section {i} (table too short for model)")))?;
-    let offset = align_up(*cursor as usize, SNAPSHOT_ALIGN) as u64;
-    if entry.tag != tag
-        || (entry.rows as usize, entry.cols as usize) != (rows, cols)
-        || entry.offset != offset
-        || entry.len != byte_len as u64
-    {
-        return Err(corrupt(format!(
-            "section {i} deviates from the canonical layout \
-             (declared tag {} {}x{} at {}+{}, expected tag {tag} {rows}x{cols} at {offset}+{byte_len})",
-            entry.tag, entry.rows, entry.cols, entry.offset, entry.len
-        )));
-    }
-    *cursor = offset + byte_len as u64;
-    *idx = i + 1;
-    Ok(entry)
-}
-
-/// The payload bytes of one validated section — a checked sub-slice, so
-/// even a table that slipped past the canonical walk could only produce a
-/// typed error here, never an out-of-bounds index.
-fn v3_section_bytes<'a>(
-    payload: &'a [u8],
+/// Decodes one validated section into `out` — through a checked
+/// sub-slice and a length comparison, so even a table that slipped past
+/// the canonical walk could only produce a typed error here, never an
+/// out-of-bounds index or a half-filled tensor.
+fn read_section(
+    payload: &[u8],
     entry: &SectionEntry,
-) -> Result<&'a [u8], SnapshotError> {
-    usize::try_from(entry.offset)
+    out: &mut [f32],
+) -> Result<(), SnapshotError> {
+    let bytes = usize::try_from(entry.offset)
         .ok()
         .zip(usize::try_from(entry.len).ok())
         .and_then(|(offset, len)| payload.get(offset..offset.checked_add(len)?))
+        .filter(|bytes| bytes.len() == out.len() * 4)
         .ok_or_else(|| {
             corrupt(format!(
-                "section at {}+{} escapes the {}-byte payload",
+                "section at {}+{} does not hold the {} scalars of its tensor in the {}-byte payload",
                 entry.offset,
                 entry.len,
+                out.len(),
                 payload.len()
             ))
-        })
+        })?;
+    for (chunk, v) in bytes.chunks_exact(4).zip(out) {
+        *v = f32::from_le_bytes(chunk.try_into().unwrap());
+    }
+    Ok(())
 }
 
-/// Parses a complete v3 image. With `region` set (the mmap path), weight
-/// matrices borrow their spans from it in O(header) — only biases are
-/// copied — and the payload hash is *not* recomputed; otherwise all
-/// payloads are copied into owned storage and both hashes are verified.
+/// Parses a complete snapshot image — the one parser behind
+/// [`read_snapshot`] and [`GamoraReasoner::load_mmap`]. With `region` set
+/// (the mmap path), weight matrices borrow their spans from it in
+/// O(header) — only biases are copied — and the payload hash is *not*
+/// recomputed; otherwise all payloads are copied into owned storage and
+/// both hashes are verified.
 ///
 /// `region`, when present, must be backed by exactly the bytes passed as
 /// `bytes`.
-fn read_v3_from_bytes(
+fn parse_snapshot(
     bytes: &[u8],
-    verify_payload: bool,
     region: Option<&Arc<dyn WeightRegion>>,
 ) -> Result<GamoraReasoner, SnapshotError> {
+    // Chaos seam: an injected `err` surfaces as a typed corruption error
+    // through the same path real corruption takes.
+    gamora_fault::hit(gamora_fault::FaultPoint::SnapshotLoad)
+        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
     if let Some(r) = region {
         debug_assert!(std::ptr::eq(r.bytes().as_ptr(), bytes.as_ptr()));
     }
@@ -722,7 +422,7 @@ fn read_v3_from_bytes(
         return Err(SnapshotError::BadMagic);
     }
     let version = p.u32()?;
-    if version != 3 {
+    if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
 
@@ -766,23 +466,20 @@ fn read_v3_from_bytes(
     let header_hash = p.u64()?;
     let header_len = p.pos;
 
-    let mut hasher = FxHasher::default();
-    hasher.write(&bytes[..hash_pos]);
-    if hasher.finish() != header_hash {
+    if fx_hash(&bytes[..hash_pos]) != header_hash {
         return Err(corrupt("header checksum mismatch"));
     }
 
     // Geometry: the payload region starts at the first 64-aligned offset
     // after the header and runs exactly to EOF.
-    let base = usize::try_from(payload_base).map_err(|_| corrupt("payload base overflow"))?;
+    let base = to_usize(payload_base, "payload base")?;
     if base != align_up(header_len, SNAPSHOT_ALIGN) {
         return Err(corrupt(format!(
             "payload base {base} is not the canonical {} for this header",
             align_up(header_len, SNAPSHOT_ALIGN)
         )));
     }
-    let plen = usize::try_from(payload_len).map_err(|_| corrupt("payload length overflow"))?;
-    match base.checked_add(plen) {
+    match base.checked_add(to_usize(payload_len, "payload length")?) {
         Some(end) if end == bytes.len() => {}
         Some(end) if end < bytes.len() => return Err(corrupt("trailing bytes after payload")),
         _ => return Err(corrupt("truncated snapshot (payload escapes file)")),
@@ -790,186 +487,76 @@ fn read_v3_from_bytes(
     if bytes[header_len..base].iter().any(|&b| b != 0) {
         return Err(corrupt("nonzero header padding"));
     }
-    if verify_payload {
-        let mut hasher = FxHasher::default();
-        hasher.write(&bytes[base..]);
-        if hasher.finish() != payload_hash {
-            return Err(corrupt("payload checksum mismatch"));
-        }
+    if region.is_none() && fx_hash(&bytes[base..]) != payload_hash {
+        return Err(corrupt("payload checksum mismatch"));
     }
 
-    // Pass 1 — the table against the skeleton, without touching the
-    // payload: every declared entry must match the canonical walk exactly,
-    // and the walk must end exactly at `payload_len`. Only then does any
-    // offset below index into the file.
+    // The table against the plan of the *configured* shapes, before any
+    // model exists: every declared entry must equal the planned one (tag,
+    // shape, offset and length each have exactly one legal value), the
+    // counts must agree, and the plan must end exactly at `payload_len`,
+    // which the geometry check above tied to the file size. Only a config
+    // whose model fits the bytes actually present gets a skeleton.
+    let mut declared = table.iter();
+    for (i, planned) in section_plan(config.model_config().linear_shapes()).enumerate() {
+        let planned = planned?;
+        match declared.next() {
+            Some(entry) if *entry == planned => {}
+            Some(entry) => {
+                return Err(corrupt(format!(
+                    "section {i} deviates from the canonical layout \
+                     (declared {entry:?}, expected {planned:?})"
+                )))
+            }
+            None => {
+                return Err(corrupt(format!(
+                    "missing section {i} (table too short for model)"
+                )))
+            }
+        }
+    }
+    if declared.next().is_some() {
+        return Err(corrupt(format!(
+            "section table has {count} entries, more than the model consumes"
+        )));
+    }
+    let planned_end = table.last().map_or(0, SectionEntry::end);
+    if planned_end != payload_len {
+        return Err(corrupt(format!(
+            "payload length {payload_len} does not match the canonical {planned_end}"
+        )));
+    }
+
+    // Fill (or borrow) every tensor from its validated section.
     let mut reasoner = GamoraReasoner::new_zeroed(config);
-    let mut idx = 0usize;
-    let mut cursor = 0u64;
-    for lin in reasoner.model().linears() {
-        let (rows, cols, bias) = (lin.w.rows(), lin.w.cols(), lin.b.len());
-        let quantised = table.get(idx).map(|e| e.tag) == Some(SECTION_I8);
-        let mut expect = |tag, rows, cols, byte_len| {
-            expect_v3_section(&table, &mut idx, &mut cursor, tag, rows, cols, byte_len)
-        };
-        if quantised {
-            expect(SECTION_I8, rows, cols, rows * cols)?;
-            expect(SECTION_F32, 1, cols, cols * 4)?;
-        } else {
-            expect(SECTION_F32, rows, cols, rows * cols * 4)?;
-        }
-        expect(SECTION_F32, 1, bias, bias * 4)?;
-    }
-    if idx != table.len() {
-        return Err(corrupt(format!(
-            "section table has {} entries, model consumes {idx}",
-            table.len()
-        )));
-    }
-    if cursor != payload_len {
-        return Err(corrupt(format!(
-            "payload length {payload_len} does not match the canonical {cursor}"
-        )));
-    }
-
-    // Pass 2 — fill (or borrow) every tensor from its validated section.
     let payload = &bytes[base..];
-    let mut sections = table.iter();
-    let mut next = || {
-        sections
-            .next()
-            .expect("pass 1 matched the table to the model")
-    };
-    for lin in reasoner.model_mut().linears_mut() {
-        let (rows, cols) = (lin.w.rows(), lin.w.cols());
-        let first = next();
-        if first.tag == SECTION_I8 {
-            let (values, scales) = (first, next());
-            match region {
-                Some(region) => {
-                    let (voff, soff) =
-                        (base + values.offset as usize, base + scales.offset as usize);
-                    let q = QuantisedMatrix::from_region(rows, cols, region, voff, soff)
-                        .map_err(|e| corrupt(e.to_string()))?;
-                    lin.install_quantised_serving(q);
-                }
-                None => {
-                    let data: Vec<i8> = v3_section_bytes(payload, values)?
-                        .iter()
-                        .map(|&b| b as i8)
-                        .collect();
-                    let mut sc = vec![0.0f32; cols];
-                    parse_f32s(v3_section_bytes(payload, scales)?, &mut sc);
-                    lin.install_quantised(QuantisedMatrix::from_parts(rows, cols, data, sc));
-                }
+    let linears = reasoner.model_mut().linears_mut();
+    for (lin, pair) in linears.into_iter().zip(table.chunks_exact(2)) {
+        let (weights, bias) = (&pair[0], &pair[1]);
+        match region {
+            Some(region) => {
+                // `weights.offset <= payload_len`, so the sum is in the file.
+                let at = base + weights.offset as usize;
+                lin.w = Matrix::from_region(lin.w.rows(), lin.w.cols(), region, at)
+                    .map_err(|e| corrupt(e.to_string()))?;
             }
-        } else {
-            match region {
-                Some(region) => {
-                    lin.w = Matrix::from_region(rows, cols, region, base + first.offset as usize)
-                        .map_err(|e| corrupt(e.to_string()))?;
-                }
-                None => parse_f32s(v3_section_bytes(payload, first)?, lin.w.as_mut_slice()),
-            }
+            None => read_section(payload, weights, lin.w.as_mut_slice())?,
         }
-        parse_f32s(v3_section_bytes(payload, next())?, &mut lin.b);
+        read_section(payload, bias, &mut lin.b)?;
     }
     Ok(reasoner)
 }
 
-/// Deserialises a reasoner previously written by [`write_snapshot`] (v3)
-/// or [`write_snapshot_legacy`] (v1/v2) — the full `v1..=v3` range.
+/// Deserialises a reasoner previously written by [`write_snapshot`].
 ///
 /// # Errors
 ///
-/// Returns [`SnapshotError`] on I/O failure, wrong magic, unknown version,
-/// shape mismatch, or checksum mismatch.
-pub fn read_snapshot<R: Read>(r: R) -> Result<GamoraReasoner, SnapshotError> {
-    // Chaos seam: an injected `err` surfaces as a typed corruption error
-    // through the same path real corruption takes.
-    gamora_fault::hit(gamora_fault::FaultPoint::SnapshotLoad)
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    let mut r = HashingReader::new(BufReader::new(r));
-
-    let mut magic = [0u8; 4];
-    r.read_exact_hashed(&mut magic)?;
-    if magic != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.read_u32()?;
-    if !(SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION_MAX).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    if version == 3 {
-        // v3 is parsed from a contiguous image (the same code path the
-        // mmap loader uses); reconstitute the full bytes from the stream.
-        let mut full = Vec::new();
-        full.extend_from_slice(&SNAPSHOT_MAGIC);
-        full.extend_from_slice(&3u32.to_le_bytes());
-        r.inner.read_to_end(&mut full)?;
-        return read_v3_from_bytes(&full, true, None);
-    }
-
-    let depth_tag = r.read_u8()?;
-    let layers = r.read_u32()?;
-    let hidden = r.read_u32()?;
-    let config = ReasonerConfig {
-        depth: depth_from_tag(depth_tag, layers, hidden)?,
-        feature_mode: feature_mode_from_tag(r.read_u8()?)?,
-        direction: direction_from_tag(r.read_u8()?)?,
-        multi_task: match r.read_u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(corrupt(format!("bad multi_task flag {t}"))),
-        },
-        seed: r.read_u64()?,
-    };
-
-    // Build the skeleton from the config, then inject the stored weights
-    // (zeroed: every parameter is overwritten below, so the Glorot pass
-    // of `GamoraReasoner::new` would be wasted cold-start work).
-    let mut reasoner = GamoraReasoner::new_zeroed(config);
-    let num_tensors = r.read_u32()? as usize;
-    let expected = reasoner.model().param_slices().len();
-    if num_tensors != expected {
-        return Err(corrupt(format!(
-            "tensor count {num_tensors} does not match model shape ({expected} expected)"
-        )));
-    }
-    if version == 1 {
-        let mut slots = reasoner.model_mut().param_slices_mut();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let len = r.read_u32()? as usize;
-            if len != slot.len() {
-                return Err(corrupt(format!(
-                    "tensor {i} has {len} scalars, model expects {}",
-                    slot.len()
-                )));
-            }
-            r.read_f32s(slot)?;
-        }
-    } else {
-        read_v2_sections(&mut r, reasoner.model_mut())?;
-    }
-
-    let expected = r.hasher.finish();
-    // The checksum itself is not part of the hashed payload.
-    let mut tail = [0u8; 8];
-    r.inner.read_exact(&mut tail).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => corrupt("truncated snapshot (missing checksum)"),
-        _ => SnapshotError::Io(e),
-    })?;
-    let stored = u64::from_le_bytes(tail);
-    if stored != expected {
-        return Err(corrupt(format!(
-            "checksum mismatch (stored {stored:#018x}, computed {expected:#018x})"
-        )));
-    }
-    // Trailing garbage after the checksum is also corruption.
-    let mut probe = [0u8; 1];
-    match r.inner.read(&mut probe)? {
-        0 => Ok(reasoner),
-        _ => Err(corrupt("trailing bytes after checksum")),
-    }
+/// Returns [`SnapshotError`] on I/O failure, wrong magic, a version other
+/// than [`SNAPSHOT_VERSION`], shape mismatch, or checksum mismatch.
+pub fn read_snapshot<R: Read>(mut r: R) -> Result<GamoraReasoner, SnapshotError> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    parse_snapshot(&bytes, None)
 }
 
 /// A whole snapshot file held as one shared read-only region. The weight
@@ -991,8 +578,8 @@ impl WeightRegion for MappedSnapshot {
 #[derive(Clone, Copy, Debug)]
 pub struct MmapLoadStats {
     /// Whether the weights are borrowed zero-copy from a shared mapping
-    /// (`false` = the read-to-owned fallback ran: non-v3 file, non-Unix
-    /// target, big-endian host, or a failed `mmap(2)`).
+    /// (`false` = the read-to-owned fallback ran: non-Unix target,
+    /// big-endian host, or a failed `mmap(2)`).
     pub mapped: bool,
     /// Snapshot file size in bytes.
     pub file_bytes: u64,
@@ -1002,14 +589,41 @@ pub struct MmapLoadStats {
 }
 
 impl GamoraReasoner {
-    /// Saves the trained reasoner to `path` in the versioned `.gsnap`
-    /// binary format (see the [`crate::snapshot`] module docs).
+    /// Saves the trained reasoner to `path` in the `.gsnap` binary format
+    /// (see the [`crate::snapshot`] module docs), atomically: the image is
+    /// written to a temporary file next to `path`, synced, and renamed
+    /// over it. A reader never sees a half-written file, and a process
+    /// that has the previous file [`GamoraReasoner::load_mmap`]-ed keeps
+    /// serving from its (now unlinked) inode instead of faulting on a
+    /// file truncated under its mapping.
     ///
     /// # Errors
     ///
-    /// Propagates file-creation and write failures.
+    /// Propagates file-creation, write, sync and rename failures; the
+    /// temporary file is removed and `path` is left as it was.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        write_snapshot(self, File::create(path)?)
+        let path = path.as_ref();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(".tmp{}", std::process::id()));
+        let tmp = PathBuf::from(tmp);
+        let replaced = (|| -> Result<(), SnapshotError> {
+            let mut file = File::create(&tmp)?;
+            write_snapshot(self, &mut file)?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            // Make the rename itself durable.
+            #[cfg(unix)]
+            File::open(match path.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            })?
+            .sync_all()?;
+            Ok(())
+        })();
+        if replaced.is_err() {
+            std::fs::remove_file(&tmp).ok();
+        }
+        replaced
     }
 
     /// Loads a snapshot by memory-mapping it and borrowing every weight
@@ -1020,15 +634,15 @@ impl GamoraReasoner {
     /// first use.
     ///
     /// Falls back to the plain owned [`read_snapshot`] path — same
-    /// result, just copied — for v1/v2 files, on targets without `mmap`,
-    /// on big-endian hosts (the payload is little-endian), or when the
-    /// mapping itself fails; `stats.mapped` reports which path ran.
+    /// result, just copied — on targets without `mmap`, on big-endian
+    /// hosts (the payload is little-endian), or when the mapping itself
+    /// fails; `stats.mapped` reports which path ran.
     ///
-    /// A quantised reasoner loaded this way is **serving-only**: the
-    /// training-path `f32` weights keep their skeleton zeros (see
-    /// [`gamora_gnn::Linear::install_quantised_serving`]). Inference,
-    /// which is all the serve path does, is bit-identical to an
-    /// owned load.
+    /// The file must not be truncated or rewritten in place while the
+    /// returned reasoner (or a clone of it) is alive: its weights *are*
+    /// the mapping, so that is a `SIGBUS` or torn weights, not a
+    /// `Result`. Replace a snapshot by renaming a new file over it, as
+    /// [`GamoraReasoner::save`] does.
     ///
     /// # Errors
     ///
@@ -1048,24 +662,9 @@ impl GamoraReasoner {
         };
         if cfg!(target_endian = "little") {
             if let Ok(map) = mmap::Mmap::map(&file) {
-                let bytes: &[u8] = &map;
-                let is_v3 = bytes.len() >= 8
-                    && bytes[0..4] == SNAPSHOT_MAGIC
-                    && u32::from_le_bytes(bytes[4..8].try_into().unwrap()) == 3;
-                if is_v3 {
-                    // Same chaos seam as `read_snapshot` (the fallback
-                    // paths below reach it through `read_snapshot`).
-                    gamora_fault::hit(gamora_fault::FaultPoint::SnapshotLoad)
-                        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-                    let snap = Arc::new(MappedSnapshot { map });
-                    let region: Arc<dyn WeightRegion> = snap;
-                    let reasoner = read_v3_from_bytes(region.bytes(), false, Some(&region))?;
-                    return Ok((reasoner, stats(true)));
-                }
-                // Mapped fine but not zero-copy-loadable: parse the mapped
-                // bytes through the owned reader (v1/v2, or its errors).
-                let reasoner = read_snapshot(bytes)?;
-                return Ok((reasoner, stats(false)));
+                let region: Arc<dyn WeightRegion> = Arc::new(MappedSnapshot { map });
+                let reasoner = parse_snapshot(region.bytes(), Some(&region))?;
+                return Ok((reasoner, stats(true)));
             }
         }
         let reasoner = read_snapshot(file)?;
@@ -1112,11 +711,16 @@ mod tests {
         reasoner
     }
 
+    fn image_of(reasoner: &GamoraReasoner) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_snapshot(reasoner, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn roundtrip_is_bit_exact() {
         let reasoner = trained_reasoner();
-        let mut buf = Vec::new();
-        write_snapshot(&reasoner, &mut buf).unwrap();
+        let buf = image_of(&reasoner);
         let back = read_snapshot(&buf[..]).unwrap();
 
         assert_eq!(back.config(), reasoner.config());
@@ -1142,6 +746,9 @@ mod tests {
         assert_eq!(a.root_leaf, b.root_leaf);
         assert_eq!(a.is_xor, b.is_xor);
         assert_eq!(a.is_maj, b.is_maj);
+
+        // Save -> load -> save is a fixed point.
+        assert_eq!(image_of(&back), buf);
     }
 
     #[test]
@@ -1164,56 +771,29 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected_with_readable_range() {
-        let mut buf = Vec::new();
-        write_snapshot(&trained_reasoner(), &mut buf).unwrap();
-        buf[4] = 99; // bump the version field
-        let err = read_snapshot(&buf[..]).unwrap_err();
-        assert!(
-            matches!(err, SnapshotError::UnsupportedVersion(99)),
-            "{err}"
-        );
-        let msg = err.to_string();
-        assert!(
-            msg.contains("v1") && msg.contains("v3"),
-            "the error must report the full readable range: {msg}"
-        );
-        // Version 0 is below the readable range, not corrupt.
-        buf[4] = 0;
-        let err = read_snapshot(&buf[..]).unwrap_err();
-        assert!(matches!(err, SnapshotError::UnsupportedVersion(0)), "{err}");
+        let mut buf = image_of(&trained_reasoner());
+        for version in [99u8, 0] {
+            buf[4] = version;
+            let err = read_snapshot(&buf[..]).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::UnsupportedVersion(v) if v == u32::from(version)),
+                "{err}"
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("version {version} ")) && msg.contains("reads v3"),
+                "the error must name the rejected and the accepted version: {msg}"
+            );
+        }
     }
 
-    /// The legacy writer still picks v1 for unquantised and v2 (with i8
-    /// sections roughly a quarter of the v1 size) for quantised
-    /// reasoners, and both load under today's reader.
-    #[test]
-    fn legacy_writer_picks_version_by_weight_store() {
-        let mut reasoner = trained_reasoner();
-        let mut v1 = Vec::new();
-        write_snapshot_legacy(&reasoner, &mut v1).unwrap();
-        assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1);
-        assert!(read_snapshot(&v1[..]).is_ok());
-
-        reasoner.quantise();
-        let mut v2 = Vec::new();
-        write_snapshot_legacy(&reasoner, &mut v2).unwrap();
-        assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
-        assert!(
-            v2.len() < v1.len() / 2,
-            "v2 with i8 weight blocks must be much smaller ({} vs {} bytes)",
-            v2.len(),
-            v1.len()
-        );
-        assert!(read_snapshot(&v2[..]).is_ok());
-    }
-
-    /// The default writer emits v3: section table in the header, payload
-    /// region 64-aligned, every section on a 64-byte boundary.
+    /// The writer emits the sectioned layout: section table in the
+    /// header, payload region 64-aligned, every section on a 64-byte
+    /// boundary.
     #[test]
     fn v3_writer_emits_aligned_sectioned_layout() {
         let reasoner = trained_reasoner();
-        let mut buf = Vec::new();
-        write_snapshot(&reasoner, &mut buf).unwrap();
+        let buf = image_of(&reasoner);
         assert_eq!(u32::from_le_bytes(buf[4..8].try_into().unwrap()), 3);
         let count = u32::from_le_bytes(buf[28..32].try_into().unwrap()) as usize;
         // Two f32 sections (weights + bias) per linear.
@@ -1230,87 +810,36 @@ mod tests {
         }
     }
 
-    /// Quantise -> save -> load round-trips the i8 payload and scales
-    /// exactly; the reloaded reasoner serves bit-identical predictions
-    /// and re-saving produces identical bytes.
+    /// The plan is checked arithmetic over shapes alone: the largest
+    /// config the header admits is planned without allocating, and shapes
+    /// beyond `u32` or `u64` are an error, not a wrap.
     #[test]
-    fn quantised_roundtrip_is_exact() {
-        let mut reasoner = trained_reasoner();
-        reasoner.quantise();
-        let mut buf = Vec::new();
-        write_snapshot(&reasoner, &mut buf).unwrap();
-        let back = read_snapshot(&buf[..]).unwrap();
-        assert!(back.is_quantised());
-        assert_eq!(back.config(), reasoner.config());
-
-        for (a, b) in reasoner
-            .model()
-            .linears()
-            .iter()
-            .zip(back.model().linears())
-        {
-            let (qa, qb) = (a.quantised().unwrap(), b.quantised().unwrap());
-            assert_eq!(qa.values(), qb.values(), "i8 payload must round-trip");
-            let sa: Vec<u32> = qa.scales().iter().map(|s| s.to_bits()).collect();
-            let sb: Vec<u32> = qb.scales().iter().map(|s| s.to_bits()).collect();
-            assert_eq!(sa, sb, "scales must round-trip bit-exactly");
-            assert_eq!(a.b, b.b, "biases must round-trip");
-        }
-
-        let subject = csa_multiplier(4);
-        assert_eq!(
-            reasoner.predict(&subject.aig),
-            back.predict(&subject.aig),
-            "served predictions must be bit-identical"
-        );
-
-        let mut again = Vec::new();
-        write_snapshot(&back, &mut again).unwrap();
-        assert_eq!(buf, again, "save -> load -> save must be a fixed point");
-    }
-
-    /// Truncating a v2 file anywhere — inside a section header, the i8
-    /// payload, the scales, or the checksum — fails with a structured
-    /// error, never a panic.
-    #[test]
-    fn truncated_v2_is_corruption_not_panic() {
-        let mut reasoner = trained_reasoner();
-        reasoner.quantise();
-        let mut buf = Vec::new();
-        write_snapshot_legacy(&reasoner, &mut buf).unwrap();
-        for keep in [30usize, 40, 60, buf.len() / 2, buf.len() - 9, buf.len() - 1] {
-            let err = read_snapshot(&buf[..keep]).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::Corrupt(_)),
-                "truncation at {keep}: {err}"
-            );
-        }
-    }
-
-    /// Bit corruption in a v2 body (section tags included) is caught by
-    /// structure checks or the trailing checksum.
-    #[test]
-    fn v2_corruption_anywhere_fails() {
-        let mut reasoner = trained_reasoner();
-        reasoner.quantise();
-        let mut pristine = Vec::new();
-        write_snapshot_legacy(&reasoner, &mut pristine).unwrap();
-        for pos in [28usize, 33, 40, pristine.len() / 2, pristine.len() - 9] {
-            let mut buf = pristine.clone();
-            buf[pos] ^= 0x10;
-            assert!(
-                read_snapshot(&buf[..]).is_err(),
-                "bit flip at {pos} must not load cleanly"
-            );
+    fn section_plan_is_checked_arithmetic() {
+        let config = ReasonerConfig {
+            depth: ModelDepth::Custom {
+                layers: 1024,
+                hidden: 65536,
+            },
+            ..ReasonerConfig::default()
+        };
+        let model = config.model_config();
+        let end = section_plan(model.linear_shapes())
+            .map(|entry| entry.unwrap().end())
+            .last()
+            .unwrap();
+        assert!(end > 32 << 30, "a 1024 x 65536 model is over 32 GiB: {end}");
+        for shape in [(usize::MAX, 2), (1 << 33, 1), (1, 1 << 33)] {
+            let err = section_plan([shape].into_iter()).next().unwrap();
+            assert!(matches!(err, Err(SnapshotError::Corrupt(_))), "{shape:?}");
         }
     }
 
     #[test]
     fn corruption_anywhere_fails_checksum() {
-        let mut pristine = Vec::new();
-        write_snapshot_legacy(&trained_reasoner(), &mut pristine).unwrap();
-        // Flip one bit in several places across the payload (skipping the
-        // magic/version, which produce their own error kinds).
+        let pristine = image_of(&trained_reasoner());
+        // Flip one bit in several places across header and payload
+        // (skipping the magic/version, which produce their own error
+        // kinds).
         for pos in [16usize, 40, pristine.len() / 2, pristine.len() - 9] {
             let mut buf = pristine.clone();
             buf[pos] ^= 0x10;
@@ -1323,8 +852,7 @@ mod tests {
 
     #[test]
     fn truncation_is_corruption() {
-        let mut buf = Vec::new();
-        write_snapshot(&trained_reasoner(), &mut buf).unwrap();
+        let mut buf = image_of(&trained_reasoner());
         buf.truncate(buf.len() - 13);
         let err = read_snapshot(&buf[..]).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
@@ -1332,62 +860,50 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_corruption() {
-        let mut buf = Vec::new();
-        write_snapshot(&trained_reasoner(), &mut buf).unwrap();
+        let mut buf = image_of(&trained_reasoner());
         buf.extend_from_slice(b"junk");
         let err = read_snapshot(&buf[..]).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
     }
 
-    /// Recomputes and installs a v3 header hash — for tests that tamper
+    /// Recomputes and installs the header hash — for tests that tamper
     /// with header fields and need the tampering itself (not the stale
     /// signature) to be what the reader rejects.
     fn resign_v3(buf: &mut [u8]) {
         let count = u32::from_le_bytes(buf[28..32].try_into().unwrap()) as usize;
         let hash_pos = 32 + SECTION_ENTRY_BYTES * count + 24;
-        let mut h = FxHasher::default();
-        h.write(&buf[..hash_pos]);
-        let sig = h.finish();
+        let sig = fx_hash(&buf[..hash_pos]);
         buf[hash_pos..hash_pos + 8].copy_from_slice(&sig.to_le_bytes());
     }
 
-    /// Truncating or bit-flipping a v3 file anywhere — header, section
+    /// Truncating or bit-flipping a file anywhere — header, section
     /// table, padding, payload — is a typed error, never a panic.
     #[test]
     fn v3_truncation_and_corruption_are_typed_errors() {
-        let mut reasoner = trained_reasoner();
-        for quantised in [false, true] {
-            if quantised {
-                reasoner.quantise();
-            }
-            let mut pristine = Vec::new();
-            write_snapshot(&reasoner, &mut pristine).unwrap();
-            for keep in [7usize, 20, 33, 60, pristine.len() / 2, pristine.len() - 1] {
-                let err = read_snapshot(&pristine[..keep]).unwrap_err();
-                assert!(
-                    matches!(err, SnapshotError::Corrupt(_)),
-                    "truncation at {keep} (quantised {quantised}): {err}"
-                );
-            }
-            for pos in [9usize, 30, 40, 64, pristine.len() / 2, pristine.len() - 1] {
-                let mut buf = pristine.clone();
-                buf[pos] ^= 0x10;
-                assert!(
-                    read_snapshot(&buf[..]).is_err(),
-                    "bit flip at {pos} (quantised {quantised}) must not load cleanly"
-                );
-            }
+        let pristine = image_of(&trained_reasoner());
+        for keep in [7usize, 20, 33, 60, pristine.len() / 2, pristine.len() - 1] {
+            let err = read_snapshot(&pristine[..keep]).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Corrupt(_)),
+                "truncation at {keep}: {err}"
+            );
+        }
+        for pos in [9usize, 30, 40, 64, pristine.len() / 2, pristine.len() - 1] {
+            let mut buf = pristine.clone();
+            buf[pos] ^= 0x10;
+            assert!(
+                read_snapshot(&buf[..]).is_err(),
+                "bit flip at {pos} must not load cleanly"
+            );
         }
     }
 
-    /// A *re-signed* lying v3 header (valid checksum, fields that deviate
+    /// A *re-signed* lying header (valid checksum, fields that deviate
     /// from the canonical layout) is still rejected: offsets, shapes,
     /// payload base and section count all have exactly one legal value.
     #[test]
     fn v3_resigned_lying_headers_are_rejected() {
-        let reasoner = trained_reasoner();
-        let mut pristine = Vec::new();
-        write_snapshot(&reasoner, &mut pristine).unwrap();
+        let pristine = image_of(&trained_reasoner());
         let count = u32::from_le_bytes(pristine[28..32].try_into().unwrap()) as usize;
         let tail = 32 + SECTION_ENTRY_BYTES * count;
 
@@ -1423,61 +939,36 @@ mod tests {
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
     }
 
-    /// `load_mmap` on a v3 file borrows the weights (near-zero resident
-    /// bytes) and serves predictions bit-identical to the owned load —
-    /// for both f32 and quantised snapshots.
+    /// `load_mmap` borrows the weights (near-zero resident bytes) and
+    /// serves predictions bit-identical to the owned load.
     #[test]
     fn load_mmap_serves_bit_identically() {
-        let mut reasoner = trained_reasoner();
-        let subject = csa_multiplier(4);
-        for quantised in [false, true] {
-            if quantised {
-                reasoner.quantise();
-            }
-            let path = std::env::temp_dir().join(format!(
-                "gamora-snap-mmap-{}-{quantised}.gsnap",
-                std::process::id()
-            ));
-            reasoner.save(&path).unwrap();
-            let owned = GamoraReasoner::load(&path).unwrap();
-            let (mapped, stats) = GamoraReasoner::load_mmap(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            assert_eq!(mapped.config(), reasoner.config());
-            assert_eq!(
-                mapped.predict(&subject.aig),
-                owned.predict(&subject.aig),
-                "mmap-loaded predictions must be bit-identical (quantised {quantised})"
-            );
-            if cfg!(all(unix, target_pointer_width = "64")) {
-                assert!(stats.mapped, "expected the zero-copy path on this target");
-                // Only biases stay owned; the weight payloads live in the
-                // mapping (biases dominate on this tiny test model, so the
-                // bound is deliberately loose).
-                assert!(
-                    mapped.resident_weight_bytes() * 2 < owned.resident_weight_bytes(),
-                    "borrowed weights should be ~non-resident: {} vs {} bytes",
-                    mapped.resident_weight_bytes(),
-                    owned.resident_weight_bytes()
-                );
-            }
-            assert!(stats.file_bytes > 0 && stats.load_micros > 0);
-        }
-    }
-
-    /// `load_mmap` on a legacy (v1/v2) file transparently falls back to
-    /// the owned reader and reports `mapped: false`.
-    #[test]
-    fn load_mmap_falls_back_for_legacy_files() {
         let reasoner = trained_reasoner();
-        let path = std::env::temp_dir().join(format!(
-            "gamora-snap-mmap-legacy-{}.gsnap",
-            std::process::id()
-        ));
-        write_snapshot_legacy(&reasoner, File::create(&path).unwrap()).unwrap();
-        let (back, stats) = GamoraReasoner::load_mmap(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(!stats.mapped);
         let subject = csa_multiplier(4);
-        assert_eq!(back.predict(&subject.aig), reasoner.predict(&subject.aig));
+        let path =
+            std::env::temp_dir().join(format!("gamora-snap-mmap-{}.gsnap", std::process::id()));
+        reasoner.save(&path).unwrap();
+        let owned = GamoraReasoner::load(&path).unwrap();
+        let (mapped, stats) = GamoraReasoner::load_mmap(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(mapped.config(), reasoner.config());
+        assert_eq!(
+            mapped.predict(&subject.aig),
+            owned.predict(&subject.aig),
+            "mmap-loaded predictions must be bit-identical"
+        );
+        if cfg!(all(unix, target_pointer_width = "64")) {
+            assert!(stats.mapped, "expected the zero-copy path on this target");
+            // Only biases stay owned; the weight payloads live in the
+            // mapping (biases dominate on this tiny test model, so the
+            // bound is deliberately loose).
+            assert!(
+                mapped.resident_weight_bytes() * 2 < owned.resident_weight_bytes(),
+                "borrowed weights should be ~non-resident: {} vs {} bytes",
+                mapped.resident_weight_bytes(),
+                owned.resident_weight_bytes()
+            );
+        }
+        assert!(stats.file_bytes > 0 && stats.load_micros > 0);
     }
 }

@@ -1,19 +1,22 @@
-//! Back-compatibility guard for the `.gsnap` snapshot formats.
+//! Format-stability guard for `.gsnap` snapshots.
 //!
-//! The v3 reader must keep serving **v1/v2** files — snapshots written
-//! by earlier builds — bit-exactly. The legacy writer is kept alive
-//! precisely so this guard can manufacture those files; the tests walk
-//! the documented byte layouts from first principles (every field, the
-//! per-write-call Fx checksum granularity) and assert neither the
-//! legacy writer nor the reader has drifted. A third test pins the
-//! **v3** mmap-ready layout the current writer emits: section table,
-//! 64-byte alignment, split header/payload checksums. Run under
-//! `--release` in CI.
+//! There is one format (version 3). Three things pin it: a walk of the
+//! documented byte layout from first principles; the Fx hash of the image
+//! of fixed seeded reasoners, recorded from the writer at commit bfcfe20
+//! (the last one that also carried v1/v2 streams and i8 sections); and a
+//! file that commit wrote, `tests/fixtures/parent_v3.gsnap`, which must
+//! load — owned and mapped — serve the predictions its source model
+//! served, and re-serialise to the same bytes. Files written before the
+//! legacy paths were retired keep working, and files written after are
+//! readable by builds from before. What those builds could also read is
+//! now a typed error: version 1 and 2 headers, and i8 (tag 1) sections.
+//! Run under `--release` in CI.
 
-use gamora::snapshot::{
-    read_snapshot, write_snapshot, write_snapshot_legacy, SNAPSHOT_ALIGN, SNAPSHOT_MAGIC,
+use gamora::snapshot::{read_snapshot, write_snapshot, SNAPSHOT_ALIGN, SNAPSHOT_MAGIC};
+use gamora::{
+    Direction, FeatureMode, GamoraReasoner, ModelDepth, Predictions, ReasonerConfig, SnapshotError,
+    TrainConfig,
 };
-use gamora::{GamoraReasoner, ModelDepth, ReasonerConfig, TrainConfig};
 use gamora_aig::hasher::FxHasher;
 use gamora_circuits::csa_multiplier;
 use std::hash::Hasher;
@@ -38,122 +41,147 @@ fn trained_reasoner() -> GamoraReasoner {
     reasoner
 }
 
-/// Walks a snapshot byte stream field by field, feeding the checksum
-/// hasher with exactly one `write` per field — the granularity the v1/v2
-/// writers use (the Fx checksum folds 8-byte chunks *per write call*, so
-/// the field boundaries are part of those formats).
-struct Walker<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    hasher: FxHasher,
+fn fx(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
-impl<'a> Walker<'a> {
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let s = &self.buf[self.pos..self.pos + n];
-        self.hasher.write(s);
-        self.pos += n;
-        s
-    }
-
-    fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
-    }
-}
-
-/// Walks the documented v1 layout field by field: magic, version 1, the
-/// 20-byte config block, `count` tensors of `{len u32, len * f32}`, and
-/// a trailing Fx checksum over everything before it. Any drift in the
-/// legacy writer (which would orphan pre-change snapshots the reader is
-/// tested against) fails here.
-#[test]
-fn f32_snapshot_still_uses_the_exact_v1_layout() {
-    let reasoner = trained_reasoner();
+fn image_of(reasoner: &GamoraReasoner) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_snapshot_legacy(&reasoner, &mut buf).unwrap();
+    write_snapshot(reasoner, &mut buf).unwrap();
+    buf
+}
 
-    let mut w = Walker {
-        buf: &buf,
-        pos: 0,
-        hasher: FxHasher::default(),
-    };
-    assert_eq!(w.take(4), SNAPSHOT_MAGIC, "magic");
-    assert_eq!(w.u32(), 1, "an unquantised legacy save must stay on v1");
-    // Config block: depth tag u8 + layers u32 + hidden u32 +
-    // feature_mode u8 + direction u8 + multi_task u8 + seed u64.
-    let depth_tag = w.take(1)[0];
-    assert_eq!(depth_tag, 2, "custom depth tag");
-    assert_eq!(w.u32(), 2, "layers");
-    assert_eq!(w.u32(), 8, "hidden");
-    let _feature_mode = w.take(1);
-    let _direction = w.take(1);
-    let _multi_task = w.take(1);
-    let _seed = w.take(8);
-
-    let count = w.u32() as usize;
-    let mut scalars = 0usize;
-    for _ in 0..count {
-        let len = w.u32() as usize;
-        scalars += len;
-        for _ in 0..len {
-            w.take(4); // one f32 LE scalar per write — no section tags in v1
-        }
+/// Untrained reasoners are a pure function of their config (seeded
+/// Glorot weights, zero biases), so their images are too. The hashes were
+/// printed by `write_snapshot` at commit bfcfe20.
+#[test]
+fn v3_image_hash_is_pinned_to_the_parent_commit() {
+    let shallow = GamoraReasoner::new(ReasonerConfig::default());
+    let custom = GamoraReasoner::new(ReasonerConfig {
+        depth: ModelDepth::Custom {
+            layers: 3,
+            hidden: 37,
+        },
+        feature_mode: FeatureMode::Structural,
+        direction: Direction::Fanin,
+        multi_task: false,
+        seed: 0x5EED,
+    });
+    for (reasoner, len, want) in [
+        (shallow, 31752, 0x5fb3e4fa562f8faf_u64),
+        (custom, 30784, 0xddcf0c2a1fec46c5),
+    ] {
+        let image = image_of(&reasoner);
+        let got = fx(&image);
+        assert_eq!(
+            (image.len(), got),
+            (len, want),
+            "{:?}: {got:#018x}",
+            reasoner.config()
+        );
     }
-    assert_eq!(
-        scalars,
-        reasoner.num_params(),
-        "v1 stores every parameter scalar exactly once"
+}
+
+const FIXTURE: &[u8] = include_bytes!("fixtures/parent_v3.gsnap");
+
+/// One byte per task and node, behind a nonzero lead byte (Fx maps an
+/// all-zero stream to zero).
+fn prediction_hash(p: &Predictions) -> u64 {
+    let mut bytes = vec![0xA5u8];
+    for ((&c, &x), &m) in p.root_leaf.iter().zip(&p.is_xor).zip(&p.is_maj) {
+        bytes.extend_from_slice(&[c as u8, x as u8, m as u8]);
+    }
+    fx(&bytes)
+}
+
+/// The fixture is a 2-layer, 8-hidden reasoner trained for 300 epochs on
+/// 3- and 4-bit CSA multipliers and saved at commit bfcfe20; that process
+/// also printed the hash of its predictions on a 5-bit CSA multiplier
+/// (69 of 207 nodes in a non-default root/leaf class, 35 XOR, 18 MAJ).
+#[test]
+fn parent_written_fixture_loads_owned_and_mapped_and_serves_its_source_predictions() {
+    const SOURCE_PREDICTIONS: u64 = 0xc257a4e369c5bf53;
+    assert_eq!(fx(FIXTURE), 0xdab8adc61f9c2ba1, "the fixture file itself");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/parent_v3.gsnap"
     );
-    assert_eq!(w.pos, buf.len() - 8, "checksum is the only trailer");
-
-    // The trailing u64 is the Fx hash of every preceding field.
-    let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-    assert_eq!(stored, w.hasher.finish(), "checksum definition unchanged");
-}
-
-/// A v1 snapshot loads under the current reader and serves
-/// bit-identically: same config, same scalar count, and bit-equal
-/// predictions on a fresh workload — the "old snapshot keeps serving"
-/// guarantee.
-#[test]
-fn v1_snapshot_loads_and_serves_bit_identically() {
-    let reasoner = trained_reasoner();
-    let mut buf = Vec::new();
-    write_snapshot_legacy(&reasoner, &mut buf).unwrap();
-    assert_eq!(u32::from_le_bytes(buf[4..8].try_into().unwrap()), 1);
-
-    let back = read_snapshot(&buf[..]).unwrap();
-    assert_eq!(back.config(), reasoner.config());
-    assert_eq!(back.num_params(), reasoner.num_params());
-    assert!(!back.is_quantised(), "v1 files carry no quantised store");
-
     let subject = csa_multiplier(5);
+
+    let owned = GamoraReasoner::load(path).unwrap();
     assert_eq!(
-        reasoner.predict(&subject.aig),
-        back.predict(&subject.aig),
-        "a v1 snapshot must keep serving bit-exactly under the current reader"
+        prediction_hash(&owned.predict(&subject.aig)),
+        SOURCE_PREDICTIONS
+    );
+    assert_eq!(
+        image_of(&owned),
+        FIXTURE,
+        "today's writer must emit the bytes the parent's writer did"
     );
 
-    // And a quantised legacy save/load of the same model coexists: the
-    // v2 format round-trips independently.
-    let mut quant = back.clone();
-    quant.quantise();
-    let mut v2 = Vec::new();
-    write_snapshot_legacy(&quant, &mut v2).unwrap();
-    assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
-    let quant_back = read_snapshot(&v2[..]).unwrap();
+    let (mapped, stats) = GamoraReasoner::load_mmap(path).unwrap();
+    assert_eq!(stats.file_bytes, FIXTURE.len() as u64);
+    if cfg!(all(unix, target_pointer_width = "64")) {
+        assert!(stats.mapped, "expected the zero-copy path on this target");
+    }
+    assert_eq!(mapped.config(), owned.config());
     assert_eq!(
-        quant.predict(&subject.aig),
-        quant_back.predict(&subject.aig),
-        "v2 round trip serves bit-exactly too"
+        mapped.predict(&subject.aig),
+        owned.predict(&subject.aig),
+        "mapped and owned loads must serve the same bits"
     );
 }
 
-/// Walks the documented **v3** layout from first principles: fixed
-/// header, section table, 64-byte-aligned payload, and the two split
-/// checksums — each defined as ONE `FxHasher::write` over a contiguous
-/// range (unlike v1/v2's per-field folding). Pins the mmap contract:
-/// every offset the reader will borrow from is aligned and in-bounds.
+/// Recomputes and installs the header hash, so that a tampered header
+/// field — not its stale signature — is what the reader has to reject.
+fn resign_header(buf: &mut [u8]) {
+    let count = u32::from_le_bytes(buf[28..32].try_into().unwrap()) as usize;
+    let hash_pos = 32 + (1 + 4 + 4 + 8 + 8) * count + 24;
+    let sig = fx(&buf[..hash_pos]);
+    buf[hash_pos..hash_pos + 8].copy_from_slice(&sig.to_le_bytes());
+}
+
+/// What the retired readers accepted is rejected by type, not by panic
+/// or by luck: a version 1 or 2 header is `UnsupportedVersion` (and says
+/// which version is read), and a correctly signed version 3 header whose
+/// first section claims the i8 tag is `Corrupt`.
+#[test]
+fn legacy_versions_and_i8_sections_are_typed_errors() {
+    let pristine = image_of(&trained_reasoner());
+    for version in [1u32, 2] {
+        let mut bytes = pristine.clone();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        let err = read_snapshot(&bytes[..]).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::UnsupportedVersion(v) if v == version),
+            "{err}"
+        );
+        assert!(err.to_string().contains("reads v3"), "{err}");
+        // A bare legacy header (all a v1/v2 file shares with today's
+        // layout) gets the same answer.
+        let err = read_snapshot(&bytes[..28]).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::UnsupportedVersion(v) if v == version),
+            "{err}"
+        );
+    }
+
+    let mut bytes = pristine.clone();
+    assert_eq!(bytes[32], 0, "first section tag");
+    bytes[32] = 1;
+    resign_header(&mut bytes);
+    let err = read_snapshot(&bytes[..]).unwrap_err();
+    assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    assert!(err.to_string().contains("section 0"), "{err}");
+}
+
+/// Walks the documented layout from first principles: fixed header,
+/// section table, 64-byte-aligned payload, and the two split checksums —
+/// each defined as ONE `FxHasher::write` over a contiguous range. Pins
+/// the mmap contract: every offset the reader will borrow from is aligned
+/// and in-bounds.
 #[test]
 fn v3_snapshot_uses_the_exact_documented_layout() {
     let reasoner = trained_reasoner();
@@ -164,8 +192,8 @@ fn v3_snapshot_uses_the_exact_documented_layout() {
     let u64_at = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
 
     assert_eq!(&buf[0..4], SNAPSHOT_MAGIC, "magic");
-    assert_eq!(u32_at(4), 3, "current writer emits v3");
-    // [8..28] is the same 20-byte config block as v1/v2.
+    assert_eq!(u32_at(4), 3, "format version");
+    // [8..28] is the 20-byte config block.
     assert_eq!(buf[8], 2, "custom depth tag");
     assert_eq!(u32_at(9), 2, "layers");
     assert_eq!(u32_at(13), 8, "hidden");
@@ -191,16 +219,16 @@ fn v3_snapshot_uses_the_exact_documented_layout() {
         "header/payload padding is zeroed"
     );
 
-    // Section table: an unquantised model stores {weights, bias} per
-    // linear, all tag 0 (f32), at ascending 64-aligned offsets.
-    assert_eq!(count % 2, 0, "two sections per f32 linear");
+    // Section table: {weights, bias} per linear, all tag 0 (f32), at
+    // ascending 64-aligned offsets.
+    assert_eq!(count % 2, 0, "two sections per linear");
     let mut scalars = 0usize;
     let mut cursor = 0usize;
     for i in 0..count {
         let at = table + ENTRY * i;
         let (tag, rows, cols) = (buf[at], u32_at(at + 1) as usize, u32_at(at + 5) as usize);
         let (offset, len) = (u64_at(at + 9) as usize, u64_at(at + 17) as usize);
-        assert_eq!(tag, 0, "f32 sections only in an unquantised snapshot");
+        assert_eq!(tag, 0, "f32 is the only section type");
         assert_eq!(len, rows * cols * 4, "section length matches its shape");
         assert_eq!(offset % SNAPSHOT_ALIGN, 0, "section offset is aligned");
         assert_eq!(

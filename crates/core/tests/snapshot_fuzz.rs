@@ -1,29 +1,78 @@
 //! Fuzz hardening for the `.gsnap` snapshot reader (vendored proptest
 //! shim): a corrupted or truncated snapshot must come back as a typed
 //! [`SnapshotError`] — never a panic, and never an attempted allocation
-//! sized by attacker-controlled header fields (length fields are
-//! validated against the model skeleton *before* any buffer is sized).
+//! sized by attacker-controlled header fields.
 //!
-//! Why every single-byte corruption must fail: in v1/v2 every field is
-//! covered by the trailing Fx checksum, whose per-field fold is
-//! bijective in each 8-byte chunk — equal-shaped streams that differ
-//! anywhere hash differently. In v3 the header hash covers the header,
-//! the payload hash covers the payload, and the inter-region padding is
-//! required to be zero, so the three cases tile the whole file. Beyond
-//! blind flips, v3 files are also fuzzed *re-signed* (mutate, recompute
-//! both FxHashes, load: valid checksums, lying geometry or a resized
-//! payload): the reader recomputes every section's canonical
-//! tag/shape/offset/length and the payload total from the model skeleton
-//! before it touches the payload, so a signature alone never buys a
-//! deviant layout. Run under `--release` in CI
-//! alongside the snapshot back-compat guard.
+//! Why every single-byte corruption must fail: the header hash covers the
+//! header, the payload hash covers the payload, and the inter-region
+//! padding is required to be zero, so the three cases tile the whole
+//! file. Beyond blind flips, files are also fuzzed *re-signed* (mutate,
+//! recompute both FxHashes, load: valid checksums, lying geometry, a
+//! resized payload or a different model config): the reader derives the
+//! one canonical section plan from the config's layer shapes and requires
+//! the table, the section count and the payload length to equal it
+//! *before* it builds a model, so a signature alone never buys a deviant
+//! layout — nor a model larger than the file. The last is measured: a
+//! counting allocator bounds the bytes requested while a re-signed config
+//! is rejected by a small multiple of the input length. Run under
+//! `--release` in CI alongside the format-stability guard.
 
-use gamora::snapshot::{read_snapshot, write_snapshot, write_snapshot_legacy};
-use gamora::{GamoraReasoner, ModelDepth, ReasonerConfig, TrainConfig};
+use gamora::snapshot::{read_snapshot, write_snapshot};
+use gamora::{GamoraReasoner, ModelDepth, ReasonerConfig, SnapshotError, TrainConfig};
 use gamora_aig::hasher::FxHasher;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hash::Hasher;
 use std::sync::OnceLock;
+
+std::thread_local! {
+    /// Bytes the current thread has requested from the allocator while
+    /// it was counting (`None` = not counting).
+    static REQUESTED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// System allocator wrapper that adds up the sizes a counting thread
+/// asks for (frees are not credited back: the bound is on requests).
+struct CountingAlloc;
+
+fn count(bytes: usize) {
+    // `try_with` so allocations during TLS teardown never panic.
+    let _ = REQUESTED.try_with(|r| r.set(r.get().map(|n| n + bytes)));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the bytes this thread requested
+/// from the allocator meanwhile.
+fn counting_requests<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    REQUESTED.with(|r| r.set(Some(0)));
+    let out = f();
+    let requested = REQUESTED.with(|r| r.replace(None));
+    (out, requested.expect("counting was on"))
+}
 
 fn trained_reasoner() -> GamoraReasoner {
     let m = gamora_circuits::csa_multiplier(3);
@@ -45,31 +94,7 @@ fn trained_reasoner() -> GamoraReasoner {
     reasoner
 }
 
-/// A valid v1 (f32, legacy writer) snapshot byte stream, built once.
-fn v1_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let mut buf = Vec::new();
-        write_snapshot_legacy(&trained_reasoner(), &mut buf).unwrap();
-        assert_eq!(u32::from_le_bytes(buf[4..8].try_into().unwrap()), 1);
-        buf
-    })
-}
-
-/// A valid v2 (section-tagged, quantised, legacy writer) byte stream.
-fn v2_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let mut reasoner = trained_reasoner();
-        reasoner.quantise();
-        let mut buf = Vec::new();
-        write_snapshot_legacy(&reasoner, &mut buf).unwrap();
-        assert_eq!(u32::from_le_bytes(buf[4..8].try_into().unwrap()), 2);
-        buf
-    })
-}
-
-/// A valid v3 (mmap-ready, current writer) byte stream.
+/// A valid snapshot byte stream, built once.
 fn v3_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -123,6 +148,25 @@ fn resign_v3(buf: &mut [u8], payload_base: usize) {
     buf[tail + 24..tail + 32].copy_from_slice(&sig.to_le_bytes());
 }
 
+/// Overwrites the depth fields of the config block (tag at 8, layers at
+/// 9, hidden at 13) and re-signs: a correctly signed file for a different
+/// model around the same payload.
+fn with_resigned_depth(base: &[u8], tag: u8, layers: u32, hidden: u32) -> Vec<u8> {
+    let mut bytes = base.to_vec();
+    bytes[8] = tag;
+    bytes[9..13].copy_from_slice(&layers.to_le_bytes());
+    bytes[13..17].copy_from_slice(&hidden.to_le_bytes());
+    resign_v3(&mut bytes, v3_payload_base(base));
+    bytes
+}
+
+/// Rejecting `bytes` may request at most this many bytes: the stream is
+/// read into a doubling `Vec`, the section table is at most the file's
+/// size again, and an error message is a few hundred bytes.
+fn rejection_allocation_bound(bytes: &[u8]) -> usize {
+    8 * bytes.len() + 4096
+}
+
 /// `Err(what happened instead)` unless the reader rejects `bytes` with a
 /// typed error.
 fn typed_error(bytes: &[u8]) -> Result<(), &'static str> {
@@ -141,21 +185,7 @@ fn v3_payload_base(buf: &[u8]) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Any single corrupted byte in a v1 stream yields `Err`, not a panic.
-    #[test]
-    fn v1_single_byte_corruption_is_rejected(pos in any::<u64>(), value in any::<u8>()) {
-        let base = v1_bytes();
-        assert_mutation_rejected(base, pos as usize % base.len(), value, "v1");
-    }
-
-    /// Any single corrupted byte in a v2 stream yields `Err`, not a panic.
-    #[test]
-    fn v2_single_byte_corruption_is_rejected(pos in any::<u64>(), value in any::<u8>()) {
-        let base = v2_bytes();
-        assert_mutation_rejected(base, pos as usize % base.len(), value, "v2");
-    }
-
-    /// Any single corrupted byte in a v3 stream yields `Err`, not a
+    /// Any single corrupted byte yields `Err`, not a
     /// panic — header bytes trip the header hash, padding bytes trip the
     /// zero check, payload bytes trip the payload hash.
     #[test]
@@ -190,14 +220,47 @@ proptest! {
         );
     }
 
+    /// A RE-SIGNED config — any depth tag, any layer count and hidden
+    /// width, half of the cases inside the range the header admits — is a
+    /// typed `Corrupt` unless it names the very model the file holds, and
+    /// the reader gets there without building the model the config
+    /// describes: what it requests from the allocator is bounded by the
+    /// input length, whatever the config claims.
+    #[test]
+    fn v3_resigned_config_is_rejected_within_an_allocation_bound(
+        tag in 0u8..4,
+        layers in any::<u32>(),
+        hidden in any::<u32>(),
+        plausible in any::<bool>(),
+    ) {
+        let base = v3_bytes();
+        let (layers, hidden) = if plausible {
+            (layers % 1025, hidden % 65537)
+        } else {
+            (layers, hidden)
+        };
+        if (tag, layers, hidden) == (2, 2, 8) {
+            return; // the file's own config
+        }
+        let bytes = with_resigned_depth(base, tag, layers, hidden);
+        let (result, requested) = counting_requests(|| read_snapshot(&bytes[..]));
+        prop_assert!(
+            matches!(result, Err(SnapshotError::Corrupt(_))),
+            "depth ({tag}, {layers}, {hidden}) must be Corrupt, got {:?}",
+            result.map(|_| "a loaded model")
+        );
+        prop_assert!(
+            requested <= rejection_allocation_bound(&bytes),
+            "rejecting depth ({tag}, {layers}, {hidden}) requested {requested} bytes \
+             for a {}-byte input",
+            bytes.len()
+        );
+    }
+
     /// Any strict prefix of a valid stream is rejected as truncated.
     #[test]
-    fn truncated_snapshots_are_rejected(cut in any::<u64>(), version in 0u8..3) {
-        let base = match version {
-            0 => v1_bytes(),
-            1 => v2_bytes(),
-            _ => v3_bytes(),
-        };
+    fn truncated_snapshots_are_rejected(cut in any::<u64>()) {
+        let base = v3_bytes();
         let cut = cut as usize % base.len(); // strictly shorter than the full stream
         let result = read_snapshot(&base[..cut]);
         prop_assert!(result.is_err(), "truncation at {cut}/{} must be rejected", base.len());
@@ -227,50 +290,43 @@ fn v3_resigned_resized_payload_is_rejected() {
     }
 }
 
-/// Header fields that size reads are validated against the model
-/// skeleton before any allocation: a 4-billion entry tensor count or
-/// scalar length comes back `Corrupt` immediately instead of attempting
-/// a multi-gigabyte `Vec`. The v3 section count gets the same cap.
+/// Header fields that size reads are validated before any allocation
+/// they could size. A 4-billion section count is capped by the file size
+/// before the table is allocated or walked; and the largest model the
+/// header admits — 1024 layers of 65536 hidden channels, 32 GiB of
+/// weights, correctly signed onto a kilobyte file — is `Corrupt` from the
+/// section plan alone. (Until the plan was checked first, the reader
+/// built that model's skeleton and the process died in `rust_oom`.)
 #[test]
 fn huge_header_lengths_fail_before_allocating() {
-    let base = v1_bytes();
-    // Offsets in the v1 layout: magic(4) + version(4) + config(20), then
-    // the tensor count u32 at 28, then tensor 0's scalar-count u32 at 32.
-    for (offset, what) in [(28usize, "tensor count"), (32usize, "tensor 0 length")] {
-        let mut bytes = base.to_vec();
-        bytes[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_snapshot(&bytes[..]).expect_err(what);
-        let msg = err.to_string();
-        assert!(
-            msg.contains("corrupt"),
-            "{what}: expected a Corrupt error, got: {msg}"
-        );
-    }
-    // v3: the section count at 28 is capped by the file size before the
-    // table is allocated or walked.
-    let mut bytes = v3_bytes().to_vec();
+    let base = v3_bytes();
+    let mut bytes = base.to_vec();
     bytes[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
-    let err = read_snapshot(&bytes[..]).expect_err("v3 section count");
+    let err = read_snapshot(&bytes[..]).expect_err("section count");
     assert!(err.to_string().contains("corrupt"), "{err}");
+
+    let bytes = with_resigned_depth(base, 2, 1024, 65536);
+    let (result, requested) = counting_requests(|| read_snapshot(&bytes[..]));
+    let err = result.expect_err("1024 x 65536 config");
+    assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    assert!(
+        requested <= rejection_allocation_bound(&bytes),
+        "rejecting a {}-byte input requested {requested} bytes",
+        bytes.len()
+    );
 }
 
-/// Cross-version confusion: relabelling a stream as a different version
-/// must fail the section parse, the shape checks, or a checksum — never
-/// panic, never load.
+/// Relabelling a stream as another version is `UnsupportedVersion`,
+/// whatever follows the version field.
 #[test]
 fn version_relabel_is_rejected() {
-    for (base, version) in [
-        (v1_bytes(), 2u32),
-        (v2_bytes(), 1u32),
-        (v1_bytes(), 3u32),
-        (v3_bytes(), 1u32),
-        (v3_bytes(), 2u32),
-    ] {
-        let mut bytes = base.to_vec();
+    for version in [0u32, 1, 2, 4, u32::MAX] {
+        let mut bytes = v3_bytes().to_vec();
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        let err = read_snapshot(&bytes[..]).expect_err("relabelled stream");
         assert!(
-            read_snapshot(&bytes[..]).is_err(),
-            "a stream relabelled to v{version} must be rejected"
+            matches!(err, SnapshotError::UnsupportedVersion(v) if v == version),
+            "a stream relabelled to v{version}: {err}"
         );
     }
 }

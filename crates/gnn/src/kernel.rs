@@ -29,47 +29,18 @@ use crate::tensor::Epilogue;
 use std::sync::OnceLock;
 
 /// Register-tile height: output rows accumulated together, so the weight
-/// rows of a K-quad are loaded (and, for i8, promoted) once per [`MR`]
-/// rows.
+/// rows of a K-quad are loaded once per [`MR`] rows.
 pub(crate) const MR: usize = 4;
-
-/// A weight element the GEMM promotes to `f32` on load — the one seam
-/// between the `f32` and i8-quantised storage classes.
-pub(crate) trait WeightElem: Copy + Send + Sync + 'static {
-    fn promote(self) -> f32;
-    /// This storage class's GEMM entry of a variant table.
-    fn gemm_of(kernels: &Kernels) -> GemmBlockFn<Self>;
-}
-
-impl WeightElem for f32 {
-    #[inline(always)]
-    fn promote(self) -> f32 {
-        self
-    }
-    fn gemm_of(kernels: &Kernels) -> GemmBlockFn<f32> {
-        kernels.gemm_f32
-    }
-}
-
-impl WeightElem for i8 {
-    #[inline(always)]
-    fn promote(self) -> f32 {
-        self as f32
-    }
-    fn gemm_of(kernels: &Kernels) -> GemmBlockFn<i8> {
-        kernels.gemm_i8
-    }
-}
 
 /// One `x @ w` sweep of a fused GEMM: all rows of a row-major activation
 /// matrix of width `k`, against row-major `k x n` weights.
-pub(crate) struct Operand<'a, E> {
+pub(crate) struct Operand<'a> {
     pub x: &'a [f32],
     pub k: usize,
-    pub w: &'a [E],
+    pub w: &'a [f32],
 }
 
-impl<E> Operand<'_, E> {
+impl Operand<'_> {
     /// The absent second sweep of a dense layer.
     pub(crate) fn none() -> Self {
         Operand {
@@ -81,12 +52,12 @@ impl<E> Operand<'_, E> {
 }
 
 /// Everything a GEMM row block needs besides its output rows:
-/// `out = act((Σ_operands x @ w) [* scales] [+ bias])`, or, with
-/// `accumulate`, the same sum added onto what `out` already holds.
-pub(crate) struct GemmArgs<'a, E> {
+/// `out = act((Σ_operands x @ w) [+ bias])`, or, with `accumulate`, the
+/// same sum added onto what `out` already holds.
+pub(crate) struct GemmArgs<'a> {
     /// The split-weight SAGE layer has two sweeps; a dense layer leaves
     /// the second one empty (`k == 0`).
-    pub operands: [Operand<'a, E>; 2],
+    pub operands: [Operand<'a>; 2],
     pub epilogue: Epilogue<'a>,
     pub n: usize,
     pub accumulate: bool,
@@ -103,7 +74,7 @@ pub(crate) struct AggArgs<'a> {
 }
 
 /// `(args, first_row, out_rows)`: computes the whole rows of `out_rows`.
-pub(crate) type GemmBlockFn<E> = unsafe fn(&GemmArgs<'_, E>, usize, &mut [f32]);
+type GemmBlockFn = unsafe fn(&GemmArgs<'_>, usize, &mut [f32]);
 type AggBlockFn = unsafe fn(&AggArgs<'_>, usize, &mut [f32]);
 
 /// One compiled variant of the kernels. Values only exist in the
@@ -112,8 +83,7 @@ type AggBlockFn = unsafe fn(&AggArgs<'_>, usize, &mut [f32]);
 /// here rest on.
 pub(crate) struct Kernels {
     isa: &'static str,
-    gemm_f32: GemmBlockFn<f32>,
-    gemm_i8: GemmBlockFn<i8>,
+    gemm: GemmBlockFn,
     aggregate: AggBlockFn,
 }
 
@@ -126,16 +96,11 @@ impl Kernels {
     /// Runs the fused GEMM over the whole rows in `block` (row `row0`
     /// onwards of the output).
     #[inline]
-    pub(crate) fn gemm_block<E: WeightElem>(
-        &self,
-        args: &GemmArgs<'_, E>,
-        row0: usize,
-        block: &mut [f32],
-    ) {
+    pub(crate) fn gemm_block(&self, args: &GemmArgs<'_>, row0: usize, block: &mut [f32]) {
         // SAFETY: a `#[target_feature]` fn is only unsafe to call on a
         // CPU without that feature; `self` came from `supported()`, which
         // checked the feature at run time before yielding this table.
-        unsafe { E::gemm_of(self)(args, row0, block) }
+        unsafe { (self.gemm)(args, row0, block) }
     }
 
     /// Runs mean aggregation over the whole rows in `block` (node `v0`
@@ -186,21 +151,13 @@ macro_rules! compile_variant {
             /// The CPU must support this variant's `target_feature`
             /// (`portable` asks for none).
             $(#[$feature])?
-            unsafe fn gemm_f32(args: &GemmArgs<'_, f32>, row0: usize, block: &mut [f32]) {
-                gemm_block::<f32, $width>(args, row0, block);
+            unsafe fn gemm(args: &GemmArgs<'_>, row0: usize, block: &mut [f32]) {
+                gemm_block::<$width>(args, row0, block);
             }
 
             /// # Safety
             ///
-            /// As for `gemm_f32`.
-            $(#[$feature])?
-            unsafe fn gemm_i8(args: &GemmArgs<'_, i8>, row0: usize, block: &mut [f32]) {
-                gemm_block::<i8, $width>(args, row0, block);
-            }
-
-            /// # Safety
-            ///
-            /// As for `gemm_f32`.
+            /// As for `gemm`.
             $(#[$feature])?
             unsafe fn aggregate(args: &AggArgs<'_>, v0: usize, block: &mut [f32]) {
                 aggregate_block::<$width>(args, v0, block);
@@ -208,8 +165,7 @@ macro_rules! compile_variant {
 
             pub(super) static KERNELS: Kernels = Kernels {
                 isa: stringify!($name),
-                gemm_f32,
-                gemm_i8,
+                gemm,
                 aggregate,
             };
         }
@@ -262,15 +218,19 @@ fn for_each_column_chunk<const W: usize, T: ColumnTile>(n: usize, tile: &mut T) 
     }
 }
 
-/// Lanes `off .. off + w` of `src`, promoted, zero-padded to `NR`. Full
-/// chunks pass the literal `w == NR`, which folds the loop to a fixed-size
-/// vector load once this is inlined.
+/// Lanes `off .. off + w` of `src`, zero-padded to `NR`. Full chunks pass
+/// the literal `w == NR`, which folds the loop to a fixed-size vector
+/// load once this is inlined.
+// An indexed loop, not `copy_from_slice`: the `memcpy` into `lanes` keeps
+// the K-sweep's weight rows on the stack, and the hidden-32 forward
+// measures ~7% slower end to end (`cold_stream`, 0 of 6 pairs).
+#[allow(clippy::manual_memcpy)]
 #[inline(always)]
-fn load<E: WeightElem, const NR: usize>(src: &[E], off: usize, w: usize) -> [f32; NR] {
+fn load<const NR: usize>(src: &[f32], off: usize, w: usize) -> [f32; NR] {
     let mut lanes = [0.0f32; NR];
     let src = &src[off..off + w];
     for j in 0..w {
-        lanes[j] = src[j].promote();
+        lanes[j] = src[j];
     }
     lanes
 }
@@ -284,14 +244,14 @@ fn store<const NR: usize>(lanes: &[f32; NR], dst: &mut [f32], off: usize, w: usi
 /// One [`MR`]-row tile of a GEMM block. `rows` are the activation row
 /// indices; a short last tile repeats its final row and stores only the
 /// `live` distinct ones.
-struct GemmTile<'a, E> {
-    args: &'a GemmArgs<'a, E>,
+struct GemmTile<'a> {
+    args: &'a GemmArgs<'a>,
     rows: [usize; MR],
     live: usize,
     out: &'a mut [f32],
 }
 
-impl<E: WeightElem> ColumnTile for GemmTile<'_, E> {
+impl ColumnTile for GemmTile<'_> {
     #[inline(always)]
     fn run<const NR: usize>(&mut self, j0: usize, w: usize) {
         let GemmArgs {
@@ -340,10 +300,10 @@ impl<E: WeightElem> ColumnTile for GemmTile<'_, E> {
             ];
             let mut k = 0;
             while k + 4 <= k_total {
-                let v0 = load::<E, NR>(op.w, k * n + j0, w);
-                let v1 = load::<E, NR>(op.w, (k + 1) * n + j0, w);
-                let v2 = load::<E, NR>(op.w, (k + 2) * n + j0, w);
-                let v3 = load::<E, NR>(op.w, (k + 3) * n + j0, w);
+                let v0 = load::<NR>(op.w, k * n + j0, w);
+                let v1 = load::<NR>(op.w, (k + 1) * n + j0, w);
+                let v2 = load::<NR>(op.w, (k + 2) * n + j0, w);
+                let v3 = load::<NR>(op.w, (k + 3) * n + j0, w);
                 each_row!(|i, c| {
                     let (a0, a1, a2, a3) = (a[i][k], a[i][k + 1], a[i][k + 2], a[i][k + 3]);
                     // `a0 != 0.0 || .. || a3 != 0.0` on the bit patterns:
@@ -361,7 +321,7 @@ impl<E: WeightElem> ColumnTile for GemmTile<'_, E> {
                 k += 4;
             }
             while k < k_total {
-                let v = load::<E, NR>(op.w, k * n + j0, w);
+                let v = load::<NR>(op.w, k * n + j0, w);
                 each_row!(|i, c| {
                     let a = a[i][k];
                     if a != 0.0 {
@@ -373,16 +333,8 @@ impl<E: WeightElem> ColumnTile for GemmTile<'_, E> {
                 k += 1;
             }
         }
-        if let Some(scales) = epilogue.scales {
-            let s = load::<f32, NR>(scales, j0, w);
-            each_row!(|_, c| {
-                for j in 0..NR {
-                    c[j] *= s[j];
-                }
-            });
-        }
         if let Some(bias) = epilogue.bias {
-            let b = load::<f32, NR>(bias, j0, w);
+            let b = load::<NR>(bias, j0, w);
             each_row!(|_, c| {
                 for j in 0..NR {
                     c[j] += b[j];
@@ -409,11 +361,7 @@ impl<E: WeightElem> ColumnTile for GemmTile<'_, E> {
 /// (or at `block`'s values), sweep the full K of both operands in
 /// registers, take the epilogue and are stored once.
 #[inline(always)]
-fn gemm_block<E: WeightElem, const W: usize>(
-    args: &GemmArgs<'_, E>,
-    row0: usize,
-    block: &mut [f32],
-) {
+fn gemm_block<const W: usize>(args: &GemmArgs<'_>, row0: usize, block: &mut [f32]) {
     let n = args.n;
     let rows = block.len() / n;
     let mut t = 0;
@@ -450,7 +398,7 @@ impl ColumnTile for AggTile<'_> {
     fn run<const NR: usize>(&mut self, j0: usize, w: usize) {
         let mut acc = [0.0f32; NR];
         for &u in self.neigh {
-            let x = load::<f32, NR>(self.h, u as usize * self.dim + j0, w);
+            let x = load::<NR>(self.h, u as usize * self.dim + j0, w);
             for j in 0..NR {
                 acc[j] += x[j];
             }

@@ -10,7 +10,7 @@
 //! in the layer for the optimiser.
 
 use crate::graph::Graph;
-use crate::tensor::{fused_gemm_into, Epilogue, Matrix, QuantisedMatrix, Weights};
+use crate::tensor::{fused_gemm_into, Epilogue, Matrix};
 use rand::Rng;
 
 /// Activations recorded by a training-mode forward through one [`Linear`]
@@ -23,14 +23,6 @@ pub struct LinearTape {
 }
 
 /// A dense layer `y = act(x @ W + b)` with optional ReLU.
-///
-/// Inference can run from an optional read-only i8-quantised weight
-/// store ([`Linear::quantise`]); training always reads and updates the
-/// `f32` weights. The optimiser/injection entry points
-/// ([`Linear::param_grads`] and [`Linear::param_slices_mut`]) drop the
-/// quantised store so a weight update through them cannot leave it
-/// serving stale values; writing the public `w` field directly bypasses
-/// that guard — re-invoke [`Linear::quantise`] after doing so.
 #[derive(Clone, Debug)]
 pub struct Linear {
     /// Weight matrix, `in_dim x out_dim`.
@@ -42,9 +34,6 @@ pub struct Linear {
     /// Bias gradient accumulator.
     pub gb: Vec<f32>,
     relu: bool,
-    /// i8-quantised inference weights (per-output-column scale), present
-    /// only after [`Linear::quantise`] / [`Linear::install_quantised`].
-    qw: Option<QuantisedMatrix>,
 }
 
 impl Linear {
@@ -56,7 +45,6 @@ impl Linear {
             gw: Matrix::zeros(in_dim, out_dim),
             gb: vec![0.0; out_dim],
             relu,
-            qw: None,
         }
     }
 
@@ -71,59 +59,7 @@ impl Linear {
             gw: Matrix::zeros(in_dim, out_dim),
             gb: vec![0.0; out_dim],
             relu,
-            qw: None,
         }
-    }
-
-    /// Builds (or refreshes) the i8-quantised inference weight store from
-    /// the current `f32` weights. Call after training/weight updates;
-    /// inference forwards use the store from then on.
-    pub fn quantise(&mut self) {
-        self.qw = Some(QuantisedMatrix::quantise(&self.w));
-    }
-
-    /// The quantised inference weights, if present.
-    pub fn quantised(&self) -> Option<&QuantisedMatrix> {
-        self.qw.as_ref()
-    }
-
-    /// Installs a deserialised quantised store (snapshot loading). The
-    /// `f32` weights are refreshed from the dequantised values so the
-    /// training-path view of the layer stays consistent with what
-    /// inference serves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q`'s shape differs from the layer's weight matrix.
-    pub fn install_quantised(&mut self, q: QuantisedMatrix) {
-        assert_eq!(
-            (q.rows(), q.cols()),
-            (self.w.rows(), self.w.cols()),
-            "quantised store shape mismatch"
-        );
-        self.w = q.dequantise();
-        self.qw = Some(q);
-    }
-
-    /// Installs a quantised store for **serving only**: unlike
-    /// [`Linear::install_quantised`] the `f32` weights are *not*
-    /// refreshed from the dequantised values, so the install is O(1) in
-    /// the weight count — the point of the memory-mapped cold-start path.
-    /// Inference forwards read the store exclusively; the training-path
-    /// `w` keeps whatever (skeleton) values it had, so do not train or
-    /// re-serialise a model loaded this way without re-installing via
-    /// [`Linear::install_quantised`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q`'s shape differs from the layer's weight matrix.
-    pub fn install_quantised_serving(&mut self, q: QuantisedMatrix) {
-        assert_eq!(
-            (q.rows(), q.cols()),
-            (self.w.rows(), self.w.cols()),
-            "quantised store shape mismatch"
-        );
-        self.qw = Some(q);
     }
 
     /// Inference forward pass.
@@ -135,36 +71,13 @@ impl Linear {
 
     /// Inference forward pass into a caller-owned buffer (no heap
     /// allocation once `y` has enough capacity). One fused GEMM pass:
-    /// the optional dequantisation scales, bias and the optional ReLU
-    /// run in the kernel epilogue. Serves the quantised store when one
-    /// is installed, the `f32` weights otherwise.
+    /// the bias and the optional ReLU run in the kernel epilogue.
     pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
-        match &self.qw {
-            Some(q) => fused_gemm_into(
-                x,
-                Weights::I8(q.values()),
-                None,
-                Epilogue {
-                    scales: Some(q.scales()),
-                    bias: Some(&self.b),
-                    relu: self.relu,
-                },
-                q.cols(),
-                y,
-            ),
-            None => fused_gemm_into(
-                x,
-                Weights::F32(self.w.as_slice()),
-                None,
-                Epilogue {
-                    scales: None,
-                    bias: Some(&self.b),
-                    relu: self.relu,
-                },
-                self.w.cols(),
-                y,
-            ),
-        }
+        let epilogue = Epilogue {
+            bias: Some(&self.b),
+            relu: self.relu,
+        };
+        fused_gemm_into(x, self.w.as_slice(), None, epilogue, self.w.cols(), y);
     }
 
     /// Applies several layers to the same input as **one** GEMM over their
@@ -177,13 +90,12 @@ impl Linear {
     ///
     /// The concatenated weights live in `fused` and the wide result in
     /// `wide`; both are rebuilt on every call (a few hundred floats of
-    /// weights), so neither can go stale. Layers that disagree on input
-    /// width, activation or weight storage class cannot share a GEMM and
-    /// run one by one instead.
+    /// weights), so neither can go stale.
     ///
     /// # Panics
     ///
-    /// Panics if `outs.len() != layers.len()`.
+    /// Panics if `outs.len() != layers.len()`, or if the layers disagree
+    /// on input width or activation (they could not share a GEMM).
     pub(crate) fn forward_many_into(
         layers: &[Linear],
         x: &Matrix,
@@ -195,44 +107,27 @@ impl Linear {
         let Some(first) = layers.first() else {
             return;
         };
-        let class = |l: &Linear| (l.w.rows(), l.relu, l.qw.is_some());
-        if layers.iter().any(|l| class(l) != class(first)) {
-            for (layer, out) in layers.iter().zip(outs) {
-                layer.forward_into(x, out);
-            }
-            return;
-        }
+        let class = |l: &Linear| (l.w.rows(), l.relu);
+        assert!(
+            layers.iter().all(|l| class(l) == class(first)),
+            "layers sharing a GEMM share input width and activation"
+        );
         let k = first.w.rows();
         let total: usize = layers.iter().map(|l| l.w.cols()).sum();
-        let FusedLinears { w, q, scales, bias } = fused;
+        let FusedLinears { w, bias } = fused;
         bias.clear();
         bias.extend(layers.iter().flat_map(|l| &l.b));
-        let mut epilogue = Epilogue {
-            scales: None,
+        let epilogue = Epilogue {
             bias: Some(bias),
             relu: first.relu,
         };
-        if first.qw.is_some() {
-            let stores = || layers.iter().map(|l| l.qw.as_ref().expect("class checked"));
-            q.clear();
-            for r in 0..k {
-                for s in stores() {
-                    q.extend_from_slice(&s.values()[r * s.cols()..(r + 1) * s.cols()]);
-                }
+        w.clear();
+        for r in 0..k {
+            for l in layers {
+                w.extend_from_slice(l.w.row(r));
             }
-            scales.clear();
-            scales.extend(stores().flat_map(|s| s.scales()));
-            epilogue.scales = Some(scales);
-            fused_gemm_into(x, Weights::I8(q), None, epilogue, total, wide);
-        } else {
-            w.clear();
-            for r in 0..k {
-                for l in layers {
-                    w.extend_from_slice(l.w.row(r));
-                }
-            }
-            fused_gemm_into(x, Weights::F32(w), None, epilogue, total, wide);
         }
+        fused_gemm_into(x, w, None, epilogue, total, wide);
         let mut c0 = 0;
         for (layer, out) in layers.iter().zip(outs) {
             let c = layer.w.cols();
@@ -246,24 +141,10 @@ impl Linear {
     }
 
     /// Training forward pass: records the input and output on `tape` for
-    /// the backward pass. Always computes through the `f32` weights (the
-    /// tape and backward pass differentiate those), even when a quantised
-    /// inference store is installed.
+    /// the backward pass.
     pub fn forward_train(&self, x: &Matrix, tape: &mut LinearTape) -> Matrix {
         tape.x.copy_from(x);
-        let mut y = Matrix::default();
-        fused_gemm_into(
-            x,
-            Weights::F32(self.w.as_slice()),
-            None,
-            Epilogue {
-                scales: None,
-                bias: Some(&self.b),
-                relu: self.relu,
-            },
-            self.w.cols(),
-            &mut y,
-        );
+        let y = self.forward(x);
         tape.y.copy_from(&y);
         y
     }
@@ -295,11 +176,7 @@ impl Linear {
     }
 
     /// Parameter/gradient pairs for the optimiser.
-    ///
-    /// Exposing the weights mutably invalidates (drops) any quantised
-    /// inference store — it would otherwise serve the pre-update weights.
     pub fn param_grads(&mut self) -> Vec<(&mut [f32], &[f32])> {
-        self.qw = None;
         vec![
             (self.w.as_mut_slice(), self.gw.as_slice()),
             (&mut self.b, &self.gb),
@@ -313,11 +190,7 @@ impl Linear {
     }
 
     /// Mutable parameter tensors in snapshot order (weight injection).
-    ///
-    /// Like [`Linear::param_grads`], this drops any quantised store: the
-    /// caller is about to overwrite the weights it was built from.
     pub fn param_slices_mut(&mut self) -> Vec<&mut [f32]> {
-        self.qw = None;
         vec![self.w.as_mut_slice(), &mut self.b]
     }
 
@@ -326,27 +199,19 @@ impl Linear {
         self.w.rows() * self.w.cols() + self.b.len()
     }
 
-    /// Resident weight-store bytes: the quantised store when installed
-    /// (i8 payload + scales), the `f32` weights otherwise, plus the
-    /// `f32` bias either way. Counts only process-owned storage — weight
-    /// spans borrowed from a shared region (memory-mapped snapshots)
-    /// count zero.
+    /// Resident weight-store bytes: the weights plus the bias. Counts
+    /// only process-owned storage — weight spans borrowed from a shared
+    /// region (memory-mapped snapshots) count zero.
     pub fn resident_weight_bytes(&self) -> usize {
-        let weights = match &self.qw {
-            Some(q) => q.resident_bytes(),
-            None => self.w.resident_bytes(),
-        };
-        weights + self.b.len() * 4
+        self.w.resident_bytes() + self.b.len() * 4
     }
 }
 
 /// Reusable concatenated-weight buffers for
-/// [`Linear::forward_many_into`]; only the storage class in use grows.
+/// [`Linear::forward_many_into`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FusedLinears {
     w: Vec<f32>,
-    q: Vec<i8>,
-    scales: Vec<f32>,
     bias: Vec<f32>,
 }
 
@@ -416,63 +281,29 @@ impl SageLayer {
     /// W_neigh + b)` in one GEMM pass. `W_self`/`W_neigh` are the row
     /// halves of the combined weight matrix (row-major, so they are
     /// contiguous slices — nothing is copied, and snapshots keep the
-    /// combined on-disk layout). With a quantised store installed the
-    /// halves are the same slices of the i8 payload, sharing the store's
-    /// per-output-column scales (columns are untouched by the row split).
+    /// combined on-disk layout).
     fn fused_into(&self, h: &Matrix, agg: &Matrix, out: &mut Matrix) {
         let n = self.lin.w.cols();
-        match self.lin.quantised() {
-            Some(q) => {
-                let (q_self, q_neigh) = q.values().split_at(self.in_dim * n);
-                fused_gemm_into(
-                    h,
-                    Weights::I8(q_self),
-                    Some((agg, Weights::I8(q_neigh))),
-                    Epilogue {
-                        scales: Some(q.scales()),
-                        bias: Some(&self.lin.b),
-                        relu: true,
-                    },
-                    n,
-                    out,
-                );
-            }
-            None => self.fused_into_f32(h, agg, out),
-        }
-    }
-
-    /// The `f32` split-weight convolution (the training-path forward).
-    fn fused_into_f32(&self, h: &Matrix, agg: &Matrix, out: &mut Matrix) {
-        let n = self.lin.w.cols();
         let (w_self, w_neigh) = self.lin.w.as_slice().split_at(self.in_dim * n);
-        fused_gemm_into(
-            h,
-            Weights::F32(w_self),
-            Some((agg, Weights::F32(w_neigh))),
-            Epilogue {
-                scales: None,
-                bias: Some(&self.lin.b),
-                relu: true,
-            },
-            n,
-            out,
-        );
+        let epilogue = Epilogue {
+            bias: Some(&self.lin.b),
+            relu: true,
+        };
+        fused_gemm_into(h, w_self, Some((agg, w_neigh)), epilogue, n, out);
     }
 
     /// Training forward pass: records activations on `tape`.
     ///
     /// The output is computed through the same split-weight fused kernel
-    /// as [`SageLayer::forward_into`] over the `f32` weights (training
-    /// and unquantised inference logits stay bit-identical; training
-    /// never reads a quantised store); only the tape still materialises
-    /// the `[h | agg]` concatenation, because the backward pass needs it
-    /// for the weight gradient `X^T @ dY` over the full `2 * in_dim`
-    /// width.
+    /// as [`SageLayer::forward_into`] (training and inference logits stay
+    /// bit-identical); only the tape still materialises the `[h | agg]`
+    /// concatenation, because the backward pass needs it for the weight
+    /// gradient `X^T @ dY` over the full `2 * in_dim` width.
     pub fn forward_train(&self, graph: &Graph, h: &Matrix, tape: &mut LinearTape) -> Matrix {
         let agg = graph.mean_aggregate(h);
         h.hconcat_into(&agg, &mut tape.x);
         let mut y = Matrix::default();
-        self.fused_into_f32(h, &agg, &mut y);
+        self.fused_into(h, &agg, &mut y);
         tape.y.copy_from(&y);
         y
     }
@@ -489,12 +320,6 @@ impl SageLayer {
         let mut grad_h = grad_self;
         grad_h.add_scaled(&graph.mean_aggregate_backward(&grad_neigh), 1.0);
         grad_h
-    }
-
-    /// Quantises the layer's combined weight matrix for inference (see
-    /// [`Linear::quantise`]).
-    pub fn quantise(&mut self) {
-        self.lin.quantise();
     }
 
     /// Read access to the underlying linear (snapshot serialisation).
@@ -625,58 +450,6 @@ mod tests {
             let h = Matrix::glorot(n, 3, &mut rng);
             layer.forward_into(&graph, &h, &mut ws, &mut out);
             assert_eq!(out, layer.forward(&graph, &h), "n = {n}");
-        }
-    }
-
-    /// A quantised layer serves logits equal (to float tolerance) to the
-    /// f32 forward over its dequantised weights, through both the dense
-    /// and the split-weight SAGE path; the training forward keeps reading
-    /// the original f32 weights.
-    #[test]
-    fn quantised_forward_matches_dequantised_reference() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let mut lin = Linear::new(6, 5, true, &mut rng);
-        let x = Matrix::glorot(7, 6, &mut rng);
-        let f32_out = lin.forward(&x);
-        lin.quantise();
-        let q = lin.quantised().expect("store installed").clone();
-        let quant_out = lin.forward(&x);
-        // Reference: dense forward over the dequantised weights.
-        let mut want = x.matmul(&q.dequantise());
-        want.add_row_vector(&lin.b);
-        want.relu_in_place();
-        for (g, w) in quant_out.as_slice().iter().zip(want.as_slice()) {
-            assert!((g - w).abs() < 1e-5, "{g} vs {w}");
-        }
-        // Quantisation really changed something (sanity) but not much.
-        let mut max_diff = 0.0f32;
-        for (a, b) in quant_out.as_slice().iter().zip(f32_out.as_slice()) {
-            max_diff = max_diff.max((a - b).abs());
-        }
-        assert!(max_diff < 0.05, "quantisation error too large: {max_diff}");
-
-        // Training forward still reads the f32 weights bit-exactly.
-        let mut tape = LinearTape::default();
-        let trained = lin.forward_train(&x, &mut tape);
-        assert_eq!(trained, f32_out);
-
-        // Mutable weight exposure invalidates the store.
-        let _ = lin.param_grads();
-        assert!(lin.quantised().is_none());
-
-        let mut sage = SageLayer::new(3, 4, &mut rng);
-        let graph = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)], Direction::Bidirectional);
-        let h = Matrix::glorot(5, 3, &mut rng);
-        sage.quantise();
-        let got = sage.forward(&graph, &h);
-        let deq = sage.linear().quantised().expect("installed").dequantise();
-        let agg = graph.mean_aggregate(&h);
-        let concat = h.hconcat(&agg);
-        let mut want = concat.matmul(&deq);
-        want.add_row_vector(&sage.linear().b);
-        want.relu_in_place();
-        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-            assert!((g - w).abs() < 1e-5, "sage: {g} vs {w}");
         }
     }
 

@@ -56,8 +56,8 @@ pub use model::{
     ForwardObserver, ForwardStage, InferenceScratch, ModelConfig, MultiTaskSage, Tape,
 };
 #[doc(hidden)]
-pub use tensor::{Epilogue, KernelVariant, Weights};
-pub use tensor::{Matrix, QuantisedMatrix, StorageError, WeightRegion};
+pub use tensor::{Epilogue, KernelVariant};
+pub use tensor::{Matrix, StorageError, WeightRegion};
 
 /// The instruction-set variant of the GEMM and aggregation kernels this
 /// process runs — `"portable"`, `"avx2"` or `"avx512f"` — picked from the

@@ -87,6 +87,20 @@ impl ModelConfig {
             ..ModelConfig::shallow(in_dim, task_classes)
         }
     }
+
+    /// `(in_dim, out_dim)` of every linear layer's weight matrix, in
+    /// [`MultiTaskSage::linears`] order — what a model of this
+    /// configuration holds, computed without building one (snapshot
+    /// readers size a file against it before they allocate anything).
+    pub fn linear_shapes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let trunk = (0..self.layers).map(|l| {
+            let in_dim = if l == 0 { self.in_dim } else { self.hidden };
+            (2 * in_dim, self.hidden)
+        });
+        let shared = (self.hidden, self.shared_dim);
+        let heads = self.task_classes.iter().map(|&c| (self.shared_dim, c));
+        trunk.chain([shared]).chain(heads)
+    }
 }
 
 /// A stage of the inference forward pass, as reported to a
@@ -504,7 +518,7 @@ impl MultiTaskSage {
     }
 
     /// Mutable counterpart of [`MultiTaskSage::linears`] (snapshot
-    /// injection of quantised weight stores).
+    /// weight injection).
     pub fn linears_mut(&mut self) -> Vec<&mut Linear> {
         let mut out: Vec<&mut Linear> = Vec::with_capacity(self.sage.len() + 1 + self.heads.len());
         out.extend(self.sage.iter_mut().map(SageLayer::linear_mut));
@@ -513,27 +527,8 @@ impl MultiTaskSage {
         out
     }
 
-    /// Builds the i8-quantised read-only weight store for every layer:
-    /// inference forwards serve i8 weights (f32 accumulate, per-column
-    /// scales) from then on, at roughly a quarter of the resident weight
-    /// bytes. Training is unaffected — it always reads the `f32`
-    /// weights, and any weight update drops the stale store (re-invoke
-    /// after further training).
-    pub fn quantise(&mut self) {
-        for l in self.linears_mut() {
-            l.quantise();
-        }
-    }
-
-    /// Whether **every** layer currently serves from a quantised store
-    /// (the state [`MultiTaskSage::quantise`] establishes).
-    pub fn is_quantised(&self) -> bool {
-        self.linears().iter().all(|l| l.quantised().is_some())
-    }
-
-    /// Resident bytes of the weight stores as currently served:
-    /// i8 payload + scales for quantised layers, `f32` weights otherwise,
-    /// plus `f32` biases.
+    /// Process-owned bytes of every layer's weights and bias (see
+    /// [`Linear::resident_weight_bytes`]).
     pub fn resident_weight_bytes(&self) -> usize {
         self.linears()
             .iter()
@@ -618,9 +613,7 @@ mod tests {
     }
 
     /// The fused-heads GEMM equals one `Linear::forward_into` per head,
-    /// bit for bit: with f32 heads, with i8 heads, and — heads that
-    /// disagree on storage class cannot share a GEMM — through the
-    /// one-by-one fallback.
+    /// bit for bit.
     #[test]
     fn fused_heads_match_separate_head_forwards() {
         let graph = tiny_graph();
@@ -628,24 +621,17 @@ mod tests {
         for r in 0..6 {
             x.set(r, r % 3, 1.0);
         }
-        let f32_heads = tiny_model();
-        let mut i8_heads = tiny_model();
-        i8_heads.quantise();
-        let mut mixed = tiny_model();
-        mixed.heads[1].quantise();
-        for (model, what) in [(f32_heads, "f32"), (i8_heads, "i8"), (mixed, "mixed")] {
-            let mut scratch = InferenceScratch::default();
-            model.infer(&graph, &x, &mut scratch);
-            for (t, head) in model.heads.iter().enumerate() {
-                let separate = head.forward(&scratch.z);
-                assert_eq!(
-                    (scratch.logits[t].rows(), scratch.logits[t].cols()),
-                    (6, model.config.task_classes[t])
-                );
-                let bits =
-                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&scratch.logits[t]), bits(&separate), "{what} head {t}");
-            }
+        let model = tiny_model();
+        let mut scratch = InferenceScratch::default();
+        model.infer(&graph, &x, &mut scratch);
+        for (t, head) in model.heads.iter().enumerate() {
+            let separate = head.forward(&scratch.z);
+            assert_eq!(
+                (scratch.logits[t].rows(), scratch.logits[t].cols()),
+                (6, model.config.task_classes[t])
+            );
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&scratch.logits[t]), bits(&separate), "head {t}");
         }
     }
 
@@ -687,44 +673,6 @@ mod tests {
         let inferred = model.forward(&graph, &x);
         for (a, b) in trained.iter().zip(&inferred) {
             assert_eq!(a, b);
-        }
-    }
-
-    /// Quantising a model shrinks the resident weight store ~4x, leaves
-    /// logits within quantisation tolerance of the f32 forward, and the
-    /// quantised inference path is itself deterministic (scratch reuse
-    /// included).
-    #[test]
-    fn quantised_model_serves_close_deterministic_logits() {
-        let mut model = tiny_model();
-        let graph = tiny_graph();
-        let mut x = Matrix::zeros(6, 3);
-        for r in 0..6 {
-            x.set(r, r % 3, 1.0);
-        }
-        let f32_logits = model.forward(&graph, &x);
-        let f32_bytes = model.resident_weight_bytes();
-        assert!(!model.is_quantised());
-        model.quantise();
-        assert!(model.is_quantised());
-        let q_bytes = model.resident_weight_bytes();
-        // The tiny test model is scale/bias-heavy; real-size models hit
-        // ~4x (guarded at the core level on the shallow paper config).
-        assert!(
-            q_bytes * 2 < f32_bytes,
-            "quantised store must be well under half of the f32 store \
-             ({q_bytes} vs {f32_bytes} bytes)"
-        );
-        let q_logits = model.forward(&graph, &x);
-        for (a, b) in q_logits.iter().zip(&f32_logits) {
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert!((x - y).abs() < 0.1, "{x} vs {y}");
-            }
-        }
-        let mut scratch = InferenceScratch::default();
-        let again = model.infer(&graph, &x, &mut scratch);
-        for (a, b) in again.iter().zip(&q_logits) {
-            assert_eq!(a, b, "quantised inference must be deterministic");
         }
     }
 
@@ -773,6 +721,23 @@ mod tests {
         let m = MultiTaskSage::new(deep);
         assert_eq!(m.num_tasks(), 3);
         assert!(m.num_params() > 50_000, "deep model is non-trivial");
+    }
+
+    /// `ModelConfig::linear_shapes` is exactly what a built model holds.
+    #[test]
+    fn linear_shapes_match_the_built_model() {
+        for config in [
+            tiny_model().config().clone(),
+            ModelConfig::deep(3, vec![4, 2, 2]),
+            ModelConfig::shallow(5, vec![7]),
+        ] {
+            let built: Vec<(usize, usize)> = MultiTaskSage::new_zeroed(config.clone())
+                .linears()
+                .iter()
+                .map(|l| (l.w.rows(), l.w.cols()))
+                .collect();
+            assert_eq!(config.linear_shapes().collect::<Vec<_>>(), built);
+        }
     }
 
     /// `param_slices` exposes every parameter exactly once, in an order

@@ -11,30 +11,21 @@
 //! the whole K sweep, and the kernel takes an optional *second*
 //! input/weight pair (the split-weight SAGE trick: `concat([h, agg]) @ W
 //! == h @ W_self + agg @ W_neigh`, no concat buffer) and a fused
-//! scale + bias + ReLU epilogue, so a whole layer is one pass over the
-//! output instead of matmul-then-bias-then-activation. That module also
-//! says which instruction-set variant runs and why all of them produce
-//! the same bits.
+//! bias + ReLU epilogue, so a whole layer is one pass over the output
+//! instead of matmul-then-bias-then-activation. That module also says
+//! which instruction-set variant runs and why all of them produce the
+//! same bits.
 //!
-//! Weights come in two storage classes behind the same kernel: plain
-//! `f32` ([`Matrix`]) and a read-only i8-quantised store
-//! ([`QuantisedMatrix`], per-output-column scale). The quantised path
-//! accumulates `f32` sums of `activation x i8-weight` products over the
-//! K sweep and applies the column scales once in the epilogue —
-//! mathematically the dequantised product, at a quarter of the resident
-//! weight bytes, with no layer or model code aware of the difference.
-//!
-//! Orthogonally to the *element* storage class, both tensor types hide a
-//! second seam: **where the elements live**. The default is an owned
-//! `Vec`; [`Matrix::from_region`] / [`QuantisedMatrix::from_region`]
-//! instead borrow a span of a shared read-only byte region (a
-//! [`WeightRegion`], e.g. a memory-mapped snapshot), with bounds and
-//! alignment checked once at construction. Read paths are identical for
-//! both storages; mutation promotes a borrowed span to an owned copy
-//! (copy-on-write), and overwrite-style entry points simply swap in owned
-//! storage. Layers, models and kernels never observe the difference.
+//! [`Matrix`] hides one seam: **where the elements live**. The default is
+//! an owned `Vec`; [`Matrix::from_region`] instead borrows a span of a
+//! shared read-only byte region (a [`WeightRegion`], e.g. a memory-mapped
+//! snapshot), with bounds and alignment checked once at construction.
+//! Read paths are identical for both storages; mutation promotes a
+//! borrowed span to an owned copy (copy-on-write), and overwrite-style
+//! entry points simply swap in owned storage. Layers, models and kernels
+//! never observe the difference.
 
-use crate::kernel::{self, GemmArgs, Kernels, Operand, WeightElem};
+use crate::kernel::{self, GemmArgs, Kernels, Operand};
 use crate::parallel;
 use rand::Rng;
 use std::fmt;
@@ -105,12 +96,12 @@ impl fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
-/// Element storage of one tensor: an owned `Vec` or a borrowed span of a
+/// Element storage of one matrix: an owned `Vec` or a borrowed span of a
 /// shared [`WeightRegion`]. Private — everything outside this module sees
 /// slices.
 #[derive(Clone)]
-enum Store<T> {
-    Owned(Vec<T>),
+enum Store {
+    Owned(Vec<f32>),
     Borrowed {
         region: Arc<dyn WeightRegion>,
         /// Byte offset of the element span inside the region.
@@ -120,20 +111,20 @@ enum Store<T> {
     },
 }
 
-impl<T> Default for Store<T> {
+impl Default for Store {
     fn default() -> Self {
         Store::Owned(Vec::new())
     }
 }
 
-impl<T: WeightElem> Store<T> {
+impl Store {
     /// Validates bounds and alignment once; after this, per-call slice
     /// derivation in [`Store::as_slice`] cannot fail.
     fn borrowed(
         region: Arc<dyn WeightRegion>,
         offset: usize,
         len: usize,
-    ) -> Result<Store<T>, StorageError> {
+    ) -> Result<Store, StorageError> {
         let bytes = region.bytes();
         let oob = |len| StorageError::OutOfBounds {
             offset,
@@ -141,13 +132,13 @@ impl<T: WeightElem> Store<T> {
             region: bytes.len(),
         };
         let byte_len = len
-            .checked_mul(std::mem::size_of::<T>())
+            .checked_mul(std::mem::size_of::<f32>())
             .ok_or(oob(usize::MAX))?;
         let end = offset.checked_add(byte_len).ok_or(oob(byte_len))?;
         if end > bytes.len() {
             return Err(oob(byte_len));
         }
-        let align = std::mem::align_of::<T>();
+        let align = std::mem::align_of::<f32>();
         if !(bytes.as_ptr() as usize + offset).is_multiple_of(align) {
             return Err(StorageError::Misaligned { offset, align });
         }
@@ -159,7 +150,7 @@ impl<T: WeightElem> Store<T> {
     }
 
     #[inline]
-    fn as_slice(&self) -> &[T] {
+    fn as_slice(&self) -> &[f32] {
         match self {
             Store::Owned(v) => v,
             Store::Borrowed {
@@ -168,21 +159,25 @@ impl<T: WeightElem> Store<T> {
                 len,
             } => {
                 let bytes = region.bytes();
-                debug_assert!(offset + len * std::mem::size_of::<T>() <= bytes.len());
-                // SAFETY: `Store::borrowed` checked bounds and alignment
-                // against this region, whose bytes are immutable and
+                debug_assert!(offset + len * std::mem::size_of::<f32>() <= bytes.len());
+                // SAFETY: `Store::borrowed` — the only constructor of
+                // this variant — checked that `offset .. offset + 4 * len`
+                // lies inside this region and that its start is
+                // `f32`-aligned; the region's bytes are immutable and
                 // pointer-stable for its lifetime (the `WeightRegion`
-                // contract); `T` is one of the closed `WeightElem` set
-                // (f32 / i8), for which every bit pattern is a valid
-                // value.
-                unsafe { std::slice::from_raw_parts(bytes.as_ptr().add(*offset) as *const T, *len) }
+                // contract), and the `Arc` held here keeps it alive as
+                // long as the returned borrow of `self`. Every bit
+                // pattern is a valid `f32`.
+                unsafe {
+                    std::slice::from_raw_parts(bytes.as_ptr().add(*offset) as *const f32, *len)
+                }
             }
         }
     }
 
     /// Mutable access, promoting a borrowed span to an owned copy first
     /// (copy-on-write). Free for already-owned storage.
-    fn make_owned(&mut self) -> &mut Vec<T> {
+    fn make_owned(&mut self) -> &mut Vec<f32> {
         if matches!(self, Store::Borrowed { .. }) {
             let copied = self.as_slice().to_vec();
             *self = Store::Owned(copied);
@@ -196,7 +191,7 @@ impl<T: WeightElem> Store<T> {
     /// Mutable access for callers about to overwrite every element:
     /// borrowed contents are dropped, not copied. Free for already-owned
     /// storage (and preserves its capacity).
-    fn owned_for_overwrite(&mut self) -> &mut Vec<T> {
+    fn owned_for_overwrite(&mut self) -> &mut Vec<f32> {
         if matches!(self, Store::Borrowed { .. }) {
             *self = Store::Owned(Vec::new());
         }
@@ -210,7 +205,7 @@ impl<T: WeightElem> Store<T> {
     /// region and count zero).
     fn owned_bytes(&self) -> usize {
         match self {
-            Store::Owned(v) => v.len() * std::mem::size_of::<T>(),
+            Store::Owned(v) => v.len() * std::mem::size_of::<f32>(),
             Store::Borrowed { .. } => 0,
         }
     }
@@ -225,7 +220,7 @@ impl<T: WeightElem> Store<T> {
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Store<f32>,
+    data: Store,
 }
 
 impl PartialEq for Matrix {
@@ -416,14 +411,8 @@ impl Matrix {
     /// Panics if `self.cols != other.rows`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        fused_gemm_into(
-            self,
-            Weights::F32(other.as_slice()),
-            None,
-            Epilogue::default(),
-            other.cols,
-            out,
-        );
+        let w = other.as_slice();
+        fused_gemm_into(self, w, None, Epilogue::default(), other.cols, out);
     }
 
     /// `out += self @ other`, accumulating into an existing buffer — the
@@ -618,243 +607,37 @@ impl Matrix {
     }
 }
 
-/// A read-only i8-quantised weight matrix with one `f32` scale per
-/// **output column**.
-///
-/// `value(r, c) ~= data[r * cols + c] as f32 * scales[c]`. Quantisation
-/// is symmetric absmax: each column's scale is `max_r |w[r][c]| / 127`,
-/// so the i8 range is fully used per column and a column of zeros
-/// quantises (and dequantises) to exact zeros. The store is ~4x smaller
-/// than the `f32` weights it replaces and is consumed directly by the
-/// fused GEMM kernel: raw i8 products are accumulated in `f32` and the
-/// column scale is applied once in the epilogue.
-#[derive(Clone, Default)]
-pub struct QuantisedMatrix {
-    rows: usize,
-    cols: usize,
-    data: Store<i8>,
-    scales: Store<f32>,
-}
-
-impl PartialEq for QuantisedMatrix {
-    fn eq(&self, other: &QuantisedMatrix) -> bool {
-        // Storage-blind, like `Matrix`: shape + elements, regardless of
-        // where they live.
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.values() == other.values()
-            && self.scales() == other.scales()
-    }
-}
-
-impl fmt::Debug for QuantisedMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "QuantisedMatrix({}x{} i8)", self.rows, self.cols)
-    }
-}
-
-impl QuantisedMatrix {
-    /// Quantises an `f32` matrix with per-column symmetric absmax scales.
-    pub fn quantise(src: &Matrix) -> QuantisedMatrix {
-        let (rows, cols) = (src.rows(), src.cols());
-        let mut scales = vec![0.0f32; cols];
-        for r in 0..rows {
-            for (s, &v) in scales.iter_mut().zip(src.row(r)) {
-                *s = s.max(v.abs());
-            }
-        }
-        for s in &mut scales {
-            *s /= 127.0;
-        }
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for (&v, &s) in src.row(r).iter().zip(&scales) {
-                let q = if s == 0.0 { 0.0 } else { (v / s).round() };
-                data.push(q.clamp(-127.0, 127.0) as i8);
-            }
-        }
-        QuantisedMatrix {
-            rows,
-            cols,
-            data: Store::Owned(data),
-            scales: Store::Owned(scales),
-        }
-    }
-
-    /// Rebuilds a store from its serialised parts (snapshot loading).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols` or `scales.len() != cols`.
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        data: Vec<i8>,
-        scales: Vec<f32>,
-    ) -> QuantisedMatrix {
-        assert_eq!(data.len(), rows * cols, "quantised payload shape mismatch");
-        assert_eq!(scales.len(), cols, "one scale per output column");
-        QuantisedMatrix {
-            rows,
-            cols,
-            data: Store::Owned(data),
-            scales: Store::Owned(scales),
-        }
-    }
-
-    /// Borrows a quantised store from a shared read-only byte region: the
-    /// `rows * cols` i8 values at `values_offset` and the `cols` `f32`
-    /// scales at `scales_offset`.
-    ///
-    /// Bounds and alignment are validated once, here (i8 values accept
-    /// any offset; scales must be 4-byte-aligned).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StorageError`] when either span escapes the region or
-    /// the scale span is misaligned.
-    pub fn from_region(
-        rows: usize,
-        cols: usize,
-        region: &Arc<dyn WeightRegion>,
-        values_offset: usize,
-        scales_offset: usize,
-    ) -> Result<QuantisedMatrix, StorageError> {
-        let len = rows.checked_mul(cols).ok_or(StorageError::OutOfBounds {
-            offset: values_offset,
-            len: usize::MAX,
-            region: region.bytes().len(),
-        })?;
-        Ok(QuantisedMatrix {
-            rows,
-            cols,
-            data: Store::borrowed(Arc::clone(region), values_offset, len)?,
-            scales: Store::borrowed(Arc::clone(region), scales_offset, cols)?,
-        })
-    }
-
-    /// Whether the store is borrowed from a shared [`WeightRegion`].
-    pub fn is_borrowed(&self) -> bool {
-        self.data.is_borrowed() || self.scales.is_borrowed()
-    }
-
-    /// Expands back to `f32` (`q * scale`, exact in `f32`: the product of
-    /// an integer in ±127 and an `f32` scale rounds once).
-    pub fn dequantise(&self) -> Matrix {
-        let (values, scales) = (self.values(), self.scales());
-        let mut data = Vec::with_capacity(self.rows * self.cols);
-        for r in 0..self.rows {
-            let row = &values[r * self.cols..(r + 1) * self.cols];
-            for (&q, &s) in row.iter().zip(scales) {
-                data.push(q as f32 * s);
-            }
-        }
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The raw row-major i8 values.
-    #[inline]
-    pub fn values(&self) -> &[i8] {
-        self.data.as_slice()
-    }
-
-    /// The per-output-column dequantisation scales.
-    #[inline]
-    pub fn scales(&self) -> &[f32] {
-        self.scales.as_slice()
-    }
-
-    /// Bytes of the store owned by this process (i8 payload + f32
-    /// scales); spans borrowed from a shared region count zero.
-    pub fn resident_bytes(&self) -> usize {
-        self.data.owned_bytes() + self.scales.owned_bytes()
-    }
-}
-
 /// Rows handed to one kernel call: a multiple of the register-tile height
 /// [`kernel::MR`] (so tiles never straddle a worker boundary), large
 /// enough that the indirect call through the variant table is noise.
 const GEMM_BLOCK_ROWS: usize = 16 * kernel::MR;
 
-/// A weight operand for [`fused_gemm_into`]: a plain row-major `f32`
-/// slice, or the raw i8 values of a [`QuantisedMatrix`] (whose column
-/// scales the caller passes separately for the epilogue).
-#[derive(Copy, Clone)]
-pub enum Weights<'a> {
-    /// Row-major `k x n` `f32` weights.
-    F32(&'a [f32]),
-    /// Row-major `k x n` i8-quantised weights (apply column scales in the
-    /// epilogue).
-    I8(&'a [i8]),
-}
-
-impl<'a> Weights<'a> {
-    fn len(&self) -> usize {
-        match self {
-            Weights::F32(w) => w.len(),
-            Weights::I8(w) => w.len(),
-        }
-    }
-
-    /// The second operand of an `f32` GEMM.
-    fn f32(self) -> &'a [f32] {
-        match self {
-            Weights::F32(w) => w,
-            Weights::I8(_) => panic!("fused GEMM operands must share one weight storage class"),
-        }
-    }
-
-    /// The second operand of an i8 GEMM.
-    fn i8(self) -> &'a [i8] {
-        match self {
-            Weights::I8(w) => w,
-            Weights::F32(_) => panic!("fused GEMM operands must share one weight storage class"),
-        }
-    }
-}
-
-/// The post-accumulation work fused into the GEMM: optional per-output-
-/// column scales (the i8 dequantisation step — applied *before* the
-/// bias, which is stored unscaled), optional bias add, optional ReLU.
-/// All of it runs on the accumulator tile before it is stored.
+/// The post-accumulation work fused into the GEMM: optional bias add,
+/// optional ReLU. Both run on the accumulator tile before it is stored.
 #[derive(Copy, Clone, Default)]
 pub struct Epilogue<'a> {
-    /// Per-output-column multipliers (i8 dequantisation), length `n`.
-    pub scales: Option<&'a [f32]>,
     /// Per-output-column bias, length `n`.
     pub bias: Option<&'a [f32]>,
     /// Clamp the result at zero.
     pub relu: bool,
 }
 
-/// Fused layer GEMM: `out = act((x1 @ w1 [+ x2 @ w2]) [* scales] [+
-/// bias])` in one pass over the output, parallel over row blocks, each
-/// block computed by the process's kernel variant (see [`crate::kernel`]).
+/// Fused layer GEMM: `out = act((x1 @ w1 [+ x2 @ w2]) [+ bias])` in one
+/// pass over the output, parallel over row blocks, each block computed by
+/// the process's kernel variant (see [`crate::kernel`]).
 ///
-/// `w1`/`w2` are row-major `x.cols() x n` weight operands (for the SAGE
+/// `w1`/`w2` are row-major `x.cols() x n` weights (for the SAGE
 /// split-weight trick they are the two contiguous halves of one combined
-/// `2d x n` matrix, so no weights are copied — and, being halves of one
-/// quantised store, they share the one set of column scales in
-/// `epilogue`).
+/// `2d x n` matrix, so no weights are copied).
 ///
 /// # Panics
 ///
-/// Panics on any shape mismatch between the inputs, weights, epilogue
-/// vectors and `n`, or when `w1` and `w2` differ in storage class.
+/// Panics on any shape mismatch between the inputs, weights, bias and
+/// `n`.
 pub(crate) fn fused_gemm_into(
     x1: &Matrix,
-    w1: Weights<'_>,
-    pair2: Option<(&Matrix, Weights<'_>)>,
+    w1: &[f32],
+    pair2: Option<(&Matrix, &[f32])>,
     epilogue: Epilogue<'_>,
     n: usize,
     out: &mut Matrix,
@@ -870,8 +653,8 @@ pub(crate) fn fused_gemm_into(
 fn gemm_with(
     kernels: &Kernels,
     x1: &Matrix,
-    w1: Weights<'_>,
-    pair2: Option<(&Matrix, Weights<'_>)>,
+    w1: &[f32],
+    pair2: Option<(&Matrix, &[f32])>,
     epilogue: Epilogue<'_>,
     n: usize,
     accumulate: bool,
@@ -882,9 +665,6 @@ fn gemm_with(
         assert_eq!(x2.rows, x1.rows, "fused GEMM input row mismatch");
         assert_eq!(w2.len(), x2.cols * n, "second weight shape mismatch");
     }
-    if let Some(s) = epilogue.scales {
-        assert_eq!(s.len(), n, "scale width mismatch");
-    }
     if let Some(b) = epilogue.bias {
         assert_eq!(b.len(), n, "bias width mismatch");
     }
@@ -893,56 +673,26 @@ fn gemm_with(
         (x1.rows, n),
         "GEMM output/accumulator shape mismatch"
     );
-    fn run<E: WeightElem>(
-        kernels: &Kernels,
-        operands: [Operand<'_, E>; 2],
-        epilogue: Epilogue<'_>,
-        n: usize,
-        accumulate: bool,
-        out: &mut [f32],
-    ) {
-        let args = GemmArgs {
-            operands,
-            epilogue,
-            n,
-            accumulate,
-        };
-        parallel::for_each_row_block(out, n.max(1), GEMM_BLOCK_ROWS, |row0, block| {
-            kernels.gemm_block(&args, row0, block);
-        });
-    }
-    fn operand<'a, E>(x: &'a Matrix, w: &'a [E]) -> Operand<'a, E> {
+    fn operand<'a>(x: &'a Matrix, w: &'a [f32]) -> Operand<'a> {
         Operand {
             x: x.as_slice(),
             k: x.cols,
             w,
         }
     }
+    let args = GemmArgs {
+        operands: [
+            operand(x1, w1),
+            pair2.map_or(Operand::none(), |(x2, w2)| operand(x2, w2)),
+        ],
+        epilogue,
+        n,
+        accumulate,
+    };
     let dst = out.data.make_owned();
-    match w1 {
-        Weights::F32(w1) => {
-            let second = pair2.map_or(Operand::none(), |(x2, w2)| operand(x2, w2.f32()));
-            run(
-                kernels,
-                [operand(x1, w1), second],
-                epilogue,
-                n,
-                accumulate,
-                dst,
-            );
-        }
-        Weights::I8(w1) => {
-            let second = pair2.map_or(Operand::none(), |(x2, w2)| operand(x2, w2.i8()));
-            run(
-                kernels,
-                [operand(x1, w1), second],
-                epilogue,
-                n,
-                accumulate,
-                dst,
-            );
-        }
-    }
+    parallel::for_each_row_block(dst, n.max(1), GEMM_BLOCK_ROWS, |row0, block| {
+        kernels.gemm_block(&args, row0, block);
+    });
 }
 
 /// The kernel-backed operations over one compiled kernel variant. The
@@ -978,8 +728,8 @@ impl KernelVariant {
     pub fn fused_gemm_into(
         &self,
         x1: &Matrix,
-        w1: Weights<'_>,
-        pair2: Option<(&Matrix, Weights<'_>)>,
+        w1: &[f32],
+        pair2: Option<(&Matrix, &[f32])>,
         epilogue: Epilogue<'_>,
         n: usize,
         out: &mut Matrix,
@@ -995,7 +745,7 @@ impl KernelVariant {
     /// As [`Matrix::matmul_add_into`].
     pub fn matmul_add_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         assert_eq!(a.cols, b.rows, "matmul shape mismatch");
-        let w = Weights::F32(b.as_slice());
+        let w = b.as_slice();
         gemm_with(self.0, a, w, None, Epilogue::default(), b.cols, true, out);
     }
 
@@ -1110,18 +860,11 @@ mod tests {
         let w = small(10, 4, 42);
         let bias: Vec<f32> = (0..4).map(|i| i as f32 * 0.25 - 0.4).collect();
         let mut fused = Matrix::default();
-        fused_gemm_into(
-            &x,
-            Weights::F32(w.as_slice()),
-            None,
-            Epilogue {
-                scales: None,
-                bias: Some(&bias),
-                relu: true,
-            },
-            4,
-            &mut fused,
-        );
+        let epilogue = Epilogue {
+            bias: Some(&bias),
+            relu: true,
+        };
+        fused_gemm_into(&x, w.as_slice(), None, epilogue, 4, &mut fused);
         let mut unfused = x.matmul(&w);
         unfused.add_row_vector(&bias);
         unfused.relu_in_place();
@@ -1137,14 +880,8 @@ mod tests {
         let w = small(12, 7, 53);
         let (w_self, w_neigh) = w.as_slice().split_at(6 * 7);
         let mut split = Matrix::default();
-        fused_gemm_into(
-            &h,
-            Weights::F32(w_self),
-            Some((&agg, Weights::F32(w_neigh))),
-            Epilogue::default(),
-            7,
-            &mut split,
-        );
+        let second = Some((&agg, w_neigh));
+        fused_gemm_into(&h, w_self, second, Epilogue::default(), 7, &mut split);
         let concat = h.hconcat(&agg);
         assert_close(&split, &naive_matmul(&concat, &w));
     }
@@ -1247,117 +984,6 @@ mod tests {
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
     }
 
-    /// Quantise → dequantise is idempotent on already-dequantised values
-    /// (the i8 payload and scales reproduce exactly), and the error of a
-    /// single quantisation round is bounded by half a quantisation step
-    /// per column.
-    #[test]
-    fn quantise_roundtrip_and_error_bound() {
-        let w = small(24, 9, 71);
-        let q = QuantisedMatrix::quantise(&w);
-        assert_eq!((q.rows(), q.cols()), (24, 9));
-        assert_eq!(q.values().len(), 24 * 9);
-        assert_eq!(q.scales().len(), 9);
-        let deq = q.dequantise();
-        for c in 0..9 {
-            let step = q.scales()[c];
-            for r in 0..24 {
-                assert!(
-                    (deq.get(r, c) - w.get(r, c)).abs() <= 0.5 * step + 1e-7,
-                    "({r},{c}): {} vs {} exceeds half a step {step}",
-                    deq.get(r, c),
-                    w.get(r, c)
-                );
-            }
-        }
-        // Requantising the dequantised values is exact.
-        let q2 = QuantisedMatrix::quantise(&deq);
-        assert_eq!(q2.values(), q.values());
-        for (a, b) in q2.scales().iter().zip(q.scales()) {
-            assert!((a - b).abs() <= f32::EPSILON * b.abs(), "{a} vs {b}");
-        }
-        // ~4x smaller than the f32 store it replaces.
-        assert!(q.resident_bytes() * 3 < 24 * 9 * 4);
-    }
-
-    /// An all-zero column quantises to scale 0 / values 0 and dequantises
-    /// back to exact zeros (no division by the zero absmax).
-    #[test]
-    fn quantise_handles_zero_columns() {
-        let mut w = small(6, 4, 72);
-        for r in 0..6 {
-            w.set(r, 2, 0.0);
-        }
-        let q = QuantisedMatrix::quantise(&w);
-        assert_eq!(q.scales()[2], 0.0);
-        let deq = q.dequantise();
-        for r in 0..6 {
-            assert_eq!(deq.get(r, 2), 0.0);
-        }
-    }
-
-    /// The quantised GEMM path (i8 accumulation + epilogue scales) equals
-    /// the f32 GEMM over the dequantised weights to float tolerance, for
-    /// both the plain and the split-weight form.
-    #[test]
-    fn quantised_gemm_matches_dequantised_f32_path() {
-        let x = small(9, 20, 81);
-        let w = small(20, 7, 82);
-        let q = QuantisedMatrix::quantise(&w);
-        let deq = q.dequantise();
-        let bias: Vec<f32> = (0..7).map(|i| i as f32 * 0.1 - 0.3).collect();
-        for relu in [false, true] {
-            let mut quant = Matrix::default();
-            fused_gemm_into(
-                &x,
-                Weights::I8(q.values()),
-                None,
-                Epilogue {
-                    scales: Some(q.scales()),
-                    bias: Some(&bias),
-                    relu,
-                },
-                7,
-                &mut quant,
-            );
-            let mut f32_path = Matrix::default();
-            fused_gemm_into(
-                &x,
-                Weights::F32(deq.as_slice()),
-                None,
-                Epilogue {
-                    scales: None,
-                    bias: Some(&bias),
-                    relu,
-                },
-                7,
-                &mut f32_path,
-            );
-            assert_close(&quant, &f32_path);
-        }
-
-        // Split-weight: the two row halves of one quantised store share
-        // its column scales.
-        let h = small(5, 10, 83);
-        let agg = small(5, 10, 84);
-        let (q_self, q_neigh) = q.values().split_at(10 * 7);
-        let mut split = Matrix::default();
-        fused_gemm_into(
-            &h,
-            Weights::I8(q_self),
-            Some((&agg, Weights::I8(q_neigh))),
-            Epilogue {
-                scales: Some(q.scales()),
-                bias: None,
-                relu: false,
-            },
-            7,
-            &mut split,
-        );
-        let concat = h.hconcat(&agg);
-        assert_close(&split, &naive_matmul(&concat, &deq));
-    }
-
     /// Multi-row tiles must survive row counts off the tile height: every
     /// `m mod 4` residue, including sub-tile matrices.
     #[test]
@@ -1454,55 +1080,5 @@ mod tests {
             Matrix::from_region(2, 2, &region, usize::MAX - 2).unwrap_err(),
             StorageError::OutOfBounds { .. }
         ));
-        // i8 values have alignment 1, so odd offsets are fine; bounds
-        // still hold, and the f32 scales still need alignment.
-        assert!(QuantisedMatrix::from_region(3, 3, &region, 1, 12).is_ok());
-        assert!(QuantisedMatrix::from_region(3, 3, &region, 1, 30).is_err());
-        assert!(matches!(
-            QuantisedMatrix::from_region(3, 3, &region, 1, 10).unwrap_err(),
-            StorageError::Misaligned { .. }
-        ));
-    }
-
-    /// A borrowed quantised store behaves exactly like the owned one it
-    /// was serialised from.
-    #[test]
-    fn borrowed_quantised_store_matches_owned() {
-        let w = small(8, 5, 111);
-        let q = QuantisedMatrix::quantise(&w);
-        // Layout: 40 i8 values at 0, five f32 scales at 40 (4-aligned).
-        let mut bytes = vec![0u8; 60];
-        for (i, &v) in q.values().iter().enumerate() {
-            bytes[i] = v as u8;
-        }
-        for (i, &s) in q.scales().iter().enumerate() {
-            bytes[40 + i * 4..44 + i * 4].copy_from_slice(&s.to_le_bytes());
-        }
-        let region: Arc<dyn WeightRegion> = Arc::new(AlignedRegion::from_bytes(&bytes));
-        let qb = QuantisedMatrix::from_region(8, 5, &region, 0, 40).unwrap();
-        assert!(qb.is_borrowed());
-        assert_eq!(qb.resident_bytes(), 0);
-        assert_eq!(qb, q);
-        assert_eq!(qb.dequantise(), q.dequantise());
-        // The quantised GEMM consumes borrowed and owned stores
-        // identically.
-        let x = small(6, 8, 112);
-        let mut owned = Matrix::default();
-        let mut borrowed = Matrix::default();
-        for (src, out) in [(&q, &mut owned), (&qb, &mut borrowed)] {
-            fused_gemm_into(
-                &x,
-                Weights::I8(src.values()),
-                None,
-                Epilogue {
-                    scales: Some(src.scales()),
-                    bias: None,
-                    relu: false,
-                },
-                5,
-                out,
-            );
-        }
-        assert_eq!(owned, borrowed);
     }
 }

@@ -5,16 +5,13 @@
 //! must produce exactly the bits of the `portable` build, which in turn
 //! must produce exactly the bits of the scalar definitions written out
 //! below, over shapes that hit every column-chunk width, every row-tile
-//! remainder, the K-quad remainder, the zero-quad skip and both weight
-//! storage classes. A golden hash recorded from the previous kernel pins
-//! the whole forward pass across the rewrite. CI runs this file in debug
+//! remainder, the K-quad remainder and the zero-quad skip. A golden hash
+//! recorded from the previous kernel pins the whole forward pass across
+//! the rewrite. CI runs this file in debug
 //! and `--release`: code generation differs per `target_feature`.
 
 use gamora_gnn::parallel::set_intra_threads;
-use gamora_gnn::{
-    Direction, Epilogue, Graph, KernelVariant, Matrix, ModelConfig, MultiTaskSage, QuantisedMatrix,
-    Weights,
-};
+use gamora_gnn::{Direction, Epilogue, Graph, KernelVariant, Matrix, ModelConfig, MultiTaskSage};
 use rand::{Rng, SeedableRng};
 
 const NS: [usize; 9] = [1, 2, 4, 8, 31, 32, 33, 80, 96];
@@ -51,7 +48,7 @@ fn activations(rows: usize, k: usize, sparse: bool, rng: &mut impl Rng) -> Matri
 /// The scalar definition of the fused GEMM, one output element at a time:
 /// K-quads in ascending K as `acc += ((a0*v0 + a1*v1) + a2*v2) + a3*v3`,
 /// skipped when all four activations are zero, then single steps for the
-/// last `k % 4`, operand after operand; then scales, bias, ReLU.
+/// last `k % 4`, operand after operand; then bias, ReLU.
 fn scalar_gemm(
     init: Option<&Matrix>,
     operands: &[(&Matrix, &[f32])],
@@ -82,9 +79,6 @@ fn scalar_gemm(
                     k += 1;
                 }
             }
-            if let Some(s) = epilogue.scales {
-                acc *= s[c];
-            }
             if let Some(b) = epilogue.bias {
                 acc += b[c];
             }
@@ -97,9 +91,9 @@ fn scalar_gemm(
     out
 }
 
-/// Every variant, f32 and i8, one and two operands, all four epilogues,
-/// over the shape grid and row counts 1..=9 (every remainder of the
-/// 4-row tile, with and without full tiles before it).
+/// Every variant, one and two operands, all four epilogues, over the
+/// shape grid and row counts 1..=9 (every remainder of the 4-row tile,
+/// with and without full tiles before it).
 #[test]
 fn every_variant_matches_the_scalar_gemm_definition() {
     let variants = KernelVariant::supported();
@@ -116,32 +110,19 @@ fn every_variant_matches_the_scalar_gemm_definition() {
         let x2 = activations(rows, k, !sparse, &mut rng);
         let w = Matrix::glorot(2 * k, n, &mut rng);
         let (w1, w2) = w.as_slice().split_at(k * n);
-        let q = QuantisedMatrix::quantise(&w);
-        let (q1, q2) = q.values().split_at(k * n);
-        let qf: Vec<f32> = q.values().iter().map(|&v| f32::from(v)).collect();
-        let (qf1, qf2) = qf.split_at(k * n);
         let bias: Vec<f32> = (0..n).map(|_| rng.gen_range(-0.5..0.5)).collect();
-        let f32_epilogue = Epilogue {
-            scales: None,
+        let epilogue = Epilogue {
             bias: (case % 4 < 2).then_some(&bias[..]),
             relu: case % 4 % 2 == 0,
         };
-        let i8_epilogue = Epilogue {
-            scales: Some(q.scales()),
-            ..f32_epilogue
-        };
         for pair in [false, true] {
             let ops = if pair { 2 } else { 1 };
-            let want_f32 = scalar_gemm(None, &[(&x1, w1), (&x2, w2)][..ops], f32_epilogue, n);
-            let want_i8 = scalar_gemm(None, &[(&x1, qf1), (&x2, qf2)][..ops], i8_epilogue, n);
+            let want = scalar_gemm(None, &[(&x1, w1), (&x2, w2)][..ops], epilogue, n);
             for v in &variants {
+                let second = pair.then_some((&x2, w2));
+                v.fused_gemm_into(&x1, w1, second, epilogue, n, &mut out);
                 let what = format!("{} rows={rows} k={k} n={n} pair={pair}", v.isa());
-                let second = pair.then_some((&x2, Weights::F32(w2)));
-                v.fused_gemm_into(&x1, Weights::F32(w1), second, f32_epilogue, n, &mut out);
-                assert_eq!(bits(&out), bits(&want_f32), "f32 {what}");
-                let second = pair.then_some((&x2, Weights::I8(q2)));
-                v.fused_gemm_into(&x1, Weights::I8(q1), second, i8_epilogue, n, &mut out);
-                assert_eq!(bits(&out), bits(&want_i8), "i8 {what}");
+                assert_eq!(bits(&out), bits(&want), "{what}");
             }
         }
     }
@@ -254,8 +235,7 @@ fn row_block_parallel_matches_serial_under_every_variant() {
             set_intra_threads(threads);
             let (mut agg, mut out) = (Matrix::default(), Matrix::default());
             v.mean_aggregate_into(&graph, &h, &mut agg);
-            let second = Some((&agg, Weights::F32(w2)));
-            v.fused_gemm_into(&h, Weights::F32(w1), second, epilogue, 32, &mut out);
+            v.fused_gemm_into(&h, w1, Some((&agg, w2)), epilogue, 32, &mut out);
             set_intra_threads(0);
             (bits(&agg), bits(&out))
         };
@@ -288,8 +268,8 @@ fn golden_subject(n: usize, seed: u64) -> (Graph, Matrix) {
     (graph, x)
 }
 
-fn golden_hash(hidden: usize, layers: usize, n: usize, quantise: bool) -> u64 {
-    let mut model = MultiTaskSage::new(ModelConfig {
+fn golden_hash(hidden: usize, layers: usize, n: usize) -> u64 {
+    let model = MultiTaskSage::new(ModelConfig {
         in_dim: 3,
         hidden,
         layers,
@@ -297,9 +277,6 @@ fn golden_hash(hidden: usize, layers: usize, n: usize, quantise: bool) -> u64 {
         task_classes: vec![4, 2, 2],
         seed: 0x60_1D + hidden as u64,
     });
-    if quantise {
-        model.quantise();
-    }
     let (graph, x) = golden_subject(n, 0xA16 + layers as u64);
     let mut acc = 0xCBF2_9CE4_8422_2325u64;
     for logits in model.forward(&graph, &x) {
@@ -315,17 +292,12 @@ fn golden_hash(hidden: usize, layers: usize, n: usize, quantise: bool) -> u64 {
 #[test]
 fn golden_logits_hash_matches_the_previous_kernel() {
     let cases = [
-        (32, 4, 9001, false, 0x9b4fe4487356316f_u64),
-        (80, 8, 1203, false, 0x6685ae9cc6020082),
-        (37, 3, 1202, false, 0x9e39fd77426fc708),
-        (32, 4, 1201, true, 0xc157590e9588f887),
-        (37, 3, 9001, true, 0x94c3f5781a948a03),
+        (32, 4, 9001, 0x9b4fe4487356316f_u64),
+        (80, 8, 1203, 0x6685ae9cc6020082),
+        (37, 3, 1202, 0x9e39fd77426fc708),
     ];
-    for (hidden, layers, n, quantise, want) in cases {
-        let got = golden_hash(hidden, layers, n, quantise);
-        assert_eq!(
-            got, want,
-            "{hidden}x{layers} model, {n} nodes, quantised {quantise}: {got:#018x}"
-        );
+    for (hidden, layers, n, want) in cases {
+        let got = golden_hash(hidden, layers, n);
+        assert_eq!(got, want, "{hidden}x{layers} model, {n} nodes: {got:#018x}");
     }
 }

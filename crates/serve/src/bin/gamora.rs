@@ -37,38 +37,35 @@ USAGE:
     gamora infer --model MODEL.gsnap [--mmap] [--extract] [--score] [--batch N]
                  [--workers N] [--cache N] [--cone-capacity N] [--queue-cap N]
                  [--linger MICROS]
-                 [--quant] [--compact] [--layer-times] [--metrics-out PATH]
+                 [--compact] [--layer-times] [--metrics-out PATH]
                  [--intra-threads N] FILE.aag [FILE.aig ...]
                  (--cache 0 disables the structural-hash cache)
     gamora bench-serve --model MODEL.gsnap [--bits 16 | --bits N1,N2,...]
                        [--kind csa|booth|dadda] [--count 64] [--mmap]
                        [--batches 1,8,64] [--workers N] [--shards N]
                        [--linger MICROS] [--queue-cap N] [--deadline MICROS]
-                       [--quant] [--layer-times] [--metrics-out PATH]
+                       [--layer-times] [--metrics-out PATH]
                        [--intra-threads N] [--chaos SPEC] [--faults SPEC]
                        [--overlap N] [--cone-capacity N]
     gamora mmap-demo --model MODEL.gsnap [--procs 4] [--bits 8]
                      [--kind csa|booth|dadda]
 
---mmap memory-maps a v3 snapshot instead of reading it: the reader
+--mmap memory-maps the snapshot instead of reading it: the reader
 validates the header in O(header) and borrows every weight tensor
 straight out of the mapping (zero copies, biases excepted), so cold
 start is decoupled from model size and concurrent processes share one
-physical weight copy through the page cache. Legacy v1/v2 files fall
-back to the owned reader transparently (`cold_start.mapped` reports
+physical weight copy through the page cache. Where mapping is not
+possible the owned reader runs instead (`cold_start.mapped` reports
 which path served the load). Reports gain a `cold_start` block: load
 microseconds, resident (owned) weight bytes, first-inference latency —
 and, when mapped, a `weight_mapping` block with the /proc/self/smaps
-shared/private page split of the snapshot mapping.
+shared/private page split of the snapshot mapping. Replace a snapshot
+that may be mapped by renaming a new file over it (`gamora train --out`
+does), never by rewriting it in place.
 
 mmap-demo spawns N concurrent `gamora infer --mmap` children over the
 same snapshot and aggregates their `weight_mapping` blocks: the shared
 page counts show the weight payload resident once, not N times.
-
---quant serves the i8-quantised weight store (per-output-column scales,
-f32 accumulation): ~4x smaller resident weights, argmax predictions
-matching the f32 path on >= 99.9% of nodes. bench-serve --quant also
-reports the f32-vs-quantised argmax agreement and weight-store sizes.
 
 bench-serve extras:
     --bits N1,N2,...  several widths run a scaling sweep: every width gets
@@ -188,7 +185,6 @@ const SWITCH_FLAGS: &[&str] = &[
     "--score",
     "--compact",
     "--quiet",
-    "--quant",
     "--layer-times",
     "--mmap",
 ];
@@ -383,9 +379,8 @@ struct ColdStart {
     load_micros: u64,
 }
 
-/// Loads the model, honouring `--mmap`: the zero-copy v3 path (with its
-/// transparent owned fallback for legacy files) or the classic owned
-/// reader, both timed the same way.
+/// Loads the model, honouring `--mmap`: the zero-copy mapped path or the
+/// owned reader, both timed the same way.
 fn load_model(path: &str, use_mmap: bool) -> Result<(GamoraReasoner, ColdStart), String> {
     if use_mmap {
         let (reasoner, stats) =
@@ -530,11 +525,7 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
     };
 
     arm_faults(&flags)?;
-    let (mut reasoner, cold_start) = load_model(model_path, flags.has("--mmap"))?;
-    if flags.has("--quant") {
-        reasoner.quantise();
-    }
-    let quantised = reasoner.is_quantised();
+    let (reasoner, cold_start) = load_model(model_path, flags.has("--mmap"))?;
     let resident_weight_bytes = reasoner.resident_weight_bytes();
     let server = Server::start(
         reasoner,
@@ -613,7 +604,6 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
     let mut fields = vec![
         ("command", Json::str("infer")),
         ("model", Json::str(model_path)),
-        ("quantised", Json::Bool(quantised)),
         (
             "cold_start",
             cold_start_json(&cold_start, resident_weight_bytes, first_micros),
@@ -745,14 +735,7 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
 
     // One model instance serves every configuration: workers share it
     // through the `Arc`, no per-worker (or per-configuration) clones.
-    let (mut loaded, cold_start) = load_model(model_path, flags.has("--mmap"))?;
-    let quant = flags.has("--quant");
-    // Under --quant, keep the f32 twin around to measure how often the
-    // quantised store flips an argmax decision.
-    let f32_twin = quant.then(|| loaded.clone());
-    if quant {
-        loaded.quantise();
-    }
+    let (loaded, cold_start) = load_model(model_path, flags.has("--mmap"))?;
     let reasoner = Arc::new(loaded);
     let resident_weight_bytes = reasoner.resident_weight_bytes();
     let subject = generate_multiplier(kind, bits);
@@ -765,9 +748,8 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
     let first_micros = t_first.elapsed().as_micros() as u64;
     eprintln!(
         "bench-serve: {count} submissions of a {bits}-bit {kind} multiplier ({} nodes), \
-         {shards} shard(s){} ...",
-        subject.aig.num_nodes(),
-        if quant { ", quantised weights" } else { "" }
+         {shards} shard(s) ...",
+        subject.aig.num_nodes()
     );
     let base = ServeConfig {
         workers,
@@ -866,7 +848,6 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
         ("submissions", Json::uint(count)),
         ("workers", Json::uint(workers)),
         ("shards", Json::uint(shards)),
-        ("quantised", Json::Bool(quant)),
         (
             "cold_start",
             cold_start_json(&cold_start, resident_weight_bytes, Some(first_micros)),
@@ -884,12 +865,6 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
         fields.push((
             "scaling",
             bench_scaling_sweep(&reasoner, kind, &bits_list, count, base)?,
-        ));
-    }
-    if let Some(f32_twin) = &f32_twin {
-        fields.push((
-            "quantisation",
-            bench_quantisation(f32_twin, &reasoner, &subject.aig),
         ));
     }
     if shards > 1 {
@@ -1208,47 +1183,6 @@ fn scaling_run(
             ),
         ]),
     ))
-}
-
-/// Quantisation accuracy sidebar for `--quant` runs: per-task argmax
-/// agreement between the f32 twin and the quantised model on the bench
-/// subject, plus the resident weight-store sizes behind the
-/// throughput rows.
-fn bench_quantisation(f32_twin: &GamoraReasoner, quant: &GamoraReasoner, subject: &Aig) -> Json {
-    let a = f32_twin.predict(subject);
-    let b = quant.predict(subject);
-    let n = a.num_nodes().max(1);
-    let mut agree = [0usize; 3];
-    for i in 0..a.num_nodes() {
-        agree[0] += (a.root_leaf[i] == b.root_leaf[i]) as usize;
-        agree[1] += (a.is_xor[i] == b.is_xor[i]) as usize;
-        agree[2] += (a.is_maj[i] == b.is_maj[i]) as usize;
-    }
-    let frac = |c: usize| c as f64 / n as f64;
-    let mean = (frac(agree[0]) + frac(agree[1]) + frac(agree[2])) / 3.0;
-    let f32_bytes = f32_twin.resident_weight_bytes();
-    let q_bytes = quant.resident_weight_bytes();
-    eprintln!(
-        "  quantisation: argmax agreement {:.4}% mean over {} nodes, \
-         weights {f32_bytes} -> {q_bytes} bytes ({:.2}x)",
-        mean * 100.0,
-        a.num_nodes(),
-        f32_bytes as f64 / q_bytes as f64
-    );
-    Json::obj([
-        (
-            "argmax_agreement",
-            Json::obj([
-                ("root_leaf", Json::Num(frac(agree[0]))),
-                ("xor", Json::Num(frac(agree[1]))),
-                ("maj", Json::Num(frac(agree[2]))),
-                ("mean", Json::Num(mean)),
-            ]),
-        ),
-        ("f32_weight_bytes", Json::uint(f32_bytes)),
-        ("quantised_weight_bytes", Json::uint(q_bytes)),
-        ("compression", Json::Num(f32_bytes as f64 / q_bytes as f64)),
-    ])
 }
 
 /// Shard-affinity run: distinct netlists spread over the shards, then

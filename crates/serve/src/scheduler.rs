@@ -1696,45 +1696,6 @@ mod tests {
         assert_eq!(stats.jobs_dropped, 0);
     }
 
-    /// A quantised reasoner serves through the unchanged `Arc`'d-model
-    /// path: workers share the same i8 store, answers are bit-identical
-    /// to in-process quantised prediction, and the cache works on top.
-    #[test]
-    fn quantised_model_serves_through_shared_arc_path() {
-        let mut reasoner = tiny_trained();
-        reasoner.quantise();
-        assert!(reasoner.is_quantised());
-        let subject = csa_multiplier(4);
-        let expected = reasoner.predict(&subject.aig);
-
-        let shared = Arc::new(reasoner);
-        let server = Server::start_shared(
-            Arc::clone(&shared),
-            ServeConfig {
-                workers: 2,
-                ..ServeConfig::default()
-            },
-        );
-        let first = server
-            .submit(subject.aig.clone(), AnalysisKind::Classify)
-            .expect("admitted")
-            .wait()
-            .expect("job answered");
-        assert!(!first.cache_hit);
-        assert_eq!(first.predictions, expected);
-        let second = server
-            .submit(subject.aig.clone(), AnalysisKind::Classify)
-            .expect("admitted")
-            .wait()
-            .expect("job answered");
-        assert!(second.cache_hit, "quantised answers are cacheable");
-        assert_eq!(second.predictions, expected);
-        let stats = server.shutdown();
-        assert_eq!(stats.forward_passes, 1);
-        // The server never cloned the quantised model either.
-        assert_eq!(Arc::strong_count(&shared), 1);
-    }
-
     #[test]
     fn extraction_jobs_return_postprocessed_adders() {
         let server = Server::start(tiny_trained(), ServeConfig::default());

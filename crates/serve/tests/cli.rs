@@ -177,83 +177,6 @@ fn bench_serve_reports_cold_and_hot_throughput() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--quant` end to end: bench-serve reports the accuracy-vs-size
-/// sidebar with near-total argmax agreement, and `infer --quant` serves
-/// the same files successfully with the quantised flag set.
-#[test]
-fn quant_switch_reports_agreement_and_serves() {
-    let dir = tmpdir("quant");
-    let model_path = dir.join("model.gsnap");
-    train_small().save(&model_path).unwrap();
-
-    let out = Command::new(env!("CARGO_BIN_EXE_gamora"))
-        .args([
-            "bench-serve",
-            "--quant",
-            "--bits",
-            "6",
-            "--count",
-            "8",
-            "--batches",
-            "1,4",
-            "--model",
-        ])
-        .arg(&model_path)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "bench-serve --quant failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"quantised\": true"), "{stdout}");
-    assert!(stdout.contains("\"argmax_agreement\""), "{stdout}");
-    assert!(stdout.contains("\"compression\""), "{stdout}");
-    // Parse the mean agreement out of the report — scoped to the
-    // argmax_agreement object, since stage-latency summaries elsewhere in
-    // the report also carry "mean" fields. The quickly trained CLI test
-    // model leaves some nodes near the decision boundary, so this smoke
-    // test only requires near-total agreement; the >= 99.9% criterion on
-    // a properly trained model is enforced by the `quant_equivalence`
-    // release guard.
-    let mean = stdout
-        .split("\"argmax_agreement\"")
-        .nth(1)
-        .and_then(|s| s.split("\"mean\":").nth(1))
-        .and_then(|s| {
-            s.split(['}', ','])
-                .next()
-                .and_then(|v| v.trim().parse::<f64>().ok())
-        })
-        .expect("mean agreement in report");
-    assert!(
-        mean >= 0.99,
-        "quantised argmax agreement {mean} collapsed: {stdout}"
-    );
-
-    let aag_path = dir.join("subject.aag");
-    let mut buf = Vec::new();
-    aiger::write_ascii(&csa_multiplier(5).aig, &mut buf).unwrap();
-    std::fs::write(&aag_path, &buf).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_gamora"))
-        .args(["infer", "--quant", "--compact", "--model"])
-        .arg(&model_path)
-        .arg(&aag_path)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "infer --quant failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"quantised\":true"), "{stdout}");
-    assert!(stdout.contains("\"forward_passes\":1"), "{stdout}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 #[test]
 fn train_subcommand_writes_a_loadable_snapshot() {
     let dir = tmpdir("train");
