@@ -114,6 +114,17 @@ impl Aig {
         aig
     }
 
+    /// Creates an empty AIG with room for `inputs` inputs and `ands` AND
+    /// nodes (the AIGER reader knows both; inputs never enter the strash
+    /// table).
+    pub(crate) fn with_shape(inputs: usize, ands: usize) -> Self {
+        let mut aig = Aig::new();
+        aig.nodes.reserve(inputs + ands);
+        aig.inputs.reserve(inputs);
+        aig.strash.reserve(ands);
+        aig
+    }
+
     /// Sets a human-readable design name (kept by AIGER I/O).
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();

@@ -20,7 +20,27 @@ pub enum ParseAigerError {
     Malformed(String),
     /// The file contains latches, which this reader does not support.
     Sequential,
+    /// A header count is beyond what this reader accepts.
+    TooLarge {
+        /// The header field (`"M"` or `"I"`).
+        field: &'static str,
+        /// The value the header declares.
+        declared: u32,
+        /// The largest accepted value.
+        limit: u32,
+    },
 }
+
+/// Largest variable index a header may declare: the literal `2 * M + 1`
+/// must fit the `u32` of a [`Lit`].
+pub const MAX_VAR: u32 = (1 << 31) - 1;
+
+/// Largest input count a header may declare. Inputs of a binary file
+/// occupy no bytes, so their number is the one quantity the reader takes
+/// on the header's word; the cap bounds what a header alone can make it
+/// allocate (12 bytes an input, 12 MiB in all). Every other vector is
+/// reserved by the bytes at hand and grows with what is parsed.
+pub const MAX_INPUTS: u32 = 1 << 20;
 
 impl fmt::Display for ParseAigerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -28,6 +48,14 @@ impl fmt::Display for ParseAigerError {
             ParseAigerError::Io(e) => write!(f, "i/o error: {e}"),
             ParseAigerError::Malformed(m) => write!(f, "malformed aiger file: {m}"),
             ParseAigerError::Sequential => write!(f, "sequential aiger files are not supported"),
+            ParseAigerError::TooLarge {
+                field,
+                declared,
+                limit,
+            } => write!(
+                f,
+                "aiger file too large: header declares {field} = {declared}, limit {limit}"
+            ),
         }
     }
 }
@@ -191,8 +219,19 @@ pub fn read<R: BufRead>(mut r: R) -> Result<Aig, ParseAigerError> {
     if l != 0 {
         return Err(ParseAigerError::Sequential);
     }
-    if m != i + a {
+    if u64::from(m) != u64::from(i) + u64::from(a) {
         return Err(malformed(format!("M ({m}) != I ({i}) + A ({a})")));
+    }
+    // From here on `I + A == M <= MAX_VAR`, so every literal the bodies
+    // compute (`2 * var`, at most `2 * M`) fits a `u32`.
+    for (field, declared, limit) in [("M", m, MAX_VAR), ("I", i, MAX_INPUTS)] {
+        if declared > limit {
+            return Err(ParseAigerError::TooLarge {
+                field,
+                declared,
+                limit,
+            });
+        }
     }
     match fields[0] {
         "aag" => read_ascii_body(r, i, o, a),
@@ -201,12 +240,27 @@ pub fn read<R: BufRead>(mut r: R) -> Result<Aig, ParseAigerError> {
     }
 }
 
+/// How many of `declared` items to reserve room for: no more than the
+/// bytes the reader already holds could encode at `min_bytes` apiece. A
+/// slice or cursor holds the whole file, so a well-formed one is reserved
+/// exactly; a header that declares more than its bytes can back is never
+/// believed.
+fn backed_by_bytes<R: BufRead>(r: &mut R, declared: u32, min_bytes: usize) -> io::Result<usize> {
+    Ok((declared as usize).min(r.fill_buf()?.len() / min_bytes))
+}
+
 fn read_ascii_body<R: BufRead>(
     mut r: R,
     num_in: u32,
     num_out: u32,
     num_and: u32,
 ) -> Result<Aig, ParseAigerError> {
+    // An input or output line is at least `0\n`, a gate line `6 2 4\n`.
+    let mut aig = Aig::with_shape(
+        backed_by_bytes(&mut r, num_in, 2)?,
+        backed_by_bytes(&mut r, num_and, 6)?,
+    );
+    let mut outputs = Vec::with_capacity(backed_by_bytes(&mut r, num_out, 2)?);
     let mut read_line = |expect: &str| -> Result<String, ParseAigerError> {
         let mut line = String::new();
         if r.read_line(&mut line)? == 0 {
@@ -216,7 +270,6 @@ fn read_ascii_body<R: BufRead>(
         }
         Ok(line.trim().to_string())
     };
-    let mut aig = Aig::with_capacity((num_in + num_and) as usize + 1);
     // Inputs must be the literals 2, 4, ... in order.
     for k in 0..num_in {
         let line = read_line("input")?;
@@ -228,7 +281,6 @@ fn read_ascii_body<R: BufRead>(
         }
         aig.add_input();
     }
-    let mut outputs = Vec::with_capacity(num_out as usize);
     for _ in 0..num_out {
         let line = read_line("output")?;
         let lit: u32 = line.parse().map_err(|_| malformed("bad output literal"))?;
@@ -272,11 +324,13 @@ fn read_binary_body<R: BufRead>(
     num_out: u32,
     num_and: u32,
 ) -> Result<Aig, ParseAigerError> {
-    let mut aig = Aig::with_capacity((num_in + num_and) as usize + 1);
+    // Inputs are implicit (no bytes: `num_in <= MAX_INPUTS` is their
+    // bound); an output line is at least `0\n`, a gate two delta bytes.
+    let mut aig = Aig::with_shape(num_in as usize, backed_by_bytes(&mut r, num_and, 2)?);
     for _ in 0..num_in {
         aig.add_input();
     }
-    let mut outputs = Vec::with_capacity(num_out as usize);
+    let mut outputs = Vec::with_capacity(backed_by_bytes(&mut r, num_out, 2)?);
     for _ in 0..num_out {
         let mut line = String::new();
         if r.read_line(&mut line)? == 0 {
@@ -292,6 +346,9 @@ fn read_binary_body<R: BufRead>(
         let lhs = (num_in + 1 + k) * 2;
         let d0 = read_delta(&mut r)?;
         let d1 = read_delta(&mut r)?;
+        if d0 == 0 {
+            return Err(malformed("delta0 is zero: a gate cannot be its own fanin"));
+        }
         let rhs0 = lhs
             .checked_sub(d0)
             .ok_or_else(|| malformed("delta0 underflow"))?;

@@ -37,7 +37,6 @@
 
 mod aig;
 pub mod aiger;
-pub mod cone;
 pub mod cut;
 pub mod dot;
 pub mod hasher;

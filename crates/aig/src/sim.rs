@@ -46,10 +46,9 @@ pub fn simulate_into(aig: &Aig, inputs: &[u64], values: &mut Vec<u64>) {
 
 /// SplitMix64: the `i`-th word of the deterministic stream for `seed`.
 ///
-/// This is the seeded signature generator behind the cone-cache simulation
-/// signatures: unlike an RNG object it carries no state to allocate or
-/// advance, so any input's word can be produced independently (and hence in
-/// parallel) while remaining a pure function of `(seed, i)`.
+/// Unlike an RNG object it carries no state to allocate or advance, so any
+/// input's word can be produced independently (and hence in parallel)
+/// while remaining a pure function of `(seed, i)`.
 #[inline]
 pub fn seeded_word(seed: u64, i: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i.wrapping_add(1)));

@@ -4,8 +4,8 @@
 //! an O(1) `probe` under the lock and `CacheEntry::resolve` on the
 //! caller's thread outside it.
 //!
-//! "locked" simulates the pre-fix `lookup`-under-mutex scheduler;
-//! "split" is what `gamora-serve` now does. The gap is the serialised
+//! "locked" holds the mutex across probe *and* resolve (the pre-fix
+//! scheduler); "split" is what `gamora-serve` does. The gap is the serialised
 //! per-hit O(nodes) work; per-shard caches (`ShardRouter`) shrink it
 //! further by giving each worker pool its own mutex.
 //!
@@ -27,7 +27,7 @@ fn dummy_predictions(num_nodes: usize) -> Predictions {
 
 /// Runs `iters` hit-resolutions per thread against one shared cache.
 /// `split` = probe under the lock, resolve outside (the fixed scheduler);
-/// otherwise the whole lookup holds the mutex (the old behaviour).
+/// otherwise the guard lives across the resolve too (the old behaviour).
 fn hammer(
     cache: &Mutex<PredictionCache>,
     sig: &GraphSignature,
@@ -51,7 +51,9 @@ fn hammer(
                         } else {
                             // O(nodes) under the mutex: every other
                             // thread's probe waits for it.
-                            cache.lock().expect("cache poisoned").lookup(sig)
+                            let mut guard = cache.lock().expect("cache poisoned");
+                            let entry = guard.probe(&sig.key).expect("entry cached");
+                            entry.resolve(sig)
                         };
                         assert!(served.is_some(), "resolution must hit");
                         std::hint::black_box(&served);
@@ -96,9 +98,7 @@ fn main() {
             let cache = Mutex::new(PredictionCache::new(8));
             // Seed the cache the way the shipped scheduler inserts: the
             // O(nodes) index build runs in `CacheEntry::new` *outside*
-            // the mutex, and only the O(1) `insert_entry` holds it (the
-            // old `insert` convenience built the indexes under the lock
-            // — the exact pattern this bench exists to measure against).
+            // the mutex, and only the O(1) `insert_entry` holds it.
             let entry = Arc::new(CacheEntry::new(&sig, preds.clone()));
             cache.lock().unwrap().insert_entry(sig.key, entry);
             let locked = hammer(&cache, lookup_sig, threads, iters, false);

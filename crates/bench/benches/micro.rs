@@ -52,10 +52,10 @@ fn bench_gnn_forward(c: &mut Criterion) {
         b.iter(|| black_box(model.forward(&graph, &x)))
     });
     let mut scratch = InferenceScratch::default();
-    model.infer(&graph, &x, &mut scratch); // warm the buffers
+    model.infer(&graph, &x, &mut scratch, None); // warm the buffers
     c.bench_function("sage_infer_32 (4x32 model, reused scratch)", |b| {
         b.iter(|| {
-            model.infer(&graph, &x, &mut scratch);
+            model.infer(&graph, &x, &mut scratch, None);
         })
     });
 }

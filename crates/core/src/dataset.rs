@@ -63,7 +63,8 @@ pub fn inference_graph(aig: &Aig, mode: FeatureMode, direction: Direction) -> (G
 /// Reusable buffers for zero-copy batch assembly: the merged
 /// disjoint-union graph, the merged feature matrix, the per-constituent
 /// node offsets, and the merged predictions that
-/// [`crate::GamoraReasoner::predict_batch_into`] splits back per netlist.
+/// [`crate::GamoraReasoner::predict_batch_into_timed`] splits back per
+/// netlist.
 ///
 /// Keep one per serve worker alongside an
 /// [`gamora_gnn::InferenceScratch`]: after one warmup batch at a given
@@ -96,15 +97,6 @@ impl BatchScratch {
     /// Node offset of each constituent in the merged graph.
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
-    }
-
-    /// The merged per-node predictions buffer. The cone-tier serve path
-    /// scatters cache-served rows here between
-    /// `GamoraReasoner::assemble_batch_timed` (which sizes it to the
-    /// batch's total node count) and the row-masked forward pass that
-    /// fills the remaining rows.
-    pub fn merged_mut(&mut self) -> &mut crate::reasoner::Predictions {
-        &mut self.merged
     }
 
     fn fill_offsets(&mut self, sizes: impl Iterator<Item = usize>) -> usize {

@@ -6,7 +6,7 @@
 //! `Predictions`) is reused at its high-water capacity. Since the
 //! zero-copy batch-assembly work, the same holds for the **full** path
 //! from raw `&Aig`s — graph construction, feature encoding, batch
-//! assembly and the forward pass (`predict_batch_into`). These tests
+//! assembly and the forward pass (`predict_batch_into_timed`). These tests
 //! install a counting global allocator and fail if either steady state
 //! ever touches the heap again.
 //!
@@ -155,20 +155,20 @@ fn predict_batch_into_full_path_is_allocation_free_after_warmup() {
     // Warmup: every buffer — CSR arrays, merged features, forward
     // scratch, merged and per-netlist predictions — grows to its
     // high-water mark.
-    reasoner.predict_batch_into(&mut batch, &mut scratch, &aigs, &mut outs);
+    reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
     let expected = outs.clone();
 
     let before = ALLOC_CALLS.load(Ordering::SeqCst);
     COUNTING.with(|c| c.set(true));
     for _ in 0..32 {
-        reasoner.predict_batch_into(&mut batch, &mut scratch, &aigs, &mut outs);
+        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
     }
     COUNTING.with(|c| c.set(false));
     let after = ALLOC_CALLS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "steady-state predict_batch_into (graph build + features + batch \
+        "steady-state predict_batch_into_timed (graph build + features + batch \
          assembly + forward) must not allocate"
     );
     assert_eq!(outs, expected);
@@ -177,13 +177,13 @@ fn predict_batch_into_full_path_is_allocation_free_after_warmup() {
     // batch to batch) must also stay allocation-free — entries trimmed by
     // a shrink park in the scratch's spare pool and return on regrowth.
     let small: Vec<&Aig> = vec![&m3.aig];
-    reasoner.predict_batch_into(&mut batch, &mut scratch, &small, &mut outs);
+    reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &small, &mut outs, None);
     let expected_small = outs.clone();
     let before = ALLOC_CALLS.load(Ordering::SeqCst);
     COUNTING.with(|c| c.set(true));
     for _ in 0..8 {
-        reasoner.predict_batch_into(&mut batch, &mut scratch, &small, &mut outs);
-        reasoner.predict_batch_into(&mut batch, &mut scratch, &aigs, &mut outs);
+        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &small, &mut outs, None);
+        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
     }
     COUNTING.with(|c| c.set(false));
     assert_eq!(
@@ -192,7 +192,7 @@ fn predict_batch_into_full_path_is_allocation_free_after_warmup() {
         "alternating batch sizes must recycle warmed buffers, not reallocate"
     );
     assert_eq!(outs, expected);
-    reasoner.predict_batch_into(&mut batch, &mut scratch, &small, &mut outs);
+    reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &small, &mut outs, None);
     assert_eq!(outs, expected_small);
 }
 
@@ -336,13 +336,13 @@ fn sectioned_assembly_serial_dispatch_is_allocation_free_after_warmup() {
     let mut scratch = reasoner.scratch();
     let mut outs: Vec<Predictions> = Vec::new();
 
-    reasoner.predict_batch_into(&mut batch, &mut scratch, &aigs, &mut outs);
+    reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
     let expected = outs.clone();
 
     let before = ALLOC_CALLS.load(Ordering::SeqCst);
     COUNTING.with(|c| c.set(true));
     for _ in 0..4 {
-        reasoner.predict_batch_into(&mut batch, &mut scratch, &aigs, &mut outs);
+        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
     }
     COUNTING.with(|c| c.set(false));
     let after = ALLOC_CALLS.load(Ordering::SeqCst);
@@ -415,126 +415,4 @@ fn mmap_loaded_borrowed_weights_infer_allocation_free_after_warmup() {
     assert_eq!(out.root_leaf, direct.root_leaf);
     assert_eq!(out.is_xor, direct.is_xor);
     assert_eq!(out.is_maj, direct.is_maj);
-}
-
-/// The cone-tier split pipeline — `assemble_batch_timed` followed by a
-/// caller-side scatter into the merged predictions and the row-masked
-/// `predict_assembled_rows_into_timed` — must be exactly as
-/// allocation-free after warmup as the one-shot batch path it refactors.
-/// This is the serve worker's hot path whenever the cone cache is on,
-/// including the all-hit case where no forward pass runs at all.
-#[test]
-fn masked_assembled_rows_path_is_allocation_free_after_warmup() {
-    let _guard = TEST_LOCK.lock().unwrap();
-    let m3 = csa_multiplier(3);
-    let m4 = csa_multiplier(4);
-    let mut reasoner = GamoraReasoner::new(ReasonerConfig {
-        depth: ModelDepth::Custom {
-            layers: 3,
-            hidden: 16,
-        },
-        ..ReasonerConfig::default()
-    });
-    reasoner.fit(
-        &[&m3.aig],
-        &TrainConfig {
-            epochs: 5,
-            ..TrainConfig::default()
-        },
-    );
-    let reasoner = reasoner;
-
-    let aigs: Vec<&Aig> = vec![&m4.aig, &m3.aig];
-    let total: usize = aigs.iter().map(|a| a.num_nodes()).sum();
-    let mut batch = reasoner.batch_scratch();
-    let mut scratch = reasoner.scratch();
-    let mut outs: Vec<Predictions> = Vec::new();
-    // A fixed residual-row mask (every third row) stands in for the cone
-    // cache's miss rows; preallocated like the serve worker's ConeState.
-    let rows: Vec<u32> = (0..total as u32).filter(|r| r % 3 == 0).collect();
-
-    // Warmup: assembly, merged-prediction sizing, the row-gather matrix
-    // inside the inference scratch, and the per-netlist outputs all grow
-    // to their high-water marks.
-    reasoner.assemble_batch_timed(&mut batch, &aigs);
-    reasoner.predict_assembled_rows_into_timed(
-        &mut batch,
-        &mut scratch,
-        &aigs,
-        &rows,
-        &mut outs,
-        None,
-    );
-
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..32 {
-        reasoner.assemble_batch_timed(&mut batch, &aigs);
-        reasoner.predict_assembled_rows_into_timed(
-            &mut batch,
-            &mut scratch,
-            &aigs,
-            &rows,
-            &mut outs,
-            None,
-        );
-    }
-    // The all-hit fast path (empty row mask: scatter + split only, no
-    // forward) must be allocation-free too.
-    for _ in 0..8 {
-        reasoner.assemble_batch_timed(&mut batch, &aigs);
-        reasoner.predict_assembled_rows_into_timed(
-            &mut batch,
-            &mut scratch,
-            &aigs,
-            &[],
-            &mut outs,
-            None,
-        );
-    }
-    COUNTING.with(|c| c.set(false));
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state assemble + row-masked predict (the cone-tier serve \
-         path) must not allocate"
-    );
-
-    // The masked rows decode identically to the one-shot batch path.
-    let mut full_batch = reasoner.batch_scratch();
-    let mut full_outs: Vec<Predictions> = Vec::new();
-    reasoner.predict_batch_into(&mut full_batch, &mut scratch, &aigs, &mut full_outs);
-    let offsets: Vec<usize> = {
-        let mut base = 0;
-        aigs.iter()
-            .map(|a| {
-                let o = base;
-                base += a.num_nodes();
-                o
-            })
-            .collect()
-    };
-    reasoner.assemble_batch_timed(&mut batch, &aigs);
-    reasoner.predict_assembled_rows_into_timed(
-        &mut batch,
-        &mut scratch,
-        &aigs,
-        &rows,
-        &mut outs,
-        None,
-    );
-    for &r in &rows {
-        let r = r as usize;
-        let (i, off) = offsets
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, &off)| off <= r)
-            .map(|(i, &off)| (i, off))
-            .expect("row within batch");
-        assert_eq!(outs[i].root_leaf[r - off], full_outs[i].root_leaf[r - off]);
-        assert_eq!(outs[i].is_xor[r - off], full_outs[i].is_xor[r - off]);
-        assert_eq!(outs[i].is_maj[r - off], full_outs[i].is_maj[r - off]);
-    }
 }

@@ -466,37 +466,6 @@ impl Graph {
         &self.neighbors[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// Weisfeiler-Leman refinement of per-node 64-bit keys, `rounds` times:
-    /// each round replaces `keys[v]` with a hash of its previous key, its
-    /// in-CSR-order neighbor keys, and its degree — exactly the information
-    /// one [`Graph::mean_aggregate`]-based GNN layer reads. After as many
-    /// rounds as the model has message-passing layers, nodes with equal
-    /// refined keys have (up to 64-bit hash collisions) identical
-    /// receptive fields, so their embedding rows are bit-identical —
-    /// the soundness argument of the cone-level prediction cache.
-    ///
-    /// Allocation-free once `scratch` has warmed to `num_nodes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys.len() != num_nodes`.
-    pub fn refine_keys(&self, keys: &mut Vec<u64>, scratch: &mut Vec<u64>, rounds: usize) {
-        assert_eq!(keys.len(), self.num_nodes, "one key per node");
-        scratch.clear();
-        scratch.resize(self.num_nodes, 0);
-        for round in 0..rounds {
-            for v in 0..self.num_nodes {
-                let neigh = self.neighbors(v);
-                let mut acc = wl_combine(wl_mix(keys[v] ^ round as u64), neigh.len() as u64);
-                for &u in neigh {
-                    acc = wl_combine(acc, keys[u as usize]);
-                }
-                scratch[v] = acc;
-            }
-            std::mem::swap(keys, scratch);
-        }
-    }
-
     /// Mean aggregation: `out[v] = mean_{u in N(v)} h[u]` (zero row when
     /// `N(v)` is empty).
     ///
@@ -572,22 +541,6 @@ impl Graph {
 /// per-block closure dispatch over the CSR gather, small enough that a
 /// block's output rows plus its gathered neighbor rows stay cache-resident.
 const AGG_BLOCK_ROWS: usize = 64;
-
-/// SplitMix64 finaliser used by [`Graph::refine_keys`] (the same
-/// construction as `gamora_aig::hasher::mix64`; duplicated because this
-/// crate is deliberately independent of the AIG layer).
-#[inline]
-fn wl_mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-/// Order-sensitive combine for [`Graph::refine_keys`].
-#[inline]
-fn wl_combine(a: u64, b: u64) -> u64 {
-    wl_mix(a.wrapping_mul(0x9E3779B97F4A7C15) ^ b.rotate_left(32))
-}
 
 /// Node ids travel as `u32` through the edge stream and the CSR arrays.
 fn assert_node_count(num_nodes: usize) {
@@ -776,38 +729,6 @@ mod tests {
         assert_eq!(agg.row(3), &[0.0]);
         assert_eq!(agg.row(0), &[0.0]); // fanin of 0 is empty
         assert_eq!(agg.row(1), &[5.0]);
-    }
-
-    /// WL refinement merges nodes with identical receptive fields and
-    /// splits nodes whose neighborhoods differ at any refined hop.
-    #[test]
-    fn refine_keys_respects_receptive_fields() {
-        // Two disjoint, identical paths (0-1-2 and 3-4-5) plus one longer
-        // path (6-7-8-9): within-path-pair twins must stay merged at every
-        // round; endpoints of the longer path separate from middle nodes.
-        let edges = vec![(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (8, 9)];
-        let g = Graph::from_edges(10, &edges, Direction::Bidirectional);
-        let mut keys = vec![1u64; 10];
-        let mut scratch = Vec::new();
-        g.refine_keys(&mut keys, &mut scratch, 2);
-        assert_eq!(keys[0], keys[3], "twin path starts");
-        assert_eq!(keys[1], keys[4], "twin path middles");
-        assert_eq!(keys[2], keys[5], "twin path ends");
-        // 0 and 6 both start a path, but at round 2 node 6 sees a
-        // degree-2 neighbor-of-neighbor while node 0's is degree 1... both
-        // see (1:{0,2}) vs (7:{6,8}) — structurally identical 2-hop views,
-        // so they MERGE; node 7 vs node 1 differ at hop 2 (8 has degree 2,
-        // 2 has degree 1).
-        assert_eq!(keys[0], keys[6], "2-hop-identical starts merge");
-        assert_ne!(keys[1], keys[7], "hop-2 degree difference splits");
-        // Refinement is deterministic and allocation-stable on reuse.
-        let mut keys2 = vec![1u64; 10];
-        g.refine_keys(&mut keys2, &mut scratch, 2);
-        assert_eq!(keys, keys2);
-        // Distinct seeds (base keys) never merge.
-        let mut keys3: Vec<u64> = (0..10).collect();
-        g.refine_keys(&mut keys3, &mut scratch, 2);
-        assert_ne!(keys3[0], keys3[3]);
     }
 
     /// An in-place rebuild into a reused graph (grow-then-shrink and

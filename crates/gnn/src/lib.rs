@@ -34,7 +34,7 @@
 //! assert_eq!(logits.len(), 3);
 //! // Hot loops reuse a scratch workspace instead:
 //! let mut scratch = InferenceScratch::default();
-//! assert_eq!(model.infer(&graph, &x, &mut scratch), &logits[..]);
+//! assert_eq!(model.infer(&graph, &x, &mut scratch, None), &logits[..]);
 //! ```
 
 #![warn(missing_docs)]

@@ -43,9 +43,6 @@ pub struct InferenceScratch {
     logits: Vec<Matrix>,
     /// Column-concatenated task-head weights (rebuilt every pass).
     heads: FusedLinears,
-    /// Compacted embedding rows for the row-masked epilogue
-    /// ([`MultiTaskSage::infer_rows_observed`]).
-    gather: Matrix,
 }
 
 /// Hyper-parameters of a [`MultiTaskSage`].
@@ -115,7 +112,7 @@ pub enum ForwardStage {
     Heads,
 }
 
-/// Receives per-stage wall times from [`MultiTaskSage::infer_observed`].
+/// Receives per-stage wall times from [`MultiTaskSage::infer`].
 ///
 /// This is the seam serving-side observability hooks into: the GNN crate
 /// only reports `(stage, micros)` pairs and gains no dependency on any
@@ -222,7 +219,7 @@ impl MultiTaskSage {
     /// Panics if `x` has the wrong feature width or row count.
     pub fn forward(&self, graph: &Graph, x: &Matrix) -> Vec<Matrix> {
         let mut scratch = InferenceScratch::default();
-        self.infer(graph, x, &mut scratch);
+        self.infer(graph, x, &mut scratch, None);
         scratch.logits
     }
 
@@ -235,30 +232,15 @@ impl MultiTaskSage {
     /// (graphs below `parallel`'s per-thread row cutoff); above it, the
     /// scoped worker threads spawned per call allocate.
     ///
+    /// When `observer` is `Some`, each trunk layer, the shared linear and
+    /// the combined heads report their wall time through
+    /// [`ForwardObserver::record_stage`] (two monotonic clock reads per
+    /// stage, no allocations); when `None`, no clocks are read.
+    ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong feature width or row count.
     pub fn infer<'a>(
-        &self,
-        graph: &Graph,
-        x: &Matrix,
-        scratch: &'a mut InferenceScratch,
-    ) -> &'a [Matrix] {
-        self.infer_observed(graph, x, scratch, None)
-    }
-
-    /// [`MultiTaskSage::infer`] with optional per-stage timing.
-    ///
-    /// When `observer` is `Some`, each trunk layer, the shared linear and
-    /// the combined heads report their wall time through
-    /// [`ForwardObserver::record_stage`]; when `None`, no clocks are read
-    /// and the pass is exactly the plain `infer`. Timing adds two monotonic
-    /// clock reads per stage and no allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong feature width or row count.
-    pub fn infer_observed<'a>(
         &self,
         graph: &Graph,
         x: &Matrix,
@@ -319,78 +301,6 @@ impl MultiTaskSage {
             logits.resize_with(self.heads.len(), Matrix::default);
         }
         Linear::forward_many_into(&self.heads, z, heads, ws.spare(), logits);
-    }
-
-    /// Row-masked inference: the trunk runs on the **full** graph (message
-    /// passing cannot skip rows — every node's embedding may feed a kept
-    /// row's neighborhood), but the shared linear and the per-task heads
-    /// run only on the embedding rows listed in `rows`, compacted through
-    /// the same fused GEMM kernels. Logit row `k` corresponds to node
-    /// `rows[k]`.
-    ///
-    /// Per-row results are bit-identical to the full
-    /// [`MultiTaskSage::infer_observed`] pass: the fused kernels are
-    /// per-row bit-stable under row regrouping (the `kernel_equivalence`
-    /// CI guard), so gathering rows before the epilogue GEMMs cannot
-    /// change any kept row. This is the partial-forward entry the
-    /// cone-level prediction cache uses to skip head work for rows whose
-    /// predictions were served from cache.
-    ///
-    /// Allocation-free after warmup, like the full pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong feature width or row count, or if any
-    /// row index is out of range.
-    pub fn infer_rows_observed<'a>(
-        &self,
-        graph: &Graph,
-        x: &Matrix,
-        rows: &[u32],
-        scratch: &'a mut InferenceScratch,
-        observer: Option<&dyn ForwardObserver>,
-    ) -> &'a [Matrix] {
-        // Same chaos seam as the full pass: the cone tier must not dodge
-        // forward-stage fault injection.
-        gamora_fault::hit_or_panic(gamora_fault::FaultPoint::GnnForward);
-        assert_eq!(x.cols(), self.config.in_dim, "feature width mismatch");
-        assert_eq!(x.rows(), graph.num_nodes(), "one feature row per node");
-        for (l, layer) in self.sage.iter().enumerate() {
-            let started = observer.map(|_| std::time::Instant::now());
-            {
-                let InferenceScratch {
-                    ws, h_in, h_out, ..
-                } = &mut *scratch;
-                let input = if l == 0 { x } else { &*h_in };
-                layer.forward_into(graph, input, ws, h_out);
-            }
-            std::mem::swap(&mut scratch.h_in, &mut scratch.h_out);
-            if let (Some(obs), Some(t)) = (observer, started) {
-                obs.record_stage(ForwardStage::Sage(l), t.elapsed().as_micros() as u64);
-            }
-        }
-        let started = observer.map(|_| std::time::Instant::now());
-        {
-            let InferenceScratch {
-                h_in, gather, z, ..
-            } = &mut *scratch;
-            gather.reset(rows.len(), h_in.cols());
-            for (k, &r) in rows.iter().enumerate() {
-                gather.row_mut(k).copy_from_slice(h_in.row(r as usize));
-            }
-            self.shared.forward_into(gather, z);
-        }
-        if let (Some(obs), Some(t)) = (observer, started) {
-            obs.record_stage(ForwardStage::Shared, t.elapsed().as_micros() as u64);
-        }
-        let started = observer.map(|_| std::time::Instant::now());
-        {
-            self.heads_into(scratch);
-        }
-        if let (Some(obs), Some(t)) = (observer, started) {
-            obs.record_stage(ForwardStage::Heads, t.elapsed().as_micros() as u64);
-        }
-        &scratch.logits
     }
 
     /// Training forward pass: like [`MultiTaskSage::forward`], but records
@@ -583,35 +493,6 @@ mod tests {
         assert_eq!(la[0].as_slice(), lb[0].as_slice());
     }
 
-    /// Row-masked inference returns, for every requested row, logits
-    /// bit-identical to the corresponding row of the full pass — for
-    /// strict subsets, the full set, and the empty set.
-    #[test]
-    fn infer_rows_matches_full_pass_bitwise() {
-        let model = tiny_model();
-        let graph = tiny_graph();
-        let mut x = Matrix::zeros(6, 3);
-        for r in 0..6 {
-            x.set(r, r % 3, 1.0);
-        }
-        let full = model.forward(&graph, &x);
-        let mut scratch = InferenceScratch::default();
-        for rows in [vec![0u32, 2, 5], vec![3], (0..6u32).collect(), vec![]] {
-            let masked = model.infer_rows_observed(&graph, &x, &rows, &mut scratch, None);
-            assert_eq!(masked.len(), full.len());
-            for (task, (m, f)) in masked.iter().zip(&full).enumerate() {
-                assert_eq!(m.rows(), rows.len());
-                for (k, &r) in rows.iter().enumerate() {
-                    assert_eq!(
-                        m.row(k),
-                        f.row(r as usize),
-                        "task {task} row {r} diverged under masking"
-                    );
-                }
-            }
-        }
-    }
-
     /// The fused-heads GEMM equals one `Linear::forward_into` per head,
     /// bit for bit.
     #[test]
@@ -623,7 +504,7 @@ mod tests {
         }
         let model = tiny_model();
         let mut scratch = InferenceScratch::default();
-        model.infer(&graph, &x, &mut scratch);
+        model.infer(&graph, &x, &mut scratch, None);
         for (t, head) in model.heads.iter().enumerate() {
             let separate = head.forward(&scratch.z);
             assert_eq!(
@@ -650,7 +531,7 @@ mod tests {
                 x.set(r, r % 3, 1.0);
             }
             let expected = model.forward(&graph, &x);
-            let logits = model.infer(&graph, &x, &mut scratch);
+            let logits = model.infer(&graph, &x, &mut scratch, None);
             assert_eq!(logits.len(), expected.len());
             for (a, b) in logits.iter().zip(&expected) {
                 assert_eq!(a, b, "n = {n}");
@@ -679,7 +560,7 @@ mod tests {
     /// The observed forward pass is bit-identical to the plain one and
     /// reports every stage exactly once, in order.
     #[test]
-    fn infer_observed_reports_all_stages() {
+    fn infer_with_observer_reports_all_stages() {
         use std::cell::RefCell;
         struct Recorder(RefCell<Vec<(ForwardStage, u64)>>);
         impl ForwardObserver for Recorder {
@@ -696,7 +577,7 @@ mod tests {
         let expected = model.forward(&graph, &x);
         let recorder = Recorder(RefCell::new(Vec::new()));
         let mut scratch = InferenceScratch::default();
-        let logits = model.infer_observed(&graph, &x, &mut scratch, Some(&recorder));
+        let logits = model.infer(&graph, &x, &mut scratch, Some(&recorder));
         for (a, b) in logits.iter().zip(&expected) {
             assert_eq!(a, b, "observation must not change the forward");
         }

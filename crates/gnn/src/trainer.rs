@@ -120,7 +120,7 @@ pub fn evaluate(model: &MultiTaskSage, data: &[GraphData]) -> Vec<f64> {
     let mut total_nodes = 0usize;
     let mut scratch = InferenceScratch::default();
     for d in data {
-        let logits = model.infer(&d.graph, &d.features, &mut scratch);
+        let logits = model.infer(&d.graph, &d.features, &mut scratch, None);
         for (t, l) in logits.iter().enumerate() {
             correct[t] += accuracy(l, &d.labels[t]) * d.graph.num_nodes() as f64;
         }

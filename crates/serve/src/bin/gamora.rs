@@ -35,8 +35,7 @@ USAGE:
                  [--kind csa|booth|dadda] [--depth shallow|deep|LxH]
                  [--seed N]
     gamora infer --model MODEL.gsnap [--mmap] [--extract] [--score] [--batch N]
-                 [--workers N] [--cache N] [--cone-capacity N] [--queue-cap N]
-                 [--linger MICROS]
+                 [--workers N] [--cache N] [--queue-cap N] [--linger MICROS]
                  [--compact] [--layer-times] [--metrics-out PATH]
                  [--intra-threads N] FILE.aag [FILE.aig ...]
                  (--cache 0 disables the structural-hash cache)
@@ -46,7 +45,6 @@ USAGE:
                        [--linger MICROS] [--queue-cap N] [--deadline MICROS]
                        [--layer-times] [--metrics-out PATH]
                        [--intra-threads N] [--chaos SPEC] [--faults SPEC]
-                       [--overlap N] [--cone-capacity N]
     gamora mmap-demo --model MODEL.gsnap [--procs 4] [--bits 8]
                      [--kind csa|booth|dadda]
 
@@ -87,15 +85,6 @@ bench-serve extras:
     --deadline MICROS give saturation jobs a time-to-live; expired jobs are
                       rejected without a forward pass
     --linger MICROS   short-batch linger window for batch formation
-    --overlap N       add a cone-tier run over a corpus of N distinct
-                      multipliers (alternating csa/dadda cores at the first
-                      --bits width, each with a unique disconnected gadget):
-                      every submission misses the whole-graph tiers, but
-                      shared cones are served from the cone cache; reports
-                      per-submission node hit rates and the forward-rows-
-                      skipped fraction in the JSON `cone_cache` block
-    --cone-capacity N cone-tier capacity in node predictions for the
-                      --overlap run (default 1048576)
     --chaos SPEC      run the routed workload twice through the retrying
                       ingress — clean, then with the fault spec armed —
                       and report a `chaos` JSON block (throughput and p99
@@ -176,8 +165,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--intra-threads",
     "--faults",
     "--chaos",
-    "--overlap",
-    "--cone-capacity",
     "--procs",
 ];
 const SWITCH_FLAGS: &[&str] = &[
@@ -538,7 +525,6 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
             layer_timing: flags.has("--layer-times"),
             intra_threads,
             quarantine_ttl_micros: defaults.quarantine_ttl_micros,
-            cone_capacity: flags.usize_or("--cone-capacity", defaults.cone_capacity)?,
         },
     );
     server.record_snapshot_load(cold_start.load_micros);
@@ -721,15 +707,8 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
     let queue_cap = flags.usize_or("--queue-cap", 0)?;
     let deadline_micros = flags.usize_or("--deadline", 0)? as u64;
     let intra_threads = flags.usize_or("--intra-threads", 0)?;
-    // 0 = no cone-tier overlap run; N >= 2 builds a corpus of N distinct
-    // multipliers sharing cores and reports the `cone_cache` block.
-    let overlap = flags.usize_or("--overlap", 0)?;
-    let cone_capacity = flags.usize_or("--cone-capacity", 1 << 20)?;
     if shards == 0 {
         return Err("--shards must be at least 1".into());
-    }
-    if overlap == 1 {
-        return Err("--overlap needs at least 2 subjects".into());
     }
     arm_faults(&flags)?;
 
@@ -883,12 +862,6 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
             )?,
         ));
     }
-    if overlap > 0 {
-        fields.push((
-            "cone_cache",
-            bench_overlap(&reasoner, bits, overlap, cone_capacity, base)?,
-        ));
-    }
     if let Some(spec) = flags.get("--chaos") {
         fields.push(("chaos", bench_chaos(&reasoner, shards, base, spec, count)?));
     }
@@ -903,155 +876,6 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
     );
     println!("{json}");
     Ok(())
-}
-
-/// Builds the `--overlap` corpus: `n` distinct multipliers that share
-/// arithmetic cores but never a whole graph. Subject `i` is a csa (even
-/// `i`) or dadda (odd `i`) core at `bits` bits plus a unique disconnected
-/// gadget — two fresh inputs feeding a chain of `i + 1` AND gates with its
-/// own output. The gadget changes the whole-graph fingerprint (every
-/// submission misses the verbatim and transfer tiers) without touching any
-/// core node's neighborhood, so the cone tier can serve the cores from the
-/// second sighting of each architecture onward.
-fn overlap_corpus(bits: usize, n: usize) -> Vec<Aig> {
-    (0..n)
-        .map(|i| {
-            let kind = if i % 2 == 0 {
-                MultiplierKind::Csa
-            } else {
-                MultiplierKind::Dadda
-            };
-            let mut aig = generate_multiplier(kind, bits).aig;
-            let a = aig.add_input().lit();
-            let b = aig.add_input().lit();
-            let mut t = aig.and(a, b);
-            for _ in 0..i {
-                t = aig.and(t, b);
-            }
-            aig.add_output(t);
-            aig
-        })
-        .collect()
-}
-
-/// Cone-tier overlap run: serves the [`overlap_corpus`] through a single
-/// server with the cone tier enabled. Every subject is new to the
-/// whole-graph tiers, so all reuse comes from per-cone matches against
-/// earlier submissions' forward passes; "warm" aggregates the submissions
-/// where each core architecture has already been seen once.
-fn bench_overlap(
-    reasoner: &Arc<GamoraReasoner>,
-    bits: usize,
-    overlap: usize,
-    cone_capacity: usize,
-    base: ServeConfig,
-) -> Result<Json, String> {
-    let corpus = overlap_corpus(bits, overlap);
-    eprintln!(
-        "  overlap: {overlap} distinct {bits}-bit multipliers (csa/dadda cores, unique gadgets), \
-         cone capacity {cone_capacity} ..."
-    );
-    let server = Server::start_shared(
-        Arc::clone(reasoner),
-        ServeConfig {
-            max_batch: 1,
-            cache_capacity: 16,
-            cone_capacity,
-            ..base
-        },
-    );
-    let mut subs = Vec::new();
-    let (mut prev_probed, mut prev_hit) = (0u64, 0u64);
-    let (mut warm_nodes, mut warm_hit) = (0u64, 0u64);
-    for (i, aig) in corpus.iter().enumerate() {
-        let out = server
-            .submit(aig.clone(), AnalysisKind::Classify)
-            .map_err(|e| format!("serving failed: {e}"))?
-            .wait()
-            .map_err(|e| format!("serving failed: {e}"))?;
-        if out.cache_hit {
-            return Err("overlap subjects must miss the whole-graph tiers".into());
-        }
-        let snap = server.metrics();
-        let probed = snap.counter("cache_cone_rows_probed_total") - prev_probed;
-        let hit = snap.counter("cache_cone_rows_hit_total") - prev_hit;
-        prev_probed += probed;
-        prev_hit += hit;
-        // Both core architectures have been inserted once after the first
-        // two submissions: everything from index 2 onward is warm.
-        if i >= 2 {
-            warm_nodes += probed;
-            warm_hit += hit;
-        }
-        let rate = if probed > 0 {
-            hit as f64 / probed as f64
-        } else {
-            0.0
-        };
-        eprintln!(
-            "    subject {i:>2}: {:>6} nodes, cone hits {hit:>6}/{probed:<6} ({:.1}%)",
-            aig.num_nodes(),
-            100.0 * rate
-        );
-        subs.push(Json::obj([
-            ("subject", Json::uint(i)),
-            ("nodes", Json::uint(aig.num_nodes())),
-            ("cone_rows_probed", Json::uint(probed as usize)),
-            ("cone_rows_hit", Json::uint(hit as usize)),
-            ("hit_rate", Json::Num(rate)),
-        ]));
-    }
-    let snap = server.metrics();
-    let stats = server.shutdown();
-    let total_probed = snap.counter("cache_cone_rows_probed_total");
-    let total_hit = snap.counter("cache_cone_rows_hit_total");
-    let warm_rate = if warm_nodes > 0 {
-        warm_hit as f64 / warm_nodes as f64
-    } else {
-        0.0
-    };
-    eprintln!(
-        "    warm (2nd+ sighting of a core): {:.1}% of nodes served from the cone tier \
-         ({} forward passes over {overlap} submissions)",
-        100.0 * warm_rate,
-        stats.forward_passes,
-    );
-    Ok(Json::obj([
-        ("subjects", Json::uint(overlap)),
-        ("subject_bits", Json::uint(bits)),
-        ("cone_capacity", Json::uint(cone_capacity)),
-        ("submissions", Json::Arr(subs)),
-        ("rows_probed_total", Json::uint(total_probed as usize)),
-        ("rows_hit_total", Json::uint(total_hit as usize)),
-        (
-            "forward_rows_skipped_fraction",
-            Json::Num(if total_probed > 0 {
-                total_hit as f64 / total_probed as f64
-            } else {
-                0.0
-            }),
-        ),
-        ("warm_hit_rate", Json::Num(warm_rate)),
-        (
-            "tier_hits",
-            Json::obj([
-                (
-                    "verbatim",
-                    Json::uint(snap.counter("cache_hits_verbatim_total") as usize),
-                ),
-                (
-                    "transferred",
-                    Json::uint(snap.counter("cache_hits_transferred_total") as usize),
-                ),
-                ("cone_rows", Json::uint(total_hit as usize)),
-            ]),
-        ),
-        (
-            "cone_inserts_total",
-            Json::uint(snap.counter("cache_cone_inserts_total") as usize),
-        ),
-        ("forward_passes", Json::uint(stats.forward_passes as usize)),
-    ]))
 }
 
 /// One cold/hot latency block: the per-stage percentile summaries plus

@@ -31,16 +31,13 @@
 //! [`CacheEntry::resolve`] on the caller's thread with no lock held.
 //! Symmetrically, [`CacheEntry::new`] builds the O(nodes) hash index
 //! outside the lock and [`PredictionCache::insert_entry`] links it in
-//! O(1). [`PredictionCache::lookup`] / [`PredictionCache::insert`] remain
-//! as single-call conveniences for unlocked (single-owner) use.
+//! O(1).
 
 use gamora::Predictions;
-use gamora_aig::cone::{cone_descriptors_into, ConeDescriptor, DEFAULT_CONE_SEED};
 use gamora_aig::hasher::{
     fingerprint_from_node_hashes, identity_fingerprint, structural_node_hashes_parallel, FxHashMap,
 };
 use gamora_aig::Aig;
-use gamora_gnn::Graph;
 use gamora_obs::{Counter, Histogram, Registry, StageTimer};
 use std::sync::Arc;
 
@@ -64,20 +61,6 @@ pub struct CacheMetrics {
     /// Probed entries that refused to resolve (duplicate cones or a
     /// genuine fingerprint collision) — honest misses.
     pub resolve_misses: Arc<Counter>,
-    /// Merged-batch rows probed against the cone tier.
-    pub cone_rows_probed: Arc<Counter>,
-    /// Cone-tier row hits — exactly the forward rows skipped by the
-    /// row-masked epilogue.
-    pub cone_rows_hit: Arc<Counter>,
-    /// Rows inserted into the cone tier after a forward pass.
-    pub cone_inserts: Arc<Counter>,
-    /// Per-batch cone key computation latency (descriptors + WL
-    /// refinement, outside any lock).
-    pub cone_keys_micros: Arc<Histogram>,
-    /// Per-batch cone probe latency (all rows, one lock hold).
-    pub cone_probe_micros: Arc<Histogram>,
-    /// Per-batch cone insert latency (miss rows, one lock hold).
-    pub cone_insert_micros: Arc<Histogram>,
 }
 
 impl CacheMetrics {
@@ -90,12 +73,6 @@ impl CacheMetrics {
             hits_transferred: reg.counter("cache_hits_transferred_total"),
             probe_misses: reg.counter("cache_probe_misses_total"),
             resolve_misses: reg.counter("cache_resolve_misses_total"),
-            cone_rows_probed: reg.counter("cache_cone_rows_probed_total"),
-            cone_rows_hit: reg.counter("cache_cone_rows_hit_total"),
-            cone_inserts: reg.counter("cache_cone_inserts_total"),
-            cone_keys_micros: reg.histogram("cache_cone_keys_micros"),
-            cone_probe_micros: reg.histogram("cache_cone_probe_micros"),
-            cone_insert_micros: reg.histogram("cache_cone_insert_micros"),
         }
     }
 }
@@ -286,8 +263,6 @@ pub struct PredictionCache {
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
-    hits: u64,
-    misses: u64,
 }
 
 impl PredictionCache {
@@ -305,8 +280,6 @@ impl PredictionCache {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -323,18 +296,6 @@ impl PredictionCache {
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Lifetime hit count ([`PredictionCache::lookup`] only; `probe`
-    /// callers keep their own accounting because hit-vs-miss is decided
-    /// outside the cache).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime miss count ([`PredictionCache::lookup`] only).
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     fn detach(&mut self, idx: usize) {
@@ -394,24 +355,6 @@ impl PredictionCache {
         entry
     }
 
-    /// Looks up predictions for a submission, marking it most recently
-    /// used on a hit. Convenience over [`PredictionCache::probe`] +
-    /// [`CacheEntry::resolve`] for single-owner use; the O(nodes)
-    /// resolution runs inline, so locked callers should use the split
-    /// API instead.
-    pub fn lookup(&mut self, sig: &GraphSignature) -> Option<(Predictions, HitKind)> {
-        match self.probe(&sig.key).and_then(|e| e.resolve(sig)) {
-            Some(hit) => {
-                self.hits += 1;
-                Some(hit)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
     /// O(1) insert (or refresh) of a pre-built entry. Build the entry
     /// with [`CacheEntry::new`] *outside* the cache lock.
     pub fn insert_entry(&mut self, key: CacheKey, entry: Arc<CacheEntry>) {
@@ -447,172 +390,6 @@ impl PredictionCache {
         self.map.insert(key, idx);
         self.push_front(idx);
     }
-
-    /// Inserts (or refreshes) the predictions for a submission.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prediction length disagrees with the signature's node
-    /// count.
-    pub fn insert(&mut self, sig: &GraphSignature, predictions: Predictions) {
-        self.insert_entry(sig.key, Arc::new(CacheEntry::new(sig, predictions)));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cone tier
-// ---------------------------------------------------------------------------
-
-/// Key of one node's cone in the cone-level cache tier: the
-/// WL-refined structural channel plus the independent seeded
-/// simulation-signature channel. Both must match for a hit — a structural
-/// collision with a differing sim signature is an honest miss, never a
-/// false hit.
-pub type ConeKey = (u64, u64);
-
-/// Packs a per-node prediction into one cone-cache value word.
-#[inline]
-pub fn pack_prediction(root_leaf: u32, is_xor: bool, is_maj: bool) -> u32 {
-    (root_leaf << 2) | (u32::from(is_xor)) | (u32::from(is_maj) << 1)
-}
-
-/// Inverse of [`pack_prediction`].
-#[inline]
-pub fn unpack_prediction(packed: u32) -> (u32, bool, bool) {
-    (packed >> 2, packed & 1 != 0, packed & 2 != 0)
-}
-
-/// The cone-level cache tier: canonical cone key -> packed per-node
-/// prediction.
-///
-/// Eviction is two-generation segmented (the classic "S4LRU lite"): an
-/// insert that would grow the *current* generation past half the capacity
-/// demotes current to *previous* and discards the old previous wholesale.
-/// Every entry therefore survives at least half-a-capacity of inserts, the
-/// total never exceeds `capacity`, and — unlike a per-entry LRU list —
-/// both [`ConeCache::probe`] (pure map reads, `&self`) and
-/// [`ConeCache::insert`] stay O(1) with *zero* steady-state allocations:
-/// generation rotation is a pointer swap plus a `clear()` that keeps the
-/// map's buckets.
-pub struct ConeCache {
-    capacity: usize,
-    current: FxHashMap<ConeKey, u32>,
-    previous: FxHashMap<ConeKey, u32>,
-}
-
-impl ConeCache {
-    /// Creates a cone cache holding at most `capacity` node predictions
-    /// across both generations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> ConeCache {
-        assert!(capacity > 0, "cone cache capacity must be positive");
-        ConeCache {
-            capacity,
-            current: FxHashMap::default(),
-            previous: FxHashMap::default(),
-        }
-    }
-
-    /// Number of cached cone predictions (both generations).
-    pub fn len(&self) -> usize {
-        self.current.len() + self.previous.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Looks up one cone key: current generation first, then previous.
-    /// Read-only and allocation-free — the serve path probes a whole
-    /// batch's rows under one short lock hold.
-    #[inline]
-    pub fn probe(&self, key: ConeKey) -> Option<u32> {
-        self.current
-            .get(&key)
-            .or_else(|| self.previous.get(&key))
-            .copied()
-    }
-
-    /// Inserts (or refreshes) one cone prediction, rotating generations
-    /// when the current one reaches half the capacity.
-    pub fn insert(&mut self, key: ConeKey, packed: u32) {
-        let half = self.capacity.div_ceil(2);
-        if !self.current.contains_key(&key) && self.current.len() >= half {
-            std::mem::swap(&mut self.current, &mut self.previous);
-            // Keeps the bucket allocation: steady-state rotation is free.
-            self.current.clear();
-        }
-        self.current.insert(key, packed);
-    }
-}
-
-/// Reusable per-worker scratch for cone-key computation: per-subject
-/// descriptors, the merged per-row key/sim channels, and the WL ping-pong
-/// buffer. Everything is allocation-free once warmed to the largest batch
-/// seen.
-#[derive(Default)]
-pub struct ConeState {
-    descs: Vec<ConeDescriptor>,
-    /// Structural channel per merged-batch row, WL-refined over the
-    /// actual batch graph after [`ConeState::compute_keys`].
-    pub keys: Vec<u64>,
-    /// Simulation-signature channel per merged-batch row (cone-local,
-    /// never refined).
-    pub sims: Vec<u64>,
-    wl: Vec<u64>,
-    /// Merged-batch rows whose cone key missed — the row mask handed to
-    /// the partial forward pass.
-    pub miss_rows: Vec<u32>,
-}
-
-impl ConeState {
-    /// Computes every merged-batch row's [`ConeKey`] for a batch of
-    /// subjects laid out consecutively in `graph` (the merged batch graph
-    /// the forward pass will run on): per-node cone descriptors per
-    /// subject, then `rounds` Weisfeiler-Leman refinement rounds of the
-    /// structural channel over the merged graph.
-    ///
-    /// `rounds` must be the model's message-passing layer count: equal
-    /// refined keys then imply bit-identical embedding rows (see
-    /// [`Graph::refine_keys`]), which is what makes serving a cached
-    /// prediction for an equal key sound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the subjects' node counts do not sum to the graph's.
-    pub fn compute_keys(&mut self, aigs: &[&Aig], graph: &Graph, rounds: usize) {
-        self.keys.clear();
-        self.sims.clear();
-        for aig in aigs {
-            cone_descriptors_into(aig, DEFAULT_CONE_SEED, &mut self.descs);
-            for d in &self.descs {
-                self.keys.push(d.base);
-                self.sims.push(d.sim);
-            }
-        }
-        assert_eq!(
-            self.keys.len(),
-            graph.num_nodes(),
-            "subjects must tile the batch graph"
-        );
-        graph.refine_keys(&mut self.keys, &mut self.wl, rounds);
-    }
-
-    /// The cone key of merged-batch row `r` (valid after
-    /// [`ConeState::compute_keys`]).
-    #[inline]
-    pub fn key(&self, r: usize) -> ConeKey {
-        (self.keys[r], self.sims[r])
-    }
 }
 
 #[cfg(test)]
@@ -629,6 +406,15 @@ mod tests {
         aig
     }
 
+    /// Probe + resolve in one call, as a single-owner caller would.
+    fn lookup(cache: &mut PredictionCache, sig: &GraphSignature) -> Option<(Predictions, HitKind)> {
+        cache.probe(&sig.key).and_then(|e| e.resolve(sig))
+    }
+
+    fn insert(cache: &mut PredictionCache, sig: &GraphSignature, predictions: Predictions) {
+        cache.insert_entry(sig.key, Arc::new(CacheEntry::new(sig, predictions)));
+    }
+
     fn toy_predictions(aig: &Aig) -> Predictions {
         let n = aig.num_nodes();
         Predictions {
@@ -643,36 +429,37 @@ mod tests {
         let aig = toy_aig(false);
         let sig = GraphSignature::of(&aig);
         let mut cache = PredictionCache::new(4);
-        assert!(cache.lookup(&sig).is_none());
+        assert!(lookup(&mut cache, &sig).is_none());
         let preds = toy_predictions(&aig);
-        cache.insert(&sig, preds.clone());
+        insert(&mut cache, &sig, preds.clone());
 
         let resub = GraphSignature::of(&toy_aig(false));
-        let (served, kind) = cache.lookup(&resub).expect("hit");
+        let (served, kind) = lookup(&mut cache, &resub).expect("hit");
         assert_eq!(kind, HitKind::Verbatim);
         assert_eq!(served.root_leaf, preds.root_leaf);
         assert_eq!(served.is_xor, preds.is_xor);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
-    /// The split probe/resolve API serves the same answers as `lookup`,
-    /// with the O(nodes) work running on a detached `Arc` (no cache
-    /// access needed) — the pattern the locked scheduler uses.
+    /// Resolving on a detached `Arc` (no cache access needed — the
+    /// pattern the locked scheduler uses) serves what the inline `lookup`
+    /// helper serves.
     #[test]
     fn probe_then_resolve_matches_lookup() {
         let aig = toy_aig(false);
         let sig = GraphSignature::of(&aig);
         let mut cache = PredictionCache::new(4);
         assert!(cache.probe(&sig.key).is_none(), "empty cache: no entry");
-        cache.insert(&sig, toy_predictions(&aig));
+        insert(&mut cache, &sig, toy_predictions(&aig));
 
+        let inline = lookup(&mut cache, &sig).expect("inline hit");
         let entry = cache.probe(&sig.key).expect("probe finds the entry");
         // Resolution happens entirely on the Arc — drop the cache first to
         // prove no further cache access is involved.
         drop(cache);
-        let (served, kind) = entry.resolve(&sig).expect("verbatim resolve");
-        assert_eq!(kind, HitKind::Verbatim);
-        assert_eq!(served.root_leaf, toy_predictions(&aig).root_leaf);
+        let detached = entry.resolve(&sig).expect("verbatim resolve");
+        assert_eq!(detached, inline);
+        assert_eq!(detached.1, HitKind::Verbatim);
+        assert_eq!(detached.0, toy_predictions(&aig));
     }
 
     #[test]
@@ -687,7 +474,7 @@ mod tests {
         aig.add_output(s);
         let sig = GraphSignature::of(&aig);
         let mut cache = PredictionCache::new(4);
-        cache.insert(&sig, toy_predictions(&aig));
+        insert(&mut cache, &sig, toy_predictions(&aig));
 
         // A binary AIGER round trip renumbers the graph.
         let mut buf = Vec::new();
@@ -704,7 +491,7 @@ mod tests {
             "canonical key must survive renumbering"
         );
 
-        let (served, kind) = cache.lookup(&back_sig).expect("transfer hit");
+        let (served, kind) = lookup(&mut cache, &back_sig).expect("transfer hit");
         // Transferred predictions follow the canonical node identity: node
         // i of `back` gets the prediction of the original node with the
         // same canonical hash.
@@ -730,17 +517,17 @@ mod tests {
             "duplicate cones share a canonical hash"
         );
         let mut cache = PredictionCache::new(2);
-        cache.insert(&sig, toy_predictions(&aig));
+        insert(&mut cache, &sig, toy_predictions(&aig));
 
         // Identical resubmission still serves verbatim, bit-exactly.
-        let (_, kind) = cache.lookup(&sig).expect("verbatim hit");
+        let (_, kind) = lookup(&mut cache, &sig).expect("verbatim hit");
         assert_eq!(kind, HitKind::Verbatim);
 
         // A renumbered isomorph (different identity hash) must miss rather
         // than guess which duplicate's prediction to serve.
         let mut renumbered = sig.clone();
         renumbered.identity ^= 1;
-        assert!(cache.lookup(&renumbered).is_none());
+        assert!(lookup(&mut cache, &renumbered).is_none());
     }
 
     /// The timed probe/resolve wrappers serve identical answers to the
@@ -754,7 +541,7 @@ mod tests {
         let mut cache = PredictionCache::new(4);
 
         assert!(cache.probe_timed(&sig.key, &metrics).is_none());
-        cache.insert(&sig, toy_predictions(&aig));
+        insert(&mut cache, &sig, toy_predictions(&aig));
         let entry = cache.probe_timed(&sig.key, &metrics).expect("hit");
         let (served, kind) = entry.resolve_timed(&sig, &metrics).expect("verbatim");
         assert_eq!(kind, HitKind::Verbatim);
@@ -782,136 +569,8 @@ mod tests {
         let a = toy_aig(false);
         let b = toy_aig(true);
         let mut cache = PredictionCache::new(4);
-        cache.insert(&GraphSignature::of(&a), toy_predictions(&a));
-        assert!(cache.lookup(&GraphSignature::of(&b)).is_none());
-    }
-
-    /// ISSUE 9 collision guard: two cones with the same structural channel
-    /// but different simulation signatures must never serve each other.
-    #[test]
-    fn cone_key_collision_on_sim_channel_misses() {
-        let mut cache = ConeCache::new(16);
-        let structural = 0xDEAD_BEEF_u64;
-        cache.insert((structural, 0x1111), pack_prediction(2, true, false));
-        // Same cut-hash channel, different sim signature: honest miss.
-        assert_eq!(cache.probe((structural, 0x2222)), None);
-        // Exact key: hit, and the packed prediction round-trips.
-        let hit = cache.probe((structural, 0x1111)).expect("exact key hits");
-        assert_eq!(unpack_prediction(hit), (2, true, false));
-        // Symmetrically, same sim with a different structural channel.
-        assert_eq!(cache.probe((0xFEED_F00D, 0x1111)), None);
-    }
-
-    #[test]
-    fn cone_cache_two_generation_eviction_is_bounded() {
-        let mut cache = ConeCache::new(8);
-        for i in 0..100u64 {
-            cache.insert((i, i), pack_prediction(i as u32 % 4, false, false));
-            assert!(cache.len() <= 8, "capacity exceeded at insert {i}");
-        }
-        // The most recent insert always survives.
-        assert!(cache.probe((99, 99)).is_some());
-        // An entry inserted into the current generation survives at least
-        // half-a-capacity of further inserts.
-        let mut cache = ConeCache::new(8);
-        cache.insert((1000, 1000), 7);
-        for i in 0..3u64 {
-            cache.insert((i, i), 0);
-        }
-        assert_eq!(cache.probe((1000, 1000)), Some(7));
-        // Refreshing a key does not rotate generations spuriously.
-        cache.insert((1000, 1000), 9);
-        assert_eq!(cache.probe((1000, 1000)), Some(9));
-    }
-
-    /// Cone keys computed on a merged batch graph equal the keys computed
-    /// on each subject alone (disjoint sections), and identical cones in
-    /// different subjects produce identical keys.
-    #[test]
-    fn cone_keys_are_batch_composition_independent() {
-        use gamora::dataset::{build_graph_into, inference_graph};
-        use gamora::{BatchScratch, FeatureMode};
-        use gamora_gnn::Direction;
-
-        let a = toy_aig(false);
-        let b = {
-            let mut aig = Aig::new();
-            let ins = aig.add_inputs(2);
-            let x = aig.xor(ins[0], ins[1]);
-            aig.add_output(x);
-            aig
-        };
-        let rounds = 2;
-
-        // Per-subject keys.
-        let mut solo = ConeState::default();
-        let mut solo_keys = Vec::new();
-        for aig in [&a, &b] {
-            let (graph, _) = inference_graph(
-                aig,
-                FeatureMode::StructuralFunctional,
-                Direction::Bidirectional,
-            );
-            solo.compute_keys(&[aig], &graph, rounds);
-            solo_keys.extend((0..aig.num_nodes()).map(|r| solo.key(r)));
-        }
-
-        // Merged-batch keys.
-        let mut ws = BatchScratch::default();
-        gamora::dataset::batch_graphs_into(
-            &[
-                (
-                    &a,
-                    &inference_graph(
-                        &a,
-                        FeatureMode::StructuralFunctional,
-                        Direction::Bidirectional,
-                    )
-                    .1,
-                ),
-                (
-                    &b,
-                    &inference_graph(
-                        &b,
-                        FeatureMode::StructuralFunctional,
-                        Direction::Bidirectional,
-                    )
-                    .1,
-                ),
-            ],
-            Direction::Bidirectional,
-            &mut ws,
-        );
-        let mut batched = ConeState::default();
-        batched.compute_keys(&[&a, &b], ws.graph(), rounds);
-        let batch_keys: Vec<ConeKey> = (0..a.num_nodes() + b.num_nodes())
-            .map(|r| batched.key(r))
-            .collect();
-        assert_eq!(batch_keys, solo_keys);
-
-        // Two copies of the same subject in one batch: identical key runs.
-        let mut twin = BatchScratch::default();
-        let xa = inference_graph(
-            &a,
-            FeatureMode::StructuralFunctional,
-            Direction::Bidirectional,
-        )
-        .1;
-        gamora::dataset::batch_graphs_into(
-            &[(&a, &xa), (&a, &xa)],
-            Direction::Bidirectional,
-            &mut twin,
-        );
-        let mut twin_state = ConeState::default();
-        twin_state.compute_keys(&[&a, &a], twin.graph(), rounds);
-        let n = a.num_nodes();
-        for r in 0..n {
-            assert_eq!(twin_state.key(r), twin_state.key(n + r), "row {r}");
-        }
-        // Guard against accidental direct unused import removal.
-        let mut g = gamora_gnn::Graph::default();
-        build_graph_into(&a, Direction::Bidirectional, &mut g);
-        assert_eq!(g.num_nodes(), a.num_nodes());
+        insert(&mut cache, &GraphSignature::of(&a), toy_predictions(&a));
+        assert!(lookup(&mut cache, &GraphSignature::of(&b)).is_none());
     }
 
     #[test]
@@ -926,19 +585,19 @@ mod tests {
         }
         let sigs: Vec<_> = graphs.iter().map(GraphSignature::of).collect();
         let mut cache = PredictionCache::new(2);
-        cache.insert(&sigs[0], toy_predictions(&graphs[0]));
-        cache.insert(&sigs[1], toy_predictions(&graphs[1]));
+        insert(&mut cache, &sigs[0], toy_predictions(&graphs[0]));
+        insert(&mut cache, &sigs[1], toy_predictions(&graphs[1]));
         // Touch 0 so 1 becomes LRU, then insert 2 -> evicts 1.
-        assert!(cache.lookup(&sigs[0]).is_some());
-        cache.insert(&sigs[2], toy_predictions(&graphs[2]));
+        assert!(lookup(&mut cache, &sigs[0]).is_some());
+        insert(&mut cache, &sigs[2], toy_predictions(&graphs[2]));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(&sigs[1]).is_none(), "1 was evicted");
-        assert!(cache.lookup(&sigs[0]).is_some(), "0 survived");
-        assert!(cache.lookup(&sigs[2]).is_some());
+        assert!(lookup(&mut cache, &sigs[1]).is_none(), "1 was evicted");
+        assert!(lookup(&mut cache, &sigs[0]).is_some(), "0 survived");
+        assert!(lookup(&mut cache, &sigs[2]).is_some());
         // Insert two more: everything older rolls out.
-        cache.insert(&sigs[3], toy_predictions(&graphs[3]));
-        cache.insert(&sigs[1], toy_predictions(&graphs[1]));
+        insert(&mut cache, &sigs[3], toy_predictions(&graphs[3]));
+        insert(&mut cache, &sigs[1], toy_predictions(&graphs[1]));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(&sigs[0]).is_none());
+        assert!(lookup(&mut cache, &sigs[0]).is_none());
     }
 }

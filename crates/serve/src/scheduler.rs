@@ -5,7 +5,8 @@
 //! and answered through per-job channels. Worker threads drain the shared
 //! queue in batches of up to `max_batch`, answer what they can from the
 //! structural-hash [`PredictionCache`], coalesce the remaining misses into
-//! **one** GNN forward pass via [`GamoraReasoner::predict_batch_into`],
+//! **one** GNN forward pass via
+//! [`GamoraReasoner::predict_batch_into_timed`],
 //! then fan the results back out — the serving analogue of the paper's
 //! Figure 8 batched inference.
 //!
@@ -72,10 +73,7 @@
 //! For multi-shard serving (one ingress per cache) see
 //! [`ShardRouter`](crate::router::ShardRouter).
 
-use crate::cache::{
-    pack_prediction, unpack_prediction, CacheEntry, ConeCache, ConeState, GraphSignature, HitKind,
-    PredictionCache,
-};
+use crate::cache::{CacheEntry, GraphSignature, HitKind, PredictionCache};
 use crate::metrics::ServeMetrics;
 use gamora::{
     extract_from_predictions_with, lsb_correction_with, BatchScratch, GamoraReasoner,
@@ -160,16 +158,6 @@ pub struct ServeConfig {
     /// (`cache_capacity > 0`); in cold mode no fingerprints exist, so
     /// nothing is ever quarantined.
     pub quarantine_ttl_micros: u64,
-    /// Capacity of the cone-level prediction cache tier, in *node*
-    /// predictions across all subjects (a 16-bit multiplier is ~1.5k
-    /// nodes). `0` (the default) disables the tier: whole-graph misses
-    /// run the plain full forward pass, exactly as before this tier
-    /// existed. When enabled, whole-graph misses compute canonical
-    /// per-cone keys, serve rows whose cone was seen before straight from
-    /// the cache, and push only the remaining rows through the shared
-    /// linear + heads (the SAGE trunk always runs on the full merged
-    /// graph — message passing cannot skip rows).
-    pub cone_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -183,7 +171,6 @@ impl Default for ServeConfig {
             layer_timing: false,
             intra_threads: 0,
             quarantine_ttl_micros: 5_000_000,
-            cone_capacity: 0,
         }
     }
 }
@@ -460,11 +447,6 @@ struct Shared {
     burst_counter: AtomicU64,
     /// `None` when caching is disabled (`cache_capacity == 0`).
     cache: Mutex<Option<PredictionCache>>,
-    /// The cone-level tier; `None` when disabled (`cone_capacity == 0`).
-    cone: Mutex<Option<ConeCache>>,
-    /// Whether the cone tier is on (`cone_capacity > 0`); lets the batch
-    /// path pick the one-shot predict without touching the cone lock.
-    cone_enabled: bool,
     /// Whether structural-hash shortcuts (cache + intra-batch dedup) are on.
     hashing_enabled: bool,
     /// Every counter/gauge/histogram the serve path records into. The
@@ -615,7 +597,6 @@ fn spawn_worker(
                 scratch: model.scratch(),
                 batch_ws: model.batch_scratch(),
                 outs: Vec::new(),
-                cone: ConeState::default(),
                 batch_fps: Vec::new(),
             };
             worker_loop(&shared, &model, &mut state);
@@ -702,10 +683,6 @@ impl Server {
             cache: Mutex::new(
                 (config.cache_capacity > 0).then(|| PredictionCache::new(config.cache_capacity)),
             ),
-            cone: Mutex::new(
-                (config.cone_capacity > 0).then(|| ConeCache::new(config.cone_capacity)),
-            ),
-            cone_enabled: config.cone_capacity > 0,
             hashing_enabled: config.cache_capacity > 0,
             metrics,
             registry,
@@ -1130,9 +1107,6 @@ struct WorkerState {
     scratch: InferenceScratch,
     batch_ws: BatchScratch,
     outs: Vec<Predictions>,
-    /// Cone-key scratch (descriptors, WL keys, miss-row mask) for the
-    /// cone-tier probe path; unused (and empty) when the tier is off.
-    cone: ConeState,
     /// Fingerprints of the batch currently being executed, recorded right
     /// after hashing so the post-panic handler can attribute strikes to
     /// the submissions that were on the worker when it died. Empty in
@@ -1426,97 +1400,13 @@ fn run_batch(
                 scratch,
                 batch_ws,
                 outs,
-                cone,
                 ..
             } = &mut *state;
-            let cone_enabled = shared.cone_enabled;
             catch_unwind(AssertUnwindSafe(|| {
-                if !cone_enabled {
-                    let t = model.predict_batch_into_timed(
-                        batch_ws,
-                        scratch,
-                        &aigs,
-                        outs,
-                        m.forward_observer(),
-                    );
-                    return (t, true);
-                }
-                // Cone tier: assemble first, compute canonical cone keys
-                // over the merged batch graph, scatter every key the tier
-                // already knows into the merged predictions, then run the
-                // row-masked forward over the residual rows only. Keys
-                // are WL-refined through as many rounds as the model has
-                // message-passing layers, so an equal key implies a
-                // bit-identical embedding row — serving the cached
-                // prediction is exact, not heuristic.
-                let assemble_micros = model.assemble_batch_timed(batch_ws, &aigs);
-                let keys_timer = StageTimer::start();
-                cone.compute_keys(&aigs, batch_ws.graph(), model.num_layers());
-                keys_timer.observe(&m.cache.cone_keys_micros);
-                let total = batch_ws.graph().num_nodes();
-                cone.miss_rows.clear();
-                let probe_timer = StageTimer::start();
-                {
-                    let guard = shared.cone.lock().expect("cone cache poisoned");
-                    let tier = guard.as_ref().expect(
-                        "cone_enabled implies a cone cache (both derive from cone_capacity > 0)",
-                    );
-                    let merged = batch_ws.merged_mut();
-                    for r in 0..total {
-                        match tier.probe(cone.key(r)) {
-                            Some(packed) => {
-                                let (leaf, xor, maj) = unpack_prediction(packed);
-                                merged.root_leaf[r] = leaf;
-                                merged.is_xor[r] = xor;
-                                merged.is_maj[r] = maj;
-                            }
-                            None => cone.miss_rows.push(r as u32),
-                        }
-                    }
-                }
-                probe_timer.observe(&m.cache.cone_probe_micros);
-                m.cache.cone_rows_probed.add(total as u64);
-                m.cache
-                    .cone_rows_hit
-                    .add((total - cone.miss_rows.len()) as u64);
-                let mut t = model.predict_assembled_rows_into_timed(
-                    batch_ws,
-                    scratch,
-                    &aigs,
-                    &cone.miss_rows,
-                    outs,
-                    m.forward_observer(),
-                );
-                t.assemble_micros = assemble_micros;
-                // Insert only after the forward succeeded: a panicking
-                // batch (injected or genuine) unwinds before this point,
-                // so a poisoned submission never publishes rows into the
-                // tier it could later be served from.
-                if !cone.miss_rows.is_empty() {
-                    let insert_timer = StageTimer::start();
-                    {
-                        let mut guard = shared.cone.lock().expect("cone cache poisoned");
-                        let tier = guard.as_mut().expect("cone cache present when enabled");
-                        let merged = batch_ws.merged_mut();
-                        for &r in &cone.miss_rows {
-                            let r = r as usize;
-                            tier.insert(
-                                cone.key(r),
-                                pack_prediction(
-                                    merged.root_leaf[r],
-                                    merged.is_xor[r],
-                                    merged.is_maj[r],
-                                ),
-                            );
-                        }
-                    }
-                    insert_timer.observe(&m.cache.cone_insert_micros);
-                    m.cache.cone_inserts.add(cone.miss_rows.len() as u64);
-                }
-                (t, !cone.miss_rows.is_empty())
+                model.predict_batch_into_timed(batch_ws, scratch, &aigs, outs, m.forward_observer())
             }))
         };
-        let (timings, forward_ran) = match forward {
+        let timings = match forward {
             Ok(t) => t,
             Err(payload) => {
                 if payload.downcast_ref::<gamora_fault::Injected>().is_some() {
@@ -1535,9 +1425,7 @@ fn run_batch(
         m.stage_assemble.record(timings.assemble_micros);
         m.stage_forward.record(timings.forward_micros);
         m.stage_split.record(timings.split_micros);
-        if forward_ran {
-            m.forward_passes.inc();
-        }
+        m.forward_passes.inc();
         if shared.hashing_enabled {
             // Build the O(nodes) hash indexes outside the lock; only the
             // O(1) LRU insertion happens under it.
@@ -2181,6 +2069,62 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.rejected_overload, 1);
         assert_eq!(stats.jobs, 2);
+    }
+
+    /// The registered metric families are exactly these, in `metrics()`
+    /// and in the Prometheus text; no `cache_cone_*` family (the removed
+    /// per-cone tier's) is among them.
+    #[test]
+    fn metric_families_are_pinned() {
+        let server = Server::start(tiny_trained(), ServeConfig::default());
+        let snap = server.metrics();
+        server.shutdown();
+        let families: Vec<&str> = snap
+            .iter()
+            .map(|(name, _)| name.split('{').next().expect("split yields a head"))
+            .collect();
+        assert_eq!(
+            families,
+            [
+                "gamora_kernel_isa",
+                "serve_jobs_submitted_total",
+                "serve_jobs_completed_total",
+                "serve_batches_total",
+                "serve_forward_passes_total",
+                "serve_cache_hits_total",
+                "serve_cache_misses_total",
+                "serve_jobs_dropped_total",
+                "serve_jobs_expired_total",
+                "serve_jobs_failed_total",
+                "serve_rejected_overload_total",
+                "serve_workers_respawned_total",
+                "serve_quarantines_total",
+                "serve_peak_queued",
+                "serve_health",
+                "stage_snapshot_load_micros",
+                "stage_admission_micros",
+                "stage_queue_wait_micros",
+                "stage_linger_micros",
+                "stage_signature_hash_micros",
+                "stage_batch_assemble_micros",
+                "stage_gnn_forward_micros",
+                "stage_prediction_split_micros",
+                "stage_time_to_rejection_micros",
+                "latency_e2e_micros",
+                "queue_depth",
+                "batch_size",
+                "cache_probe_micros",
+                "cache_resolve_micros",
+                "cache_hits_verbatim_total",
+                "cache_hits_transferred_total",
+                "cache_probe_misses_total",
+                "cache_resolve_misses_total",
+            ]
+        );
+        let text = snap.prometheus();
+        assert!(!text.contains("cache_cone_"), "{text}");
+        let typed = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
+        assert_eq!(typed, families.len(), "one TYPE line per family");
     }
 
     /// The metric snapshot tells the full serve story: counters agree

@@ -204,3 +204,24 @@ fn train_subcommand_writes_a_loadable_snapshot() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The removed cone-tier flags take the ordinary unknown-flag exit: the
+/// parser refuses them before any model or netlist is opened.
+#[test]
+fn removed_cone_tier_flags_are_unknown() {
+    for args in [
+        ["infer", "--model", "m.gsnap", "--cone-capacity", "8"],
+        ["bench-serve", "--model", "m.gsnap", "--overlap", "4"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gamora"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{args:?} must be refused");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag '{}'", args[3])),
+            "{args:?}: {stderr}"
+        );
+    }
+}

@@ -95,37 +95,18 @@ fn primitive_recording_cost_stays_nanoscale() {
 
 /// Total number of recording operations a serve run performed, recovered
 /// from its own snapshot: every histogram observation and every counter
-/// increment is one primitive record. The row-granular cone-tier
-/// counters are the exception — the scheduler bumps each with a single
-/// bulk `add` per batch phase, so their final values overstate the op
-/// count by the batch's node count. Each phase also records exactly one
-/// phase-latency histogram observation, so the true op count is
-/// recovered from those: two adds per probe phase (rows probed + rows
-/// hit) and one per insert phase.
+/// increment is one primitive record.
 fn total_recordings(snapshot: &Snapshot) -> u64 {
-    let per_value: u64 = snapshot
+    snapshot
         .iter()
-        .map(|(name, m)| match m {
-            MetricSnapshot::Counter(n) => {
-                if name.starts_with("cache_cone_rows_") || name == "cache_cone_inserts_total" {
-                    0 // bulk-added; priced per phase below
-                } else {
-                    *n
-                }
-            }
+        .map(|(_, m)| match m {
+            MetricSnapshot::Counter(n) => *n,
             // Gauges are set/max'd roughly once per admission; counting
             // one op per final value is the cheap upper-bound stand-in.
             MetricSnapshot::Gauge(n) => (*n).min(1),
             MetricSnapshot::Histogram(h) => h.count(),
         })
-        .sum();
-    let probe_phases = snapshot
-        .histogram("cache_cone_probe_micros")
-        .map_or(0, |h| h.count());
-    let insert_phases = snapshot
-        .histogram("cache_cone_insert_micros")
-        .map_or(0, |h| h.count());
-    per_value + 2 * probe_phases + insert_phases
+        .sum()
 }
 
 /// End-to-end: price the instrumentation a cold serve run actually did
@@ -139,11 +120,7 @@ fn instrumentation_bill_is_within_three_percent_of_serving() {
     let server = Server::start(
         tiny_trained(),
         ServeConfig {
-            cache_capacity: 0, // all-miss at the whole-graph tiers, like a cold bench
-            // The cone tier is the most record-heavy path (per-batch key,
-            // probe and insert timings on top of the per-layer forward
-            // stages): its recording cost must fit the same 3% bill.
-            cone_capacity: 1 << 16,
+            cache_capacity: 0, // all-miss, like a cold bench
             layer_timing: true,
             ..ServeConfig::default()
         },

@@ -1,0 +1,227 @@
+//! Fuzz hardening for the AIGER reader (vendored proptest shim): no byte
+//! sequence may panic `aiger::read` or make it allocate on the header's
+//! word. Every input comes back `Ok` or as a typed [`ParseAigerError`],
+//! and a counting allocator bounds the bytes requested meanwhile by a
+//! small multiple of the input length — plus 12 bytes per declared input
+//! when (and only when) the header is one the reader accepts, because
+//! inputs of a binary file occupy no bytes (`aiger::MAX_INPUTS` caps
+//! them).
+//!
+//! The multiple: a two-byte binary gate becomes an 8-byte node and a
+//! strash slot of up to ~30 bytes, and a short ASCII line passes through
+//! two small `String`s, so well-formed files already need ~20x their
+//! size; 32x leaves room for the doubling of the vectors that grow.
+//!
+//! Run under `--release` in CI as well: unchecked header sums wrap there
+//! where a debug build panics.
+
+use gamora_aig::aiger::{self, ParseAigerError, MAX_INPUTS, MAX_VAR};
+use gamora_aig::Aig;
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::OnceLock;
+
+std::thread_local! {
+    /// Bytes the current thread has requested from the allocator while
+    /// it was counting (`None` = not counting).
+    static REQUESTED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// System allocator wrapper that adds up the sizes a counting thread
+/// asks for (frees are not credited back: the bound is on requests).
+struct CountingAlloc;
+
+fn count(bytes: usize) {
+    // `try_with` so allocations during TLS teardown never panic.
+    let _ = REQUESTED.try_with(|r| r.set(r.get().map(|n| n + bytes)));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Reads `bytes` and returns the result with the bytes this thread
+/// requested from the allocator meanwhile.
+fn read_counting(bytes: &[u8]) -> (Result<Aig, ParseAigerError>, usize) {
+    REQUESTED.with(|r| r.set(Some(0)));
+    let out = aiger::read(bytes);
+    let requested = REQUESTED.with(|r| r.replace(None));
+    (out, requested.expect("counting was on"))
+}
+
+/// Reading `bytes` may request at most this much; `believed_inputs` is
+/// the input count of a header the reader accepts (0 for one it must
+/// reject).
+fn allocation_bound(bytes: &[u8], believed_inputs: u32) -> usize {
+    32 * bytes.len() + 4096 + 12 * believed_inputs as usize
+}
+
+fn assert_bounded(bytes: &[u8], believed_inputs: u32, what: &str) -> Result<Aig, ParseAigerError> {
+    let (result, requested) = read_counting(bytes);
+    assert!(
+        requested <= allocation_bound(bytes, believed_inputs),
+        "{what}: reading {} bytes requested {requested} bytes",
+        bytes.len()
+    );
+    result
+}
+
+/// An 8-bit CSA multiplier in both encodings, written once.
+fn csa8() -> &'static [(Vec<u8>, u32)] {
+    static FILES: OnceLock<Vec<(Vec<u8>, u32)>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let aig = gamora_circuits::csa_multiplier(8).aig;
+        let inputs = aig.num_inputs() as u32;
+        let (mut ascii, mut binary) = (Vec::new(), Vec::new());
+        aiger::write_ascii(&aig, &mut ascii).unwrap();
+        aiger::write_binary(&aig, &mut binary).unwrap();
+        vec![(ascii, inputs), (binary, inputs)]
+    })
+}
+
+/// The three headers that aborted or panicked the reader: 32 GB reserved
+/// on the word of `I` (binary) or `A` (ASCII), and `I + A` overflowing
+/// `u32`.
+#[test]
+fn hostile_headers_are_typed_errors_under_the_bound() {
+    for header in [
+        "aig 4000000000 4000000000 0 0 0\n",
+        "aag 4000000000 0 0 0 4000000000\n",
+    ] {
+        let err = assert_bounded(header.as_bytes(), 0, header).expect_err(header);
+        assert!(
+            matches!(
+                err,
+                ParseAigerError::TooLarge {
+                    field: "M",
+                    declared: 4_000_000_000,
+                    limit: MAX_VAR
+                }
+            ),
+            "{header:?}: {err}"
+        );
+    }
+    let header = "aag 1 4294967295 0 0 2\n";
+    let err = assert_bounded(header.as_bytes(), 0, header).expect_err(header);
+    assert!(matches!(err, ParseAigerError::Malformed(_)), "{err}");
+
+    // A variable index that fits, an input count the reader will not
+    // take on trust.
+    let header = format!("aig {0} {0} 0 0 0\n", MAX_INPUTS + 1);
+    let err = assert_bounded(header.as_bytes(), 0, &header).expect_err(&header);
+    assert!(
+        matches!(err, ParseAigerError::TooLarge { field: "I", .. }),
+        "{err}"
+    );
+    assert!(err.to_string().contains("too large"), "{err}");
+
+    // Outputs and gates the bytes do not back are never reserved for.
+    for header in ["aig 0 0 0 4000000000 0\n", "aag 1000000 0 0 0 1000000\n"] {
+        let err = assert_bounded(header.as_bytes(), 0, header).expect_err(header);
+        assert!(matches!(err, ParseAigerError::Malformed(_)), "{err}");
+    }
+
+    // The largest accepted input count is honoured, at 12 bytes an input.
+    let header = format!("aig {0} {0} 0 0 0\n", MAX_INPUTS);
+    let aig = assert_bounded(header.as_bytes(), MAX_INPUTS, &header).expect("inputs only");
+    assert_eq!(aig.num_inputs(), MAX_INPUTS as usize);
+}
+
+/// Every `u32` corner (and the first value past `u32`) in each of the
+/// five header fields of both encodings, alone and — for `I` and `A` —
+/// with `M` moved along so the header stays consistent.
+#[test]
+fn header_corners_never_panic_or_overallocate() {
+    let corners: Vec<u64> = [0u64, 1, 2, 1 << 20, 1 << 31, 4_000_000_000, 1 << 32]
+        .into_iter()
+        .flat_map(|c| [c.saturating_sub(1), c, c + 1])
+        .collect();
+    let base = [5u64, 2, 0, 1, 3]; // M I L O A
+    for format in ["aag", "aig"] {
+        for field in 0..5 {
+            for &corner in &corners {
+                let mut alone = base;
+                alone[field] = corner;
+                let mut consistent = alone;
+                consistent[0] = consistent[1] + consistent[4];
+                for fields in [alone, consistent] {
+                    let [m, i, l, o, a] = fields;
+                    let header = format!("{format} {m} {i} {l} {o} {a}\n");
+                    let accepted = fields.iter().all(|&f| f <= u64::from(u32::MAX))
+                        && l == 0
+                        && m == i + a
+                        && m <= u64::from(MAX_VAR)
+                        && i <= u64::from(MAX_INPUTS);
+                    let believed = if accepted { i as u32 } else { 0 };
+                    let result = assert_bounded(header.as_bytes(), believed, &header);
+                    if !accepted {
+                        assert!(result.is_err(), "{header:?} must be rejected");
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any prefix of a written file parses or is a typed error.
+    #[test]
+    fn truncations_never_panic_or_overallocate(which in 0usize..2, cut in any::<u64>()) {
+        let (base, inputs) = &csa8()[which];
+        let cut = cut as usize % base.len();
+        let _ = assert_bounded(&base[..cut], *inputs, "truncation");
+    }
+
+    /// Any single-byte change of a written file parses or is a typed
+    /// error. (One byte cannot change a header count and keep
+    /// `M == I + A`, so the believed input count is the file's own.)
+    #[test]
+    fn byte_mutations_never_panic_or_overallocate(
+        which in 0usize..2,
+        pos in any::<u64>(),
+        value in any::<u8>(),
+    ) {
+        let (base, inputs) = &csa8()[which];
+        let mut bytes = base.clone();
+        let pos = pos as usize % bytes.len();
+        bytes[pos] = value;
+        let _ = assert_bounded(&bytes, *inputs, "mutation");
+    }
+}
+
+/// The unmutated files stay inside the bound too, and parse to what was
+/// written.
+#[test]
+fn written_files_parse_under_the_bound() {
+    let aig = gamora_circuits::csa_multiplier(8).aig;
+    for (bytes, inputs) in csa8() {
+        let back = assert_bounded(bytes, *inputs, "written file").expect("round trip");
+        assert_eq!(
+            (back.num_inputs(), back.num_ands(), back.num_outputs()),
+            (aig.num_inputs(), aig.num_ands(), aig.num_outputs())
+        );
+    }
+}
