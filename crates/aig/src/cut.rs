@@ -6,6 +6,15 @@
 //! table of the node expressed over its (sorted) leaves — the machinery both
 //! ABC and this reproduction use to detect XOR3/MAJ3 roots and to match
 //! standard cells.
+//!
+//! All cuts of a network live in one arena ([`CutSets`]: a flat `Vec<Cut>`
+//! plus per-node offsets) that [`CutSets::fill`] refills in place, so a
+//! caller that keeps the arena enumerates without touching the allocator.
+//! Per fanin-cut pair the enumerator rejects on a leaf signature before
+//! merging, lets the merge report where each side's leaves landed, skips
+//! leaf sets it has already seen before computing any table, and stretches
+//! the two fanin tables onto the merged leaves with a few word operations
+//! per moved variable rather than a loop over minterms.
 
 use crate::tt;
 use crate::{Aig, Lit, NodeId};
@@ -18,6 +27,10 @@ pub const MAX_CUT_SIZE: usize = 6;
 pub struct Cut {
     leaves: [u32; MAX_CUT_SIZE],
     len: u8,
+    /// One bit per leaf (`1 << leaf % 32`): a leaf set can only contain
+    /// another if its signature contains the other's, and a union has at
+    /// least as many leaves as its signature has bits.
+    sig: u32,
     /// Truth table of the root over `leaves()` (leaf `i` = variable `i`).
     pub tt: u64,
 }
@@ -28,6 +41,7 @@ impl Cut {
         Cut {
             leaves: [0; MAX_CUT_SIZE],
             len: 0,
+            sig: 0,
             tt,
         }
     }
@@ -39,6 +53,7 @@ impl Cut {
         Cut {
             leaves,
             len: 1,
+            sig: 1 << (n.as_u32() % 32),
             tt: tt::var(0) & tt::mask(1),
         }
     }
@@ -64,8 +79,8 @@ impl Cut {
     }
 
     /// Whether every leaf of `self` is also a leaf of `other`.
-    pub fn subsumes(&self, other: &Cut) -> bool {
-        if self.len > other.len {
+    fn subsumes(&self, other: &Cut) -> bool {
+        if self.len > other.len || self.sig & !other.sig != 0 {
             return false;
         }
         let (a, b) = (self.leaves(), other.leaves());
@@ -81,46 +96,77 @@ impl Cut {
         true
     }
 
-    /// Merges two sorted leaf sets if the union fits in `k` leaves.
-    fn merge_leaves(a: &Cut, b: &Cut, k: usize) -> Option<([u32; MAX_CUT_SIZE], u8)> {
-        let mut out = [0u32; MAX_CUT_SIZE];
-        let (la, lb) = (a.leaves(), b.leaves());
-        let (mut i, mut j, mut n) = (0, 0, 0);
-        while i < la.len() || j < lb.len() {
-            let next = if j == lb.len() || (i < la.len() && la[i] <= lb[j]) {
-                if j < lb.len() && la[i] == lb[j] {
-                    j += 1;
-                }
-                let v = la[i];
-                i += 1;
-                v
-            } else {
-                let v = lb[j];
-                j += 1;
-                v
-            };
-            if n == k {
-                return None;
-            }
-            out[n] = next;
-            n += 1;
-        }
-        Some((out, n as u8))
+    /// The order cuts of one node are ranked in: fewer leaves first, then
+    /// lexicographic (unused leaf slots are zero, so whole arrays compare).
+    fn rank(&self) -> (u8, [u32; MAX_CUT_SIZE]) {
+        (self.len, self.leaves)
     }
 }
 
-/// Expands `tt` (a table over `pos.len()` variables) onto a `k`-variable
-/// table where original variable `i` sits at position `pos[i]`.
-fn expand(tt_small: u64, pos: &[usize], k: usize) -> u64 {
-    let mut out = 0u64;
-    for m in 0..(1u64 << k) {
-        let mut fm = 0usize;
-        for (i, &p) in pos.iter().enumerate() {
-            fm |= (((m >> p) & 1) as usize) << i;
+/// The union of two sorted leaf sets if it fits in `k` leaves, as a cut
+/// without a table, plus one position mask per side: bit `p` of mask `s` is
+/// set when leaf `p` of the union is a leaf of side `s`.
+fn merge_leaves(a: &Cut, b: &Cut, k: usize) -> Option<(Cut, [u32; 2])> {
+    let (la, lb) = (a.leaves(), b.leaves());
+    let mut leaves = [0u32; MAX_CUT_SIZE];
+    let mut masks = [0u32; 2];
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < la.len() || j < lb.len() {
+        if n == k {
+            return None;
         }
-        out |= ((tt_small >> fm) & 1) << m;
+        let x = la.get(i).copied().unwrap_or(u32::MAX);
+        let y = lb.get(j).copied().unwrap_or(u32::MAX);
+        if x <= y {
+            masks[0] |= 1 << n;
+            i += 1;
+        }
+        if y <= x {
+            masks[1] |= 1 << n;
+            j += 1;
+        }
+        leaves[n] = x.min(y);
+        n += 1;
     }
-    out
+    let merged = Cut {
+        leaves,
+        len: n as u8,
+        sig: a.sig | b.sig,
+        tt: 0,
+    };
+    Some((merged, masks))
+}
+
+/// Re-expresses a table over `vars` variables over the variables named by
+/// `positions` (ascending: variable `i` moves to the `i`-th set bit); the
+/// result is vacuous in every other variable and fills all 64 bits.
+fn stretch(table: u64, vars: usize, positions: u32) -> u64 {
+    // Repeating a `vars`-variable table across the word makes it a
+    // six-variable table vacuous in the upper ones.
+    const REPEAT: [u64; tt::MAX_VARS + 1] = [
+        u64::MAX,
+        0x5555_5555_5555_5555,
+        0x1111_1111_1111_1111,
+        0x0101_0101_0101_0101,
+        0x0001_0001_0001_0001,
+        0x0000_0001_0000_0001,
+        1,
+    ];
+    let mut t = table.wrapping_mul(REPEAT[vars]);
+    let mut rest = positions;
+    // Highest variable first: its target is above every variable still to
+    // move and vacuous, so exchanging the two moves it there.
+    for i in (0..vars).rev() {
+        let p = 31 - rest.leading_zeros() as usize;
+        rest ^= 1 << p;
+        if p != i {
+            let shift = (1 << p) - (1 << i);
+            let up = tt::var(i) & !tt::var(p);
+            let down = tt::var(p) & !tt::var(i);
+            t = (t & !(up | down)) | ((t & up) << shift) | ((t & down) >> shift);
+        }
+    }
+    t
 }
 
 /// Parameters controlling cut enumeration.
@@ -151,96 +197,121 @@ impl CutParams {
     }
 }
 
-/// Per-node cut sets produced by [`enumerate_cuts`].
-#[derive(Clone, Debug)]
+/// Per-node cut sets: one arena that [`CutSets::fill`] refills in place.
+#[derive(Clone, Debug, Default)]
 pub struct CutSets {
-    cuts: Vec<Vec<Cut>>,
+    cuts: Vec<Cut>,
+    /// Node `n` owns `cuts[start[n]..start[n + 1]]`.
+    start: Vec<usize>,
+    /// The distinct merged leaf sets of the node being filled, in rank
+    /// order.
+    merged: Vec<Cut>,
 }
 
 impl CutSets {
     /// The cuts of node `n` (trivial cut included, last).
     pub fn of(&self, n: NodeId) -> &[Cut] {
-        &self.cuts[n.index()]
+        &self.cuts[self.start[n.index()]..self.start[n.index() + 1]]
     }
 
     /// Total number of stored cuts (diagnostic).
     pub fn total(&self) -> usize {
-        self.cuts.iter().map(Vec::len).sum()
+        self.cuts.len()
+    }
+
+    /// Enumerates the K-feasible cuts of every node of `aig` into this
+    /// arena, replacing what it held; allocation-free once the arena has
+    /// held a network of this size.
+    ///
+    /// The constant node gets a single empty cut; inputs get their trivial
+    /// cut; AND nodes get the pairwise merges of their fanin cuts
+    /// (deduplicated, subsumption-filtered, capped at `max_cuts` preferring
+    /// fewer leaves) plus their own trivial cut.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.max_leaves` exceeds [`MAX_CUT_SIZE`] or is zero.
+    pub fn fill(&mut self, aig: &Aig, params: &CutParams) {
+        assert!(params.max_leaves >= 1 && params.max_leaves <= MAX_CUT_SIZE);
+        let CutSets {
+            cuts,
+            start,
+            merged,
+        } = self;
+        cuts.clear();
+        start.clear();
+        start.reserve(aig.num_nodes() + 1);
+        for n in aig.node_ids() {
+            start.push(cuts.len());
+            match aig.kind(n) {
+                crate::NodeKind::Const0 => cuts.push(Cut::constant(0)),
+                crate::NodeKind::Input => cuts.push(Cut::trivial(n)),
+                crate::NodeKind::And => {
+                    let (f0, f1) = aig.fanins(n);
+                    let of = |f: Lit| start[f.var().index()]..start[f.var().index() + 1];
+                    merge_cut_sets(
+                        &cuts[of(f0)],
+                        &cuts[of(f1)],
+                        [f0, f1],
+                        params.max_leaves,
+                        merged,
+                    );
+                    // Prefer small cuts, drop subsumed ones.
+                    let first = cuts.len();
+                    for c in merged.iter() {
+                        if cuts.len() - first >= params.max_cuts {
+                            break;
+                        }
+                        if !cuts[first..].iter().any(|p| p.subsumes(c)) {
+                            cuts.push(*c);
+                        }
+                    }
+                    cuts.push(Cut::trivial(n));
+                }
+            }
+        }
+        start.push(cuts.len());
     }
 }
 
-/// Enumerates K-feasible cuts with truth tables for every node.
-///
-/// The constant node gets a single empty cut; inputs get their trivial cut;
-/// AND nodes get the pairwise merges of their fanin cuts (deduplicated,
-/// subsumption-filtered, capped at `max_cuts` preferring fewer leaves) plus
-/// their own trivial cut.
+/// Fills `merged` with the distinct K-feasible unions of one cut of each
+/// fanin, in rank order, each with the table of the AND of the two fanin
+/// literals. Of several pairs with the same union the first (fanin-0 cut
+/// outermost) provides the table.
+fn merge_cut_sets(cuts0: &[Cut], cuts1: &[Cut], fanins: [Lit; 2], k: usize, merged: &mut Vec<Cut>) {
+    merged.clear();
+    for c0 in cuts0 {
+        for c1 in cuts1 {
+            if (c0.sig | c1.sig).count_ones() as usize > k {
+                continue;
+            }
+            let Some((mut cut, masks)) = merge_leaves(c0, c1, k) else {
+                continue;
+            };
+            let Err(at) = merged.binary_search_by(|m| m.rank().cmp(&cut.rank())) else {
+                continue;
+            };
+            let mut table = u64::MAX;
+            for ((side, f), positions) in [c0, c1].into_iter().zip(fanins).zip(masks) {
+                let t = stretch(side.tt, side.len(), positions);
+                table &= if f.is_complement() { !t } else { t };
+            }
+            cut.tt = table & tt::mask(cut.len());
+            merged.insert(at, cut);
+        }
+    }
+}
+
+/// Enumerates K-feasible cuts with truth tables for every node into a fresh
+/// arena; see [`CutSets::fill`].
 ///
 /// # Panics
 ///
 /// Panics if `params.max_leaves` exceeds [`MAX_CUT_SIZE`] or is zero.
 pub fn enumerate_cuts(aig: &Aig, params: &CutParams) -> CutSets {
-    assert!(params.max_leaves >= 1 && params.max_leaves <= MAX_CUT_SIZE);
-    let k = params.max_leaves;
-    let mut cuts: Vec<Vec<Cut>> = Vec::with_capacity(aig.num_nodes());
-    for n in aig.node_ids() {
-        let node_cuts = match aig.kind(n) {
-            crate::NodeKind::Const0 => vec![Cut::constant(0)],
-            crate::NodeKind::Input => vec![Cut::trivial(n)],
-            crate::NodeKind::And => {
-                let (f0, f1) = aig.fanins(n);
-                let mut merged: Vec<Cut> = Vec::new();
-                for c0 in &cuts[f0.var().index()] {
-                    for c1 in &cuts[f1.var().index()] {
-                        let Some((leaves, len)) = Cut::merge_leaves(c0, c1, k) else {
-                            continue;
-                        };
-                        let leaf_slice = &leaves[..len as usize];
-                        let pos0: Vec<usize> = c0
-                            .leaves()
-                            .iter()
-                            .map(|l| leaf_slice.binary_search(l).expect("leaf in union"))
-                            .collect();
-                        let pos1: Vec<usize> = c1
-                            .leaves()
-                            .iter()
-                            .map(|l| leaf_slice.binary_search(l).expect("leaf in union"))
-                            .collect();
-                        let nk = len as usize;
-                        let mut t0 = expand(c0.tt, &pos0, nk);
-                        let mut t1 = expand(c1.tt, &pos1, nk);
-                        if f0.is_complement() {
-                            t0 = !t0 & tt::mask(nk);
-                        }
-                        if f1.is_complement() {
-                            t1 = !t1 & tt::mask(nk);
-                        }
-                        merged.push(Cut {
-                            leaves,
-                            len,
-                            tt: t0 & t1,
-                        });
-                    }
-                }
-                // Prefer small cuts, dedupe identical leaf sets, drop subsumed.
-                merged.sort_by(|a, b| a.len.cmp(&b.len).then(a.leaves().cmp(b.leaves())));
-                merged.dedup_by(|a, b| a.leaves() == b.leaves());
-                let mut kept: Vec<Cut> = Vec::with_capacity(params.max_cuts + 1);
-                for c in merged {
-                    if kept.len() >= params.max_cuts {
-                        break;
-                    }
-                    if !kept.iter().any(|p| p.subsumes(&c)) {
-                        kept.push(c);
-                    }
-                }
-                kept.push(Cut::trivial(n));
-                kept
-            }
-        };
-        cuts.push(node_cuts);
-    }
-    CutSets { cuts }
+    let mut sets = CutSets::default();
+    sets.fill(aig, params);
+    sets
 }
 
 /// Computes the truth table of `root` over an explicit ordered leaf set by
@@ -385,6 +456,7 @@ mod tests {
         let mut big = Cut::trivial(NodeId::new(5));
         big.leaves[1] = 9;
         big.len = 2;
+        big.sig |= 1 << 9;
         assert!(a.subsumes(&big));
         assert!(!big.subsumes(&a));
         assert!(a.subsumes(&a));

@@ -13,57 +13,22 @@ use rand::{Rng, SeedableRng};
 ///
 /// Panics if `inputs.len() != aig.num_inputs()`.
 pub fn simulate(aig: &Aig, inputs: &[u64]) -> Vec<u64> {
-    let mut values = Vec::new();
-    simulate_into(aig, inputs, &mut values);
-    values
-}
-
-/// [`simulate`] writing into a caller-owned buffer: allocation-free once
-/// `values` has reached the subject's node count, so signature passes on the
-/// serve path can obey the alloc-regression contract.
-///
-/// # Panics
-///
-/// Panics if `inputs.len() != aig.num_inputs()`.
-pub fn simulate_into(aig: &Aig, inputs: &[u64], values: &mut Vec<u64>) {
     assert_eq!(
         inputs.len(),
         aig.num_inputs(),
         "one word per input required"
     );
-    values.clear();
-    values.resize(aig.num_nodes(), 0);
+    let mut values = vec![0; aig.num_nodes()];
     for (i, &n) in aig.inputs().iter().enumerate() {
         values[n.index()] = inputs[i];
     }
     for n in aig.node_ids() {
         if aig.is_and(n) {
             let (f0, f1) = aig.fanins(n);
-            values[n.index()] = lit_word(values, f0) & lit_word(values, f1);
+            values[n.index()] = lit_word(&values, f0) & lit_word(&values, f1);
         }
     }
-}
-
-/// SplitMix64: the `i`-th word of the deterministic stream for `seed`.
-///
-/// Unlike an RNG object it carries no state to allocate or advance, so any
-/// input's word can be produced independently (and hence in parallel)
-/// while remaining a pure function of `(seed, i)`.
-#[inline]
-pub fn seeded_word(seed: u64, i: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Deterministic-by-seed whole-graph simulation signature pass: input `i`
-/// receives [`seeded_word`]`(seed, i)` and every node gets its simulated
-/// word. Allocation-free once both buffers have warmed to the subject size.
-pub fn signature_words_into(aig: &Aig, seed: u64, inputs: &mut Vec<u64>, values: &mut Vec<u64>) {
-    inputs.clear();
-    inputs.extend((0..aig.num_inputs() as u64).map(|i| seeded_word(seed, i)));
-    simulate_into(aig, inputs, values);
+    values
 }
 
 #[inline]
@@ -211,42 +176,6 @@ mod tests {
         assert_eq!(err, vec![true, true]);
         // And XOR is equivalent to itself.
         assert!(random_equivalence_check(&good, &xor_aig(), 4, 7).is_ok());
-    }
-
-    #[test]
-    fn simulate_into_matches_simulate_and_reuses_buffer() {
-        let aig = xor_aig();
-        let inputs = [0x1234_5678_9ABC_DEF0u64, 0x0F0F_F0F0_AAAA_5555];
-        let fresh = simulate(&aig, &inputs);
-        let mut buf = Vec::new();
-        simulate_into(&aig, &inputs, &mut buf);
-        assert_eq!(buf, fresh);
-        // Reuse with stale contents of a different length.
-        buf.resize(100, u64::MAX);
-        simulate_into(&aig, &inputs, &mut buf);
-        assert_eq!(buf, fresh);
-    }
-
-    #[test]
-    fn signature_words_are_deterministic_by_seed() {
-        let mut aig = Aig::new();
-        let ins = aig.add_inputs(4);
-        let (s, c) = aig.full_adder(ins[0], ins[1], ins[2]);
-        let t = aig.xor(s, ins[3]);
-        aig.add_output(t);
-        aig.add_output(c);
-
-        let (mut i1, mut v1) = (Vec::new(), Vec::new());
-        let (mut i2, mut v2) = (Vec::new(), Vec::new());
-        signature_words_into(&aig, 42, &mut i1, &mut v1);
-        signature_words_into(&aig, 42, &mut i2, &mut v2);
-        assert_eq!(v1, v2);
-        signature_words_into(&aig, 43, &mut i2, &mut v2);
-        assert_ne!(v1, v2, "different seeds must produce different signatures");
-        // Seeded words are a pure function of (seed, index).
-        assert_eq!(seeded_word(7, 3), seeded_word(7, 3));
-        assert_ne!(seeded_word(7, 3), seeded_word(7, 4));
-        assert_ne!(seeded_word(7, 3), seeded_word(8, 3));
     }
 
     #[test]

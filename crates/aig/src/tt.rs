@@ -113,15 +113,19 @@ pub fn transform(tt: u64, k: usize, perm: &[usize], neg: u32, out_neg: bool) -> 
 
 /// Removes vacuous variables from `tt`, compacting the support to the low
 /// positions. Returns `(new_tt, new_k, kept)` where `kept[j]` is the original
-/// position of new variable `j`.
-pub fn shrink(tt: u64, k: usize) -> (u64, usize, Vec<usize>) {
+/// position of new variable `j` (the first `new_k` entries are used).
+pub fn shrink(tt: u64, k: usize) -> (u64, usize, [usize; MAX_VARS]) {
     let sup = support(tt, k);
-    let kept: Vec<usize> = (0..k).filter(|&i| sup >> i & 1 != 0).collect();
-    let nk = kept.len();
+    let mut kept = [0; MAX_VARS];
+    let mut nk = 0;
+    for i in (0..k).filter(|&i| sup >> i & 1 != 0) {
+        kept[nk] = i;
+        nk += 1;
+    }
     let mut out = 0u64;
     for m in 0..(1u64 << nk) {
         let mut full = 0usize;
-        for (j, &orig) in kept.iter().enumerate() {
+        for (j, &orig) in kept[..nk].iter().enumerate() {
             full |= (((m >> j) & 1) as usize) << orig;
         }
         out |= ((tt >> full) & 1) << m;
@@ -357,7 +361,7 @@ mod tests {
         let g = var(0) & var(2) & mask(3);
         let (tt, k, kept) = shrink(g, 3);
         assert_eq!(k, 2);
-        assert_eq!(kept, vec![0, 2]);
+        assert_eq!(kept[..k], [0, 2]);
         assert_eq!(tt, AND2);
     }
 

@@ -1,57 +1,33 @@
 //! Adder-tree extraction from GNN predictions (paper §III-B3).
 //!
-//! The predicted XOR/MAJ/root annotations replace the *functional
-//! detection* step of exact extraction; the cheap structural steps (cut
-//! support computation and pairing by identical inputs) remain classical.
+//! The predicted XOR/MAJ/root annotations *filter* the cut-classified
+//! candidates: detection still runs (it is what knows the leaf set of every
+//! candidate), but only nodes the model marked take part in pairing. The
+//! pairing pass is the exact one, [`gamora_exact::Pairing`], given the
+//! predictions as its admission test.
 
 use crate::reasoner::Predictions;
-use gamora_aig::Aig;
+use gamora_aig::{Aig, NodeId};
 use gamora_exact::{
-    compare_with_reference, detect, extract_adders, Candidates, ExtractedAdder, TreeComparison,
+    compare_with_reference, detect, extract_adders, Candidates, ExtractedAdder, Pairing, Role,
+    TreeComparison,
 };
 
-/// Restricts exact candidates to those the model predicted.
+/// The admission test predictions put on exact candidates.
 ///
 /// Following the paper's procedure ("after removing the nodes that are not
 /// marked as adder roots"), XOR candidates must be predicted XOR *and*
 /// root; MAJ/AND carry candidates must be predicted MAJ *and* root.
-pub fn filter_candidates(cands: &Candidates, preds: &Predictions) -> Candidates {
-    let root = |n: u32| -> bool {
-        let c = preds.root_leaf[n as usize];
-        c == 1 || c == 3 // Root or RootAndLeaf
-    };
-    let keep_xor = |n: u32| preds.is_xor[n as usize] && root(n);
-    let keep_maj = |n: u32| preds.is_maj[n as usize] && root(n);
-    let mut out = cands.clone();
-    out.all.retain(|c| match c.class {
-        gamora_aig::tt::AdderFunc::Xor2 | gamora_aig::tt::AdderFunc::Xor3 => {
-            keep_xor(c.node.as_u32())
-        }
-        _ => keep_maj(c.node.as_u32()),
-    });
-    for (i, flag) in out.is_xor.iter_mut().enumerate() {
-        *flag = *flag && preds.is_xor[i];
+pub(crate) fn predicted(preds: &Predictions) -> impl Fn(NodeId, Role) -> bool + '_ {
+    |node, role| {
+        let i = node.index();
+        // Root or RootAndLeaf
+        matches!(preds.root_leaf[i], 1 | 3)
+            && match role {
+                Role::Sum => preds.is_xor[i],
+                Role::Carry => preds.is_maj[i],
+            }
     }
-    for (i, flag) in out.is_maj3.iter_mut().enumerate() {
-        *flag = *flag && preds.is_maj[i];
-    }
-    for nodes in out.xor3_by_leaves.values_mut() {
-        nodes.retain(|&n| keep_xor(n));
-    }
-    out.xor3_by_leaves.retain(|_, v| !v.is_empty());
-    for nodes in out.maj3_by_leaves.values_mut() {
-        nodes.retain(|&n| keep_maj(n));
-    }
-    out.maj3_by_leaves.retain(|_, v| !v.is_empty());
-    for nodes in out.xor2_by_leaves.values_mut() {
-        nodes.retain(|&n| keep_xor(n));
-    }
-    out.xor2_by_leaves.retain(|_, v| !v.is_empty());
-    for nodes in out.and2_by_leaves.values_mut() {
-        nodes.retain(|&n| keep_maj(n));
-    }
-    out.and2_by_leaves.retain(|_, v| !v.is_empty());
-    out
 }
 
 /// Extracts an adder tree using the model's predictions for detection.
@@ -61,21 +37,23 @@ pub fn extract_from_predictions(aig: &Aig, preds: &Predictions) -> Vec<Extracted
 
 /// [`extract_from_predictions`] with a pre-computed candidate index — the
 /// same one [`crate::lsb_correction_with`] takes, so a caller that runs
-/// both pays for [`detect`] once.
+/// both pays for [`detect`] once. ([`crate::PostProcess`] is both steps
+/// over reused buffers.)
 pub fn extract_from_predictions_with(
     aig: &Aig,
     cands: &Candidates,
     preds: &Predictions,
 ) -> Vec<ExtractedAdder> {
-    extract_adders(aig, &filter_candidates(cands, preds))
+    let mut adders = Vec::new();
+    Pairing::default().pair(aig, cands, predicted(preds), &mut adders);
+    adders
 }
 
 /// Extracts from predictions and compares against the exact tree.
 pub fn compare_extraction(aig: &Aig, preds: &Predictions) -> (Vec<ExtractedAdder>, TreeComparison) {
     let cands = detect(aig);
     let exact = extract_adders(aig, &cands);
-    let filtered = filter_candidates(&cands, preds);
-    let predicted = extract_adders(aig, &filtered);
+    let predicted = extract_from_predictions_with(aig, &cands, preds);
     let cmp = compare_with_reference(&predicted, exact.iter().map(|a| (a.sum, a.carry)));
     (predicted, cmp)
 }

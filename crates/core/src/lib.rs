@@ -16,7 +16,8 @@
 //! 4. [`extract_from_predictions`] — pair predicted XOR/MAJ roots into
 //!    adders;
 //! 5. [`lsb_correction`] — the paper's post-processing fix for the
-//!    systematically-missed LSB half adder.
+//!    systematically-missed LSB half adder. ([`PostProcess`] runs 4 and 5
+//!    as one pass over buffers it keeps — what a serve worker holds.)
 //!
 //! Trained reasoners are durable: [`GamoraReasoner::save`] writes a
 //! versioned, checksummed binary snapshot (see [`snapshot`]) and
@@ -49,11 +50,9 @@ mod reasoner;
 pub mod snapshot;
 
 pub use dataset::BatchScratch;
-pub use extract::{
-    compare_extraction, extract_from_predictions, extract_from_predictions_with, filter_candidates,
-};
+pub use extract::{compare_extraction, extract_from_predictions, extract_from_predictions_with};
 pub use features::FeatureMode;
-pub use postprocess::{lsb_correction, lsb_correction_with};
+pub use postprocess::{lsb_correction, lsb_correction_with, PostProcess};
 pub use reasoner::{
     inference_memory_estimate, score_predictions, BatchTimings, EvalReport, GamoraReasoner,
     ModelDepth, Predictions, ReasonerConfig,

@@ -7,14 +7,61 @@
 //! be easily corrected during post-processing". This module implements that
 //! correction: structurally complete the extracted tree with HA pairs whose
 //! support is primary inputs only.
+//!
+//! [`PostProcess`] is the whole classical half of an extraction job —
+//! cuts, candidates, the predicted pairing and this repair — over buffers
+//! it keeps, computing the candidate index once for both pairings.
 
+use crate::extract::predicted;
+use crate::reasoner::Predictions;
+use gamora_aig::cut::CutSets;
 use gamora_aig::{Aig, NodeId};
-use gamora_exact::{detect, extract_adders, Candidates, ExtractedAdder};
+use gamora_exact::{detect, extract_adders, Candidates, ExtractedAdder, Pairing};
 
 /// Logic level below which an adder's leaves count as "shallow" (primary
 /// inputs are level 0; partial-product AND gates are level 1 — the support
 /// of the paper's systematically-missed LSB half adder).
 pub const SHALLOW_LEAF_LEVEL: u32 = 1;
+
+/// Whether the logic level of `node` is at most `bound`, read off the
+/// fanins directly (cheaper than levelling the network for the few leaves
+/// asked about, and free of a per-subject buffer).
+fn level_at_most(aig: &Aig, node: NodeId, bound: u32) -> bool {
+    !aig.is_and(node)
+        || bound > 0 && {
+            let (f0, f1) = aig.fanins(node);
+            level_at_most(aig, f0.var(), bound - 1) && level_at_most(aig, f1.var(), bound - 1)
+        }
+}
+
+/// Keeps in `exact` the shallow-support adders that `adders` missed: those
+/// whose leaves are all shallow and whose sum and carry are not already
+/// roots in `adders`, so the correction never double-counts.
+fn retain_missed_shallow(
+    aig: &Aig,
+    exact: &mut Vec<ExtractedAdder>,
+    adders: &[ExtractedAdder],
+    used: &mut Vec<bool>,
+) {
+    used.clear();
+    used.resize(aig.num_nodes(), false);
+    for a in adders {
+        used[a.sum.index()] = true;
+        used[a.carry.index()] = true;
+    }
+    exact.retain(|cand| {
+        let shallow = cand
+            .leaf_slice()
+            .iter()
+            .all(|&l| level_at_most(aig, NodeId::new(l), SHALLOW_LEAF_LEVEL));
+        if !shallow || used[cand.sum.index()] || used[cand.carry.index()] {
+            return false;
+        }
+        used[cand.sum.index()] = true;
+        used[cand.carry.index()] = true;
+        true
+    });
+}
 
 /// Adds shallow-support adders that exact pairing finds but the
 /// prediction-driven extraction missed. Returns how many were added.
@@ -32,32 +79,42 @@ pub fn lsb_correction_with(
     cands: &Candidates,
     adders: &mut Vec<ExtractedAdder>,
 ) -> usize {
-    let mut used = vec![false; aig.num_nodes()];
-    for a in adders.iter() {
-        used[a.sum.index()] = true;
-        used[a.carry.index()] = true;
+    let mut exact = extract_adders(aig, cands);
+    retain_missed_shallow(aig, &mut exact, adders, &mut Vec::new());
+    adders.extend_from_slice(&exact);
+    adders.sort_unstable_by_key(|a| (a.sum, a.carry));
+    exact.len()
+}
+
+/// [`crate::extract_from_predictions`] followed by [`lsb_correction`] as
+/// one pass over reused working memory: after the first subject of a given
+/// size, a run allocates only the list it returns.
+#[derive(Clone, Debug, Default)]
+pub struct PostProcess {
+    cuts: CutSets,
+    cands: Candidates,
+    pairing: Pairing,
+    predicted: Vec<ExtractedAdder>,
+    exact: Vec<ExtractedAdder>,
+    used: Vec<bool>,
+}
+
+impl PostProcess {
+    /// The adders the predictions pair up, completed by the shallow-support
+    /// adders of the exact tree they missed; sorted by (sum, carry).
+    pub fn run(&mut self, aig: &Aig, preds: &Predictions) -> Vec<ExtractedAdder> {
+        self.cands.rebuild(aig, &mut self.cuts);
+        self.pairing
+            .pair(aig, &self.cands, predicted(preds), &mut self.predicted);
+        self.pairing
+            .pair(aig, &self.cands, |_, _| true, &mut self.exact);
+        retain_missed_shallow(aig, &mut self.exact, &self.predicted, &mut self.used);
+        let mut adders = Vec::with_capacity(self.predicted.len() + self.exact.len());
+        adders.extend_from_slice(&self.predicted);
+        adders.extend_from_slice(&self.exact);
+        adders.sort_unstable_by_key(|a| (a.sum, a.carry));
+        adders
     }
-    let levels = aig.levels();
-    let exact = extract_adders(aig, cands);
-    let mut added = 0;
-    for cand in exact {
-        let shallow = cand
-            .leaf_slice()
-            .iter()
-            .all(|&l| levels[NodeId::new(l).index()] <= SHALLOW_LEAF_LEVEL);
-        if !shallow {
-            continue;
-        }
-        if used[cand.sum.index()] || used[cand.carry.index()] {
-            continue;
-        }
-        used[cand.sum.index()] = true;
-        used[cand.carry.index()] = true;
-        adders.push(cand);
-        added += 1;
-    }
-    adders.sort_by_key(|a| (a.sum, a.carry));
-    added
 }
 
 #[cfg(test)]

@@ -416,3 +416,59 @@ fn mmap_loaded_borrowed_weights_infer_allocation_free_after_warmup() {
     assert_eq!(out.is_xor, direct.is_xor);
     assert_eq!(out.is_maj, direct.is_maj);
 }
+
+/// The classical half of an `ExtractAdders` job: once a [`PostProcess`] has
+/// seen a subject of this shape, running it again — cuts, candidate index,
+/// the predicted and the exact pairing, the LSB repair — requests exactly
+/// the adder list it returns, and re-enumerating cuts into the warm arena
+/// requests nothing. Oracle predictions with one root knocked out make
+/// both pairings and the repair do real work.
+#[test]
+fn postprocess_allocates_only_its_result_after_warmup() {
+    use gamora::PostProcess;
+    use gamora_aig::cut::{CutParams, CutSets};
+
+    let _guard = TEST_LOCK.lock().unwrap();
+    let subject = gamora_circuits::booth_multiplier(6);
+    let analysis = gamora_exact::analyze(&subject.aig);
+    let mut preds = Predictions {
+        root_leaf: analysis
+            .labels
+            .root_leaf
+            .iter()
+            .map(|c| c.as_index() as u32)
+            .collect(),
+        is_xor: analysis.labels.is_xor,
+        is_maj: analysis.labels.is_maj,
+    };
+    preds.is_xor[analysis.adders[0].sum.index()] = false;
+
+    let mut post = PostProcess::default();
+    let expected = post.run(&subject.aig, &preds);
+    assert!(!expected.is_empty());
+
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
+    let adders = post.run(&subject.aig, &preds);
+    COUNTING.with(|c| c.set(false));
+    assert_eq!(
+        ALLOC_CALLS.load(Ordering::SeqCst) - before,
+        1,
+        "a warm post-process allocates the returned list and nothing else"
+    );
+    assert_eq!(adders, expected);
+
+    for params in [CutParams::for_adder_extraction(), CutParams::default()] {
+        let mut cuts = CutSets::default();
+        cuts.fill(&subject.aig, &params);
+        let before = ALLOC_CALLS.load(Ordering::SeqCst);
+        COUNTING.with(|c| c.set(true));
+        cuts.fill(&subject.aig, &params);
+        COUNTING.with(|c| c.set(false));
+        assert_eq!(
+            ALLOC_CALLS.load(Ordering::SeqCst) - before,
+            0,
+            "enumerating into a warm arena must not allocate"
+        );
+    }
+}

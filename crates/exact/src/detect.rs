@@ -5,11 +5,18 @@
 //! classes — the functional-propagation half of conventional symbolic
 //! reasoning (the other half, structural shape hashing, lives in
 //! [`crate::shape`]).
+//!
+//! A 3-feasible cut function is one of 256 tables, so support, shrunken
+//! table and class all come from one lookup. The result, [`Candidates`],
+//! carries the candidates twice: in detection order (`all`) and as keys
+//! sorted by leaf set, so that the sums and carries that can pair over one
+//! leaf set are one contiguous run — the index [`crate::Pairing`] walks.
+//! Both live in buffers [`Candidates::rebuild`] reuses.
 
-use gamora_aig::cut::{enumerate_cuts, CutParams};
-use gamora_aig::hasher::FxHashMap;
+use gamora_aig::cut::{CutParams, CutSets};
 use gamora_aig::tt::{self, AdderFunc};
 use gamora_aig::{Aig, NodeId};
+use std::sync::OnceLock;
 
 /// One classified cut of a node.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -33,115 +40,173 @@ impl Candidate {
     }
 }
 
+/// The part a candidate can play in an adder over its leaves.
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Role {
+    /// XOR-class: the sum root.
+    Sum,
+    /// MAJ3-/AND2-class: the carry root.
+    Carry,
+}
+
+/// A candidate as a pairing key. The derived order is the order pairing
+/// runs in: every 3-leaf set before any 2-leaf set, leaf sets ascending,
+/// and within one leaf set the sums, then the carries, by node.
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub(crate) struct Slot {
+    /// A 2-leaf (half-adder) candidate; `leaves[2]` is then zero.
+    pub half: bool,
+    pub leaves: [u32; 3],
+    pub role: Role,
+    pub node: u32,
+}
+
 /// All adder-relevant candidates of a network, indexed for pairing.
 #[derive(Clone, Debug, Default)]
 pub struct Candidates {
-    /// Every classified (node, cut) pair.
+    /// Every classified (node, cut) pair, by node.
     pub all: Vec<Candidate>,
     /// Per-node flag: has an XOR2- or XOR3-class cut.
     pub is_xor: Vec<bool>,
     /// Per-node flag: has a (full-support) MAJ3-class cut.
     pub is_maj3: Vec<bool>,
-    /// Index of XOR3 candidates by leaf triple.
-    pub xor3_by_leaves: FxHashMap<[u32; 3], Vec<u32>>,
-    /// Index of MAJ3 candidates by leaf triple.
-    pub maj3_by_leaves: FxHashMap<[u32; 3], Vec<u32>>,
-    /// Index of XOR2 candidates by leaf pair.
-    pub xor2_by_leaves: FxHashMap<[u32; 2], Vec<u32>>,
-    /// Index of HA-carry (monotone AND/OR class) candidates by leaf pair.
-    pub and2_by_leaves: FxHashMap<[u32; 2], Vec<u32>>,
+    /// `all` as sorted, distinct pairing keys.
+    pub(crate) slots: Vec<Slot>,
+    /// Per node: fanout edges plus primary outputs it drives.
+    pub(crate) refs: Vec<u32>,
 }
 
-/// Detects and indexes all adder-relevant cut functions.
-///
-/// Functions are classified on their *true* support: a 3-feasible cut whose
-/// function only depends on two leaves is classified as a 2-input function
-/// over those leaves. Duplicate (node, leaves, class) entries are merged.
-pub fn detect(aig: &Aig) -> Candidates {
-    let cuts = enumerate_cuts(aig, &CutParams::for_adder_extraction());
-    let mut cands = Candidates {
-        is_xor: vec![false; aig.num_nodes()],
-        is_maj3: vec![false; aig.num_nodes()],
-        ..Candidates::default()
-    };
-    let mut seen: Vec<(u64, [u32; 3], u8)> = Vec::new();
-    for n in aig.and_ids() {
-        seen.clear();
-        for cut in cuts.of(n) {
-            if cut.is_trivial_of(n) || cut.is_empty() {
-                continue;
+/// What one 3-variable table is on its true support.
+#[derive(Copy, Clone)]
+struct Class3 {
+    /// The table with vacuous variables removed.
+    tt: u8,
+    /// Bitmask of the variables the table depends on.
+    support: u8,
+    /// The adder class, when two or three variables are left.
+    class: Option<AdderFunc>,
+}
+
+fn class_table() -> &'static [Class3; 256] {
+    static TABLE: OnceLock<[Class3; 256]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        std::array::from_fn(|table| {
+            let (tt, k, kept) = tt::shrink(table as u64, 3);
+            Class3 {
+                tt: tt as u8,
+                support: kept[..k].iter().fold(0, |m, &i| m | 1 << i),
+                // Constants and wires are not adder functions.
+                class: (k >= 2).then(|| tt::classify_adder_func(tt, k)).flatten(),
             }
-            let k = cut.len();
-            let (stt, sk, kept) = tt::shrink(cut.tt, k);
-            if sk < 2 {
-                continue; // constants and wires are not adder functions
-            }
-            let mut leaves = [0u32; 3];
-            for (j, &orig) in kept.iter().enumerate() {
-                leaves[j] = cut.leaves()[orig];
-            }
-            let Some(class) = tt::classify_adder_func(stt, sk) else {
-                continue;
-            };
-            let key = (stt, leaves, sk as u8);
-            if seen.contains(&key) {
-                continue;
-            }
-            seen.push(key);
-            let cand = Candidate {
-                node: n,
-                leaves,
-                len: sk as u8,
-                class,
-                tt: stt,
-            };
-            match class {
-                AdderFunc::Xor2 => {
-                    cands.is_xor[n.index()] = true;
-                    cands
-                        .xor2_by_leaves
-                        .entry([leaves[0], leaves[1]])
-                        .or_default()
-                        .push(n.as_u32());
-                }
-                AdderFunc::Xor3 => {
-                    cands.is_xor[n.index()] = true;
-                    cands
-                        .xor3_by_leaves
-                        .entry(leaves)
-                        .or_default()
-                        .push(n.as_u32());
-                }
-                AdderFunc::Maj3 => {
-                    cands.is_maj3[n.index()] = true;
-                    cands
-                        .maj3_by_leaves
-                        .entry(leaves)
-                        .or_default()
-                        .push(n.as_u32());
-                }
-                AdderFunc::And2 => {
-                    // Any product of two literals can be a half-adder carry
-                    // (mixed polarities arise whenever an adder consumes a
-                    // complemented literal, which is routine in AIGs).
-                    // Structural covering during extraction prevents the
-                    // products *inside* XOR cones from pairing spuriously.
-                    cands
-                        .and2_by_leaves
-                        .entry([leaves[0], leaves[1]])
-                        .or_default()
-                        .push(n.as_u32());
-                }
-            }
-            cands.all.push(cand);
+        })
+    })
+}
+
+impl Candidates {
+    /// Re-runs detection on `aig` into this index, enumerating cuts into
+    /// `cuts`; allocation-free once both have held a network of this size.
+    ///
+    /// Functions are classified on their *true* support: a 3-feasible cut
+    /// whose function only depends on two leaves is classified as a 2-input
+    /// function over those leaves. Duplicate (node, leaves, table) entries
+    /// are merged.
+    pub fn rebuild(&mut self, aig: &Aig, cuts: &mut CutSets) {
+        cuts.fill(aig, &CutParams::for_adder_extraction());
+        let classes = class_table();
+        let n = aig.num_nodes();
+        self.all.clear();
+        self.slots.clear();
+        for flags in [&mut self.is_xor, &mut self.is_maj3] {
+            flags.clear();
+            flags.resize(n, false);
         }
+        self.refs.clear();
+        self.refs.resize(n, 0);
+        for o in aig.outputs() {
+            self.refs[o.var().index()] += 1;
+        }
+        for node in aig.and_ids() {
+            let (f0, f1) = aig.fanins(node);
+            self.refs[f0.var().index()] += 1;
+            self.refs[f1.var().index()] += 1;
+            let first = self.all.len();
+            for cut in cuts.of(node) {
+                // A table over fewer than three leaves, repeated, is the
+                // same function over three with the upper ones vacuous.
+                let repeat = [0, 0x55, 0x11, 0x01][cut.len()];
+                let found = classes[(cut.tt as u8).wrapping_mul(repeat) as usize];
+                let Some(class) = found.class else {
+                    continue;
+                };
+                let mut leaves = [0u32; 3];
+                let mut len = 0;
+                for (i, &leaf) in cut.leaves().iter().enumerate() {
+                    if found.support >> i & 1 != 0 {
+                        leaves[len] = leaf;
+                        len += 1;
+                    }
+                }
+                let cand = Candidate {
+                    node,
+                    leaves,
+                    len: len as u8,
+                    class,
+                    tt: found.tt as u64,
+                };
+                if self.all[first..].contains(&cand) {
+                    continue;
+                }
+                // Any product of two literals can be a half-adder carry
+                // (mixed polarities arise whenever an adder consumes a
+                // complemented literal, which is routine in AIGs).
+                // Structural covering during extraction prevents the
+                // products *inside* XOR cones from pairing spuriously.
+                let role = match class {
+                    AdderFunc::Xor2 | AdderFunc::Xor3 => {
+                        self.is_xor[node.index()] = true;
+                        Role::Sum
+                    }
+                    AdderFunc::Maj3 => {
+                        self.is_maj3[node.index()] = true;
+                        Role::Carry
+                    }
+                    AdderFunc::And2 => Role::Carry,
+                };
+                self.all.push(cand);
+                self.slots.push(Slot {
+                    half: len == 2,
+                    leaves,
+                    role,
+                    node: node.as_u32(),
+                });
+            }
+        }
+        self.slots.sort_unstable();
+        self.slots.dedup();
     }
+}
+
+/// Detects and indexes all adder-relevant cut functions; see
+/// [`Candidates::rebuild`].
+pub fn detect(aig: &Aig) -> Candidates {
+    let mut cands = Candidates::default();
+    cands.rebuild(aig, &mut CutSets::default());
     cands
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The nodes classified as `class` over exactly `leaves`.
+    fn nodes_over(cands: &Candidates, class: AdderFunc, leaves: &[u32]) -> Vec<u32> {
+        cands
+            .all
+            .iter()
+            .filter(|c| c.class == class && c.leaf_slice() == leaves)
+            .map(|c| c.node.as_u32())
+            .collect()
+    }
 
     #[test]
     fn detects_full_adder_functions() {
@@ -158,8 +223,8 @@ mod tests {
             ins[1].var().as_u32(),
             ins[2].var().as_u32(),
         ];
-        assert!(cands.xor3_by_leaves[&key].contains(&s.var().as_u32()));
-        assert!(cands.maj3_by_leaves[&key].contains(&c.var().as_u32()));
+        assert!(nodes_over(&cands, AdderFunc::Xor3, &key).contains(&s.var().as_u32()));
+        assert!(nodes_over(&cands, AdderFunc::Maj3, &key).contains(&c.var().as_u32()));
     }
 
     #[test]
@@ -175,7 +240,7 @@ mod tests {
         // candidates (extraction's cover analysis keeps them from pairing
         // with their own root).
         let key = [a.var().as_u32(), b.var().as_u32()];
-        assert_eq!(cands.and2_by_leaves[&key].len(), 2);
+        assert_eq!(nodes_over(&cands, AdderFunc::And2, &key).len(), 2);
     }
 
     #[test]
@@ -190,7 +255,10 @@ mod tests {
         let cands = detect(&aig);
         assert!(cands.is_xor[s.var().index()], "xnor is XOR class");
         let key = [a.var().as_u32(), b.var().as_u32()];
-        assert!(cands.and2_by_leaves.contains_key(&key), "or is carry class");
+        assert!(
+            !nodes_over(&cands, AdderFunc::And2, &key).is_empty(),
+            "or is carry class"
+        );
     }
 
     #[test]
@@ -220,6 +288,6 @@ mod tests {
         assert!(!cands.is_maj3[g.var().index()]);
         // but it is an HA-carry candidate
         let key = [a.var().as_u32(), b.var().as_u32()];
-        assert!(cands.and2_by_leaves.contains_key(&key));
+        assert!(!nodes_over(&cands, AdderFunc::And2, &key).is_empty());
     }
 }

@@ -2,10 +2,25 @@
 //! reproduction of ABC's `&atree` adder-tree extraction (Yu et al.,
 //! TCAD'17), which is both the paper's ground-truth provider and its exact
 //! baseline.
+//!
+//! [`Pairing`] walks the sorted runs of a [`Candidates`] index: one run per
+//! leaf set, its sums then its carries. A caller-supplied filter decides
+//! which candidates take part, so the exact tree (everything) and the tree
+//! a model predicts (the nodes it marked) come from the same pass over the
+//! same index. All working memory — the `used`/`covered` masks, the
+//! traversal stamps and the per-run ranking of carries — lives in the
+//! `Pairing` and is reused from call to call.
+//!
+//! Where several carries are eligible for one leaf set they are ranked
+//! once, when the first sum needs a choice, and the ranking is updated as
+//! partners are consumed; picking a partner never re-derives the cones of
+//! the other candidates, so a run costs its cones plus a logarithm per
+//! update however many candidates share the leaf set.
 
-use crate::detect::Candidates;
-use gamora_aig::hasher::FxHashSet;
+use crate::detect::{Candidates, Role, Slot};
 use gamora_aig::{Aig, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Whether an extracted adder is a full (3-input) or half (2-input) slice.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -39,216 +54,395 @@ impl ExtractedAdder {
     }
 }
 
-/// Pairs XOR and MAJ/AND candidates with identical leaf sets into adders.
-///
-/// The pass structure mirrors ABC's extraction:
-///
-/// 1. **Full adders first**: every XOR3-class root is matched to a
-///    MAJ3-class node over the same three leaves.
-/// 2. The *interior* nodes of accepted full adders (strictly between roots
-///    and leaves) are marked covered, so the XOR2/AND2 sub-functions that
-///    necessarily exist inside every FA cannot spawn spurious half adders.
-/// 3. **Half adders second**: remaining XOR2 roots are matched to unused,
-///    uncovered AND2-class nodes over the same two leaves.
-///
-/// When several carry candidates share a leaf set (an XOR's internal legs
-/// are themselves 2-literal products, and structural hashing can even merge
-/// the true carry *with* a leg), the partner is chosen by structural role:
-/// prefer candidates that are **maximal** (not interior to another
-/// candidate's cone) and that **escape** the sum cone (have a fanout used
-/// outside the pair) — that is the node whose value the surrounding logic
-/// actually consumes as a carry. The result is deterministic.
-pub fn extract_adders(aig: &Aig, cands: &Candidates) -> Vec<ExtractedAdder> {
-    let n = aig.num_nodes();
-    let mut used = vec![false; n];
-    let mut covered = vec![false; n];
-    let mut adders = Vec::new();
-    let (fan_off, fan_tgt) = aig.fanouts();
-    let mut drives_output = vec![false; n];
-    for o in aig.outputs() {
-        drives_output[o.var().index()] = true;
-    }
-
-    // --- Full-adder pass ---
-    let mut fa_keys: Vec<&[u32; 3]> = cands.xor3_by_leaves.keys().collect();
-    fa_keys.sort();
-    for key in fa_keys {
-        let Some(majs) = cands.maj3_by_leaves.get(key) else {
-            continue;
-        };
-        let mut xors = cands.xor3_by_leaves[key].clone();
-        xors.sort_unstable();
-        let mut majs = majs.clone();
-        majs.sort_unstable();
-        for &x in &xors {
-            if used[x as usize] {
-                continue;
-            }
-            let eligible: Vec<u32> = majs
-                .iter()
-                .copied()
-                .filter(|&m| m != x && !used[m as usize])
-                .collect();
-            let Some(m) = choose_partner(
-                aig,
-                NodeId::new(x),
-                key,
-                &eligible,
-                &fan_off,
-                &fan_tgt,
-                &drives_output,
-            ) else {
-                continue;
-            };
-            used[x as usize] = true;
-            used[m as usize] = true;
-            adders.push(ExtractedAdder {
-                kind: ExtractedKind::Full,
-                sum: NodeId::new(x),
-                carry: NodeId::new(m),
-                leaves: *key,
-            });
-            mark_covered(aig, NodeId::new(x), key, &mut covered);
-            mark_covered(aig, NodeId::new(m), key, &mut covered);
-        }
-    }
-
-    // --- Half-adder pass ---
-    let mut ha_keys: Vec<&[u32; 2]> = cands.xor2_by_leaves.keys().collect();
-    ha_keys.sort();
-    for key in ha_keys {
-        let Some(ands) = cands.and2_by_leaves.get(key) else {
-            continue;
-        };
-        let mut xors = cands.xor2_by_leaves[key].clone();
-        xors.sort_unstable();
-        let mut ands = ands.clone();
-        ands.sort_unstable();
-        for &x in &xors {
-            if used[x as usize] || covered[x as usize] {
-                continue;
-            }
-            let eligible: Vec<u32> = ands
-                .iter()
-                .copied()
-                .filter(|&c| c != x && !used[c as usize] && !covered[c as usize])
-                .collect();
-            let Some(c) = choose_partner(
-                aig,
-                NodeId::new(x),
-                key,
-                &eligible,
-                &fan_off,
-                &fan_tgt,
-                &drives_output,
-            ) else {
-                continue;
-            };
-            used[x as usize] = true;
-            used[c as usize] = true;
-            adders.push(ExtractedAdder {
-                kind: ExtractedKind::Half,
-                sum: NodeId::new(x),
-                carry: NodeId::new(c),
-                leaves: [key[0], key[1], u32::MAX],
-            });
-        }
-    }
-
-    adders.sort_by_key(|a| (a.sum, a.carry));
-    adders
+/// What the ranking of one run knows about a node; stale unless `run` is
+/// the current run.
+#[derive(Copy, Clone, Default, Debug)]
+struct Ranked {
+    run: u32,
+    /// An eligible carry of the run.
+    eligible: bool,
+    /// The rank an eligible carry currently has (the heap it is live in).
+    rank: u8,
+    /// How many eligible carries have this node inside their cone.
+    cones: u32,
+    /// Fanout edges of this node into eligible carries and their cones.
+    inside: u32,
+    /// Fanout edges into the sum being served and its cone, counted only
+    /// while that sum picks and only where `inside` does not already.
+    to_sum: u32,
 }
 
-/// Picks the carry partner for `sum` among `eligible` candidates.
-///
-/// Ranking: (1) not interior to any other eligible candidate's cone
-/// (outermost), (2) escaping — some fanout lies outside the sum cone and
-/// outside every candidate cone, i.e. the surrounding logic consumes it,
-/// (3) smallest node id for determinism.
-fn choose_partner(
-    aig: &Aig,
-    sum: NodeId,
-    leaves: &[u32],
-    eligible: &[u32],
-    fan_off: &[u32],
-    fan_tgt: &[NodeId],
-    drives_output: &[bool],
-) -> Option<u32> {
-    match eligible {
-        [] => None,
-        [only] => Some(*only),
-        _ => {
-            let sum_cone = interior_of(aig, sum, leaves);
-            let cones: Vec<FxHashSet<u32>> = eligible
+/// Number of ranks: outermost-and-escaping, outermost, escaping, neither.
+const RANKS: usize = 4;
+
+/// The adder-pairing pass and its reusable working memory.
+#[derive(Clone, Debug, Default)]
+pub struct Pairing {
+    used: Vec<bool>,
+    covered: Vec<bool>,
+    /// `seen[n] == epoch`: the current traversal has visited `n`.
+    seen: Vec<u32>,
+    epoch: u32,
+    stack: Vec<u32>,
+    /// Result of the last [`Pairing::interior`].
+    cone: Vec<u32>,
+    ranked: Vec<Ranked>,
+    run: u32,
+    /// Eligible carries by rank, smallest node on top; entries whose node
+    /// has since left or changed rank are dropped when they surface.
+    ranks: [BinaryHeap<Reverse<u32>>; RANKS],
+    members: Vec<u32>,
+    touched: Vec<u32>,
+    aside: Vec<(usize, u32)>,
+}
+
+impl Pairing {
+    /// Pairs XOR and MAJ/AND candidates with identical leaf sets into
+    /// adders, using only the candidates `keep` admits in the given role,
+    /// and leaves them in `adders` sorted by (sum, carry).
+    ///
+    /// The pass structure mirrors ABC's extraction:
+    ///
+    /// 1. **Full adders first**: every XOR3-class root is matched to a
+    ///    MAJ3-class node over the same three leaves.
+    /// 2. The *interior* nodes of accepted full adders (strictly between
+    ///    roots and leaves) are marked covered, so the XOR2/AND2
+    ///    sub-functions that necessarily exist inside every FA cannot spawn
+    ///    spurious half adders.
+    /// 3. **Half adders second**: remaining XOR2 roots are matched to
+    ///    unused, uncovered AND2-class nodes over the same two leaves.
+    ///
+    /// When several carry candidates share a leaf set (an XOR's internal
+    /// legs are themselves 2-literal products, and structural hashing can
+    /// even merge the true carry *with* a leg), the partner is chosen by
+    /// structural role: prefer candidates that are **maximal** (not interior
+    /// to another candidate's cone) and that **escape** the sum cone (have a
+    /// fanout used outside the pair) — that is the node whose value the
+    /// surrounding logic actually consumes as a carry. The result is
+    /// deterministic.
+    pub fn pair(
+        &mut self,
+        aig: &Aig,
+        cands: &Candidates,
+        keep: impl Fn(NodeId, Role) -> bool,
+        adders: &mut Vec<ExtractedAdder>,
+    ) {
+        let n = aig.num_nodes();
+        adders.clear();
+        for mask in [&mut self.used, &mut self.covered] {
+            mask.clear();
+            mask.resize(n, false);
+        }
+        self.seen.clear();
+        self.seen.resize(n, 0);
+        self.epoch = 0;
+        self.run = 0;
+        // Slots sort every 3-leaf run before any 2-leaf run: one walk is
+        // the full-adder pass followed by the half-adder pass.
+        let mut rest = &cands.slots[..];
+        while let Some(first) = rest.first() {
+            let len = rest
                 .iter()
-                .map(|&c| interior_of(aig, NodeId::new(c), leaves))
-                .collect();
-            let mut inside_pair: FxHashSet<u32> = sum_cone.iter().copied().collect();
-            inside_pair.insert(sum.as_u32());
-            for &c in eligible {
-                inside_pair.insert(c);
+                .position(|s| (s.half, s.leaves) != (first.half, first.leaves))
+                .unwrap_or(rest.len());
+            let (run, tail) = rest.split_at(len);
+            let (sums, carries) = run.split_at(run.partition_point(|s| s.role == Role::Sum));
+            self.pair_run(aig, &cands.refs, sums, carries, &keep, adders);
+            rest = tail;
+        }
+        adders.sort_unstable_by_key(|a| (a.sum, a.carry));
+    }
+
+    /// Pairs the sums of one leaf set, in node order, with its carries.
+    fn pair_run(
+        &mut self,
+        aig: &Aig,
+        refs: &[u32],
+        sums: &[Slot],
+        carries: &[Slot],
+        keep: &impl Fn(NodeId, Role) -> bool,
+        adders: &mut Vec<ExtractedAdder>,
+    ) {
+        let (Some(first), false) = (sums.first(), carries.is_empty()) else {
+            return;
+        };
+        let half = first.half;
+        let leaves = &first.leaves[..if half { 2 } else { 3 }];
+        let blocked = |this: &Self, c: u32, role: Role| {
+            this.used[c as usize]
+                || (half && this.covered[c as usize])
+                || !keep(NodeId::new(c), role)
+        };
+        let mut left = carries
+            .iter()
+            .filter(|c| !blocked(self, c.node, Role::Carry))
+            .count();
+        let mut ranking = false;
+        for x in sums.iter().map(|s| s.node) {
+            if left == 0 {
+                break;
             }
-            for cone in &cones {
-                inside_pair.extend(cone.iter().copied());
+            if blocked(self, x, Role::Sum) {
+                continue;
             }
-            let mut best: Option<(u32, u32)> = None; // (score, id) — lower wins
-            for (i, &c) in eligible.iter().enumerate() {
-                let maximal = !cones
+            // A sum never partners itself.
+            let x_eligible = carries.binary_search_by_key(&x, |c| c.node).is_ok()
+                && !blocked(self, x, Role::Carry);
+            let others = left - x_eligible as usize;
+            let partner = match others {
+                0 => continue,
+                1 => carries
                     .iter()
-                    .enumerate()
-                    .any(|(j, cone)| j != i && cone.contains(&c));
-                let escapes = drives_output[c as usize]
-                    || fanouts_of(c, fan_off, fan_tgt)
-                        .iter()
-                        .any(|t| !inside_pair.contains(&t.as_u32()));
-                let score = match (maximal, escapes) {
-                    (true, true) => 0,
-                    (true, false) => 1,
-                    (false, true) => 2,
-                    (false, false) => 3,
-                };
-                if best.is_none_or(|(bs, bid)| (score, c) < (bs, bid)) {
-                    best = Some((score, c));
+                    .map(|c| c.node)
+                    .find(|&c| c != x && !blocked(self, c, Role::Carry))
+                    .expect("one eligible carry is left"),
+                _ => {
+                    if !ranking {
+                        ranking = true;
+                        self.members.clear();
+                        for c in carries {
+                            if !blocked(self, c.node, Role::Carry) {
+                                self.members.push(c.node);
+                            }
+                        }
+                        self.rank_members(aig, refs, leaves);
+                    }
+                    if x_eligible {
+                        // About to be used as a sum.
+                        self.retire(aig, refs, leaves, x);
+                    }
+                    let best = self.choose_partner(aig, refs, leaves, x);
+                    self.retire(aig, refs, leaves, best);
+                    best
+                }
+            };
+            self.used[x as usize] = true;
+            self.used[partner as usize] = true;
+            left = others - 1;
+            let (kind, third) = if half {
+                (ExtractedKind::Half, u32::MAX)
+            } else {
+                (ExtractedKind::Full, leaves[2])
+            };
+            adders.push(ExtractedAdder {
+                kind,
+                sum: NodeId::new(x),
+                carry: NodeId::new(partner),
+                leaves: [leaves[0], leaves[1], third],
+            });
+            if !half {
+                for root in [x, partner] {
+                    self.interior(aig, root, leaves);
+                    for &v in &self.cone {
+                        self.covered[v as usize] = true;
+                    }
                 }
             }
-            best.map(|(_, id)| id)
         }
+    }
+
+    /// Collects into `self.cone` the nodes strictly between `root` and
+    /// `leaves` (root and leaves themselves excluded).
+    fn interior(&mut self, aig: &Aig, root: u32, leaves: &[u32]) {
+        if self.epoch == u32::MAX {
+            self.seen.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.cone.clear();
+        for &l in leaves {
+            self.seen[l as usize] = self.epoch;
+        }
+        if self.seen[root as usize] == self.epoch {
+            return;
+        }
+        self.seen[root as usize] = self.epoch;
+        self.stack.clear();
+        self.stack.push(root);
+        while let Some(n) = self.stack.pop() {
+            if n != root {
+                if self.seen[n as usize] == self.epoch {
+                    continue;
+                }
+                self.seen[n as usize] = self.epoch;
+                self.cone.push(n);
+            }
+            if aig.is_and(NodeId::new(n)) {
+                let (f0, f1) = aig.fanins(NodeId::new(n));
+                self.stack.push(f0.var().as_u32());
+                self.stack.push(f1.var().as_u32());
+            }
+        }
+    }
+
+    /// The ranking record of `node` in the current run.
+    fn at(&mut self, node: u32) -> &mut Ranked {
+        let record = &mut self.ranked[node as usize];
+        if record.run != self.run {
+            *record = Ranked {
+                run: self.run,
+                ..Ranked::default()
+            };
+        }
+        record
+    }
+
+    /// Starts ranking `self.members`, the eligible carries of a run.
+    ///
+    /// A carry ranks by (1) not being interior to another eligible carry's
+    /// cone (outermost), (2) escaping — some fanout lies outside the sum
+    /// cone and outside every candidate cone, i.e. the surrounding logic
+    /// consumes it, (3) smallest node id for determinism. (1) and (2) are
+    /// kept as counts per node — cones it is inside, fanout edges that stay
+    /// inside — so that retiring a carry is a walk over its own cone.
+    fn rank_members(&mut self, aig: &Aig, refs: &[u32], leaves: &[u32]) {
+        if self.run == 0 || self.run == u32::MAX {
+            self.ranked.clear();
+            self.ranked.resize(aig.num_nodes(), Ranked::default());
+            self.run = 0;
+        }
+        self.run += 1;
+        for heap in &mut self.ranks {
+            heap.clear();
+        }
+        let members = std::mem::take(&mut self.members);
+        for &c in &members {
+            self.at(c).eligible = true;
+            self.count_fanins(aig, refs, c, true);
+        }
+        for &c in &members {
+            self.interior(aig, c, leaves);
+            for i in 0..self.cone.len() {
+                let v = self.cone[i];
+                let record = self.at(v);
+                record.cones += 1;
+                if record.cones == 1 && !record.eligible {
+                    self.count_fanins(aig, refs, v, true);
+                }
+            }
+        }
+        for &c in &members {
+            // `rerank` only files a changed rank; none is filed yet.
+            self.at(c).rank = RANKS as u8;
+            self.rerank(refs, c);
+        }
+        self.members = members;
+    }
+
+    /// Adds (`entering`) or removes the fanin edges of `node` from its
+    /// fanins' `inside` counts, as `node` joins or leaves the eligible
+    /// carries and their cones.
+    fn count_fanins(&mut self, aig: &Aig, refs: &[u32], node: u32, entering: bool) {
+        if !aig.is_and(NodeId::new(node)) {
+            return;
+        }
+        let (f0, f1) = aig.fanins(NodeId::new(node));
+        for f in [f0.var().as_u32(), f1.var().as_u32()] {
+            let record = self.at(f);
+            if entering {
+                record.inside += 1;
+            } else {
+                record.inside -= 1;
+                if record.eligible {
+                    self.rerank(refs, f);
+                }
+            }
+        }
+    }
+
+    /// Files eligible carry `c` under its current rank if that changed.
+    /// Ranks only improve while a run is paired (carries only leave), so a
+    /// node is filed at most once per rank.
+    fn rerank(&mut self, refs: &[u32], c: u32) {
+        let record = self.at(c);
+        let rank = 2 * (record.cones > 0) as u8 + (refs[c as usize] == record.inside) as u8;
+        if rank != record.rank {
+            record.rank = rank;
+            self.ranks[rank as usize].push(Reverse(c));
+        }
+    }
+
+    /// Removes carry `m` from the eligible set of the run being ranked.
+    fn retire(&mut self, aig: &Aig, refs: &[u32], leaves: &[u32], m: u32) {
+        let record = self.at(m);
+        record.eligible = false;
+        if record.cones == 0 {
+            self.count_fanins(aig, refs, m, false);
+        }
+        self.interior(aig, m, leaves);
+        for i in 0..self.cone.len() {
+            let v = self.cone[i];
+            let record = self.at(v);
+            record.cones -= 1;
+            if record.cones == 0 {
+                if record.eligible {
+                    self.rerank(refs, v);
+                } else {
+                    self.count_fanins(aig, refs, v, false);
+                }
+            }
+        }
+    }
+
+    /// The best-ranked eligible carry for sum `x` (which is not eligible
+    /// itself): fanout edges into `x` and its cone do not count as escaping.
+    fn choose_partner(&mut self, aig: &Aig, refs: &[u32], leaves: &[u32], x: u32) -> u32 {
+        // Carries feeding the sum cone are ranked here, for this sum only.
+        self.interior(aig, x, leaves);
+        self.touched.clear();
+        for i in 0..=self.cone.len() {
+            let t = if i == 0 { x } else { self.cone[i - 1] };
+            let record = self.at(t);
+            if record.eligible || record.cones > 0 || !aig.is_and(NodeId::new(t)) {
+                continue;
+            }
+            let (f0, f1) = aig.fanins(NodeId::new(t));
+            for f in [f0.var().as_u32(), f1.var().as_u32()] {
+                let record = self.at(f);
+                if record.eligible {
+                    record.to_sum += 1;
+                    if record.to_sum == 1 {
+                        self.touched.push(f);
+                    }
+                }
+            }
+        }
+        let mut best: Option<(usize, u32)> = None;
+        'ranks: for rank in 0..RANKS {
+            while let Some(&Reverse(c)) = self.ranks[rank].peek() {
+                let record = *self.at(c);
+                if record.eligible && record.rank as usize == rank {
+                    if record.to_sum == 0 {
+                        best = Some((rank, c));
+                        break 'ranks;
+                    }
+                    self.aside.push((rank, c));
+                }
+                self.ranks[rank].pop();
+            }
+        }
+        for i in 0..self.touched.len() {
+            let f = self.touched[i];
+            let record = self.at(f);
+            let stays_inside = refs[f as usize] == record.inside + record.to_sum;
+            let rank = 2 * (record.cones > 0) as usize + stays_inside as usize;
+            record.to_sum = 0;
+            if best.is_none_or(|b| (rank, f) < b) {
+                best = Some((rank, f));
+            }
+        }
+        for (rank, c) in self.aside.drain(..) {
+            self.ranks[rank].push(Reverse(c));
+        }
+        best.expect("two or more carries are eligible").1
     }
 }
 
-fn fanouts_of<'a>(node: u32, fan_off: &[u32], fan_tgt: &'a [NodeId]) -> &'a [NodeId] {
-    &fan_tgt[fan_off[node as usize] as usize..fan_off[node as usize + 1] as usize]
-}
-
-/// Marks the nodes strictly between `root` and `leaves` as covered.
-fn mark_covered(aig: &Aig, root: NodeId, leaves: &[u32; 3], covered: &mut [bool]) {
-    for n in interior_of(aig, root, leaves) {
-        covered[n as usize] = true;
-    }
-}
-
-/// Collects the nodes strictly between `root` and `leaves` (root and leaves
-/// themselves excluded).
-fn interior_of(aig: &Aig, root: NodeId, leaves: &[u32]) -> FxHashSet<u32> {
-    let leaf_set: FxHashSet<u32> = leaves.iter().copied().collect();
-    let mut interior = FxHashSet::default();
-    let mut stack = vec![root];
-    let mut seen = FxHashSet::default();
-    while let Some(n) = stack.pop() {
-        if !seen.insert(n) {
-            continue;
-        }
-        if n != root && !leaf_set.contains(&n.as_u32()) {
-            interior.insert(n.as_u32());
-        }
-        if leaf_set.contains(&n.as_u32()) || !aig.is_and(n) {
-            continue;
-        }
-        let (f0, f1) = aig.fanins(n);
-        stack.push(f0.var());
-        stack.push(f1.var());
-    }
-    interior
+/// Pairs every candidate: the exact adder tree. See [`Pairing::pair`].
+pub fn extract_adders(aig: &Aig, cands: &Candidates) -> Vec<ExtractedAdder> {
+    let mut adders = Vec::new();
+    Pairing::default().pair(aig, cands, |_, _| true, &mut adders);
+    adders
 }
 
 #[cfg(test)]

@@ -10,7 +10,10 @@
 //!    functions against the NPN-widened XOR2/XOR3/MAJ3/AND2 classes
 //!    (functional propagation);
 //! 2. [`extract_adders`] — pair XOR and MAJ/AND roots over identical leaf
-//!    sets into full/half adders (word-level aggregation);
+//!    sets into full/half adders (word-level aggregation). [`Pairing`] is
+//!    the pass itself: it takes a filter over the candidates, which is how
+//!    the GNN's predictions drive the same code, and keeps its working
+//!    memory between calls;
 //! 3. [`build_labels`] — derive the three per-node classification targets
 //!    of the multi-task GNN;
 //! 4. [`shape`] — structural shape hashing, the classical analogue of GNN
@@ -34,8 +37,8 @@ mod labels;
 pub mod shape;
 mod wordlevel;
 
-pub use detect::{detect, Candidate, Candidates};
-pub use extract::{extract_adders, ExtractedAdder, ExtractedKind};
+pub use detect::{detect, Candidate, Candidates, Role};
+pub use extract::{extract_adders, ExtractedAdder, ExtractedKind, Pairing};
 pub use labels::{build_labels, Labels, RootLeafClass};
 pub use wordlevel::{build_tree, compare_with_reference, AdderTree, TreeComparison};
 

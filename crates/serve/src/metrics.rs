@@ -19,6 +19,7 @@
 //! | `stage_batch_assemble_micros` | merged batch graph + feature assembly |
 //! | `stage_gnn_forward_micros` | the coalesced GNN forward pass |
 //! | `stage_prediction_split_micros` | argmax decode + per-netlist scatter |
+//! | `stage_postprocess_micros` | cut detection, pairing and LSB repair of one `ExtractAdders` job (`Classify` jobs record nothing) |
 //! | `stage_time_to_rejection_micros` | submit/queue entry → `Overloaded` or `DeadlineExpired` shed |
 //! | `latency_e2e_micros` | submission → answer sent (the `JobOutput::latency_micros` distribution) |
 //!
@@ -123,6 +124,8 @@ pub struct ServeMetrics {
     pub stage_forward: Arc<Histogram>,
     /// Argmax decode + per-netlist scatter.
     pub stage_split: Arc<Histogram>,
+    /// Classical post-processing of one `ExtractAdders` job.
+    pub stage_postprocess: Arc<Histogram>,
     /// Submission → shed (`Overloaded` / `DeadlineExpired`).
     pub stage_time_to_rejection: Arc<Histogram>,
     /// Submission → answer sent.
@@ -170,6 +173,7 @@ impl ServeMetrics {
             stage_assemble: reg.histogram("stage_batch_assemble_micros"),
             stage_forward: reg.histogram("stage_gnn_forward_micros"),
             stage_split: reg.histogram("stage_prediction_split_micros"),
+            stage_postprocess: reg.histogram("stage_postprocess_micros"),
             stage_time_to_rejection: reg.histogram("stage_time_to_rejection_micros"),
             latency_e2e: reg.histogram("latency_e2e_micros"),
             queue_depth: reg.histogram("queue_depth"),

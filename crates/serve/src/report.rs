@@ -265,6 +265,7 @@ pub const STAGE_METRICS: &[(&str, &str)] = &[
     ("batch_assemble", "stage_batch_assemble_micros"),
     ("gnn_forward", "stage_gnn_forward_micros"),
     ("prediction_split", "stage_prediction_split_micros"),
+    ("postprocess", "stage_postprocess_micros"),
     ("time_to_rejection", "stage_time_to_rejection_micros"),
     ("e2e", "latency_e2e_micros"),
 ];

@@ -75,10 +75,7 @@
 
 use crate::cache::{CacheEntry, GraphSignature, HitKind, PredictionCache};
 use crate::metrics::ServeMetrics;
-use gamora::{
-    extract_from_predictions_with, lsb_correction_with, BatchScratch, GamoraReasoner,
-    InferenceScratch, Predictions,
-};
+use gamora::{BatchScratch, GamoraReasoner, InferenceScratch, PostProcess, Predictions};
 use gamora_aig::hasher::FxHashMap;
 use gamora_aig::Aig;
 use gamora_exact::ExtractedAdder;
@@ -597,6 +594,7 @@ fn spawn_worker(
                 scratch: model.scratch(),
                 batch_ws: model.batch_scratch(),
                 outs: Vec::new(),
+                post: PostProcess::default(),
                 batch_fps: Vec::new(),
             };
             worker_loop(&shared, &model, &mut state);
@@ -1107,6 +1105,9 @@ struct WorkerState {
     scratch: InferenceScratch,
     batch_ws: BatchScratch,
     outs: Vec<Predictions>,
+    /// Cut arena, candidate index and pairing memory of `ExtractAdders`
+    /// jobs.
+    post: PostProcess,
     /// Fingerprints of the batch currently being executed, recorded right
     /// after hashing so the post-panic handler can attribute strikes to
     /// the submissions that were on the worker when it died. Empty in
@@ -1456,11 +1457,9 @@ fn run_batch(
         let adders = match job.kind {
             AnalysisKind::Classify => None,
             AnalysisKind::ExtractAdders => {
-                // Both steps pair candidates from the same cut-based
-                // detection pass; run it once per job.
-                let cands = gamora_exact::detect(&job.aig);
-                let mut adders = extract_from_predictions_with(&job.aig, &cands, &predictions);
-                lsb_correction_with(&job.aig, &cands, &mut adders);
+                let timer = StageTimer::start();
+                let adders = state.post.run(&job.aig, &predictions);
+                timer.observe(&m.stage_postprocess);
                 Some(adders)
             }
             #[cfg(test)]
@@ -1595,6 +1594,38 @@ mod tests {
             .expect("job answered");
         let adders = out.adders.expect("extraction requested");
         assert!(!adders.is_empty(), "a 4-bit CSA multiplier contains adders");
+    }
+
+    /// 4,000 unstrashed copies of one half adder — 16 KB of ASCII AIGER —
+    /// put 12,000 carry candidates on a single leaf set. Pairing them used
+    /// to be cubic and held the worker for minutes; the job must resolve,
+    /// with one adder per copy, and show up in the post-process stage.
+    #[test]
+    fn extraction_job_with_thousands_of_candidates_on_one_leaf_set_resolves() {
+        let copies = 4_000u32;
+        let mut text = format!("aag {0} 2 0 {1} {1}\n2\n4\n", 2 + 4 * copies, 4 * copies);
+        for gate in 0..4 * copies {
+            text += &format!("{}\n", 2 * (3 + gate));
+        }
+        for copy in 0..copies {
+            let g = 2 * (3 + 4 * copy);
+            text += &format!("{g} 2 5\n{} 3 4\n", g + 2);
+            text += &format!("{} {} {}\n{} 2 4\n", g + 4, g + 1, g + 3, g + 6);
+        }
+        let aig = gamora_aig::aiger::read(text.as_bytes()).expect("well-formed AIGER");
+        let server = Server::start(tiny_trained(), ServeConfig::default());
+        let out = server
+            .submit(aig, AnalysisKind::ExtractAdders)
+            .expect("admitted")
+            .wait_timeout(Duration::from_secs(5))
+            .expect("answered within the budget");
+        assert_eq!(out.adders.expect("extraction requested").len(), 4_000);
+        let snapshot = server.metrics();
+        let stage = snapshot
+            .histogram("stage_postprocess_micros")
+            .expect("registered");
+        assert_eq!(stage.count(), 1, "one ExtractAdders job");
+        server.shutdown();
     }
 
     #[test]
@@ -2109,6 +2140,7 @@ mod tests {
                 "stage_batch_assemble_micros",
                 "stage_gnn_forward_micros",
                 "stage_prediction_split_micros",
+                "stage_postprocess_micros",
                 "stage_time_to_rejection_micros",
                 "latency_e2e_micros",
                 "queue_depth",

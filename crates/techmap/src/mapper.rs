@@ -294,7 +294,7 @@ pub fn map(aig: &Aig, library: &Library, params: &MapParams) -> MappedNetlist {
                         continue;
                     }
                     let (stt, k, kept) = tt::shrink(cut.tt, cut.len());
-                    let leaves: Vec<u32> = kept.iter().map(|&i| cut.leaves()[i]).collect();
+                    let leaves: Vec<u32> = kept[..k].iter().map(|&i| cut.leaves()[i]).collect();
                     match k {
                         0 => {
                             let val = stt & 1 == 1;
