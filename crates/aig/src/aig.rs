@@ -22,7 +22,7 @@ pub enum NodeKind {
 }
 
 #[derive(Copy, Clone, Debug)]
-struct AigNode {
+pub(crate) struct AigNode {
     f0: Lit,
     f1: Lit,
 }
@@ -33,6 +33,13 @@ impl AigNode {
             f0: Lit::INVALID,
             f1: Lit::INVALID,
         }
+    }
+
+    /// Both fanin literals as one word, in memory order (a leaf reads as
+    /// two invalid literals) — what the identity digest streams.
+    #[inline]
+    pub(crate) fn word(self) -> u64 {
+        self.f0.raw() as u64 | (self.f1.raw() as u64) << 32
     }
 }
 
@@ -305,6 +312,11 @@ impl Aig {
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
+
+    /// The node array itself, in node order.
+    pub(crate) fn nodes(&self) -> &[AigNode] {
+        &self.nodes
+    }
 
     /// Total number of nodes, including the constant and the inputs.
     pub fn num_nodes(&self) -> usize {

@@ -9,6 +9,12 @@
 //! per-hit O(nodes) work; per-shard caches (`ShardRouter`) shrink it
 //! further by giving each worker pool its own mutex.
 //!
+//! Three hit paths: "verbatim" and "transfer" go in through the structural
+//! key (`probe` + `resolve`, as the eager callers do); "identity" is the
+//! scheduler's first probe — `probe_identity` under the lock, the stored
+//! vectors cloned outside it — so its rows next to "verbatim" show what
+//! the second index costs in lock hold time.
+//!
 //! Regenerate: `cargo bench -p gamora-bench --bench cache_contention`
 
 use gamora::Predictions;
@@ -25,35 +31,51 @@ fn dummy_predictions(num_nodes: usize) -> Predictions {
     }
 }
 
-/// Runs `iters` hit-resolutions per thread against one shared cache.
+/// Runs `iters` hit-resolutions per thread against one shared cache,
+/// through the structural key or (`by_identity`) the identity index.
 /// `split` = probe under the lock, resolve outside (the fixed scheduler);
 /// otherwise the guard lives across the resolve too (the old behaviour).
 fn hammer(
     cache: &Mutex<PredictionCache>,
     sig: &GraphSignature,
+    by_identity: bool,
     threads: usize,
     iters: usize,
     split: bool,
 ) -> f64 {
+    let probe = |cache: &mut PredictionCache| {
+        if by_identity {
+            cache
+                .probe_identity(sig.identity, sig.key.num_nodes, None)
+                .map(|(_, entry)| entry)
+        } else {
+            cache.probe(&sig.key)
+        }
+        .expect("entry cached")
+    };
+    let resolve = |entry: &CacheEntry| {
+        if by_identity {
+            Some(entry.verbatim(None))
+        } else {
+            entry.resolve(sig).map(|(preds, _)| preds)
+        }
+    };
+    let (probe, resolve) = (&probe, &resolve);
     let (_, secs) = time(|| {
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(move || {
                     for _ in 0..iters {
                         let served = if split {
-                            let entry = cache
-                                .lock()
-                                .expect("cache poisoned")
-                                .probe(&sig.key)
-                                .expect("entry cached");
+                            let entry = probe(&mut cache.lock().expect("cache poisoned"));
                             // O(nodes), no lock held.
-                            entry.resolve(sig)
+                            resolve(&entry)
                         } else {
                             // O(nodes) under the mutex: every other
                             // thread's probe waits for it.
                             let mut guard = cache.lock().expect("cache poisoned");
-                            let entry = guard.probe(&sig.key).expect("entry cached");
-                            entry.resolve(sig)
+                            let entry = probe(&mut guard);
+                            resolve(&entry)
                         };
                         assert!(served.is_some(), "resolution must hit");
                         std::hint::black_box(&served);
@@ -82,6 +104,7 @@ fn main() {
     // Verbatim path: identity matches, resolution clones the stored
     // vectors. Transfer path: identity differs, resolution re-indexes
     // every node through the canonical-hash map (the heaviest hit).
+    // Identity path: the verbatim clone, found through the identity index.
     let mut transfer_sig = sig.clone();
     transfer_sig.identity ^= 1;
 
@@ -93,7 +116,11 @@ fn main() {
         "split/locked",
     ]);
     let mut measured: Vec<(&str, f64, f64)> = Vec::new();
-    for (label, lookup_sig) in [("verbatim", &sig), ("transfer", &transfer_sig)] {
+    for (label, lookup_sig, by_identity) in [
+        ("verbatim", &sig, false),
+        ("transfer", &transfer_sig, false),
+        ("identity", &sig, true),
+    ] {
         for threads in [1usize, 2, 4] {
             let cache = Mutex::new(PredictionCache::new(8));
             // Seed the cache the way the shipped scheduler inserts: the
@@ -101,8 +128,8 @@ fn main() {
             // the mutex, and only the O(1) `insert_entry` holds it.
             let entry = Arc::new(CacheEntry::new(&sig, preds.clone()));
             cache.lock().unwrap().insert_entry(sig.key, entry);
-            let locked = hammer(&cache, lookup_sig, threads, iters, false);
-            let split = hammer(&cache, lookup_sig, threads, iters, true);
+            let locked = hammer(&cache, lookup_sig, by_identity, threads, iters, false);
+            let split = hammer(&cache, lookup_sig, by_identity, threads, iters, true);
             measured.push((label, locked, split));
             table.row(vec![
                 label.to_string(),
@@ -113,11 +140,11 @@ fn main() {
             ]);
         }
     }
-    // The report must cover both hit-resolution paths, each measured
+    // The report must cover every hit-resolution path, each measured
     // under both lock disciplines — a refactor that silently drops one
     // (or makes a path unhittable) fails here instead of shipping a
     // bench that no longer exercises the shipped code.
-    for path in ["verbatim", "transfer"] {
+    for path in ["verbatim", "transfer", "identity"] {
         let rows = measured.iter().filter(|(l, ..)| *l == path).count();
         assert_eq!(rows, 3, "{path} path missing from the report");
         assert!(

@@ -1,35 +1,55 @@
-//! Structural-hash prediction cache: an LRU map from canonical AIG
-//! fingerprints to served predictions.
+//! Structural-hash prediction cache: an LRU of served predictions,
+//! addressable two ways.
 //!
-//! The key is the whole-graph canonical hash of
-//! [`gamora_aig::hasher::structural_fingerprint`] plus the node/input/AND
-//! counts, so repeated — and isomorphic, renumbered — submissions of a
-//! netlist skip the GNN forward pass entirely.
+//! Every cached graph sits in one slot, reachable through two indexes that
+//! are kept in step on insert, in-place refresh and eviction:
 //!
-//! Serving is two-tier:
+//! * the **identity index**, `(identity digest, node count) → slot`: the
+//!   128-bit order-sensitive
+//!   [`identity_fingerprint`](gamora_aig::hasher::identity_fingerprint) of
+//!   the exact numbering that was cached;
+//! * the **structural key map**, [`CacheKey`] `→ slot`: the canonical
+//!   whole-graph hash of
+//!   [`gamora_aig::hasher::structural_fingerprint`] plus the
+//!   node/input/AND counts, which a renumbered isomorph shares.
 //!
-//! 1. **verbatim** — if the submission's order-sensitive
-//!    [`identity_fingerprint`](gamora_aig::hasher::identity_fingerprint)
-//!    matches the cached entry, the stored per-node prediction vectors are
-//!    returned unchanged: bit-exact reproduction of the original forward
-//!    pass (the common repeated-netlist case);
-//! 2. **transfer** — otherwise the entry's predictions are re-indexed
-//!    through canonical per-node hashes onto the submission's numbering.
-//!    Transfer is refused (an honest miss) if the cached graph contains
-//!    duplicate canonical node hashes — with fanout-sensitive message
-//!    passing, structurally identical cones can still predict differently
-//!    — or if any submission hash cannot be resolved (a genuine
-//!    fingerprint collision).
+//! A submission is looked up in that order, and each step is only paid for
+//! by the jobs the previous one did not answer:
+//!
+//! 1. **verbatim**, by identity ([`PredictionCache::probe_identity`]) — the
+//!    digest is taken once, on the submitting thread, and a hit returns the
+//!    stored per-node prediction vectors unchanged: bit-exact reproduction
+//!    of the original forward pass (the common repeated-netlist case). No
+//!    structural hash is computed for such a job; the slot's own
+//!    [`CacheKey`] supplies the structural fingerprint the scheduler's
+//!    quarantine gate needs.
+//! 2. **structural key** ([`PredictionCache::probe`]) — only a job that
+//!    missed the identity index pays the canonical per-node hash pass
+//!    ([`GraphSignature::with_identity`]); a key hit on an entry with
+//!    another numbering goes to
+//! 3. **transfer** — the entry's predictions are re-indexed through
+//!    canonical per-node hashes onto the submission's numbering. Transfer
+//!    is refused (an honest miss) if the cached graph contains duplicate
+//!    canonical node hashes — with fanout-sensitive message passing,
+//!    structurally identical cones can still predict differently — or if
+//!    any submission hash cannot be resolved (a genuine fingerprint
+//!    collision).
+//!
+//! [`GraphSignature::of`] + [`PredictionCache::probe`] +
+//! [`CacheEntry::resolve`] is the same lookup done eagerly (everything
+//! hashed up front, verbatim decided inside `resolve`); it serves the same
+//! answers and is what the shard router's affinity routing and the
+//! benchmark's replay use.
 //!
 //! Eviction is true LRU in O(1) via an index-linked list over a slab.
 //!
 //! **Lock discipline.** The scheduler keeps the cache behind a mutex, so
 //! everything O(nodes) is kept *out* of the cache's own methods'
-//! contended section: [`PredictionCache::probe`] is an O(1) map probe +
-//! LRU touch that hands back an [`Arc<CacheEntry>`]; the O(nodes)
-//! verbatim clone or transfer re-indexing then runs through
-//! [`CacheEntry::resolve`] on the caller's thread with no lock held.
-//! Symmetrically, [`CacheEntry::new`] builds the O(nodes) hash index
+//! contended section: both probes are an O(1) map lookup + LRU touch that
+//! hand back an [`Arc<CacheEntry>`]; the O(nodes) verbatim clone
+//! ([`CacheEntry::verbatim`]) or transfer re-indexing
+//! ([`CacheEntry::resolve`]) then runs on the caller's thread with no lock
+//! held. Symmetrically, [`CacheEntry::new`] builds the O(nodes) hash index
 //! outside the lock and [`PredictionCache::insert_entry`] links it in
 //! O(1).
 
@@ -44,11 +64,13 @@ use std::sync::Arc;
 /// Per-tier cache observability: probe/resolve latency histograms plus
 /// verbatim/transfer hit and miss counters. The handles are `Arc`s into a
 /// [`Registry`]; recording is wait-free and allocation-free, so the timed
-/// helpers ([`PredictionCache::probe_timed`],
-/// [`CacheEntry::resolve_timed`]) are safe both under the scheduler's
-/// cache mutex (probe) and on the lock-free resolve path.
+/// helpers ([`PredictionCache::probe_identity`],
+/// [`PredictionCache::probe_timed`], [`CacheEntry::resolve_timed`]) are
+/// safe both under the scheduler's cache mutex (probes) and on the
+/// lock-free resolve path.
 pub struct CacheMetrics {
-    /// O(1) LRU probe latency (under the cache lock).
+    /// O(1) LRU probe latency (under the cache lock), one sample per probe
+    /// of either index.
     pub probe_micros: Arc<Histogram>,
     /// O(nodes) verbatim-clone / transfer-reindex latency (no lock held).
     pub resolve_micros: Arc<Histogram>,
@@ -56,7 +78,8 @@ pub struct CacheMetrics {
     pub hits_verbatim: Arc<Counter>,
     /// Resolutions transferred onto a renumbered isomorph.
     pub hits_transferred: Arc<Counter>,
-    /// Probes that found no entry for the key.
+    /// Submissions with no entry for their graph: the structural-key probe
+    /// missed (and so, before it, had the identity probe).
     pub probe_misses: Arc<Counter>,
     /// Probed entries that refused to resolve (duplicate cones or a
     /// genuine fingerprint collision) — honest misses.
@@ -96,8 +119,8 @@ pub struct CacheKey {
 pub struct GraphSignature {
     /// The LRU key.
     pub key: CacheKey,
-    /// Order-sensitive exact hash (verbatim-serve test).
-    pub identity: u64,
+    /// Order-sensitive exact 128-bit digest (the verbatim tier's key).
+    pub identity: u128,
     /// Canonical per-node hashes (transfer-serve index).
     pub node_hashes: Vec<u64>,
 }
@@ -112,6 +135,15 @@ impl GraphSignature {
     /// fingerprints computed on admission threads, worker threads and in
     /// tests always agree.
     pub fn of(aig: &Aig) -> GraphSignature {
+        GraphSignature::with_identity(aig, identity_fingerprint(aig))
+    }
+
+    /// The structural half of [`GraphSignature::of`] around an identity
+    /// digest the caller already holds (the scheduler takes it at submit
+    /// and comes here only for jobs the identity index did not answer, so
+    /// no AIG is digested twice). `identity` must be
+    /// `identity_fingerprint(aig)`.
+    pub fn with_identity(aig: &Aig, identity: u128) -> GraphSignature {
         let node_hashes = structural_node_hashes_parallel(aig, gamora_gnn::parallel::num_threads());
         GraphSignature {
             key: CacheKey {
@@ -120,7 +152,7 @@ impl GraphSignature {
                 num_inputs: aig.num_inputs(),
                 num_ands: aig.num_ands(),
             },
-            identity: identity_fingerprint(aig),
+            identity,
             node_hashes,
         }
     }
@@ -140,7 +172,7 @@ pub enum HitKind {
 /// by `Arc` so the expensive resolution work ([`CacheEntry::resolve`])
 /// runs with no cache lock held.
 pub struct CacheEntry {
-    identity: u64,
+    identity: u128,
     predictions: Predictions,
     /// Canonical node hash -> (root_leaf, is_xor, is_maj), valid only when
     /// `hashes_unique`: with duplicate intra-graph hashes (unstrashed
@@ -199,9 +231,25 @@ impl CacheEntry {
     /// fingerprint collision). O(nodes) — run it with no lock held.
     pub fn resolve(&self, sig: &GraphSignature) -> Option<(Predictions, HitKind)> {
         if self.identity == sig.identity {
-            return Some((self.predictions.clone(), HitKind::Verbatim));
+            return Some((self.verbatim(None), HitKind::Verbatim));
         }
         self.transfer(sig).map(|p| (p, HitKind::Transferred))
+    }
+
+    /// The stored predictions, cloned: what a
+    /// [`PredictionCache::probe_identity`] hit serves. With `metrics`, the
+    /// clone is accounted exactly as a verbatim
+    /// [`CacheEntry::resolve_timed`] (one resolve-latency sample, one
+    /// verbatim hit). O(nodes) — run it with no lock held.
+    pub fn verbatim(&self, metrics: Option<&CacheMetrics>) -> Predictions {
+        let Some(metrics) = metrics else {
+            return self.predictions.clone();
+        };
+        let timer = StageTimer::start();
+        let predictions = self.predictions.clone();
+        timer.observe(&metrics.resolve_micros);
+        metrics.hits_verbatim.inc();
+        predictions
     }
 
     /// [`CacheEntry::resolve`] with tier accounting: records the resolve
@@ -255,10 +303,16 @@ struct Slot {
 
 const NIL: usize = usize::MAX;
 
-/// An LRU-bounded map from structural fingerprints to predictions.
+/// An LRU-bounded store of predictions, indexed by structural key and by
+/// identity digest (see the module doc).
 pub struct PredictionCache {
     capacity: usize,
     map: FxHashMap<CacheKey, usize>,
+    /// `(identity digest, node count) → slot` of the numbering each slot
+    /// holds. Two slots can claim one identity only through a digest
+    /// collision; the later insert owns the mapping then, and the other
+    /// slot stays reachable through `map` alone.
+    by_identity: FxHashMap<(u128, usize), usize>,
     slab: Vec<Slot>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -276,6 +330,7 @@ impl PredictionCache {
         PredictionCache {
             capacity,
             map: FxHashMap::default(),
+            by_identity: FxHashMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -324,6 +379,55 @@ impl PredictionCache {
         }
     }
 
+    /// The identity-index key of the numbering slot `idx` holds.
+    fn identity_key(&self, idx: usize) -> (u128, usize) {
+        let slot = &self.slab[idx];
+        (slot.entry.identity, slot.key.num_nodes)
+    }
+
+    /// Drops slot `idx`'s identity mapping — unless a digest collision has
+    /// handed that identity to another slot since, which keeps it.
+    fn unlink_identity(&mut self, idx: usize) {
+        let id_key = self.identity_key(idx);
+        if self.by_identity.get(&id_key) == Some(&idx) {
+            self.by_identity.remove(&id_key);
+        }
+    }
+
+    /// O(1) probe of the identity index: finds the slot caching exactly
+    /// this numbering (128-bit digest and node count, the latter checked
+    /// against the stored prediction length as well) and marks it most
+    /// recently used, exactly like [`PredictionCache::probe`]. A hit hands
+    /// back the slot's structural [`CacheKey`] — the caller never hashed
+    /// the graph structurally, and the scheduler's quarantine gate wants
+    /// the fingerprint — with the entry, whose
+    /// [`CacheEntry::verbatim`] the caller runs after releasing the lock.
+    ///
+    /// With `metrics`, the probe records one probe-latency sample. A miss
+    /// here is not yet a `probe_misses` count: the caller goes on to the
+    /// structural key, and that probe decides.
+    pub fn probe_identity(
+        &mut self,
+        identity: u128,
+        num_nodes: usize,
+        metrics: Option<&CacheMetrics>,
+    ) -> Option<(CacheKey, Arc<CacheEntry>)> {
+        let timed = metrics.map(|m| (StageTimer::start(), m));
+        let hit = self
+            .by_identity
+            .get(&(identity, num_nodes))
+            .copied()
+            .filter(|&idx| self.slab[idx].entry.predictions.num_nodes() == num_nodes);
+        if let Some(idx) = hit {
+            self.detach(idx);
+            self.push_front(idx);
+        }
+        if let Some((timer, metrics)) = timed {
+            timer.observe(&metrics.probe_micros);
+        }
+        hit.map(|idx| (self.slab[idx].key, Arc::clone(&self.slab[idx].entry)))
+    }
+
     /// O(1) probe: finds the entry for a key and marks it most recently
     /// used. The returned `Arc` lets the caller run the O(nodes)
     /// [`CacheEntry::resolve`] *after* releasing whatever lock guards the
@@ -359,9 +463,12 @@ impl PredictionCache {
     /// with [`CacheEntry::new`] *outside* the cache lock.
     pub fn insert_entry(&mut self, key: CacheKey, entry: Arc<CacheEntry>) {
         if let Some(&idx) = self.map.get(&key) {
-            // Refresh in place (e.g. re-inserted after a transfer miss).
+            // Refresh in place (e.g. re-inserted after a transfer miss):
+            // the slot now holds another numbering of the same structure.
             self.detach(idx);
+            self.unlink_identity(idx);
             self.slab[idx].entry = entry;
+            self.by_identity.insert(self.identity_key(idx), idx);
             self.push_front(idx);
             return;
         }
@@ -369,6 +476,7 @@ impl PredictionCache {
             let lru = self.tail;
             self.detach(lru);
             self.map.remove(&self.slab[lru].key);
+            self.unlink_identity(lru);
             self.free.push(lru);
         }
         let slot = Slot {
@@ -388,6 +496,7 @@ impl PredictionCache {
             }
         };
         self.map.insert(key, idx);
+        self.by_identity.insert(self.identity_key(idx), idx);
         self.push_front(idx);
     }
 }
@@ -531,15 +640,22 @@ mod tests {
     }
 
     /// The timed probe/resolve wrappers serve identical answers to the
-    /// plain API and account each tier exactly once.
+    /// plain API and account each tier exactly once: one probe sample per
+    /// probe of either index, a probe miss only when the structural key
+    /// missed, and an identity hit booked like a verbatim resolve.
     #[test]
     fn timed_probe_resolve_accounts_tiers() {
         let mut reg = Registry::new();
         let metrics = CacheMetrics::register(&mut reg);
         let aig = toy_aig(false);
         let sig = GraphSignature::of(&aig);
+        let n = sig.key.num_nodes;
         let mut cache = PredictionCache::new(4);
 
+        // Cold: both indexes miss, one probe miss between them.
+        assert!(cache
+            .probe_identity(sig.identity, n, Some(&metrics))
+            .is_none());
         assert!(cache.probe_timed(&sig.key, &metrics).is_none());
         insert(&mut cache, &sig, toy_predictions(&aig));
         let entry = cache.probe_timed(&sig.key, &metrics).expect("hit");
@@ -547,21 +663,145 @@ mod tests {
         assert_eq!(kind, HitKind::Verbatim);
         assert_eq!(served.root_leaf, toy_predictions(&aig).root_leaf);
 
-        // A renumbered identity forces the transfer tier.
+        // A renumbered identity misses the identity index (no probe miss
+        // yet) and is transferred off the structural key's entry.
         let mut renumbered = sig.clone();
         renumbered.identity ^= 1;
+        assert!(cache
+            .probe_identity(renumbered.identity, n, Some(&metrics))
+            .is_none());
         let (_, kind) = entry
             .resolve_timed(&renumbered, &metrics)
             .expect("transfer");
         assert_eq!(kind, HitKind::Transferred);
 
+        // The identity index answers the original numbering with the
+        // slot's key and the same bits `resolve` serves.
+        let (key, by_identity) = cache
+            .probe_identity(sig.identity, n, Some(&metrics))
+            .expect("identity hit");
+        assert_eq!(key, sig.key);
+        assert_eq!(by_identity.verbatim(Some(&metrics)), served);
+
         let snap = reg.snapshot();
         assert_eq!(snap.counter("cache_probe_misses_total"), 1);
-        assert_eq!(snap.counter("cache_hits_verbatim_total"), 1);
+        assert_eq!(snap.counter("cache_hits_verbatim_total"), 2);
         assert_eq!(snap.counter("cache_hits_transferred_total"), 1);
         assert_eq!(snap.counter("cache_resolve_misses_total"), 0);
-        assert_eq!(snap.histogram("cache_probe_micros").unwrap().count(), 2);
-        assert_eq!(snap.histogram("cache_resolve_micros").unwrap().count(), 2);
+        // 3 identity probes + 2 key probes.
+        assert_eq!(snap.histogram("cache_probe_micros").unwrap().count(), 5);
+        // 2 verbatim + 1 transfer.
+        assert_eq!(snap.histogram("cache_resolve_micros").unwrap().count(), 3);
+    }
+
+    /// The identity index stays in step with the key map: a fresh insert
+    /// links the numbering, an in-place refresh (same structure, other
+    /// numbering) moves the link, eviction drops it — and a probe through
+    /// it touches the LRU exactly like a key probe.
+    #[test]
+    fn identity_index_follows_insert_refresh_and_eviction() {
+        let graphs: Vec<Aig> = (0..3usize)
+            .map(|i| {
+                let mut aig = Aig::new();
+                let ins = aig.add_inputs(i + 2);
+                let x = aig.xor(ins[0], ins[1]);
+                aig.add_output(x);
+                aig
+            })
+            .collect();
+        let sigs: Vec<_> = graphs.iter().map(GraphSignature::of).collect();
+        let hit = |cache: &mut PredictionCache, sig: &GraphSignature| {
+            cache
+                .probe_identity(sig.identity, sig.key.num_nodes, None)
+                .is_some()
+        };
+        let mut cache = PredictionCache::new(2);
+        assert!(!hit(&mut cache, &sigs[0]));
+        insert(&mut cache, &sigs[0], toy_predictions(&graphs[0]));
+        insert(&mut cache, &sigs[1], toy_predictions(&graphs[1]));
+        assert!(hit(&mut cache, &sigs[0]) && hit(&mut cache, &sigs[1]));
+
+        // Refresh slot 0 under another numbering of the same structure.
+        let mut twin = sigs[0].clone();
+        twin.identity ^= 1;
+        insert(&mut cache, &twin, toy_predictions(&graphs[0]));
+        assert!(!hit(&mut cache, &sigs[0]), "the old numbering is gone");
+        assert!(hit(&mut cache, &twin));
+        assert_eq!(cache.len(), 2);
+
+        // Touch 1 through the identity index, so the twin is LRU; the
+        // next insert evicts it from both indexes.
+        assert!(hit(&mut cache, &sigs[1]));
+        insert(&mut cache, &sigs[2], toy_predictions(&graphs[2]));
+        assert!(!hit(&mut cache, &twin), "evicted: no identity mapping left");
+        assert!(cache.probe(&twin.key).is_none());
+        assert!(hit(&mut cache, &sigs[1]) && hit(&mut cache, &sigs[2]));
+        assert_eq!(cache.by_identity.len(), cache.map.len());
+    }
+
+    /// Two structural keys under one identity — a digest collision — must
+    /// not unlink each other: the later insert owns the mapping, and
+    /// refreshing or evicting the earlier slot leaves it alone.
+    #[test]
+    fn colliding_identities_do_not_unlink_each_other() {
+        let (a, b) = (toy_aig(false), toy_aig(true));
+        let sig_a = GraphSignature::of(&a);
+        let mut sig_b = GraphSignature::of(&b);
+        assert_ne!(sig_a.key, sig_b.key);
+        assert_eq!(sig_a.key.num_nodes, sig_b.key.num_nodes);
+        sig_b.identity = sig_a.identity;
+        let owner = |cache: &mut PredictionCache| {
+            cache
+                .probe_identity(sig_a.identity, sig_a.key.num_nodes, None)
+                .map(|(key, _)| key)
+        };
+        let collided = || {
+            let mut cache = PredictionCache::new(2);
+            insert(&mut cache, &sig_a, toy_predictions(&a));
+            insert(&mut cache, &sig_b, toy_predictions(&b));
+            cache
+        };
+
+        // Refresh a's slot under another numbering.
+        let mut cache = collided();
+        assert_eq!(
+            owner(&mut cache),
+            Some(sig_b.key),
+            "the later insert owns it"
+        );
+        let mut a_twin = sig_a.clone();
+        a_twin.identity ^= 1;
+        insert(&mut cache, &a_twin, toy_predictions(&a));
+        assert_eq!(owner(&mut cache), Some(sig_b.key));
+
+        // Evict a's slot (the probe touched b, so a is LRU).
+        let mut cache = collided();
+        assert_eq!(owner(&mut cache), Some(sig_b.key));
+        let mut sig_c = sig_a.clone();
+        sig_c.key.fingerprint ^= 1;
+        sig_c.identity ^= 2;
+        insert(&mut cache, &sig_c, toy_predictions(&a));
+        assert!(cache.probe(&sig_a.key).is_none(), "a was evicted");
+        assert_eq!(owner(&mut cache), Some(sig_b.key));
+    }
+
+    /// An identity hit needs the node count to agree with the stored
+    /// prediction length, not only with the key it was filed under.
+    #[test]
+    fn identity_hit_checks_the_stored_prediction_length() {
+        let aig = toy_aig(false);
+        let sig = GraphSignature::of(&aig);
+        let entry = Arc::new(CacheEntry::new(&sig, toy_predictions(&aig)));
+        let mut misfiled = sig.key;
+        misfiled.num_nodes += 1;
+        let mut cache = PredictionCache::new(2);
+        cache.insert_entry(misfiled, entry);
+        assert!(cache
+            .probe_identity(sig.identity, misfiled.num_nodes, None)
+            .is_none());
+        assert!(cache
+            .probe_identity(sig.identity, sig.key.num_nodes, None)
+            .is_none());
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! * **Model persistence** — `gamora::GamoraReasoner::save` / `load`
 //!   (versioned, checksummed binary snapshots; see `gamora::snapshot`)
 //!   make a trained reasoner a durable artifact served across processes.
-//! * [`cache`] — an LRU prediction cache keyed on the canonical
-//!   structural fingerprint of `gamora_aig::hasher`, so repeated or
-//!   isomorphic submissions skip the GNN forward pass entirely.
+//! * [`cache`] — an LRU prediction cache with two indexes over
+//!   `gamora_aig::hasher`: the 128-bit identity digest of the exact
+//!   numbering (probed first; a verbatim repeat needs nothing else) and
+//!   the canonical structural fingerprint (a renumbered isomorph's way
+//!   in), so repeated or isomorphic submissions skip the GNN forward pass
+//!   entirely.
 //! * [`scheduler`] — a `std::thread` + channel worker pool that coalesces
 //!   concurrent jobs into micro-batches for `predict_batch` and fans the
 //!   results back out (the serving analogue of the paper's Figure 8).

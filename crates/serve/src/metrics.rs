@@ -15,7 +15,7 @@
 //! | `stage_admission_micros` | submit call entry → job admitted into the queue (includes blocking waits for queue space) |
 //! | `stage_queue_wait_micros` | admission → a worker claims the job into a batch |
 //! | `stage_linger_micros` | time a short batch waited for companions |
-//! | `stage_signature_hash_micros` | structural signature computation per batch (router-submitted jobs arrive pre-hashed, so their share is near zero) |
+//! | `stage_signature_hash_micros` | hashing, wherever it runs: the identity digest of one submission, taken on the submitting thread before (not inside) its admission span, and the structural signature pass over one batch's identity-missed jobs in the worker; router-submitted jobs arrive signed and record neither |
 //! | `stage_batch_assemble_micros` | merged batch graph + feature assembly |
 //! | `stage_gnn_forward_micros` | the coalesced GNN forward pass |
 //! | `stage_prediction_split_micros` | argmax decode + per-netlist scatter |
@@ -116,7 +116,8 @@ pub struct ServeMetrics {
     pub stage_queue_wait: Arc<Histogram>,
     /// Linger window actually waited by short batches.
     pub stage_linger: Arc<Histogram>,
-    /// Structural signature hashing per batch.
+    /// Identity digest per submit plus structural signature hashing per
+    /// batch.
     pub stage_hash: Arc<Histogram>,
     /// Merged batch graph/feature assembly.
     pub stage_assemble: Arc<Histogram>,

@@ -15,8 +15,9 @@
 //! isomorph) of a netlist lands on the shard whose cache already holds it
 //! — shard affinity turns the per-shard caches into one logically
 //! partitioned cache with no shared lock. The signature computed for
-//! routing travels with the job, so shard workers never re-hash
-//! router-submitted AIGs.
+//! routing (on the caller's thread) travels with the job, so shard
+//! workers never re-hash router-submitted AIGs: they probe the identity
+//! index with the signature's digest and fall back to its structural key.
 //!
 //! The router is a thin, stateless fan-out: it holds no queue of its own,
 //! so the bounded-ingress guarantees of the underlying [`Server`]s
@@ -527,6 +528,16 @@ mod tests {
                 "a renumbered isomorph routes to the same warm shard"
             );
         }
+        // The router signed every job on the caller's thread: the shards
+        // neither digested at submit nor hashed in a worker.
+        assert_eq!(
+            router
+                .metrics()
+                .histogram("stage_signature_hash_micros")
+                .expect("registered")
+                .count(),
+            0
+        );
         let stats = router.shutdown();
         assert_eq!(
             stats.forward_passes, warm.forward_passes,

@@ -2,9 +2,13 @@
 //! ingress.
 //!
 //! Jobs (an AIG plus the requested analysis) are submitted from any thread
-//! and answered through per-job channels. Worker threads drain the shared
-//! queue in batches of up to `max_batch`, answer what they can from the
-//! structural-hash [`PredictionCache`], coalesce the remaining misses into
+//! and answered through per-job channels. Every `submit*` call digests its
+//! AIG on the caller's thread (one streaming pass, the 128-bit
+//! `identity_fingerprint`; nothing in cold mode). Worker threads drain the
+//! shared queue in batches of up to `max_batch`, answer what they can from
+//! the [`PredictionCache`] — its identity index first, with that digest;
+//! structural hashing, the structural key and transfer only for jobs that
+//! miss it — coalesce the remaining misses into
 //! **one** GNN forward pass via
 //! [`GamoraReasoner::predict_batch_into_timed`],
 //! then fan the results back out — the serving analogue of the paper's
@@ -25,9 +29,9 @@
 //!   degenerating to size-1 forward passes.
 //! * **Deadlines.** [`Server::submit_within`] attaches a time-to-live;
 //!   workers reject already-expired jobs with
-//!   [`ServeError::DeadlineExpired`] *before* hashing or running the
-//!   model, so a backed-up server does not burn forward passes on answers
-//!   nobody is waiting for.
+//!   [`ServeError::DeadlineExpired`] *before* probing, hashing or running
+//!   the model, so a backed-up server does not burn forward passes on
+//!   answers nobody is waiting for.
 //! * **Shutdown is observed under the queue lock.** Once
 //!   [`Server::begin_shutdown`] (or drop/`shutdown`) flips the flag, every
 //!   `submit` variant fails fast with [`SubmitError::ShuttingDown`] — a
@@ -73,10 +77,10 @@
 //! For multi-shard serving (one ingress per cache) see
 //! [`ShardRouter`](crate::router::ShardRouter).
 
-use crate::cache::{CacheEntry, GraphSignature, HitKind, PredictionCache};
+use crate::cache::{CacheEntry, CacheKey, GraphSignature, HitKind, PredictionCache};
 use crate::metrics::ServeMetrics;
 use gamora::{BatchScratch, GamoraReasoner, InferenceScratch, PostProcess, Predictions};
-use gamora_aig::hasher::FxHashMap;
+use gamora_aig::hasher::{identity_fingerprint, FxHashMap};
 use gamora_aig::Aig;
 use gamora_exact::ExtractedAdder;
 use gamora_fault::FaultPoint;
@@ -284,8 +288,14 @@ impl JobTicket {
 pub(crate) struct Job {
     pub(crate) aig: Aig,
     pub(crate) kind: AnalysisKind,
-    /// Structural signature precomputed by the router (or a previous
-    /// phase); workers compute it on demand otherwise.
+    /// The AIG's 128-bit identity digest, taken on the submitting thread
+    /// (see [`Server::identity_of`]); `Some` exactly when the server
+    /// hashes (`cache_capacity > 0`). The worker probes the cache's
+    /// identity index with it before any structural hashing.
+    pub(crate) identity: Option<u128>,
+    /// Structural signature precomputed by the router; otherwise a worker
+    /// computes it, and only if the identity index does not answer the
+    /// job.
     pub(crate) sig: Option<GraphSignature>,
     pub(crate) deadline: Option<Instant>,
     pub(crate) submitted: Instant,
@@ -298,6 +308,14 @@ pub(crate) struct Job {
     /// to burn forward passes into dropped receivers.
     pub(crate) burst: u64,
     pub(crate) tx: mpsc::Sender<Result<JobOutput, ServeError>>,
+}
+
+impl Job {
+    /// The identity digest of a job on a hashing server.
+    fn digest(&self) -> u128 {
+        self.identity
+            .expect("a hashing server digests every job at submit")
+    }
 }
 
 /// Server health, derived from the failure counters (see
@@ -474,6 +492,20 @@ struct Shared {
 }
 
 impl Shared {
+    /// Runs `f` on the prediction cache with its mutex held: O(1) probes
+    /// and inserts only, never anything O(nodes).
+    ///
+    /// # Panics
+    ///
+    /// Panics in cold mode — callers are gated on `hashing_enabled`, which
+    /// like the cache derives from `cache_capacity > 0`.
+    fn with_cache<R>(&self, f: impl FnOnce(&mut PredictionCache) -> R) -> R {
+        let mut cache = self.cache.lock().expect("cache poisoned");
+        f(cache
+            .as_mut()
+            .expect("hashing_enabled implies a cache (both derive from cache_capacity > 0)"))
+    }
+
     /// Stamps "something went wrong just now" for the health window.
     fn note_incident(&self) {
         let micros = self.started.elapsed().as_micros() as u64;
@@ -774,6 +806,30 @@ impl Server {
         self.submit_routed(aig, kind, None, Some(deadline), false)
     }
 
+    /// The identity digest a job of this server carries: none in cold mode
+    /// (`cache_capacity: 0` hashes nothing anywhere), the router's when it
+    /// signed the job, otherwise taken here — on the caller's thread and
+    /// before any queue lock. Submitters digest in parallel while the
+    /// worker is the one serial resource, a job that is shed or expires
+    /// never costs the worker a pass, and the caller has just built,
+    /// parsed or cloned the AIG, so its node array is in that core's
+    /// cache. Recorded into `stage_signature_hash_micros`, outside the
+    /// admission span.
+    fn identity_of(&self, aig: &Aig, sig: Option<&GraphSignature>) -> Option<u128> {
+        if !self.shared.hashing_enabled {
+            return None;
+        }
+        Some(match sig {
+            Some(sig) => sig.identity,
+            None => {
+                let timer = StageTimer::start();
+                let identity = identity_fingerprint(aig);
+                timer.observe(&self.shared.metrics.stage_hash);
+                identity
+            }
+        })
+    }
+
     /// The full-control internal entry point; the router uses it to pass
     /// along the structural signature it already computed (workers then
     /// skip the O(nodes) hash passes).
@@ -785,12 +841,14 @@ impl Server {
         deadline: Option<Instant>,
         block: bool,
     ) -> Result<JobTicket, SubmitError> {
+        let identity = self.identity_of(&aig, sig.as_ref());
         let timer = StageTimer::start();
         let (tx, rx) = mpsc::channel();
         let submitted = Instant::now();
         let job = Job {
             aig,
             kind,
+            identity,
             sig,
             deadline,
             submitted,
@@ -921,9 +979,14 @@ impl Server {
             self.shared.note_incident();
             return Err(SubmitError::Overloaded);
         }
+        // Digest the whole burst before the queue lock is taken.
+        let identities: Vec<Option<u128>> = jobs
+            .iter()
+            .map(|(aig, _, sig)| self.identity_of(aig, sig.as_ref()))
+            .collect();
         let mut tickets = Vec::with_capacity(jobs.len());
         let mut queue = self.shared.queue.lock().expect("queue poisoned");
-        for (aig, kind, sig) in jobs {
+        for ((aig, kind, sig), identity) in jobs.into_iter().zip(identities) {
             let timer = StageTimer::start();
             loop {
                 if queue.shutdown {
@@ -946,6 +1009,7 @@ impl Server {
                 Job {
                     aig,
                     kind,
+                    identity,
                     sig,
                     deadline: None,
                     submitted,
@@ -1215,6 +1279,37 @@ fn admission_fault_fires() -> bool {
     catch_unwind(|| gamora_fault::hit(FaultPoint::Admission)).map_or(true, |r| r.is_err())
 }
 
+/// What phase 1 of [`run_batch`] knows about one live job of a hashing
+/// server.
+enum Lookup {
+    /// The identity index holds exactly this numbering: the slot's
+    /// structural key (never recomputed — its fingerprint is what the
+    /// quarantine gate and strike attribution use) and the entry to clone
+    /// from.
+    Verbatim(CacheKey, Arc<CacheEntry>),
+    /// Not cached under this numbering: the full signature, for the
+    /// structural-key probe, transfer, duplicate coalescing and insert.
+    Hashed(GraphSignature),
+}
+
+impl Lookup {
+    fn fingerprint(&self) -> u64 {
+        match self {
+            Lookup::Verbatim(key, _) => key.fingerprint,
+            Lookup::Hashed(sig) => sig.key.fingerprint,
+        }
+    }
+
+    /// The signature of a job that goes to the model: identity hits are
+    /// served in phase 1 and never get there.
+    fn signature(&self) -> &GraphSignature {
+        match self {
+            Lookup::Hashed(sig) => sig,
+            Lookup::Verbatim(..) => unreachable!("an identity hit is never a miss"),
+        }
+    }
+}
+
 fn run_batch(
     shared: &Shared,
     model: &GamoraReasoner,
@@ -1253,9 +1348,10 @@ fn run_batch(
 
     // Signature-hash fail point. Hashing is load-bearing when enabled —
     // cache keys and quarantine fingerprints both derive from it — so an
-    // injected `err` fails the whole batch rather than guessing at
-    // identities; `panic` unwinds to the worker handler like any batch
-    // panic. Cold mode never hashes, so the point is not checked there.
+    // injected `err` fails the whole batch, before any probe, rather than
+    // guessing at identities; `panic` unwinds to the worker handler like
+    // any batch panic. Cold mode never hashes, so the point is not checked
+    // there.
     if shared.hashing_enabled && gamora_fault::hit(FaultPoint::SignatureHash).is_err() {
         shared.note_incident();
         for job in batch {
@@ -1264,62 +1360,96 @@ fn run_batch(
         return;
     }
 
-    // Phase 1: resolve from the cache. The lock covers only the O(1) LRU
-    // probe; the O(nodes) verbatim clone / transfer re-indexing runs on
-    // `Arc`'d entries *outside* it, so a big transfer never stalls the
-    // other workers' probes. With hashing disabled the signatures are
-    // provably unused — skip the O(nodes) hash passes entirely so cold
-    // mode measures pure model throughput. Router-submitted jobs carry a
-    // precomputed signature; worker-side hashing is the fallback.
-    let mut signatures: Vec<GraphSignature> = if shared.hashing_enabled {
+    // Cache-resolve fail point: an injected `err` skips both probes — every
+    // job is treated as a miss (results are still inserted afterwards), so
+    // the failure degrades throughput, never correctness. It is checked
+    // before the identity probe, i.e. before any fingerprint of this batch
+    // is known: a `panic` here strikes nothing, like one at the hash point.
+    let cache_usable =
+        shared.hashing_enabled && gamora_fault::hit(FaultPoint::CacheResolve).is_ok();
+
+    // Phase 1: resolve from the cache, cheapest evidence first. Every job
+    // carries the identity digest its submitter took, so the identity
+    // index is probed before anything is hashed here: a verbatim repeat is
+    // recognised without the worker touching the AIG's nodes at all, and
+    // its structural fingerprint (quarantine gate, strike attribution)
+    // comes from the slot's own key. Only jobs that miss it pay the
+    // canonical per-node pass and go on to the structural key (a renumbered
+    // isomorph's way in), transfer, and phase 2. Both locks cover only O(1)
+    // probes; the O(nodes) verbatim clone / transfer re-indexing runs on
+    // `Arc`'d entries *outside* them, so a big transfer never stalls the
+    // other workers' probes. With hashing disabled nothing is looked up and
+    // nothing hashed — cold mode measures pure model throughput.
+    let mut lookups: Vec<Lookup> = if shared.hashing_enabled {
+        let verbatim: Vec<Option<(CacheKey, Arc<CacheEntry>)>> = if cache_usable {
+            shared.with_cache(|cache| {
+                batch
+                    .iter()
+                    .map(|j| cache.probe_identity(j.digest(), j.aig.num_nodes(), Some(&m.cache)))
+                    .collect()
+            })
+        } else {
+            vec![None; batch.len()]
+        };
         let hash_timer = StageTimer::start();
-        let sigs: Vec<GraphSignature> = batch
+        let mut hashed_here = false;
+        let lookups: Vec<Lookup> = batch
             .iter_mut()
-            .map(|j| j.sig.take().unwrap_or_else(|| GraphSignature::of(&j.aig)))
+            .zip(verbatim)
+            .map(|(j, hit)| match hit {
+                Some((key, entry)) => Lookup::Verbatim(key, entry),
+                // Router-submitted jobs carry a precomputed signature;
+                // worker-side hashing is the fallback.
+                None => Lookup::Hashed(j.sig.take().unwrap_or_else(|| {
+                    hashed_here = true;
+                    GraphSignature::with_identity(&j.aig, j.digest())
+                })),
+            })
             .collect();
-        hash_timer.observe(&m.stage_hash);
-        sigs
+        if hashed_here {
+            hash_timer.observe(&m.stage_hash);
+        }
+        lookups
     } else {
         Vec::new()
     };
     state
         .batch_fps
-        .extend(signatures.iter().map(|s| s.key.fingerprint));
+        .extend(lookups.iter().map(Lookup::fingerprint));
 
     // Quarantine gate: submissions whose fingerprint is under an active
     // quarantine (they killed workers twice) are answered
-    // `AnalysisFailed` without touching the model again. The atomic gate
-    // keeps this a single relaxed load while nothing is quarantined.
+    // `AnalysisFailed` without touching the model again — cached or not:
+    // an identity hit is gated on its slot key's fingerprint before its
+    // predictions are cloned. The atomic gate keeps this a single relaxed
+    // load while nothing is quarantined.
     if shared.hashing_enabled && shared.quarantine_active.load(Ordering::Relaxed) > 0 {
         let blocked: Vec<bool> = {
             let mut map = shared.quarantine.lock().expect("quarantine poisoned");
             shared.purge_quarantine(&mut map, Instant::now());
-            signatures
+            lookups
                 .iter()
-                .map(|s| {
-                    map.get(&s.key.fingerprint)
-                        .is_some_and(|e| e.until.is_some())
-                })
+                .map(|l| map.get(&l.fingerprint()).is_some_and(|e| e.until.is_some()))
                 .collect()
         };
         if blocked.iter().any(|&b| b) {
             let mut kept_jobs = Vec::with_capacity(batch.len());
-            let mut kept_sigs = Vec::with_capacity(signatures.len());
-            for ((job, sig), &b) in batch.into_iter().zip(signatures).zip(&blocked) {
+            let mut kept_lookups = Vec::with_capacity(lookups.len());
+            for ((job, lookup), &b) in batch.into_iter().zip(lookups).zip(&blocked) {
                 if b {
                     fail_job(shared, job, accounted);
                 } else {
                     kept_jobs.push(job);
-                    kept_sigs.push(sig);
+                    kept_lookups.push(lookup);
                 }
             }
             batch = kept_jobs;
-            signatures = kept_sigs;
+            lookups = kept_lookups;
             // Strike attribution must track the jobs still live.
             state.batch_fps.clear();
             state
                 .batch_fps
-                .extend(signatures.iter().map(|s| s.key.fingerprint));
+                .extend(lookups.iter().map(Lookup::fingerprint));
             if batch.is_empty() {
                 return;
             }
@@ -1328,27 +1458,30 @@ fn run_batch(
     m.batches.inc();
     m.batch_size.record(batch.len() as u64);
 
-    // Cache-resolve fail point: an injected `err` skips the probe phase
-    // entirely — every job is treated as a miss (results are still
-    // inserted afterwards), so the failure degrades throughput, never
-    // correctness.
-    let cache_usable =
-        shared.hashing_enabled && gamora_fault::hit(FaultPoint::CacheResolve).is_ok();
-    let mut served: Vec<Option<(Predictions, HitKind)>> = if cache_usable {
-        let probes: Vec<Option<Arc<CacheEntry>>> = {
-            let mut cache = shared.cache.lock().expect("cache poisoned");
-            let cache = cache
-                .as_mut()
-                .expect("hashing_enabled implies a cache (both derive from cache_capacity > 0)");
-            signatures
-                .iter()
-                .map(|sig| cache.probe_timed(&sig.key, &m.cache))
-                .collect()
-        };
-        probes
+    let mut served: Vec<Option<(Predictions, HitKind)>> = if shared.hashing_enabled {
+        let probes: Vec<Option<Arc<CacheEntry>>> =
+            if cache_usable && lookups.iter().any(|l| matches!(l, Lookup::Hashed(_))) {
+                shared.with_cache(|cache| {
+                    lookups
+                        .iter()
+                        .map(|l| match l {
+                            Lookup::Hashed(sig) => cache.probe_timed(&sig.key, &m.cache),
+                            Lookup::Verbatim(..) => None,
+                        })
+                        .collect()
+                })
+            } else {
+                vec![None; batch.len()]
+            };
+        lookups
             .iter()
-            .zip(&signatures)
-            .map(|(entry, sig)| entry.as_ref().and_then(|e| e.resolve_timed(sig, &m.cache)))
+            .zip(probes)
+            .map(|(lookup, probed)| match lookup {
+                Lookup::Verbatim(_, entry) => {
+                    Some((entry.verbatim(Some(&m.cache)), HitKind::Verbatim))
+                }
+                Lookup::Hashed(sig) => probed.and_then(|e| e.resolve_timed(sig, &m.cache)),
+            })
             .collect()
     } else {
         vec![None; batch.len()]
@@ -1364,9 +1497,9 @@ fn run_batch(
         let mut unique: Vec<usize> = Vec::new();
         let mut slot_of: Vec<usize> = Vec::with_capacity(miss_idx.len());
         if shared.hashing_enabled {
-            let mut seen: FxHashMap<(u64, u64), usize> = FxHashMap::default();
+            let mut seen: FxHashMap<(u64, u128), usize> = FxHashMap::default();
             for &i in &miss_idx {
-                let sig = &signatures[i];
+                let sig = lookups[i].signature();
                 let key = (sig.key.fingerprint, sig.identity);
                 match seen.get(&key) {
                     Some(&slot) => {
@@ -1433,15 +1566,13 @@ fn run_batch(
             let entries: Vec<Arc<CacheEntry>> = unique
                 .iter()
                 .zip(state.outs.iter())
-                .map(|(&i, preds)| Arc::new(CacheEntry::new(&signatures[i], preds.clone())))
+                .map(|(&i, preds)| Arc::new(CacheEntry::new(lookups[i].signature(), preds.clone())))
                 .collect();
-            let mut cache = shared.cache.lock().expect("cache poisoned");
-            let cache = cache
-                .as_mut()
-                .expect("hashing_enabled implies a cache (both derive from cache_capacity > 0)");
-            for (&i, entry) in unique.iter().zip(entries) {
-                cache.insert_entry(signatures[i].key, entry);
-            }
+            shared.with_cache(|cache| {
+                for (&i, entry) in unique.iter().zip(entries) {
+                    cache.insert_entry(lookups[i].signature().key, entry);
+                }
+            });
         }
         for (pos, &i) in miss_idx.iter().enumerate() {
             served[i] = Some((state.outs[slot_of[pos]].clone(), HitKind::Verbatim));
@@ -1706,12 +1837,108 @@ mod tests {
             .wait()
             .expect("job answered");
         assert!(!a.cache_hit && !b.cache_hit);
+        // Cold mode hashes nothing anywhere: no digest at submit, no
+        // structural pass and no probe in the worker.
+        assert_eq!(server.identity_of(&aig, None), None);
+        let snap = server.metrics();
+        for untouched in ["stage_signature_hash_micros", "cache_probe_micros"] {
+            assert_eq!(
+                snap.histogram(untouched).expect(untouched).count(),
+                0,
+                "{untouched}"
+            );
+        }
         let stats = server.shutdown();
         assert_eq!(
             stats.forward_passes, 2,
             "cold mode must run the model per job"
         );
         assert_eq!(stats.cache_hits, 0);
+    }
+
+    /// The digest a job carries from `submit` is the one
+    /// `GraphSignature::of` reports, so a worker probing the identity
+    /// index and an eager caller keying on the signature agree; a
+    /// router-signed job reuses the signature's and digests nothing.
+    #[test]
+    fn submit_carries_the_digest_graph_signature_reports() {
+        let server = Server::start(tiny_trained(), ServeConfig::default());
+        let aig = csa_multiplier(4).aig;
+        let sig = GraphSignature::of(&aig);
+        assert_eq!(server.identity_of(&aig, None), Some(sig.identity));
+        let hashed = |server: &Server| {
+            let snap = server.metrics();
+            snap.histogram("stage_signature_hash_micros")
+                .expect("registered")
+                .count()
+        };
+        assert_eq!(hashed(&server), 1, "the digest above is a hash sample");
+        let mut routed = sig.clone();
+        routed.identity ^= 1;
+        assert_eq!(
+            server.identity_of(&aig, Some(&routed)),
+            Some(routed.identity),
+            "a router signature's digest is taken on trust, not recomputed"
+        );
+        assert_eq!(hashed(&server), 1);
+        server.shutdown();
+    }
+
+    /// Strike attribution sees cached repeats: a job answered by the
+    /// identity index was never hashed structurally, so when its batch
+    /// panics (here in post-processing) the strike lands on the
+    /// fingerprint read from the cache slot's key — and two such batches
+    /// quarantine it, after which even the cached, identical graph is
+    /// refused.
+    #[test]
+    fn panic_on_a_verbatim_hit_strikes_the_slot_keys_fingerprint() {
+        let server = Server::start(
+            tiny_trained(),
+            ServeConfig {
+                max_batch: 1,
+                workers: 1,
+                cache_capacity: 8,
+                linger_micros: 0,
+                ..ServeConfig::default()
+            },
+        );
+        let aig = csa_multiplier(4).aig;
+        let serve = |kind| server.submit(aig.clone(), kind).expect("admitted").wait();
+        assert!(!serve(AnalysisKind::Classify).expect("served").cache_hit);
+        let structural_passes = |server: &Server| {
+            let snap = server.metrics();
+            let all = snap
+                .histogram("stage_signature_hash_micros")
+                .expect("registered")
+                .count();
+            all - server.stats().jobs_submitted // minus one digest per submit
+        };
+        assert_eq!(structural_passes(&server), 1, "the cold miss");
+        for strike in 0..2 {
+            assert_eq!(
+                serve(AnalysisKind::PanicForTest).unwrap_err(),
+                ServeError::JobDropped,
+                "strike {strike}"
+            );
+        }
+        assert_eq!(
+            structural_passes(&server),
+            1,
+            "the panicking repeats were identity hits: nothing hashed them"
+        );
+        assert_eq!(
+            serve(AnalysisKind::Classify).unwrap_err(),
+            ServeError::AnalysisFailed,
+            "two strikes on the slot key's fingerprint quarantine the graph"
+        );
+        let stats = server.shutdown();
+        assert_eq!(stats.quarantines, 1);
+        assert_eq!(stats.workers_respawned, 2);
+        assert_eq!(stats.jobs_failed, 1);
+        assert_eq!(
+            stats.jobs_submitted,
+            stats.jobs + stats.jobs_dropped + stats.jobs_expired + stats.jobs_failed
+        );
     }
 
     /// Determinism under concurrency: N workers sharing one `Arc`'d model
@@ -2207,9 +2434,21 @@ mod tests {
         ] {
             assert_eq!(snap.histogram(stage).expect(stage).count(), 1, "{stage}");
         }
-        // The hit was a verbatim resolve; both batches probed.
+        // The hit was a verbatim resolve. Probe samples: the miss probed
+        // the identity index, then the structural key (2, and the one
+        // probe miss between them); the repeat was answered by the
+        // identity index alone (1).
         assert_eq!(snap.counter("cache_hits_verbatim_total"), 1);
-        assert_eq!(snap.histogram("cache_probe_micros").unwrap().count(), 2);
+        assert_eq!(snap.counter("cache_probe_misses_total"), 1);
+        assert_eq!(snap.histogram("cache_probe_micros").unwrap().count(), 3);
+        // Hash samples: one digest per submit (2) plus the structural pass
+        // of the one batch that missed the identity index (1).
+        assert_eq!(
+            snap.histogram("stage_signature_hash_micros")
+                .unwrap()
+                .count(),
+            3
+        );
         // Distributions saw each admission / executed batch.
         assert_eq!(snap.histogram("queue_depth").unwrap().count(), 2);
         assert_eq!(snap.histogram("batch_size").unwrap().count(), 2);

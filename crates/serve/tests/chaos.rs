@@ -200,6 +200,86 @@ fn poison_fingerprint_is_quarantined_after_two_worker_deaths() {
     assert_balanced(&stats);
 }
 
+/// The safety paths see cached repeats. A job answered by the cache's
+/// identity index is never hashed structurally in the worker; its
+/// fingerprint comes from the cache slot's key. That fingerprint must
+/// still collect strikes when the job's batch panics, and once it is
+/// quarantined the identical, still-cached graph must be refused at the
+/// gate like any other submission of it.
+#[test]
+fn quarantine_covers_a_graph_the_identity_index_would_answer() {
+    let faults = gamora_fault::arm("");
+    let server = Server::start(
+        tiny_trained(),
+        ServeConfig {
+            max_batch: 2,
+            workers: 1,
+            cache_capacity: 8,
+            queue_capacity: 0,
+            linger_micros: 0,
+            quarantine_ttl_micros: 400_000,
+            ..ServeConfig::default()
+        },
+    );
+    let cached = csa_multiplier(5).aig;
+    let uncached = csa_multiplier(6).aig;
+    let serve = |aig: &gamora_aig::Aig| {
+        server
+            .submit(aig.clone(), AnalysisKind::Classify)
+            .expect("admitted")
+            .wait()
+    };
+    assert!(!serve(&cached).expect("served").cache_hit, "cold: a miss");
+    assert!(serve(&cached).expect("served").cache_hit, "warm: a hit");
+
+    // Two batches, each the cached graph (an identity hit — it never
+    // reaches the model) next to a graph that does, whose forward pass
+    // panics: both fingerprints of the batch are struck, twice.
+    faults.rearm("forward:panic");
+    for strike in 0..2 {
+        let burst = vec![
+            (cached.clone(), AnalysisKind::Classify),
+            (uncached.clone(), AnalysisKind::Classify),
+        ];
+        assert_eq!(
+            server.submit_all(burst).expect_err("the batch panics"),
+            ServeError::JobDropped,
+            "strike {strike}"
+        );
+    }
+    faults.rearm("");
+    let passes = server.stats().forward_passes;
+
+    // The identical graph is still in the cache and would hit by identity;
+    // the gate, reading the slot key's fingerprint, refuses it first.
+    assert_eq!(
+        serve(&cached).expect_err("quarantined"),
+        ServeError::AnalysisFailed
+    );
+    assert_eq!(
+        serve(&uncached).expect_err("quarantined"),
+        ServeError::AnalysisFailed
+    );
+    assert_eq!(server.health(), Health::Degraded);
+
+    // Once the TTL lapses the entry answers again — it was there all along.
+    std::thread::sleep(Duration::from_millis(600));
+    assert!(
+        serve(&cached).expect("the quarantine expired").cache_hit,
+        "the quarantined graph never left the cache"
+    );
+
+    let stats = server.shutdown();
+    assert_eq!(
+        stats.forward_passes, passes,
+        "neither refusal nor the late hit ran the model"
+    );
+    assert_eq!(stats.quarantines, 2, "both fingerprints of the two batches");
+    assert_eq!(stats.workers_respawned, 2);
+    assert_eq!(stats.jobs_failed, 2);
+    assert_balanced(&stats);
+}
+
 /// An injected stage *error* (as opposed to a panic) fails the batch
 /// cleanly: the jobs come back `AnalysisFailed`, the worker survives
 /// (no respawn), and serving resumes the moment the fault is disarmed.

@@ -104,6 +104,83 @@ fn saturated_bounded_queue_sheds_load_and_completes_admitted_jobs() {
     );
 }
 
+/// With hashing on, every submit digests its AIG on the caller's thread
+/// before the queue lock — shed attempts included. The digest is one
+/// streaming pass, so time-to-rejection against a full queue stays
+/// bounded: each refused `try_submit` of a ~10k-node subject returns in
+/// milliseconds at worst, and the loop as a whole far faster than the
+/// forwards it is shedding.
+#[test]
+fn shed_submissions_stay_prompt_with_the_digest_in_the_submit_path() {
+    const QUEUE_CAP: usize = 2;
+    let server = Server::start(
+        tiny_trained(),
+        ServeConfig {
+            max_batch: 1,
+            workers: 1,
+            // Three subjects in rotation through a one-entry cache: a job
+            // evicts its predecessor and (unless a shed gap lines two of
+            // one subject up) misses, so the queue really backs up.
+            cache_capacity: 1,
+            queue_capacity: QUEUE_CAP,
+            linger_micros: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let subjects: Vec<_> = (30..33).map(|bits| csa_multiplier(bits).aig).collect();
+
+    let attempts = 64;
+    let mut tickets: Vec<JobTicket> = Vec::new();
+    let mut rejected = 0u64;
+    let mut slowest_rejection = Duration::ZERO;
+    let mut in_submit = Duration::ZERO;
+    for i in 0..attempts {
+        let aig = subjects[i % subjects.len()].clone();
+        let start = Instant::now();
+        let outcome = server.try_submit(aig, AnalysisKind::Classify);
+        let took = start.elapsed();
+        in_submit += took;
+        match outcome {
+            Ok(t) => tickets.push(t),
+            Err(SubmitError::Overloaded) => {
+                rejected += 1;
+                slowest_rejection = slowest_rejection.max(took);
+            }
+            Err(e) => panic!("unexpected submit error: {e}"),
+        }
+    }
+    assert!(
+        rejected > 0,
+        "hammering a {QUEUE_CAP}-slot queue with {attempts} jobs must shed load"
+    );
+    assert!(
+        slowest_rejection < Duration::from_millis(250),
+        "a refused try_submit took {slowest_rejection:?}: the digest must not stall the door"
+    );
+    assert!(
+        in_submit < Duration::from_secs(2),
+        "{attempts} try_submit calls spent {in_submit:?} in the submit path"
+    );
+
+    for (i, ticket) in tickets.iter().enumerate() {
+        ticket
+            .wait_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|e| panic!("admitted job {i} did not complete: {e}"));
+    }
+    let snap = server.metrics();
+    assert_eq!(
+        snap.histogram("stage_time_to_rejection_micros")
+            .expect("registered")
+            .count(),
+        rejected,
+        "every shed records its time to rejection"
+    );
+    let stats = server.shutdown();
+    assert!(stats.peak_queued <= QUEUE_CAP as u64);
+    assert_eq!(stats.rejected_overload, rejected);
+    assert_eq!(stats.jobs, tickets.len() as u64, "all admitted jobs served");
+}
+
 /// An expired job is rejected with `DeadlineExpired` and never reaches
 /// the model: the forward-pass counter proves no compute was wasted.
 #[test]
