@@ -6,6 +6,13 @@
 //! features are written directly into the merged matrix, so a warmed-up
 //! [`BatchScratch`] turns raw `&Aig`s into a ready forward-pass input
 //! without touching the heap.
+//!
+//! What a batch merges is its *graph* and *features* — one section of the
+//! union per netlist, which the graph remembers. The forward pass takes
+//! the sections through the model a cache-sized group at a time and the
+//! predictions are decoded per netlist straight from the logits, so
+//! nothing else here is sized by the batch: there is no merged activation
+//! or prediction buffer to split.
 
 use crate::features::{build_features, write_features_at, FeatureMode, FEATURE_DIM};
 use crate::labels::{multi_task_targets, single_task_targets};
@@ -61,10 +68,10 @@ pub fn inference_graph(aig: &Aig, mode: FeatureMode, direction: Direction) -> (G
 }
 
 /// Reusable buffers for zero-copy batch assembly: the merged
-/// disjoint-union graph, the merged feature matrix, the per-constituent
-/// node offsets, and the merged predictions that
-/// [`crate::GamoraReasoner::predict_batch_into_timed`] splits back per
-/// netlist.
+/// disjoint-union graph, the merged feature matrix and the per-constituent
+/// node offsets that
+/// [`crate::GamoraReasoner::predict_batch_into_timed`] decodes each
+/// netlist's predictions at.
 ///
 /// Keep one per serve worker alongside an
 /// [`gamora_gnn::InferenceScratch`]: after one warmup batch at a given
@@ -75,7 +82,6 @@ pub struct BatchScratch {
     pub(crate) graph: Graph,
     pub(crate) features: Matrix,
     pub(crate) offsets: Vec<usize>,
-    pub(crate) merged: Predictions,
     /// Warmed per-netlist outputs parked here when a batch shrinks, so a
     /// later larger batch regrows from pooled capacity instead of
     /// allocating fresh `Predictions` (queue-drain sizes fluctuate in the

@@ -7,8 +7,8 @@ use crate::labels::{decode_joint, SINGLE_TASK_CLASSES, TASK_CLASSES};
 use gamora_aig::Aig;
 use gamora_gnn::loss::argmax;
 use gamora_gnn::{
-    train, Direction, ForwardObserver, Graph, GraphData, InferenceScratch, Matrix, ModelConfig,
-    MultiTaskSage, TrainConfig, TrainReport,
+    for_each_group, train, Direction, ForwardObserver, Graph, GraphData, InferenceScratch, Matrix,
+    ModelConfig, MultiTaskSage, TrainConfig, TrainReport,
 };
 use std::time::Instant;
 
@@ -20,7 +20,8 @@ pub struct BatchTimings {
     pub assemble_micros: u64,
     /// The GNN forward pass over the merged graph.
     pub forward_micros: u64,
-    /// Argmax decode plus splitting merged predictions back per netlist.
+    /// Argmax decode of each netlist's rows of the logits into its own
+    /// predictions.
     pub split_micros: u64,
 }
 
@@ -283,46 +284,32 @@ impl GamoraReasoner {
         features: &Matrix,
         out: &mut Predictions,
     ) {
-        self.forward_and_decode(scratch, graph, features, out, None);
+        let logits = self.model.infer(graph, features, scratch, None);
+        self.decode_logits(logits, 0..graph.num_nodes(), out);
     }
 
-    /// The body both cores share: GNN forward then argmax decode, returning
-    /// the wall time of each in microseconds and forwarding per-layer stage
-    /// times to `observer` when one is given. Four monotonic clock reads
-    /// per call (plus two per forward stage when observed), no allocation.
-    fn forward_and_decode(
+    /// Argmax-decodes the rows `rows` of the per-task logits into per-node
+    /// predictions.
+    fn decode_logits(
         &self,
-        scratch: &mut InferenceScratch,
-        graph: &Graph,
-        features: &Matrix,
+        logits: &[Matrix],
+        rows: std::ops::Range<usize>,
         out: &mut Predictions,
-        observer: Option<&dyn ForwardObserver>,
-    ) -> (u64, u64) {
-        let forward_start = Instant::now();
-        let logits = self.model.infer(graph, features, scratch, observer);
-        let forward_micros = forward_start.elapsed().as_micros() as u64;
-        let decode_start = Instant::now();
-        self.decode_logits(logits, out);
-        (forward_micros, decode_start.elapsed().as_micros() as u64)
-    }
-
-    /// Argmax-decodes per-task logits into per-node predictions.
-    fn decode_logits(&self, logits: &[Matrix], out: &mut Predictions) {
-        let n = logits[0].rows();
+    ) {
         out.root_leaf.clear();
         out.is_xor.clear();
         out.is_maj.clear();
-        out.root_leaf.reserve(n);
-        out.is_xor.reserve(n);
-        out.is_maj.reserve(n);
+        out.root_leaf.reserve_exact(rows.len());
+        out.is_xor.reserve_exact(rows.len());
+        out.is_maj.reserve_exact(rows.len());
         if self.config.multi_task {
-            for r in 0..n {
+            for r in rows {
                 out.root_leaf.push(argmax(logits[0].row(r)) as u32);
                 out.is_xor.push(argmax(logits[1].row(r)) == 1);
                 out.is_maj.push(argmax(logits[2].row(r)) == 1);
             }
         } else {
-            for r in 0..n {
+            for r in rows {
                 let (rl, xor, maj) = decode_joint(argmax(logits[0].row(r)) as u32);
                 out.root_leaf.push(rl);
                 out.is_xor.push(xor == 1);
@@ -351,21 +338,24 @@ impl GamoraReasoner {
 
     /// The allocation-free batch core: streams raw AIGs into the merged
     /// batch graph/features held by `batch`, runs one forward pass
-    /// through `scratch`, and splits the merged predictions into
-    /// caller-owned per-netlist outputs (capacity reused; entries trimmed
-    /// by a smaller batch park in `batch`'s spare pool and come back when
-    /// the batch grows again). After one warmup batch at a given size,
-    /// the entire pipeline — graph construction included — performs
-    /// **zero heap allocations** at the same or smaller sizes, even with
-    /// fluctuating batch sizes, while the kernels stay on their serial
-    /// path (see [`GamoraReasoner::predict_prepared_into`]); guarded by
-    /// the `alloc_regression` test.
+    /// through `scratch` — group by group of netlists, so the activations
+    /// it holds are sized by a group and not by the batch (see
+    /// [`MultiTaskSage::infer`]) — and decodes each netlist's rows of the
+    /// logits straight into its caller-owned output (capacity reused;
+    /// entries trimmed by a smaller batch park in `batch`'s spare pool and
+    /// come back when the batch grows again). After one warmup batch at a
+    /// given size, the entire pipeline — graph construction included —
+    /// performs **zero heap allocations** at the same or smaller sizes,
+    /// even with fluctuating batch sizes, while the kernels stay on their
+    /// serial path (see [`GamoraReasoner::predict_prepared_into`]); guarded
+    /// by the `alloc_regression` test.
     ///
     /// Returns the wall time of batch assembly, GNN forward and prediction
-    /// split, and reports per-layer forward stages to `observer` when one
+    /// decode, and reports per-layer forward stages to `observer` when one
     /// is given. The timing overhead is a handful of monotonic clock
-    /// reads per *batch* — nothing per node — so the serve path can stay
-    /// instrumented permanently (guarded by the `metrics_overhead` test).
+    /// reads per *batch* (two per forward stage and group when observed)
+    /// — nothing per node — so the serve path can stay instrumented
+    /// permanently (guarded by the `metrics_overhead` test).
     ///
     /// # Panics
     ///
@@ -394,33 +384,22 @@ impl GamoraReasoner {
         while outs.len() < aigs.len() {
             outs.push(batch.spare.pop().unwrap_or_default());
         }
-        let BatchScratch {
-            graph,
-            features,
-            offsets,
-            merged,
-            ..
-        } = batch;
-        let (forward_micros, decode_micros) =
-            self.forward_and_decode(scratch, graph, features, merged, observer);
+        let forward_start = Instant::now();
+        let logits = self
+            .model
+            .infer(&batch.graph, &batch.features, scratch, observer);
+        let forward_micros = forward_start.elapsed().as_micros() as u64;
         // Chaos seam: `split` fires after the forward pass but before any
         // per-netlist output is written.
         gamora_fault::hit_or_panic(gamora_fault::FaultPoint::PredictionSplit);
-        let scatter_start = Instant::now();
-        for ((out, &aig), &start) in outs.iter_mut().zip(aigs).zip(offsets.iter()) {
-            let end = start + aig.num_nodes();
-            out.root_leaf.clear();
-            out.root_leaf
-                .extend_from_slice(&merged.root_leaf[start..end]);
-            out.is_xor.clear();
-            out.is_xor.extend_from_slice(&merged.is_xor[start..end]);
-            out.is_maj.clear();
-            out.is_maj.extend_from_slice(&merged.is_maj[start..end]);
+        let decode_start = Instant::now();
+        for ((out, &aig), &start) in outs.iter_mut().zip(aigs).zip(&batch.offsets) {
+            self.decode_logits(logits, start..start + aig.num_nodes(), out);
         }
         BatchTimings {
             assemble_micros,
             forward_micros,
-            split_micros: decode_micros + scatter_start.elapsed().as_micros() as u64,
+            split_micros: decode_start.elapsed().as_micros() as u64,
         }
     }
 
@@ -468,24 +447,39 @@ pub fn score_predictions(preds: &Predictions, labels: &gamora_exact::Labels) -> 
     }
 }
 
-/// Estimated peak inference memory in bytes for a graph of `num_nodes`
-/// nodes under a config — the analytic model behind the Figure 8 memory
-/// plot (feature row + two layer activations + aggregation scratch +
-/// logits, all `f32`, plus CSR overhead per edge). The split-weight SAGE
-/// kernel needs no concat buffer, which removes `2 * hidden` floats per
-/// node from the old estimate.
+/// Estimated heap a batched prediction holds, in bytes, for netlists of
+/// `job_nodes` nodes each and `num_edges` aggregation edges in all
+/// ([`Graph::num_edges`]: two per AIG edge under
+/// [`Direction::Bidirectional`]) — the analytic model behind the Figure 8
+/// memory column. Two kinds of term:
+///
+/// - **per node of the batch**: the feature row, the CSR arrays (three
+///   `u32` offset arrays and the inverse degrees per node, forward and
+///   reverse neighbour per edge), the logits and the decoded predictions;
+/// - **per group** ([`for_each_group`]): the two ping-pong embeddings, the
+///   shared-layer output and the combined head logits of the largest run
+///   of netlists the forward takes through the model together (the one
+///   row block of aggregated neighbourhoods next to them is a few KiB and
+///   left out). This is the part that does not grow with the batch.
 pub fn inference_memory_estimate(
     config: &ReasonerConfig,
-    num_nodes: usize,
+    job_nodes: &[usize],
     num_edges: usize,
 ) -> usize {
-    let (_, hidden) = config.depth.dims();
-    let per_node_f32 = FEATURE_DIM      // input features
-        + 2 * hidden                    // current + aggregated embeddings
-        + hidden                        // next-layer output
-        + 32                            // shared layer
-        + 8; // logits
-    num_nodes * per_node_f32 * 4 + num_edges * 8
+    const F32: usize = 4;
+    let model = config.model_config();
+    let classes: usize = model.task_classes.iter().sum();
+    let num_nodes: usize = job_nodes.iter().sum();
+    let per_node = FEATURE_DIM * F32        // features
+        + 4 * 4                             // offsets, reverse offsets, cursor, 1/degree
+        + classes * F32                     // logits
+        + 4 + 1 + 1; // root/leaf class, XOR flag, MAJ flag
+    let mut group_rows = 0;
+    for_each_group(model.group_rows(), job_nodes.iter().copied(), |lo, hi| {
+        group_rows = group_rows.max(hi - lo)
+    });
+    let per_group_row = (2 * model.hidden + model.shared_dim + classes) * F32;
+    num_nodes * per_node + num_edges * 2 * 4 + group_rows * per_group_row
 }
 
 #[cfg(test)]
@@ -619,11 +613,21 @@ mod tests {
         assert_eq!(batched[1].is_xor, solo2.is_xor);
     }
 
+    /// Past one group the estimate is linear in the batch, in a step that
+    /// leaves the activations out — they are a per-group term — while a
+    /// single netlist of the same size pays for every one of its rows.
     #[test]
     fn memory_estimate_scales_linearly() {
         let cfg = ReasonerConfig::default();
-        let small = inference_memory_estimate(&cfg, 1000, 2000);
-        let large = inference_memory_estimate(&cfg, 10_000, 20_000);
-        assert!(large > 9 * small && large < 11 * small);
+        let est =
+            |jobs: &[usize]| inference_memory_estimate(&cfg, jobs, 4 * jobs.iter().sum::<usize>());
+        // 2048 rows a group under the shallow model: two of these netlists.
+        let step = est(&[1_000; 16]) - est(&[1_000; 8]);
+        assert_eq!(est(&[1_000; 24]) - est(&[1_000; 16]), step);
+        assert!(
+            step < 8 * est(&[1_000]) / 2,
+            "eight more netlists, no more activations"
+        );
+        assert!(est(&[8_000]) > est(&[1_000; 8]) + 6_000 * (2 * 32 + 32) * 4);
     }
 }

@@ -10,6 +10,11 @@
 //! install a counting global allocator and fail if either steady state
 //! ever touches the heap again.
 //!
+//! The allocator also keeps the *bytes* the measuring thread holds, for
+//! the footprint guards: what a worker's scratch retains is sized by the
+//! largest batch it saw and by one group of netlists — not by how it got
+//! there, and not by the batch times the hidden width.
+//!
 //! The allocator is process-wide, so the tests in this binary serialise
 //! on a mutex and counting is additionally gated on a thread-local flag:
 //! only the measuring thread inside its measured window is observed — the
@@ -28,6 +33,11 @@ use std::sync::Mutex;
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+/// Bytes requested minus bytes released by the measuring thread inside its
+/// measured windows (wrapping: a window may release what an earlier one
+/// requested).
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 std::thread_local! {
     /// Set only on the measuring thread, only around the measured window.
@@ -48,17 +58,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if counting_here() {
             ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::SeqCst);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if counting_here() {
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::SeqCst);
+        }
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if counting_here() {
             ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
+            LIVE_BYTES.fetch_add(new_size.wrapping_sub(layout.size()), Ordering::SeqCst);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -471,4 +486,167 @@ fn postprocess_allocates_only_its_result_after_warmup() {
             "enumerating into a warm arena must not allocate"
         );
     }
+}
+
+/// An untrained shallow reasoner (4 layers, 32 hidden: a group is 2048
+/// rows) and the 16-bit CSA every footprint case batches — 2594 nodes, so
+/// each netlist of a batch is a group of its own.
+fn footprint_subject() -> (GamoraReasoner, gamora_circuits::ArithCircuit) {
+    let reasoner = GamoraReasoner::new(ReasonerConfig::default());
+    let subject = csa_multiplier(16);
+    assert!(subject.aig.num_nodes() > 2048, "one netlist, one group");
+    (reasoner, subject)
+}
+
+/// Bytes a fresh worker scratch (`BatchScratch` + `InferenceScratch` +
+/// outputs) holds after serving batches of the given sizes in turn, on
+/// the serial kernel path. Must run under [`TEST_LOCK`].
+fn live_bytes_after(reasoner: &GamoraReasoner, aig: &Aig, batches: &[usize]) -> usize {
+    let largest: Vec<&Aig> = vec![aig; *batches.iter().max().expect("one batch")];
+    let prev_cap = gamora_gnn::parallel::intra_threads();
+    gamora_gnn::parallel::set_intra_threads(1);
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
+    let mut batch = reasoner.batch_scratch();
+    let mut scratch = reasoner.scratch();
+    let mut outs: Vec<Predictions> = Vec::new();
+    for &jobs in batches {
+        reasoner.predict_batch_into_timed(
+            &mut batch,
+            &mut scratch,
+            &largest[..jobs],
+            &mut outs,
+            None,
+        );
+    }
+    COUNTING.with(|c| c.set(false));
+    let live = LIVE_BYTES.load(Ordering::SeqCst).wrapping_sub(before);
+    gamora_gnn::parallel::set_intra_threads(prev_cap);
+    assert_eq!(outs.len(), *batches.last().expect("one batch"));
+    // The scratch is released outside the window: rewind the counter.
+    LIVE_BYTES.store(before, Ordering::SeqCst);
+    live
+}
+
+/// A worker's scratch does not remember how it grew: a batch one netlist
+/// larger than the largest so far regrows every batch-sized buffer to
+/// exactly the new size, where amortised doubling used to leave a worker
+/// that saw 63 netlists and then 64 holding nearly twice what a fresh
+/// 64-netlist batch needs (191.0 against 97.5 MiB before this guard).
+#[test]
+fn a_one_job_step_up_leaves_what_a_fresh_batch_would() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let (reasoner, subject) = footprint_subject();
+    let fresh = live_bytes_after(&reasoner, &subject.aig, &[64]);
+    for history in [
+        &[63, 64][..],
+        &[33, 64],
+        &[1, 2, 3, 5, 8, 13, 21, 34, 55, 64],
+    ] {
+        let stepped = live_bytes_after(&reasoner, &subject.aig, history);
+        let drift = stepped.abs_diff(fresh) as f64 / fresh as f64;
+        assert!(
+            drift <= 0.02,
+            "batches of {history:?} leave {stepped} bytes live, a fresh 64-job batch {fresh}"
+        );
+    }
+}
+
+/// Going from 8 to 64 netlists a batch, a warm worker grows by what is
+/// per node — graph, features, logits, outputs — and by nothing else: the
+/// activations are those of one group either way. (A single hidden-wide
+/// matrix over the batch would be 128 more bytes a node, twice this
+/// growth's tolerance band and more.)
+#[test]
+fn a_larger_batch_grows_the_scratch_by_per_node_buffers_only() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let (reasoner, subject) = footprint_subject();
+    let small = live_bytes_after(&reasoner, &subject.aig, &[8]);
+    let grown = live_bytes_after(&reasoner, &subject.aig, &[8, 64]);
+    let graph = gamora::dataset::build_graph(&subject.aig, reasoner.config().direction);
+    let (nodes, edges) = (graph.num_nodes(), graph.num_edges());
+    // Features 3 x f32; offsets, reverse offsets, slot cursor, 1/degree;
+    // forward + reverse neighbour per edge; 4 + 2 + 2 logits; class + two
+    // flags — plus a `Predictions` and an offset per netlist.
+    let per_job = nodes * (12 + 16 + 32 + 6) + edges * 8 + 72 + 8;
+    let growth = grown - small;
+    assert!(
+        growth.abs_diff(56 * per_job) * 20 <= 56 * per_job,
+        "8 -> 64 netlists grew the scratch by {growth} bytes, the per-node buffers by {}",
+        56 * per_job
+    );
+}
+
+/// `inference_memory_estimate` — the memory column of the fig. 8 bench —
+/// stays within 15% of what a fresh batched prediction really holds, at
+/// 1, 8 and 64 netlists.
+#[test]
+fn memory_estimate_tracks_the_allocator() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let (reasoner, subject) = footprint_subject();
+    let graph = gamora::dataset::build_graph(&subject.aig, reasoner.config().direction);
+    for jobs in [1usize, 8, 64] {
+        let held = live_bytes_after(&reasoner, &subject.aig, &[jobs]);
+        let estimate = gamora::inference_memory_estimate(
+            reasoner.config(),
+            &vec![graph.num_nodes(); jobs],
+            jobs * graph.num_edges(),
+        );
+        assert!(
+            estimate.abs_diff(held) as f64 <= 0.15 * held as f64,
+            "{jobs} netlists hold {held} bytes, estimated {estimate}"
+        );
+    }
+}
+
+/// The group-major batch path is as allocation-free as the single-group
+/// one: three netlists, three groups, stage times summed over them — with
+/// and without an observer, on the serial kernel path.
+#[test]
+fn several_groups_are_allocation_free_after_warmup_observed_or_not() {
+    use gamora::{ForwardObserver, ForwardStage};
+    use std::sync::atomic::AtomicU64;
+
+    #[derive(Default)]
+    struct Calls(AtomicU64);
+    impl ForwardObserver for Calls {
+        fn record_stage(&self, _: ForwardStage, _: u64) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    let _guard = TEST_LOCK.lock().unwrap();
+    let (reasoner, subject) = footprint_subject();
+    let small = csa_multiplier(3);
+    let aigs: Vec<&Aig> = vec![&subject.aig, &small.aig, &subject.aig, &subject.aig];
+    let prev_cap = gamora_gnn::parallel::intra_threads();
+    gamora_gnn::parallel::set_intra_threads(1);
+    let mut batch = reasoner.batch_scratch();
+    let mut scratch = reasoner.scratch();
+    let mut outs: Vec<Predictions> = Vec::new();
+    let calls = Calls::default();
+    reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, Some(&calls));
+    let expected = outs.clone();
+
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
+    for _ in 0..4 {
+        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
+        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, Some(&calls));
+    }
+    COUNTING.with(|c| c.set(false));
+    let allocations = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    gamora_gnn::parallel::set_intra_threads(prev_cap);
+    assert_eq!(allocations, 0, "warm group-major batches must not allocate");
+    assert_eq!(outs, expected);
+    for (out, aig) in outs.iter().zip(&aigs) {
+        assert_eq!(
+            *out,
+            reasoner.predict(aig),
+            "decoded at the netlist's own rows"
+        );
+    }
+    // One sample per stage per batch, however many groups it had: 5
+    // observed batches x (4 trunk layers + shared + heads).
+    assert_eq!(calls.0.load(Ordering::Relaxed), 5 * 6);
 }

@@ -1,8 +1,16 @@
 //! CSR graphs and mean-aggregation message passing.
+//!
+//! A graph assembled from *sections* — contiguous node ranges with no
+//! edges between them, which is what a batch of netlists is — keeps the
+//! section starts next to its CSR arrays. Nothing about aggregation
+//! depends on them: they tell [`crate::MultiTaskSage::infer`] where the
+//! node range may be cut so that a run of rows can go through every layer
+//! on its own, gathering only from rows of the same run
+//! ([`Graph::aggregate_rows`] checks exactly that).
 
-use crate::kernel::{self, AggArgs, Kernels};
+use crate::kernel::{self, AggArgs, Kernels, Rows, BLOCK_ROWS};
 use crate::parallel;
-use crate::tensor::Matrix;
+use crate::tensor::{clear_exact, Matrix};
 
 /// A replayable `(src, dst)` edge stream: called with a sink, invoked
 /// once to count degrees and once to fill CSR slots.
@@ -31,10 +39,14 @@ pub enum Direction {
 /// A `Graph` is also its own assembly scratch: [`Graph::from_edges_into`]
 /// rebuilds every CSR array in place, reusing high-water capacity, so a
 /// serve worker can stream a fresh (batch) graph into the same instance on
-/// every request without touching the heap.
+/// every request without touching the heap. An array that is too small
+/// grows to exactly the size the new graph needs.
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
     num_nodes: usize,
+    /// First node of every section, as [`Graph::from_sections_into`]
+    /// checked them; empty when the graph was built any other way.
+    sections: Vec<usize>,
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
     rev_offsets: Vec<u32>,
@@ -85,6 +97,7 @@ impl Graph {
     where
         F: Fn(&mut dyn FnMut(u32, u32)),
     {
+        out.sections.clear();
         Graph::build_serial(num_nodes, direction, &edges, out);
     }
 
@@ -124,11 +137,15 @@ impl Graph {
         S: Fn(usize) -> (usize, usize) + Sync,
         F: Fn(usize, &mut dyn FnMut(u32, u32)) + Sync,
     {
-        // Sections must tile the node space contiguously, in order.
+        // Sections must tile the node space contiguously, in order. The
+        // starts are kept: with the containment check on every edge below
+        // they are the places the node range can be cut at.
+        out.sections.clear();
         let mut covered = 0usize;
         for i in 0..num_sections {
             let (start, len) = span(i);
             assert_eq!(start, covered, "section {i} does not start at {covered}");
+            out.sections.push(start);
             covered += len;
         }
         assert_eq!(covered, num_nodes, "sections must cover every node");
@@ -175,12 +192,12 @@ impl Graph {
             rev_neighbors,
             inv_deg,
             cursor,
+            ..
         } = out;
         *out_nodes = num_nodes;
 
         // Pass 1: count aggregation edges per CSR row.
-        offsets.clear();
-        offsets.resize(num_nodes + 1, 0);
+        refill(offsets, num_nodes + 1);
         edges(&mut |s: u32, d: u32| {
             assert!(
                 (s as usize) < num_nodes && (d as usize) < num_nodes,
@@ -198,10 +215,9 @@ impl Graph {
         let total = prefix_sum_serial(&mut offsets[1..]);
 
         // Pass 2: fill the forward CSR slots.
-        cursor.clear();
+        clear_exact(cursor, num_nodes + 1);
         cursor.extend_from_slice(offsets);
-        neighbors.clear();
-        neighbors.resize(total, 0);
+        refill(neighbors, total);
         edges(&mut |s: u32, d: u32| {
             let mut put = |v: u32, u: u32| {
                 let slot = &mut cursor[v as usize];
@@ -223,16 +239,14 @@ impl Graph {
         );
 
         // Reverse CSR, derived from the forward arrays (who consumes whom).
-        rev_offsets.clear();
-        rev_offsets.resize(num_nodes + 1, 0);
+        refill(rev_offsets, num_nodes + 1);
         for &u in neighbors.iter() {
             rev_offsets[u as usize + 1] += 1;
         }
         prefix_sum_serial(&mut rev_offsets[1..]);
         cursor.clear();
         cursor.extend_from_slice(rev_offsets);
-        rev_neighbors.clear();
-        rev_neighbors.resize(total, 0);
+        refill(rev_neighbors, total);
         for v in 0..num_nodes {
             for &u in &neighbors[offsets[v] as usize..offsets[v + 1] as usize] {
                 let slot = &mut cursor[u as usize];
@@ -241,7 +255,7 @@ impl Graph {
             }
         }
 
-        inv_deg.clear();
+        clear_exact(inv_deg, num_nodes);
         inv_deg.extend((0..num_nodes).map(|v| {
             let deg = offsets[v + 1] - offsets[v];
             if deg == 0 {
@@ -280,14 +294,14 @@ impl Graph {
             rev_neighbors,
             inv_deg,
             cursor,
+            ..
         } = out;
         *out_nodes = num_nodes;
 
         // Pass 1: count aggregation edges per CSR row, one section group
         // per worker. Group `g` owns the count slots of its own nodes
         // (`offsets[1..][node_lo..node_hi]`) and nothing else.
-        offsets.clear();
-        offsets.resize(num_nodes + 1, 0);
+        refill(offsets, num_nodes + 1);
         crossbeam::thread::scope(|sc| {
             let mut rest: &mut [u32] = &mut offsets[1..];
             let mut consumed = 0usize;
@@ -327,10 +341,9 @@ impl Graph {
         // Pass 2: fill the forward CSR slots. Group `g` owns its nodes'
         // cursors and the neighbor slots `offsets[node_lo]..offsets[node_hi]`
         // (contiguous, because its nodes are).
-        cursor.clear();
+        clear_exact(cursor, num_nodes + 1);
         cursor.extend_from_slice(offsets);
-        neighbors.clear();
-        neighbors.resize(total, 0);
+        refill(neighbors, total);
         crossbeam::thread::scope(|sc| {
             let offs: &[u32] = offsets;
             let mut cur_rest: &mut [u32] = &mut cursor[..num_nodes];
@@ -384,8 +397,7 @@ impl Graph {
 
         // Reverse CSR. Every neighbor of a section's node lies in the same
         // section, so both reverse passes stay group-local too.
-        rev_offsets.clear();
-        rev_offsets.resize(num_nodes + 1, 0);
+        refill(rev_offsets, num_nodes + 1);
         crossbeam::thread::scope(|sc| {
             let offs: &[u32] = offsets;
             let nbs: &[u32] = neighbors;
@@ -408,8 +420,7 @@ impl Graph {
 
         cursor.clear();
         cursor.extend_from_slice(rev_offsets);
-        rev_neighbors.clear();
-        rev_neighbors.resize(total, 0);
+        refill(rev_neighbors, total);
         crossbeam::thread::scope(|sc| {
             let offs: &[u32] = offsets;
             let nbs: &[u32] = neighbors;
@@ -442,8 +453,7 @@ impl Graph {
         })
         .expect("assembly worker panicked");
 
-        inv_deg.clear();
-        inv_deg.resize(num_nodes, 0.0);
+        refill(inv_deg, num_nodes);
         let offs: &[u32] = offsets;
         parallel::for_each_row(inv_deg, 1, |v, row| {
             let deg = offs[v + 1] - offs[v];
@@ -459,6 +469,19 @@ impl Graph {
     /// Number of (directed) aggregation edges.
     pub fn num_edges(&self) -> usize {
         self.neighbors.len()
+    }
+
+    /// Node count of every section, in order: the spans
+    /// [`Graph::from_sections_into`] was given, or the whole node range as
+    /// one section for a graph built any other way.
+    pub(crate) fn section_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        let starts: &[usize] = if self.sections.is_empty() {
+            &[0]
+        } else {
+            &self.sections
+        };
+        let ends = starts[1..].iter().chain([&self.num_nodes]);
+        starts.iter().zip(ends).map(|(lo, hi)| hi - lo)
     }
 
     /// The aggregation neighborhood of node `v`.
@@ -494,19 +517,37 @@ impl Graph {
         let dim = h.cols();
         // Every element is written by the kernel: no zero-fill pass.
         out.reshape_for_overwrite(self.num_nodes, dim);
+        let h = Rows::all(h);
+        parallel::for_each_row_block(out.as_mut_slice(), dim.max(1), BLOCK_ROWS, |v0, block| {
+            self.aggregate_rows(kernels, v0, h, block)
+        });
+    }
+
+    /// Mean aggregation of the nodes `v0 .. v0 + out.len() / h.cols` into
+    /// the whole rows of `out`, gathering from `h` — which may hold only
+    /// the rows of the sections these nodes belong to.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is gathered, if one of the nodes has a
+    /// neighbour among the rows `h` does not hold.
+    pub(crate) fn aggregate_rows(
+        &self,
+        kernels: &Kernels,
+        v0: usize,
+        h: Rows<'_>,
+        out: &mut [f32],
+    ) {
+        if out.is_empty() {
+            return;
+        }
         let args = AggArgs {
             offsets: &self.offsets,
             neighbors: &self.neighbors,
             inv_deg: &self.inv_deg,
-            h: h.as_slice(),
-            dim,
+            h,
         };
-        parallel::for_each_row_block(
-            out.as_mut_slice(),
-            dim.max(1),
-            AGG_BLOCK_ROWS,
-            |v0, block| kernels.aggregate_block(&args, v0, block),
-        );
+        kernels.aggregate_block(&args, v0, out);
     }
 
     /// Backward of [`Graph::mean_aggregate`]: given `d(out)`, returns
@@ -520,7 +561,7 @@ impl Graph {
         let dim = grad.cols();
         let mut out = Matrix::zeros(self.num_nodes, dim);
         let width = dim.max(1);
-        parallel::for_each_row_block(out.as_mut_slice(), width, AGG_BLOCK_ROWS, |u0, block| {
+        parallel::for_each_row_block(out.as_mut_slice(), width, BLOCK_ROWS, |u0, block| {
             for (i, row) in block.chunks_mut(width).enumerate() {
                 let u = u0 + i;
                 let consumers = &self.rev_neighbors
@@ -537,10 +578,12 @@ impl Graph {
     }
 }
 
-/// Row-block height for tiled aggregation: big enough to amortise the
-/// per-block closure dispatch over the CSR gather, small enough that a
-/// block's output rows plus its gathered neighbor rows stay cache-resident.
-const AGG_BLOCK_ROWS: usize = 64;
+/// Makes `v` hold `len` zeros, growing to exactly `len` (see
+/// [`clear_exact`]).
+fn refill<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    clear_exact(v, len);
+    v.resize(len, T::default());
+}
 
 /// Node ids travel as `u32` through the edge stream and the CSR arrays.
 fn assert_node_count(num_nodes: usize) {

@@ -32,11 +32,51 @@ use std::sync::OnceLock;
 /// rows of a K-quad are loaded once per [`MR`] rows.
 pub(crate) const MR: usize = 4;
 
-/// One `x @ w` sweep of a fused GEMM: all rows of a row-major activation
-/// matrix of width `k`, against row-major `k x n` weights.
+/// Rows handed to one kernel call, by the GEMM and the aggregation alike,
+/// so a SAGE layer can aggregate a block and multiply it while it is in
+/// L1: a multiple of [`MR`] (tiles never straddle a worker boundary),
+/// large enough that the indirect call through the variant table is
+/// noise, small enough that a block's output rows plus its gathered
+/// neighbour rows stay cache-resident.
+pub(crate) const BLOCK_ROWS: usize = 16 * MR;
+
+/// Rows `first..` of a row-major matrix `cols` wide. The kernels address
+/// activations by the whole matrix's row numbers (the graph's node ids),
+/// so a buffer may hold only the rows one group of sections works on.
+#[derive(Copy, Clone)]
+pub(crate) struct Rows<'a> {
+    pub data: &'a [f32],
+    pub cols: usize,
+    pub first: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// Every row of `m`.
+    pub(crate) fn all(m: &'a crate::Matrix) -> Self {
+        Rows {
+            data: m.as_slice(),
+            cols: m.cols(),
+            first: 0,
+        }
+    }
+
+    /// One past the last row held.
+    pub(crate) fn end(&self) -> usize {
+        self.first + self.data.len().checked_div(self.cols).unwrap_or(0)
+    }
+
+    /// Row `r` of the whole matrix.
+    #[inline(always)]
+    fn row(&self, r: usize) -> &'a [f32] {
+        let i = r - self.first;
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+}
+
+/// One `x @ w` sweep of a fused GEMM: the output rows' rows of `x`, `k =
+/// x.cols` wide, against row-major `k x n` weights.
 pub(crate) struct Operand<'a> {
-    pub x: &'a [f32],
-    pub k: usize,
+    pub x: Rows<'a>,
     pub w: &'a [f32],
 }
 
@@ -44,8 +84,11 @@ impl Operand<'_> {
     /// The absent second sweep of a dense layer.
     pub(crate) fn none() -> Self {
         Operand {
-            x: &[],
-            k: 0,
+            x: Rows {
+                data: &[],
+                cols: 0,
+                first: 0,
+            },
             w: &[],
         }
     }
@@ -64,13 +107,13 @@ pub(crate) struct GemmArgs<'a> {
 }
 
 /// Everything a mean-aggregation row block needs: the CSR arrays and the
-/// row-major `dim`-wide embeddings to gather from.
+/// embeddings to gather from, which must hold every neighbour of the
+/// block's nodes.
 pub(crate) struct AggArgs<'a> {
     pub offsets: &'a [u32],
     pub neighbors: &'a [u32],
     pub inv_deg: &'a [f32],
-    pub h: &'a [f32],
-    pub dim: usize,
+    pub h: Rows<'a>,
 }
 
 /// `(args, first_row, out_rows)`: computes the whole rows of `out_rows`.
@@ -290,14 +333,9 @@ impl ColumnTile for GemmTile<'_> {
             each_row!(|i, c| *c = load(self.out, i.min(live - 1) * n + j0, w));
         }
         for op in operands {
-            let k_total = op.k;
+            let k_total = op.x.cols;
             let [r0, r1, r2, r3] = self.rows;
-            let a: [&[f32]; MR] = [
-                &op.x[r0 * k_total..(r0 + 1) * k_total],
-                &op.x[r1 * k_total..(r1 + 1) * k_total],
-                &op.x[r2 * k_total..(r2 + 1) * k_total],
-                &op.x[r3 * k_total..(r3 + 1) * k_total],
-            ];
+            let a: [&[f32]; MR] = [op.x.row(r0), op.x.row(r1), op.x.row(r2), op.x.row(r3)];
             let mut k = 0;
             while k + 4 <= k_total {
                 let v0 = load::<NR>(op.w, k * n + j0, w);
@@ -386,8 +424,7 @@ fn gemm_block<const W: usize>(args: &GemmArgs<'_>, row0: usize, block: &mut [f32
 
 /// One output row of an aggregation block.
 struct AggTile<'a> {
-    h: &'a [f32],
-    dim: usize,
+    h: Rows<'a>,
     neigh: &'a [u32],
     inv: f32,
     row: &'a mut [f32],
@@ -398,7 +435,11 @@ impl ColumnTile for AggTile<'_> {
     fn run<const NR: usize>(&mut self, j0: usize, w: usize) {
         let mut acc = [0.0f32; NR];
         for &u in self.neigh {
-            let x = load::<NR>(self.h, u as usize * self.dim + j0, w);
+            let x = load::<NR>(
+                self.h.data,
+                (u as usize - self.h.first) * self.h.cols + j0,
+                w,
+            );
             for j in 0..NR {
                 acc[j] += x[j];
             }
@@ -415,14 +456,36 @@ impl ColumnTile for AggTile<'_> {
 /// Mean aggregation over the whole rows of `block` (nodes `v0..`): each
 /// row is summed over its neighbours in CSR order in registers, scaled by
 /// `1 / degree` and stored once.
+///
+/// # Panics
+///
+/// Panics if a neighbour of the block lies outside the rows `args.h`
+/// holds — a group of sections cut in the wrong place — before any row is
+/// gathered.
 #[inline(always)]
 fn aggregate_block<const W: usize>(args: &AggArgs<'_>, v0: usize, block: &mut [f32]) {
-    let dim = args.dim;
-    for i in 0..block.len() / dim {
+    let dim = args.h.cols;
+    let rows = block.len() / dim;
+    // One subtract-and-max per edge, over indices the gather is about to
+    // read anyway (an indexed loop: see the note on closures above).
+    let gathered = &args.neighbors[args.offsets[v0] as usize..args.offsets[v0 + rows] as usize];
+    let held = args.h.end() - args.h.first;
+    let mut furthest = 0usize;
+    for e in 0..gathered.len() {
+        furthest = furthest.max((gathered[e] as usize).wrapping_sub(args.h.first));
+    }
+    assert!(
+        gathered.is_empty() || furthest < held,
+        "rows {v0}..{} have a neighbour outside the activation window {}..{}: \
+         a group was not cut at a section boundary",
+        v0 + rows,
+        args.h.first,
+        args.h.end()
+    );
+    for i in 0..rows {
         let v = v0 + i;
         let mut tile = AggTile {
             h: args.h,
-            dim,
             neigh: &args.neighbors[args.offsets[v] as usize..args.offsets[v + 1] as usize],
             inv: args.inv_deg[v],
             row: &mut block[i * dim..(i + 1) * dim],

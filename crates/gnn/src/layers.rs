@@ -8,8 +8,17 @@
 //! [`LinearTape`] owned by the trainer instead of inside the layer; the
 //! backward pass consumes that tape and accumulates gradients (`gw`/`gb`)
 //! in the layer for the optimiser.
+//!
+//! The inference forward of a [`SageLayer`] never holds the aggregated
+//! neighbourhood of more than one row block: a block of
+//! [`BLOCK_ROWS`] rows is aggregated into a buffer of the
+//! [`SageScratch`] and multiplied at once, while it is in L1, so no
+//! `nodes x width` aggregation matrix is written to memory and read back.
+//! Only the training forward materialises it — its tape needs every row.
 
 use crate::graph::Graph;
+use crate::kernel::{self, GemmArgs, Operand, Rows, BLOCK_ROWS};
+use crate::parallel;
 use crate::tensor::{fused_gemm_into, Epilogue, Matrix};
 use rand::Rng;
 
@@ -80,66 +89,6 @@ impl Linear {
         fused_gemm_into(x, self.w.as_slice(), None, epilogue, self.w.cols(), y);
     }
 
-    /// Applies several layers to the same input as **one** GEMM over their
-    /// column-concatenated weights, then splits the result into `outs`
-    /// (one matrix per layer, reshaped here). Output columns never
-    /// interact, so every `outs[i]` is bit-identical to
-    /// `layers[i].forward_into(x, ..)` — at the price of one wide GEMM
-    /// instead of several narrow ones, which is what the task heads
-    /// (`n = 4, 2, 2`) need to fill a vector register.
-    ///
-    /// The concatenated weights live in `fused` and the wide result in
-    /// `wide`; both are rebuilt on every call (a few hundred floats of
-    /// weights), so neither can go stale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outs.len() != layers.len()`, or if the layers disagree
-    /// on input width or activation (they could not share a GEMM).
-    pub(crate) fn forward_many_into(
-        layers: &[Linear],
-        x: &Matrix,
-        fused: &mut FusedLinears,
-        wide: &mut Matrix,
-        outs: &mut [Matrix],
-    ) {
-        assert_eq!(outs.len(), layers.len(), "one output per layer");
-        let Some(first) = layers.first() else {
-            return;
-        };
-        let class = |l: &Linear| (l.w.rows(), l.relu);
-        assert!(
-            layers.iter().all(|l| class(l) == class(first)),
-            "layers sharing a GEMM share input width and activation"
-        );
-        let k = first.w.rows();
-        let total: usize = layers.iter().map(|l| l.w.cols()).sum();
-        let FusedLinears { w, bias } = fused;
-        bias.clear();
-        bias.extend(layers.iter().flat_map(|l| &l.b));
-        let epilogue = Epilogue {
-            bias: Some(bias),
-            relu: first.relu,
-        };
-        w.clear();
-        for r in 0..k {
-            for l in layers {
-                w.extend_from_slice(l.w.row(r));
-            }
-        }
-        fused_gemm_into(x, w, None, epilogue, total, wide);
-        let mut c0 = 0;
-        for (layer, out) in layers.iter().zip(outs) {
-            let c = layer.w.cols();
-            out.reshape_for_overwrite(x.rows(), c);
-            let rows = out.as_mut_slice().chunks_exact_mut(c.max(1));
-            for (dst, src) in rows.zip(wide.as_slice().chunks_exact(total.max(1))) {
-                dst.copy_from_slice(&src[c0..c0 + c]);
-            }
-            c0 += c;
-        }
-    }
-
     /// Training forward pass: records the input and output on `tape` for
     /// the backward pass.
     pub fn forward_train(&self, x: &Matrix, tape: &mut LinearTape) -> Matrix {
@@ -207,32 +156,84 @@ impl Linear {
     }
 }
 
-/// Reusable concatenated-weight buffers for
-/// [`Linear::forward_many_into`].
+/// Several [`Linear`] layers over the same input as **one** GEMM: their
+/// weights column-concatenated, so that the task heads (`n = 4, 2, 2`)
+/// fill a vector register between them. Output columns never interact,
+/// so each layer's columns are bit-identical to its own
+/// [`Linear::forward_into`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FusedLinears {
     w: Vec<f32>,
     bias: Vec<f32>,
+    /// Output width of each gathered layer, in order.
+    widths: Vec<usize>,
+    relu: bool,
 }
 
-/// Reusable aggregation buffer for allocation-free SAGE forwards (shared
-/// by every layer of a model, since layers run in sequence).
+impl FusedLinears {
+    /// Rebuilds the concatenation from `layers` (a few hundred floats:
+    /// done on every pass, so it cannot go stale).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layers disagree on input width or activation (they
+    /// could not share a GEMM).
+    pub(crate) fn gather(&mut self, layers: &[Linear]) {
+        let FusedLinears {
+            w,
+            bias,
+            widths,
+            relu,
+        } = self;
+        w.clear();
+        bias.clear();
+        widths.clear();
+        let Some(first) = layers.first() else {
+            return;
+        };
+        let class = |l: &Linear| (l.w.rows(), l.relu);
+        assert!(
+            layers.iter().all(|l| class(l) == class(first)),
+            "layers sharing a GEMM share input width and activation"
+        );
+        *relu = first.relu;
+        bias.extend(layers.iter().flat_map(|l| &l.b));
+        widths.extend(layers.iter().map(|l| l.w.cols()));
+        for r in 0..first.w.rows() {
+            for l in layers {
+                w.extend_from_slice(l.w.row(r));
+            }
+        }
+    }
+
+    /// The gathered layers' output columns per row.
+    pub(crate) fn widths(&self) -> &[usize] {
+        &self.widths
+    }
+
+    /// `x` through the gathered layers into `wide`, one row of all their
+    /// outputs side by side per row of `x`.
+    pub(crate) fn forward_into(&self, x: &Matrix, wide: &mut Matrix) {
+        let epilogue = Epilogue {
+            bias: Some(&self.bias),
+            relu: self.relu,
+        };
+        fused_gemm_into(x, &self.w, None, epilogue, self.bias.len(), wide);
+    }
+}
+
+/// The one row block of aggregated neighbourhoods an inference forward
+/// through a [`SageLayer`] holds at a time (one block per kernel thread on
+/// the row-block-parallel path) — shared by every layer of a model, since
+/// layers run in sequence.
 ///
-/// There is deliberately no concat buffer: the split-weight forward
+/// There is deliberately no concat buffer either: the split-weight forward
 /// multiplies `h` and the aggregate against the two row halves of the
 /// combined weight matrix, so the `[h | agg]` concatenation is never
 /// materialised.
 #[derive(Clone, Debug, Default)]
 pub struct SageScratch {
-    agg: Matrix,
-}
-
-impl SageScratch {
-    /// The aggregation buffer, for use as scratch between SAGE forwards
-    /// (every forward overwrites it whole).
-    pub(crate) fn spare(&mut self) -> &mut Matrix {
-        &mut self.agg
-    }
+    block: Vec<f32>,
 }
 
 /// One GraphSAGE convolution (Hamilton et al., Eq. 1 of the paper):
@@ -272,9 +273,77 @@ impl SageLayer {
 
     /// Inference forward pass into caller-owned buffers (no heap
     /// allocation once `ws` and `out` have enough capacity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` does not have one `in_dim`-wide row per node.
     pub fn forward_into(&self, graph: &Graph, h: &Matrix, ws: &mut SageScratch, out: &mut Matrix) {
-        graph.mean_aggregate_into(h, &mut ws.agg);
-        self.fused_into(h, &ws.agg, out);
+        assert_eq!(h.rows(), graph.num_nodes(), "one embedding row per node");
+        out.reshape_for_overwrite(h.rows(), self.lin.w.cols());
+        self.forward_rows(graph, 0, Rows::all(h), ws, out.as_mut_slice());
+    }
+
+    /// The convolution for the nodes `lo .. lo + out.len() / out_dim`,
+    /// written to the whole rows of `out`: per row block, the neighbour
+    /// mean goes into `ws` and straight on into the split-weight GEMM
+    /// ([`SageLayer::fused_into`]'s arithmetic, row for row). `h` may hold
+    /// only the rows of the sections these nodes belong to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is not `in_dim` wide, does not hold the nodes' own
+    /// rows, or misses one of their neighbours.
+    pub(crate) fn forward_rows(
+        &self,
+        graph: &Graph,
+        lo: usize,
+        h: Rows<'_>,
+        ws: &mut SageScratch,
+        out: &mut [f32],
+    ) {
+        let (k, n) = (self.in_dim, self.lin.w.cols());
+        assert_eq!(h.cols, k, "embedding width mismatch");
+        assert!(
+            h.first <= lo && lo + out.len().checked_div(n).unwrap_or(0) <= h.end(),
+            "the activation window must hold the rows it is asked for"
+        );
+        let (w_self, w_neigh) = self.lin.w.as_slice().split_at(k * n);
+        let epilogue = Epilogue {
+            bias: Some(&self.lin.b),
+            relu: true,
+        };
+        let kernels = kernel::active();
+        let lanes = &mut ws.block;
+        parallel::for_each_row_block_with(
+            out,
+            n,
+            BLOCK_ROWS,
+            lanes,
+            BLOCK_ROWS * k,
+            |i0, block, agg| {
+                let row0 = lo + i0;
+                let agg = &mut agg[..block.len() / n * k];
+                graph.aggregate_rows(kernels, row0, h, agg);
+                let aggregated = Rows {
+                    data: agg,
+                    cols: k,
+                    first: row0,
+                };
+                let args = GemmArgs {
+                    operands: [
+                        Operand { x: h, w: w_self },
+                        Operand {
+                            x: aggregated,
+                            w: w_neigh,
+                        },
+                    ],
+                    epilogue,
+                    n,
+                    accumulate: false,
+                };
+                kernels.gemm_block(&args, row0, block);
+            },
+        );
     }
 
     /// The split-weight fused convolution: `ReLU(h @ W_self + agg @
@@ -295,8 +364,10 @@ impl SageLayer {
     /// Training forward pass: records activations on `tape`.
     ///
     /// The output is computed through the same split-weight fused kernel
-    /// as [`SageLayer::forward_into`] (training and inference logits stay
-    /// bit-identical); only the tape still materialises the `[h | agg]`
+    /// as [`SageLayer::forward_into`], over the whole aggregation matrix
+    /// instead of block by block (training and inference logits stay
+    /// bit-identical: a row's arithmetic does not depend on which rows are
+    /// computed with it); the tape materialises the `[h | agg]`
     /// concatenation, because the backward pass needs it for the weight
     /// gradient `X^T @ dY` over the full `2 * in_dim` width.
     pub fn forward_train(&self, graph: &Graph, h: &Matrix, tape: &mut LinearTape) -> Matrix {

@@ -18,7 +18,9 @@
 //!
 //! Inference is `&self`: one model instance can be shared read-only across
 //! serve workers, each carrying its own [`InferenceScratch`] so warmed-up
-//! forward passes never touch the heap. Training state (per-layer
+//! forward passes never touch the heap; a batch assembled from sections
+//! goes through the model one cache-sized group of sections at a time, so
+//! that scratch does not grow with the batch. Training state (per-layer
 //! activation tapes) lives in a [`Tape`] owned by the trainer, not inside
 //! the layers.
 //!
@@ -53,7 +55,8 @@ pub use adam::Adam;
 pub use graph::{Direction, Graph};
 pub use layers::{Linear, LinearTape, SageLayer, SageScratch};
 pub use model::{
-    ForwardObserver, ForwardStage, InferenceScratch, ModelConfig, MultiTaskSage, Tape,
+    for_each_group, ForwardObserver, ForwardStage, InferenceScratch, ModelConfig, MultiTaskSage,
+    Tape,
 };
 #[doc(hidden)]
 pub use tensor::{Epilogue, KernelVariant};

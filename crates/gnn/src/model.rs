@@ -6,11 +6,30 @@
 //! configurations are provided as constructors: a *shallow* 4-layer /
 //! 32-hidden model for CSA multipliers and a *deep* 8-layer / 80-hidden
 //! model for Booth multipliers and complex technology mapping.
+//!
+//! **The inference forward is group-major.** The paper merges a batch of
+//! netlists into one graph to fill a GPU; on a CPU, running one layer over
+//! every row of the union before the next streams each activation matrix
+//! through the cache once per layer. A union's sections share no edges
+//! ([`Graph::from_sections_into`]), so [`MultiTaskSage::infer`] cuts the
+//! node range into groups of whole sections whose activations fit
+//! [`GROUP_BYTES`] per matrix, and takes one group through every trunk
+//! layer, the shared layer and the heads before it touches the next: the
+//! activation buffers are group-sized, stay cache-resident from layer to
+//! layer, and only the per-node inputs and outputs (features, CSR, logits)
+//! scale with the batch. A row's arithmetic does not depend on which rows
+//! are computed with it, so the logits are bit-identical to those of the
+//! union taken whole, or of each section on its own. A graph with one
+//! section is one group — the layer-major order — and so is a section
+//! larger than the budget.
 
 use crate::graph::Graph;
+use crate::kernel::Rows;
 use crate::layers::{FusedLinears, Linear, LinearTape, SageLayer, SageScratch};
+use crate::parallel;
 use crate::tensor::Matrix;
 use rand::SeedableRng;
+use std::time::Instant;
 
 /// Training state recorded by [`MultiTaskSage::forward_train`] and
 /// consumed by [`MultiTaskSage::backward`]: one activation tape per layer.
@@ -25,24 +44,216 @@ pub struct Tape {
     heads: Vec<LinearTape>,
 }
 
-/// Reusable per-worker buffers for allocation-free inference: ping-pong
-/// embedding matrices, aggregation scratch (the split-weight SAGE forward
-/// needs no concat buffer), the shared-layer output, and one logit matrix
-/// per task.
-///
-/// A warmed-up scratch (after one [`MultiTaskSage::infer`] call at a given
-/// graph size) lets every subsequent inference at the same or smaller size
-/// run without touching the heap. One scratch serves models and graphs of
-/// any shape — buffers are resized lazily, reusing capacity.
+/// Bytes one activation matrix of a group may occupy (see the module
+/// docs): groups of whole sections are filled up to this, so the
+/// ping-pong embeddings, the shared-layer output and a layer's weights
+/// sit in L2 together while a group goes through the model. A constant
+/// from measurement on this repository's benchmark host (2 MiB of L2 a
+/// core), like the kernels' tile sizes, not a setting: the forward over a
+/// batch of small netlists reads 339–346 ns/node at 2^16, 343–352 at
+/// 2^18, 352–355 at 2^19, 365–367 at 2^20 and 382 at 2^21, against
+/// 455–500 layer by layer over the whole batch (README, "Batches").
+const GROUP_BYTES: usize = 1 << 18;
+
+/// Cuts consecutive sections of `section_rows` rows each into the groups
+/// the inference forward runs one after the other, calling
+/// `each(first_row, end_row)` for every group in order: a group takes
+/// whole sections for as long as it stays within `budget_rows`
+/// ([`ModelConfig::group_rows`]); a section larger than that is a group of
+/// its own.
+pub fn for_each_group(
+    budget_rows: usize,
+    section_rows: impl IntoIterator<Item = usize>,
+    mut each: impl FnMut(usize, usize),
+) {
+    let (mut lo, mut hi) = (0, 0);
+    for rows in section_rows {
+        if hi > lo && hi + rows - lo > budget_rows {
+            each(lo, hi);
+            lo = hi;
+        }
+        hi += rows;
+    }
+    if hi > lo {
+        each(lo, hi);
+    }
+}
+
+/// The buffers one group of sections goes through the model in. There is
+/// one lane per kernel thread that takes groups; a serial pass uses the
+/// first.
 #[derive(Clone, Debug, Default)]
-pub struct InferenceScratch {
+struct Lane {
     ws: SageScratch,
     h_in: Matrix,
     h_out: Matrix,
     z: Matrix,
+    /// Every head's logits side by side, before they are dealt to the
+    /// per-task matrices.
+    wide: Matrix,
+    /// Nanoseconds per stage (trunk layers, shared, heads), summed over
+    /// the groups this lane took in the current pass.
+    stage_ns: Vec<u64>,
+}
+
+/// Reusable per-worker buffers for allocation-free inference: per lane,
+/// ping-pong embedding matrices, the aggregation block (the split-weight
+/// SAGE forward needs no concat buffer) and the shared-layer output, all
+/// sized by the largest *group* seen; and one logit matrix per task, sized
+/// by the graph.
+///
+/// A warmed-up scratch (after one [`MultiTaskSage::infer`] call at a given
+/// graph size) lets every subsequent inference at the same or smaller size
+/// run without touching the heap. One scratch serves models and graphs of
+/// any shape — buffers are resized lazily, reusing capacity, and one that
+/// is too small grows to exactly the size asked for.
+#[derive(Clone, Debug, Default)]
+pub struct InferenceScratch {
+    lanes: Vec<Lane>,
     logits: Vec<Matrix>,
     /// Column-concatenated task-head weights (rebuilt every pass).
     heads: FusedLinears,
+    /// `(first_row, end_row)` of every group of the current pass.
+    groups: Vec<(usize, usize)>,
+}
+
+/// What the groups of one [`MultiTaskSage::infer`] call share.
+#[derive(Copy, Clone)]
+struct Pass<'a> {
+    model: &'a MultiTaskSage,
+    graph: &'a Graph,
+    x: &'a Matrix,
+    heads: &'a FusedLinears,
+    /// Whether stage times are taken (an observer is listening).
+    timed: bool,
+}
+
+impl Pass<'_> {
+    /// Takes `groups` through the whole model, one after the other, in
+    /// `lane`'s buffers: every trunk layer, the shared layer, then all
+    /// task heads as one GEMM ([`FusedLinears`]) whose columns are dealt
+    /// to `logits` — per task, the rows from `base` on: the logit matrices
+    /// themselves on a serial pass, one lane's stretch of each on a forked
+    /// one.
+    fn run_groups<T: AsMut<[f32]>>(
+        &self,
+        groups: &[(usize, usize)],
+        lane: &mut Lane,
+        base: usize,
+        logits: &mut [T],
+    ) {
+        let Pass {
+            model,
+            graph,
+            x,
+            heads,
+            timed,
+        } = *self;
+        let Lane {
+            ws,
+            h_in,
+            h_out,
+            z,
+            wide,
+            stage_ns,
+        } = lane;
+        let trunk = model.sage.len();
+        stage_ns.clear();
+        stage_ns.resize(trunk + 2, 0);
+        let mut lap = |stage: usize, started: Option<Instant>| {
+            if let Some(t) = started {
+                stage_ns[stage] += t.elapsed().as_nanos() as u64;
+            }
+        };
+        for &(lo, hi) in groups {
+            for (l, layer) in model.sage.iter().enumerate() {
+                let started = timed.then(Instant::now);
+                // The first layer reads the graph's own feature rows; the
+                // others the previous layer's output, which holds this
+                // group's rows and nothing else.
+                let input = if l == 0 {
+                    Rows::all(x)
+                } else {
+                    Rows {
+                        first: lo,
+                        ..Rows::all(h_in)
+                    }
+                };
+                h_out.reshape_for_overwrite(hi - lo, model.config.hidden);
+                layer.forward_rows(graph, lo, input, ws, h_out.as_mut_slice());
+                std::mem::swap(h_in, h_out);
+                lap(l, started);
+            }
+            let started = timed.then(Instant::now);
+            model.shared.forward_into(h_in, z);
+            lap(trunk, started);
+            let started = timed.then(Instant::now);
+            heads.forward_into(z, wide);
+            let total = wide.cols();
+            let mut c0 = 0;
+            for (task, &width) in logits.iter_mut().zip(heads.widths()) {
+                let rows = &mut task.as_mut()[(lo - base) * width..(hi - base) * width];
+                let wide_rows = wide.as_slice().chunks_exact(total.max(1));
+                for (dst, src) in rows.chunks_exact_mut(width.max(1)).zip(wide_rows) {
+                    dst.copy_from_slice(&src[c0..c0 + width]);
+                }
+                c0 += width;
+            }
+            lap(trunk + 1, started);
+        }
+    }
+
+    /// [`Pass::run_groups`] with the groups dealt to one scoped thread per
+    /// lane — consecutive groups of about equal row counts, so every
+    /// thread owns one stretch of each logit matrix — instead of a
+    /// fork-join inside every kernel call.
+    fn fork_groups(&self, groups: &[(usize, usize)], lanes: &mut [Lane], logits: &mut [Matrix]) {
+        let per_lane = self.x.rows().div_ceil(lanes.len());
+        let last = lanes.len() - 1;
+        let mut rest: Vec<&mut [f32]> = logits.iter_mut().map(Matrix::as_mut_slice).collect();
+        let mut dealt = 0;
+        crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = lanes
+                .iter_mut()
+                .enumerate()
+                .map(|(i, lane)| {
+                    // At least one group, then whole groups up to this
+                    // lane's share of the rows; the last lane takes what
+                    // is left.
+                    let from = dealt;
+                    while dealt < groups.len()
+                        && (dealt == from || i == last || groups[dealt].1 <= (i + 1) * per_lane)
+                    {
+                        dealt += 1;
+                    }
+                    let mine = &groups[from..dealt];
+                    let base = mine.first().map_or(0, |g| g.0);
+                    let rows = mine.last().map_or(0, |g| g.1) - base;
+                    let mut tasks: Vec<&mut [f32]> = rest
+                        .iter_mut()
+                        .zip(self.heads.widths())
+                        .map(|(m, &width)| {
+                            let (head, tail) = std::mem::take(m).split_at_mut(rows * width);
+                            *m = tail;
+                            head
+                        })
+                        .collect();
+                    s.spawn(move |_| {
+                        // The fork is here: the kernels inside stay serial.
+                        parallel::set_intra_threads(1);
+                        self.run_groups(mine, lane, base, &mut tasks);
+                    })
+                })
+                .collect();
+            for handle in handles {
+                // A lane's panic is the call's, message and all.
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        })
+        .expect("every lane was joined above");
+    }
 }
 
 /// Hyper-parameters of a [`MultiTaskSage`].
@@ -83,6 +294,14 @@ impl ModelConfig {
             layers: 8,
             ..ModelConfig::shallow(in_dim, task_classes)
         }
+    }
+
+    /// Rows per group of the inference forward: as many as keep the
+    /// widest activation matrix of a group within 256 KiB, a measured
+    /// constant of this crate.
+    pub fn group_rows(&self) -> usize {
+        let widest = self.in_dim.max(self.hidden).max(self.shared_dim);
+        (GROUP_BYTES / (4 * widest.max(1))).max(1)
     }
 
     /// `(in_dim, out_dim)` of every linear layer's weight matrix, in
@@ -226,16 +445,24 @@ impl MultiTaskSage {
     /// Inference forward pass through caller-owned scratch buffers.
     ///
     /// Returns the per-task logits, which live inside `scratch` (they stay
-    /// valid until the next call with the same scratch). After a warmup
-    /// call at a given graph size, subsequent calls perform **zero heap
-    /// allocations** as long as the kernels stay on their serial path
-    /// (graphs below `parallel`'s per-thread row cutoff); above it, the
-    /// scoped worker threads spawned per call allocate.
+    /// valid until the next call with the same scratch). The graph's
+    /// sections are taken through the whole model one cache-sized group at
+    /// a time (see the module docs). After a warmup call at a given graph
+    /// size, subsequent calls perform **zero heap allocations** as long as
+    /// the kernels stay on their serial path (one kernel thread, or a
+    /// graph below `parallel`'s per-thread row cutoff); above it, the
+    /// scoped worker threads spawned per call allocate. With several
+    /// kernel threads and several groups the *groups* are dealt to the
+    /// threads, once per call; a lone group goes to the row-block-parallel
+    /// kernels instead.
     ///
     /// When `observer` is `Some`, each trunk layer, the shared linear and
-    /// the combined heads report their wall time through
-    /// [`ForwardObserver::record_stage`] (two monotonic clock reads per
-    /// stage, no allocations); when `None`, no clocks are read.
+    /// the combined heads report their wall time — summed over the groups
+    /// — through [`ForwardObserver::record_stage`], once per stage and
+    /// call, in order (two monotonic clock reads per stage and group, no
+    /// allocations); when groups ran on several threads, the times are
+    /// those of the thread that took longest. When `None`, no clocks are
+    /// read.
     ///
     /// # Panics
     ///
@@ -253,54 +480,51 @@ impl MultiTaskSage {
         gamora_fault::hit_or_panic(gamora_fault::FaultPoint::GnnForward);
         assert_eq!(x.cols(), self.config.in_dim, "feature width mismatch");
         assert_eq!(x.rows(), graph.num_nodes(), "one feature row per node");
-        for (l, layer) in self.sage.iter().enumerate() {
-            let started = observer.map(|_| std::time::Instant::now());
-            {
-                let InferenceScratch {
-                    ws, h_in, h_out, ..
-                } = &mut *scratch;
-                let input = if l == 0 { x } else { &*h_in };
-                layer.forward_into(graph, input, ws, h_out);
-            }
-            std::mem::swap(&mut scratch.h_in, &mut scratch.h_out);
-            if let (Some(obs), Some(t)) = (observer, started) {
-                obs.record_stage(ForwardStage::Sage(l), t.elapsed().as_micros() as u64);
-            }
-        }
-        let started = observer.map(|_| std::time::Instant::now());
-        {
-            let InferenceScratch { h_in, z, .. } = &mut *scratch;
-            self.shared.forward_into(h_in, z);
-        }
-        if let (Some(obs), Some(t)) = (observer, started) {
-            obs.record_stage(ForwardStage::Shared, t.elapsed().as_micros() as u64);
-        }
-        let started = observer.map(|_| std::time::Instant::now());
-        {
-            self.heads_into(scratch);
-        }
-        if let (Some(obs), Some(t)) = (observer, started) {
-            obs.record_stage(ForwardStage::Heads, t.elapsed().as_micros() as u64);
-        }
-        &scratch.logits
-    }
-
-    /// All task heads over `scratch.z` as one GEMM (see
-    /// [`Linear::forward_many_into`]). The wide `rows x Σclasses` result
-    /// goes through the aggregation buffer, which is dead once the trunk
-    /// has run, so the fusion adds no per-node memory.
-    fn heads_into(&self, scratch: &mut InferenceScratch) {
         let InferenceScratch {
-            ws,
-            z,
+            lanes,
             logits,
             heads,
-            ..
+            groups,
         } = scratch;
+        heads.gather(&self.heads);
         if logits.len() != self.heads.len() {
             logits.resize_with(self.heads.len(), Matrix::default);
         }
-        Linear::forward_many_into(&self.heads, z, heads, ws.spare(), logits);
+        for (out, &width) in logits.iter_mut().zip(heads.widths()) {
+            out.reshape_for_overwrite(x.rows(), width);
+        }
+        groups.clear();
+        for_each_group(self.config.group_rows(), graph.section_rows(), |lo, hi| {
+            groups.push((lo, hi))
+        });
+        let threads = parallel::effective_threads(x.rows()).clamp(1, groups.len().max(1));
+        if lanes.len() < threads {
+            lanes.resize_with(threads, Lane::default);
+        }
+        let pass = Pass {
+            model: self,
+            graph,
+            x,
+            heads,
+            timed: observer.is_some(),
+        };
+        let lanes = &mut lanes[..threads];
+        if threads == 1 {
+            pass.run_groups(groups, &mut lanes[0], 0, &mut logits[..]);
+        } else {
+            pass.fork_groups(groups, lanes, logits);
+        }
+        if let Some(obs) = observer {
+            // What the call waited for: the lane that was busy longest.
+            let busy = |lane: &&Lane| lane.stage_ns.iter().sum::<u64>();
+            let critical = lanes.iter().max_by_key(busy).expect("one lane at least");
+            let stages = (0..self.sage.len()).map(ForwardStage::Sage);
+            let stages = stages.chain([ForwardStage::Shared, ForwardStage::Heads]);
+            for (stage, &ns) in stages.zip(&critical.stage_ns) {
+                obs.record_stage(stage, ns / 1_000);
+            }
+        }
+        logits
     }
 
     /// Training forward pass: like [`MultiTaskSage::forward`], but records
@@ -506,7 +730,8 @@ mod tests {
         let mut scratch = InferenceScratch::default();
         model.infer(&graph, &x, &mut scratch, None);
         for (t, head) in model.heads.iter().enumerate() {
-            let separate = head.forward(&scratch.z);
+            // One section, one group: the lane's `z` holds every row.
+            let separate = head.forward(&scratch.lanes[0].z);
             assert_eq!(
                 (scratch.logits[t].rows(), scratch.logits[t].cols()),
                 (6, model.config.task_classes[t])
@@ -558,7 +783,10 @@ mod tests {
     }
 
     /// The observed forward pass is bit-identical to the plain one and
-    /// reports every stage exactly once, in order.
+    /// reports every stage exactly once, in order — on a graph that is one
+    /// group and on a sectioned one that is several, where a stage's time
+    /// is the sum over the groups and the stages together cannot exceed
+    /// the call's wall time.
     #[test]
     fn infer_with_observer_reports_all_stages() {
         use std::cell::RefCell;
@@ -569,28 +797,86 @@ mod tests {
             }
         }
         let model = tiny_model();
-        let graph = tiny_graph();
-        let mut x = Matrix::zeros(6, 3);
-        for r in 0..6 {
-            x.set(r, r % 3, 1.0);
-        }
-        let expected = model.forward(&graph, &x);
-        let recorder = Recorder(RefCell::new(Vec::new()));
-        let mut scratch = InferenceScratch::default();
-        let logits = model.infer(&graph, &x, &mut scratch, Some(&recorder));
-        for (a, b) in logits.iter().zip(&expected) {
-            assert_eq!(a, b, "observation must not change the forward");
-        }
-        let stages: Vec<ForwardStage> = recorder.0.borrow().iter().map(|&(s, _)| s).collect();
-        assert_eq!(
-            stages,
-            vec![
-                ForwardStage::Sage(0),
-                ForwardStage::Sage(1),
-                ForwardStage::Shared,
-                ForwardStage::Heads,
-            ]
+        // Rings of one group's worth of rows each: every section is cut
+        // off from the next.
+        let ring = model.config().group_rows();
+        let mut sectioned = Graph::default();
+        Graph::from_sections_into(
+            3 * ring,
+            Direction::Bidirectional,
+            3,
+            |i| (i * ring, ring),
+            |i, sink| {
+                for v in 0..ring {
+                    sink((i * ring + v) as u32, (i * ring + (v + 1) % ring) as u32);
+                }
+            },
+            &mut sectioned,
         );
+        for (graph, groups, threads) in [
+            (tiny_graph(), 1, 1),
+            (sectioned.clone(), 3, 1),
+            (sectioned, 3, 2),
+        ] {
+            let n = graph.num_nodes();
+            let mut x = Matrix::zeros(n, 3);
+            for r in 0..n {
+                x.set(r, r % 3, 1.0);
+            }
+            let expected = model.forward(&graph, &x);
+            let recorder = Recorder(RefCell::new(Vec::new()));
+            let mut scratch = InferenceScratch::default();
+            parallel::set_intra_threads(threads);
+            let started = Instant::now();
+            let logits = model.infer(&graph, &x, &mut scratch, Some(&recorder));
+            let wall = started.elapsed().as_micros() as u64;
+            parallel::set_intra_threads(0);
+            for (a, b) in logits.iter().zip(&expected) {
+                assert_eq!(a, b, "observation must not change the forward");
+            }
+            assert_eq!(scratch.groups.len(), groups);
+            assert_eq!(scratch.lanes.len(), threads, "groups dealt to every thread");
+            let (stages, micros): (Vec<_>, Vec<_>) = recorder.0.into_inner().into_iter().unzip();
+            assert_eq!(
+                stages,
+                vec![
+                    ForwardStage::Sage(0),
+                    ForwardStage::Sage(1),
+                    ForwardStage::Shared,
+                    ForwardStage::Heads,
+                ]
+            );
+            let staged: u64 = micros.iter().sum();
+            assert!(
+                staged <= wall,
+                "stages {micros:?} exceed the call's {wall} us"
+            );
+            if groups > 1 && threads == 1 {
+                // 49k rows through two 8-wide layers take milliseconds and
+                // nearly all of the call: a stage that reported one
+                // group's share would fall short.
+                assert!(2 * staged >= wall, "stages {micros:?} of a {wall} us call");
+            }
+        }
+    }
+
+    /// Whole sections are packed up to the budget; an oversized section is
+    /// a group of its own; empty sections belong to a neighbour.
+    #[test]
+    fn groups_are_whole_sections_within_the_budget() {
+        let cut = |budget: usize, sections: &[usize]| {
+            let mut groups = Vec::new();
+            for_each_group(budget, sections.iter().copied(), |lo, hi| {
+                groups.push((lo, hi))
+            });
+            groups
+        };
+        assert_eq!(cut(10, &[4, 6, 1]), [(0, 10), (10, 11)]);
+        assert_eq!(cut(10, &[4, 7, 3]), [(0, 4), (4, 14)]);
+        assert_eq!(cut(10, &[25, 3, 0, 7, 1]), [(0, 25), (25, 35), (35, 36)]);
+        assert_eq!(cut(10, &[0, 0, 3, 0]), [(0, 3)]);
+        assert_eq!(cut(10, &[0, 0]), []);
+        assert_eq!(cut(1, &[1, 1]), [(0, 1), (1, 2)]);
     }
 
     #[test]

@@ -85,6 +85,35 @@ pub fn for_each_row_block<F>(data: &mut [f32], width: usize, block_rows: usize, 
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
+    for_each_row_block_with(
+        data,
+        width,
+        block_rows,
+        &mut Vec::new(),
+        0,
+        |row0, block, _| f(row0, block),
+    );
+}
+
+/// [`for_each_row_block`] for a body that needs working memory: every
+/// worker calls `f(first_row_index, block, lane)` with its own
+/// `lane_len`-element stretch of `lanes`, which is grown here — to exactly
+/// one stretch per worker — when it is too short. A lane keeps whatever
+/// the previous block left in it.
+///
+/// # Panics
+///
+/// As [`for_each_row_block`].
+pub(crate) fn for_each_row_block_with<F>(
+    data: &mut [f32],
+    width: usize,
+    block_rows: usize,
+    lanes: &mut Vec<f32>,
+    lane_len: usize,
+    f: F,
+) where
+    F: Fn(usize, &mut [f32], &mut [f32]) + Sync,
+{
     if data.is_empty() {
         return;
     }
@@ -94,45 +123,53 @@ where
     );
     assert!(block_rows > 0, "bad block height");
     let rows = data.len() / width;
-    // Decide serial vs parallel from the row count alone first: the serial
-    // path must stay completely free of env lookups and allocations (it is
-    // the steady state of warmed-up inference).
-    let max_useful = rows / MIN_ROWS_PER_THREAD;
-    let nt = if max_useful <= 1 {
-        1
-    } else {
-        num_threads().min(max_useful)
-    };
+    let nt = effective_threads(rows);
+    if lanes.len() < nt * lane_len {
+        crate::tensor::clear_exact(lanes, nt * lane_len);
+        lanes.resize(nt * lane_len, 0.0);
+    }
     if nt <= 1 {
+        let lane = &mut lanes[..lane_len];
         for (blk, chunk) in data.chunks_mut(block_rows * width).enumerate() {
-            f(blk * block_rows, chunk);
+            f(blk * block_rows, chunk, lane);
         }
         return;
     }
     let rows_per = rows.div_ceil(nt).next_multiple_of(block_rows);
     crossbeam::thread::scope(|s| {
         let mut rest = data;
+        let mut lanes_rest = &mut lanes[..];
         let mut start_row = 0;
         while !rest.is_empty() {
             let take = (rows_per * width).min(rest.len());
             let (head, tail) = rest.split_at_mut(take);
+            let (lane, lanes_tail) = lanes_rest.split_at_mut(lane_len);
             let fref = &f;
             let sr = start_row;
             s.spawn(move |_| {
                 for (i, chunk) in head.chunks_mut(block_rows * width).enumerate() {
-                    fref(sr + i * block_rows, chunk);
+                    fref(sr + i * block_rows, chunk, lane);
                 }
             });
             start_row += take / width;
             rest = tail;
+            lanes_rest = lanes_tail;
         }
     })
     .expect("worker thread panicked");
 }
 
 /// Number of worker threads worth spawning for a `rows`-sized workload.
+/// Decided from the row count alone first: the serial path must stay
+/// completely free of [`num_threads`]' env lookup and its allocation (it
+/// is the steady state of warmed-up inference).
 pub fn effective_threads(rows: usize) -> usize {
-    (rows / MIN_ROWS_PER_THREAD).clamp(1, num_threads())
+    let max_useful = rows / MIN_ROWS_PER_THREAD;
+    if max_useful <= 1 {
+        1
+    } else {
+        num_threads().min(max_useful)
+    }
 }
 
 /// Maps `f` over `items` with one thread per item (callers pass one item

@@ -25,7 +25,7 @@
 //! entry points simply swap in owned storage. Layers, models and kernels
 //! never observe the difference.
 
-use crate::kernel::{self, GemmArgs, Kernels, Operand};
+use crate::kernel::{self, GemmArgs, Kernels, Operand, Rows, BLOCK_ROWS};
 use crate::parallel;
 use rand::Rng;
 use std::fmt;
@@ -231,6 +231,15 @@ impl PartialEq for Matrix {
     }
 }
 
+/// The row-major elements, for code generic over "a matrix or a stretch
+/// of one" (copy-on-write for borrowed storage, like
+/// [`Matrix::as_mut_slice`]).
+impl AsMut<[f32]> for Matrix {
+    fn as_mut(&mut self) -> &mut [f32] {
+        self.as_mut_slice()
+    }
+}
+
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Matrix({}x{})", self.rows, self.cols)
@@ -362,23 +371,28 @@ impl Matrix {
 
     /// Reshapes to `rows x cols` and zero-fills, reusing the existing
     /// allocation whenever capacity allows — the workhorse of the
-    /// allocation-free inference path. Borrowed storage is dropped, not
-    /// copied (the contents are discarded anyway).
+    /// allocation-free inference path — and growing to exactly the new
+    /// size when it does not, with the old buffer released first. Borrowed
+    /// storage is dropped, not copied (the contents are discarded anyway).
     pub fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         let data = self.data.owned_for_overwrite();
-        data.clear();
+        clear_exact(data, rows * cols);
         data.resize(rows * cols, 0.0);
     }
 
     /// Reshapes to `rows x cols` *without* zeroing retained elements —
     /// for kernels that overwrite every element anyway (skips the memset
-    /// that [`Matrix::reset`] pays).
+    /// that [`Matrix::reset`] pays unless the buffer has to grow).
     pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.owned_for_overwrite().resize(rows * cols, 0.0);
+        let data = self.data.owned_for_overwrite();
+        if data.capacity() < rows * cols {
+            clear_exact(data, rows * cols);
+        }
+        data.resize(rows * cols, 0.0);
     }
 
     /// Becomes a copy of `src`, reusing the existing allocation whenever
@@ -607,10 +621,19 @@ impl Matrix {
     }
 }
 
-/// Rows handed to one kernel call: a multiple of the register-tile height
-/// [`kernel::MR`] (so tiles never straddle a worker boundary), large
-/// enough that the indirect call through the variant table is noise.
-const GEMM_BLOCK_ROWS: usize = 16 * kernel::MR;
+/// Empties `v` with room for `len` elements. A buffer too small for that
+/// is released *before* its successor of exactly `len` is requested:
+/// `Vec::resize` would grow by amortised doubling and carry over whatever
+/// the buffer retained, so a worker's scratch sized by a 63-job batch
+/// would double — and stay doubled — on the first 64-job one.
+pub(crate) fn clear_exact<T>(v: &mut Vec<T>, len: usize) {
+    if v.capacity() < len {
+        *v = Vec::new();
+        v.reserve_exact(len);
+    } else {
+        v.clear();
+    }
+}
 
 /// The post-accumulation work fused into the GEMM: optional bias add,
 /// optional ReLU. Both run on the accumulator tile before it is stored.
@@ -673,13 +696,7 @@ fn gemm_with(
         (x1.rows, n),
         "GEMM output/accumulator shape mismatch"
     );
-    fn operand<'a>(x: &'a Matrix, w: &'a [f32]) -> Operand<'a> {
-        Operand {
-            x: x.as_slice(),
-            k: x.cols,
-            w,
-        }
-    }
+    let operand = |x, w| Operand { x: Rows::all(x), w };
     let args = GemmArgs {
         operands: [
             operand(x1, w1),
@@ -690,7 +707,7 @@ fn gemm_with(
         accumulate,
     };
     let dst = out.data.make_owned();
-    parallel::for_each_row_block(dst, n.max(1), GEMM_BLOCK_ROWS, |row0, block| {
+    parallel::for_each_row_block(dst, n.max(1), BLOCK_ROWS, |row0, block| {
         kernels.gemm_block(&args, row0, block);
     });
 }
@@ -752,6 +769,29 @@ impl KernelVariant {
     /// [`crate::Graph::mean_aggregate_into`] through this variant.
     pub fn mean_aggregate_into(&self, graph: &crate::Graph, h: &Matrix, out: &mut Matrix) {
         graph.mean_aggregate_with(self.0, h, out);
+    }
+
+    /// Mean aggregation of the nodes `nodes` alone, gathering from a
+    /// buffer that holds only the embedding rows `first .. first +
+    /// h.rows()` — what the group-major forward does per row block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of the nodes has a neighbour outside the held rows.
+    pub fn mean_aggregate_rows_into(
+        &self,
+        graph: &crate::Graph,
+        nodes: std::ops::Range<usize>,
+        h: &Matrix,
+        first: usize,
+        out: &mut Matrix,
+    ) {
+        out.reshape_for_overwrite(nodes.len(), h.cols);
+        let h = Rows {
+            first,
+            ..Rows::all(h)
+        };
+        graph.aggregate_rows(self.0, nodes.start, h, out.as_mut_slice());
     }
 }
 

@@ -18,7 +18,7 @@
 //! | `stage_signature_hash_micros` | hashing, wherever it runs: the identity digest of one submission, taken on the submitting thread before (not inside) its admission span, and the structural signature pass over one batch's identity-missed jobs in the worker; router-submitted jobs arrive signed and record neither |
 //! | `stage_batch_assemble_micros` | merged batch graph + feature assembly |
 //! | `stage_gnn_forward_micros` | the coalesced GNN forward pass |
-//! | `stage_prediction_split_micros` | argmax decode + per-netlist scatter |
+//! | `stage_prediction_split_micros` | argmax decode, netlist by netlist |
 //! | `stage_postprocess_micros` | cut detection, pairing and LSB repair of one `ExtractAdders` job (`Classify` jobs record nothing) |
 //! | `stage_time_to_rejection_micros` | submit/queue entry → `Overloaded` or `DeadlineExpired` shed |
 //! | `latency_e2e_micros` | submission → answer sent (the `JobOutput::latency_micros` distribution) |

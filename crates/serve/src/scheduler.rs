@@ -66,8 +66,9 @@
 //! holds exactly **one** trained reasoner behind an [`Arc`]; inference is
 //! `&self`, so every worker shares those weights read-only and carries
 //! only private scratch: an [`InferenceScratch`] (preallocated forward
-//! buffers) plus a [`BatchScratch`] (reusable merged batch graph,
-//! features and predictions) and a recycled per-job output vector. A
+//! buffers, sized by one group of netlists rather than by the batch)
+//! plus a [`BatchScratch`] (reusable merged batch graph and features)
+//! and a recycled per-job output vector. A
 //! warmed-up worker therefore runs the whole miss path — graph
 //! construction, feature encoding, batch assembly and the forward pass —
 //! without heap allocation. Forward passes never contend on a lock, and
