@@ -122,6 +122,45 @@ fn bench_fused_layer(c: &mut Criterion) {
     });
 }
 
+/// One training epoch in steady state — per graph: forward into the tape,
+/// loss, backward through the kernel's sequential-K sweep, Adam — over
+/// `gamora-perf`'s two training recipes. ns/iter over the node count in
+/// the row's name is the ns per node-step README "Training" quotes.
+fn bench_train_step(c: &mut Criterion) {
+    use gamora::dataset::labelled_graph;
+    use gamora_circuits::generate_multiplier;
+    use gamora_circuits::MultiplierKind::{Booth, Csa};
+    use gamora_gnn::{TrainConfig, Trainer};
+    let shallow = (3..=8).map(|bits| (Csa, bits)).collect();
+    let deep = vec![(Csa, 4), (Booth, 4), (Csa, 6), (Booth, 6)];
+    let tasks = || vec![4, 2, 2];
+    let presets = [
+        (
+            "shallow, CSA 3-8",
+            ModelConfig::shallow(3, tasks()),
+            shallow,
+        ),
+        ("deep, CSA+Booth 4/6", ModelConfig::deep(3, tasks()), deep),
+    ];
+    for (name, config, train) in presets {
+        let data: Vec<_> = train
+            .into_iter()
+            .map(|(kind, bits)| {
+                let aig = generate_multiplier(kind, bits).aig;
+                let mode = FeatureMode::StructuralFunctional;
+                labelled_graph(&aig, mode, Direction::Bidirectional, true).0
+            })
+            .collect();
+        let nodes: usize = data.iter().map(|d| d.graph.num_nodes()).sum();
+        let mut model = MultiTaskSage::new(config);
+        let mut trainer = Trainer::new(&TrainConfig::default());
+        trainer.epoch(&mut model, &data); // grow the buffers
+        c.bench_function(&format!("train_step ({name}: {nodes} nodes)"), |b| {
+            b.iter(|| black_box(trainer.epoch(&mut model, &data)))
+        });
+    }
+}
+
 /// Zero-copy graph/batch assembly vs the allocating builders.
 fn bench_assembly(c: &mut Criterion) {
     use gamora::dataset::{assemble_batch_into, BatchScratch};
@@ -191,7 +230,8 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_construction, bench_cut_enumeration, bench_exact_analysis,
-              bench_gnn_forward, bench_matmul, bench_fused_layer, bench_assembly,
+              bench_gnn_forward, bench_matmul, bench_fused_layer, bench_train_step,
+              bench_assembly,
               bench_mapping, bench_simulation, bench_sca
 }
 criterion_main!(benches);

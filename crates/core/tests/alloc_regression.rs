@@ -650,3 +650,38 @@ fn several_groups_are_allocation_free_after_warmup_observed_or_not() {
     // observed batches x (4 trunk layers + shared + heads).
     assert_eq!(calls.0.load(Ordering::Relaxed), 5 * 6);
 }
+
+/// Training touches the heap only while its buffers grow: after one step
+/// per graph size (the first epoch), a further epoch over the shallow
+/// recipe's six graphs — forward into the tape, loss, backward through
+/// the kernel's sequential sweep, Adam — allocates nothing, although every
+/// buffer is reshaped from graph to graph.
+#[test]
+fn a_training_epoch_is_allocation_free_after_one_step_per_graph_size() {
+    use gamora::dataset::labelled_graph;
+    use gamora::{Direction, FeatureMode};
+    use gamora_gnn::{GraphData, ModelConfig, MultiTaskSage, Trainer};
+
+    let _guard = TEST_LOCK.lock().unwrap();
+    let data: Vec<GraphData> = (3..=8)
+        .map(|bits| {
+            let aig = csa_multiplier(bits).aig;
+            let mode = FeatureMode::StructuralFunctional;
+            labelled_graph(&aig, mode, Direction::Bidirectional, true).0
+        })
+        .collect();
+    let mut model = MultiTaskSage::new(ModelConfig::shallow(3, vec![4, 2, 2]));
+    let mut trainer = Trainer::new(&TrainConfig::default());
+    let warm_up = trainer.epoch(&mut model, &data);
+
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
+    let loss = trainer.epoch(&mut model, &data);
+    COUNTING.with(|c| c.set(false));
+    let allocations = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        allocations, 0,
+        "a steady-state training epoch must not allocate"
+    );
+    assert!(loss.is_finite() && loss < warm_up, "{warm_up} -> {loss}");
+}

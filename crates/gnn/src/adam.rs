@@ -32,35 +32,49 @@ impl Adam {
         self.lr
     }
 
-    /// Applies one update step to `pairs` of (parameters, gradients).
+    /// Applies one update step. `tensors` is handed an `update(parameters,
+    /// gradients)` callback and calls it once per parameter tensor, in the
+    /// same order on every step.
     ///
-    /// Moment buffers are allocated lazily on first call; the number and
-    /// shapes of tensors must stay identical across calls.
+    /// Moment buffers are allocated on the first step; the number and
+    /// shapes of tensors must stay identical across steps.
     ///
     /// # Panics
     ///
     /// Panics if the tensor list changes shape between steps.
-    pub fn step(&mut self, pairs: Vec<(&mut [f32], &[f32])>) {
-        if self.m.is_empty() {
-            self.m = pairs.iter().map(|(p, _)| vec![0.0; p.len()]).collect();
-            self.v = self.m.clone();
-        }
-        assert_eq!(pairs.len(), self.m.len(), "parameter tensor count changed");
+    pub fn step(&mut self, tensors: impl FnOnce(&mut dyn FnMut(&mut [f32], &[f32]))) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t);
-        let bc2 = 1.0 - self.beta2.powi(self.t);
-        for (i, (param, grad)) in pairs.into_iter().enumerate() {
-            assert_eq!(param.len(), grad.len());
-            assert_eq!(param.len(), self.m[i].len(), "tensor {i} changed size");
-            let (m, v) = (&mut self.m[i], &mut self.v[i]);
-            for j in 0..param.len() {
-                m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * grad[j];
-                v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * grad[j] * grad[j];
-                let m_hat = m[j] / bc1;
-                let v_hat = v[j] / bc2;
-                param[j] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let Adam {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            t,
+            ref mut m,
+            ref mut v,
+        } = *self;
+        let bc1 = 1.0 - beta1.powi(t);
+        let bc2 = 1.0 - beta2.powi(t);
+        let mut i = 0;
+        tensors(&mut |param, grad| {
+            if t == 1 {
+                m.push(vec![0.0; param.len()]);
+                v.push(vec![0.0; param.len()]);
             }
-        }
+            assert!(i < m.len(), "parameter tensor count changed");
+            assert_eq!(param.len(), grad.len());
+            assert_eq!(param.len(), m[i].len(), "tensor {i} changed size");
+            let moments = m[i].iter_mut().zip(v[i].iter_mut());
+            for ((p, &g), (m, v)) in param.iter_mut().zip(grad).zip(moments) {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *p -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+            i += 1;
+        });
+        assert_eq!(i, m.len(), "parameter tensor count changed");
     }
 }
 
@@ -75,7 +89,7 @@ mod tests {
         let mut opt = Adam::new(0.1);
         for _ in 0..500 {
             let grad = vec![2.0 * (x[0] - 3.0)];
-            opt.step(vec![(&mut x, &grad)]);
+            opt.step(|update| update(&mut x, &grad));
         }
         assert!((x[0] - 3.0).abs() < 0.05, "x = {}", x[0]);
     }
@@ -89,7 +103,10 @@ mod tests {
         for _ in 0..800 {
             let ga: Vec<f32> = a.iter().map(|x| 2.0 * x).collect(); // min at 0
             let gb: Vec<f32> = b.iter().map(|x| 2.0 * (x - 2.0)).collect(); // min at 2
-            opt.step(vec![(&mut a, &ga), (&mut b, &gb)]);
+            opt.step(|update| {
+                update(&mut a, &ga);
+                update(&mut b, &gb);
+            });
         }
         assert!(a.iter().all(|x| x.abs() < 0.05), "{a:?}");
         assert!((b[0] - 2.0).abs() < 0.05, "{b:?}");
@@ -100,7 +117,7 @@ mod tests {
         // With bias correction, the first step has magnitude ~lr.
         let mut x = vec![0.0f32];
         let mut opt = Adam::new(0.01);
-        opt.step(vec![(&mut x, &[1.0f32][..])]);
+        opt.step(|update| update(&mut x, &[1.0]));
         assert!((x[0] + 0.01).abs() < 1e-4, "{}", x[0]);
     }
 }

@@ -550,31 +550,42 @@ impl Graph {
         kernels.aggregate_block(&args, v0, out);
     }
 
-    /// Backward of [`Graph::mean_aggregate`]: given `d(out)`, returns
-    /// `d(h)` where `d(h)[u] = Σ_{v : u ∈ N(v)} d(out)[v] / deg(v)`.
+    /// Backward of [`Graph::mean_aggregate`], added onto `out`: given
+    /// `grad = d(aggregate)`, `out[u] += Σ_{v : u ∈ N(v)} grad[v] / deg(v)`.
+    /// The sum over consumers is taken from zero, in reverse-CSR order,
+    /// before it meets what `out` holds — the order a separate gradient
+    /// matrix added afterwards would give.
     ///
     /// # Panics
     ///
-    /// Panics if `grad.rows() != num_nodes`.
-    pub fn mean_aggregate_backward(&self, grad: &Matrix) -> Matrix {
+    /// Panics unless `grad` and `out` both have one row per node and the
+    /// same width.
+    pub fn mean_aggregate_backward_add(&self, grad: &Matrix, out: &mut Matrix) {
         assert_eq!(grad.rows(), self.num_nodes);
-        let dim = grad.cols();
-        let mut out = Matrix::zeros(self.num_nodes, dim);
-        let width = dim.max(1);
+        assert_eq!((out.rows(), out.cols()), (grad.rows(), grad.cols()));
+        /// Columns summed together in registers.
+        const LANES: usize = 16;
+        let width = grad.cols().max(1);
         parallel::for_each_row_block(out.as_mut_slice(), width, BLOCK_ROWS, |u0, block| {
             for (i, row) in block.chunks_mut(width).enumerate() {
                 let u = u0 + i;
                 let consumers = &self.rev_neighbors
                     [self.rev_offsets[u] as usize..self.rev_offsets[u + 1] as usize];
-                for &v in consumers {
-                    let inv = self.inv_deg[v as usize];
-                    for (o, &g) in row.iter_mut().zip(grad.row(v as usize)) {
-                        *o += g * inv;
+                for (chunk, lanes) in row.chunks_mut(LANES).enumerate() {
+                    let mut acc = [0.0f32; LANES];
+                    for &v in consumers {
+                        let inv = self.inv_deg[v as usize];
+                        let g = &grad.row(v as usize)[chunk * LANES..][..lanes.len()];
+                        for (a, &g) in acc.iter_mut().zip(g) {
+                            *a += g * inv;
+                        }
+                    }
+                    for (o, &a) in lanes.iter_mut().zip(&acc) {
+                        *o += a;
                     }
                 }
             }
         });
-        out
     }
 }
 
@@ -804,11 +815,12 @@ mod tests {
                     assert_eq!(g.neighbors(v), fresh.neighbors(v), "{dir:?} node {v}");
                 }
                 let grad = Matrix::from_vec(n, 1, (0..n).map(|i| i as f32 + 1.0).collect());
-                assert_eq!(
-                    g.mean_aggregate_backward(&grad).as_slice(),
-                    fresh.mean_aggregate_backward(&grad).as_slice(),
-                    "{dir:?} reverse adjacency"
-                );
+                let backward = |g: &Graph| {
+                    let mut out = Matrix::zeros(n, 1);
+                    g.mean_aggregate_backward_add(&grad, &mut out);
+                    out
+                };
+                assert_eq!(backward(&g), backward(&fresh), "{dir:?} reverse adjacency");
             }
         }
     }
@@ -912,7 +924,8 @@ mod tests {
                 (0..n * dim).map(|_| rng.gen_range(-1.0..1.0)).collect(),
             );
             let ax = g.mean_aggregate(&x);
-            let aty = g.mean_aggregate_backward(&y);
+            let mut aty = Matrix::zeros(n, dim);
+            g.mean_aggregate_backward_add(&y, &mut aty);
             let dot = |a: &Matrix, b: &Matrix| -> f64 {
                 a.as_slice()
                     .iter()

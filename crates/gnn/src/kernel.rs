@@ -22,6 +22,19 @@
 //! unused). Lanes are independent, so vector width cannot change a lane's
 //! result: the variants agree with each other, across CPUs, and with the
 //! scalar definition. `tests/kernel_variants.rs` pins that.
+//!
+//! **Two K orders.** The GEMM body is instantiated twice per variant. The
+//! forward pass runs the quad tree above. The backward pass of training
+//! runs the *sequential* order, `acc += a_k * v_k` one k at a time in
+//! ascending k: the expression a dot product accumulated from `+0.0` and a
+//! row-by-row rank-1 update both evaluate, so `dY @ W^T` and `X^T @ dY`
+//! through the tile are, bit for bit, the scalar loops the trainer ran
+//! before it had a kernel. That sweep has no zero skip: about half of a
+//! ReLU gradient is zero, at random, so a branch per activation costs
+//! more than the multiply it saves; and over finite operands the `±0.0`
+//! product of a zero activation cannot change a sum that started at
+//! `+0.0` (such a sum is never `-0.0`), which is why the scalar rank-1
+//! loop, which did skip, is reproduced all the same.
 
 #![allow(clippy::needless_range_loop)]
 
@@ -127,6 +140,7 @@ type AggBlockFn = unsafe fn(&AggArgs<'_>, usize, &mut [f32]);
 pub(crate) struct Kernels {
     isa: &'static str,
     gemm: GemmBlockFn,
+    gemm_seq: GemmBlockFn,
     aggregate: AggBlockFn,
 }
 
@@ -144,6 +158,15 @@ impl Kernels {
         // CPU without that feature; `self` came from `supported()`, which
         // checked the feature at run time before yielding this table.
         unsafe { (self.gemm)(args, row0, block) }
+    }
+
+    /// [`Kernels::gemm_block`] in the sequential K order (see the module
+    /// docs).
+    #[inline]
+    pub(crate) fn gemm_seq_block(&self, args: &GemmArgs<'_>, row0: usize, block: &mut [f32]) {
+        // SAFETY: as in `gemm_block` — `supported()` verified the CPU
+        // feature this variant was compiled for.
+        unsafe { (self.gemm_seq)(args, row0, block) }
     }
 
     /// Runs mean aggregation over the whole rows in `block` (node `v0`
@@ -195,7 +218,15 @@ macro_rules! compile_variant {
             /// (`portable` asks for none).
             $(#[$feature])?
             unsafe fn gemm(args: &GemmArgs<'_>, row0: usize, block: &mut [f32]) {
-                gemm_block::<$width>(args, row0, block);
+                gemm_block::<$width, false>(args, row0, block);
+            }
+
+            /// # Safety
+            ///
+            /// As for `gemm`.
+            $(#[$feature])?
+            unsafe fn gemm_seq(args: &GemmArgs<'_>, row0: usize, block: &mut [f32]) {
+                gemm_block::<$width, true>(args, row0, block);
             }
 
             /// # Safety
@@ -209,6 +240,7 @@ macro_rules! compile_variant {
             pub(super) static KERNELS: Kernels = Kernels {
                 isa: stringify!($name),
                 gemm,
+                gemm_seq,
                 aggregate,
             };
         }
@@ -286,15 +318,15 @@ fn store<const NR: usize>(lanes: &[f32; NR], dst: &mut [f32], off: usize, w: usi
 
 /// One [`MR`]-row tile of a GEMM block. `rows` are the activation row
 /// indices; a short last tile repeats its final row and stores only the
-/// `live` distinct ones.
-struct GemmTile<'a> {
+/// `live` distinct ones. `SEQ` picks the K order (see the module docs).
+struct GemmTile<'a, const SEQ: bool> {
     args: &'a GemmArgs<'a>,
     rows: [usize; MR],
     live: usize,
     out: &'a mut [f32],
 }
 
-impl ColumnTile for GemmTile<'_> {
+impl<const SEQ: bool> ColumnTile for GemmTile<'_, SEQ> {
     #[inline(always)]
     fn run<const NR: usize>(&mut self, j0: usize, w: usize) {
         let GemmArgs {
@@ -337,7 +369,7 @@ impl ColumnTile for GemmTile<'_> {
             let [r0, r1, r2, r3] = self.rows;
             let a: [&[f32]; MR] = [op.x.row(r0), op.x.row(r1), op.x.row(r2), op.x.row(r3)];
             let mut k = 0;
-            while k + 4 <= k_total {
+            while !SEQ && k + 4 <= k_total {
                 let v0 = load::<NR>(op.w, k * n + j0, w);
                 let v1 = load::<NR>(op.w, (k + 1) * n + j0, w);
                 let v2 = load::<NR>(op.w, (k + 2) * n + j0, w);
@@ -362,7 +394,7 @@ impl ColumnTile for GemmTile<'_> {
                 let v = load::<NR>(op.w, k * n + j0, w);
                 each_row!(|i, c| {
                     let a = a[i][k];
-                    if a != 0.0 {
+                    if SEQ || a != 0.0 {
                         for j in 0..NR {
                             c[j] += a * v[j];
                         }
@@ -399,14 +431,18 @@ impl ColumnTile for GemmTile<'_> {
 /// (or at `block`'s values), sweep the full K of both operands in
 /// registers, take the epilogue and are stored once.
 #[inline(always)]
-fn gemm_block<const W: usize>(args: &GemmArgs<'_>, row0: usize, block: &mut [f32]) {
+fn gemm_block<const W: usize, const SEQ: bool>(
+    args: &GemmArgs<'_>,
+    row0: usize,
+    block: &mut [f32],
+) {
     let n = args.n;
     let rows = block.len() / n;
     let mut t = 0;
     while t < rows {
         let live = (rows - t).min(MR);
         let last = row0 + t + live - 1;
-        let mut tile = GemmTile {
+        let mut tile = GemmTile::<SEQ> {
             args,
             rows: [
                 row0 + t,

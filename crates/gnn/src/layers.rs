@@ -4,17 +4,21 @@
 //! Layers are **immutable in the forward direction**: inference borrows a
 //! layer by `&self` and can write into caller-owned scratch buffers
 //! (`forward_into`), so one model instance can be shared read-only across
-//! threads. Training-mode forwards record activations on an external
-//! [`LinearTape`] owned by the trainer instead of inside the layer; the
-//! backward pass consumes that tape and accumulates gradients (`gw`/`gb`)
-//! in the layer for the optimiser.
+//! threads. A training-mode forward writes what the backward pass needs —
+//! a layer's output, which is the next layer's input, and a SAGE layer's
+//! neighbourhood means ([`SageTape`]) — into buffers the trainer owns; the
+//! backward pass reads them there, works in a [`BackwardScratch`] and
+//! accumulates gradients (`gw`/`gb`) in the layer for the optimiser. No
+//! activation is copied and, once the buffers have grown, nothing is
+//! allocated.
 //!
 //! The inference forward of a [`SageLayer`] never holds the aggregated
 //! neighbourhood of more than one row block: a block of
 //! [`BLOCK_ROWS`] rows is aggregated into a buffer of the
 //! [`SageScratch`] and multiplied at once, while it is in L1, so no
 //! `nodes x width` aggregation matrix is written to memory and read back.
-//! Only the training forward materialises it — its tape needs every row.
+//! Only the training forward materialises it — the weight gradient needs
+//! every row.
 
 use crate::graph::Graph;
 use crate::kernel::{self, GemmArgs, Operand, Rows, BLOCK_ROWS};
@@ -22,13 +26,14 @@ use crate::parallel;
 use crate::tensor::{fused_gemm_into, Epilogue, Matrix};
 use rand::Rng;
 
-/// Activations recorded by a training-mode forward through one [`Linear`]
-/// (layer input and post-activation output), consumed by
-/// [`Linear::backward`]. Buffers are reused across training steps.
+/// Working memory of the backward passes, shared by every layer of a
+/// model since they run in sequence: the transposed operand of whichever
+/// GEMM is running (`X^T`, then `W^T`), and the neighbour half of a SAGE
+/// layer's input gradient before it is scattered back over the edges.
 #[derive(Clone, Debug, Default)]
-pub struct LinearTape {
-    x: Matrix,
-    y: Matrix,
+pub struct BackwardScratch {
+    transposed: Matrix,
+    neigh: Matrix,
 }
 
 /// A dense layer `y = act(x @ W + b)` with optional ReLU.
@@ -89,50 +94,44 @@ impl Linear {
         fused_gemm_into(x, self.w.as_slice(), None, epilogue, self.w.cols(), y);
     }
 
-    /// Training forward pass: records the input and output on `tape` for
-    /// the backward pass.
-    pub fn forward_train(&self, x: &Matrix, tape: &mut LinearTape) -> Matrix {
-        tape.x.copy_from(x);
-        let y = self.forward(x);
-        tape.y.copy_from(&y);
-        y
-    }
-
-    /// Backward pass: accumulates `gw`/`gb` and returns `d(x)`.
+    /// Backward pass from `dy`, the gradient w.r.t. the output `y` this
+    /// layer computed for the input `x`: masks `dy` through the ReLU in
+    /// place, accumulates `gw`/`gb` and writes `d(x)` to `dx`.
     ///
     /// # Panics
     ///
-    /// Panics if `tape` was not filled by a preceding
-    /// [`Linear::forward_train`].
-    pub fn backward(&mut self, grad_out: &Matrix, tape: &LinearTape) -> Matrix {
-        assert!(tape.x.rows() > 0, "backward without a training forward");
-        let grad_pre = if self.relu {
-            grad_out.relu_backward(&tape.y)
-        } else {
-            grad_out.clone()
-        };
-        self.gw.add_scaled(&tape.x.transpose_matmul(&grad_pre), 1.0);
-        for (g, v) in self.gb.iter_mut().zip(grad_pre.column_sums()) {
-            *g += v;
+    /// Panics if the shapes are not those of one forward pass.
+    pub fn backward(
+        &mut self,
+        x: &Matrix,
+        y: &Matrix,
+        dy: &mut Matrix,
+        ws: &mut BackwardScratch,
+        dx: &mut Matrix,
+    ) {
+        if self.relu {
+            dy.relu_backward_in_place(y);
         }
-        grad_pre.matmul_transpose(&self.w)
+        x.transpose_matmul_add_into(dy, &mut ws.transposed, self.gw.as_mut_slice());
+        dy.add_column_sums_to(&mut self.gb);
+        dy.matmul_transpose_into(self.w.as_slice(), &mut ws.transposed, dx);
     }
 
     /// Clears gradient accumulators.
     pub fn zero_grad(&mut self) {
-        self.gw = Matrix::zeros(self.w.rows(), self.w.cols());
-        self.gb.iter_mut().for_each(|g| *g = 0.0);
+        self.gw.as_mut_slice().fill(0.0);
+        self.gb.fill(0.0);
     }
 
-    /// Parameter/gradient pairs for the optimiser.
-    pub fn param_grads(&mut self) -> Vec<(&mut [f32], &[f32])> {
-        vec![
-            (self.w.as_mut_slice(), self.gw.as_slice()),
-            (&mut self.b, &self.gb),
-        ]
+    /// Calls `visit(parameters, gradients)` for the weights, then the
+    /// bias.
+    pub fn visit_param_grads(&mut self, visit: &mut dyn FnMut(&mut [f32], &[f32])) {
+        visit(self.w.as_mut_slice(), self.gw.as_slice());
+        visit(&mut self.b, &self.gb);
     }
 
-    /// Parameter tensors in the same stable order as [`Linear::param_grads`]
+    /// Parameter tensors in the same stable order as
+    /// [`Linear::visit_param_grads`]
     /// (weights, then bias) — the serialisation order of model snapshots.
     pub fn param_slices(&self) -> Vec<&[f32]> {
         vec![self.w.as_slice(), &self.b]
@@ -234,6 +233,22 @@ impl FusedLinears {
 #[derive(Clone, Debug, Default)]
 pub struct SageScratch {
     block: Vec<f32>,
+}
+
+/// What a training-mode forward through one [`SageLayer`] leaves for its
+/// backward pass: the neighbourhood means of the layer's input, and its
+/// output. Buffers are reused across training steps.
+#[derive(Clone, Debug, Default)]
+pub struct SageTape {
+    agg: Matrix,
+    y: Matrix,
+}
+
+impl SageTape {
+    /// The layer's output — the next layer's input.
+    pub fn output(&self) -> &Matrix {
+        &self.y
+    }
 }
 
 /// One GraphSAGE convolution (Hamilton et al., Eq. 1 of the paper):
@@ -361,36 +376,57 @@ impl SageLayer {
         fused_gemm_into(h, w_self, Some((agg, w_neigh)), epilogue, n, out);
     }
 
-    /// Training forward pass: records activations on `tape`.
+    /// Training forward pass: the output goes to `tape`, with the
+    /// neighbourhood means the backward pass needs for the weight
+    /// gradient.
     ///
     /// The output is computed through the same split-weight fused kernel
     /// as [`SageLayer::forward_into`], over the whole aggregation matrix
     /// instead of block by block (training and inference logits stay
     /// bit-identical: a row's arithmetic does not depend on which rows are
-    /// computed with it); the tape materialises the `[h | agg]`
-    /// concatenation, because the backward pass needs it for the weight
-    /// gradient `X^T @ dY` over the full `2 * in_dim` width.
-    pub fn forward_train(&self, graph: &Graph, h: &Matrix, tape: &mut LinearTape) -> Matrix {
-        let agg = graph.mean_aggregate(h);
-        h.hconcat_into(&agg, &mut tape.x);
-        let mut y = Matrix::default();
-        self.fused_into(h, &agg, &mut y);
-        tape.y.copy_from(&y);
-        y
+    /// computed with it).
+    pub fn forward_train(&self, graph: &Graph, h: &Matrix, tape: &mut SageTape) {
+        graph.mean_aggregate_into(h, &mut tape.agg);
+        self.fused_into(h, &tape.agg, &mut tape.y);
     }
 
-    /// Backward pass; returns the gradient w.r.t. the layer input.
+    /// Backward pass from `dy`, the gradient w.r.t. the output `tape`
+    /// holds for the input `h`: masks `dy` through the ReLU in place,
+    /// accumulates the weight and bias gradients and, when asked, writes
+    /// `d(h)` to `dh` (the first layer's input gradient has no taker).
+    ///
+    /// The `[h | agg]` concatenation of the layer's definition is never
+    /// built: its two column halves meet the two row halves of the
+    /// combined weights, in `X^T @ dY` as in `dY @ W^T`, so each half is
+    /// a product of its own.
     ///
     /// # Panics
     ///
-    /// Panics if `tape` was not filled by a preceding
-    /// [`SageLayer::forward_train`].
-    pub fn backward(&mut self, graph: &Graph, grad_out: &Matrix, tape: &LinearTape) -> Matrix {
-        let grad_concat = self.lin.backward(grad_out, tape);
-        let (grad_self, grad_neigh) = grad_concat.hsplit(self.in_dim);
-        let mut grad_h = grad_self;
-        grad_h.add_scaled(&graph.mean_aggregate_backward(&grad_neigh), 1.0);
-        grad_h
+    /// Panics if `tape` was not filled by a [`SageLayer::forward_train`]
+    /// of `h` over `graph`.
+    pub fn backward(
+        &mut self,
+        graph: &Graph,
+        h: &Matrix,
+        tape: &SageTape,
+        dy: &mut Matrix,
+        ws: &mut BackwardScratch,
+        dh: Option<&mut Matrix>,
+    ) {
+        let lin = &mut self.lin;
+        let half = self.in_dim * lin.w.cols();
+        dy.relu_backward_in_place(&tape.y);
+        let (gw_self, gw_neigh) = lin.gw.as_mut_slice().split_at_mut(half);
+        h.transpose_matmul_add_into(dy, &mut ws.transposed, gw_self);
+        let agg = &tape.agg;
+        agg.transpose_matmul_add_into(dy, &mut ws.transposed, gw_neigh);
+        dy.add_column_sums_to(&mut lin.gb);
+        if let Some(dh) = dh {
+            let (w_self, w_neigh) = lin.w.as_slice().split_at(half);
+            dy.matmul_transpose_into(w_self, &mut ws.transposed, dh);
+            dy.matmul_transpose_into(w_neigh, &mut ws.transposed, &mut ws.neigh);
+            graph.mean_aggregate_backward_add(&ws.neigh, dh);
+        }
     }
 
     /// Read access to the underlying linear (snapshot serialisation).
@@ -408,9 +444,9 @@ impl SageLayer {
         self.lin.zero_grad();
     }
 
-    /// Parameter/gradient pairs for the optimiser.
-    pub fn param_grads(&mut self) -> Vec<(&mut [f32], &[f32])> {
-        self.lin.param_grads()
+    /// See [`Linear::visit_param_grads`].
+    pub fn visit_param_grads(&mut self, visit: &mut dyn FnMut(&mut [f32], &[f32])) {
+        self.lin.visit_param_grads(visit);
     }
 
     /// Parameter tensors in snapshot order (see [`Linear::param_slices`]).
@@ -443,10 +479,11 @@ mod tests {
         let x = Matrix::glorot(4, 3, &mut rng);
         // Loss = sum of outputs; d(loss)/d(y) = ones.
         let loss = |lin: &Linear, x: &Matrix| -> f32 { lin.forward(x).as_slice().iter().sum() };
-        let mut tape = LinearTape::default();
-        let y = lin.forward_train(&x, &mut tape);
-        let ones = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
-        let gx = lin.backward(&ones, &tape);
+        let y = lin.forward(&x);
+        let mut ones = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
+        let mut gx = Matrix::default();
+        let mut ws = BackwardScratch::default();
+        lin.backward(&x, &y, &mut ones, &mut ws, &mut gx);
 
         let eps = 1e-3;
         // Check d(loss)/d(w[0,0]).
@@ -487,10 +524,13 @@ mod tests {
         let x = Matrix::glorot(5, 2, &mut rng);
         let loss =
             |l: &SageLayer, x: &Matrix| -> f32 { l.forward(&graph, x).as_slice().iter().sum() };
-        let mut tape = LinearTape::default();
-        let y = layer.forward_train(&graph, &x, &mut tape);
-        let ones = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
-        let gx = layer.backward(&graph, &ones, &tape);
+        let mut tape = SageTape::default();
+        layer.forward_train(&graph, &x, &mut tape);
+        let y = tape.output();
+        let mut ones = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
+        let mut gx = Matrix::default();
+        let mut ws = BackwardScratch::default();
+        layer.backward(&graph, &x, &tape, &mut ones, &mut ws, Some(&mut gx));
 
         let eps = 1e-3;
         let base = loss(&layer, &x);
@@ -538,10 +578,10 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let mut lin = Linear::new(2, 2, false, &mut rng);
         let x = Matrix::glorot(3, 2, &mut rng);
-        let mut tape = LinearTape::default();
-        let y = lin.forward_train(&x, &mut tape);
-        let g = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; 6]);
-        lin.backward(&g, &tape);
+        let y = lin.forward(&x);
+        let mut g = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; 6]);
+        let mut ws = BackwardScratch::default();
+        lin.backward(&x, &y, &mut g, &mut ws, &mut Matrix::default());
         assert!(lin.gw.norm() > 0.0);
         lin.zero_grad();
         assert_eq!(lin.gw.norm(), 0.0);

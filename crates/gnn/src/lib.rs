@@ -20,9 +20,12 @@
 //! serve workers, each carrying its own [`InferenceScratch`] so warmed-up
 //! forward passes never touch the heap; a batch assembled from sections
 //! goes through the model one cache-sized group of sections at a time, so
-//! that scratch does not grow with the batch. Training state (per-layer
-//! activation tapes) lives in a [`Tape`] owned by the trainer, not inside
-//! the layers.
+//! that scratch does not grow with the batch. Training state — every
+//! layer's activations and the buffers the backward pass works in — lives
+//! in a [`Tape`] owned by the [`Trainer`], not inside the layers; the
+//! backward GEMMs run through the same dispatched kernel in a K order
+//! that reproduces the scalar loops they replaced, so a trained model is
+//! the same bytes on every CPU and at every thread budget.
 //!
 //! ```
 //! use gamora_gnn::{Direction, Graph, InferenceScratch, Matrix, ModelConfig, MultiTaskSage};
@@ -53,7 +56,7 @@ mod trainer;
 
 pub use adam::Adam;
 pub use graph::{Direction, Graph};
-pub use layers::{Linear, LinearTape, SageLayer, SageScratch};
+pub use layers::{BackwardScratch, Linear, SageLayer, SageScratch, SageTape};
 pub use model::{
     for_each_group, ForwardObserver, ForwardStage, InferenceScratch, ModelConfig, MultiTaskSage,
     Tape,
@@ -69,4 +72,4 @@ pub use tensor::{Matrix, StorageError, WeightRegion};
 pub fn kernel_isa() -> &'static str {
     kernel::active().isa()
 }
-pub use trainer::{evaluate, train, GraphData, TrainConfig, TrainReport};
+pub use trainer::{evaluate, train, GraphData, TrainConfig, TrainReport, Trainer};

@@ -5,48 +5,51 @@ use crate::tensor::Matrix;
 /// Row-wise softmax probabilities.
 pub fn softmax(logits: &Matrix) -> Matrix {
     let mut out = logits.clone();
-    let cols = out.cols();
-    if cols == 0 {
-        return out;
-    }
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
+    if out.cols() > 0 {
+        for r in 0..out.rows() {
+            softmax_row(out.row_mut(r));
         }
     }
     out
 }
 
-/// Mean negative log-likelihood of `targets` under `logits`, and the
-/// gradient w.r.t. the logits scaled by `weight`.
+/// Turns one row of logits into probabilities, in place.
+fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
+}
+
+/// Mean negative log-likelihood of `targets` under `logits`; the gradient
+/// w.r.t. the logits, scaled by `weight`, is written to `grad` (reusing
+/// its allocation).
 ///
 /// # Panics
 ///
 /// Panics if `targets.len() != logits.rows()` or a target is out of range.
-pub fn nll_loss(logits: &Matrix, targets: &[u32], weight: f32) -> (f32, Matrix) {
+pub fn nll_loss(logits: &Matrix, targets: &[u32], weight: f32, grad: &mut Matrix) -> f32 {
     assert_eq!(targets.len(), logits.rows(), "one target per node");
-    let probs = softmax(logits);
     let n = logits.rows().max(1) as f32;
-    let mut grad = probs.clone();
+    grad.copy_from(logits);
     let mut loss = 0.0f64;
     for (r, &t) in targets.iter().enumerate() {
         let t = t as usize;
         assert!(t < logits.cols(), "target {t} out of range");
-        loss -= (probs.get(r, t).max(1e-12) as f64).ln();
         let row = grad.row_mut(r);
+        softmax_row(row);
+        loss -= (row[t].max(1e-12) as f64).ln();
         row[t] -= 1.0;
         for v in row.iter_mut() {
             *v *= weight / n;
         }
     }
-    ((loss / n as f64) as f32 * weight, grad)
+    (loss / n as f64) as f32 * weight
 }
 
 /// Fraction of rows whose argmax equals the target.
@@ -100,7 +103,8 @@ mod tests {
     #[test]
     fn nll_gradient_direction() {
         let logits = Matrix::from_vec(1, 3, vec![0.0, 0.0, 0.0]);
-        let (loss, grad) = nll_loss(&logits, &[1], 1.0);
+        let mut grad = Matrix::default();
+        let loss = nll_loss(&logits, &[1], 1.0, &mut grad);
         assert!((loss - (3.0f32).ln()).abs() < 1e-5);
         // Gradient pushes up the target (negative) and down the others.
         assert!(grad.get(0, 1) < 0.0);
@@ -113,8 +117,9 @@ mod tests {
     #[test]
     fn nll_weight_scales_gradient() {
         let logits = Matrix::from_vec(1, 2, vec![0.3, -0.2]);
-        let (l1, g1) = nll_loss(&logits, &[0], 1.0);
-        let (l2, g2) = nll_loss(&logits, &[0], 0.5);
+        let (mut g1, mut g2) = (Matrix::default(), Matrix::default());
+        let l1 = nll_loss(&logits, &[0], 1.0, &mut g1);
+        let l2 = nll_loss(&logits, &[0], 0.5, &mut g2);
         assert!((l1 * 0.5 - l2).abs() < 1e-6);
         assert!((g1.get(0, 0) * 0.5 - g2.get(0, 0)).abs() < 1e-7);
     }
@@ -124,15 +129,16 @@ mod tests {
     fn nll_gradcheck() {
         let logits = Matrix::from_vec(2, 3, vec![0.1, -0.4, 0.8, 0.0, 0.2, -0.1]);
         let targets = [2u32, 0u32];
-        let (_, grad) = nll_loss(&logits, &targets, 1.0);
+        let (mut grad, mut unused) = (Matrix::default(), Matrix::default());
+        nll_loss(&logits, &targets, 1.0, &mut grad);
         let eps = 1e-3;
         for (r, c) in [(0usize, 0usize), (0, 2), (1, 1)] {
             let mut plus = logits.clone();
             plus.set(r, c, logits.get(r, c) + eps);
-            let (lp, _) = nll_loss(&plus, &targets, 1.0);
+            let lp = nll_loss(&plus, &targets, 1.0, &mut unused);
             let mut minus = logits.clone();
             minus.set(r, c, logits.get(r, c) - eps);
-            let (lm, _) = nll_loss(&minus, &targets, 1.0);
+            let lm = nll_loss(&minus, &targets, 1.0, &mut unused);
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = grad.get(r, c);
             assert!(

@@ -25,23 +25,33 @@
 
 use crate::graph::Graph;
 use crate::kernel::Rows;
-use crate::layers::{FusedLinears, Linear, LinearTape, SageLayer, SageScratch};
+use crate::layers::{BackwardScratch, FusedLinears, Linear, SageLayer, SageScratch, SageTape};
 use crate::parallel;
 use crate::tensor::Matrix;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Training state recorded by [`MultiTaskSage::forward_train`] and
-/// consumed by [`MultiTaskSage::backward`]: one activation tape per layer.
+/// The training workspace: every activation
+/// [`MultiTaskSage::forward_train`] computes — each layer writes its
+/// output here and the next layer reads it from here — and the buffers
+/// [`MultiTaskSage::backward`] threads its gradients through.
 ///
 /// The tape is owned by the trainer (not the model), so the model itself
 /// stays immutable through the forward pass and can be shared across
-/// threads. Buffers are reused across training steps.
+/// threads. Buffers are reused across training steps: once they have
+/// grown to the largest training graph, a step allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct Tape {
-    sage: Vec<LinearTape>,
-    shared: LinearTape,
-    heads: Vec<LinearTape>,
+    sage: Vec<SageTape>,
+    /// The shared layer's output.
+    z: Matrix,
+    logits: Vec<Matrix>,
+    /// The gradient w.r.t. the output of the layer the backward pass is
+    /// at, and the one it writes w.r.t. that layer's input: swapped from
+    /// layer to layer.
+    grad_out: Matrix,
+    grad_in: Matrix,
+    ws: BackwardScratch,
 }
 
 /// Bytes one activation matrix of a group may occupy (see the module
@@ -527,61 +537,76 @@ impl MultiTaskSage {
         logits
     }
 
-    /// Training forward pass: like [`MultiTaskSage::forward`], but records
-    /// every layer's activations on `tape` for [`MultiTaskSage::backward`].
+    /// Training forward pass: like [`MultiTaskSage::forward`], but every
+    /// layer's activations stay on `tape` for [`MultiTaskSage::backward`],
+    /// the returned logits included.
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong feature width or row count.
-    pub fn forward_train(&self, graph: &Graph, x: &Matrix, tape: &mut Tape) -> Vec<Matrix> {
+    pub fn forward_train<'t>(&self, graph: &Graph, x: &Matrix, tape: &'t mut Tape) -> &'t [Matrix] {
         assert_eq!(x.cols(), self.config.in_dim, "feature width mismatch");
         assert_eq!(x.rows(), graph.num_nodes(), "one feature row per node");
         if tape.sage.len() != self.sage.len() {
-            tape.sage.resize_with(self.sage.len(), LinearTape::default);
+            tape.sage.resize_with(self.sage.len(), SageTape::default);
         }
-        if tape.heads.len() != self.heads.len() {
-            tape.heads
-                .resize_with(self.heads.len(), LinearTape::default);
+        if tape.logits.len() != self.heads.len() {
+            tape.logits.resize_with(self.heads.len(), Matrix::default);
         }
-        let mut h = x.clone();
-        for (layer, t) in self.sage.iter().zip(tape.sage.iter_mut()) {
-            h = layer.forward_train(graph, &h, t);
+        for (l, layer) in self.sage.iter().enumerate() {
+            let (done, rest) = tape.sage.split_at_mut(l);
+            let h = done.last().map_or(x, SageTape::output);
+            layer.forward_train(graph, h, &mut rest[0]);
         }
-        let z = self.shared.forward_train(&h, &mut tape.shared);
-        self.heads
-            .iter()
-            .zip(tape.heads.iter_mut())
-            .map(|(head, t)| head.forward_train(&z, t))
-            .collect()
+        let h = tape.sage.last().expect("at least one layer").output();
+        self.shared.forward_into(h, &mut tape.z);
+        for (head, logits) in self.heads.iter().zip(&mut tape.logits) {
+            head.forward_into(&tape.z, logits);
+        }
+        &tape.logits
     }
 
-    /// Backward pass from per-task logit gradients, consuming the tape of
-    /// the preceding [`MultiTaskSage::forward_train`].
+    /// Backward pass from per-task logit gradients, through the
+    /// activations the preceding [`MultiTaskSage::forward_train`] of the
+    /// same `graph` and `x` left on `tape`. `grads` is consumed: a layer
+    /// masks its output gradient in place.
     ///
     /// # Panics
     ///
     /// Panics if `grads.len() != num_tasks()` or `tape` does not match a
     /// training forward through this model.
-    pub fn backward(&mut self, graph: &Graph, grads: &[Matrix], tape: &Tape) {
+    pub fn backward(&mut self, graph: &Graph, x: &Matrix, grads: &mut [Matrix], tape: &mut Tape) {
         assert_eq!(grads.len(), self.heads.len());
         assert_eq!(
-            (tape.sage.len(), tape.heads.len()),
+            (tape.sage.len(), tape.logits.len()),
             (self.sage.len(), self.heads.len()),
             "tape does not match a training forward through this model"
         );
-        let mut grad_z: Option<Matrix> = None;
-        for ((head, g), t) in self.heads.iter_mut().zip(grads).zip(&tape.heads) {
-            let gz = head.backward(g, t);
-            match &mut grad_z {
-                None => grad_z = Some(gz),
-                Some(acc) => acc.add_scaled(&gz, 1.0),
+        let Tape {
+            sage,
+            z,
+            logits,
+            grad_out,
+            grad_in,
+            ws,
+        } = tape;
+        // d(z) is the heads' input gradients summed in task order.
+        let heads = self.heads.iter_mut().zip(grads).zip(&*logits);
+        for (t, ((head, g), y)) in heads.enumerate() {
+            if t == 0 {
+                head.backward(z, y, g, ws, grad_out);
+            } else {
+                head.backward(z, y, g, ws, grad_in);
+                grad_out.add_scaled(grad_in, 1.0);
             }
         }
-        let mut grad_h = self
-            .shared
-            .backward(&grad_z.expect("at least one task"), &tape.shared);
-        for (layer, t) in self.sage.iter_mut().rev().zip(tape.sage.iter().rev()) {
-            grad_h = layer.backward(graph, &grad_h, t);
+        let h = sage.last().expect("at least one layer").output();
+        self.shared.backward(h, z, grad_out, ws, grad_in);
+        for (l, layer) in self.sage.iter_mut().enumerate().rev() {
+            std::mem::swap(grad_out, grad_in);
+            let h = if l == 0 { x } else { sage[l - 1].output() };
+            let dh = (l > 0).then_some(&mut *grad_in);
+            layer.backward(graph, h, &sage[l], grad_out, ws, dh);
         }
     }
 
@@ -596,23 +621,22 @@ impl MultiTaskSage {
         }
     }
 
-    /// All parameter/gradient pairs, in a stable order, for the optimiser.
-    pub fn param_grads(&mut self) -> Vec<(&mut [f32], &[f32])> {
-        let mut out = Vec::new();
+    /// Calls `visit(parameters, gradients)` for every parameter tensor,
+    /// in a stable order, for the optimiser.
+    pub fn visit_param_grads(&mut self, visit: &mut dyn FnMut(&mut [f32], &[f32])) {
         for l in &mut self.sage {
-            out.extend(l.param_grads());
+            l.visit_param_grads(visit);
         }
-        out.extend(self.shared.param_grads());
+        self.shared.visit_param_grads(visit);
         for h in &mut self.heads {
-            out.extend(h.param_grads());
+            h.visit_param_grads(visit);
         }
-        out
     }
 
     /// All parameter tensors, in the same stable order as
-    /// [`MultiTaskSage::param_grads`] — the canonical serialisation order
-    /// for model snapshots (trunk layers, shared linear, task heads; each
-    /// layer contributes weights then bias).
+    /// [`MultiTaskSage::visit_param_grads`] — the canonical serialisation
+    /// order for model snapshots (trunk layers, shared linear, task heads;
+    /// each layer contributes weights then bias).
     pub fn param_slices(&self) -> Vec<&[f32]> {
         let mut out = Vec::new();
         for l in &self.sage {
@@ -777,6 +801,7 @@ mod tests {
         let mut tape = Tape::default();
         let trained = model.forward_train(&graph, &x, &mut tape);
         let inferred = model.forward(&graph, &x);
+        assert_eq!(trained.len(), inferred.len());
         for (a, b) in trained.iter().zip(&inferred) {
             assert_eq!(a, b);
         }
@@ -957,19 +982,17 @@ mod tests {
         ];
         let mut opt = Adam::new(0.01);
         let mut tape = Tape::default();
+        let mut grads = vec![Matrix::default(); 3];
         let mut losses = Vec::new();
         for _ in 0..30 {
             model.zero_grad();
             let logits = model.forward_train(&graph, &x, &mut tape);
             let mut total = 0.0;
-            let mut grads = Vec::new();
             for (t, l) in logits.iter().enumerate() {
-                let (loss, grad) = nll_loss(l, &targets[t], 1.0);
-                total += loss;
-                grads.push(grad);
+                total += nll_loss(l, &targets[t], 1.0, &mut grads[t]);
             }
-            model.backward(&graph, &grads, &tape);
-            opt.step(model.param_grads());
+            model.backward(&graph, &x, &mut grads, &mut tape);
+            opt.step(|update| model.visit_param_grads(update));
             losses.push(total);
         }
         assert!(

@@ -172,33 +172,6 @@ pub fn effective_threads(rows: usize) -> usize {
     }
 }
 
-/// Maps `f` over `items` with one thread per item (callers pass one item
-/// per worker). Results keep input order.
-pub fn map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    if items.len() <= 1 {
-        return items.into_iter().map(&f).collect();
-    }
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| {
-                let fref = &f;
-                s.spawn(move |_| fref(item))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
-    .expect("scope panicked")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,17 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_order() {
-        let out = map((0..20).collect::<Vec<_>>(), |x| x * x);
-        assert_eq!(out, (0..20).map(|x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn empty_inputs_are_fine() {
         let mut empty: Vec<f32> = Vec::new();
         for_each_row(&mut empty, 4, |_, _| panic!("must not be called"));
-        let out: Vec<i32> = map(Vec::<i32>::new(), |x| x);
-        assert!(out.is_empty());
     }
 
     #[test]

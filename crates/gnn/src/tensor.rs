@@ -14,7 +14,10 @@
 //! bias + ReLU epilogue, so a whole layer is one pass over the output
 //! instead of matmul-then-bias-then-activation. That module also says
 //! which instruction-set variant runs and why all of them produce the
-//! same bits.
+//! same bits. The two products of a backward pass —
+//! [`Matrix::transpose_matmul_add_into`], [`Matrix::matmul_transpose_into`]
+//! — go through the same tile in its sequential K order, over a transposed
+//! operand the caller keeps the scratch for.
 //!
 //! [`Matrix`] hides one seam: **where the elements live**. The default is
 //! an owned `Vec`; [`Matrix::from_region`] instead borrows a span of a
@@ -441,70 +444,31 @@ impl Matrix {
         KernelVariant::active().matmul_add_into(self, other, out);
     }
 
-    /// `self^T @ other` without materialising the transpose
-    /// (used for weight gradients: `X^T @ dY`).
+    /// `acc += self^T @ other` (weight gradients: `X^T @ dY`), `acc` being
+    /// the `self.cols x other.cols` row-major accumulator. `scratch`
+    /// receives `self^T`, which the register-tiled kernel then sweeps in
+    /// its sequential K order: every element is the row-ascending sum
+    /// `((acc + x[0][i] * y[0][j]) + x[1][i] * y[1][j]) + ...`. The rows —
+    /// the reduction — are never split across threads, so the result does
+    /// not depend on the thread budget.
     ///
     /// # Panics
     ///
-    /// Panics if `self.rows != other.rows`.
-    pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "transpose_matmul shape mismatch");
-        let (m, n) = (self.cols, other.cols);
-        // Accumulate per-thread partials to avoid contended writes.
-        let num_chunks = parallel::effective_threads(self.rows);
-        let chunk = self.rows.div_ceil(num_chunks).max(1);
-        let row_ranges: Vec<(usize, usize)> = (0..self.rows)
-            .step_by(chunk)
-            .map(|s| (s, (s + chunk).min(self.rows)))
-            .collect();
-        let partials: Vec<Matrix> = parallel::map(row_ranges, |(start, end)| {
-            let mut acc = Matrix::zeros(m, n);
-            for r in start..end {
-                let x = self.row(r);
-                let y = other.row(r);
-                for (i, &xv) in x.iter().enumerate() {
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    let acc_row = acc.row_mut(i);
-                    for (a, &yv) in acc_row.iter_mut().zip(y) {
-                        *a += xv * yv;
-                    }
-                }
-            }
-            acc
-        });
-        let mut out = Matrix::zeros(m, n);
-        for p in partials {
-            for (o, &v) in out.as_mut_slice().iter_mut().zip(p.as_slice()) {
-                *o += v;
-            }
-        }
-        out
+    /// Panics if `self.rows != other.rows` or `acc` has the wrong length.
+    pub fn transpose_matmul_add_into(&self, other: &Matrix, scratch: &mut Matrix, acc: &mut [f32]) {
+        KernelVariant::active().transpose_matmul_add_into(self, other, scratch, acc);
     }
 
-    /// `self @ other^T` without materialising the transpose
-    /// (used for input gradients: `dY @ W^T`).
+    /// `out = self @ w^T` (input gradients: `dY @ W^T`) for a row-major
+    /// `w` of `self.cols` columns. `scratch` receives `w^T`; every element
+    /// is the dot product accumulated from `+0.0` in ascending column
+    /// order, through the register-tiled kernel's sequential K order.
     ///
     /// # Panics
     ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_transpose shape mismatch");
-        let n = other.rows;
-        let mut out = Matrix::zeros(self.rows, n);
-        parallel::for_each_row(out.data.make_owned(), n.max(1), |r, out_row| {
-            let a_row = self.row(r);
-            for (c, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(c);
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        });
-        out
+    /// Panics if `w.len()` is not a multiple of `self.cols`.
+    pub fn matmul_transpose_into(&self, w: &[f32], scratch: &mut Matrix, out: &mut Matrix) {
+        KernelVariant::active().matmul_transpose_into(self, w, scratch, out);
     }
 
     /// Horizontal concatenation `[self | other]`.
@@ -532,22 +496,6 @@ impl Matrix {
         }
     }
 
-    /// Splits horizontally into `[left (cols_left) | right]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols_left > self.cols`.
-    pub fn hsplit(&self, cols_left: usize) -> (Matrix, Matrix) {
-        assert!(cols_left <= self.cols);
-        let mut left = Matrix::zeros(self.rows, cols_left);
-        let mut right = Matrix::zeros(self.rows, self.cols - cols_left);
-        for r in 0..self.rows {
-            left.row_mut(r).copy_from_slice(&self.row(r)[..cols_left]);
-            right.row_mut(r).copy_from_slice(&self.row(r)[cols_left..]);
-        }
-        (left, right)
-    }
-
     /// Element-wise ReLU.
     pub fn relu(&self) -> Matrix {
         let mut out = self.clone();
@@ -562,20 +510,17 @@ impl Matrix {
         }
     }
 
-    /// Masks gradients through a ReLU: `out = self * (activated > 0)`.
+    /// Masks gradients through a ReLU, in place: `self *= (activated > 0)`.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn relu_backward(&self, activated: &Matrix) -> Matrix {
+    pub fn relu_backward_in_place(&mut self, activated: &Matrix) {
         assert_eq!((self.rows, self.cols), (activated.rows, activated.cols));
-        let mut out = self.clone();
-        for (o, &a) in out.as_mut_slice().iter_mut().zip(activated.as_slice()) {
-            if a <= 0.0 {
-                *o = 0.0;
-            }
+        // A select, not a conditional store: the loop vectorises.
+        for (g, &a) in self.as_mut_slice().iter_mut().zip(activated.as_slice()) {
+            *g = if a <= 0.0 { 0.0 } else { *g };
         }
-        out
     }
 
     /// Adds a row vector (bias) to every row.
@@ -592,15 +537,18 @@ impl Matrix {
         }
     }
 
-    /// Sums over rows, producing a row vector (bias gradients).
-    pub fn column_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
+    /// Adds every row onto `acc`, top to bottom (bias gradients).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc.len() != self.cols`.
+    pub fn add_column_sums_to(&self, acc: &mut [f32]) {
+        assert_eq!(acc.len(), self.cols);
         for r in 0..self.rows {
-            for (o, &v) in out.iter_mut().zip(self.row(r)) {
+            for (o, &v) in acc.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
-        out
     }
 
     /// In-place scaled add: `self += scale * other`.
@@ -668,20 +616,21 @@ pub(crate) fn fused_gemm_into(
     KernelVariant::active().fused_gemm_into(x1, w1, pair2, epilogue, n, out);
 }
 
-/// The shape checks and row-block fan-out behind
-/// [`KernelVariant::fused_gemm_into`] and
-/// [`KernelVariant::matmul_add_into`]. `out`
-/// must already be `x1.rows x n`.
+/// The shape checks and row-block fan-out behind every kernel-backed
+/// GEMM of [`KernelVariant`]: `dst` is the `x1.rows x n` row-major output
+/// (or accumulator); `sequential` picks the K order (see
+/// [`crate::kernel`]).
 #[allow(clippy::too_many_arguments)]
 fn gemm_with(
     kernels: &Kernels,
+    sequential: bool,
     x1: &Matrix,
     w1: &[f32],
     pair2: Option<(&Matrix, &[f32])>,
     epilogue: Epilogue<'_>,
     n: usize,
     accumulate: bool,
-    out: &mut Matrix,
+    dst: &mut [f32],
 ) {
     assert_eq!(w1.len(), x1.cols * n, "weight shape mismatch");
     if let Some((x2, w2)) = pair2 {
@@ -692,8 +641,8 @@ fn gemm_with(
         assert_eq!(b.len(), n, "bias width mismatch");
     }
     assert_eq!(
-        (out.rows, out.cols),
-        (x1.rows, n),
+        dst.len(),
+        x1.rows * n,
         "GEMM output/accumulator shape mismatch"
     );
     let operand = |x, w| Operand { x: Rows::all(x), w };
@@ -706,10 +655,39 @@ fn gemm_with(
         n,
         accumulate,
     };
-    let dst = out.data.make_owned();
     parallel::for_each_row_block(dst, n.max(1), BLOCK_ROWS, |row0, block| {
-        kernels.gemm_block(&args, row0, block);
+        if sequential {
+            kernels.gemm_seq_block(&args, row0, block);
+        } else {
+            kernels.gemm_block(&args, row0, block);
+        }
     });
+}
+
+/// A plain `a @ b` in the sequential K order, onto `dst` or over it: the
+/// shape both backward products take once an operand is transposed.
+fn gemm_seq_with(
+    kernels: &Kernels,
+    a: &Matrix,
+    b: &[f32],
+    n: usize,
+    accumulate: bool,
+    dst: &mut [f32],
+) {
+    let plain = Epilogue::default();
+    gemm_with(kernels, true, a, b, None, plain, n, accumulate, dst);
+}
+
+/// `out = src^T` for a row-major `src` of `cols` columns.
+fn transpose_into(src: &[f32], cols: usize, out: &mut Matrix) {
+    let rows = src.len().checked_div(cols).unwrap_or(0);
+    out.reshape_for_overwrite(cols, rows);
+    let dst = out.as_mut_slice();
+    for (r, row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
+        }
+    }
 }
 
 /// The kernel-backed operations over one compiled kernel variant. The
@@ -752,7 +730,8 @@ impl KernelVariant {
         out: &mut Matrix,
     ) {
         out.reshape_for_overwrite(x1.rows, n);
-        gemm_with(self.0, x1, w1, pair2, epilogue, n, false, out);
+        let dst = out.data.make_owned();
+        gemm_with(self.0, false, x1, w1, pair2, epilogue, n, false, dst);
     }
 
     /// [`Matrix::matmul_add_into`] through this variant.
@@ -762,8 +741,47 @@ impl KernelVariant {
     /// As [`Matrix::matmul_add_into`].
     pub fn matmul_add_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         assert_eq!(a.cols, b.rows, "matmul shape mismatch");
-        let w = b.as_slice();
-        gemm_with(self.0, a, w, None, Epilogue::default(), b.cols, true, out);
+        assert_eq!(out.rows, a.rows, "GEMM accumulator shape mismatch");
+        let (w, n, none) = (b.as_slice(), b.cols, Epilogue::default());
+        let dst = out.data.make_owned();
+        gemm_with(self.0, false, a, w, None, none, n, true, dst);
+    }
+
+    /// [`Matrix::transpose_matmul_add_into`] through this variant.
+    ///
+    /// # Panics
+    ///
+    /// As [`Matrix::transpose_matmul_add_into`].
+    pub fn transpose_matmul_add_into(
+        &self,
+        x: &Matrix,
+        dy: &Matrix,
+        scratch: &mut Matrix,
+        acc: &mut [f32],
+    ) {
+        assert_eq!(x.rows, dy.rows, "transpose_matmul shape mismatch");
+        transpose_into(x.as_slice(), x.cols, scratch);
+        gemm_seq_with(self.0, scratch, dy.as_slice(), dy.cols, true, acc);
+    }
+
+    /// [`Matrix::matmul_transpose_into`] through this variant.
+    ///
+    /// # Panics
+    ///
+    /// As [`Matrix::matmul_transpose_into`].
+    pub fn matmul_transpose_into(
+        &self,
+        dy: &Matrix,
+        w: &[f32],
+        scratch: &mut Matrix,
+        out: &mut Matrix,
+    ) {
+        let n = w.len().checked_div(dy.cols).unwrap_or(0);
+        assert_eq!(w.len(), n * dy.cols, "matmul_transpose shape mismatch");
+        transpose_into(w, dy.cols, scratch);
+        out.reshape_for_overwrite(dy.rows, n);
+        let dst = out.data.make_owned();
+        gemm_seq_with(self.0, dy, scratch.as_slice(), n, false, dst);
     }
 
     /// [`crate::Graph::mean_aggregate_into`] through this variant.
@@ -937,7 +955,15 @@ mod tests {
                 at.set(j, i, a.get(i, j));
             }
         }
-        assert_close(&a.transpose_matmul(&b), &naive_matmul(&at, &b));
+        let (mut scratch, mut out) = (Matrix::default(), Matrix::zeros(7, 11));
+        a.transpose_matmul_add_into(&b, &mut scratch, out.as_mut_slice());
+        assert_eq!(scratch, at);
+        assert_close(&out, &naive_matmul(&at, &b));
+        // A second call accumulates on top.
+        a.transpose_matmul_add_into(&b, &mut scratch, out.as_mut_slice());
+        let mut twice = naive_matmul(&at, &b);
+        twice.add_scaled(&naive_matmul(&at, &b), 1.0);
+        assert_close(&out, &twice);
     }
 
     #[test]
@@ -950,18 +976,22 @@ mod tests {
                 bt.set(j, i, b.get(i, j));
             }
         }
-        assert_close(&a.matmul_transpose(&b), &naive_matmul(&a, &bt));
+        let (mut scratch, mut out) = (Matrix::default(), Matrix::default());
+        a.matmul_transpose_into(b.as_slice(), &mut scratch, &mut out);
+        assert_eq!(scratch, bt);
+        assert_close(&out, &naive_matmul(&a, &bt));
     }
 
     #[test]
-    fn concat_and_split_roundtrip() {
+    fn concat_places_rows_side_by_side() {
         let a = small(5, 3, 7);
         let b = small(5, 4, 8);
         let cat = a.hconcat(&b);
         assert_eq!(cat.cols(), 7);
-        let (l, r) = cat.hsplit(3);
-        assert_close(&l, &a);
-        assert_close(&r, &b);
+        for r in 0..5 {
+            assert_eq!(cat.row(r)[..3], *a.row(r));
+            assert_eq!(cat.row(r)[3..], *b.row(r));
+        }
     }
 
     #[test]
@@ -969,16 +999,18 @@ mod tests {
         let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]);
         let y = x.relu();
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
-        let g = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        let gx = g.relu_backward(&y);
-        assert_eq!(gx.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
+        let mut g = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
+        g.relu_backward_in_place(&y);
+        assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
     fn bias_and_column_sums() {
         let mut x = Matrix::zeros(3, 2);
         x.add_row_vector(&[1.0, -2.0]);
-        assert_eq!(x.column_sums(), vec![3.0, -6.0]);
+        let mut sums = [0.5, 0.0];
+        x.add_column_sums_to(&mut sums);
+        assert_eq!(sums, [3.5, -6.0]);
     }
 
     /// `_into` kernels reuse the destination's allocation: repeated calls

@@ -67,6 +67,57 @@ pub struct TrainReport {
     pub train_accuracy: Vec<f64>,
 }
 
+/// What training carries from step to step: the optimiser's moments, the
+/// activation and gradient workspace, and the per-task logit gradients.
+/// Once its buffers have grown to the largest training graph, a
+/// [`Trainer::epoch`] allocates nothing.
+#[derive(Clone, Debug)]
+pub struct Trainer {
+    opt: Adam,
+    task_weights: Vec<f32>,
+    tape: Tape,
+    grads: Vec<Matrix>,
+}
+
+impl Trainer {
+    /// A trainer with `cfg`'s learning rate and task weights.
+    pub fn new(cfg: &TrainConfig) -> Trainer {
+        Trainer {
+            opt: Adam::new(cfg.lr),
+            task_weights: cfg.task_weights.clone(),
+            tape: Tape::default(),
+            grads: vec![Matrix::default(); cfg.task_weights.len()],
+        }
+    }
+
+    /// One pass over `data`, a full-batch gradient step of `model` per
+    /// graph; returns the weighted multi-task loss each graph had before
+    /// its step, averaged over the graphs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a graph or the task weights are inconsistent with the
+    /// model's task count.
+    pub fn epoch(&mut self, model: &mut MultiTaskSage, data: &[GraphData]) -> f32 {
+        assert_eq!(
+            self.task_weights.len(),
+            model.num_tasks(),
+            "one loss weight per task count"
+        );
+        let mut total = 0.0f32;
+        for d in data {
+            model.zero_grad();
+            let logits = model.forward_train(&d.graph, &d.features, &mut self.tape);
+            for (t, l) in logits.iter().enumerate() {
+                total += nll_loss(l, &d.labels[t], self.task_weights[t], &mut self.grads[t]);
+            }
+            model.backward(&d.graph, &d.features, &mut self.grads, &mut self.tape);
+            self.opt.step(|update| model.visit_param_grads(update));
+        }
+        total / data.len().max(1) as f32
+    }
+}
+
 /// Trains `model` full-batch on the given graphs.
 ///
 /// # Panics
@@ -75,34 +126,15 @@ pub struct TrainReport {
 /// or the weight vector length differs from the task count.
 pub fn train(model: &mut MultiTaskSage, data: &[GraphData], cfg: &TrainConfig) -> TrainReport {
     assert!(!data.is_empty(), "training set must be non-empty");
-    assert_eq!(
-        cfg.task_weights.len(),
-        model.num_tasks(),
-        "one loss weight per task count"
-    );
     for d in data {
         d.validate(model.num_tasks());
     }
-    let mut opt = Adam::new(cfg.lr);
     // The trainer owns the training state: the model itself stays
     // immutable through every forward pass.
-    let mut tape = Tape::default();
+    let mut trainer = Trainer::new(cfg);
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
-        let mut total = 0.0f32;
-        for d in data {
-            model.zero_grad();
-            let logits = model.forward_train(&d.graph, &d.features, &mut tape);
-            let mut grads = Vec::with_capacity(logits.len());
-            for (t, l) in logits.iter().enumerate() {
-                let (loss, grad) = nll_loss(l, &d.labels[t], cfg.task_weights[t]);
-                total += loss;
-                grads.push(grad);
-            }
-            model.backward(&d.graph, &grads, &tape);
-            opt.step(model.param_grads());
-        }
-        let avg = total / data.len() as f32;
+        let avg = trainer.epoch(model, data);
         epoch_losses.push(avg);
         if cfg.log_every > 0 && (epoch + 1) % cfg.log_every == 0 {
             eprintln!("epoch {:4}  loss {avg:.4}", epoch + 1);

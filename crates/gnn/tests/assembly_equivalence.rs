@@ -105,9 +105,14 @@ fn assert_sectioned_matches_streamed(sections: &[(usize, Vec<(u32, u32)>)], dire
         serial.mean_aggregate(&h).as_slice(),
         sectioned.mean_aggregate(&h).as_slice()
     );
+    let backward = |g: &Graph| {
+        let mut out = Matrix::zeros(h.rows(), h.cols());
+        g.mean_aggregate_backward_add(&h, &mut out);
+        out
+    };
     assert_eq!(
-        serial.mean_aggregate_backward(&h).as_slice(),
-        sectioned.mean_aggregate_backward(&h).as_slice()
+        backward(&serial).as_slice(),
+        backward(&sectioned).as_slice()
     );
 }
 
@@ -362,7 +367,8 @@ fn assert_group_major_matches(
     let x = feature_ramp(num_nodes, 3);
     let grouped = model.forward(&sectioned, &x);
     let layered = model.forward(&whole, &x);
-    let trained = model.forward_train(&sectioned, &x, &mut Tape::default());
+    let mut tape = Tape::default();
+    let trained = model.forward_train(&sectioned, &x, &mut tape);
     for (t, logits) in grouped.iter().enumerate() {
         assert_eq!(logits.rows(), num_nodes);
         assert_eq!(

@@ -7,11 +7,16 @@
 //! below, over shapes that hit every column-chunk width, every row-tile
 //! remainder, the K-quad remainder and the zero-quad skip. A golden hash
 //! recorded from the previous kernel pins the whole forward pass across
-//! the rewrite. CI runs this file in debug
-//! and `--release`: code generation differs per `target_feature`.
+//! the rewrite. The sequential K order the backward pass of training runs
+//! is pinned the same way: against the two scalar loops the trainer used
+//! before its products went through the tile, kept here verbatim. CI runs
+//! this file in debug and `--release`: code generation differs per
+//! `target_feature`.
 
 use gamora_gnn::parallel::set_intra_threads;
-use gamora_gnn::{Direction, Epilogue, Graph, KernelVariant, Matrix, ModelConfig, MultiTaskSage};
+use gamora_gnn::{
+    Direction, Epilogue, Graph, KernelVariant, Matrix, ModelConfig, MultiTaskSage, Tape,
+};
 use rand::{Rng, SeedableRng};
 
 const NS: [usize; 9] = [1, 2, 4, 8, 31, 32, 33, 80, 96];
@@ -167,6 +172,122 @@ fn matmul_add_into_keeps_negative_zero_under_every_variant() {
     }
 }
 
+/// `x^T @ y` as `Matrix::transpose_matmul` computed the weight gradient
+/// until the trainer's products moved into the kernel (its body, for one
+/// chunk of rows): a rank-1 update per row, top to bottom, skipped where
+/// `x` is zero, the chunk then added onto a zero matrix.
+fn scalar_transpose_matmul(x: &Matrix, y: &Matrix) -> Matrix {
+    let (m, n) = (x.cols(), y.cols());
+    let mut acc = Matrix::zeros(m, n);
+    for r in 0..x.rows() {
+        let xr = x.row(r);
+        let yr = y.row(r);
+        for (i, &xv) in xr.iter().enumerate() {
+            if xv == 0.0 {
+                continue;
+            }
+            let acc_row = acc.row_mut(i);
+            for (a, &yv) in acc_row.iter_mut().zip(yr) {
+                *a += xv * yv;
+            }
+        }
+    }
+    let mut out = Matrix::zeros(m, n);
+    for (o, &v) in out.as_mut_slice().iter_mut().zip(acc.as_slice()) {
+        *o += v;
+    }
+    out
+}
+
+/// `a @ b^T` as `Matrix::matmul_transpose` computed the input gradient
+/// (its body): one dot product per element, from `+0.0`, in ascending
+/// column order.
+fn scalar_matmul_transpose(a: &Matrix, b: &Matrix) -> Matrix {
+    let n = b.rows();
+    let mut out = Matrix::zeros(a.rows(), n);
+    for r in 0..a.rows() {
+        let a_row = a.row(r);
+        for c in 0..n {
+            let b_row = b.row(c);
+            let mut acc = 0.0f32;
+            for (&a, &b) in a_row.iter().zip(b_row) {
+                acc += a * b;
+            }
+            out.set(r, c, acc);
+        }
+    }
+    out
+}
+
+/// Node counts of the backward products: the reduction length of `X^T @
+/// dY`, the row count of `dY @ W^T` — off the 4-row tile, below and above
+/// one 64-row block.
+const NODES: [usize; 4] = [1, 5, 257, 3000];
+
+/// Every variant's sequential-K sweep computes the two backward products
+/// of a dense layer exactly as the scalar loops did: activations with
+/// exact zeros, `-0.0`s and an all-zero row on either side, every output
+/// width of the grid, reductions of one step and of thousands.
+#[test]
+fn every_variant_matches_the_scalar_backward_products() {
+    let variants = KernelVariant::supported();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBAC);
+    let (mut scratch, mut out) = (Matrix::default(), Matrix::default());
+    let shapes = NS
+        .iter()
+        .flat_map(|&n| KS.iter().map(move |&k| (n, k)))
+        .flat_map(|(n, k)| NODES.iter().map(move |&nodes| (nodes, k, n)));
+    for (case, (nodes, k, n)) in shapes.enumerate() {
+        let sparse = case % 2 == 1;
+        // Weight gradient: `k` input columns (the tile's rows), `n`
+        // output columns (its lanes), summed over the nodes.
+        let x = activations(nodes, k, sparse, &mut rng);
+        let dy = activations(nodes, n, !sparse, &mut rng);
+        let want = scalar_transpose_matmul(&x, &dy);
+        for v in &variants {
+            out.reset(k, n);
+            v.transpose_matmul_add_into(&x, &dy, &mut scratch, out.as_mut_slice());
+            let what = format!("{} x^T dy: nodes={nodes} k={k} n={n}", v.isa());
+            assert_eq!(bits(&out), bits(&want), "{what}");
+        }
+        // Input gradient: `k` output columns summed over, `n` input
+        // columns, one row per node.
+        let dy = activations(nodes, k, sparse, &mut rng);
+        let w = Matrix::glorot(n, k, &mut rng);
+        let want = scalar_matmul_transpose(&dy, &w);
+        for v in &variants {
+            v.matmul_transpose_into(&dy, w.as_slice(), &mut scratch, &mut out);
+            let what = format!("{} dy w^T: nodes={nodes} k={k} n={n}", v.isa());
+            assert_eq!(bits(&out), bits(&want), "{what}");
+        }
+    }
+}
+
+/// Two kernel threads split the rows of `dY @ W^T` and never the
+/// reduction of `X^T @ dY`: both products come out as on one thread.
+#[test]
+fn backward_products_do_not_depend_on_the_thread_budget() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x7EAD);
+    let nodes = 2 * 4096 + 5;
+    let x = activations(nodes, 64, false, &mut rng);
+    let dy = activations(nodes, 32, false, &mut rng);
+    let w = Matrix::glorot(64, 32, &mut rng);
+    for v in KernelVariant::supported() {
+        let run = |threads: usize| {
+            set_intra_threads(threads);
+            let (mut scratch, mut dx) = (Matrix::default(), Matrix::default());
+            let mut gw = Matrix::zeros(64, 32);
+            v.transpose_matmul_add_into(&x, &dy, &mut scratch, gw.as_mut_slice());
+            v.matmul_transpose_into(&dy, w.as_slice(), &mut scratch, &mut dx);
+            set_intra_threads(0);
+            (bits(&gw), bits(&dx))
+        };
+        let serial = run(1);
+        assert_eq!(serial.0, bits(&scalar_transpose_matmul(&x, &dy)));
+        assert_eq!(serial, run(2), "{}", v.isa());
+    }
+}
+
 /// A hub touching every 7th node, random sparse edges, and a band of
 /// isolated nodes at the end.
 fn hub_graph(n: usize, rng: &mut impl Rng) -> Graph {
@@ -299,5 +420,31 @@ fn golden_logits_hash_matches_the_previous_kernel() {
     for (hidden, layers, n, want) in cases {
         let got = golden_hash(hidden, layers, n);
         assert_eq!(got, want, "{hidden}x{layers} model, {n} nodes: {got:#018x}");
+    }
+}
+
+/// The training forward writes every layer's output straight into the
+/// tape and reads the next layer's input from there; its logits are the
+/// inference forward's, bit for bit, also when one tape is reused across
+/// graphs that grow and shrink.
+#[test]
+fn forward_train_logits_are_the_inference_logits() {
+    let mut tape = Tape::default();
+    for (hidden, layers, n) in [(32, 4, 1203), (80, 8, 301), (37, 3, 1202), (32, 4, 77)] {
+        let model = MultiTaskSage::new(ModelConfig {
+            in_dim: 3,
+            hidden,
+            layers,
+            shared_dim: hidden,
+            task_classes: vec![4, 2, 2],
+            seed: 0x60_1D + hidden as u64,
+        });
+        let (graph, x) = golden_subject(n, 0xA16 + layers as u64);
+        let inferred = model.forward(&graph, &x);
+        let trained = model.forward_train(&graph, &x, &mut tape);
+        assert_eq!(trained.len(), inferred.len());
+        for (t, (a, b)) in trained.iter().zip(&inferred).enumerate() {
+            assert_eq!(bits(a), bits(b), "{hidden}x{layers}, {n} nodes, task {t}");
+        }
     }
 }

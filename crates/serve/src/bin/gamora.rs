@@ -281,16 +281,17 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let t0 = Instant::now();
     let train_set: Vec<_> = bits.iter().map(|&b| generate_multiplier(kind, b)).collect();
     let refs: Vec<&Aig> = train_set.iter().map(|m| &m.aig).collect();
+    let total_nodes: usize = refs.iter().map(|a| a.num_nodes()).sum();
     eprintln!(
-        "training on {} {kind:?} multipliers ({} total nodes), {epochs} epochs ...",
+        "training on {} {kind:?} multipliers ({total_nodes} total nodes), {epochs} epochs ...",
         refs.len(),
-        refs.iter().map(|a| a.num_nodes()).sum::<usize>()
     );
     let mut reasoner = GamoraReasoner::new(ReasonerConfig {
         depth,
         seed,
         ..ReasonerConfig::default()
     });
+    let fit_started = Instant::now();
     let report = reasoner.fit(
         &refs,
         &TrainConfig {
@@ -299,6 +300,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             ..TrainConfig::default()
         },
     );
+    let fit_seconds = fit_started.elapsed().as_secs_f64();
     reasoner
         .save(&out)
         .map_err(|e| format!("saving '{out}': {e}"))?;
@@ -317,6 +319,13 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         (
             "final_loss",
             Json::Num(report.epoch_losses.last().copied().unwrap_or(f32::NAN) as f64),
+        ),
+        // `fit` alone (labelling, every epoch, the closing evaluation),
+        // and the same per node of the training set and epoch.
+        ("fit_seconds", Json::Num(fit_seconds)),
+        (
+            "us_per_node_step",
+            Json::Num(fit_seconds * 1e6 / (total_nodes * epochs).max(1) as f64),
         ),
         ("wall_seconds", Json::Num(t0.elapsed().as_secs_f64())),
     ]);
