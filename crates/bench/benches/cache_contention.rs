@@ -6,8 +6,7 @@
 //!
 //! "locked" holds the mutex across probe *and* resolve (the pre-fix
 //! scheduler); "split" is what `gamora-serve` does. The gap is the serialised
-//! per-hit O(nodes) work; per-shard caches (`ShardRouter`) shrink it
-//! further by giving each worker pool its own mutex.
+//! per-hit O(nodes) work.
 //!
 //! Three hit paths: "verbatim" and "transfer" go in through the structural
 //! key (`probe` + `resolve`, as the eager callers do); "identity" is the

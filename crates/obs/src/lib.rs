@@ -12,8 +12,8 @@
 //!    registration time — the registry itself is never touched while serving.
 //! 2. **Mergeable.** Every shard/worker records into its own metrics;
 //!    [`Snapshot::merge`] combines them by name (counters add, gauges keep
-//!    the high-water mark, histograms add bucket-wise) so a router can
-//!    present one fleet-wide view.
+//!    the high-water mark, histograms add bucket-wise) so several
+//!    registries can present one view.
 //! 3. **Std-only.** Like the rest of the workspace, no external crates.
 
 #![warn(missing_docs)]

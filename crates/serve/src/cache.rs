@@ -38,8 +38,7 @@
 //! [`GraphSignature::of`] + [`PredictionCache::probe`] +
 //! [`CacheEntry::resolve`] is the same lookup done eagerly (everything
 //! hashed up front, verbatim decided inside `resolve`); it serves the same
-//! answers and is what the shard router's affinity routing and the
-//! benchmark's replay use.
+//! answers and is what the benchmark's replay uses.
 //!
 //! Eviction is true LRU in O(1) via an index-linked list over a slab.
 //!

@@ -29,26 +29,21 @@
 //!   structural fingerprint, and `Server::health` reports
 //!   healthy/degraded/shutting-down. The `gamora-fault` crate's fail
 //!   points (armable via `GAMORA_FAULTS` or `--faults`) make every one
-//!   of those recovery paths provokable on demand in tests and benches.
-//! * [`router`] — a structural-hash [`ShardRouter`]: N `Server` shards
-//!   over one `Arc`'d model, each with its own queue and prediction
-//!   cache; repeats of a netlist always land on the shard whose cache is
-//!   warm, so no cache mutex is ever shared across shards.
+//!   of those recovery paths provokable on demand in tests.
 //! * [`metrics`] — full serve-path observability over `gamora_obs`:
 //!   per-stage latency histograms (admission, queue wait, linger,
 //!   signature hash, batch assembly, GNN forward, prediction split),
 //!   end-to-end latency, queue-depth/batch-size distributions, per-tier
 //!   cache accounting and optional per-layer forward timing. Each server
-//!   owns a private registry ([`Server::metrics`] snapshots it;
-//!   [`ShardRouter::metrics`] merges the shards'), and recording is
-//!   wait-free and allocation-free, so the instrumented hot path stays
-//!   within a few percent of the uninstrumented one.
+//!   owns a private registry ([`Server::metrics`] snapshots it), and
+//!   recording is wait-free and allocation-free, so the instrumented hot
+//!   path stays within a few percent of the uninstrumented one.
 //! * [`report`] — dependency-free JSON for the `gamora` binary's output.
 //!
 //! The `gamora` binary (this crate's `src/bin/gamora.rs`) wires it
 //! together: `gamora train` fits and snapshots a model, `gamora infer`
-//! serves AIGER netlists from a snapshot, `gamora bench-serve` measures
-//! serving throughput across batch sizes.
+//! serves AIGER netlists from a snapshot. Serving throughput is measured
+//! by the `gamora-perf` benchmark (crate `gamora-bench`).
 //!
 //! ```
 //! use gamora::{GamoraReasoner, ModelDepth, ReasonerConfig, TrainConfig};
@@ -73,13 +68,11 @@
 pub mod cache;
 pub mod metrics;
 pub mod report;
-pub mod router;
 pub mod scheduler;
 
 pub use cache::{CacheEntry, CacheKey, CacheMetrics, GraphSignature, HitKind, PredictionCache};
 pub use metrics::{LayerObserver, ServeMetrics};
 pub use report::Json;
-pub use router::{RetryPolicy, ShardRouter};
 pub use scheduler::{
     AnalysisKind, Health, JobOutput, JobTicket, ServeConfig, ServeError, ServeStats, Server,
     SubmitError,

@@ -4,8 +4,6 @@
 //! Every server owns a private [`Registry`]; the handles below are `Arc`s
 //! captured at startup, so the hot path only touches wait-free atomics —
 //! the registry itself is consulted exclusively at snapshot time.
-//! [`ShardRouter::metrics`](crate::router::ShardRouter::metrics) merges the
-//! per-shard snapshots by name into one fleet view.
 //!
 //! ## Stage definitions (all values in microseconds)
 //!
@@ -15,7 +13,7 @@
 //! | `stage_admission_micros` | submit call entry → job admitted into the queue (includes blocking waits for queue space) |
 //! | `stage_queue_wait_micros` | admission → a worker claims the job into a batch |
 //! | `stage_linger_micros` | time a short batch waited for companions |
-//! | `stage_signature_hash_micros` | hashing, wherever it runs: the identity digest of one submission, taken on the submitting thread before (not inside) its admission span, and the structural signature pass over one batch's identity-missed jobs in the worker; router-submitted jobs arrive signed and record neither |
+//! | `stage_signature_hash_micros` | hashing, wherever it runs: the identity digest of one submission, taken on the submitting thread before (not inside) its admission span, and the structural signature pass over one batch's identity-missed jobs in the worker |
 //! | `stage_batch_assemble_micros` | merged batch graph + feature assembly |
 //! | `stage_gnn_forward_micros` | the coalesced GNN forward pass |
 //! | `stage_prediction_split_micros` | argmax decode, netlist by netlist |
@@ -102,8 +100,7 @@ pub struct ServeMetrics {
     /// High-water mark of the queue depth.
     pub peak_queued: Arc<Gauge>,
     /// Current health state (0 = healthy, 1 = degraded, 2 = shutting
-    /// down); refreshed on every `health()`/`stats()` read. Gauges merge
-    /// by max, so a fleet snapshot reports the *worst* shard.
+    /// down); refreshed on every `health()`/`stats()` read.
     pub health: Arc<Gauge>,
 
     /// Snapshot open → model ready (cold start). Not on the per-job path:

@@ -184,8 +184,7 @@ impl fmt::Display for Json {
 /// `gamora` subcommand so reports stay field-compatible. Includes the
 /// overload-hardening counters (`jobs_dropped`, `jobs_expired`,
 /// `rejected_overload`, `peak_queued`) and the self-healing counters
-/// (`jobs_failed`, `workers_respawned`, `quarantines`, `retries`,
-/// `health`) alongside the serving totals, and `kernel_isa` — the GEMM /
+/// (`jobs_failed`, `workers_respawned`, `quarantines`, `health`) alongside the serving totals, and `kernel_isa` — the GEMM /
 /// aggregation kernel variant this process runs — so the timings printed
 /// next to these counters name the code path that produced them.
 pub fn serve_stats_json(stats: &ServeStats) -> Json {
@@ -202,7 +201,6 @@ pub fn serve_stats_json(stats: &ServeStats) -> Json {
         ("rejected_overload", Json::u64(stats.rejected_overload)),
         ("workers_respawned", Json::u64(stats.workers_respawned)),
         ("quarantines", Json::u64(stats.quarantines)),
-        ("retries", Json::u64(stats.retries)),
         ("peak_queued", Json::u64(stats.peak_queued)),
         ("health", Json::str(stats.health.name())),
         ("kernel_isa", Json::str(gamora_gnn::kernel_isa())),
@@ -254,8 +252,8 @@ pub fn histogram_json(h: &HistogramSnapshot) -> Json {
 }
 
 /// Short report key → registered metric name for every per-job serve
-/// stage (all in microseconds), in pipeline order. Shared by the JSON
-/// reports so `bench-serve` and `infer` stay field-compatible.
+/// stage (all in microseconds), in pipeline order, as the JSON reports
+/// name them.
 pub const STAGE_METRICS: &[(&str, &str)] = &[
     ("snapshot_load", "stage_snapshot_load_micros"),
     ("admission", "stage_admission_micros"),
@@ -414,7 +412,6 @@ mod tests {
             rejected_overload: 7,
             workers_respawned: 4,
             quarantines: 1,
-            retries: 8,
             peak_queued: 6,
             health: crate::scheduler::Health::Degraded,
         };
@@ -428,7 +425,6 @@ mod tests {
             "\"rejected_overload\":7",
             "\"workers_respawned\":4",
             "\"quarantines\":1",
-            "\"retries\":8",
             "\"peak_queued\":6",
             "\"health\":\"degraded\"",
             &format!("\"kernel_isa\":\"{}\"", gamora_gnn::kernel_isa()),

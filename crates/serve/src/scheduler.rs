@@ -75,8 +75,9 @@
 //! memory scales with worker count only by the scratch size, not by the
 //! model size.
 //!
-//! For multi-shard serving (one ingress per cache) see
-//! [`ShardRouter`](crate::router::ShardRouter).
+//! Scale a server with `workers`, not with more servers: routed shards
+//! with a cache each lost to one server with as many workers on every
+//! traffic shape (README "Tried and removed: shard routing").
 
 use crate::cache::{CacheEntry, CacheKey, GraphSignature, HitKind, PredictionCache};
 use crate::metrics::ServeMetrics;
@@ -292,12 +293,9 @@ pub(crate) struct Job {
     /// The AIG's 128-bit identity digest, taken on the submitting thread
     /// (see [`Server::identity_of`]); `Some` exactly when the server
     /// hashes (`cache_capacity > 0`). The worker probes the cache's
-    /// identity index with it before any structural hashing.
+    /// identity index with it, and computes the structural signature only
+    /// if that index does not answer the job.
     pub(crate) identity: Option<u128>,
-    /// Structural signature precomputed by the router; otherwise a worker
-    /// computes it, and only if the identity index does not answer the
-    /// job.
-    pub(crate) sig: Option<GraphSignature>,
     pub(crate) deadline: Option<Instant>,
     pub(crate) submitted: Instant,
     /// When the job entered the queue (stamped by `admit`); together with
@@ -320,9 +318,8 @@ impl Job {
 }
 
 /// Server health, derived from the failure counters (see
-/// [`Server::health`]). Ordered by severity so multi-shard views can
-/// take the worst (`max`).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
+/// [`Server::health`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum Health {
     /// No shutdown, no active quarantine, no recent incident.
     #[default]
@@ -358,9 +355,7 @@ pub const INCIDENT_WINDOW: Duration = Duration::from_millis(500);
 /// [`ServeError::AnalysisFailed`]) or `jobs_dropped` (batch panic /
 /// shutdown), so after a drained shutdown
 /// `jobs_submitted == jobs + jobs_expired + jobs_failed + jobs_dropped`
-/// and `jobs == cache_hits + cache_misses`. Retried submissions (see
-/// [`ShardRouter::submit_all_retrying`](crate::router::ShardRouter::submit_all_retrying))
-/// count as fresh submissions, so the identity holds under retry too.
+/// and `jobs == cache_hits + cache_misses`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Jobs admitted into the queue (tickets issued).
@@ -392,37 +387,11 @@ pub struct ServeStats {
     pub workers_respawned: u64,
     /// Fingerprints quarantined after repeated batch panics.
     pub quarantines: u64,
-    /// Resubmissions performed by the retrying router entry point
-    /// (always `0` for a bare [`Server`]; filled in by
-    /// [`ShardRouter::stats`](crate::router::ShardRouter::stats)).
-    pub retries: u64,
     /// High-water mark of the queue depth (bounded by `queue_capacity`
     /// when one is set).
     pub peak_queued: u64,
-    /// Health at snapshot time (multi-shard merges keep the worst).
+    /// Health at snapshot time.
     pub health: Health,
-}
-
-impl ServeStats {
-    /// Accumulates another shard's counters into this one (peak depth
-    /// takes the max; everything else sums).
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.jobs_submitted += other.jobs_submitted;
-        self.jobs += other.jobs;
-        self.batches += other.batches;
-        self.forward_passes += other.forward_passes;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.jobs_dropped += other.jobs_dropped;
-        self.jobs_expired += other.jobs_expired;
-        self.jobs_failed += other.jobs_failed;
-        self.rejected_overload += other.rejected_overload;
-        self.workers_respawned += other.workers_respawned;
-        self.quarantines += other.quarantines;
-        self.retries += other.retries;
-        self.peak_queued = self.peak_queued.max(other.peak_queued);
-        self.health = self.health.max(other.health);
-    }
 }
 
 /// Queue state guarded by one mutex: the jobs *and* the shutdown flag, so
@@ -769,7 +738,7 @@ impl Server {
     /// ticket to wait on. Fails fast with [`SubmitError::ShuttingDown`]
     /// once shutdown has begun.
     pub fn submit(&self, aig: Aig, kind: AnalysisKind) -> Result<JobTicket, SubmitError> {
-        self.submit_routed(aig, kind, None, None, true)
+        self.enqueue(aig, kind, None, true)
     }
 
     /// Non-blocking admission: enqueues the job if there is queue space,
@@ -777,7 +746,7 @@ impl Server {
     /// the load-shedding entry point; memory stays bounded no matter how
     /// hard clients hammer.
     pub fn try_submit(&self, aig: Aig, kind: AnalysisKind) -> Result<JobTicket, SubmitError> {
-        self.submit_routed(aig, kind, None, None, false)
+        self.enqueue(aig, kind, None, false)
     }
 
     /// Like [`Server::submit`], but the job carries a deadline `ttl` from
@@ -790,8 +759,7 @@ impl Server {
         kind: AnalysisKind,
         ttl: Duration,
     ) -> Result<JobTicket, SubmitError> {
-        let deadline = Instant::now() + ttl;
-        self.submit_routed(aig, kind, None, Some(deadline), true)
+        self.enqueue(aig, kind, Some(Instant::now() + ttl), true)
     }
 
     /// Non-blocking admission with a deadline: [`Server::try_submit`]
@@ -803,46 +771,38 @@ impl Server {
         kind: AnalysisKind,
         ttl: Duration,
     ) -> Result<JobTicket, SubmitError> {
-        let deadline = Instant::now() + ttl;
-        self.submit_routed(aig, kind, None, Some(deadline), false)
+        self.enqueue(aig, kind, Some(Instant::now() + ttl), false)
     }
 
     /// The identity digest a job of this server carries: none in cold mode
-    /// (`cache_capacity: 0` hashes nothing anywhere), the router's when it
-    /// signed the job, otherwise taken here — on the caller's thread and
-    /// before any queue lock. Submitters digest in parallel while the
-    /// worker is the one serial resource, a job that is shed or expires
-    /// never costs the worker a pass, and the caller has just built,
-    /// parsed or cloned the AIG, so its node array is in that core's
-    /// cache. Recorded into `stage_signature_hash_micros`, outside the
-    /// admission span.
-    fn identity_of(&self, aig: &Aig, sig: Option<&GraphSignature>) -> Option<u128> {
+    /// (`cache_capacity: 0` hashes nothing anywhere), otherwise taken here
+    /// — on the caller's thread and before any queue lock. Submitters
+    /// digest in parallel while the worker is the one serial resource, a
+    /// job that is shed or expires never costs the worker a pass, and the
+    /// caller has just built, parsed or cloned the AIG, so its node array
+    /// is in that core's cache. Recorded into
+    /// `stage_signature_hash_micros`, outside the admission span.
+    fn identity_of(&self, aig: &Aig) -> Option<u128> {
         if !self.shared.hashing_enabled {
             return None;
         }
-        Some(match sig {
-            Some(sig) => sig.identity,
-            None => {
-                let timer = StageTimer::start();
-                let identity = identity_fingerprint(aig);
-                timer.observe(&self.shared.metrics.stage_hash);
-                identity
-            }
-        })
+        let timer = StageTimer::start();
+        let identity = identity_fingerprint(aig);
+        timer.observe(&self.shared.metrics.stage_hash);
+        Some(identity)
     }
 
-    /// The full-control internal entry point; the router uses it to pass
-    /// along the structural signature it already computed (workers then
-    /// skip the O(nodes) hash passes).
-    pub(crate) fn submit_routed(
+    /// The one single-job admission path behind the four `submit`
+    /// variants: `deadline` is the job's absolute expiry, `block` chooses
+    /// waiting for queue space over [`SubmitError::Overloaded`].
+    fn enqueue(
         &self,
         aig: Aig,
         kind: AnalysisKind,
-        sig: Option<GraphSignature>,
         deadline: Option<Instant>,
         block: bool,
     ) -> Result<JobTicket, SubmitError> {
-        let identity = self.identity_of(&aig, sig.as_ref());
+        let identity = self.identity_of(&aig);
         let timer = StageTimer::start();
         let (tx, rx) = mpsc::channel();
         let submitted = Instant::now();
@@ -850,7 +810,6 @@ impl Server {
             aig,
             kind,
             identity,
-            sig,
             deadline,
             submitted,
             admitted: submitted,
@@ -928,49 +887,31 @@ impl Server {
     /// between waves, so memory stays bounded even for huge bulk calls.
     /// Fails with the first dropped job.
     pub fn submit_all(&self, jobs: Vec<(Aig, AnalysisKind)>) -> Result<Vec<JobOutput>, ServeError> {
-        let (_, tickets) = self
-            .submit_batch(jobs.into_iter().map(|(a, k)| (a, k, None)).collect())
+        let tickets = self
+            .submit_batch(jobs)
             .map_err(|_| ServeError::JobDropped)?;
         tickets.into_iter().map(JobTicket::wait).collect()
     }
 
-    /// Drops every still-queued job of a burst (counted as
-    /// `jobs_dropped`), returning how many were removed. Used when a
-    /// multi-shard bulk submission aborts after this server's burst was
-    /// already admitted: the burst's receivers die with the caller's
-    /// error return, so running the jobs would spend forward passes
-    /// answering nobody. Jobs a worker already claimed still run.
-    pub(crate) fn retract_burst(&self, burst: u64) -> u64 {
-        let mut queue = self.shared.queue.lock().expect("queue poisoned");
-        let retracted = Self::retract_burst_locked(&self.shared, &mut queue, burst);
-        drop(queue);
-        if retracted > 0 {
-            // Freed slots: wake submitters blocked on capacity.
-            self.shared.space.notify_all();
-        }
-        retracted
-    }
-
-    fn retract_burst_locked(shared: &Shared, queue: &mut QueueState, burst: u64) -> u64 {
+    /// Drops every still-queued job of `burst` (counted as
+    /// `jobs_dropped`). Jobs a worker already claimed still run.
+    fn retract_locked(shared: &Shared, queue: &mut QueueState, burst: u64) {
         let before = queue.jobs.len();
         queue.jobs.retain(|j| j.burst != burst);
-        let retracted = (before - queue.jobs.len()) as u64;
-        shared.metrics.jobs_dropped.add(retracted);
-        retracted
+        shared
+            .metrics
+            .jobs_dropped
+            .add((before - queue.jobs.len()) as u64);
     }
 
-    /// Bulk enqueue used by `submit_all` and the shard router; returns
-    /// the burst id (for [`Server::retract_burst`]) with the tickets.
+    /// Bulk enqueue behind `submit_all`.
     ///
     /// A burst larger than the queue capacity can be interrupted by a
     /// shutdown at a wave boundary; the aborted burst then retracts its
     /// own still-queued prefix under the same lock (those jobs' receivers
     /// die with the error return, so running them would spend forward
     /// passes answering nobody) and counts the retracted jobs as dropped.
-    pub(crate) fn submit_batch(
-        &self,
-        jobs: Vec<(Aig, AnalysisKind, Option<GraphSignature>)>,
-    ) -> Result<(u64, Vec<JobTicket>), SubmitError> {
+    fn submit_batch(&self, jobs: Vec<(Aig, AnalysisKind)>) -> Result<Vec<JobTicket>, SubmitError> {
         let burst = self.shared.burst_counter.fetch_add(1, Ordering::Relaxed);
         // Chaos seam: a burst is admitted atomically, so the admission
         // fail point is checked once per burst — an injection rejects the
@@ -981,17 +922,15 @@ impl Server {
             return Err(SubmitError::Overloaded);
         }
         // Digest the whole burst before the queue lock is taken.
-        let identities: Vec<Option<u128>> = jobs
-            .iter()
-            .map(|(aig, _, sig)| self.identity_of(aig, sig.as_ref()))
-            .collect();
+        let identities: Vec<Option<u128>> =
+            jobs.iter().map(|(aig, _)| self.identity_of(aig)).collect();
         let mut tickets = Vec::with_capacity(jobs.len());
         let mut queue = self.shared.queue.lock().expect("queue poisoned");
-        for ((aig, kind, sig), identity) in jobs.into_iter().zip(identities) {
+        for ((aig, kind), identity) in jobs.into_iter().zip(identities) {
             let timer = StageTimer::start();
             loop {
                 if queue.shutdown {
-                    Self::retract_burst_locked(&self.shared, &mut queue, burst);
+                    Self::retract_locked(&self.shared, &mut queue, burst);
                     return Err(SubmitError::ShuttingDown);
                 }
                 if self.shared.queue_capacity == 0 || queue.jobs.len() < self.shared.queue_capacity
@@ -1011,7 +950,6 @@ impl Server {
                     aig,
                     kind,
                     identity,
-                    sig,
                     deadline: None,
                     submitted,
                     admitted: submitted,
@@ -1024,7 +962,7 @@ impl Server {
         }
         drop(queue);
         self.shared.available.notify_all();
-        Ok((burst, tickets))
+        Ok(tickets)
     }
 
     /// Current counter values, read from the same metric registrations
@@ -1044,7 +982,6 @@ impl Server {
             rejected_overload: m.rejected_overload.get(),
             workers_respawned: m.workers_respawned.get(),
             quarantines: m.quarantines.get(),
-            retries: 0,
             peak_queued: m.peak_queued.get(),
             health: self.health(),
         }
@@ -1059,8 +996,7 @@ impl Server {
     /// * [`Health::Healthy`] otherwise.
     ///
     /// Each read refreshes the `serve_health` gauge (0/1/2), so metric
-    /// snapshots report it too; gauges merge by max, so a fleet snapshot
-    /// shows the worst shard.
+    /// snapshots report it too.
     pub fn health(&self) -> Health {
         let h = self.compute_health();
         self.shared.metrics.health.set(h as u64);
@@ -1089,8 +1025,7 @@ impl Server {
     /// A point-in-time snapshot of every serve metric: the counters behind
     /// [`Server::stats`], the per-stage latency histograms, the cache tier
     /// metrics, and (when [`ServeConfig::layer_timing`] is on) per-layer
-    /// forward timings. Snapshots from multiple shards merge by name via
-    /// [`Snapshot::merge`].
+    /// forward timings.
     pub fn metrics(&self) -> Snapshot {
         self.shared.registry.snapshot()
     }
@@ -1395,16 +1330,14 @@ fn run_batch(
         let hash_timer = StageTimer::start();
         let mut hashed_here = false;
         let lookups: Vec<Lookup> = batch
-            .iter_mut()
+            .iter()
             .zip(verbatim)
             .map(|(j, hit)| match hit {
                 Some((key, entry)) => Lookup::Verbatim(key, entry),
-                // Router-submitted jobs carry a precomputed signature;
-                // worker-side hashing is the fallback.
-                None => Lookup::Hashed(j.sig.take().unwrap_or_else(|| {
+                None => {
                     hashed_here = true;
-                    GraphSignature::with_identity(&j.aig, j.digest())
-                })),
+                    Lookup::Hashed(GraphSignature::with_identity(&j.aig, j.digest()))
+                }
             })
             .collect();
         if hashed_here {
@@ -1840,7 +1773,7 @@ mod tests {
         assert!(!a.cache_hit && !b.cache_hit);
         // Cold mode hashes nothing anywhere: no digest at submit, no
         // structural pass and no probe in the worker.
-        assert_eq!(server.identity_of(&aig, None), None);
+        assert_eq!(server.identity_of(&aig), None);
         let snap = server.metrics();
         for untouched in ["stage_signature_hash_micros", "cache_probe_micros"] {
             assert_eq!(
@@ -1859,29 +1792,21 @@ mod tests {
 
     /// The digest a job carries from `submit` is the one
     /// `GraphSignature::of` reports, so a worker probing the identity
-    /// index and an eager caller keying on the signature agree; a
-    /// router-signed job reuses the signature's and digests nothing.
+    /// index and an eager caller keying on the signature agree.
     #[test]
     fn submit_carries_the_digest_graph_signature_reports() {
         let server = Server::start(tiny_trained(), ServeConfig::default());
         let aig = csa_multiplier(4).aig;
         let sig = GraphSignature::of(&aig);
-        assert_eq!(server.identity_of(&aig, None), Some(sig.identity));
-        let hashed = |server: &Server| {
-            let snap = server.metrics();
+        assert_eq!(server.identity_of(&aig), Some(sig.identity));
+        let snap = server.metrics();
+        assert_eq!(
             snap.histogram("stage_signature_hash_micros")
                 .expect("registered")
-                .count()
-        };
-        assert_eq!(hashed(&server), 1, "the digest above is a hash sample");
-        let mut routed = sig.clone();
-        routed.identity ^= 1;
-        assert_eq!(
-            server.identity_of(&aig, Some(&routed)),
-            Some(routed.identity),
-            "a router signature's digest is taken on trust, not recomputed"
+                .count(),
+            1,
+            "the digest above is a hash sample"
         );
-        assert_eq!(hashed(&server), 1);
         server.shutdown();
     }
 
@@ -2044,11 +1969,11 @@ mod tests {
         let aig = csa_multiplier(3).aig;
         // One atomic burst: the first job completes, the second panics in
         // post-processing, the third (behind the panic) is dropped.
-        let (_, tickets) = server
+        let tickets = server
             .submit_batch(vec![
-                (aig.clone(), AnalysisKind::Classify, None),
-                (aig.clone(), AnalysisKind::PanicForTest, None),
-                (aig.clone(), AnalysisKind::Classify, None),
+                (aig.clone(), AnalysisKind::Classify),
+                (aig.clone(), AnalysisKind::PanicForTest),
+                (aig.clone(), AnalysisKind::Classify),
             ])
             .expect("admitted");
         let results: Vec<Result<JobOutput, ServeError>> =
@@ -2116,7 +2041,7 @@ mod tests {
         );
         assert!(
             server
-                .submit_batch(vec![(aig, AnalysisKind::Classify, None)])
+                .submit_batch(vec![(aig, AnalysisKind::Classify)])
                 .is_err(),
             "bulk submission must fail fast too"
         );
@@ -2223,7 +2148,7 @@ mod tests {
             let submitter = scope.spawn(move || {
                 server.submit_batch(
                     (0..BURST)
-                        .map(|_| (aig.clone(), AnalysisKind::Classify, None))
+                        .map(|_| (aig.clone(), AnalysisKind::Classify))
                         .collect(),
                 )
             });
@@ -2231,7 +2156,7 @@ mod tests {
             server.begin_shutdown();
             let result = submitter.join().expect("submitter thread");
             assert_eq!(
-                result.map(|(_, t)| t.len()).unwrap_err(),
+                result.map(|t| t.len()).unwrap_err(),
                 SubmitError::ShuttingDown,
                 "a {BURST}-job burst through a 1-slot queue cannot finish in 20ms"
             );

@@ -1,7 +1,7 @@
-//! Chaos suite: deterministic fail-point storms through the full
-//! `ShardRouter` stack, exercising the self-healing serve layer end to
-//! end — worker respawn, poison-fingerprint quarantine, deadline-aware
-//! retry, and health reporting.
+//! Chaos suite: deterministic fail-point storms through a `Server`,
+//! exercising the self-healing serve layer end to end — worker respawn,
+//! poison-fingerprint quarantine, shedding at the door, burst retraction
+//! on shutdown, and health reporting.
 //!
 //! Every test takes `gamora-fault`'s process-global gate with
 //! [`gamora_fault::arm`] as its first statement and holds it to the end,
@@ -10,18 +10,16 @@
 //! disarmed") must not run while another test's faults are armed — they
 //! did on multi-core hosts, and failed at random. The
 //! acceptance invariant throughout: **every submitted job gets exactly
-//! one terminal outcome** (a prediction, `JobDropped`, `AnalysisFailed`
-//! or `DeadlineExpired` — never a hang, never two answers), and the
-//! stats equation
+//! one terminal outcome** (`Overloaded` at the door, or a prediction,
+//! `JobDropped`, `AnalysisFailed` or `DeadlineExpired` — never a hang,
+//! never two answers), and the stats equation
 //! `jobs_submitted == jobs + jobs_expired + jobs_dropped + jobs_failed`
-//! balances once the fleet is quiescent. CI runs this file under
+//! balances once the server is quiescent. CI runs this file under
 //! `--release` as part of the robustness guard.
 
 use gamora::{GamoraReasoner, ModelDepth, ReasonerConfig, TrainConfig};
 use gamora_circuits::csa_multiplier;
 use gamora_serve::scheduler::{AnalysisKind, Health, ServeConfig, ServeError, Server, SubmitError};
-use gamora_serve::{RetryPolicy, ShardRouter};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn tiny_trained() -> GamoraReasoner {
@@ -53,21 +51,21 @@ fn assert_balanced(stats: &gamora_serve::scheduler::ServeStats) {
 }
 
 /// The acceptance storm: panic probability on *every* stage fail point,
-/// a multi-shard fleet, hundreds of submissions through the retrying
-/// router ingress. Every job resolves exactly once, workers died and
+/// one server with four workers, hundreds of submissions. Each job is
+/// submitted, then waited on; a refusal at the door is that job's
+/// terminal outcome. Every job resolves exactly once, workers died and
 /// were respawned, the accounting equation balances, and once the storm
 /// passes (faults disarmed, quarantine TTLs and the incident window
-/// lapsed) the fleet reports `Healthy` again.
+/// lapsed) the server reports `Healthy` again.
 #[test]
 fn chaos_storm_every_job_gets_exactly_one_terminal_outcome() {
     let faults = gamora_fault::arm("");
     let submissions = if cfg!(debug_assertions) { 64 } else { 256 };
-    let router = ShardRouter::start(
-        Arc::new(tiny_trained()),
-        4,
+    let server = Server::start(
+        tiny_trained(),
         ServeConfig {
             max_batch: 2,
-            workers: 2,
+            workers: 4,
             cache_capacity: 32,
             queue_capacity: 0,
             linger_micros: 0,
@@ -76,52 +74,61 @@ fn chaos_storm_every_job_gets_exactly_one_terminal_outcome() {
         },
     );
     let subjects: Vec<_> = (3..=8).map(|b| csa_multiplier(b).aig).collect();
-    let jobs: Vec<_> = (0..submissions)
-        .map(|i| (subjects[i % subjects.len()].clone(), AnalysisKind::Classify))
-        .collect();
 
     faults.rearm("all:panic:prob=0.15,seed=11");
-    let policy = RetryPolicy {
-        max_retries: 2,
-        backoff_micros: 200,
-        deadline: None,
-    };
-    let outcomes = router.submit_all_retrying(jobs, &policy);
-    faults.rearm("");
-
-    assert_eq!(outcomes.len(), submissions, "one outcome per submission");
-    for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
+    let mut refused = 0u64;
+    let tickets: Vec<_> = (0..submissions)
+        .filter_map(|i| {
+            let aig = subjects[i % subjects.len()].clone();
+            match server.submit(aig, AnalysisKind::Classify) {
+                Ok(ticket) => Some(ticket),
+                Err(SubmitError::Overloaded) => {
+                    refused += 1;
+                    None
+                }
+                Err(e) => panic!("job {i}: refused with {e} while live"),
+            }
+        })
+        .collect();
+    for (i, ticket) in tickets.iter().enumerate() {
+        match ticket.wait_timeout(Duration::from_secs(60)) {
             Ok(_)
             | Err(ServeError::JobDropped)
             | Err(ServeError::AnalysisFailed)
             | Err(ServeError::DeadlineExpired) => {}
-            Err(e) => panic!("job {i}: non-terminal chaos outcome {e}"),
+            Err(e) => panic!("ticket {i}: non-terminal chaos outcome {e}"),
         }
     }
+    faults.rearm("");
 
-    let mid = router.stats();
+    let mid = server.stats();
+    assert_eq!(
+        mid.jobs_submitted + refused,
+        submissions as u64,
+        "every submission was either admitted or refused at the door: {mid:?}"
+    );
+    assert_eq!(mid.rejected_overload, refused);
     assert!(
         mid.workers_respawned > 0,
         "a 15% all-stage panic storm over {submissions} jobs must kill \
          (and respawn) at least one worker: {mid:?}"
     );
     assert!(
-        mid.retries > 0,
-        "admission faults at 15% must have triggered at least one retry"
+        refused > 0,
+        "admission faults at 15% must have refused at least one submission"
     );
 
     // Storm over: give the quarantine TTL (200ms) and the incident
-    // window (500ms) time to lapse, then the fleet must self-report
+    // window (500ms) time to lapse, then the server must self-report
     // healthy — no operator intervention, no restart.
     std::thread::sleep(Duration::from_millis(800));
     assert_eq!(
-        router.health(),
+        server.health(),
         Health::Healthy,
-        "the fleet must return to Healthy once faults are disarmed and TTLs lapse"
+        "the server must return to Healthy once faults are disarmed and TTLs lapse"
     );
 
-    let stats = router.shutdown();
+    let stats = server.shutdown();
     assert_balanced(&stats);
 }
 
@@ -472,52 +479,38 @@ fn shutdown_during_linger_with_injected_assembly_delay() {
     assert_balanced(&stats);
 }
 
-/// A multi-shard burst interrupted by shutdown while an injected delay
-/// holds the workers: the blocked shard retracts its queued wave, the
-/// router retracts the bursts already admitted to earlier shards, the
-/// caller gets a prompt error — and nobody hangs, nothing leaks.
+/// A burst interrupted by shutdown while an injected delay holds the
+/// worker: the burst blocked on the 2-slot queue retracts its queued
+/// wave, the caller gets a prompt error — and nobody hangs, nothing
+/// leaks.
 #[test]
 fn burst_retract_under_injected_forward_delay() {
     let faults = gamora_fault::arm("");
-    let router = ShardRouter::start(
-        Arc::new(tiny_trained()),
-        2,
+    let server = Server::start(
+        tiny_trained(),
         ServeConfig {
             max_batch: 1,
             workers: 1,
-            cache_capacity: 16, // hashing on: bursts route by fingerprint
+            cache_capacity: 0, // every job is a forward: the queue stays backed up
             queue_capacity: 2,
             linger_micros: 0,
             ..ServeConfig::default()
         },
     );
-    // Find one subject per shard so the burst spans both: the router
-    // admits shard 0's slice first, then blocks on shard 1's capacity.
-    let mut by_shard: [Option<gamora_aig::Aig>; 2] = [None, None];
-    for bits in 3..16 {
-        let aig = csa_multiplier(bits).aig;
-        let shard = router.shard_of(&aig);
-        if by_shard[shard].is_none() {
-            by_shard[shard] = Some(aig);
-        }
-    }
-    let s0 = by_shard[0].take().expect("a subject routing to shard 0");
-    let s1 = by_shard[1].take().expect("a subject routing to shard 1");
 
-    // Each forward sleeps 100ms, so the 2-slot queues stay backed up and
-    // the 8-job slice for shard 1 must wait through several waves.
+    // Each forward sleeps 100ms, so the 2-slot queue stays full and the
+    // 10-job burst must wait through several waves.
     faults.rearm("forward:delay(100000)");
-    let mut jobs = vec![(s0, AnalysisKind::Classify); 2];
-    jobs.extend(vec![(s1, AnalysisKind::Classify); 8]);
+    let jobs = vec![(csa_multiplier(4).aig, AnalysisKind::Classify); 10];
 
     let start = Instant::now();
     std::thread::scope(|scope| {
-        let router = &router;
-        let burst = scope.spawn(move || router.submit_all(jobs));
-        // Let the burst admit shard 0 and block mid-wave on shard 1,
-        // then begin shutdown under it.
+        let server = &server;
+        let burst = scope.spawn(move || server.submit_all(jobs));
+        // Let the burst fill the queue and block mid-wave, then begin
+        // shutdown under it.
         std::thread::sleep(Duration::from_millis(80));
-        router.begin_shutdown();
+        server.begin_shutdown();
         let result = burst.join().expect("burst thread");
         assert_eq!(
             result.expect_err("the interrupted burst reports an error"),
@@ -531,77 +524,10 @@ fn burst_retract_under_injected_forward_delay() {
         "the aborted burst must return promptly (took {elapsed:?})"
     );
 
-    let stats = router.shutdown();
+    let stats = server.shutdown();
     assert!(
         stats.jobs_dropped > 0,
-        "the retracted waves are accounted as dropped: {stats:?}"
+        "the retracted wave is accounted as dropped: {stats:?}"
     );
-    assert_balanced(&stats);
-}
-
-/// The retry policy's deadline bounds the total wait: against a fleet
-/// wedged by an injected forward delay, a deadline turns what would be
-/// an unbounded retry loop into a prompt, typed resolution for every
-/// job.
-#[test]
-fn retry_deadline_bounds_total_wait() {
-    let faults = gamora_fault::arm("");
-    let router = ShardRouter::start(
-        Arc::new(tiny_trained()),
-        1,
-        ServeConfig {
-            max_batch: 1,
-            workers: 1,
-            cache_capacity: 16,
-            queue_capacity: 1,
-            linger_micros: 0,
-            ..ServeConfig::default()
-        },
-    );
-    let subject = csa_multiplier(5).aig;
-    faults.rearm("forward:delay(200000)");
-
-    // Wedge the shard: one job on the worker (sleeping 200ms per
-    // forward), one filling the single queue slot.
-    let wedge: Vec<_> = (0..2)
-        .map(|_| {
-            router
-                .submit(subject.clone(), AnalysisKind::Classify)
-                .expect("wedge admitted")
-        })
-        .collect();
-
-    let start = Instant::now();
-    let policy = RetryPolicy {
-        max_retries: 50, // without the deadline this budget would retry for minutes
-        backoff_micros: 50_000,
-        deadline: Some(start + Duration::from_millis(150)),
-    };
-    let outcomes =
-        router.submit_all_retrying(vec![(subject.clone(), AnalysisKind::Classify); 4], &policy);
-    let elapsed = start.elapsed();
-
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "the 150ms deadline must bound the retry loop (took {elapsed:?})"
-    );
-    let mut gave_up = 0;
-    for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            Ok(_) => {}
-            Err(ServeError::JobDropped) | Err(ServeError::DeadlineExpired) => gave_up += 1,
-            Err(e) => panic!("job {i}: unexpected outcome {e}"),
-        }
-    }
-    assert!(
-        gave_up > 0,
-        "a wedged single-slot shard cannot serve all four extra jobs within 150ms"
-    );
-
-    for t in wedge {
-        t.wait_timeout(Duration::from_secs(60))
-            .expect("the wedge jobs themselves are served");
-    }
-    let stats = router.shutdown();
     assert_balanced(&stats);
 }

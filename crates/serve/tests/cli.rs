@@ -145,36 +145,25 @@ fn corrupt_snapshot_is_rejected_by_the_binary() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn bench_serve_reports_cold_and_hot_throughput() {
-    let dir = tmpdir("bench");
-    let model_path = dir.join("model.gsnap");
-    train_small().save(&model_path).unwrap();
-
+/// Runs the binary on `args`, expects it to fail, and returns stderr.
+fn refused(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_gamora"))
-        .args([
-            "bench-serve",
-            "--bits",
-            "4",
-            "--count",
-            "8",
-            "--batches",
-            "1,4",
-            "--model",
-        ])
-        .arg(&model_path)
+        .args(args)
         .output()
         .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "bench-serve failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"cold_aigs_per_sec\""), "{stdout}");
-    assert!(stdout.contains("\"hot_aigs_per_sec\""), "{stdout}");
+    assert!(!out.status.success(), "{args:?} must be refused");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
 
-    std::fs::remove_dir_all(&dir).ok();
+/// The retired throughput subcommand is gone (`gamora-perf` measures
+/// serving), and refused like any other unknown subcommand.
+#[test]
+fn bench_serve_is_an_unknown_subcommand() {
+    let stderr = refused(&["bench-serve", "--model", "m.gsnap"]);
+    assert!(
+        stderr.contains("unknown subcommand 'bench-serve'"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -205,20 +194,19 @@ fn train_subcommand_writes_a_loadable_snapshot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The removed cone-tier flags take the ordinary unknown-flag exit: the
-/// parser refuses them before any model or netlist is opened.
+/// Removed flags, and flags of another subcommand, take the ordinary
+/// unknown-flag exit: each subcommand parses against its own flag list
+/// and refuses the rest before any model or netlist is opened.
 #[test]
 fn removed_cone_tier_flags_are_unknown() {
     for args in [
         ["infer", "--model", "m.gsnap", "--cone-capacity", "8"],
-        ["bench-serve", "--model", "m.gsnap", "--overlap", "4"],
+        // `--batches` was a typo of `--batch` that used to pass silently.
+        ["infer", "--model", "m.gsnap", "--batches", "4"],
+        ["infer", "--model", "m.gsnap", "--kind", "booth"],
+        ["train", "--out", "m.gsnap", "--faults", "x"],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_gamora"))
-            .args(args)
-            .output()
-            .expect("binary runs");
-        assert!(!out.status.success(), "{args:?} must be refused");
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stderr = refused(&args);
         assert!(
             stderr.contains(&format!("unknown flag '{}'", args[3])),
             "{args:?}: {stderr}"

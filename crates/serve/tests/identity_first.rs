@@ -4,7 +4,7 @@
 //! submitter took, and hashes structurally only the jobs that miss it. The
 //! eager order — `GraphSignature::of` on every job, `probe` by structural
 //! key, verbatim decided inside `resolve` — is still there as public API
-//! (the shard router and the benchmark's replay use it). These tests drive
+//! (the benchmark's replay uses it). These tests drive
 //! seeded traffic of originals, renumbered twins, once-only graphs,
 //! duplicate-cone graphs and intra-batch duplicates through a real server,
 //! and through an [`Eager`] reference built from those public calls, and
