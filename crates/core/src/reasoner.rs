@@ -288,14 +288,9 @@ impl GamoraReasoner {
         self.decode_logits(logits, 0..graph.num_nodes(), out);
     }
 
-    /// Argmax-decodes the rows `rows` of the per-task logits into per-node
-    /// predictions.
-    fn decode_logits(
-        &self,
-        logits: &[Matrix],
-        rows: std::ops::Range<usize>,
-        out: &mut Predictions,
-    ) {
+    /// Argmax-decodes the rows `rows` of the logits — every task's classes
+    /// side by side in one row — into per-node predictions.
+    fn decode_logits(&self, logits: &Matrix, rows: std::ops::Range<usize>, out: &mut Predictions) {
         out.root_leaf.clear();
         out.is_xor.clear();
         out.is_maj.clear();
@@ -304,13 +299,15 @@ impl GamoraReasoner {
         out.is_maj.reserve_exact(rows.len());
         if self.config.multi_task {
             for r in rows {
-                out.root_leaf.push(argmax(logits[0].row(r)) as u32);
-                out.is_xor.push(argmax(logits[1].row(r)) == 1);
-                out.is_maj.push(argmax(logits[2].row(r)) == 1);
+                let (root_leaf, rest) = logits.row(r).split_at(TASK_CLASSES[0]);
+                let (xor, maj) = rest.split_at(TASK_CLASSES[1]);
+                out.root_leaf.push(argmax(root_leaf) as u32);
+                out.is_xor.push(argmax(xor) == 1);
+                out.is_maj.push(argmax(maj) == 1);
             }
         } else {
             for r in rows {
-                let (rl, xor, maj) = decode_joint(argmax(logits[0].row(r)) as u32);
+                let (rl, xor, maj) = decode_joint(argmax(logits.row(r)) as u32);
                 out.root_leaf.push(rl);
                 out.is_xor.push(xor == 1);
                 out.is_maj.push(maj == 1);
@@ -453,14 +450,15 @@ pub fn score_predictions(preds: &Predictions, labels: &gamora_exact::Labels) -> 
 /// [`Direction::Bidirectional`]) — the analytic model behind the Figure 8
 /// memory column. Two kinds of term:
 ///
-/// - **per node of the batch**: the feature row, the CSR arrays (three
-///   `u32` offset arrays and the inverse degrees per node, forward and
-///   reverse neighbour per edge), the logits and the decoded predictions;
-/// - **per group** ([`for_each_group`]): the two ping-pong embeddings, the
-///   shared-layer output and the combined head logits of the largest run
-///   of netlists the forward takes through the model together (the one
-///   row block of aggregated neighbourhoods next to them is a few KiB and
-///   left out). This is the part that does not grow with the batch.
+/// - **per node of the batch**: the feature row, the CSR arrays (two
+///   `u32` offset arrays and the inverse degrees per node, one neighbour
+///   per edge — the reverse adjacency is training's), the one
+///   `nodes x Σclasses` logit matrix and the decoded predictions;
+/// - **per group** ([`for_each_group`]): the two ping-pong embeddings of
+///   the largest run of netlists the forward takes through the model
+///   together, and the one row block the layers and the fused shared +
+///   heads tail work in ([`ModelConfig::block_bytes`], on the serial
+///   path). This is the part that does not grow with the batch.
 pub fn inference_memory_estimate(
     config: &ReasonerConfig,
     job_nodes: &[usize],
@@ -471,15 +469,14 @@ pub fn inference_memory_estimate(
     let classes: usize = model.task_classes.iter().sum();
     let num_nodes: usize = job_nodes.iter().sum();
     let per_node = FEATURE_DIM * F32        // features
-        + 4 * 4                             // offsets, reverse offsets, cursor, 1/degree
+        + 3 * 4                             // offsets, cursor, 1/degree
         + classes * F32                     // logits
         + 4 + 1 + 1; // root/leaf class, XOR flag, MAJ flag
     let mut group_rows = 0;
     for_each_group(model.group_rows(), job_nodes.iter().copied(), |lo, hi| {
         group_rows = group_rows.max(hi - lo)
     });
-    let per_group_row = (2 * model.hidden + model.shared_dim + classes) * F32;
-    num_nodes * per_node + num_edges * 2 * 4 + group_rows * per_group_row
+    num_nodes * per_node + num_edges * 4 + group_rows * 2 * model.hidden * F32 + model.block_bytes()
 }
 
 #[cfg(test)]
@@ -615,7 +612,8 @@ mod tests {
 
     /// Past one group the estimate is linear in the batch, in a step that
     /// leaves the activations out — they are a per-group term — while a
-    /// single netlist of the same size pays for every one of its rows.
+    /// single netlist of the same size pays for two hidden-wide rows for
+    /// every one of its rows, and nothing more.
     #[test]
     fn memory_estimate_scales_linearly() {
         let cfg = ReasonerConfig::default();
@@ -628,6 +626,6 @@ mod tests {
             step < 8 * est(&[1_000]) / 2,
             "eight more netlists, no more activations"
         );
-        assert!(est(&[8_000]) > est(&[1_000; 8]) + 6_000 * (2 * 32 + 32) * 4);
+        assert_eq!(est(&[8_000]) - est(&[1_000; 8]), 6_000 * 2 * 32 * 4);
     }
 }

@@ -565,10 +565,10 @@ fn a_larger_batch_grows_the_scratch_by_per_node_buffers_only() {
     let grown = live_bytes_after(&reasoner, &subject.aig, &[8, 64]);
     let graph = gamora::dataset::build_graph(&subject.aig, reasoner.config().direction);
     let (nodes, edges) = (graph.num_nodes(), graph.num_edges());
-    // Features 3 x f32; offsets, reverse offsets, slot cursor, 1/degree;
-    // forward + reverse neighbour per edge; 4 + 2 + 2 logits; class + two
-    // flags — plus a `Predictions` and an offset per netlist.
-    let per_job = nodes * (12 + 16 + 32 + 6) + edges * 8 + 72 + 8;
+    // Features 3 x f32; offsets, slot cursor, 1/degree; one neighbour per
+    // edge; 4 + 2 + 2 logits; class + two flags — plus a `Predictions` and
+    // an offset per netlist.
+    let per_job = nodes * (12 + 12 + 32 + 6) + edges * 4 + 72 + 8;
     let growth = grown - small;
     assert!(
         growth.abs_diff(56 * per_job) * 20 <= 56 * per_job,
@@ -578,7 +578,7 @@ fn a_larger_batch_grows_the_scratch_by_per_node_buffers_only() {
 }
 
 /// `inference_memory_estimate` — the memory column of the fig. 8 bench —
-/// stays within 15% of what a fresh batched prediction really holds, at
+/// stays within 5% of what a fresh batched prediction really holds, at
 /// 1, 8 and 64 netlists.
 #[test]
 fn memory_estimate_tracks_the_allocator() {
@@ -593,10 +593,123 @@ fn memory_estimate_tracks_the_allocator() {
             jobs * graph.num_edges(),
         );
         assert!(
-            estimate.abs_diff(held) as f64 <= 0.15 * held as f64,
+            estimate.abs_diff(held) as f64 <= 0.05 * held as f64,
             "{jobs} netlists hold {held} bytes, estimated {estimate}"
         );
     }
+}
+
+/// A lone subject above the group budget is one group of its own size, and
+/// what the scratch holds for it is two hidden-wide matrices and one
+/// `nodes x Σclasses` logit matrix beside the per-node inputs and outputs:
+/// no shared-layer output (128 bytes a node here), no second head-width
+/// matrix (32) and no reverse adjacency (over 12 a node), each of which
+/// would take the count past the half head-width slack.
+#[test]
+fn a_lone_group_holds_two_hidden_matrices_and_one_logit_matrix() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let reasoner = GamoraReasoner::new(ReasonerConfig::default());
+    let subject = csa_multiplier(32);
+    let graph = gamora::dataset::build_graph(&subject.aig, reasoner.config().direction);
+    let (nodes, edges) = (graph.num_nodes(), graph.num_edges());
+    let (hidden, classes) = (32, 4 + 2 + 2);
+    assert!(
+        nodes > 4 * 2048,
+        "one group, and above the kernels' fork cutoff"
+    );
+    let held = live_bytes_after(&reasoner, &subject.aig, &[1]);
+    // Features; offsets, slot cursor, 1/degree; neighbours; the decoded
+    // class and two flags.
+    let inputs_and_outputs = nodes * (12 + 12 + 6) + edges * 4;
+    let activations = 2 * nodes * hidden * 4 + nodes * classes * 4;
+    let expected = inputs_and_outputs + activations;
+    assert!(
+        held.abs_diff(expected) <= nodes * classes * 4 / 2,
+        "a {nodes}-node subject holds {held} bytes, where two {hidden}-wide \
+         matrices, one {classes}-wide logit matrix and the per-node buffers are {expected}"
+    );
+}
+
+/// The reverse adjacency is derived by the first backward pass over a
+/// graph and by nothing else: a graph from `build_graph`, from the
+/// sectioned builder, and the one a warm `BatchScratch` rebuilt after a
+/// backward all hold none (their first backward allocates exactly the
+/// reverse graph's bytes), the second backward allocates nothing, and a
+/// graph rebuilt in place as a different graph after a backward gives the
+/// freshly built graph's backward, bit for bit.
+#[test]
+fn the_reverse_adjacency_is_derived_by_the_first_backward_only() {
+    use gamora::dataset::{assemble_batch_into, build_graph, build_graph_into};
+    use gamora::{Direction, FeatureMode};
+    use gamora_gnn::{Graph, Matrix};
+
+    /// Bytes and calls the backward of `graph` allocates, and its output.
+    fn backward(graph: &Graph) -> (usize, usize, Matrix) {
+        let n = graph.num_nodes();
+        let grad = Matrix::from_vec(n, 3, (0..3 * n).map(|i| (i % 17) as f32 - 8.0).collect());
+        let mut out = Matrix::zeros(n, 3);
+        let (calls, bytes) = (
+            ALLOC_CALLS.load(Ordering::SeqCst),
+            LIVE_BYTES.load(Ordering::SeqCst),
+        );
+        COUNTING.with(|c| c.set(true));
+        graph.mean_aggregate_backward_add(&grad, &mut out);
+        COUNTING.with(|c| c.set(false));
+        let bytes = LIVE_BYTES.load(Ordering::SeqCst).wrapping_sub(bytes);
+        (bytes, ALLOC_CALLS.load(Ordering::SeqCst) - calls, out)
+    }
+    /// The reverse adjacency is a boxed `Graph` of its own: offsets and
+    /// fill cursor, a neighbour per edge, an inverse degree per node.
+    fn reverse_bytes(graph: &Graph) -> usize {
+        let n = graph.num_nodes();
+        std::mem::size_of::<Graph>() + 4 * (2 * (n + 1) + n) + 4 * graph.num_edges()
+    }
+
+    let _guard = TEST_LOCK.lock().unwrap();
+    let prev_cap = gamora_gnn::parallel::intra_threads();
+    gamora_gnn::parallel::set_intra_threads(1);
+    let (m4, m6) = (csa_multiplier(4).aig, csa_multiplier(6).aig);
+    let dir = Direction::Bidirectional;
+
+    let mut batch = gamora::dataset::BatchScratch::default();
+    assemble_batch_into(
+        &[&m4, &m6],
+        FeatureMode::StructuralFunctional,
+        dir,
+        &mut batch,
+    );
+    // Warm: the batch's arrays are at capacity, and a backward has run.
+    backward(batch.graph());
+    assemble_batch_into(
+        &[&m4, &m6],
+        FeatureMode::StructuralFunctional,
+        dir,
+        &mut batch,
+    );
+    for graph in [&build_graph(&m6, dir), batch.graph()] {
+        let (bytes, _, first) = backward(graph);
+        assert_eq!(bytes, reverse_bytes(graph), "the first backward derives it");
+        let (bytes, calls, second) = backward(graph);
+        assert_eq!((bytes, calls), (0, 0), "the second reads it");
+        assert_eq!(first, second);
+    }
+
+    let mut reused = build_graph(&m6, dir);
+    backward(&reused);
+    build_graph_into(&m4, dir, &mut reused);
+    let fresh = build_graph(&m4, dir);
+    let (bytes, _, got) = backward(&reused);
+    assert_eq!(
+        bytes,
+        reverse_bytes(&fresh),
+        "the rebuild dropped the old one"
+    );
+    assert_eq!(
+        got,
+        backward(&fresh).2,
+        "and the new one is the fresh graph's"
+    );
+    gamora_gnn::parallel::set_intra_threads(prev_cap);
 }
 
 /// The group-major batch path is as allocation-free as the single-group

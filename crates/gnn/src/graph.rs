@@ -7,10 +7,15 @@
 //! node range may be cut so that a run of rows can go through every layer
 //! on its own, gathering only from rows of the same run
 //! ([`Graph::aggregate_rows`] checks exactly that).
+//!
+//! The builders write the forward adjacency only; the reverse one, which
+//! only training reads, is derived on first use by
+//! [`Graph::mean_aggregate_backward_add`].
 
 use crate::kernel::{self, AggArgs, Kernels, Rows, BLOCK_ROWS};
 use crate::parallel;
 use crate::tensor::{clear_exact, Matrix};
+use std::sync::OnceLock;
 
 /// A replayable `(src, dst)` edge stream: called with a sink, invoked
 /// once to count degrees and once to fill CSR slots.
@@ -33,8 +38,8 @@ pub enum Direction {
     Bidirectional,
 }
 
-/// A fixed graph in CSR form with forward and reverse adjacency, ready for
-/// mean aggregation and its backward pass.
+/// A fixed graph in CSR form, ready for mean aggregation and its backward
+/// pass.
 ///
 /// A `Graph` is also its own assembly scratch: [`Graph::from_edges_into`]
 /// rebuilds every CSR array in place, reusing high-water capacity, so a
@@ -49,8 +54,9 @@ pub struct Graph {
     sections: Vec<usize>,
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
-    rev_offsets: Vec<u32>,
-    rev_neighbors: Vec<u32>,
+    /// The reverse adjacency ([`Graph::reversed`]), derived by the first
+    /// backward pass over this graph and dropped by every rebuild.
+    reverse: OnceLock<Box<Graph>>,
     /// 1 / degree(v) for the forward adjacency (0 for isolated nodes).
     inv_deg: Vec<f32>,
     /// Reusable slot cursor for the in-place CSR fill passes.
@@ -85,8 +91,8 @@ impl Graph {
     ///
     /// `edges` must stream the same `(src, dst)` sequence every time it is
     /// invoked — it is called twice, once to count per-node degrees and
-    /// once to fill the CSR slots. The reverse adjacency is then derived
-    /// from the forward arrays directly.
+    /// once to fill the CSR slots. A reverse adjacency `out` derived for
+    /// its previous graph is dropped.
     ///
     /// # Panics
     ///
@@ -98,6 +104,7 @@ impl Graph {
         F: Fn(&mut dyn FnMut(u32, u32)),
     {
         out.sections.clear();
+        out.reverse.take();
         Graph::build_serial(num_nodes, direction, &edges, out);
     }
 
@@ -110,13 +117,12 @@ impl Graph {
     /// cross-constituent edges.
     ///
     /// Because sections never share CSR rows or slots, every build pass
-    /// (count, prefix sum, fill, reverse derivation, inverse degrees)
-    /// fans out over contiguous section groups on the scoped-thread pool,
-    /// each worker writing a disjoint sub-slice in the same order the
-    /// serial path would — the output is **bit-identical** to
-    /// [`Graph::from_edges_into`] fed the concatenated stream. Small
-    /// graphs, single sections, and a 1-thread cap
-    /// ([`parallel::set_intra_threads`]) fall back to the serial path,
+    /// (count, prefix sum, fill, inverse degrees) fans out over contiguous
+    /// section groups on the scoped-thread pool, each worker writing a
+    /// disjoint sub-slice in the same order the serial path would — the
+    /// output is **bit-identical** to [`Graph::from_edges_into`] fed the
+    /// concatenated stream. Small graphs, single sections, and a 1-thread
+    /// cap ([`parallel::set_intra_threads`]) fall back to the serial path,
     /// which keeps the zero-allocation reuse contract; the parallel path
     /// reuses the same caller-owned buffers and only pays scoped-thread
     /// spawns.
@@ -141,6 +147,7 @@ impl Graph {
         // starts are kept: with the containment check on every edge below
         // they are the places the node range can be cut at.
         out.sections.clear();
+        out.reverse.take();
         let mut covered = 0usize;
         for i in 0..num_sections {
             let (start, len) = span(i);
@@ -188,8 +195,6 @@ impl Graph {
             num_nodes: out_nodes,
             offsets,
             neighbors,
-            rev_offsets,
-            rev_neighbors,
             inv_deg,
             cursor,
             ..
@@ -238,23 +243,6 @@ impl Graph {
             "edge stream changed between the count and fill passes"
         );
 
-        // Reverse CSR, derived from the forward arrays (who consumes whom).
-        refill(rev_offsets, num_nodes + 1);
-        for &u in neighbors.iter() {
-            rev_offsets[u as usize + 1] += 1;
-        }
-        prefix_sum_serial(&mut rev_offsets[1..]);
-        cursor.clear();
-        cursor.extend_from_slice(rev_offsets);
-        refill(rev_neighbors, total);
-        for v in 0..num_nodes {
-            for &u in &neighbors[offsets[v] as usize..offsets[v + 1] as usize] {
-                let slot = &mut cursor[u as usize];
-                rev_neighbors[*slot as usize] = v as u32;
-                *slot += 1;
-            }
-        }
-
         clear_exact(inv_deg, num_nodes);
         inv_deg.extend((0..num_nodes).map(|v| {
             let deg = offsets[v + 1] - offsets[v];
@@ -290,8 +278,6 @@ impl Graph {
             num_nodes: out_nodes,
             offsets,
             neighbors,
-            rev_offsets,
-            rev_neighbors,
             inv_deg,
             cursor,
             ..
@@ -394,64 +380,6 @@ impl Graph {
             (0..num_nodes).all(|v| cursor[v] == offsets[v + 1]),
             "edge stream changed between the count and fill passes"
         );
-
-        // Reverse CSR. Every neighbor of a section's node lies in the same
-        // section, so both reverse passes stay group-local too.
-        refill(rev_offsets, num_nodes + 1);
-        crossbeam::thread::scope(|sc| {
-            let offs: &[u32] = offsets;
-            let nbs: &[u32] = neighbors;
-            let mut rest: &mut [u32] = &mut rev_offsets[1..];
-            let mut consumed = 0usize;
-            for_each_section_group(nt, num_sections, num_nodes, span, |_, _, _, nhi| {
-                let (slots, tail) = std::mem::take(&mut rest).split_at_mut(nhi - consumed);
-                let nlo = consumed;
-                rest = tail;
-                consumed = nhi;
-                sc.spawn(move |_| {
-                    for &u in &nbs[offs[nlo] as usize..offs[nhi] as usize] {
-                        slots[u as usize - nlo] += 1;
-                    }
-                });
-            });
-        })
-        .expect("assembly worker panicked");
-        prefix_sum_sections(&mut rev_offsets[1..], nt, num_sections, num_nodes, span);
-
-        cursor.clear();
-        cursor.extend_from_slice(rev_offsets);
-        refill(rev_neighbors, total);
-        crossbeam::thread::scope(|sc| {
-            let offs: &[u32] = offsets;
-            let nbs: &[u32] = neighbors;
-            let roffs: &[u32] = rev_offsets;
-            let mut cur_rest: &mut [u32] = &mut cursor[..num_nodes];
-            let mut rnb_rest: &mut [u32] = rev_neighbors;
-            let mut consumed = 0usize;
-            let mut slot_consumed = 0usize;
-            for_each_section_group(nt, num_sections, num_nodes, span, |_, _, _, nhi| {
-                let (cur, cur_tail) = std::mem::take(&mut cur_rest).split_at_mut(nhi - consumed);
-                let nlo = consumed;
-                cur_rest = cur_tail;
-                consumed = nhi;
-                let slot_end = roffs[nhi] as usize;
-                let (rnbs, rnb_tail) =
-                    std::mem::take(&mut rnb_rest).split_at_mut(slot_end - slot_consumed);
-                let slot_base = slot_consumed;
-                rnb_rest = rnb_tail;
-                slot_consumed = slot_end;
-                sc.spawn(move |_| {
-                    for v in nlo..nhi {
-                        for &u in &nbs[offs[v] as usize..offs[v + 1] as usize] {
-                            let slot = &mut cur[u as usize - nlo];
-                            rnbs[*slot as usize - slot_base] = v as u32;
-                            *slot += 1;
-                        }
-                    }
-                });
-            });
-        })
-        .expect("assembly worker panicked");
 
         refill(inv_deg, num_nodes);
         let offs: &[u32] = offsets;
@@ -556,6 +484,10 @@ impl Graph {
     /// before it meets what `out` holds — the order a separate gradient
     /// matrix added afterwards would give.
     ///
+    /// The first call after a build derives the reverse CSR and keeps it
+    /// with the graph (a training graph pays it once per `fit`); later
+    /// calls allocate nothing.
+    ///
     /// # Panics
     ///
     /// Panics unless `grad` and `out` both have one row per node and the
@@ -565,15 +497,14 @@ impl Graph {
         assert_eq!((out.rows(), out.cols()), (grad.rows(), grad.cols()));
         /// Columns summed together in registers.
         const LANES: usize = 16;
+        let rev = self.reverse.get_or_init(|| Box::new(self.reversed()));
         let width = grad.cols().max(1);
         parallel::for_each_row_block(out.as_mut_slice(), width, BLOCK_ROWS, |u0, block| {
             for (i, row) in block.chunks_mut(width).enumerate() {
                 let u = u0 + i;
-                let consumers = &self.rev_neighbors
-                    [self.rev_offsets[u] as usize..self.rev_offsets[u + 1] as usize];
                 for (chunk, lanes) in row.chunks_mut(LANES).enumerate() {
                     let mut acc = [0.0f32; LANES];
-                    for &v in consumers {
+                    for &v in rev.neighbors(u) {
                         let inv = self.inv_deg[v as usize];
                         let g = &grad.row(v as usize)[chunk * LANES..][..lanes.len()];
                         for (a, &g) in acc.iter_mut().zip(g) {
@@ -586,6 +517,21 @@ impl Graph {
                 }
             }
         });
+    }
+
+    /// The reverse adjacency as a graph of its own: node `u`'s neighbours
+    /// are its consumers, the `v` with `u ∈ N(v)`, in ascending order.
+    fn reversed(&self) -> Graph {
+        let consumers = |sink: &mut dyn FnMut(u32, u32)| {
+            for v in 0..self.num_nodes {
+                for &u in self.neighbors(v) {
+                    sink(u, v as u32);
+                }
+            }
+        };
+        let mut rev = Graph::default();
+        Graph::build_serial(self.num_nodes, Direction::Fanout, &consumers, &mut rev);
+        rev
     }
 }
 

@@ -25,6 +25,8 @@ use crate::kernel::{self, GemmArgs, Operand, Rows, BLOCK_ROWS};
 use crate::parallel;
 use crate::tensor::{fused_gemm_into, Epilogue, Matrix};
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Working memory of the backward passes, shared by every layer of a
 /// model since they run in sequence: the transposed operand of whichever
@@ -164,8 +166,6 @@ impl Linear {
 pub(crate) struct FusedLinears {
     w: Vec<f32>,
     bias: Vec<f32>,
-    /// Output width of each gathered layer, in order.
-    widths: Vec<usize>,
     relu: bool,
 }
 
@@ -178,15 +178,9 @@ impl FusedLinears {
     /// Panics if the layers disagree on input width or activation (they
     /// could not share a GEMM).
     pub(crate) fn gather(&mut self, layers: &[Linear]) {
-        let FusedLinears {
-            w,
-            bias,
-            widths,
-            relu,
-        } = self;
+        let FusedLinears { w, bias, relu } = self;
         w.clear();
         bias.clear();
-        widths.clear();
         let Some(first) = layers.first() else {
             return;
         };
@@ -197,7 +191,6 @@ impl FusedLinears {
         );
         *relu = first.relu;
         bias.extend(layers.iter().flat_map(|l| &l.b));
-        widths.extend(layers.iter().map(|l| l.w.cols()));
         for r in 0..first.w.rows() {
             for l in layers {
                 w.extend_from_slice(l.w.row(r));
@@ -205,26 +198,81 @@ impl FusedLinears {
         }
     }
 
-    /// The gathered layers' output columns per row.
-    pub(crate) fn widths(&self) -> &[usize] {
-        &self.widths
+    /// The gathered layers' output columns per row, all of them.
+    pub(crate) fn width(&self) -> usize {
+        self.bias.len()
     }
 
-    /// `x` through the gathered layers into `wide`, one row of all their
-    /// outputs side by side per row of `x`.
-    pub(crate) fn forward_into(&self, x: &Matrix, wide: &mut Matrix) {
-        let epilogue = Epilogue {
-            bias: Some(&self.bias),
-            relu: self.relu,
-        };
-        fused_gemm_into(x, &self.w, None, epilogue, self.bias.len(), wide);
+    /// `before`, then the gathered layers on its output, for the rows
+    /// `row0 ..` of `h` that `out` has room for: per row block, `before`'s
+    /// output goes into `ws` and straight on into the gathered GEMM, so it
+    /// never exists for more than one block per kernel thread. Row for
+    /// row, the arithmetic of the two `forward_into`s. With `split`, each
+    /// GEMM's nanoseconds are added to its slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is not `before`'s input width or does not hold the
+    /// rows asked for.
+    pub(crate) fn forward_rows_after(
+        &self,
+        before: &Linear,
+        h: Rows<'_>,
+        row0: usize,
+        ws: &mut SageScratch,
+        out: &mut [f32],
+        split: Option<&[AtomicU64; 2]>,
+    ) {
+        assert_eq!(h.cols, before.w.rows(), "embedding width mismatch");
+        let (mid, n) = (before.w.cols(), self.width());
+        let into_mid = dense(h, before.w.as_slice(), &before.b, before.relu);
+        let kernels = kernel::active();
+        let clock = || split.map(|_| Instant::now());
+        parallel::for_each_row_block_with(
+            out,
+            n,
+            BLOCK_ROWS,
+            &mut ws.block,
+            BLOCK_ROWS * mid,
+            |i0, block, z| {
+                let row0 = row0 + i0;
+                let z = &mut z[..block.len() / n * mid];
+                let t0 = clock();
+                kernels.gemm_block(&into_mid, row0, z);
+                let t1 = clock();
+                let z = Rows {
+                    data: z,
+                    cols: mid,
+                    first: row0,
+                };
+                kernels.gemm_block(&dense(z, &self.w, &self.bias, self.relu), row0, block);
+                if let (Some(split), Some(t0), Some(t1)) = (split, t0, t1) {
+                    split[0].fetch_add((t1 - t0).as_nanos() as u64, Ordering::Relaxed);
+                    split[1].fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                }
+            },
+        );
+    }
+}
+
+/// One dense layer's GEMM over `x`: `act(x @ w + bias)`.
+fn dense<'a>(x: Rows<'a>, w: &'a [f32], bias: &'a [f32], relu: bool) -> GemmArgs<'a> {
+    GemmArgs {
+        operands: [Operand { x, w }, Operand::none()],
+        epilogue: Epilogue {
+            bias: Some(bias),
+            relu,
+        },
+        n: bias.len(),
+        accumulate: false,
     }
 }
 
 /// The one row block of aggregated neighbourhoods an inference forward
 /// through a [`SageLayer`] holds at a time (one block per kernel thread on
 /// the row-block-parallel path) — shared by every layer of a model, since
-/// layers run in sequence.
+/// layers run in sequence, and by the shared layer's output in the fused
+/// tail after them ([`FusedLinears::forward_rows_after`]).
 ///
 /// There is deliberately no concat buffer either: the split-weight forward
 /// multiplies `h` and the aggregate against the two row halves of the

@@ -35,11 +35,11 @@
 //!     task_classes: vec![4, 2, 2], seed: 1,
 //! });
 //! let x = Matrix::zeros(4, 3);
-//! let logits = model.forward(&graph, &x);
-//! assert_eq!(logits.len(), 3);
-//! // Hot loops reuse a scratch workspace instead:
+//! let per_task = model.forward(&graph, &x);
+//! assert_eq!(per_task.len(), 3);
+//! // Hot loops reuse a scratch; tasks are column ranges of one matrix:
 //! let mut scratch = InferenceScratch::default();
-//! assert_eq!(model.infer(&graph, &x, &mut scratch, None), &logits[..]);
+//! assert_eq!(&model.infer(&graph, &x, &mut scratch, None).row(2)[4..6], per_task[1].row(2));
 //! ```
 
 #![warn(missing_docs)]

@@ -15,20 +15,25 @@
 //! node range into groups of whole sections whose activations fit
 //! [`GROUP_BYTES`] per matrix, and takes one group through every trunk
 //! layer, the shared layer and the heads before it touches the next: the
-//! activation buffers are group-sized, stay cache-resident from layer to
-//! layer, and only the per-node inputs and outputs (features, CSR, logits)
-//! scale with the batch. A row's arithmetic does not depend on which rows
-//! are computed with it, so the logits are bit-identical to those of the
-//! union taken whole, or of each section on its own. A graph with one
-//! section is one group — the layer-major order — and so is a section
-//! larger than the budget.
+//! two ping-pong embedding buffers are group-sized, stay cache-resident
+//! from layer to layer, and only the per-node inputs and outputs
+//! (features, CSR, logits) scale with the batch. A row's arithmetic does
+//! not depend on which rows are computed with it, so the logits are
+//! bit-identical to those of the union taken whole, or of each section on
+//! its own. A graph with one section is one group — the layer-major order
+//! — and so is a section larger than the budget.
+//!
+//! **The tail is fused:** the shared layer and the heads run one row block
+//! at a time ([`FusedLinears::forward_rows_after`]) into one
+//! `nodes x Σclasses` logit matrix, every task's logits a column range.
 
 use crate::graph::Graph;
-use crate::kernel::Rows;
+use crate::kernel::{Rows, BLOCK_ROWS};
 use crate::layers::{BackwardScratch, FusedLinears, Linear, SageLayer, SageScratch, SageTape};
 use crate::parallel;
 use crate::tensor::Matrix;
 use rand::SeedableRng;
+use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 
 /// The training workspace: every activation
@@ -56,13 +61,13 @@ pub struct Tape {
 
 /// Bytes one activation matrix of a group may occupy (see the module
 /// docs): groups of whole sections are filled up to this, so the
-/// ping-pong embeddings, the shared-layer output and a layer's weights
-/// sit in L2 together while a group goes through the model. A constant
-/// from measurement on this repository's benchmark host (2 MiB of L2 a
-/// core), like the kernels' tile sizes, not a setting: the forward over a
-/// batch of small netlists reads 339–346 ns/node at 2^16, 343–352 at
-/// 2^18, 352–355 at 2^19, 365–367 at 2^20 and 382 at 2^21, against
-/// 455–500 layer by layer over the whole batch (README, "Batches").
+/// ping-pong embeddings and a layer's weights sit in L2 together while a
+/// group goes through the model. A constant from measurement on this
+/// repository's benchmark host (2 MiB of L2 a core), like the kernels'
+/// tile sizes, not a setting: the forward over a batch of small netlists
+/// reads 339–346 ns/node at 2^16, 343–352 at 2^18, 352–355 at 2^19,
+/// 365–367 at 2^20 and 382 at 2^21, against 455–500 layer by layer over
+/// the whole batch (README, "Batches").
 const GROUP_BYTES: usize = 1 << 18;
 
 /// Cuts consecutive sections of `section_rows` rows each into the groups
@@ -97,20 +102,15 @@ struct Lane {
     ws: SageScratch,
     h_in: Matrix,
     h_out: Matrix,
-    z: Matrix,
-    /// Every head's logits side by side, before they are dealt to the
-    /// per-task matrices.
-    wide: Matrix,
     /// Nanoseconds per stage (trunk layers, shared, heads), summed over
     /// the groups this lane took in the current pass.
     stage_ns: Vec<u64>,
 }
 
 /// Reusable per-worker buffers for allocation-free inference: per lane,
-/// ping-pong embedding matrices, the aggregation block (the split-weight
-/// SAGE forward needs no concat buffer) and the shared-layer output, all
-/// sized by the largest *group* seen; and one logit matrix per task, sized
-/// by the graph.
+/// two ping-pong embedding matrices sized by the largest *group* seen and
+/// the row block each kernel thread aggregates in and holds the fused
+/// tail's shared-layer output in; and one `nodes x Σclasses` logit matrix.
 ///
 /// A warmed-up scratch (after one [`MultiTaskSage::infer`] call at a given
 /// graph size) lets every subsequent inference at the same or smaller size
@@ -120,7 +120,7 @@ struct Lane {
 #[derive(Clone, Debug, Default)]
 pub struct InferenceScratch {
     lanes: Vec<Lane>,
-    logits: Vec<Matrix>,
+    logits: Matrix,
     /// Column-concatenated task-head weights (rebuilt every pass).
     heads: FusedLinears,
     /// `(first_row, end_row)` of every group of the current pass.
@@ -140,17 +140,16 @@ struct Pass<'a> {
 
 impl Pass<'_> {
     /// Takes `groups` through the whole model, one after the other, in
-    /// `lane`'s buffers: every trunk layer, the shared layer, then all
-    /// task heads as one GEMM ([`FusedLinears`]) whose columns are dealt
-    /// to `logits` — per task, the rows from `base` on: the logit matrices
-    /// themselves on a serial pass, one lane's stretch of each on a forked
-    /// one.
-    fn run_groups<T: AsMut<[f32]>>(
+    /// `lane`'s buffers: every trunk layer, then the shared layer and all
+    /// task heads fused block by block ([`FusedLinears`]) into `logits`,
+    /// the logit rows from `base` on — the whole matrix on a serial pass,
+    /// one lane's stretch of it on a forked one.
+    fn run_groups(
         &self,
         groups: &[(usize, usize)],
         lane: &mut Lane,
         base: usize,
-        logits: &mut [T],
+        logits: &mut [f32],
     ) {
         let Pass {
             model,
@@ -163,18 +162,12 @@ impl Pass<'_> {
             ws,
             h_in,
             h_out,
-            z,
-            wide,
             stage_ns,
         } = lane;
         let trunk = model.sage.len();
+        let classes = heads.width();
         stage_ns.clear();
         stage_ns.resize(trunk + 2, 0);
-        let mut lap = |stage: usize, started: Option<Instant>| {
-            if let Some(t) = started {
-                stage_ns[stage] += t.elapsed().as_nanos() as u64;
-            }
-        };
         for &(lo, hi) in groups {
             for (l, layer) in model.sage.iter().enumerate() {
                 let started = timed.then(Instant::now);
@@ -192,35 +185,39 @@ impl Pass<'_> {
                 h_out.reshape_for_overwrite(hi - lo, model.config.hidden);
                 layer.forward_rows(graph, lo, input, ws, h_out.as_mut_slice());
                 std::mem::swap(h_in, h_out);
-                lap(l, started);
-            }
-            let started = timed.then(Instant::now);
-            model.shared.forward_into(h_in, z);
-            lap(trunk, started);
-            let started = timed.then(Instant::now);
-            heads.forward_into(z, wide);
-            let total = wide.cols();
-            let mut c0 = 0;
-            for (task, &width) in logits.iter_mut().zip(heads.widths()) {
-                let rows = &mut task.as_mut()[(lo - base) * width..(hi - base) * width];
-                let wide_rows = wide.as_slice().chunks_exact(total.max(1));
-                for (dst, src) in rows.chunks_exact_mut(width.max(1)).zip(wide_rows) {
-                    dst.copy_from_slice(&src[c0..c0 + width]);
+                if let Some(t) = started {
+                    stage_ns[l] += t.elapsed().as_nanos() as u64;
                 }
-                c0 += width;
             }
-            lap(trunk + 1, started);
+            // The tail's wall time goes to the shared layer and the heads
+            // in the proportion its blocks' clock reads give them.
+            let started = timed.then(Instant::now);
+            let split = [AtomicU64::new(0), AtomicU64::new(0)];
+            let h = Rows {
+                first: lo,
+                ..Rows::all(h_in)
+            };
+            let rows = &mut logits[(lo - base) * classes..(hi - base) * classes];
+            heads.forward_rows_after(&model.shared, h, lo, ws, rows, timed.then_some(&split));
+            if let Some(t) = started {
+                let wall = t.elapsed().as_nanos();
+                let [in_shared, in_heads] = split.map(|ns| u128::from(ns.into_inner()));
+                let shared_ns = wall * in_shared / (in_shared + in_heads).max(1);
+                stage_ns[trunk] += shared_ns as u64;
+                stage_ns[trunk + 1] += (wall - shared_ns) as u64;
+            }
         }
     }
 
     /// [`Pass::run_groups`] with the groups dealt to one scoped thread per
     /// lane — consecutive groups of about equal row counts, so every
-    /// thread owns one stretch of each logit matrix — instead of a
+    /// thread owns one stretch of the logit matrix — instead of a
     /// fork-join inside every kernel call.
-    fn fork_groups(&self, groups: &[(usize, usize)], lanes: &mut [Lane], logits: &mut [Matrix]) {
+    fn fork_groups(&self, groups: &[(usize, usize)], lanes: &mut [Lane], logits: &mut [f32]) {
         let per_lane = self.x.rows().div_ceil(lanes.len());
         let last = lanes.len() - 1;
-        let mut rest: Vec<&mut [f32]> = logits.iter_mut().map(Matrix::as_mut_slice).collect();
+        let classes = self.heads.width();
+        let mut rest = logits;
         let mut dealt = 0;
         crossbeam::thread::scope(|s| {
             let handles: Vec<_> = lanes
@@ -239,19 +236,12 @@ impl Pass<'_> {
                     let mine = &groups[from..dealt];
                     let base = mine.first().map_or(0, |g| g.0);
                     let rows = mine.last().map_or(0, |g| g.1) - base;
-                    let mut tasks: Vec<&mut [f32]> = rest
-                        .iter_mut()
-                        .zip(self.heads.widths())
-                        .map(|(m, &width)| {
-                            let (head, tail) = std::mem::take(m).split_at_mut(rows * width);
-                            *m = tail;
-                            head
-                        })
-                        .collect();
+                    let (stretch, tail) = std::mem::take(&mut rest).split_at_mut(rows * classes);
+                    rest = tail;
                     s.spawn(move |_| {
                         // The fork is here: the kernels inside stay serial.
                         parallel::set_intra_threads(1);
-                        self.run_groups(mine, lane, base, &mut tasks);
+                        self.run_groups(mine, lane, base, stretch);
                     })
                 })
                 .collect();
@@ -312,6 +302,14 @@ impl ModelConfig {
     pub fn group_rows(&self) -> usize {
         let widest = self.in_dim.max(self.hidden).max(self.shared_dim);
         (GROUP_BYTES / (4 * widest.max(1))).max(1)
+    }
+
+    /// Bytes of the row block each kernel thread of the inference forward
+    /// works in next to its group's activations: a layer aggregates its
+    /// input into it, and the fused tail holds the shared layer's output
+    /// there on its way into the heads.
+    pub fn block_bytes(&self) -> usize {
+        4 * BLOCK_ROWS * self.in_dim.max(self.hidden).max(self.shared_dim)
     }
 
     /// `(in_dim, out_dim)` of every linear layer's weight matrix, in
@@ -448,29 +446,38 @@ impl MultiTaskSage {
     /// Panics if `x` has the wrong feature width or row count.
     pub fn forward(&self, graph: &Graph, x: &Matrix) -> Vec<Matrix> {
         let mut scratch = InferenceScratch::default();
-        self.infer(graph, x, &mut scratch, None);
-        scratch.logits
+        let logits = self.infer(graph, x, &mut scratch, None);
+        let mut c0 = 0;
+        let tasks = self.config.task_classes.iter().map(|&c| {
+            let rows = logits.as_slice().chunks_exact(logits.cols().max(1));
+            let task = rows.flat_map(|row| &row[c0..c0 + c]).copied().collect();
+            c0 += c;
+            Matrix::from_vec(x.rows(), c, task)
+        });
+        tasks.collect()
     }
 
     /// Inference forward pass through caller-owned scratch buffers.
     ///
-    /// Returns the per-task logits, which live inside `scratch` (they stay
-    /// valid until the next call with the same scratch). The graph's
-    /// sections are taken through the whole model one cache-sized group at
-    /// a time (see the module docs). After a warmup call at a given graph
-    /// size, subsequent calls perform **zero heap allocations** as long as
-    /// the kernels stay on their serial path (one kernel thread, or a
-    /// graph below `parallel`'s per-thread row cutoff); above it, the
-    /// scoped worker threads spawned per call allocate. With several
-    /// kernel threads and several groups the *groups* are dealt to the
-    /// threads, once per call; a lone group goes to the row-block-parallel
-    /// kernels instead.
+    /// Returns the logits, which live inside `scratch` (they stay valid
+    /// until the next call with the same scratch): one row per node, each
+    /// task's classes side by side in task order (columns 0–3, 4–5, 6–7 for
+    /// `[4, 2, 2]`). The graph's sections are taken through the whole model
+    /// one cache-sized group at a time (see the module docs). After a
+    /// warmup call at a given graph size, subsequent calls perform **zero
+    /// heap allocations** as long as the kernels stay on their serial path
+    /// (one kernel thread, or a graph below `parallel`'s per-thread row
+    /// cutoff); above it, the scoped worker threads spawned per call
+    /// allocate. With several kernel threads and several groups the
+    /// *groups* are dealt to the threads, once per call; a lone group goes
+    /// to the row-block-parallel kernels instead.
     ///
     /// When `observer` is `Some`, each trunk layer, the shared linear and
-    /// the combined heads report their wall time — summed over the groups
-    /// — through [`ForwardObserver::record_stage`], once per stage and
-    /// call, in order (two monotonic clock reads per stage and group, no
-    /// allocations); when groups ran on several threads, the times are
+    /// the combined heads report their wall time — summed over the groups,
+    /// the fused tail's split between the two by three clock reads per row
+    /// block — through [`ForwardObserver::record_stage`], once per stage
+    /// and call, in order (two monotonic clock reads per stage and group,
+    /// no allocations); when groups ran on several threads, the times are
     /// those of the thread that took longest. When `None`, no clocks are
     /// read.
     ///
@@ -483,7 +490,7 @@ impl MultiTaskSage {
         x: &Matrix,
         scratch: &'a mut InferenceScratch,
         observer: Option<&dyn ForwardObserver>,
-    ) -> &'a [Matrix] {
+    ) -> &'a Matrix {
         // Chaos seam: the `forward` fail point fires before any layer
         // runs, so an injected failure never leaves scratch half-written
         // relative to a completed pass. Disarmed cost: one relaxed load.
@@ -497,12 +504,7 @@ impl MultiTaskSage {
             groups,
         } = scratch;
         heads.gather(&self.heads);
-        if logits.len() != self.heads.len() {
-            logits.resize_with(self.heads.len(), Matrix::default);
-        }
-        for (out, &width) in logits.iter_mut().zip(heads.widths()) {
-            out.reshape_for_overwrite(x.rows(), width);
-        }
+        logits.reshape_for_overwrite(x.rows(), heads.width());
         groups.clear();
         for_each_group(self.config.group_rows(), graph.section_rows(), |lo, hi| {
             groups.push((lo, hi))
@@ -520,9 +522,9 @@ impl MultiTaskSage {
         };
         let lanes = &mut lanes[..threads];
         if threads == 1 {
-            pass.run_groups(groups, &mut lanes[0], 0, &mut logits[..]);
+            pass.run_groups(groups, &mut lanes[0], 0, logits.as_mut_slice());
         } else {
-            pass.fork_groups(groups, lanes, logits);
+            pass.fork_groups(groups, lanes, logits.as_mut_slice());
         }
         if let Some(obs) = observer {
             // What the call waited for: the lane that was busy longest.
@@ -741,33 +743,9 @@ mod tests {
         assert_eq!(la[0].as_slice(), lb[0].as_slice());
     }
 
-    /// The fused-heads GEMM equals one `Linear::forward_into` per head,
-    /// bit for bit.
-    #[test]
-    fn fused_heads_match_separate_head_forwards() {
-        let graph = tiny_graph();
-        let mut x = Matrix::zeros(6, 3);
-        for r in 0..6 {
-            x.set(r, r % 3, 1.0);
-        }
-        let model = tiny_model();
-        let mut scratch = InferenceScratch::default();
-        model.infer(&graph, &x, &mut scratch, None);
-        for (t, head) in model.heads.iter().enumerate() {
-            // One section, one group: the lane's `z` holds every row.
-            let separate = head.forward(&scratch.lanes[0].z);
-            assert_eq!(
-                (scratch.logits[t].rows(), scratch.logits[t].cols()),
-                (6, model.config.task_classes[t])
-            );
-            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&scratch.logits[t]), bits(&separate), "head {t}");
-        }
-    }
-
-    /// A reused scratch produces logits bit-identical to the allocating
-    /// forward, across graphs of different sizes and both orders
-    /// (grow-then-shrink and shrink-then-grow).
+    /// A reused scratch produces logits bit-identical to a fresh one,
+    /// across graphs of different sizes and both orders (grow-then-shrink
+    /// and shrink-then-grow).
     #[test]
     fn infer_with_reused_scratch_matches_forward() {
         let model = tiny_model();
@@ -779,12 +757,11 @@ mod tests {
             for r in 0..n {
                 x.set(r, r % 3, 1.0);
             }
-            let expected = model.forward(&graph, &x);
+            let expected = model
+                .infer(&graph, &x, &mut InferenceScratch::default(), None)
+                .clone();
             let logits = model.infer(&graph, &x, &mut scratch, None);
-            assert_eq!(logits.len(), expected.len());
-            for (a, b) in logits.iter().zip(&expected) {
-                assert_eq!(a, b, "n = {n}");
-            }
+            assert_eq!(logits, &expected, "n = {n}");
         }
     }
 
@@ -848,7 +825,9 @@ mod tests {
             for r in 0..n {
                 x.set(r, r % 3, 1.0);
             }
-            let expected = model.forward(&graph, &x);
+            let expected = model
+                .infer(&graph, &x, &mut InferenceScratch::default(), None)
+                .clone();
             let recorder = Recorder(RefCell::new(Vec::new()));
             let mut scratch = InferenceScratch::default();
             parallel::set_intra_threads(threads);
@@ -856,9 +835,7 @@ mod tests {
             let logits = model.infer(&graph, &x, &mut scratch, Some(&recorder));
             let wall = started.elapsed().as_micros() as u64;
             parallel::set_intra_threads(0);
-            for (a, b) in logits.iter().zip(&expected) {
-                assert_eq!(a, b, "observation must not change the forward");
-            }
+            assert_eq!(logits, &expected, "observation must not change the forward");
             assert_eq!(scratch.groups.len(), groups);
             assert_eq!(scratch.lanes.len(), threads, "groups dealt to every thread");
             let (stages, micros): (Vec<_>, Vec<_>) = recorder.0.into_inner().into_iter().unzip();

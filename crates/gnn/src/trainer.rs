@@ -3,7 +3,7 @@
 use crate::adam::Adam;
 use crate::graph::Graph;
 use crate::loss::{accuracy, nll_loss};
-use crate::model::{InferenceScratch, MultiTaskSage, Tape};
+use crate::model::{MultiTaskSage, Tape};
 use crate::tensor::Matrix;
 
 /// One labelled graph: structure, node features, and per-task targets.
@@ -150,9 +150,8 @@ pub fn train(model: &mut MultiTaskSage, data: &[GraphData], cfg: &TrainConfig) -
 pub fn evaluate(model: &MultiTaskSage, data: &[GraphData]) -> Vec<f64> {
     let mut correct = vec![0.0f64; model.num_tasks()];
     let mut total_nodes = 0usize;
-    let mut scratch = InferenceScratch::default();
     for d in data {
-        let logits = model.infer(&d.graph, &d.features, &mut scratch, None);
+        let logits = model.forward(&d.graph, &d.features);
         for (t, l) in logits.iter().enumerate() {
             correct[t] += accuracy(l, &d.labels[t]) * d.graph.num_nodes() as f64;
         }

@@ -233,14 +233,16 @@ fn sectioned_equals_streamed_large_parallel() {
 #[test]
 fn sectioned_reuse_across_thread_budgets() {
     // The same Graph instance rebuilt under different caps must converge
-    // to identical arrays — buffer reuse can't leak stale slots.
+    // to identical arrays — buffer reuse can't leak stale slots — and
+    // rebuilt after a backward over a graph of another shape, it must not
+    // keep that graph's reverse adjacency.
     let sections = large_sections();
-    let spans = spans_of(&sections);
-    let num_nodes: usize = sections.iter().map(|(n, _)| *n).sum();
-    let build = |cap: usize, out: &mut Graph| {
+    let other: Vec<_> = sections.iter().rev().skip(1).cloned().collect();
+    let build = |sections: &[(usize, Vec<(u32, u32)>)], cap: usize, out: &mut Graph| {
         let _guard = CapGuard::set(cap);
+        let spans = spans_of(sections);
         Graph::from_sections_into(
-            num_nodes,
+            sections.iter().map(|(n, _)| *n).sum(),
             Direction::Bidirectional,
             sections.len(),
             |i| spans[i],
@@ -253,15 +255,24 @@ fn sectioned_reuse_across_thread_budgets() {
             out,
         );
     };
+    let backward = |g: &Graph| {
+        let h = feature_ramp(g.num_nodes(), 3);
+        let mut out = Matrix::zeros(h.rows(), h.cols());
+        g.mean_aggregate_backward_add(&h, &mut out);
+        out
+    };
     let mut reference = Graph::default();
-    build(1, &mut reference);
+    build(&sections, 1, &mut reference);
     let mut reused = Graph::default();
     for cap in [4, 1, 3, 2] {
-        build(cap, &mut reused);
+        build(&other, cap, &mut reused);
+        backward(&reused);
+        build(&sections, cap, &mut reused);
         assert_eq!(reused.num_edges(), reference.num_edges());
-        for v in 0..num_nodes {
+        for v in 0..reference.num_nodes() {
             assert_eq!(reused.neighbors(v), reference.neighbors(v), "cap, node {v}");
         }
+        assert_eq!(backward(&reused), backward(&reference), "cap {cap}");
     }
 }
 

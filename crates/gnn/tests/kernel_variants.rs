@@ -9,13 +9,15 @@
 //! recorded from the previous kernel pins the whole forward pass across
 //! the rewrite. The sequential K order the backward pass of training runs
 //! is pinned the same way: against the two scalar loops the trainer used
-//! before its products went through the tile, kept here verbatim. CI runs
-//! this file in debug and `--release`: code generation differs per
-//! `target_feature`.
+//! before its products went through the tile, kept here verbatim. The
+//! inference forward's fused shared + heads tail is pinned against the
+//! layers it fuses, each run on its own. CI runs this file in debug and
+//! `--release`: code generation differs per `target_feature`.
 
 use gamora_gnn::parallel::set_intra_threads;
 use gamora_gnn::{
-    Direction, Epilogue, Graph, KernelVariant, Matrix, ModelConfig, MultiTaskSage, Tape,
+    Direction, Epilogue, Graph, InferenceScratch, KernelVariant, Matrix, ModelConfig,
+    MultiTaskSage, SageLayer, Tape,
 };
 use rand::{Rng, SeedableRng};
 
@@ -420,6 +422,63 @@ fn golden_logits_hash_matches_the_previous_kernel() {
     for (hidden, layers, n, want) in cases {
         let got = golden_hash(hidden, layers, n);
         assert_eq!(got, want, "{hidden}x{layers} model, {n} nodes: {got:#018x}");
+    }
+}
+
+/// The fused tail is the layers it fuses: every task's columns of
+/// `infer`'s one logit matrix are, bit for bit, the trunk's output through
+/// `Linear::forward` of the shared layer and then of that task's head — a
+/// row block either side of 64 rows and above the row-block-parallel
+/// cutoff, at one and two kernel threads, with a shared layer wider than
+/// the trunk (the smoke preset's `hidden: 8` under the reasoner's 32).
+#[test]
+fn the_fused_tail_is_the_shared_layer_then_each_head() {
+    let model = MultiTaskSage::new(ModelConfig {
+        in_dim: 3,
+        hidden: 8,
+        layers: 2,
+        shared_dim: 32,
+        task_classes: vec![4, 2, 2],
+        seed: 0x7A11,
+    });
+    let linears = model.linears();
+    let (trunk, tail) = linears.split_at(2);
+    let (shared, heads) = tail.split_first().expect("a shared layer");
+    let trunk: Vec<SageLayer> = trunk
+        .iter()
+        .map(|&lin| {
+            let mut layer = SageLayer::new_zeroed(lin.w.rows() / 2, lin.w.cols());
+            *layer.linear_mut() = lin.clone();
+            layer
+        })
+        .collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x7A11);
+    for n in [1usize, 63, 64, 65, 2 * 4096 + 1] {
+        let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (rng.gen_range(0..v), v)).collect();
+        let graph = Graph::from_edges(n, &edges, Direction::Bidirectional);
+        let x = activations(n, 3, true, &mut rng);
+        let h = trunk
+            .iter()
+            .fold(x.clone(), |h, layer| layer.forward(&graph, &h));
+        let z = shared.forward(&h);
+        for threads in [1, 2] {
+            set_intra_threads(threads);
+            let mut scratch = InferenceScratch::default();
+            let logits = model.infer(&graph, &x, &mut scratch, None);
+            set_intra_threads(0);
+            assert_eq!((logits.rows(), logits.cols()), (n, 8));
+            let mut c0 = 0;
+            for (t, head) in heads.iter().enumerate() {
+                let want = head.forward(&z);
+                let c = want.cols();
+                let got: Vec<u32> = (0..n)
+                    .flat_map(|r| &logits.row(r)[c0..c0 + c])
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, bits(&want), "{n} rows, {threads} threads, head {t}");
+                c0 += c;
+            }
+        }
     }
 }
 

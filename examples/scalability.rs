@@ -1,11 +1,11 @@
 //! Scalability sweep (a miniature of the paper's Figure 7): netlist size,
-//! exact-reasoning runtime and GNN inference runtime as multiplier width
-//! grows.
+//! exact and GNN runtime, and the heap inference holds (also scaled to
+//! the paper's 33M nodes) as multiplier width grows.
 //!
 //! Run with: `cargo run --release --example scalability [max_bits]`
 //! (default 128; pass 512 or more on a fast machine).
 
-use gamora::{GamoraReasoner, ReasonerConfig, TrainConfig};
+use gamora::{inference_memory_estimate, GamoraReasoner, ReasonerConfig, TrainConfig};
 use gamora_circuits::csa_multiplier;
 use std::time::Instant;
 
@@ -28,8 +28,7 @@ fn main() {
     );
 
     println!(
-        "{:>6} {:>10} {:>10} {:>12} {:>12} {:>8}",
-        "bits", "|V|", "|E|", "exact (ms)", "gamora (ms)", "acc (%)"
+        "  bits        |V|        |E|   exact (ms)  gamora (ms)  acc (%) mem (MiB) B/node  GiB @33M"
     );
     let mut bits = 16usize;
     while bits <= max_bits {
@@ -45,15 +44,23 @@ fn main() {
         let preds = reasoner.predict(&m.aig);
         let gamora_ms = t.elapsed().as_secs_f64() * 1e3;
 
+        // Two aggregation edges per AIG edge (bidirectional message passing).
+        let nodes = m.aig.num_nodes();
+        let held = inference_memory_estimate(reasoner.config(), &[nodes], 4 * m.aig.num_ands());
+        let per_node = held as f64 / nodes as f64;
+
         let eval = gamora::score_predictions(&preds, &analysis.labels);
         println!(
-            "{:>6} {:>10} {:>10} {:>12.1} {:>12.1} {:>8.2}   (gen {gen_ms:.0} ms, {} adders)",
+            "{:>6} {:>10} {:>10} {:>12.1} {:>12.1} {:>8.2} {:>9.1} {:>6.0} {:>9.1}   (gen {gen_ms:.0} ms, {} adders)",
             bits,
-            m.aig.num_nodes(),
+            nodes,
             2 * m.aig.num_ands(),
             exact_ms,
             gamora_ms,
             eval.mean() * 100.0,
+            held as f64 / (1 << 20) as f64,
+            per_node,
+            per_node * 33e6 / (1u64 << 30) as f64,
             analysis.adders.len(),
         );
         bits *= 2;
