@@ -181,10 +181,13 @@ fn read_delta<R: Read>(r: &mut R) -> Result<u32, ParseAigerError> {
     loop {
         let mut byte = [0u8; 1];
         r.read_exact(&mut byte)?;
-        if shift >= 32 {
+        let payload = (byte[0] & 0x7F) as u32;
+        // The fifth byte holds bits 28..32: any of its upper three payload
+        // bits would land past bit 31.
+        if shift >= 32 || (shift == 28 && payload > 0x0F) {
             return Err(malformed("delta overflow"));
         }
-        value |= ((byte[0] & 0x7F) as u32) << shift;
+        value |= payload << shift;
         if byte[0] & 0x80 == 0 {
             return Ok(value);
         }
@@ -459,6 +462,25 @@ mod tests {
             write_delta(&mut buf, v).unwrap();
             let got = read_delta(&mut &buf[..]).unwrap();
             assert_eq!(got, v);
+        }
+    }
+
+    /// A five-byte delta carries 32 bits and no more: bits 32–34 of the
+    /// fifth byte are refused, not dropped.
+    #[test]
+    fn delta_past_32_bits_is_refused() {
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        assert_eq!(read_delta(&mut &max[..]).unwrap(), u32::MAX);
+        let mut buf = Vec::new();
+        write_delta(&mut buf, u32::MAX).unwrap();
+        assert_eq!(buf, max);
+        for fifth in [0x10u8, 0x20, 0x40, 0x7F] {
+            let wide = [0x80, 0x80, 0x80, 0x80, fifth];
+            let err = read_delta(&mut &wide[..]).unwrap_err();
+            assert!(
+                err.to_string().contains("delta overflow"),
+                "{fifth:#x}: {err}"
+            );
         }
     }
 }

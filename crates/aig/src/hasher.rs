@@ -123,145 +123,37 @@ pub fn structural_fingerprint(aig: &Aig) -> u64 {
 /// numbered resubmission.
 pub fn structural_node_hashes(aig: &Aig) -> Vec<u64> {
     let mut node_hash = vec![0u64; aig.num_nodes()];
-    seed_leaf_hashes(aig, &mut node_hash);
-    for n in aig.node_ids() {
-        if aig.kind(n) == NodeKind::And {
-            node_hash[n.index()] = and_hash(aig, n, &node_hash);
-        }
-    }
-    node_hash
-}
-
-/// Seeds the level-0 entries (inputs by position, the constant) of a
-/// node-hash buffer.
-fn seed_leaf_hashes(aig: &Aig, node_hash: &mut [u64]) {
     // Input position, not node index: renumber-invariant.
     for (pos, &input) in aig.inputs().iter().enumerate() {
         node_hash[input.index()] = mix64(INPUT_TAG ^ (pos as u64));
     }
     for n in aig.node_ids() {
-        if aig.kind(n) == NodeKind::Const0 {
-            node_hash[n.index()] = mix64(CONST_TAG);
+        match aig.kind(n) {
+            NodeKind::Const0 => node_hash[n.index()] = mix64(CONST_TAG),
+            NodeKind::And => node_hash[n.index()] = and_hash(aig, n, &node_hash),
+            NodeKind::Input => {}
         }
     }
+    node_hash
 }
 
 /// The canonical hash of one AND node from its fanins' hashes and
-/// complement flags — the pure per-node function both the serial and the
-/// levelized parallel pass apply.
-#[inline]
-fn and_hash_parts(mut a: u64, f0c: bool, mut b: u64, f1c: bool) -> u64 {
-    if f0c {
-        a = mix64(a ^ COMPLEMENT_TAG);
-    }
-    if f1c {
-        b = mix64(b ^ COMPLEMENT_TAG);
-    }
-    // Sort the operand hashes: AND is commutative.
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-    combine(lo, hi)
-}
-
+/// complement flags.
 #[inline]
 fn and_hash(aig: &Aig, n: crate::NodeId, node_hash: &[u64]) -> u64 {
     let (f0, f1) = aig.fanins(n);
-    and_hash_parts(
-        node_hash[f0.var().index()],
-        f0.is_complement(),
-        node_hash[f1.var().index()],
-        f1.is_complement(),
-    )
-}
-
-/// Below this node count the levelized parallel pass falls back to the
-/// serial one: barrier overhead would dominate the hash work.
-pub const PARALLEL_HASH_MIN_NODES: usize = 1 << 14;
-
-/// [`structural_node_hashes`] computed by a levelized wavefront over scoped
-/// threads — **bit-identical** to the serial pass, since every node's hash
-/// is a pure function of its fanins' hashes and a level-`l` wave only reads
-/// levels `< l` (sequenced by a barrier).
-///
-/// `threads` is the caller's intra-subject budget (`gamora-serve` passes the
-/// worker's `intra_threads` allowance); with `threads <= 1` or fewer than
-/// [`PARALLEL_HASH_MIN_NODES`] nodes this *is* the serial pass.
-pub fn structural_node_hashes_parallel(aig: &Aig, threads: usize) -> Vec<u64> {
-    let n = aig.num_nodes();
-    if threads <= 1 || n < PARALLEL_HASH_MIN_NODES {
-        return structural_node_hashes(aig);
-    }
-
-    // Bucket nodes by logic level (counting sort, stable in node order).
-    let levels = aig.levels();
-    let max_level = levels.iter().copied().max().unwrap_or(0) as usize;
-    let mut offsets = vec![0u32; max_level + 2];
-    for &l in &levels {
-        offsets[l as usize + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut order = vec![0u32; n];
-    let mut cursor: Vec<u32> = offsets[..offsets.len() - 1].to_vec();
-    for (i, &l) in levels.iter().enumerate() {
-        order[cursor[l as usize] as usize] = i as u32;
-        cursor[l as usize] += 1;
-    }
-
-    let mut node_hash = vec![0u64; n];
-    seed_leaf_hashes(aig, &mut node_hash);
-
-    // Every wave writes a disjoint set of slots (this level's nodes) and
-    // reads only strictly lower levels, which the barrier has already
-    // published — so the raw shared pointer is race-free.
-    struct SharedHashes(*mut u64);
-    // SAFETY: the one field is a pointer into `node_hash`, which outlives
-    // the thread scope below and is not touched through any other path
-    // while the scope runs. Sharing `&SharedHashes` only hands that pointer
-    // to the scoped threads; every access through it is one of the `unsafe`
-    // blocks inside the wave loop, each of which argues its own disjointness
-    // (a slot is written by exactly one thread in exactly one wave, and
-    // read only in later waves, after a barrier).
-    unsafe impl Sync for SharedHashes {}
-    let shared = SharedHashes(node_hash.as_mut_ptr());
-    let shared = &shared;
-    let order = &order[..];
-    let offsets = &offsets[..];
-    let barrier = std::sync::Barrier::new(threads);
-    let barrier = &barrier;
-
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            scope.spawn(move || {
-                for level in 1..=max_level {
-                    let lo = offsets[level] as usize;
-                    let hi = offsets[level + 1] as usize;
-                    let len = hi - lo;
-                    let begin = lo + t * len / threads;
-                    let end = lo + (t + 1) * len / threads;
-                    for &node in &order[begin..end] {
-                        let id = crate::NodeId::new(node);
-                        debug_assert!(aig.is_and(id));
-                        let (f0, f1) = aig.fanins(id);
-                        // SAFETY: fanins live at strictly lower levels,
-                        // published by the previous barrier; `node` is
-                        // written by exactly this thread in this wave.
-                        let h = unsafe {
-                            and_hash_parts(
-                                *shared.0.add(f0.var().index()),
-                                f0.is_complement(),
-                                *shared.0.add(f1.var().index()),
-                                f1.is_complement(),
-                            )
-                        };
-                        unsafe { *shared.0.add(node as usize) = h };
-                    }
-                    barrier.wait();
-                }
-            });
+    let operand = |lit: crate::Lit| {
+        let h = node_hash[lit.var().index()];
+        if lit.is_complement() {
+            mix64(h ^ COMPLEMENT_TAG)
+        } else {
+            h
         }
-    });
-    node_hash
+    };
+    let (a, b) = (operand(f0), operand(f1));
+    // Sort the operand hashes: AND is commutative.
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    combine(lo, hi)
 }
 
 /// Digests pre-computed [`structural_node_hashes`] into the whole-graph
@@ -507,40 +399,6 @@ mod tests {
         let mut b = Aig::new();
         b.add_inputs(3);
         assert_ne!(structural_fingerprint(&a), structural_fingerprint(&b));
-    }
-
-    #[test]
-    fn parallel_node_hashes_are_bit_identical_to_serial() {
-        // A layered circuit comfortably above the parallel threshold:
-        // interleaved xor/maj chains over 64 inputs.
-        let mut aig = Aig::new();
-        let ins = aig.add_inputs(64);
-        let mut acc = ins[0];
-        let mut carry = ins[1];
-        for i in 0..((PARALLEL_HASH_MIN_NODES / 6) + 64) {
-            let a = ins[i % 64];
-            let next = aig.xor3(acc, carry, a);
-            carry = aig.maj3(acc, carry, a);
-            acc = next;
-        }
-        aig.add_output(acc);
-        aig.add_output(carry);
-        assert!(aig.num_nodes() >= PARALLEL_HASH_MIN_NODES);
-
-        let serial = structural_node_hashes(&aig);
-        for threads in [2, 3, 4, 7] {
-            assert_eq!(
-                structural_node_hashes_parallel(&aig, threads),
-                serial,
-                "levelized pass with {threads} threads diverged"
-            );
-        }
-        // Below-threshold and single-thread calls fall back to serial.
-        let small = full_adder_aig();
-        assert_eq!(
-            structural_node_hashes_parallel(&small, 8),
-            structural_node_hashes(&small)
-        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! into a reusable CSR [`Graph`] (no intermediate edge list) and batch
 //! features are written directly into the merged matrix, so a warmed-up
 //! [`BatchScratch`] turns raw `&Aig`s into a ready forward-pass input
-//! without touching the heap.
+//! without touching the heap. [`assemble_batch_into`] is the one batch
+//! builder; it assembles on the calling thread at any kernel thread cap.
 //!
 //! What a batch merges is its *graph* and *features* — one section of the
 //! union per netlist, which the graph remembers. The forward pass takes
@@ -144,7 +145,7 @@ pub fn assemble_batch_into(
     }
     // Constituents occupy disjoint contiguous node ranges with no
     // cross-constituent edges — exactly the sectioned contract, so the
-    // CSR build fans out per constituent on large batches.
+    // graph keeps one section per constituent for the forward to cut at.
     Graph::from_sections_into(
         total,
         direction,
@@ -156,66 +157,6 @@ pub fn assemble_batch_into(
         },
         graph,
     );
-}
-
-/// [`batch_graphs`] into a caller-owned [`BatchScratch`], for callers that
-/// bring pre-built feature matrices (training pipelines, ablations).
-///
-/// # Panics
-///
-/// Panics if `parts` is empty, feature widths differ, or a feature matrix
-/// does not have one row per node.
-pub fn batch_graphs_into(parts: &[(&Aig, &Matrix)], direction: Direction, ws: &mut BatchScratch) {
-    assert!(!parts.is_empty(), "batch must be non-empty");
-    let dim = parts[0].1.cols();
-    let total = ws.fill_offsets(parts.iter().map(|(a, _)| a.num_nodes()));
-    ws.features.reset(total, dim);
-    let BatchScratch {
-        graph,
-        features,
-        offsets,
-        ..
-    } = ws;
-    for ((aig, x), &off) in parts.iter().zip(offsets.iter()) {
-        assert_eq!(x.cols(), dim, "feature width mismatch in batch");
-        assert_eq!(x.rows(), aig.num_nodes());
-        // Rows are contiguous in row-major layout: one memcpy per part.
-        features.as_mut_slice()[off * dim..(off + aig.num_nodes()) * dim]
-            .copy_from_slice(x.as_slice());
-    }
-    Graph::from_sections_into(
-        total,
-        direction,
-        parts.len(),
-        |i| (offsets[i], parts[i].0.num_nodes()),
-        |i, sink| {
-            let off = offsets[i] as u32;
-            parts[i]
-                .0
-                .for_each_edge(|s, d| sink(s.as_u32() + off, d.as_u32() + off));
-        },
-        graph,
-    );
-}
-
-/// Disjoint union of several graphs for batched inference: node ids of
-/// graph `i` are offset by the total size of graphs `0..i`.
-///
-/// Returns the merged `(graph, features)` and the node offset of each
-/// constituent. Hot paths should reuse a [`BatchScratch`] via
-/// [`batch_graphs_into`] (or skip the per-part feature matrices entirely
-/// with [`assemble_batch_into`]).
-///
-/// # Panics
-///
-/// Panics if `parts` is empty or feature widths differ.
-pub fn batch_graphs(
-    parts: &[(&Aig, &Matrix)],
-    direction: Direction,
-) -> (Graph, Matrix, Vec<usize>) {
-    let mut ws = BatchScratch::default();
-    batch_graphs_into(parts, direction, &mut ws);
-    (ws.graph, ws.features, ws.offsets)
 }
 
 #[cfg(test)]
@@ -252,35 +193,35 @@ mod tests {
     }
 
     /// The zero-copy assembly (features written straight into the merged
-    /// matrix, edges streamed into reused CSR arrays) produces exactly
-    /// the same batch as the legacy per-part path — including when the
-    /// scratch is reused across differently sized batches.
+    /// matrix, edges streamed into reused CSR arrays) holds every part
+    /// exactly as its own `build_graph` / `build_features` would, shifted
+    /// to its offset — including when the scratch is reused across
+    /// differently sized batches.
     #[test]
-    fn assemble_batch_into_matches_batch_graphs() {
+    fn assemble_batch_into_matches_per_part_builds() {
         let m1 = csa_multiplier(2);
         let m2 = csa_multiplier(3);
         let m3 = csa_multiplier(4);
+        let mode = FeatureMode::StructuralFunctional;
         let mut ws = BatchScratch::default();
         for aigs in [vec![&m2.aig, &m3.aig, &m1.aig], vec![&m1.aig, &m2.aig]] {
-            let feats: Vec<Matrix> = aigs
-                .iter()
-                .map(|a| build_features(a, FeatureMode::StructuralFunctional))
-                .collect();
-            let parts: Vec<(&Aig, &Matrix)> = aigs.iter().copied().zip(feats.iter()).collect();
-            let (graph, features, offsets) = batch_graphs(&parts, Direction::Bidirectional);
-
-            assemble_batch_into(
-                &aigs,
-                FeatureMode::StructuralFunctional,
-                Direction::Bidirectional,
-                &mut ws,
-            );
-            assert_eq!(ws.offsets(), &offsets[..]);
-            assert_eq!(ws.features(), &features);
-            assert_eq!(ws.graph().num_nodes(), graph.num_nodes());
-            assert_eq!(ws.graph().num_edges(), graph.num_edges());
-            for v in 0..graph.num_nodes() {
-                assert_eq!(ws.graph().neighbors(v), graph.neighbors(v), "node {v}");
+            assemble_batch_into(&aigs, mode, Direction::Bidirectional, &mut ws);
+            let total: usize = aigs.iter().map(|a| a.num_nodes()).sum();
+            assert_eq!(ws.graph().num_nodes(), total);
+            assert_eq!(ws.features().rows(), total);
+            assert_eq!(ws.offsets().len(), aigs.len());
+            let mut base = 0usize;
+            for (aig, &off) in aigs.iter().zip(ws.offsets()) {
+                assert_eq!(off, base);
+                let graph = build_graph(aig, Direction::Bidirectional);
+                let features = build_features(aig, mode);
+                for v in 0..aig.num_nodes() {
+                    let shifted: Vec<u32> =
+                        graph.neighbors(v).iter().map(|&u| u + off as u32).collect();
+                    assert_eq!(ws.graph().neighbors(off + v), &shifted[..], "node {v}");
+                    assert_eq!(ws.features().row(off + v), features.row(v), "node {v}");
+                }
+                base += aig.num_nodes();
             }
         }
     }
@@ -289,12 +230,17 @@ mod tests {
     fn batching_offsets_edges_and_features() {
         let m1 = csa_multiplier(2);
         let m2 = csa_multiplier(3);
-        let x1 = build_features(&m1.aig, FeatureMode::StructuralFunctional);
         let x2 = build_features(&m2.aig, FeatureMode::StructuralFunctional);
-        let (g, x, offs) =
-            batch_graphs(&[(&m1.aig, &x1), (&m2.aig, &x2)], Direction::Bidirectional);
+        let mut ws = BatchScratch::default();
+        assemble_batch_into(
+            &[&m1.aig, &m2.aig],
+            FeatureMode::StructuralFunctional,
+            Direction::Bidirectional,
+            &mut ws,
+        );
+        let (g, x, offs) = (ws.graph(), ws.features(), ws.offsets());
         assert_eq!(g.num_nodes(), m1.aig.num_nodes() + m2.aig.num_nodes());
-        assert_eq!(offs, vec![0, m1.aig.num_nodes()]);
+        assert_eq!(offs, &[0, m1.aig.num_nodes()]);
         assert_eq!(g.num_edges(), 4 * (m1.aig.num_ands() + m2.aig.num_ands()));
         // Features of the second part sit at the offset.
         assert_eq!(x.row(offs[1]), x2.row(0));

@@ -215,22 +215,11 @@ impl GamoraReasoner {
                 .0
             })
             .collect();
-        let cfg = self.adjust_weights(cfg);
-        train(&mut self.model, &data, &cfg)
-    }
-
-    /// Trains on pre-built graph data (used by benches that cache datasets).
-    pub fn fit_prepared(&mut self, data: &[GraphData], cfg: &TrainConfig) -> TrainReport {
-        let cfg = self.adjust_weights(cfg);
-        train(&mut self.model, data, &cfg)
-    }
-
-    fn adjust_weights(&self, cfg: &TrainConfig) -> TrainConfig {
         let mut cfg = cfg.clone();
         if !self.config.multi_task {
             cfg.task_weights = vec![1.0];
         }
-        cfg
+        train(&mut self.model, &data, &cfg)
     }
 
     /// Creates a reusable inference workspace for this reasoner.
@@ -270,8 +259,8 @@ impl GamoraReasoner {
     }
 
     /// The allocation-free single-graph core: predicts on a pre-built
-    /// graph (or a batch built with [`crate::dataset::batch_graphs`]) into
-    /// a caller-owned [`Predictions`] through a caller-owned workspace.
+    /// graph into a caller-owned [`Predictions`] through a caller-owned
+    /// workspace.
     /// After one warmup call at a given graph size, subsequent calls at
     /// the same or smaller size perform **zero heap allocations** (guarded
     /// by the `alloc_regression` test) while the tensor kernels stay

@@ -311,15 +311,10 @@ fn instrumented_batch_path_is_allocation_free_after_warmup() {
     assert_eq!(observer.heads.snapshot().count(), 33);
 }
 
-/// A batch large enough to route through the *sectioned* assembly entry
-/// point (`Graph::from_sections_into`) must honour the same zero-alloc
-/// contract. With the intra-thread cap forced to 1 the sectioned build
-/// takes its serial fallback — the exact dispatch the serve path uses
-/// when a worker's thread budget is exhausted — and that fallback must
-/// reuse the caller's scratch without touching the heap. (The
-/// multi-thread path reuses the same buffers but pays scoped-thread
-/// spawns, which allocate by nature; its bit-identical output is pinned
-/// by the gnn `assembly_equivalence` suite instead.)
+/// A batch large enough to cross the kernels' per-thread row cutoff goes
+/// through the *sectioned* assembly entry point (`Graph::from_sections_into`)
+/// and the whole batch path under the zero-alloc contract, at the 1-thread
+/// cap multi-section unions are served at.
 #[test]
 fn sectioned_assembly_serial_dispatch_is_allocation_free_after_warmup() {
     let _guard = TEST_LOCK.lock().unwrap();
@@ -327,7 +322,7 @@ fn sectioned_assembly_serial_dispatch_is_allocation_free_after_warmup() {
     gamora_gnn::parallel::set_intra_threads(1);
 
     // 4 x 16-bit CSA = 10376 merged nodes: above the per-thread row
-    // cutoff, so without the cap this batch *would* fan out.
+    // cutoff, so without the cap the kernels would fan out.
     let m16 = csa_multiplier(16);
     let m3 = csa_multiplier(3);
     let mut reasoner = GamoraReasoner::new(ReasonerConfig {
@@ -368,6 +363,54 @@ fn sectioned_assembly_serial_dispatch_is_allocation_free_after_warmup() {
         "serial-dispatch sectioned batch assembly must not allocate after warmup"
     );
     assert_eq!(outs, expected);
+}
+
+/// The sectioned CSR build is one pass on the calling thread at any
+/// thread cap: rebuilding a warm graph from an 8 x CSA-16 union (20,752
+/// rows, five times the kernels' per-thread cutoff) at a two-thread cap
+/// touches the heap no more than at one thread, which is not at all.
+#[test]
+fn sectioned_build_at_a_two_thread_cap_is_allocation_free_after_warmup() {
+    use gamora::Direction;
+    use gamora_gnn::Graph;
+
+    let _guard = TEST_LOCK.lock().unwrap();
+    let m16 = csa_multiplier(16).aig;
+    let n = m16.num_nodes();
+    let sections = 8;
+    assert!(sections * n >= 2 * 4096, "above the per-thread row cutoff");
+    let build = |out: &mut Graph| {
+        Graph::from_sections_into(
+            sections * n,
+            Direction::Bidirectional,
+            sections,
+            |i| (i * n, n),
+            |i, sink| {
+                let off = (i * n) as u32;
+                m16.for_each_edge(|s, d| sink(s.as_u32() + off, d.as_u32() + off));
+            },
+            out,
+        );
+    };
+    let prev_cap = gamora_gnn::parallel::intra_threads();
+    gamora_gnn::parallel::set_intra_threads(2);
+    let mut graph = Graph::default();
+    build(&mut graph);
+    let edges = graph.num_edges();
+
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
+    for _ in 0..4 {
+        build(&mut graph);
+    }
+    COUNTING.with(|c| c.set(false));
+    let allocations = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    gamora_gnn::parallel::set_intra_threads(prev_cap);
+    assert_eq!(
+        allocations, 0,
+        "a warm sectioned build must not allocate at a two-thread cap"
+    );
+    assert_eq!(graph.num_edges(), edges);
 }
 
 /// Borrowed weight storage is invisible to the hot path: a model loaded

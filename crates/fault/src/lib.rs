@@ -264,11 +264,6 @@ pub fn fired(point: FaultPoint) -> u64 {
     FIRED[point as usize].load(Ordering::Relaxed)
 }
 
-/// Total fired actions across every point since the last [`configure`].
-pub fn fired_total() -> u64 {
-    ALL_POINTS.iter().map(|&p| fired(p)).sum()
-}
-
 /// Parses `spec` and arms the subsystem with its clauses, resetting the
 /// per-point call and fired counters (so the same spec over the same
 /// call sequence replays identically). Returns the number of armed

@@ -27,11 +27,6 @@ impl Adam {
         }
     }
 
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
     /// Applies one update step. `tensors` is handed an `update(parameters,
     /// gradients)` callback and calls it once per parameter tensor, in the
     /// same order on every step.

@@ -8,9 +8,11 @@
 //! on its own, gathering only from rows of the same run
 //! ([`Graph::aggregate_rows`] checks exactly that).
 //!
-//! The builders write the forward adjacency only; the reverse one, which
+//! Every builder is one pass on the calling thread: count degrees, prefix
+//! sum, fill. It writes the forward adjacency only; the reverse one, which
 //! only training reads, is derived on first use by
-//! [`Graph::mean_aggregate_backward_add`].
+//! [`Graph::mean_aggregate_backward_add`]. The parallelism is in the
+//! aggregation and GEMM row blocks, which cost far more per node.
 
 use crate::kernel::{self, AggArgs, Kernels, Rows, BLOCK_ROWS};
 use crate::parallel;
@@ -105,7 +107,7 @@ impl Graph {
     {
         out.sections.clear();
         out.reverse.take();
-        Graph::build_serial(num_nodes, direction, &edges, out);
+        Graph::build_csr(num_nodes, direction, &edges, out);
     }
 
     /// [`Graph::from_edges_into`] over a *sectioned* node space: the nodes
@@ -116,16 +118,11 @@ impl Graph {
     /// this by construction — one section per constituent, no
     /// cross-constituent edges.
     ///
-    /// Because sections never share CSR rows or slots, every build pass
-    /// (count, prefix sum, fill, inverse degrees) fans out over contiguous
-    /// section groups on the scoped-thread pool, each worker writing a
-    /// disjoint sub-slice in the same order the serial path would — the
-    /// output is **bit-identical** to [`Graph::from_edges_into`] fed the
-    /// concatenated stream. Small graphs, single sections, and a 1-thread
-    /// cap ([`parallel::set_intra_threads`]) fall back to the serial path,
-    /// which keeps the zero-allocation reuse contract; the parallel path
-    /// reuses the same caller-owned buffers and only pays scoped-thread
-    /// spawns.
+    /// The sections stream, in order, through the same single pass as
+    /// [`Graph::from_edges_into`], so the CSR arrays are those of the
+    /// concatenated stream and a warm `out` is rebuilt without touching the
+    /// heap. What the sections add is the starts the graph keeps, which
+    /// the containment check on every edge makes safe to cut at.
     ///
     /// # Panics
     ///
@@ -140,12 +137,10 @@ impl Graph {
         edges: F,
         out: &mut Graph,
     ) where
-        S: Fn(usize) -> (usize, usize) + Sync,
-        F: Fn(usize, &mut dyn FnMut(u32, u32)) + Sync,
+        S: Fn(usize) -> (usize, usize),
+        F: Fn(usize, &mut dyn FnMut(u32, u32)),
     {
-        // Sections must tile the node space contiguously, in order. The
-        // starts are kept: with the containment check on every edge below
-        // they are the places the node range can be cut at.
+        // Sections must tile the node space contiguously, in order.
         out.sections.clear();
         out.reverse.take();
         let mut covered = 0usize;
@@ -157,39 +152,25 @@ impl Graph {
         }
         assert_eq!(covered, num_nodes, "sections must cover every node");
 
-        let nt = parallel::effective_threads(num_nodes).min(num_sections);
-        if nt <= 1 {
-            // Serial fallback: stream the sections in order through the
-            // single-section path (identical output by definition). The
-            // per-section containment contract is still enforced so a
-            // violating caller fails the same way at every thread count.
-            Graph::build_serial(
-                num_nodes,
-                direction,
-                &|sink: &mut dyn FnMut(u32, u32)| {
-                    for i in 0..num_sections {
-                        let (start, len) = span(i);
-                        edges(i, &mut |s: u32, d: u32| {
-                            assert_section_edge(i, start, len, s, d);
-                            sink(s, d);
-                        });
-                    }
-                },
-                out,
-            );
-            return;
-        }
-        Graph::build_sectioned(num_nodes, direction, num_sections, &span, &edges, nt, out);
+        Graph::build_csr(
+            num_nodes,
+            direction,
+            &|sink: &mut dyn FnMut(u32, u32)| {
+                for i in 0..num_sections {
+                    let (start, len) = span(i);
+                    edges(i, &mut |s: u32, d: u32| {
+                        assert_section_edge(i, start, len, s, d);
+                        sink(s, d);
+                    });
+                }
+            },
+            out,
+        );
     }
 
-    /// The single-threaded CSR build (also the steady state of warmed-up
-    /// serving on small graphs: zero heap allocation at capacity).
-    fn build_serial(
-        num_nodes: usize,
-        direction: Direction,
-        edges: EdgeStream<'_>,
-        out: &mut Graph,
-    ) {
+    /// The CSR build every entry point shares: zero heap allocation once
+    /// `out` is at capacity.
+    fn build_csr(num_nodes: usize, direction: Direction, edges: EdgeStream<'_>, out: &mut Graph) {
         assert_node_count(num_nodes);
         let Graph {
             num_nodes: out_nodes,
@@ -217,7 +198,7 @@ impl Graph {
                 }
             }
         });
-        let total = prefix_sum_serial(&mut offsets[1..]);
+        let total = prefix_sum(&mut offsets[1..]);
 
         // Pass 2: fill the forward CSR slots.
         clear_exact(cursor, num_nodes + 1);
@@ -252,141 +233,6 @@ impl Graph {
                 1.0 / deg as f32
             }
         }));
-    }
-
-    /// The parallel sectioned build: every pass fans contiguous section
-    /// groups (~`num_nodes / nt` nodes each) out over scoped threads, each
-    /// worker owning a disjoint `split_at_mut` sub-slice of the arrays it
-    /// writes. Within a group the serial visit order is preserved and no
-    /// group ever touches another group's rows or slots, so the arrays
-    /// come out bit-identical to the serial build.
-    #[allow(clippy::too_many_lines)]
-    fn build_sectioned<S, F>(
-        num_nodes: usize,
-        direction: Direction,
-        num_sections: usize,
-        span: &S,
-        edges: &F,
-        nt: usize,
-        out: &mut Graph,
-    ) where
-        S: Fn(usize) -> (usize, usize) + Sync,
-        F: Fn(usize, &mut dyn FnMut(u32, u32)) + Sync,
-    {
-        assert_node_count(num_nodes);
-        let Graph {
-            num_nodes: out_nodes,
-            offsets,
-            neighbors,
-            inv_deg,
-            cursor,
-            ..
-        } = out;
-        *out_nodes = num_nodes;
-
-        // Pass 1: count aggregation edges per CSR row, one section group
-        // per worker. Group `g` owns the count slots of its own nodes
-        // (`offsets[1..][node_lo..node_hi]`) and nothing else.
-        refill(offsets, num_nodes + 1);
-        crossbeam::thread::scope(|sc| {
-            let mut rest: &mut [u32] = &mut offsets[1..];
-            let mut consumed = 0usize;
-            for_each_section_group(
-                nt,
-                num_sections,
-                num_nodes,
-                span,
-                |sec_lo, sec_hi, _, nhi| {
-                    let (slots, tail) = std::mem::take(&mut rest).split_at_mut(nhi - consumed);
-                    let nlo = consumed;
-                    rest = tail;
-                    consumed = nhi;
-                    sc.spawn(move |_| {
-                        for sec in sec_lo..sec_hi {
-                            let (start, len) = span(sec);
-                            edges(sec, &mut |s: u32, d: u32| {
-                                assert_section_edge(sec, start, len, s, d);
-                                match direction {
-                                    Direction::Fanin => slots[d as usize - nlo] += 1,
-                                    Direction::Fanout => slots[s as usize - nlo] += 1,
-                                    Direction::Bidirectional => {
-                                        slots[d as usize - nlo] += 1;
-                                        slots[s as usize - nlo] += 1;
-                                    }
-                                }
-                            });
-                        }
-                    });
-                },
-            );
-        })
-        .expect("assembly worker panicked");
-
-        let total = prefix_sum_sections(&mut offsets[1..], nt, num_sections, num_nodes, span);
-
-        // Pass 2: fill the forward CSR slots. Group `g` owns its nodes'
-        // cursors and the neighbor slots `offsets[node_lo]..offsets[node_hi]`
-        // (contiguous, because its nodes are).
-        clear_exact(cursor, num_nodes + 1);
-        cursor.extend_from_slice(offsets);
-        refill(neighbors, total);
-        crossbeam::thread::scope(|sc| {
-            let offs: &[u32] = offsets;
-            let mut cur_rest: &mut [u32] = &mut cursor[..num_nodes];
-            let mut nb_rest: &mut [u32] = neighbors;
-            let mut consumed = 0usize;
-            let mut slot_consumed = 0usize;
-            for_each_section_group(
-                nt,
-                num_sections,
-                num_nodes,
-                span,
-                |sec_lo, sec_hi, _, nhi| {
-                    let (cur, cur_tail) =
-                        std::mem::take(&mut cur_rest).split_at_mut(nhi - consumed);
-                    let nlo = consumed;
-                    cur_rest = cur_tail;
-                    consumed = nhi;
-                    let slot_end = offs[nhi] as usize;
-                    let (nbs, nb_tail) =
-                        std::mem::take(&mut nb_rest).split_at_mut(slot_end - slot_consumed);
-                    let slot_base = slot_consumed;
-                    nb_rest = nb_tail;
-                    slot_consumed = slot_end;
-                    sc.spawn(move |_| {
-                        for sec in sec_lo..sec_hi {
-                            edges(sec, &mut |s: u32, d: u32| {
-                                let mut put = |v: u32, u: u32| {
-                                    let slot = &mut cur[v as usize - nlo];
-                                    nbs[*slot as usize - slot_base] = u;
-                                    *slot += 1;
-                                };
-                                match direction {
-                                    Direction::Fanin => put(d, s),
-                                    Direction::Fanout => put(s, d),
-                                    Direction::Bidirectional => {
-                                        put(d, s);
-                                        put(s, d);
-                                    }
-                                }
-                            });
-                        }
-                    });
-                },
-            );
-        })
-        .expect("assembly worker panicked");
-        debug_assert!(
-            (0..num_nodes).all(|v| cursor[v] == offsets[v + 1]),
-            "edge stream changed between the count and fill passes"
-        );
-
-        refill(inv_deg, num_nodes);
-        let offs: &[u32] = offsets;
-        parallel::for_each_row(inv_deg, 1, |v, row| {
-            let deg = offs[v + 1] - offs[v];
-            row[0] = if deg == 0 { 0.0 } else { 1.0 / deg as f32 };
-        });
     }
 
     /// Number of nodes.
@@ -530,7 +376,7 @@ impl Graph {
             }
         };
         let mut rev = Graph::default();
-        Graph::build_serial(self.num_nodes, Direction::Fanout, &consumers, &mut rev);
+        Graph::build_csr(self.num_nodes, Direction::Fanout, &consumers, &mut rev);
         rev
     }
 }
@@ -551,7 +397,8 @@ fn assert_node_count(num_nodes: usize) {
 }
 
 /// Both endpoints of a sectioned edge must lie inside the section that
-/// streamed it — the disjointness that makes the parallel passes safe.
+/// streamed it — the disjointness that lets the forward cut the node range
+/// at a section start.
 #[inline]
 fn assert_section_edge(sec: usize, start: usize, len: usize, s: u32, d: u32) {
     let (s, d) = (s as usize, d as usize);
@@ -585,104 +432,13 @@ fn csr_overflow(total: u64) -> ! {
 
 /// In-place inclusive prefix sum over per-node counts (the `[1..]` tail of
 /// an offsets array), overflow-checked; returns the edge total.
-fn prefix_sum_serial(counts: &mut [u32]) -> usize {
+fn prefix_sum(counts: &mut [u32]) -> usize {
     let mut acc = 0u64;
     for slot in counts.iter_mut() {
         acc += u64::from(*slot);
         *slot = checked_csr_index(acc);
     }
     acc as usize
-}
-
-/// [`prefix_sum_serial`] fanned out over section groups: group-local
-/// inclusive prefixes run in parallel, the per-group bases accumulate
-/// serially on the caller thread (O(groups)), and each base adds back into
-/// its group in parallel. u32 additions only ever see the values the
-/// serial scan would produce, so the result is bit-identical.
-fn prefix_sum_sections<S>(
-    counts: &mut [u32],
-    nt: usize,
-    num_sections: usize,
-    num_nodes: usize,
-    span: &S,
-) -> usize
-where
-    S: Fn(usize) -> (usize, usize) + Sync,
-{
-    crossbeam::thread::scope(|sc| {
-        let mut rest: &mut [u32] = counts;
-        let mut consumed = 0usize;
-        for_each_section_group(nt, num_sections, num_nodes, span, |_, _, _, nhi| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(nhi - consumed);
-            rest = tail;
-            consumed = nhi;
-            sc.spawn(move |_| {
-                let mut acc = 0u64;
-                for slot in head.iter_mut() {
-                    acc += u64::from(*slot);
-                    *slot = checked_csr_index(acc);
-                }
-            });
-        });
-    })
-    .expect("assembly worker panicked");
-
-    let mut base = 0u64;
-    crossbeam::thread::scope(|sc| {
-        let mut rest: &mut [u32] = counts;
-        let mut consumed = 0usize;
-        for_each_section_group(nt, num_sections, num_nodes, span, |_, _, _, nhi| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(nhi - consumed);
-            rest = tail;
-            consumed = nhi;
-            let Some(&last) = head.last() else {
-                return;
-            };
-            // The largest value this group will hold after the base add.
-            checked_csr_index(base + u64::from(last));
-            let add = base as u32;
-            base += u64::from(last);
-            if add > 0 {
-                sc.spawn(move |_| {
-                    for slot in head.iter_mut() {
-                        *slot += add;
-                    }
-                });
-            }
-        });
-    })
-    .expect("assembly worker panicked");
-    base as usize
-}
-
-/// Partitions the sections into at most `nt + 1` contiguous groups of
-/// roughly `num_nodes / nt` nodes each and calls
-/// `each(sec_lo, sec_hi, node_lo, node_hi)` for every group, in order.
-/// Deterministic, so every pass of one build sees the same grouping.
-fn for_each_section_group<S>(
-    nt: usize,
-    num_sections: usize,
-    num_nodes: usize,
-    span: &S,
-    mut each: impl FnMut(usize, usize, usize, usize),
-) where
-    S: Fn(usize) -> (usize, usize),
-{
-    let target = num_nodes.div_ceil(nt).max(1);
-    let mut sec = 0usize;
-    let mut node = 0usize;
-    while sec < num_sections {
-        let (sec_lo, node_lo) = (sec, node);
-        loop {
-            let (_, len) = span(sec);
-            node += len;
-            sec += 1;
-            if sec >= num_sections || node - node_lo >= target {
-                break;
-            }
-        }
-        each(sec_lo, sec, node_lo, node);
-    }
 }
 
 #[cfg(test)]
@@ -778,19 +534,18 @@ mod tests {
     fn csr_index_accepts_the_u32_boundary() {
         assert_eq!(checked_csr_index(u64::from(u32::MAX)), u32::MAX);
         let mut counts = vec![u32::MAX, 0, 0];
-        assert_eq!(prefix_sum_serial(&mut counts), u32::MAX as usize);
+        assert_eq!(prefix_sum(&mut counts), u32::MAX as usize);
     }
 
     #[test]
     #[should_panic(expected = "exceed the u32 index limit")]
     fn csr_index_panics_past_the_u32_boundary() {
         let mut counts = vec![u32::MAX, 1];
-        prefix_sum_serial(&mut counts);
+        prefix_sum(&mut counts);
     }
 
-    /// A sectioned build over two sections matches the plain streamed
-    /// build (the serial fallback path; the parallel path is covered by
-    /// the release-mode equivalence suite).
+    /// A sectioned build over three sections, one of them empty, matches
+    /// the plain streamed build.
     #[test]
     fn sectioned_build_matches_streamed_build() {
         let sections: [&[(u32, u32)]; 3] = [&[(0, 1), (1, 2), (0, 2)], &[], &[(3, 4), (4, 3)]];
@@ -823,7 +578,7 @@ mod tests {
     }
 
     /// An edge whose endpoints leave its section must be rejected — the
-    /// disjointness contract the parallel passes rely on.
+    /// disjointness contract the group-major forward relies on.
     #[test]
     #[should_panic(expected = "leaves section")]
     fn sectioned_build_rejects_cross_section_edges() {

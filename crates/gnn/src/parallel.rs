@@ -13,7 +13,7 @@ std::thread_local! {
     static INTRA_LIMIT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Caps the parallelism of every kernel/assembly call made *from the
+/// Caps the parallelism of every kernel call made *from the
 /// calling thread* to `limit` threads. `1` forces fully serial execution,
 /// `0` removes the cap. The cap takes precedence over `GAMORA_THREADS`
 /// and hardware detection — it is the per-worker budget a pool supervisor
@@ -56,20 +56,6 @@ pub fn num_threads() -> usize {
 /// (crossbeam scoped threads are real OS threads, ~tens of microseconds
 /// each; training graphs with a few thousand nodes must stay serial).
 const MIN_ROWS_PER_THREAD: usize = 4096;
-
-/// Applies `f(row_index, row)` to every `width`-sized row of `data`,
-/// in parallel over row blocks.
-///
-/// # Panics
-///
-/// Panics if `width` is zero while `data` is non-empty, or if `data.len()`
-/// is not a multiple of `width`.
-pub fn for_each_row<F>(data: &mut [f32], width: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    for_each_row_block(data, width, 1, f);
-}
 
 /// Applies `f(first_row_index, block)` to consecutive blocks of up to
 /// `block_rows` full `width`-sized rows of `data`, in parallel over row
@@ -176,12 +162,13 @@ pub fn effective_threads(rows: usize) -> usize {
 mod tests {
     use super::*;
 
+    /// One-row blocks: the body sees every row once, with its own index.
     #[test]
     fn for_each_row_visits_every_row_once() {
         let width = 4;
-        let rows = 1000; // above the serial cutoff
+        let rows = 1000;
         let mut data = vec![0.0f32; rows * width];
-        for_each_row(&mut data, width, |r, chunk| {
+        for_each_row_block(&mut data, width, 1, |r, chunk| {
             for v in chunk.iter_mut() {
                 *v += r as f32 + 1.0;
             }
@@ -196,7 +183,7 @@ mod tests {
     #[test]
     fn for_each_row_serial_path() {
         let mut data = vec![1.0f32; 8];
-        for_each_row(&mut data, 2, |r, chunk| chunk[0] = r as f32);
+        for_each_row_block(&mut data, 2, 1, |r, chunk| chunk[0] = r as f32);
         assert_eq!(data, vec![0.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0]);
     }
 
@@ -229,7 +216,7 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let mut empty: Vec<f32> = Vec::new();
-        for_each_row(&mut empty, 4, |_, _| panic!("must not be called"));
+        for_each_row_block(&mut empty, 4, 1, |_, _| panic!("must not be called"));
     }
 
     #[test]

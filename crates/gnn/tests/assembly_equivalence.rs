@@ -1,17 +1,10 @@
-//! Parallel/serial equivalence: the sectioned CSR build and the tiled
-//! aggregation kernels must be **bit-identical** to their serial
-//! counterparts, for every direction, across awkward shapes (empty
-//! sections, isolated nodes, node counts that are not multiples of the
-//! tile size) and under every thread budget.
-//!
-//! The suite runs in two regimes:
-//! - proptest over small random sectioned graphs, where the sectioned
-//!   entry point takes its serial fallback — guards the contract checks
-//!   and the fallback's stream ordering;
-//! - deterministic large graphs (above `parallel`'s per-thread row
-//!   cutoff) with an explicit intra-thread cap, where the scoped-thread
-//!   fan-out actually engages — guards the disjoint-slice passes and the
-//!   split prefix sum.
+//! Assembly and cap equivalence: a graph built from sections is
+//! **bit-identical** to the same edges streamed as one list, for every
+//! direction and across awkward shapes (empty sections, isolated nodes,
+//! duplicate edges), and a rebuilt graph keeps nothing of the one before.
+//! The tiled aggregation kernels and the whole forward give the same bits
+//! at every thread budget, on small graphs and on graphs above
+//! `parallel`'s per-thread row cutoff.
 //!
 //! The same holds one level up, for the **group-major forward**: a union
 //! of sections taken through the model one group of sections at a time
@@ -146,8 +139,7 @@ fn sections() -> impl Strategy<Value = Vec<(usize, Vec<(u32, u32)>)>> {
 }
 
 proptest! {
-    /// Small sectioned graphs (serial fallback regime): bit-identical to
-    /// the streamed build for every direction, including empty sections,
+    /// Small sectioned graphs: bit-identical to the streamed build for every direction, including empty sections,
     /// isolated nodes and duplicate edges.
     #[test]
     fn sectioned_equals_streamed_small(sections in sections()) {
@@ -156,8 +148,8 @@ proptest! {
         }
     }
 
-    /// A 1-thread cap forces the serial path through the sectioned entry
-    /// point; the result must still match the streamed build exactly.
+    /// Under a 1-thread cap, the budget multi-section unions are served
+    /// at, the sectioned entry point still matches the streamed build.
     #[test]
     fn sectioned_equals_streamed_forced_serial(sections in sections()) {
         let _guard = CapGuard::set(1);
@@ -190,8 +182,8 @@ proptest! {
     }
 }
 
-/// Deterministic sectioned graph large enough to engage the scoped-thread
-/// fan-out: `num_nodes` is far above `parallel`'s per-thread cutoff and
+/// Deterministic sectioned graph large enough for the row-block-parallel
+/// kernels: `num_nodes` is far above `parallel`'s per-thread cutoff and
 /// the section sizes are deliberately lopsided and non-tile-multiple.
 fn large_sections() -> Vec<(usize, Vec<(u32, u32)>)> {
     let sizes = [9473usize, 1, 0, 6301, 4096, 777];
@@ -218,28 +210,14 @@ fn large_sections() -> Vec<(usize, Vec<(u32, u32)>)> {
 }
 
 #[test]
-fn sectioned_equals_streamed_large_parallel() {
-    let sections = large_sections();
-    let _guard = CapGuard::set(4);
-    for direction in [
-        Direction::Fanin,
-        Direction::Fanout,
-        Direction::Bidirectional,
-    ] {
-        assert_sectioned_matches_streamed(&sections, direction);
-    }
-}
-
-#[test]
 fn sectioned_reuse_across_thread_budgets() {
-    // The same Graph instance rebuilt under different caps must converge
-    // to identical arrays — buffer reuse can't leak stale slots — and
-    // rebuilt after a backward over a graph of another shape, it must not
-    // keep that graph's reverse adjacency.
+    // A Graph instance rebuilt after a backward over a graph of another
+    // shape must converge to the arrays of a fresh build — buffer reuse
+    // can't leak stale slots — and must not keep that graph's reverse
+    // adjacency.
     let sections = large_sections();
     let other: Vec<_> = sections.iter().rev().skip(1).cloned().collect();
-    let build = |sections: &[(usize, Vec<(u32, u32)>)], cap: usize, out: &mut Graph| {
-        let _guard = CapGuard::set(cap);
+    let build = |sections: &[(usize, Vec<(u32, u32)>)], out: &mut Graph| {
         let spans = spans_of(sections);
         Graph::from_sections_into(
             sections.iter().map(|(n, _)| *n).sum(),
@@ -262,18 +240,16 @@ fn sectioned_reuse_across_thread_budgets() {
         out
     };
     let mut reference = Graph::default();
-    build(&sections, 1, &mut reference);
+    build(&sections, &mut reference);
     let mut reused = Graph::default();
-    for cap in [4, 1, 3, 2] {
-        build(&other, cap, &mut reused);
-        backward(&reused);
-        build(&sections, cap, &mut reused);
-        assert_eq!(reused.num_edges(), reference.num_edges());
-        for v in 0..reference.num_nodes() {
-            assert_eq!(reused.neighbors(v), reference.neighbors(v), "cap, node {v}");
-        }
-        assert_eq!(backward(&reused), backward(&reference), "cap {cap}");
+    build(&other, &mut reused);
+    backward(&reused);
+    build(&sections, &mut reused);
+    assert_eq!(reused.num_edges(), reference.num_edges());
+    for v in 0..reference.num_nodes() {
+        assert_eq!(reused.neighbors(v), reference.neighbors(v), "node {v}");
     }
+    assert_eq!(backward(&reused), backward(&reference));
 }
 
 #[test]
@@ -284,22 +260,19 @@ fn model_embeddings_cap_invariant_large() {
     let spans = spans_of(&sections);
     let num_nodes: usize = sections.iter().map(|(n, _)| *n).sum();
     let mut graph = Graph::default();
-    {
-        let _guard = CapGuard::set(4);
-        Graph::from_sections_into(
-            num_nodes,
-            Direction::Bidirectional,
-            sections.len(),
-            |i| spans[i],
-            |i, sink| {
-                let base = spans[i].0 as u32;
-                for &(s, d) in &sections[i].1 {
-                    sink(s + base, d + base);
-                }
-            },
-            &mut graph,
-        );
-    }
+    Graph::from_sections_into(
+        num_nodes,
+        Direction::Bidirectional,
+        sections.len(),
+        |i| spans[i],
+        |i, sink| {
+            let base = spans[i].0 as u32;
+            for &(s, d) in &sections[i].1 {
+                sink(s + base, d + base);
+            }
+        },
+        &mut graph,
+    );
     let x = feature_ramp(num_nodes, 3);
     let model = MultiTaskSage::new(ModelConfig::shallow(3, vec![4, 2, 2]));
     let serial_logits = {

@@ -5,7 +5,7 @@
 //! [`SUB_BUCKETS`] sub-buckets per power of two (HDR-histogram style), which
 //! bounds relative bucket width to `1/SUB_BUCKETS` (~3.1%). Recording is a
 //! handful of relaxed atomic RMWs — no locks, no allocation — so histograms
-//! can be shared freely across worker threads and shards and merged later.
+//! can be shared freely across worker threads.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -57,8 +57,7 @@ pub fn bucket_upper(index: usize) -> u64 {
 ///
 /// `record` is wait-free (relaxed `fetch_add`/`fetch_min`/`fetch_max`) and
 /// allocation-free; concurrent recorders never contend on a lock. Snapshots
-/// are taken with [`Histogram::snapshot`] and merged across shards/workers
-/// with [`HistogramSnapshot::merge`].
+/// are taken with [`Histogram::snapshot`].
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
     sum: AtomicU64,
@@ -93,20 +92,7 @@ impl Histogram {
         self.max.fetch_max(v, Relaxed);
     }
 
-    /// Fold another live histogram's contents into this one.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = src.load(Relaxed);
-            if n != 0 {
-                dst.fetch_add(n, Relaxed);
-            }
-        }
-        self.sum.fetch_add(other.sum.load(Relaxed), Relaxed);
-        self.min.fetch_min(other.min.load(Relaxed), Relaxed);
-        self.max.fetch_max(other.max.load(Relaxed), Relaxed);
-    }
-
-    /// Capture an immutable snapshot for percentile extraction and merging.
+    /// Capture an immutable snapshot for percentile extraction.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Relaxed)).collect();
         HistogramSnapshot {
@@ -118,7 +104,7 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`], mergeable and queryable.
+/// A point-in-time copy of a [`Histogram`], queryable.
 #[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
     buckets: Box<[u64]>,
@@ -137,7 +123,7 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (useful as a merge accumulator).
+    /// An empty snapshot.
     pub fn empty() -> Self {
         HistogramSnapshot {
             buckets: vec![0u64; NUM_BUCKETS].into_boxed_slice(),
@@ -174,21 +160,6 @@ impl HistogramSnapshot {
             .enumerate()
             .filter(|(_, &n)| n != 0)
             .map(|(i, &n)| (bucket_lower(i), bucket_upper(i), n))
-    }
-
-    /// Raw bucket count at `index` (for oracle tests).
-    pub fn bucket_count(&self, index: usize) -> u64 {
-        self.buckets[index]
-    }
-
-    /// Accumulate another snapshot into this one (shard/worker merge).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += *src;
-        }
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Extract the `q`-quantile (`0.0 ..= 1.0`).
@@ -293,34 +264,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.percentile(0.5), 0);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_combined_recording() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let combined = Histogram::new();
-        for v in [0u64, 1, 31, 32, 33, 1000, 123_456, u64::MAX] {
-            a.record(v);
-            combined.record(v);
-        }
-        for v in [5u64, 64, 4096, 999_999_999] {
-            b.record(v);
-            combined.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        let expect = combined.snapshot();
-        assert_eq!(merged.count(), expect.count());
-        assert_eq!(merged.sum, expect.sum);
-        assert_eq!(merged.min, expect.min);
-        assert_eq!(merged.max, expect.max);
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(merged.percentile(q), expect.percentile(q), "q={q}");
-        }
-        // merge_from on live histograms agrees too.
-        combined.merge_from(&Histogram::new()); // no-op merge
-        assert_eq!(combined.snapshot().count(), expect.count());
     }
 
     #[test]

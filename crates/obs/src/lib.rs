@@ -2,18 +2,16 @@
 //!
 //! Observability primitives for the Gamora serving stack: atomic
 //! [`Counter`]/[`Gauge`] scalars, a lock-free log-linear [`Histogram`] with
-//! preallocated atomic buckets (mergeable across shards and workers, with
-//! p50/p90/p99/p99.9 extraction), a [`Registry`] that names and snapshots
-//! them together, and a [`StageTimer`] for cheap per-stage latency spans.
+//! preallocated atomic buckets and p50/p90/p99/p99.9 extraction, a
+//! [`Registry`] that names and snapshots them together, and a
+//! [`StageTimer`] for cheap per-stage latency spans.
 //!
 //! Design constraints, in order:
 //! 1. **Hot-path cost ≈ zero.** Recording is a few relaxed atomic RMWs; no
 //!    locks, no allocation, no syscalls. Handles are plain `Arc`s captured at
 //!    registration time — the registry itself is never touched while serving.
-//! 2. **Mergeable.** Every shard/worker records into its own metrics;
-//!    [`Snapshot::merge`] combines them by name (counters add, gauges keep
-//!    the high-water mark, histograms add bucket-wise) so several
-//!    registries can present one view.
+//! 2. **One view.** Every worker of a server records into the same `Arc`
+//!    handles, so one [`Registry`] snapshot is the whole server.
 //! 3. **Std-only.** Like the rest of the workspace, no external crates.
 
 #![warn(missing_docs)]
@@ -60,10 +58,6 @@ impl Counter {
 }
 
 /// An atomic gauge recording an instantaneous or high-water value.
-///
-/// Cross-shard merges take the **maximum** (see [`Snapshot::merge`]), which
-/// matches the high-water-mark use (peak queue depth); prefer counters for
-/// anything that should add up across shards.
 #[derive(Default)]
 pub struct Gauge(AtomicU64);
 

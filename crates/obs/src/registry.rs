@@ -49,7 +49,7 @@ impl Registry {
         c
     }
 
-    /// Register (or fetch) a gauge (merged across shards by maximum).
+    /// Register (or fetch) a gauge.
     pub fn gauge(&mut self, name: &str) -> Arc<Gauge> {
         if let Some(m) = self.find(name) {
             match m {
@@ -66,7 +66,7 @@ impl Registry {
     /// Register an info metric: a constant-`1` gauge whose payload is its
     /// one label, exposed as `<name>{<label>="<value>"} 1` — for facts
     /// about the process (which build, which code path) rather than
-    /// measurements. Merging shards keeps the `1`.
+    /// measurements.
     pub fn info(&mut self, name: &str, label: &str, value: &str) {
         self.gauge(&format!("{name}{{{label}=\"{value}\"}}")).set(1);
     }
@@ -109,13 +109,13 @@ impl Registry {
 pub enum MetricSnapshot {
     /// Monotonic counter value.
     Counter(u64),
-    /// Gauge value (high-water semantics under merge).
+    /// Gauge value.
     Gauge(u64),
     /// Full histogram state.
     Histogram(HistogramSnapshot),
 }
 
-/// A point-in-time view of a whole [`Registry`], mergeable across shards.
+/// A point-in-time view of a whole [`Registry`].
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     entries: Vec<(String, MetricSnapshot)>,
@@ -153,25 +153,6 @@ impl Snapshot {
         match self.get(name) {
             Some(MetricSnapshot::Histogram(h)) => Some(h),
             _ => None,
-        }
-    }
-
-    /// Merge another snapshot into this one, matching metrics by name.
-    ///
-    /// Counters and histograms accumulate; gauges keep the maximum
-    /// (they record high-water marks such as peak queue depth). Metrics
-    /// present only in `other` are appended.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (name, theirs) in &other.entries {
-            match self.entries.iter_mut().find(|(n, _)| n == name) {
-                Some((_, ours)) => match (ours, theirs) {
-                    (MetricSnapshot::Counter(a), MetricSnapshot::Counter(b)) => *a += *b,
-                    (MetricSnapshot::Gauge(a), MetricSnapshot::Gauge(b)) => *a = (*a).max(*b),
-                    (MetricSnapshot::Histogram(a), MetricSnapshot::Histogram(b)) => a.merge(b),
-                    _ => {}
-                },
-                None => self.entries.push((name.clone(), theirs.clone())),
-            }
         }
     }
 
@@ -217,32 +198,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_snapshot_and_merge() {
-        let mut reg_a = Registry::new();
-        let jobs_a = reg_a.counter("jobs_total");
-        let depth_a = reg_a.gauge("peak_queued");
-        let lat_a = reg_a.histogram("latency_micros");
-        jobs_a.add(10);
-        depth_a.set_max(7);
-        lat_a.record(100);
-        lat_a.record(200);
+    fn registry_snapshot_reads_every_kind() {
+        let mut reg = Registry::new();
+        let jobs = reg.counter("jobs_total");
+        let depth = reg.gauge("peak_queued");
+        let lat = reg.histogram("latency_micros");
+        jobs.add(10);
+        depth.set_max(7);
+        depth.set_max(3);
+        lat.record(100);
+        lat.record(200);
+        lat.record(400);
 
-        let mut reg_b = Registry::new();
-        let jobs_b = reg_b.counter("jobs_total");
-        let depth_b = reg_b.gauge("peak_queued");
-        let lat_b = reg_b.histogram("latency_micros");
-        jobs_b.add(5);
-        depth_b.set_max(3);
-        lat_b.record(400);
-
-        let mut merged = reg_a.snapshot();
-        merged.merge(&reg_b.snapshot());
-        assert_eq!(merged.counter("jobs_total"), 15);
-        assert_eq!(merged.gauge("peak_queued"), 7);
-        let h = merged.histogram("latency_micros").unwrap();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("jobs_total"), 10);
+        assert_eq!(snap.gauge("peak_queued"), 7);
+        let h = snap.histogram("latency_micros").unwrap();
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum, 700);
         assert_eq!(h.max, 400);
+        assert_eq!(snap.counter("absent"), 0);
+        assert!(snap.histogram("jobs_total").is_none());
     }
 
     #[test]
@@ -286,12 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn info_metric_exposes_its_label_and_survives_a_merge() {
+    fn info_metric_exposes_its_label() {
         let mut reg = Registry::new();
         reg.info("build_isa", "isa", "avx2");
-        let mut snap = reg.snapshot();
-        snap.merge(&reg.snapshot());
-        let text = snap.prometheus();
+        let text = reg.snapshot().prometheus();
         assert!(text.contains("# TYPE build_isa gauge\n"), "{text}");
         assert!(text.contains("build_isa{isa=\"avx2\"} 1\n"), "{text}");
     }

@@ -1,4 +1,4 @@
-//! Property tests: `Histogram` merge + percentile extraction against a
+//! Property tests: `Histogram` percentile extraction against a
 //! sorted-vector oracle, including bucket-boundary and single-observation
 //! cases.
 
@@ -20,10 +20,10 @@ const QS: [f64; 6] = [0.0, 0.5, 0.9, 0.99, 0.999, 1.0];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Merged shard histograms agree with a single sorted-vector oracle over
-    /// all recorded values, at every quantile, to bucket precision.
+    /// A histogram agrees with a sorted-vector oracle over all recorded
+    /// values, at every quantile, to bucket precision.
     #[test]
-    fn merge_and_percentiles_match_oracle(
+    fn percentiles_match_oracle(
         values in (1usize..200).prop_flat_map(|n| {
             // raw >> shift mixes magnitudes from full-range u64 down to 0.
             collection::vec(
@@ -31,31 +31,23 @@ proptest! {
                 n,
             )
         }),
-        split in 0usize..200,
     ) {
-        let split = split % (values.len() + 1);
-        let (left, right) = values.split_at(split);
-        let h1 = Histogram::new();
-        let h2 = Histogram::new();
-        for &v in left {
-            h1.record(v);
+        let h = Histogram::new();
+        for &v in &values {
+            h.record(v);
         }
-        for &v in right {
-            h2.record(v);
-        }
-        let mut merged = h1.snapshot();
-        merged.merge(&h2.snapshot());
+        let snap = h.snapshot();
 
         let mut sorted = values.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(merged.count(), sorted.len() as u64);
-        prop_assert_eq!(merged.min, sorted[0]);
-        prop_assert_eq!(merged.max, *sorted.last().unwrap());
+        prop_assert_eq!(snap.count(), sorted.len() as u64);
+        prop_assert_eq!(snap.min, sorted[0]);
+        prop_assert_eq!(snap.max, *sorted.last().unwrap());
         let wrap_sum = sorted.iter().fold(0u64, |a, &v| a.wrapping_add(v));
-        prop_assert_eq!(merged.sum, wrap_sum);
+        prop_assert_eq!(snap.sum, wrap_sum);
 
         for q in QS {
-            let got = merged.percentile(q);
+            let got = snap.percentile(q);
             let want = oracle_percentile(&sorted, q);
             prop_assert_eq!(
                 bucket_index(got),
@@ -65,7 +57,7 @@ proptest! {
                 got,
                 want
             );
-            prop_assert!(got >= merged.min && got <= merged.max);
+            prop_assert!(got >= snap.min && got <= snap.max);
         }
     }
 

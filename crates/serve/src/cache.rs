@@ -54,7 +54,7 @@
 
 use gamora::Predictions;
 use gamora_aig::hasher::{
-    fingerprint_from_node_hashes, identity_fingerprint, structural_node_hashes_parallel, FxHashMap,
+    fingerprint_from_node_hashes, identity_fingerprint, structural_node_hashes, FxHashMap,
 };
 use gamora_aig::Aig;
 use gamora_obs::{Counter, Histogram, Registry, StageTimer};
@@ -125,14 +125,8 @@ pub struct GraphSignature {
 }
 
 impl GraphSignature {
-    /// Computes the signature of an AIG.
-    ///
-    /// The per-node hash pass runs as a levelized wavefront over scoped
-    /// threads for large subjects, under the caller's `intra_threads`
-    /// budget (`gamora_gnn::parallel::num_threads()` reads the worker's
-    /// thread-local allowance) — bit-identical to the serial pass, so
-    /// fingerprints computed on admission threads, worker threads and in
-    /// tests always agree.
+    /// Computes the signature of an AIG: the identity digest, then one
+    /// serial pass of canonical per-node hashes on the calling thread.
     pub fn of(aig: &Aig) -> GraphSignature {
         GraphSignature::with_identity(aig, identity_fingerprint(aig))
     }
@@ -143,7 +137,7 @@ impl GraphSignature {
     /// no AIG is digested twice). `identity` must be
     /// `identity_fingerprint(aig)`.
     pub fn with_identity(aig: &Aig, identity: u128) -> GraphSignature {
-        let node_hashes = structural_node_hashes_parallel(aig, gamora_gnn::parallel::num_threads());
+        let node_hashes = structural_node_hashes(aig);
         GraphSignature {
             key: CacheKey {
                 fingerprint: fingerprint_from_node_hashes(aig, &node_hashes),

@@ -146,9 +146,8 @@ pub struct ServeConfig {
     /// default hot path stays minimal.
     pub layer_timing: bool,
     /// Intra-subject parallelism budget per worker: the number of threads
-    /// each worker's kernel and assembly calls may fan out over
-    /// (million-node subjects parallelise CSR assembly, feature encoding,
-    /// aggregation, and GEMM row blocks). `0` (the default) divides the
+    /// each worker's kernel calls may fan out over (million-node subjects
+    /// parallelise feature encoding, aggregation, and GEMM row blocks). `0` (the default) divides the
     /// machine's thread budget — `GAMORA_THREADS` if set, detected cores
     /// otherwise — evenly across `workers`, so worker-level and
     /// intra-subject parallelism never oversubscribe the machine. `1`
@@ -762,18 +761,6 @@ impl Server {
         self.enqueue(aig, kind, Some(Instant::now() + ttl), true)
     }
 
-    /// Non-blocking admission with a deadline: [`Server::try_submit`]
-    /// semantics plus a time-to-live, the combination a saturating
-    /// ingress uses.
-    pub fn try_submit_within(
-        &self,
-        aig: Aig,
-        kind: AnalysisKind,
-        ttl: Duration,
-    ) -> Result<JobTicket, SubmitError> {
-        self.enqueue(aig, kind, Some(Instant::now() + ttl), false)
-    }
-
     /// The identity digest a job of this server carries: none in cold mode
     /// (`cache_capacity: 0` hashes nothing anywhere), otherwise taken here
     /// — on the caller's thread and before any queue lock. Submitters
@@ -792,7 +779,7 @@ impl Server {
         Some(identity)
     }
 
-    /// The one single-job admission path behind the four `submit`
+    /// The one single-job admission path behind the three `submit`
     /// variants: `deadline` is the job's absolute expiry, `block` chooses
     /// waiting for queue space over [`SubmitError::Overloaded`].
     fn enqueue(
