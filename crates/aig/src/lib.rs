@@ -14,8 +14,7 @@
 //! * [`tt`] — truth-table manipulation and exhaustive NPN canonicalisation;
 //! * [`sim`] — 64-way bit-parallel simulation and randomised equivalence
 //!   checking;
-//! * [`aiger`] — ASCII and binary AIGER I/O;
-//! * [`dot`] — Graphviz export for figures and debugging.
+//! * [`aiger`] — ASCII and binary AIGER I/O.
 //!
 //! ```
 //! use gamora_aig::{Aig, cut, tt};
@@ -38,7 +37,6 @@
 mod aig;
 pub mod aiger;
 pub mod cut;
-pub mod dot;
 pub mod hasher;
 mod lit;
 pub mod sim;

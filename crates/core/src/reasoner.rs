@@ -165,7 +165,7 @@ impl GamoraReasoner {
     }
 
     /// Creates a zero-weight skeleton with the right shapes for `config`
-    /// — for snapshot loaders, which fill (or borrow) every weight and
+    /// — for snapshot loaders, which fill every weight and
     /// must not pay the Glorot initialisation of [`GamoraReasoner::new`]
     /// on the cold-start path.
     pub(crate) fn new_zeroed(config: ReasonerConfig) -> GamoraReasoner {
@@ -192,12 +192,6 @@ impl GamoraReasoner {
     /// Scalar parameter count of the underlying model.
     pub fn num_params(&self) -> usize {
         self.model.num_params()
-    }
-
-    /// Process-owned bytes of the weights and biases (zero for weights
-    /// borrowed from a memory-mapped snapshot).
-    pub fn resident_weight_bytes(&self) -> usize {
-        self.model.resident_weight_bytes()
     }
 
     /// Trains on a set of netlists; ground truth comes from exact analysis

@@ -6,11 +6,9 @@
 //!
 //! The header carries an explicit section table (tag, rows, cols, byte
 //! offset, byte length per tensor) and the weight payloads live in a
-//! trailing 64-byte-aligned payload region, so a loader can validate the
-//! header in O(header) and borrow every weight slice straight out of a
-//! memory-mapped file ([`GamoraReasoner::load_mmap`]) — zero copies, one
-//! physical page-cache copy shared across processes. All integers are
-//! little-endian:
+//! trailing 64-byte-aligned payload region; the alignment is a property
+//! of the format, every section starting on a cache line. All integers
+//! are little-endian:
 //!
 //! ```text
 //! magic         : 4 bytes  b"GMRS"
@@ -36,36 +34,31 @@
 //! section plan ([`section_plan`]), and the reader rejects a file whose
 //! table, section count or payload length deviates from that plan
 //! *before* it builds the model — so even a re-signed lying header can
-//! never size an allocation or a borrow from attacker-chosen fields, and
-//! the model built for a file is never larger than the bytes the file
-//! actually holds. Owned loads verify both hashes; mmap loads verify the
-//! header hash only (payload pages are faulted in lazily).
+//! never size an allocation from attacker-chosen fields, and the model
+//! built for a file is never larger than the bytes the file actually
+//! holds. Every load reads the whole file and verifies both hashes before
+//! it copies the weights into the model.
 //!
 //! Floats are serialised via `f32::to_le_bytes`, so a save/load round trip
 //! is bit-exact and a reloaded reasoner reproduces in-process predictions
 //! and `evaluate` scores exactly. The checksums turn truncation and bit
 //! corruption into [`SnapshotError::Corrupt`] instead of a silently wrong
-//! model.
+//! model. The writer refuses a depth the reader would refuse
+//! ([`check_depth`]), so it never emits a file that cannot be loaded.
 //!
-//! **Replace snapshots by rename, never rewrite them in place.** A process
-//! that has a file [`GamoraReasoner::load_mmap`]-ed reads its weights from
-//! the mapping for as long as it serves; truncating or overwriting that
-//! file faults the reader (`SIGBUS`) or feeds it torn weights.
-//! [`GamoraReasoner::save`] therefore writes a sibling temporary file and
-//! renames it over the target: readers of the old file keep the old
-//! inode, new loads see the new one.
+//! [`GamoraReasoner::save`] writes a sibling temporary file and renames it
+//! over the target, so a concurrent reader sees the old file or the new
+//! one, never half of either.
 
 use crate::features::FeatureMode;
 use crate::reasoner::{GamoraReasoner, ModelDepth, ReasonerConfig};
 use gamora_aig::hasher::FxHasher;
-use gamora_gnn::{Direction, Matrix, WeightRegion};
+use gamora_gnn::Direction;
 use std::fmt;
 use std::fs::File;
 use std::hash::Hasher;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// File magic: "GaMoRa Snapshot".
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"GMRS";
@@ -75,8 +68,8 @@ pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Alignment of the payload region and of every section inside it: each
 /// tensor's bytes start on a 64-byte boundary, both file-relative and
-/// payload-relative, so mapped weight slices are always aligned for
-/// their element type (and for cache lines).
+/// payload-relative, so every section is aligned for its element type
+/// and for cache lines.
 pub const SNAPSHOT_ALIGN: usize = 64;
 
 /// Section tag of an `f32` tensor — the only element type.
@@ -94,6 +87,14 @@ pub enum SnapshotError {
     UnsupportedVersion(u32),
     /// Structurally invalid or checksum-mismatched content.
     Corrupt(String),
+    /// The writer was handed a model whose depth a snapshot cannot hold
+    /// (see [`check_depth`]).
+    DepthOutOfBounds {
+        /// SAGE layer count of the refused model.
+        layers: usize,
+        /// Hidden width of the refused model.
+        hidden: usize,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -108,6 +109,11 @@ impl fmt::Display for SnapshotError {
                 )
             }
             SnapshotError::Corrupt(m) => write!(f, "corrupt snapshot: {m}"),
+            SnapshotError::DepthOutOfBounds { layers, hidden } => write!(
+                f,
+                "a snapshot holds 1-{MAX_LAYERS} layers of 1-{MAX_HIDDEN} hidden channels, \
+                 not {layers}x{hidden}"
+            ),
         }
     }
 }
@@ -145,23 +151,41 @@ fn depth_tag(depth: ModelDepth) -> (u8, u32, u32) {
     }
 }
 
-fn depth_from_tag(tag: u8, layers: u32, hidden: u32) -> Result<ModelDepth, SnapshotError> {
-    match tag {
-        0 => Ok(ModelDepth::Shallow),
-        1 => Ok(ModelDepth::Deep),
-        2 => {
-            if layers == 0 || hidden == 0 || layers > 1024 || hidden > 65536 {
-                return Err(corrupt(format!(
-                    "implausible custom depth ({layers} layers, {hidden} hidden)"
-                )));
-            }
-            Ok(ModelDepth::Custom {
-                layers: layers as usize,
-                hidden: hidden as usize,
-            })
-        }
-        t => Err(corrupt(format!("unknown depth tag {t}"))),
+/// Most SAGE layers a snapshot holds.
+pub const MAX_LAYERS: usize = 1024;
+
+/// Widest hidden layer a snapshot holds.
+pub const MAX_HIDDEN: usize = 65_536;
+
+/// Whether a snapshot can hold a model of this depth: 1 to
+/// [`MAX_LAYERS`] layers of 1 to [`MAX_HIDDEN`] hidden channels. The
+/// reader refuses any other depth as corrupt, the writer refuses to emit
+/// one, and `gamora train --depth` refuses to train one.
+///
+/// # Errors
+///
+/// [`SnapshotError::DepthOutOfBounds`] outside those bounds.
+pub fn check_depth(depth: ModelDepth) -> Result<(), SnapshotError> {
+    let (layers, hidden) = depth.dims();
+    if (1..=MAX_LAYERS).contains(&layers) && (1..=MAX_HIDDEN).contains(&hidden) {
+        Ok(())
+    } else {
+        Err(SnapshotError::DepthOutOfBounds { layers, hidden })
     }
+}
+
+fn depth_from_tag(tag: u8, layers: u32, hidden: u32) -> Result<ModelDepth, SnapshotError> {
+    let depth = match tag {
+        0 => ModelDepth::Shallow,
+        1 => ModelDepth::Deep,
+        2 => ModelDepth::Custom {
+            layers: layers as usize,
+            hidden: hidden as usize,
+        },
+        t => return Err(corrupt(format!("unknown depth tag {t}"))),
+    };
+    check_depth(depth).map_err(|e| corrupt(format!("implausible custom depth: {e}")))?;
+    Ok(depth)
 }
 
 fn feature_mode_tag(mode: FeatureMode) -> u8 {
@@ -271,6 +295,7 @@ fn copy_f32s(dst: &mut [u8], src: &[f32]) {
 /// Builds the complete file image in memory (payload first, then the
 /// hashes, then the header around them).
 fn build_image(reasoner: &GamoraReasoner) -> Result<Vec<u8>, SnapshotError> {
+    check_depth(reasoner.config().depth)?;
     let linears = reasoner.model().linears();
     let shapes = linears.iter().map(|lin| (lin.w.rows(), lin.w.cols()));
     let sections = section_plan(shapes).collect::<Result<Vec<_>, _>>()?;
@@ -327,7 +352,9 @@ fn build_image(reasoner: &GamoraReasoner) -> Result<Vec<u8>, SnapshotError> {
 ///
 /// # Errors
 ///
-/// Propagates writer failures.
+/// [`SnapshotError::DepthOutOfBounds`] for a depth the reader would
+/// refuse, before anything is written; otherwise propagates writer
+/// failures.
 pub fn write_snapshot<W: Write>(reasoner: &GamoraReasoner, mut w: W) -> Result<(), SnapshotError> {
     w.write_all(&build_image(reasoner)?)?;
     w.flush()?;
@@ -397,26 +424,13 @@ fn read_section(
     Ok(())
 }
 
-/// Parses a complete snapshot image — the one parser behind
-/// [`read_snapshot`] and [`GamoraReasoner::load_mmap`]. With `region` set
-/// (the mmap path), weight matrices borrow their spans from it in
-/// O(header) — only biases are copied — and the payload hash is *not*
-/// recomputed; otherwise all payloads are copied into owned storage and
-/// both hashes are verified.
-///
-/// `region`, when present, must be backed by exactly the bytes passed as
-/// `bytes`.
-fn parse_snapshot(
-    bytes: &[u8],
-    region: Option<&Arc<dyn WeightRegion>>,
-) -> Result<GamoraReasoner, SnapshotError> {
+/// Parses a complete snapshot image: validates the header, verifies both
+/// hashes, and copies every section into a freshly built model.
+fn parse_snapshot(bytes: &[u8]) -> Result<GamoraReasoner, SnapshotError> {
     // Chaos seam: an injected `err` surfaces as a typed corruption error
     // through the same path real corruption takes.
     gamora_fault::hit(gamora_fault::FaultPoint::SnapshotLoad)
         .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    if let Some(r) = region {
-        debug_assert!(std::ptr::eq(r.bytes().as_ptr(), bytes.as_ptr()));
-    }
     let mut p = ByteParser { bytes, pos: 0 };
     if p.take(4)? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -487,7 +501,7 @@ fn parse_snapshot(
     if bytes[header_len..base].iter().any(|&b| b != 0) {
         return Err(corrupt("nonzero header padding"));
     }
-    if region.is_none() && fx_hash(&bytes[base..]) != payload_hash {
+    if fx_hash(&bytes[base..]) != payload_hash {
         return Err(corrupt("payload checksum mismatch"));
     }
 
@@ -527,22 +541,13 @@ fn parse_snapshot(
         )));
     }
 
-    // Fill (or borrow) every tensor from its validated section.
+    // Fill every tensor from its validated section.
     let mut reasoner = GamoraReasoner::new_zeroed(config);
     let payload = &bytes[base..];
     let linears = reasoner.model_mut().linears_mut();
     for (lin, pair) in linears.into_iter().zip(table.chunks_exact(2)) {
-        let (weights, bias) = (&pair[0], &pair[1]);
-        match region {
-            Some(region) => {
-                // `weights.offset <= payload_len`, so the sum is in the file.
-                let at = base + weights.offset as usize;
-                lin.w = Matrix::from_region(lin.w.rows(), lin.w.cols(), region, at)
-                    .map_err(|e| corrupt(e.to_string()))?;
-            }
-            None => read_section(payload, weights, lin.w.as_mut_slice())?,
-        }
-        read_section(payload, bias, &mut lin.b)?;
+        read_section(payload, &pair[0], lin.w.as_mut_slice())?;
+        read_section(payload, &pair[1], &mut lin.b)?;
     }
     Ok(reasoner)
 }
@@ -556,46 +561,14 @@ fn parse_snapshot(
 pub fn read_snapshot<R: Read>(mut r: R) -> Result<GamoraReasoner, SnapshotError> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
-    parse_snapshot(&bytes, None)
-}
-
-/// A whole snapshot file held as one shared read-only region. The weight
-/// matrices of an mmap-loaded reasoner borrow their spans from this
-/// region through an `Arc`, so the `Arc` (not the reasoner) owns the
-/// mapping and N reasoners — or N processes mapping the same file —
-/// share one physical page-cache copy of the weights.
-pub struct MappedSnapshot {
-    map: mmap::Mmap,
-}
-
-impl WeightRegion for MappedSnapshot {
-    fn bytes(&self) -> &[u8] {
-        &self.map
-    }
-}
-
-/// How [`GamoraReasoner::load_mmap`] actually loaded a snapshot.
-#[derive(Clone, Copy, Debug)]
-pub struct MmapLoadStats {
-    /// Whether the weights are borrowed zero-copy from a shared mapping
-    /// (`false` = the read-to-owned fallback ran: non-Unix target,
-    /// big-endian host, or a failed `mmap(2)`).
-    pub mapped: bool,
-    /// Snapshot file size in bytes.
-    pub file_bytes: u64,
-    /// Wall-clock microseconds from `open(2)` to a serving-ready
-    /// reasoner.
-    pub load_micros: u64,
+    parse_snapshot(&bytes)
 }
 
 impl GamoraReasoner {
     /// Saves the trained reasoner to `path` in the `.gsnap` binary format
     /// (see the [`crate::snapshot`] module docs), atomically: the image is
     /// written to a temporary file next to `path`, synced, and renamed
-    /// over it. A reader never sees a half-written file, and a process
-    /// that has the previous file [`GamoraReasoner::load_mmap`]-ed keeps
-    /// serving from its (now unlinked) inode instead of faulting on a
-    /// file truncated under its mapping.
+    /// over it. A reader never sees a half-written file.
     ///
     /// # Errors
     ///
@@ -626,51 +599,6 @@ impl GamoraReasoner {
         replaced
     }
 
-    /// Loads a snapshot by memory-mapping it and borrowing every weight
-    /// slice out of the mapping — O(header) work and near-zero resident
-    /// weight bytes, instead of reading and copying the whole payload.
-    /// Header validation (checksum, canonical section layout) still runs
-    /// in full; the payload hash is skipped so pages fault in lazily on
-    /// first use.
-    ///
-    /// Falls back to the plain owned [`read_snapshot`] path — same
-    /// result, just copied — on targets without `mmap`, on big-endian
-    /// hosts (the payload is little-endian), or when the mapping itself
-    /// fails; `stats.mapped` reports which path ran.
-    ///
-    /// The file must not be truncated or rewritten in place while the
-    /// returned reasoner (or a clone of it) is alive: its weights *are*
-    /// the mapping, so that is a `SIGBUS` or torn weights, not a
-    /// `Result`. Replace a snapshot by renaming a new file over it, as
-    /// [`GamoraReasoner::save`] does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] for missing files, foreign formats,
-    /// version skew, or corruption — the same errors as
-    /// [`GamoraReasoner::load`].
-    pub fn load_mmap(
-        path: impl AsRef<Path>,
-    ) -> Result<(GamoraReasoner, MmapLoadStats), SnapshotError> {
-        let start = Instant::now();
-        let file = File::open(path)?;
-        let file_bytes = file.metadata()?.len();
-        let stats = |mapped: bool| MmapLoadStats {
-            mapped,
-            file_bytes,
-            load_micros: start.elapsed().as_micros() as u64,
-        };
-        if cfg!(target_endian = "little") {
-            if let Ok(map) = mmap::Mmap::map(&file) {
-                let region: Arc<dyn WeightRegion> = Arc::new(MappedSnapshot { map });
-                let reasoner = parse_snapshot(region.bytes(), Some(&region))?;
-                return Ok((reasoner, stats(true)));
-            }
-        }
-        let reasoner = read_snapshot(file)?;
-        Ok((reasoner, stats(false)))
-    }
-
     /// Loads a reasoner saved by [`GamoraReasoner::save`]. The result is
     /// bit-exact: predictions and `evaluate` scores match the saved
     /// instance's.
@@ -681,6 +609,18 @@ impl GamoraReasoner {
     /// version skew, or corruption (checksum mismatch).
     pub fn load(path: impl AsRef<Path>) -> Result<GamoraReasoner, SnapshotError> {
         read_snapshot(File::open(path)?)
+    }
+
+    /// [`GamoraReasoner::load`] under the name of a retired loader, kept
+    /// for callers that still spell it so; the `()` stands where load
+    /// statistics used to be.
+    ///
+    /// # Errors
+    ///
+    /// As [`GamoraReasoner::load`].
+    #[doc(hidden)]
+    pub fn load_mmap(path: impl AsRef<Path>) -> Result<(GamoraReasoner, ()), SnapshotError> {
+        Ok((GamoraReasoner::load(path)?, ()))
     }
 }
 
@@ -939,36 +879,33 @@ mod tests {
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
     }
 
-    /// `load_mmap` borrows the weights (near-zero resident bytes) and
-    /// serves predictions bit-identical to the owned load.
+    /// The writer refuses, before writing a byte, any depth the reader
+    /// would refuse as "implausible", so it never emits an unloadable file.
     #[test]
-    fn load_mmap_serves_bit_identically() {
-        let reasoner = trained_reasoner();
-        let subject = csa_multiplier(4);
-        let path =
-            std::env::temp_dir().join(format!("gamora-snap-mmap-{}.gsnap", std::process::id()));
-        reasoner.save(&path).unwrap();
-        let owned = GamoraReasoner::load(&path).unwrap();
-        let (mapped, stats) = GamoraReasoner::load_mmap(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(mapped.config(), reasoner.config());
-        assert_eq!(
-            mapped.predict(&subject.aig),
-            owned.predict(&subject.aig),
-            "mmap-loaded predictions must be bit-identical"
-        );
-        if cfg!(all(unix, target_pointer_width = "64")) {
-            assert!(stats.mapped, "expected the zero-copy path on this target");
-            // Only biases stay owned; the weight payloads live in the
-            // mapping (biases dominate on this tiny test model, so the
-            // bound is deliberately loose).
+    fn writer_refuses_depths_the_reader_refuses() {
+        for (layers, hidden) in [(MAX_LAYERS + 1, 1), (1, MAX_HIDDEN + 1)] {
+            let reasoner = GamoraReasoner::new(ReasonerConfig {
+                depth: ModelDepth::Custom { layers, hidden },
+                ..ReasonerConfig::default()
+            });
+            let mut buf = Vec::new();
+            let err = write_snapshot(&reasoner, &mut buf).unwrap_err();
             assert!(
-                mapped.resident_weight_bytes() * 2 < owned.resident_weight_bytes(),
-                "borrowed weights should be ~non-resident: {} vs {} bytes",
-                mapped.resident_weight_bytes(),
-                owned.resident_weight_bytes()
+                matches!(err, SnapshotError::DepthOutOfBounds { layers: l, hidden: h }
+                    if (l, h) == (layers, hidden)),
+                "{err}"
             );
+            assert!(buf.is_empty(), "{layers}x{hidden}: nothing may be written");
         }
-        assert!(stats.file_bytes > 0 && stats.load_micros > 0);
+        assert!(check_depth(ModelDepth::Custom {
+            layers: 0,
+            hidden: 16
+        })
+        .is_err());
+        assert!(check_depth(ModelDepth::Custom {
+            layers: MAX_LAYERS,
+            hidden: MAX_HIDDEN
+        })
+        .is_ok());
     }
 }

@@ -413,68 +413,6 @@ fn sectioned_build_at_a_two_thread_cap_is_allocation_free_after_warmup() {
     assert_eq!(graph.num_edges(), edges);
 }
 
-/// Borrowed weight storage is invisible to the hot path: a model loaded
-/// with [`GamoraReasoner::load_mmap`] keeps every tensor as a slice into
-/// the snapshot mapping, and warmed-up inference over those borrowed
-/// matrices must be exactly as allocation-free as over owned ones. A
-/// storage seam that secretly copies-on-read (or a `make_owned` sneaking
-/// onto the read path) shows up here as a nonzero count.
-#[test]
-fn mmap_loaded_borrowed_weights_infer_allocation_free_after_warmup() {
-    let _guard = TEST_LOCK.lock().unwrap();
-    let m = csa_multiplier(4);
-    let mut trained = GamoraReasoner::new(ReasonerConfig {
-        depth: ModelDepth::Custom {
-            layers: 3,
-            hidden: 16,
-        },
-        ..ReasonerConfig::default()
-    });
-    trained.fit(
-        &[&m.aig],
-        &TrainConfig {
-            epochs: 5,
-            ..TrainConfig::default()
-        },
-    );
-    let path = std::env::temp_dir().join(format!("gamora-alloc-mmap-{}.gsnap", std::process::id()));
-    trained.save(&path).expect("save snapshot");
-    let (reasoner, _stats) = GamoraReasoner::load_mmap(&path).expect("mmap load");
-    std::fs::remove_file(&path).ok();
-
-    let (graph, features) = gamora::dataset::inference_graph(
-        &m.aig,
-        reasoner.config().feature_mode,
-        reasoner.config().direction,
-    );
-    let mut scratch = reasoner.scratch();
-    let mut out = Predictions::default();
-    reasoner.predict_prepared_into(&mut scratch, &graph, &features, &mut out);
-    let expected = out.clone();
-
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..32 {
-        reasoner.predict_prepared_into(&mut scratch, &graph, &features, &mut out);
-    }
-    COUNTING.with(|c| c.set(false));
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state inference over borrowed (mmap) weights must not allocate"
-    );
-    assert_eq!(out.root_leaf, expected.root_leaf);
-    assert_eq!(out.is_xor, expected.is_xor);
-    assert_eq!(out.is_maj, expected.is_maj);
-
-    // And against the owned-storage ground truth from the live model.
-    let direct = trained.predict(&m.aig);
-    assert_eq!(out.root_leaf, direct.root_leaf);
-    assert_eq!(out.is_xor, direct.is_xor);
-    assert_eq!(out.is_maj, direct.is_maj);
-}
-
 /// The classical half of an `ExtractAdders` job: once a [`PostProcess`] has
 /// seen a subject of this shape, running it again — cuts, candidate index,
 /// the predicted and the exact pairing, the LSB repair — requests exactly

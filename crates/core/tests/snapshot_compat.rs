@@ -5,8 +5,8 @@
 //! of fixed seeded reasoners, recorded from the writer at commit bfcfe20
 //! (the last one that also carried v1/v2 streams and i8 sections); and a
 //! file that commit wrote, `tests/fixtures/parent_v3.gsnap`, which must
-//! load — owned and mapped — serve the predictions its source model
-//! served, and re-serialise to the same bytes. Files written before the
+//! load, serve the predictions its source model served, and re-serialise
+//! to the same bytes. Files written before the
 //! legacy paths were retired keep working, and files written after are
 //! readable by builds from before. What those builds could also read is
 //! now a typed error: version 1 and 2 headers, and i8 (tag 1) sections.
@@ -101,7 +101,7 @@ fn prediction_hash(p: &Predictions) -> u64 {
 /// also printed the hash of its predictions on a 5-bit CSA multiplier
 /// (69 of 207 nodes in a non-default root/leaf class, 35 XOR, 18 MAJ).
 #[test]
-fn parent_written_fixture_loads_owned_and_mapped_and_serves_its_source_predictions() {
+fn parent_written_fixture_loads_and_serves_its_source_predictions() {
     const SOURCE_PREDICTIONS: u64 = 0xc257a4e369c5bf53;
     assert_eq!(fx(FIXTURE), 0xdab8adc61f9c2ba1, "the fixture file itself");
     let path = concat!(
@@ -110,27 +110,15 @@ fn parent_written_fixture_loads_owned_and_mapped_and_serves_its_source_predictio
     );
     let subject = csa_multiplier(5);
 
-    let owned = GamoraReasoner::load(path).unwrap();
+    let loaded = GamoraReasoner::load(path).unwrap();
     assert_eq!(
-        prediction_hash(&owned.predict(&subject.aig)),
+        prediction_hash(&loaded.predict(&subject.aig)),
         SOURCE_PREDICTIONS
     );
     assert_eq!(
-        image_of(&owned),
+        image_of(&loaded),
         FIXTURE,
         "today's writer must emit the bytes the parent's writer did"
-    );
-
-    let (mapped, stats) = GamoraReasoner::load_mmap(path).unwrap();
-    assert_eq!(stats.file_bytes, FIXTURE.len() as u64);
-    if cfg!(all(unix, target_pointer_width = "64")) {
-        assert!(stats.mapped, "expected the zero-copy path on this target");
-    }
-    assert_eq!(mapped.config(), owned.config());
-    assert_eq!(
-        mapped.predict(&subject.aig),
-        owned.predict(&subject.aig),
-        "mapped and owned loads must serve the same bits"
     );
 }
 
@@ -180,7 +168,7 @@ fn legacy_versions_and_i8_sections_are_typed_errors() {
 /// Walks the documented layout from first principles: fixed header,
 /// section table, 64-byte-aligned payload, and the two split checksums —
 /// each defined as ONE `FxHasher::write` over a contiguous range. Pins
-/// the mmap contract: every offset the reader will borrow from is aligned
+/// the alignment the format promises: every section offset is aligned
 /// and in-bounds.
 #[test]
 fn v3_snapshot_uses_the_exact_documented_layout() {

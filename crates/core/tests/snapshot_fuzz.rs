@@ -21,58 +21,12 @@ use gamora::snapshot::{read_snapshot, write_snapshot};
 use gamora::{GamoraReasoner, ModelDepth, ReasonerConfig, SnapshotError, TrainConfig};
 use gamora_aig::hasher::FxHasher;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use request_counting::counting_requests;
 use std::hash::Hasher;
 use std::sync::OnceLock;
 
-std::thread_local! {
-    /// Bytes the current thread has requested from the allocator while
-    /// it was counting (`None` = not counting).
-    static REQUESTED: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// System allocator wrapper that adds up the sizes a counting thread
-/// asks for (frees are not credited back: the bound is on requests).
-struct CountingAlloc;
-
-fn count(bytes: usize) {
-    // `try_with` so allocations during TLS teardown never panic.
-    let _ = REQUESTED.try_with(|r| r.set(r.get().map(|n| n + bytes)));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns its result with the bytes this thread requested
-/// from the allocator meanwhile.
-fn counting_requests<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    REQUESTED.with(|r| r.set(Some(0)));
-    let out = f();
-    let requested = REQUESTED.with(|r| r.replace(None));
-    (out, requested.expect("counting was on"))
-}
+#[path = "../../../tests/support/request_counting.rs"]
+mod request_counting;
 
 fn trained_reasoner() -> GamoraReasoner {
     let m = gamora_circuits::csa_multiplier(3);

@@ -15,9 +15,7 @@
 //!    the GNN's predictions drive the same code, and keeps its working
 //!    memory between calls;
 //! 3. [`build_labels`] — derive the three per-node classification targets
-//!    of the multi-task GNN;
-//! 4. [`shape`] — structural shape hashing, the classical analogue of GNN
-//!    message passing, used for baseline cost analysis.
+//!    of the multi-task GNN.
 //!
 //! ```
 //! use gamora_circuits::csa_multiplier;
@@ -34,7 +32,6 @@
 mod detect;
 mod extract;
 mod labels;
-pub mod shape;
 mod wordlevel;
 
 pub use detect::{detect, Candidate, Candidates, Role};

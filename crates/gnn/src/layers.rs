@@ -65,7 +65,7 @@ impl Linear {
     }
 
     /// Creates a zero-initialised layer skeleton: correct shapes, no RNG
-    /// draw. Snapshot loaders overwrite (or borrow) every weight anyway,
+    /// draw. Snapshot loaders overwrite every weight anyway,
     /// so the Glorot pass of [`Linear::new`] would be wasted cold-start
     /// work.
     pub fn new_zeroed(in_dim: usize, out_dim: usize, relu: bool) -> Linear {
@@ -147,13 +147,6 @@ impl Linear {
     /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         self.w.rows() * self.w.cols() + self.b.len()
-    }
-
-    /// Resident weight-store bytes: the weights plus the bias. Counts
-    /// only process-owned storage — weight spans borrowed from a shared
-    /// region (memory-mapped snapshots) count zero.
-    pub fn resident_weight_bytes(&self) -> usize {
-        self.w.resident_bytes() + self.b.len() * 4
     }
 }
 

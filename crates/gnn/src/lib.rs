@@ -4,9 +4,9 @@
 //! paper's multi-task node classifier without an external deep-learning
 //! framework (the "thin GNN ecosystem" substitution of this reproduction).
 //!
-//! * [`Matrix`] — dense tensors with multi-threaded, register-blocked
-//!   matmul kernels and fused bias/ReLU epilogues (crossbeam row blocks
-//!   stand in for the paper's GPU);
+//! * [`Matrix`] — dense tensors over one owned `Vec<f32>`, with
+//!   multi-threaded, register-blocked matmul kernels and fused bias/ReLU
+//!   epilogues (crossbeam row blocks stand in for the paper's GPU);
 //! * [`Graph`] — CSR message passing with exact adjoint backward;
 //!   [`Graph::from_edges_into`] streams an edge list into a reused
 //!   instance with zero steady-state allocation;
@@ -61,9 +61,9 @@ pub use model::{
     for_each_group, ForwardObserver, ForwardStage, InferenceScratch, ModelConfig, MultiTaskSage,
     Tape,
 };
+pub use tensor::Matrix;
 #[doc(hidden)]
 pub use tensor::{Epilogue, KernelVariant};
-pub use tensor::{Matrix, StorageError, WeightRegion};
 
 /// The instruction-set variant of the GEMM and aggregation kernels this
 /// process runs — `"portable"`, `"avx2"` or `"avx512f"` — picked from the

@@ -371,9 +371,9 @@ impl MultiTaskSage {
     }
 
     /// Builds a zero-initialised model skeleton: correct shapes for every
-    /// layer, no RNG draws. Snapshot loaders fill (or borrow) every
-    /// weight anyway, so this keeps cold starts O(header) instead of
-    /// paying a full Glorot pass over the parameters.
+    /// layer, no RNG draws. Snapshot loaders fill every weight anyway,
+    /// so this spares cold starts a full Glorot pass over the
+    /// parameters.
     ///
     /// # Panics
     ///
@@ -685,15 +685,6 @@ impl MultiTaskSage {
         out.push(&mut self.shared);
         out.extend(self.heads.iter_mut());
         out
-    }
-
-    /// Process-owned bytes of every layer's weights and bias (see
-    /// [`Linear::resident_weight_bytes`]).
-    pub fn resident_weight_bytes(&self) -> usize {
-        self.linears()
-            .iter()
-            .map(|l| l.resident_weight_bytes())
-            .sum()
     }
 }
 

@@ -19,224 +19,26 @@
 //! — go through the same tile in its sequential K order, over a transposed
 //! operand the caller keeps the scratch for.
 //!
-//! [`Matrix`] hides one seam: **where the elements live**. The default is
-//! an owned `Vec`; [`Matrix::from_region`] instead borrows a span of a
-//! shared read-only byte region (a [`WeightRegion`], e.g. a memory-mapped
-//! snapshot), with bounds and alignment checked once at construction.
-//! Read paths are identical for both storages; mutation promotes a
-//! borrowed span to an owned copy (copy-on-write), and overwrite-style
-//! entry points simply swap in owned storage. Layers, models and kernels
-//! never observe the difference.
+//! A [`Matrix`] owns its elements: one `Vec<f32>`, no other storage
+//! class. Snapshot loads copy the weights in (the two presets' payloads
+//! are 32 KB and 375 KB), which is what lets every load verify the
+//! payload checksum.
 
 use crate::kernel::{self, GemmArgs, Kernels, Operand, Rows, BLOCK_ROWS};
 use crate::parallel;
 use rand::Rng;
 use std::fmt;
-use std::sync::Arc;
-
-/// A shared, immutable byte region that can back borrowed tensor storage
-/// — the seam between tensors and a memory-mapped snapshot payload.
-///
-/// Implementations guarantee that [`WeightRegion::bytes`] returns the
-/// same pointer and length for the whole lifetime of the value (the
-/// region is frozen at construction), which is what makes the per-call
-/// slice derivation in borrowed storage sound.
-pub trait WeightRegion: Send + Sync {
-    /// The region's bytes.
-    fn bytes(&self) -> &[u8];
-}
-
-// A plain byte buffer is a valid (trivially "mapped") region — handy for
-// tests and for read-to-owned mmap fallbacks that still want one shared
-// allocation.
-impl WeightRegion for Vec<u8> {
-    fn bytes(&self) -> &[u8] {
-        self
-    }
-}
-
-/// Error from constructing borrowed tensor storage over a
-/// [`WeightRegion`] span.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StorageError {
-    /// The requested span does not fit inside the region (or its byte
-    /// length overflows `usize`).
-    OutOfBounds {
-        /// Byte offset of the span start within the region.
-        offset: usize,
-        /// Byte length of the span (`usize::MAX` when the length
-        /// computation itself overflowed).
-        len: usize,
-        /// Total region length in bytes.
-        region: usize,
-    },
-    /// The span's start address is not aligned for the element type.
-    Misaligned {
-        /// Byte offset of the span start within the region.
-        offset: usize,
-        /// Required alignment in bytes.
-        align: usize,
-    },
-}
-
-impl fmt::Display for StorageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StorageError::OutOfBounds {
-                offset,
-                len,
-                region,
-            } => write!(
-                f,
-                "weight span {offset}+{len} escapes its {region}-byte region"
-            ),
-            StorageError::Misaligned { offset, align } => {
-                write!(f, "weight span at byte {offset} is not {align}-aligned")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StorageError {}
-
-/// Element storage of one matrix: an owned `Vec` or a borrowed span of a
-/// shared [`WeightRegion`]. Private — everything outside this module sees
-/// slices.
-#[derive(Clone)]
-enum Store {
-    Owned(Vec<f32>),
-    Borrowed {
-        region: Arc<dyn WeightRegion>,
-        /// Byte offset of the element span inside the region.
-        offset: usize,
-        /// Element count (not bytes).
-        len: usize,
-    },
-}
-
-impl Default for Store {
-    fn default() -> Self {
-        Store::Owned(Vec::new())
-    }
-}
-
-impl Store {
-    /// Validates bounds and alignment once; after this, per-call slice
-    /// derivation in [`Store::as_slice`] cannot fail.
-    fn borrowed(
-        region: Arc<dyn WeightRegion>,
-        offset: usize,
-        len: usize,
-    ) -> Result<Store, StorageError> {
-        let bytes = region.bytes();
-        let oob = |len| StorageError::OutOfBounds {
-            offset,
-            len,
-            region: bytes.len(),
-        };
-        let byte_len = len
-            .checked_mul(std::mem::size_of::<f32>())
-            .ok_or(oob(usize::MAX))?;
-        let end = offset.checked_add(byte_len).ok_or(oob(byte_len))?;
-        if end > bytes.len() {
-            return Err(oob(byte_len));
-        }
-        let align = std::mem::align_of::<f32>();
-        if !(bytes.as_ptr() as usize + offset).is_multiple_of(align) {
-            return Err(StorageError::Misaligned { offset, align });
-        }
-        Ok(Store::Borrowed {
-            region,
-            offset,
-            len,
-        })
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[f32] {
-        match self {
-            Store::Owned(v) => v,
-            Store::Borrowed {
-                region,
-                offset,
-                len,
-            } => {
-                let bytes = region.bytes();
-                debug_assert!(offset + len * std::mem::size_of::<f32>() <= bytes.len());
-                // SAFETY: `Store::borrowed` — the only constructor of
-                // this variant — checked that `offset .. offset + 4 * len`
-                // lies inside this region and that its start is
-                // `f32`-aligned; the region's bytes are immutable and
-                // pointer-stable for its lifetime (the `WeightRegion`
-                // contract), and the `Arc` held here keeps it alive as
-                // long as the returned borrow of `self`. Every bit
-                // pattern is a valid `f32`.
-                unsafe {
-                    std::slice::from_raw_parts(bytes.as_ptr().add(*offset) as *const f32, *len)
-                }
-            }
-        }
-    }
-
-    /// Mutable access, promoting a borrowed span to an owned copy first
-    /// (copy-on-write). Free for already-owned storage.
-    fn make_owned(&mut self) -> &mut Vec<f32> {
-        if matches!(self, Store::Borrowed { .. }) {
-            let copied = self.as_slice().to_vec();
-            *self = Store::Owned(copied);
-        }
-        match self {
-            Store::Owned(v) => v,
-            Store::Borrowed { .. } => unreachable!("promoted above"),
-        }
-    }
-
-    /// Mutable access for callers about to overwrite every element:
-    /// borrowed contents are dropped, not copied. Free for already-owned
-    /// storage (and preserves its capacity).
-    fn owned_for_overwrite(&mut self) -> &mut Vec<f32> {
-        if matches!(self, Store::Borrowed { .. }) {
-            *self = Store::Owned(Vec::new());
-        }
-        match self {
-            Store::Owned(v) => v,
-            Store::Borrowed { .. } => unreachable!("replaced above"),
-        }
-    }
-
-    /// Bytes owned by this process (borrowed spans live in the shared
-    /// region and count zero).
-    fn owned_bytes(&self) -> usize {
-        match self {
-            Store::Owned(v) => v.len() * std::mem::size_of::<f32>(),
-            Store::Borrowed { .. } => 0,
-        }
-    }
-
-    fn is_borrowed(&self) -> bool {
-        matches!(self, Store::Borrowed { .. })
-    }
-}
 
 /// A row-major `rows x cols` matrix of `f32`.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Store,
-}
-
-impl PartialEq for Matrix {
-    fn eq(&self, other: &Matrix) -> bool {
-        // Storage-blind: a borrowed matrix equals an owned one with the
-        // same shape and elements (bit-wise f32 comparison, as before).
-        self.rows == other.rows && self.cols == other.cols && self.as_slice() == other.as_slice()
-    }
+    data: Vec<f32>,
 }
 
 /// The row-major elements, for code generic over "a matrix or a stretch
-/// of one" (copy-on-write for borrowed storage, like
-/// [`Matrix::as_mut_slice`]).
+/// of one".
 impl AsMut<[f32]> for Matrix {
     fn as_mut(&mut self) -> &mut [f32] {
         self.as_mut_slice()
@@ -255,7 +57,7 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: Store::Owned(vec![0.0; rows * cols]),
+            data: vec![0.0; rows * cols],
         }
     }
 
@@ -266,11 +68,7 @@ impl Matrix {
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Matrix {
         assert_eq!(data.len(), rows * cols);
-        Matrix {
-            rows,
-            cols,
-            data: Store::Owned(data),
-        }
+        Matrix { rows, cols, data }
     }
 
     /// Glorot/Xavier-uniform initialisation.
@@ -279,52 +77,7 @@ impl Matrix {
         let data = (0..rows * cols)
             .map(|_| rng.gen_range(-limit..limit))
             .collect();
-        Matrix {
-            rows,
-            cols,
-            data: Store::Owned(data),
-        }
-    }
-
-    /// Borrows a `rows x cols` span of a shared read-only byte region
-    /// (e.g. a memory-mapped snapshot payload) starting at byte `offset`.
-    ///
-    /// Bounds and `f32` alignment are validated here, once; afterwards
-    /// the matrix reads exactly like an owned one (and compares equal to
-    /// an owned matrix with the same elements). Mutating entry points
-    /// promote to an owned copy first (copy-on-write).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StorageError`] when the span escapes the region or its
-    /// start is misaligned for `f32`.
-    pub fn from_region(
-        rows: usize,
-        cols: usize,
-        region: &Arc<dyn WeightRegion>,
-        offset: usize,
-    ) -> Result<Matrix, StorageError> {
-        let len = rows.checked_mul(cols).ok_or(StorageError::OutOfBounds {
-            offset,
-            len: usize::MAX,
-            region: region.bytes().len(),
-        })?;
-        Ok(Matrix {
-            rows,
-            cols,
-            data: Store::borrowed(Arc::clone(region), offset, len)?,
-        })
-    }
-
-    /// Bytes of element data owned by this process: the full payload for
-    /// owned storage, zero for spans borrowed from a shared region.
-    pub fn resident_bytes(&self) -> usize {
-        self.data.owned_bytes()
-    }
-
-    /// Whether the elements are borrowed from a shared [`WeightRegion`].
-    pub fn is_borrowed(&self) -> bool {
-        self.data.is_borrowed()
+        Matrix { rows, cols, data }
     }
 
     /// Number of rows.
@@ -340,49 +93,44 @@ impl Matrix {
     /// The underlying row-major slice.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
-        self.data.as_slice()
+        &self.data
     }
 
-    /// The underlying mutable row-major slice (copy-on-write for
-    /// borrowed storage).
+    /// The underlying mutable row-major slice.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        self.data.make_owned()
+        &mut self.data
     }
 
     /// Row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
-        &self.data.as_slice()[r * self.cols..(r + 1) * self.cols]
+        &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Row `r` as a mutable slice (copy-on-write for borrowed storage).
+    /// Row `r` as a mutable slice.
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        let cols = self.cols;
-        &mut self.data.make_owned()[r * cols..(r + 1) * cols]
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Element access.
     pub fn get(&self, r: usize, c: usize) -> f32 {
-        self.data.as_slice()[r * self.cols + c]
+        self.data[r * self.cols + c]
     }
 
-    /// Element assignment (copy-on-write for borrowed storage).
+    /// Element assignment.
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        let idx = r * self.cols + c;
-        self.data.make_owned()[idx] = v;
+        self.data[r * self.cols + c] = v;
     }
 
     /// Reshapes to `rows x cols` and zero-fills, reusing the existing
     /// allocation whenever capacity allows — the workhorse of the
     /// allocation-free inference path — and growing to exactly the new
-    /// size when it does not, with the old buffer released first. Borrowed
-    /// storage is dropped, not copied (the contents are discarded anyway).
+    /// size when it does not, with the old buffer released first.
     pub fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        let data = self.data.owned_for_overwrite();
-        clear_exact(data, rows * cols);
-        data.resize(rows * cols, 0.0);
+        clear_exact(&mut self.data, rows * cols);
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Reshapes to `rows x cols` *without* zeroing retained elements —
@@ -391,11 +139,10 @@ impl Matrix {
     pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        let data = self.data.owned_for_overwrite();
-        if data.capacity() < rows * cols {
-            clear_exact(data, rows * cols);
+        if self.data.capacity() < rows * cols {
+            clear_exact(&mut self.data, rows * cols);
         }
-        data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Becomes a copy of `src`, reusing the existing allocation whenever
@@ -403,9 +150,8 @@ impl Matrix {
     pub fn copy_from(&mut self, src: &Matrix) {
         self.rows = src.rows;
         self.cols = src.cols;
-        let data = self.data.owned_for_overwrite();
-        data.clear();
-        data.extend_from_slice(src.as_slice());
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
     }
 
     /// `self @ other` with parallel row blocks.
@@ -503,9 +249,9 @@ impl Matrix {
         out
     }
 
-    /// Element-wise ReLU, in place (copy-on-write for borrowed storage).
+    /// Element-wise ReLU, in place.
     pub fn relu_in_place(&mut self) {
-        for v in self.data.make_owned().iter_mut() {
+        for v in self.data.iter_mut() {
             *v = v.max(0.0);
         }
     }
@@ -558,7 +304,7 @@ impl Matrix {
     /// Panics on shape mismatch.
     pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (o, &v) in self.data.make_owned().iter_mut().zip(other.as_slice()) {
+        for (o, &v) in self.data.iter_mut().zip(&other.data) {
             *o += scale * v;
         }
     }
@@ -730,7 +476,7 @@ impl KernelVariant {
         out: &mut Matrix,
     ) {
         out.reshape_for_overwrite(x1.rows, n);
-        let dst = out.data.make_owned();
+        let dst = &mut out.data;
         gemm_with(self.0, false, x1, w1, pair2, epilogue, n, false, dst);
     }
 
@@ -743,8 +489,7 @@ impl KernelVariant {
         assert_eq!(a.cols, b.rows, "matmul shape mismatch");
         assert_eq!(out.rows, a.rows, "GEMM accumulator shape mismatch");
         let (w, n, none) = (b.as_slice(), b.cols, Epilogue::default());
-        let dst = out.data.make_owned();
-        gemm_with(self.0, false, a, w, None, none, n, true, dst);
+        gemm_with(self.0, false, a, w, None, none, n, true, &mut out.data);
     }
 
     /// [`Matrix::transpose_matmul_add_into`] through this variant.
@@ -780,8 +525,7 @@ impl KernelVariant {
         assert_eq!(w.len(), n * dy.cols, "matmul_transpose shape mismatch");
         transpose_into(w, dy.cols, scratch);
         out.reshape_for_overwrite(dy.rows, n);
-        let dst = out.data.make_owned();
-        gemm_seq_with(self.0, dy, scratch.as_slice(), n, false, dst);
+        gemm_seq_with(self.0, dy, scratch.as_slice(), n, false, &mut out.data);
     }
 
     /// [`crate::Graph::mean_aggregate_into`] through this variant.
@@ -823,39 +567,9 @@ mod tests {
         Matrix::glorot(rows, cols, &mut rng)
     }
 
-    /// Capacity and base pointer of a matrix's owned storage (panics on
-    /// borrowed storage — the allocation-reuse tests only make sense for
-    /// owned buffers).
+    /// Capacity and base pointer of a matrix's storage.
     fn owned_parts(m: &Matrix) -> (usize, *const f32) {
-        match &m.data {
-            Store::Owned(v) => (v.capacity(), v.as_ptr()),
-            Store::Borrowed { .. } => panic!("expected owned storage"),
-        }
-    }
-
-    /// A test [`WeightRegion`] with a guaranteed 8-byte-aligned base, so
-    /// alignment outcomes are deterministic (a `Vec<u8>` base only has
-    /// alignment 1 on paper).
-    struct AlignedRegion(Vec<u64>);
-
-    impl AlignedRegion {
-        fn from_bytes(bytes: &[u8]) -> AlignedRegion {
-            let mut words = vec![0u64; bytes.len().div_ceil(8)];
-            // SAFETY: u64 -> u8 reinterpretation of an owned buffer; the
-            // byte length never exceeds the allocation.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, bytes.len())
-            };
-            dst.copy_from_slice(bytes);
-            AlignedRegion(words)
-        }
-    }
-
-    impl WeightRegion for AlignedRegion {
-        fn bytes(&self) -> &[u8] {
-            // SAFETY: in-bounds u64 -> u8 reinterpretation.
-            unsafe { std::slice::from_raw_parts(self.0.as_ptr() as *const u8, self.0.len() * 8) }
-        }
+        (m.data.capacity(), m.data.as_ptr())
     }
 
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
@@ -1074,83 +788,5 @@ mod tests {
         assert_eq!(a, b, "deterministic under the same seed");
         let limit = (6.0 / 96.0f32).sqrt();
         assert!(a.as_slice().iter().all(|v| v.abs() <= limit));
-    }
-
-    /// Region-borrowed storage reads (and GEMMs) bit-identically to the
-    /// owned matrix it was serialised from, promotes to an owned copy on
-    /// mutation, and leaves the shared region untouched.
-    #[test]
-    fn borrowed_storage_reads_and_promotes_on_write() {
-        let src = small(4, 3, 101);
-        let mut bytes = vec![0u8; 4 + 12 * 4];
-        for (i, v) in src.as_slice().iter().enumerate() {
-            bytes[4 + i * 4..8 + i * 4].copy_from_slice(&v.to_le_bytes());
-        }
-        let region: Arc<dyn WeightRegion> = Arc::new(AlignedRegion::from_bytes(&bytes));
-        let mut m = Matrix::from_region(4, 3, &region, 4).unwrap();
-        assert!(m.is_borrowed());
-        assert_eq!(m.resident_bytes(), 0);
-        assert_eq!(m, src, "borrowed == owned, element for element");
-        // GEMM over borrowed weights is bit-identical to owned weights.
-        let x = small(5, 4, 102);
-        assert_eq!(x.matmul(&m), x.matmul(&src));
-        // Mutation promotes (copy-on-write); the region is unaffected.
-        m.set(0, 0, 9.0);
-        assert!(!m.is_borrowed());
-        assert_eq!(m.resident_bytes(), 12 * 4);
-        assert_eq!(m.get(0, 0), 9.0);
-        assert_eq!(Matrix::from_region(4, 3, &region, 4).unwrap(), src);
-    }
-
-    /// Overwrite-style entry points swap borrowed storage for owned
-    /// without copying the discarded contents.
-    #[test]
-    fn overwrite_paths_drop_borrowed_storage() {
-        let src = small(4, 3, 103);
-        let mut bytes = vec![0u8; 12 * 4];
-        for (i, v) in src.as_slice().iter().enumerate() {
-            bytes[i * 4..(i + 1) * 4].copy_from_slice(&v.to_le_bytes());
-        }
-        let region: Arc<dyn WeightRegion> = Arc::new(AlignedRegion::from_bytes(&bytes));
-        let mut m = Matrix::from_region(4, 3, &region, 0).unwrap();
-        m.reset(2, 2);
-        assert!(!m.is_borrowed());
-        assert_eq!((m.rows(), m.cols()), (2, 2));
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
-
-        let mut m = Matrix::from_region(4, 3, &region, 0).unwrap();
-        m.copy_from(&small(2, 2, 104));
-        assert!(!m.is_borrowed());
-        assert_eq!(m, small(2, 2, 104));
-    }
-
-    /// Bad region spans are typed [`StorageError`]s at construction, not
-    /// panics (and certainly not unchecked slices).
-    #[test]
-    fn bad_region_spans_are_typed_errors() {
-        let region: Arc<dyn WeightRegion> = Arc::new(AlignedRegion(vec![0u64; 4])); // 32 bytes
-        assert_eq!(
-            Matrix::from_region(2, 2, &region, 2).unwrap_err(),
-            StorageError::Misaligned {
-                offset: 2,
-                align: 4
-            }
-        );
-        assert_eq!(
-            Matrix::from_region(3, 3, &region, 0).unwrap_err(),
-            StorageError::OutOfBounds {
-                offset: 0,
-                len: 36,
-                region: 32
-            }
-        );
-        assert!(matches!(
-            Matrix::from_region(usize::MAX, 2, &region, 0).unwrap_err(),
-            StorageError::OutOfBounds { .. }
-        ));
-        assert!(matches!(
-            Matrix::from_region(2, 2, &region, usize::MAX - 2).unwrap_err(),
-            StorageError::OutOfBounds { .. }
-        ));
     }
 }

@@ -166,6 +166,62 @@ fn bench_serve_is_an_unknown_subcommand() {
     );
 }
 
+/// Runs the binary on `args` and expects the usage-error exit (1, not a
+/// panic's 101); returns stderr.
+fn usage_error(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_gamora"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    stderr
+}
+
+/// A server needs a batch of at least one job and at least one worker:
+/// zero is a usage error naming the flag, not a panic in `Server::start`.
+#[test]
+fn zero_batch_or_workers_is_a_usage_error() {
+    let dir = tmpdir("zero");
+    let model_path = dir.join("model.gsnap");
+    GamoraReasoner::new(ReasonerConfig::default())
+        .save(&model_path)
+        .unwrap();
+    let aag_path = dir.join("x.aag");
+    let mut buf = Vec::new();
+    aiger::write_ascii(&csa_multiplier(3).aig, &mut buf).unwrap();
+    std::fs::write(&aag_path, &buf).unwrap();
+    let (model, aag) = (model_path.to_str().unwrap(), aag_path.to_str().unwrap());
+    for flag in ["--batch", "--workers"] {
+        let stderr = usage_error(&["infer", "--model", model, flag, "0", aag]);
+        assert!(
+            stderr.contains(&format!("{flag} must be at least 1")),
+            "{flag}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `train --depth` refuses, before any training, a shape the snapshot
+/// reader would refuse: no layers, or a hidden width past its bound.
+#[test]
+fn train_refuses_depths_a_snapshot_cannot_hold() {
+    let dir = tmpdir("depth");
+    let model_path = dir.join("model.gsnap");
+    let out = model_path.to_str().unwrap();
+    for depth in ["0x16", "1x70000"] {
+        let stderr = usage_error(&[
+            "train", "--bits", "3", "--epochs", "1", "--quiet", "--depth", depth, "--out", out,
+        ]);
+        assert!(
+            stderr.contains(&format!("--depth {depth}")) && stderr.contains("65536"),
+            "{depth}: {stderr}"
+        );
+        assert!(!model_path.exists(), "{depth}: nothing may be written");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn train_subcommand_writes_a_loadable_snapshot() {
     let dir = tmpdir("train");
@@ -204,6 +260,8 @@ fn removed_cone_tier_flags_are_unknown() {
         // `--batches` was a typo of `--batch` that used to pass silently.
         ["infer", "--model", "m.gsnap", "--batches", "4"],
         ["infer", "--model", "m.gsnap", "--kind", "booth"],
+        // The mapped loader went with its storage class.
+        ["infer", "--model", "m.gsnap", "--mmap", "x.aag"],
         ["train", "--out", "m.gsnap", "--faults", "x"],
     ] {
         let stderr = refused(&args);

@@ -18,56 +18,16 @@
 use gamora_aig::aiger::{self, ParseAigerError, MAX_INPUTS, MAX_VAR};
 use gamora_aig::Aig;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use request_counting::counting_requests;
 use std::sync::OnceLock;
 
-std::thread_local! {
-    /// Bytes the current thread has requested from the allocator while
-    /// it was counting (`None` = not counting).
-    static REQUESTED: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// System allocator wrapper that adds up the sizes a counting thread
-/// asks for (frees are not credited back: the bound is on requests).
-struct CountingAlloc;
-
-fn count(bytes: usize) {
-    // `try_with` so allocations during TLS teardown never panic.
-    let _ = REQUESTED.try_with(|r| r.set(r.get().map(|n| n + bytes)));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+#[path = "support/request_counting.rs"]
+mod request_counting;
 
 /// Reads `bytes` and returns the result with the bytes this thread
 /// requested from the allocator meanwhile.
 fn read_counting(bytes: &[u8]) -> (Result<Aig, ParseAigerError>, usize) {
-    REQUESTED.with(|r| r.set(Some(0)));
-    let out = aiger::read(bytes);
-    let requested = REQUESTED.with(|r| r.replace(None));
-    (out, requested.expect("counting was on"))
+    counting_requests(|| aiger::read(bytes))
 }
 
 /// Reading `bytes` may request at most this much; `believed_inputs` is
