@@ -45,7 +45,7 @@ fn hammer(
     let probe = |cache: &mut PredictionCache| {
         if by_identity {
             cache
-                .probe_identity(sig.identity, sig.key.num_nodes, None)
+                .probe_identity(sig.identity, sig.key.num_nodes)
                 .map(|(_, entry)| entry)
         } else {
             cache.probe(&sig.key)
@@ -54,7 +54,7 @@ fn hammer(
     };
     let resolve = |entry: &CacheEntry| {
         if by_identity {
-            Some(entry.verbatim(None))
+            Some(entry.verbatim())
         } else {
             entry.resolve(sig).map(|(preds, _)| preds)
         }

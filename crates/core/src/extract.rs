@@ -9,8 +9,7 @@
 use crate::reasoner::Predictions;
 use gamora_aig::{Aig, NodeId};
 use gamora_exact::{
-    compare_with_reference, detect, extract_adders, Candidates, ExtractedAdder, Pairing, Role,
-    TreeComparison,
+    compare_with_reference, detect, extract_adders, ExtractedAdder, Pairing, Role, TreeComparison,
 };
 
 /// The admission test predictions put on exact candidates.
@@ -31,21 +30,11 @@ pub(crate) fn predicted(preds: &Predictions) -> impl Fn(NodeId, Role) -> bool + 
 }
 
 /// Extracts an adder tree using the model's predictions for detection.
+/// ([`crate::PostProcess`] runs this and [`crate::lsb_correction`] over one
+/// candidate index and reused buffers.)
 pub fn extract_from_predictions(aig: &Aig, preds: &Predictions) -> Vec<ExtractedAdder> {
-    extract_from_predictions_with(aig, &detect(aig), preds)
-}
-
-/// [`extract_from_predictions`] with a pre-computed candidate index — the
-/// same one [`crate::lsb_correction_with`] takes, so a caller that runs
-/// both pays for [`detect`] once. ([`crate::PostProcess`] is both steps
-/// over reused buffers.)
-pub fn extract_from_predictions_with(
-    aig: &Aig,
-    cands: &Candidates,
-    preds: &Predictions,
-) -> Vec<ExtractedAdder> {
     let mut adders = Vec::new();
-    Pairing::default().pair(aig, cands, predicted(preds), &mut adders);
+    Pairing::default().pair(aig, &detect(aig), predicted(preds), &mut adders);
     adders
 }
 
@@ -53,9 +42,10 @@ pub fn extract_from_predictions_with(
 pub fn compare_extraction(aig: &Aig, preds: &Predictions) -> (Vec<ExtractedAdder>, TreeComparison) {
     let cands = detect(aig);
     let exact = extract_adders(aig, &cands);
-    let predicted = extract_from_predictions_with(aig, &cands, preds);
-    let cmp = compare_with_reference(&predicted, exact.iter().map(|a| (a.sum, a.carry)));
-    (predicted, cmp)
+    let mut adders = Vec::new();
+    Pairing::default().pair(aig, &cands, predicted(preds), &mut adders);
+    let cmp = compare_with_reference(&adders, exact.iter().map(|a| (a.sum, a.carry)));
+    (adders, cmp)
 }
 
 #[cfg(test)]

@@ -50,9 +50,9 @@ mod reasoner;
 pub mod snapshot;
 
 pub use dataset::BatchScratch;
-pub use extract::{compare_extraction, extract_from_predictions, extract_from_predictions_with};
+pub use extract::{compare_extraction, extract_from_predictions};
 pub use features::FeatureMode;
-pub use postprocess::{lsb_correction, lsb_correction_with, PostProcess};
+pub use postprocess::{lsb_correction, PostProcess};
 pub use reasoner::{
     inference_memory_estimate, score_predictions, BatchTimings, EvalReport, GamoraReasoner,
     ModelDepth, Predictions, ReasonerConfig,

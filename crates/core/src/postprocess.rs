@@ -69,17 +69,7 @@ fn retain_missed_shallow(
 /// Only pairs whose sum and carry nodes are not already roots of an
 /// extracted adder are added, so the correction never double-counts.
 pub fn lsb_correction(aig: &Aig, adders: &mut Vec<ExtractedAdder>) -> usize {
-    let cands = detect(aig);
-    lsb_correction_with(aig, &cands, adders)
-}
-
-/// [`lsb_correction`] with a pre-computed candidate index.
-pub fn lsb_correction_with(
-    aig: &Aig,
-    cands: &Candidates,
-    adders: &mut Vec<ExtractedAdder>,
-) -> usize {
-    let mut exact = extract_adders(aig, cands);
+    let mut exact = extract_adders(aig, &detect(aig));
     retain_missed_shallow(aig, &mut exact, adders, &mut Vec::new());
     adders.extend_from_slice(&exact);
     adders.sort_unstable_by_key(|a| (a.sum, a.carry));

@@ -31,7 +31,7 @@
 //! Both hashes are computed as a single `FxHasher::write` over the
 //! covered byte range. The section table is redundant on purpose: the
 //! config fixes every layer shape, the shapes fix the one canonical
-//! section plan ([`section_plan`]), and the reader rejects a file whose
+//! section plan (`section_plan`), and the reader rejects a file whose
 //! table, section count or payload length deviates from that plan
 //! *before* it builds the model — so even a re-signed lying header can
 //! never size an allocation from attacker-chosen fields, and the model

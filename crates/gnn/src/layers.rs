@@ -265,7 +265,7 @@ fn dense<'a>(x: Rows<'a>, w: &'a [f32], bias: &'a [f32], relu: bool) -> GemmArgs
 /// through a [`SageLayer`] holds at a time (one block per kernel thread on
 /// the row-block-parallel path) — shared by every layer of a model, since
 /// layers run in sequence, and by the shared layer's output in the fused
-/// tail after them ([`FusedLinears::forward_rows_after`]).
+/// tail after them (`FusedLinears::forward_rows_after`).
 ///
 /// There is deliberately no concat buffer either: the split-weight forward
 /// multiplies `h` and the aggregate against the two row halves of the

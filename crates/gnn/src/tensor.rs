@@ -180,7 +180,7 @@ impl Matrix {
 
     /// `out += self @ other`, accumulating into an existing buffer — the
     /// standalone counterpart of the split-weight accumulation inside
-    /// [`fused_gemm_into`].
+    /// `fused_gemm_into`.
     ///
     /// # Panics
     ///

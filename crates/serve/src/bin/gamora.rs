@@ -32,13 +32,16 @@ USAGE:
                  (LxH: 1-1024 SAGE layers of 1-65536 hidden channels,
                  the depths a snapshot holds)
     gamora infer --model MODEL.gsnap [--extract] [--score] [--batch N]
-                 [--workers N] [--cache N] [--queue-cap N] [--linger MICROS]
+                 [--workers N] [--cache N] [--queue-cap N]
                  [--compact] [--layer-times] [--metrics-out PATH]
                  [--intra-threads N] [--faults SPEC] FILE.aag [FILE.aig ...]
                  (--batch and --workers are at least 1;
                  --cache 0 disables the structural-hash cache;
                  --intra-threads 0 = auto: the machine's thread budget,
                  GAMORA_THREADS if set, divided by --workers)
+
+infer submits its whole file list as one burst and serves with no
+linger window: a short batch has no later companion to wait for.
 
 infer reads the whole snapshot and verifies its header and payload
 checksums before serving; a damaged file is refused, never served.
@@ -360,7 +363,6 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
             "--workers",
             "--cache",
             "--queue-cap",
-            "--linger",
             "--metrics-out",
             "--intra-threads",
             "--faults",
@@ -383,7 +385,6 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
     }
     let cache_capacity = flags.usize_or("--cache", defaults.cache_capacity)?;
     let queue_capacity = flags.usize_or("--queue-cap", defaults.queue_capacity)?;
-    let linger_micros = flags.usize_or("--linger", defaults.linger_micros as usize)? as u64;
     let intra_threads = flags.usize_or("--intra-threads", 0)?;
     let kind = if flags.has("--extract") {
         AnalysisKind::ExtractAdders
@@ -400,7 +401,7 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
             workers,
             cache_capacity,
             queue_capacity,
-            linger_micros,
+            linger_micros: 0,
             layer_timing: flags.has("--layer-times"),
             intra_threads,
             quarantine_ttl_micros: defaults.quarantine_ttl_micros,

@@ -5,9 +5,8 @@
 //! are kept in step on insert, in-place refresh and eviction:
 //!
 //! * the **identity index**, `(identity digest, node count) → slot`: the
-//!   128-bit order-sensitive
-//!   [`identity_fingerprint`](gamora_aig::hasher::identity_fingerprint) of
-//!   the exact numbering that was cached;
+//!   128-bit order-sensitive [`identity_fingerprint`] of the exact
+//!   numbering that was cached;
 //! * the **structural key map**, [`CacheKey`] `→ slot`: the canonical
 //!   whole-graph hash of
 //!   [`gamora_aig::hasher::structural_fingerprint`] plus the
@@ -51,53 +50,18 @@
 //! held. Symmetrically, [`CacheEntry::new`] builds the O(nodes) hash index
 //! outside the lock and [`PredictionCache::insert_entry`] links it in
 //! O(1).
+//!
+//! The cache is a plain data structure and records no metrics. The
+//! scheduler, its one metered caller, reads the clock around each probe
+//! (under its lock) and each resolve (outside it), and counts the tier
+//! every answer came from (README "Observability").
 
 use gamora::Predictions;
 use gamora_aig::hasher::{
     fingerprint_from_node_hashes, identity_fingerprint, structural_node_hashes, FxHashMap,
 };
 use gamora_aig::Aig;
-use gamora_obs::{Counter, Histogram, Registry, StageTimer};
 use std::sync::Arc;
-
-/// Per-tier cache observability: probe/resolve latency histograms plus
-/// verbatim/transfer hit and miss counters. The handles are `Arc`s into a
-/// [`Registry`]; recording is wait-free and allocation-free, so the timed
-/// helpers ([`PredictionCache::probe_identity`],
-/// [`PredictionCache::probe_timed`], [`CacheEntry::resolve_timed`]) are
-/// safe both under the scheduler's cache mutex (probes) and on the
-/// lock-free resolve path.
-pub struct CacheMetrics {
-    /// O(1) LRU probe latency (under the cache lock), one sample per probe
-    /// of either index.
-    pub probe_micros: Arc<Histogram>,
-    /// O(nodes) verbatim-clone / transfer-reindex latency (no lock held).
-    pub resolve_micros: Arc<Histogram>,
-    /// Resolutions served bit-exactly from the stored vectors.
-    pub hits_verbatim: Arc<Counter>,
-    /// Resolutions transferred onto a renumbered isomorph.
-    pub hits_transferred: Arc<Counter>,
-    /// Submissions with no entry for their graph: the structural-key probe
-    /// missed (and so, before it, had the identity probe).
-    pub probe_misses: Arc<Counter>,
-    /// Probed entries that refused to resolve (duplicate cones or a
-    /// genuine fingerprint collision) — honest misses.
-    pub resolve_misses: Arc<Counter>,
-}
-
-impl CacheMetrics {
-    /// Registers the cache metrics in `reg` under `cache_*` names.
-    pub fn register(reg: &mut Registry) -> CacheMetrics {
-        CacheMetrics {
-            probe_micros: reg.histogram("cache_probe_micros"),
-            resolve_micros: reg.histogram("cache_resolve_micros"),
-            hits_verbatim: reg.counter("cache_hits_verbatim_total"),
-            hits_transferred: reg.counter("cache_hits_transferred_total"),
-            probe_misses: reg.counter("cache_probe_misses_total"),
-            resolve_misses: reg.counter("cache_resolve_misses_total"),
-        }
-    }
-}
 
 /// Cache key: canonical fingerprint qualified by coarse shape counts.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -224,44 +188,16 @@ impl CacheEntry {
     /// fingerprint collision). O(nodes) — run it with no lock held.
     pub fn resolve(&self, sig: &GraphSignature) -> Option<(Predictions, HitKind)> {
         if self.identity == sig.identity {
-            return Some((self.verbatim(None), HitKind::Verbatim));
+            return Some((self.verbatim(), HitKind::Verbatim));
         }
         self.transfer(sig).map(|p| (p, HitKind::Transferred))
     }
 
     /// The stored predictions, cloned: what a
-    /// [`PredictionCache::probe_identity`] hit serves. With `metrics`, the
-    /// clone is accounted exactly as a verbatim
-    /// [`CacheEntry::resolve_timed`] (one resolve-latency sample, one
-    /// verbatim hit). O(nodes) — run it with no lock held.
-    pub fn verbatim(&self, metrics: Option<&CacheMetrics>) -> Predictions {
-        let Some(metrics) = metrics else {
-            return self.predictions.clone();
-        };
-        let timer = StageTimer::start();
-        let predictions = self.predictions.clone();
-        timer.observe(&metrics.resolve_micros);
-        metrics.hits_verbatim.inc();
-        predictions
-    }
-
-    /// [`CacheEntry::resolve`] with tier accounting: records the resolve
-    /// latency and bumps the verbatim/transferred hit counter (or the
-    /// resolve-miss counter on an honest refusal).
-    pub fn resolve_timed(
-        &self,
-        sig: &GraphSignature,
-        metrics: &CacheMetrics,
-    ) -> Option<(Predictions, HitKind)> {
-        let timer = StageTimer::start();
-        let resolved = self.resolve(sig);
-        timer.observe(&metrics.resolve_micros);
-        match &resolved {
-            Some((_, HitKind::Verbatim)) => metrics.hits_verbatim.inc(),
-            Some((_, HitKind::Transferred)) => metrics.hits_transferred.inc(),
-            None => metrics.resolve_misses.inc(),
-        }
-        resolved
+    /// [`PredictionCache::probe_identity`] hit serves. O(nodes) — run it
+    /// with no lock held.
+    pub fn verbatim(&self) -> Predictions {
+        self.predictions.clone()
     }
 
     fn transfer(&self, sig: &GraphSignature) -> Option<Predictions> {
@@ -395,30 +331,19 @@ impl PredictionCache {
     /// the graph structurally, and the scheduler's quarantine gate wants
     /// the fingerprint — with the entry, whose
     /// [`CacheEntry::verbatim`] the caller runs after releasing the lock.
-    ///
-    /// With `metrics`, the probe records one probe-latency sample. A miss
-    /// here is not yet a `probe_misses` count: the caller goes on to the
-    /// structural key, and that probe decides.
     pub fn probe_identity(
         &mut self,
         identity: u128,
         num_nodes: usize,
-        metrics: Option<&CacheMetrics>,
     ) -> Option<(CacheKey, Arc<CacheEntry>)> {
-        let timed = metrics.map(|m| (StageTimer::start(), m));
-        let hit = self
+        let idx = self
             .by_identity
             .get(&(identity, num_nodes))
             .copied()
-            .filter(|&idx| self.slab[idx].entry.predictions.num_nodes() == num_nodes);
-        if let Some(idx) = hit {
-            self.detach(idx);
-            self.push_front(idx);
-        }
-        if let Some((timer, metrics)) = timed {
-            timer.observe(&metrics.probe_micros);
-        }
-        hit.map(|idx| (self.slab[idx].key, Arc::clone(&self.slab[idx].entry)))
+            .filter(|&idx| self.slab[idx].entry.predictions.num_nodes() == num_nodes)?;
+        self.detach(idx);
+        self.push_front(idx);
+        Some((self.slab[idx].key, Arc::clone(&self.slab[idx].entry)))
     }
 
     /// O(1) probe: finds the entry for a key and marks it most recently
@@ -432,24 +357,6 @@ impl PredictionCache {
         self.detach(idx);
         self.push_front(idx);
         Some(Arc::clone(&self.slab[idx].entry))
-    }
-
-    /// [`PredictionCache::probe`] with probe-latency and probe-miss
-    /// accounting. Recording is a few relaxed atomics, so calling this
-    /// under the scheduler's cache mutex does not widen the critical
-    /// section meaningfully.
-    pub fn probe_timed(
-        &mut self,
-        key: &CacheKey,
-        metrics: &CacheMetrics,
-    ) -> Option<Arc<CacheEntry>> {
-        let timer = StageTimer::start();
-        let entry = self.probe(key);
-        timer.observe(&metrics.probe_micros);
-        if entry.is_none() {
-            metrics.probe_misses.inc();
-        }
-        entry
     }
 
     /// O(1) insert (or refresh) of a pre-built entry. Build the entry
@@ -632,61 +539,6 @@ mod tests {
         assert!(lookup(&mut cache, &renumbered).is_none());
     }
 
-    /// The timed probe/resolve wrappers serve identical answers to the
-    /// plain API and account each tier exactly once: one probe sample per
-    /// probe of either index, a probe miss only when the structural key
-    /// missed, and an identity hit booked like a verbatim resolve.
-    #[test]
-    fn timed_probe_resolve_accounts_tiers() {
-        let mut reg = Registry::new();
-        let metrics = CacheMetrics::register(&mut reg);
-        let aig = toy_aig(false);
-        let sig = GraphSignature::of(&aig);
-        let n = sig.key.num_nodes;
-        let mut cache = PredictionCache::new(4);
-
-        // Cold: both indexes miss, one probe miss between them.
-        assert!(cache
-            .probe_identity(sig.identity, n, Some(&metrics))
-            .is_none());
-        assert!(cache.probe_timed(&sig.key, &metrics).is_none());
-        insert(&mut cache, &sig, toy_predictions(&aig));
-        let entry = cache.probe_timed(&sig.key, &metrics).expect("hit");
-        let (served, kind) = entry.resolve_timed(&sig, &metrics).expect("verbatim");
-        assert_eq!(kind, HitKind::Verbatim);
-        assert_eq!(served.root_leaf, toy_predictions(&aig).root_leaf);
-
-        // A renumbered identity misses the identity index (no probe miss
-        // yet) and is transferred off the structural key's entry.
-        let mut renumbered = sig.clone();
-        renumbered.identity ^= 1;
-        assert!(cache
-            .probe_identity(renumbered.identity, n, Some(&metrics))
-            .is_none());
-        let (_, kind) = entry
-            .resolve_timed(&renumbered, &metrics)
-            .expect("transfer");
-        assert_eq!(kind, HitKind::Transferred);
-
-        // The identity index answers the original numbering with the
-        // slot's key and the same bits `resolve` serves.
-        let (key, by_identity) = cache
-            .probe_identity(sig.identity, n, Some(&metrics))
-            .expect("identity hit");
-        assert_eq!(key, sig.key);
-        assert_eq!(by_identity.verbatim(Some(&metrics)), served);
-
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("cache_probe_misses_total"), 1);
-        assert_eq!(snap.counter("cache_hits_verbatim_total"), 2);
-        assert_eq!(snap.counter("cache_hits_transferred_total"), 1);
-        assert_eq!(snap.counter("cache_resolve_misses_total"), 0);
-        // 3 identity probes + 2 key probes.
-        assert_eq!(snap.histogram("cache_probe_micros").unwrap().count(), 5);
-        // 2 verbatim + 1 transfer.
-        assert_eq!(snap.histogram("cache_resolve_micros").unwrap().count(), 3);
-    }
-
     /// The identity index stays in step with the key map: a fresh insert
     /// links the numbering, an in-place refresh (same structure, other
     /// numbering) moves the link, eviction drops it — and a probe through
@@ -705,7 +557,7 @@ mod tests {
         let sigs: Vec<_> = graphs.iter().map(GraphSignature::of).collect();
         let hit = |cache: &mut PredictionCache, sig: &GraphSignature| {
             cache
-                .probe_identity(sig.identity, sig.key.num_nodes, None)
+                .probe_identity(sig.identity, sig.key.num_nodes)
                 .is_some()
         };
         let mut cache = PredictionCache::new(2);
@@ -745,7 +597,7 @@ mod tests {
         sig_b.identity = sig_a.identity;
         let owner = |cache: &mut PredictionCache| {
             cache
-                .probe_identity(sig_a.identity, sig_a.key.num_nodes, None)
+                .probe_identity(sig_a.identity, sig_a.key.num_nodes)
                 .map(|(key, _)| key)
         };
         let collided = || {
@@ -790,10 +642,10 @@ mod tests {
         let mut cache = PredictionCache::new(2);
         cache.insert_entry(misfiled, entry);
         assert!(cache
-            .probe_identity(sig.identity, misfiled.num_nodes, None)
+            .probe_identity(sig.identity, misfiled.num_nodes)
             .is_none());
         assert!(cache
-            .probe_identity(sig.identity, sig.key.num_nodes, None)
+            .probe_identity(sig.identity, sig.key.num_nodes)
             .is_none());
     }
 

@@ -70,7 +70,7 @@ pub mod metrics;
 pub mod report;
 pub mod scheduler;
 
-pub use cache::{CacheEntry, CacheKey, CacheMetrics, GraphSignature, HitKind, PredictionCache};
+pub use cache::{CacheEntry, CacheKey, GraphSignature, HitKind, PredictionCache};
 pub use metrics::{LayerObserver, ServeMetrics};
 pub use report::Json;
 pub use scheduler::{

@@ -20,14 +20,23 @@
 //! | `stage_postprocess_micros` | cut detection, pairing and LSB repair of one `ExtractAdders` job (`Classify` jobs record nothing) |
 //! | `stage_time_to_rejection_micros` | submit/queue entry → `Overloaded` or `DeadlineExpired` shed |
 //! | `latency_e2e_micros` | submission → answer sent (the `JobOutput::latency_micros` distribution) |
+//! | `cache_probe_micros` | one O(1) probe of either cache index, under the cache lock |
+//! | `cache_resolve_micros` | one verbatim clone or transfer re-index, with no lock held |
 //!
 //! Distribution metrics `queue_depth` (sampled at every admission) and
 //! `batch_size` (per executed batch) use the same histogram type with unit
 //! "jobs" instead of microseconds.
+//!
+//! The cache itself records nothing: the scheduler times its plain calls
+//! through [`ServeMetrics::timed_probe`] and [`ServeMetrics::timed_resolve`]
+//! and counts the tiers — `cache_hits_verbatim_total` (identity hits
+//! included), `cache_hits_transferred_total`, `cache_probe_misses_total`
+//! (the structural key missed too) and `cache_resolve_misses_total`.
 
-use crate::cache::CacheMetrics;
+use crate::cache::HitKind;
+use gamora::Predictions;
 use gamora_gnn::{ForwardObserver, ForwardStage};
-use gamora_obs::{Counter, Gauge, Histogram, Registry};
+use gamora_obs::{Counter, Gauge, Histogram, Registry, StageTimer};
 use std::sync::Arc;
 
 /// Per-layer forward-timing sink: implements the GNN crate's
@@ -134,8 +143,22 @@ pub struct ServeMetrics {
     /// Live jobs per executed batch (unit: jobs).
     pub batch_size: Arc<Histogram>,
 
-    /// Cache tier/latency metrics (recorded through `cache.rs` helpers).
-    pub cache: CacheMetrics,
+    /// O(1) cache probe latency (under the cache lock), one sample per
+    /// probe of either index.
+    pub cache_probe_micros: Arc<Histogram>,
+    /// O(nodes) verbatim-clone / transfer-reindex latency (no lock held).
+    pub cache_resolve_micros: Arc<Histogram>,
+    /// Resolutions served bit-exactly from the stored vectors (identity
+    /// hits included).
+    pub cache_hits_verbatim_total: Arc<Counter>,
+    /// Resolutions transferred onto a renumbered isomorph.
+    pub cache_hits_transferred_total: Arc<Counter>,
+    /// Jobs with no entry for their graph: the structural-key probe
+    /// missed (and so, before it, had the identity probe).
+    pub cache_probe_misses_total: Arc<Counter>,
+    /// Probed entries that refused to resolve (duplicate cones or a
+    /// genuine fingerprint collision) — honest misses.
+    pub cache_resolve_misses_total: Arc<Counter>,
     /// Per-layer forward timing, present iff
     /// [`ServeConfig::layer_timing`](crate::scheduler::ServeConfig::layer_timing)
     /// is on.
@@ -176,9 +199,42 @@ impl ServeMetrics {
             latency_e2e: reg.histogram("latency_e2e_micros"),
             queue_depth: reg.histogram("queue_depth"),
             batch_size: reg.histogram("batch_size"),
-            cache: CacheMetrics::register(reg),
+            cache_probe_micros: reg.histogram("cache_probe_micros"),
+            cache_resolve_micros: reg.histogram("cache_resolve_micros"),
+            cache_hits_verbatim_total: reg.counter("cache_hits_verbatim_total"),
+            cache_hits_transferred_total: reg.counter("cache_hits_transferred_total"),
+            cache_probe_misses_total: reg.counter("cache_probe_misses_total"),
+            cache_resolve_misses_total: reg.counter("cache_resolve_misses_total"),
             layers: layer_count.map(|n| LayerObserver::register(reg, n)),
         }
+    }
+
+    /// Runs one cache probe of either index, timed into
+    /// `cache_probe_micros`. Whether a miss counts is the caller's call:
+    /// only the structural key's does.
+    pub fn timed_probe<T>(&self, probe: impl FnOnce() -> T) -> T {
+        let timer = StageTimer::start();
+        let hit = probe();
+        timer.observe(&self.cache_probe_micros);
+        hit
+    }
+
+    /// Runs one resolve, timed into `cache_resolve_micros` and counted
+    /// under the tier it returns, or as a resolve miss.
+    pub fn timed_resolve(
+        &self,
+        resolve: impl FnOnce() -> Option<(Predictions, HitKind)>,
+    ) -> Option<Predictions> {
+        let timer = StageTimer::start();
+        let resolved = resolve();
+        timer.observe(&self.cache_resolve_micros);
+        let counter = match &resolved {
+            Some((_, HitKind::Verbatim)) => &self.cache_hits_verbatim_total,
+            Some((_, HitKind::Transferred)) => &self.cache_hits_transferred_total,
+            None => &self.cache_resolve_misses_total,
+        };
+        counter.inc();
+        resolved.map(|(predictions, _)| predictions)
     }
 
     /// The layer observer as the GNN-facing trait object, if enabled.

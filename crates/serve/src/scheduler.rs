@@ -12,7 +12,9 @@
 //! **one** GNN forward pass via
 //! [`GamoraReasoner::predict_batch_into_timed`],
 //! then fan the results back out — the serving analogue of the paper's
-//! Figure 8 batched inference.
+//! Figure 8 batched inference. The cache records no metrics; the worker
+//! times each of its probes and resolves and counts the tier each answer
+//! came from (`cache_*` in [`crate::metrics`]).
 //!
 //! The ingress is hardened for overload:
 //!
@@ -42,7 +44,7 @@
 //! * **Worker supervision.** A batch panic kills its worker thread (a
 //!   fresh thread is strictly safer than one whose scratch may be
 //!   half-written); a supervisor thread detects the death and respawns
-//!   the worker with a fresh [`WorkerState`], reusing the `Arc`'d model.
+//!   the worker with a fresh `WorkerState`, reusing the `Arc`'d model.
 //!   Respawns are counted in `workers_respawned`.
 //! * **Poison quarantine.** A structural fingerprint present in two
 //!   panicking batches is quarantined for
@@ -429,10 +431,10 @@ struct Shared {
     space: Condvar,
     /// Allocator for [`Job::burst`] ids (`0` is reserved for singles).
     burst_counter: AtomicU64,
-    /// `None` when caching is disabled (`cache_capacity == 0`).
-    cache: Mutex<Option<PredictionCache>>,
-    /// Whether structural-hash shortcuts (cache + intra-batch dedup) are on.
-    hashing_enabled: bool,
+    /// `None` in cold mode (`cache_capacity == 0`), which also switches
+    /// off every hash: the digest at submit, the structural pass and
+    /// intra-batch dedup.
+    cache: Option<Mutex<PredictionCache>>,
     /// Every counter/gauge/histogram the serve path records into. The
     /// handles are `Arc`s into `registry`; recording is wait-free.
     metrics: ServeMetrics,
@@ -461,20 +463,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Runs `f` on the prediction cache with its mutex held: O(1) probes
-    /// and inserts only, never anything O(nodes).
-    ///
-    /// # Panics
-    ///
-    /// Panics in cold mode — callers are gated on `hashing_enabled`, which
-    /// like the cache derives from `cache_capacity > 0`.
-    fn with_cache<R>(&self, f: impl FnOnce(&mut PredictionCache) -> R) -> R {
-        let mut cache = self.cache.lock().expect("cache poisoned");
-        f(cache
-            .as_mut()
-            .expect("hashing_enabled implies a cache (both derive from cache_capacity > 0)"))
-    }
-
     /// Stamps "something went wrong just now" for the health window.
     fn note_incident(&self) {
         let micros = self.started.elapsed().as_micros() as u64;
@@ -679,10 +667,8 @@ impl Server {
             available: Condvar::new(),
             space: Condvar::new(),
             burst_counter: AtomicU64::new(1),
-            cache: Mutex::new(
-                (config.cache_capacity > 0).then(|| PredictionCache::new(config.cache_capacity)),
-            ),
-            hashing_enabled: config.cache_capacity > 0,
+            cache: (config.cache_capacity > 0)
+                .then(|| Mutex::new(PredictionCache::new(config.cache_capacity))),
             metrics,
             registry,
             max_batch: config.max_batch,
@@ -770,9 +756,7 @@ impl Server {
     /// is in that core's cache. Recorded into
     /// `stage_signature_hash_micros`, outside the admission span.
     fn identity_of(&self, aig: &Aig) -> Option<u128> {
-        if !self.shared.hashing_enabled {
-            return None;
-        }
+        self.shared.cache.as_ref()?;
         let timer = StageTimer::start();
         let identity = identity_fingerprint(aig);
         timer.observe(&self.shared.metrics.stage_hash);
@@ -1275,7 +1259,8 @@ fn run_batch(
     // guessing at identities; `panic` unwinds to the worker handler like
     // any batch panic. Cold mode never hashes, so the point is not checked
     // there.
-    if shared.hashing_enabled && gamora_fault::hit(FaultPoint::SignatureHash).is_err() {
+    let hashing = shared.cache.is_some();
+    if hashing && gamora_fault::hit(FaultPoint::SignatureHash).is_err() {
         shared.note_incident();
         for job in batch {
             fail_job(shared, job, accounted);
@@ -1288,8 +1273,10 @@ fn run_batch(
     // the failure degrades throughput, never correctness. It is checked
     // before the identity probe, i.e. before any fingerprint of this batch
     // is known: a `panic` here strikes nothing, like one at the hash point.
-    let cache_usable =
-        shared.hashing_enabled && gamora_fault::hit(FaultPoint::CacheResolve).is_ok();
+    let usable_cache = shared
+        .cache
+        .as_ref()
+        .filter(|_| gamora_fault::hit(FaultPoint::CacheResolve).is_ok());
 
     // Phase 1: resolve from the cache, cheapest evidence first. Every job
     // carries the identity digest its submitter took, so the identity
@@ -1303,16 +1290,16 @@ fn run_batch(
     // `Arc`'d entries *outside* them, so a big transfer never stalls the
     // other workers' probes. With hashing disabled nothing is looked up and
     // nothing hashed — cold mode measures pure model throughput.
-    let mut lookups: Vec<Lookup> = if shared.hashing_enabled {
-        let verbatim: Vec<Option<(CacheKey, Arc<CacheEntry>)>> = if cache_usable {
-            shared.with_cache(|cache| {
+    let mut lookups: Vec<Lookup> = if hashing {
+        let verbatim: Vec<Option<(CacheKey, Arc<CacheEntry>)>> = match usable_cache {
+            Some(cache) => {
+                let mut cache = cache.lock().expect("cache poisoned");
                 batch
                     .iter()
-                    .map(|j| cache.probe_identity(j.digest(), j.aig.num_nodes(), Some(&m.cache)))
+                    .map(|j| m.timed_probe(|| cache.probe_identity(j.digest(), j.aig.num_nodes())))
                     .collect()
-            })
-        } else {
-            vec![None; batch.len()]
+            }
+            None => vec![None; batch.len()],
         };
         let hash_timer = StageTimer::start();
         let mut hashed_here = false;
@@ -1344,7 +1331,7 @@ fn run_batch(
     // an identity hit is gated on its slot key's fingerprint before its
     // predictions are cloned. The atomic gate keeps this a single relaxed
     // load while nothing is quarantined.
-    if shared.hashing_enabled && shared.quarantine_active.load(Ordering::Relaxed) > 0 {
+    if hashing && shared.quarantine_active.load(Ordering::Relaxed) > 0 {
         let blocked: Vec<bool> = {
             let mut map = shared.quarantine.lock().expect("quarantine poisoned");
             shared.purge_quarantine(&mut map, Instant::now());
@@ -1379,29 +1366,37 @@ fn run_batch(
     m.batches.inc();
     m.batch_size.record(batch.len() as u64);
 
-    let mut served: Vec<Option<(Predictions, HitKind)>> = if shared.hashing_enabled {
-        let probes: Vec<Option<Arc<CacheEntry>>> =
-            if cache_usable && lookups.iter().any(|l| matches!(l, Lookup::Hashed(_))) {
-                shared.with_cache(|cache| {
-                    lookups
-                        .iter()
-                        .map(|l| match l {
-                            Lookup::Hashed(sig) => cache.probe_timed(&sig.key, &m.cache),
-                            Lookup::Verbatim(..) => None,
-                        })
-                        .collect()
-                })
-            } else {
-                vec![None; batch.len()]
-            };
+    // Tier accounting: one probe sample per probe of either index, a probe
+    // miss only when the structural key misses too, and an identity hit
+    // counted and timed as a verbatim resolve.
+    let mut served: Vec<Option<Predictions>> = if hashing {
+        let probes: Vec<Option<Arc<CacheEntry>>> = match usable_cache {
+            Some(cache) if lookups.iter().any(|l| matches!(l, Lookup::Hashed(_))) => {
+                let mut cache = cache.lock().expect("cache poisoned");
+                lookups
+                    .iter()
+                    .map(|l| match l {
+                        Lookup::Hashed(sig) => {
+                            let entry = m.timed_probe(|| cache.probe(&sig.key));
+                            if entry.is_none() {
+                                m.cache_probe_misses_total.inc();
+                            }
+                            entry
+                        }
+                        Lookup::Verbatim(..) => None,
+                    })
+                    .collect()
+            }
+            _ => vec![None; batch.len()],
+        };
         lookups
             .iter()
             .zip(probes)
             .map(|(lookup, probed)| match lookup {
                 Lookup::Verbatim(_, entry) => {
-                    Some((entry.verbatim(Some(&m.cache)), HitKind::Verbatim))
+                    m.timed_resolve(|| Some((entry.verbatim(), HitKind::Verbatim)))
                 }
-                Lookup::Hashed(sig) => probed.and_then(|e| e.resolve_timed(sig, &m.cache)),
+                Lookup::Hashed(sig) => probed.and_then(|e| m.timed_resolve(|| e.resolve(sig))),
             })
             .collect()
     } else {
@@ -1417,7 +1412,7 @@ fn run_batch(
     if !miss_idx.is_empty() {
         let mut unique: Vec<usize> = Vec::new();
         let mut slot_of: Vec<usize> = Vec::with_capacity(miss_idx.len());
-        if shared.hashing_enabled {
+        if hashing {
             let mut seen: FxHashMap<(u64, u128), usize> = FxHashMap::default();
             for &i in &miss_idx {
                 let sig = lookups[i].signature();
@@ -1481,7 +1476,7 @@ fn run_batch(
         m.stage_forward.record(timings.forward_micros);
         m.stage_split.record(timings.split_micros);
         m.forward_passes.inc();
-        if shared.hashing_enabled {
+        if let Some(cache) = &shared.cache {
             // Build the O(nodes) hash indexes outside the lock; only the
             // O(1) LRU insertion happens under it.
             let entries: Vec<Arc<CacheEntry>> = unique
@@ -1489,14 +1484,13 @@ fn run_batch(
                 .zip(state.outs.iter())
                 .map(|(&i, preds)| Arc::new(CacheEntry::new(lookups[i].signature(), preds.clone())))
                 .collect();
-            shared.with_cache(|cache| {
-                for (&i, entry) in unique.iter().zip(entries) {
-                    cache.insert_entry(lookups[i].signature().key, entry);
-                }
-            });
+            let mut cache = cache.lock().expect("cache poisoned");
+            for (&i, entry) in unique.iter().zip(entries) {
+                cache.insert_entry(lookups[i].signature().key, entry);
+            }
         }
         for (pos, &i) in miss_idx.iter().enumerate() {
-            served[i] = Some((state.outs[slot_of[pos]].clone(), HitKind::Verbatim));
+            served[i] = Some(state.outs[slot_of[pos]].clone());
         }
     }
 
@@ -1505,7 +1499,7 @@ fn run_batch(
     // sent, so a panic mid-batch can never leave `jobs`/`cache_*` claiming
     // work that was actually dropped.
     for ((job, slot), cache_hit) in batch.into_iter().zip(served).zip(hit_flags) {
-        let (predictions, _) = slot.expect("every job resolved");
+        let predictions = slot.expect("every job resolved");
         let adders = match job.kind {
             AnalysisKind::Classify => None,
             AnalysisKind::ExtractAdders => {

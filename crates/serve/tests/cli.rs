@@ -260,6 +260,9 @@ fn removed_cone_tier_flags_are_unknown() {
         // `--batches` was a typo of `--batch` that used to pass silently.
         ["infer", "--model", "m.gsnap", "--batches", "4"],
         ["infer", "--model", "m.gsnap", "--kind", "booth"],
+        // `infer` queues its whole file list at once: a linger window
+        // could only add dead time.
+        ["infer", "--model", "m.gsnap", "--linger", "3000000"],
         // The mapped loader went with its storage class.
         ["infer", "--model", "m.gsnap", "--mmap", "x.aag"],
         ["train", "--out", "m.gsnap", "--faults", "x"],

@@ -9,7 +9,8 @@
 //! duplicate-cone graphs and intra-batch duplicates through a real server,
 //! and through an [`Eager`] reference built from those public calls, and
 //! compare job by job: identical `Predictions`, identical `cache_hit`
-//! flags, identical verbatim / transferred / miss counters.
+//! flags, identical verbatim / transferred / miss counters. One more test
+//! sends every tier once and pins the exact probe and resolve samples.
 //!
 //! Eviction order is compared at a capacity well below the working set,
 //! with one job per batch: a victim chosen differently would show up as a
@@ -362,4 +363,43 @@ fn whole_batches_with_duplicates_and_mixed_tiers_match_the_eager_path() {
     assert!(coalesced > 0, "no batch ever coalesced several misses");
     let stats = server.shutdown();
     assert_eq!(stats.batches, 60, "every burst ran as one batch");
+}
+
+/// Every cache tier once, one job per batch, with the exact samples and
+/// counters the worker books around the plain cache calls: a cold miss, a
+/// repeat (identity hit), a renumbered twin (transfer), and a renumbered
+/// duplicate-cone graph after its original (resolve refused).
+#[test]
+fn every_tier_once_books_exact_samples_and_counters() {
+    let (original, twin) = original_and_twin(MultiplierKind::Csa, 3);
+    let (cones, cones_twin) = duplicate_cone_pair(0);
+    let server = Server::start(
+        tiny_trained(),
+        ServeConfig {
+            max_batch: 1,
+            workers: 1,
+            linger_micros: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let hits: Vec<bool> = [&original, &original, &twin, &cones, &cones_twin]
+        .into_iter()
+        .map(|aig| {
+            let ticket = server.submit(aig.clone(), AnalysisKind::Classify);
+            ticket.expect("admitted").wait().expect("served").cache_hit
+        })
+        .collect();
+    assert_eq!(hits, [false, true, true, false, false]);
+
+    let snap = server.metrics();
+    // Two probes (identity, then structural key) for each of the four jobs
+    // the identity index missed, one for the repeat.
+    assert_eq!(snap.histogram("cache_probe_micros").unwrap().count(), 9);
+    // The repeat's clone, the transfer and the refusal.
+    assert_eq!(snap.histogram("cache_resolve_micros").unwrap().count(), 3);
+    assert_eq!(snap.counter("cache_hits_verbatim_total"), 1);
+    assert_eq!(snap.counter("cache_hits_transferred_total"), 1);
+    assert_eq!(snap.counter("cache_probe_misses_total"), 2);
+    assert_eq!(snap.counter("cache_resolve_misses_total"), 1);
+    assert_eq!(server.shutdown().forward_passes, 3);
 }

@@ -15,8 +15,11 @@
 //! Run under `--release` in CI as well: unchecked header sums wrap there
 //! where a debug build panics.
 
+use gamora::{GamoraReasoner, ModelDepth, PostProcess, ReasonerConfig};
 use gamora_aig::aiger::{self, ParseAigerError, MAX_INPUTS, MAX_VAR};
 use gamora_aig::Aig;
+use gamora_serve::cache::GraphSignature;
+use gamora_serve::scheduler::{AnalysisKind, ServeConfig, Server};
 use proptest::prelude::*;
 use request_counting::counting_requests;
 use std::sync::OnceLock;
@@ -184,4 +187,89 @@ fn written_files_parse_under_the_bound() {
             (aig.num_inputs(), aig.num_ands(), aig.num_outputs())
         );
     }
+}
+
+/// Structurally odd files the reader accepts, named. None of these comes
+/// out of a strashing writer, but each is valid AIGER.
+const ODD_FILES: [(&str, &str); 11] = [
+    ("and with itself", "aag 2 1 0 1 1\n2\n4\n4 2 2\n"),
+    ("and with its complement", "aag 2 1 0 1 1\n2\n4\n4 2 3\n"),
+    ("constant-true fanin", "aag 3 2 0 1 1\n2\n4\n6\n6 2 1\n"),
+    ("constant-false fanin", "aag 3 2 0 1 1\n2\n4\n6\n6 4 0\n"),
+    (
+        "descending fanins",
+        "aag 4 2 0 1 2\n2\n4\n8\n6 4 2\n8 6 3\n",
+    ),
+    ("duplicate and", "aag 4 2 0 2 2\n2\n4\n6\n8\n6 2 4\n8 2 4\n"),
+    ("dangling and", "aag 4 2 0 1 2\n2\n4\n6\n6 2 4\n8 3 5\n"),
+    ("duplicate outputs", "aag 3 2 0 3 1\n2\n4\n6\n6\n7\n6 2 4\n"),
+    ("constant outputs", "aag 3 2 0 3 1\n2\n4\n0\n1\n6\n6 2 4\n"),
+    ("no outputs", "aag 3 2 0 0 1\n2\n4\n6 2 4\n"),
+    ("empty", "aag 0 0 0 0 0\n"),
+];
+
+/// Past the parser: every odd file goes through inference, the classical
+/// post-process, the cache signature, the exact analysis and a served
+/// extraction job (twice, so the second comes from the cache) without a
+/// panic, and each answer covers every node.
+#[test]
+fn odd_but_accepted_files_are_served_past_the_parser() {
+    let reasoner = GamoraReasoner::new(ReasonerConfig {
+        depth: ModelDepth::Custom {
+            layers: 2,
+            hidden: 8,
+        },
+        ..ReasonerConfig::default()
+    });
+    let aigs: Vec<Aig> = ODD_FILES
+        .iter()
+        .map(|(what, text)| aiger::read(text.as_bytes()).unwrap_or_else(|e| panic!("{what}: {e}")))
+        .collect();
+    let mut post = PostProcess::default();
+    for ((what, _), aig) in ODD_FILES.iter().zip(&aigs) {
+        let n = aig.num_nodes();
+        let preds = reasoner.predict(aig);
+        assert_eq!(preds.num_nodes(), n, "{what}: predict");
+        for adder in post.run(aig, &preds) {
+            assert!(adder.sum.index() < n && adder.carry.index() < n, "{what}");
+        }
+        assert_eq!(
+            GraphSignature::of(aig).node_hashes.len(),
+            n,
+            "{what}: signature"
+        );
+        let labels = gamora_exact::analyze(aig).labels;
+        assert_eq!(
+            (
+                labels.root_leaf.len(),
+                labels.is_xor.len(),
+                labels.is_maj.len()
+            ),
+            (n, n, n),
+            "{what}: analyze"
+        );
+    }
+
+    let server = Server::start(
+        reasoner,
+        ServeConfig {
+            max_batch: 1,
+            workers: 1,
+            linger_micros: 0,
+            ..ServeConfig::default()
+        },
+    );
+    for round in 0..2 {
+        for ((what, _), aig) in ODD_FILES.iter().zip(&aigs) {
+            let out = server
+                .submit(aig.clone(), AnalysisKind::ExtractAdders)
+                .expect("admitted")
+                .wait()
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(out.predictions.num_nodes(), aig.num_nodes(), "{what}");
+            assert!(out.adders.is_some(), "{what}");
+            assert_eq!(out.cache_hit, round == 1, "{what}: round {round}");
+        }
+    }
+    assert_eq!(server.shutdown().jobs, 2 * ODD_FILES.len() as u64);
 }
