@@ -153,8 +153,13 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// stand-in for the paper's GPU memory meter in Figure 8.
 pub struct PeakAlloc;
 
+// SAFETY: every allocation and deallocation is forwarded unchanged to
+// `System`, which upholds the `GlobalAlloc` contract; the wrapper only
+// updates two atomic counters and never allocates itself.
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` obligations (non-zero size) are
+        // passed on to `System.alloc` as they were received.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             let now = ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
@@ -164,6 +169,8 @@ unsafe impl GlobalAlloc for PeakAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`, with
+        // this `layout` — the caller's contract.
         unsafe { System.dealloc(ptr, layout) };
         ALLOCATED.fetch_sub(layout.size(), Ordering::Relaxed);
     }

@@ -54,12 +54,16 @@ fn counting_here() -> bool {
 /// indicate churn).
 struct CountingAlloc;
 
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the wrapper only bumps atomic counters and reads
+// a thread-local flag, neither of which allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if counting_here() {
             ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
             LIVE_BYTES.fetch_add(layout.size(), Ordering::SeqCst);
         }
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
         unsafe { System.alloc(layout) }
     }
 
@@ -67,6 +71,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if counting_here() {
             LIVE_BYTES.fetch_sub(layout.size(), Ordering::SeqCst);
         }
+        // SAFETY: `ptr` was allocated by `System` (through this wrapper)
+        // with `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -75,6 +81,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
             ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
             LIVE_BYTES.fetch_add(new_size.wrapping_sub(layout.size()), Ordering::SeqCst);
         }
+        // SAFETY: `ptr`, `layout` and `new_size` meet `realloc`'s contract
+        // by the caller's guarantee, and `ptr` came from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! * [`Matrix`] — dense tensors over one owned `Vec<f32>`, with
 //!   multi-threaded, register-blocked matmul kernels and fused bias/ReLU
-//!   epilogues (crossbeam row blocks stand in for the paper's GPU);
+//!   epilogues (scoped-thread row blocks stand in for the paper's GPU);
 //! * [`Graph`] — CSR message passing with exact adjoint backward;
 //!   [`Graph::from_edges_into`] streams an edge list into a reused
 //!   instance with zero steady-state allocation;

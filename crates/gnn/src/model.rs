@@ -219,7 +219,7 @@ impl Pass<'_> {
         let classes = self.heads.width();
         let mut rest = logits;
         let mut dealt = 0;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = lanes
                 .iter_mut()
                 .enumerate()
@@ -238,7 +238,7 @@ impl Pass<'_> {
                     let rows = mine.last().map_or(0, |g| g.1) - base;
                     let (stretch, tail) = std::mem::take(&mut rest).split_at_mut(rows * classes);
                     rest = tail;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         // The fork is here: the kernels inside stay serial.
                         parallel::set_intra_threads(1);
                         self.run_groups(mine, lane, base, stretch);
@@ -251,8 +251,7 @@ impl Pass<'_> {
                     std::panic::resume_unwind(payload);
                 }
             }
-        })
-        .expect("every lane was joined above");
+        });
     }
 }
 

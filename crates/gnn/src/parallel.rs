@@ -1,8 +1,8 @@
 //! Thread-parallel helpers (the CPU stand-in for the paper's GPU kernels).
 //!
-//! Crossbeam scoped threads process disjoint row blocks; small workloads
-//! fall back to serial execution so training on tiny graphs is not dominated
-//! by thread-spawn overhead.
+//! `std::thread::scope` threads process disjoint row blocks; small
+//! workloads fall back to serial execution so training on tiny graphs is
+//! not dominated by thread-spawn overhead.
 
 std::thread_local! {
     /// Per-thread intra-op parallelism cap installed by
@@ -53,7 +53,7 @@ pub fn num_threads() -> usize {
 }
 
 /// Minimum rows each worker thread must have to justify its spawn cost
-/// (crossbeam scoped threads are real OS threads, ~tens of microseconds
+/// (scoped threads are real OS threads, ~tens of microseconds
 /// each; training graphs with a few thousand nodes must stay serial).
 const MIN_ROWS_PER_THREAD: usize = 4096;
 
@@ -89,7 +89,8 @@ where
 ///
 /// # Panics
 ///
-/// As [`for_each_row_block`].
+/// As [`for_each_row_block`]. A panic in `f` on a worker thread is
+/// re-raised on the calling thread with its own payload.
 pub(crate) fn for_each_row_block_with<F>(
     data: &mut [f32],
     width: usize,
@@ -122,7 +123,8 @@ pub(crate) fn for_each_row_block_with<F>(
         return;
     }
     let rows_per = rows.div_ceil(nt).next_multiple_of(block_rows);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(nt);
         let mut rest = data;
         let mut lanes_rest = &mut lanes[..];
         let mut start_row = 0;
@@ -132,17 +134,27 @@ pub(crate) fn for_each_row_block_with<F>(
             let (lane, lanes_tail) = lanes_rest.split_at_mut(lane_len);
             let fref = &f;
             let sr = start_row;
-            s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 for (i, chunk) in head.chunks_mut(block_rows * width).enumerate() {
                     fref(sr + i * block_rows, chunk, lane);
                 }
-            });
+            }));
             start_row += take / width;
             rest = tail;
             lanes_rest = lanes_tail;
         }
-    })
-    .expect("worker thread panicked");
+        // Joined here, not by the scope: an unjoined thread's panic leaves
+        // the scope as "a scoped thread panicked", its message lost.
+        let mut first_panic = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
+        }
+    });
 }
 
 /// Number of worker threads worth spawning for a `rows`-sized workload.
@@ -211,6 +223,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A body that panics on a worker thread panics the call with its own
+    /// message, not the scope's generic one.
+    #[test]
+    fn a_worker_panic_keeps_its_message() {
+        set_intra_threads(2);
+        let mut data = vec![0.0f32; 2 * MIN_ROWS_PER_THREAD + 8];
+        assert_eq!(effective_threads(data.len()), 2, "the parallel path");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_row_block(&mut data, 1, 4, |row0, _| {
+                if row0 > 0 {
+                    panic!("boom");
+                }
+            });
+        }));
+        set_intra_threads(0);
+        let payload = caught.expect_err("the body panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 
     #[test]

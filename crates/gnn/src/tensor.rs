@@ -1,7 +1,7 @@
 //! Dense 2-D tensors with multi-threaded, cache-blocked kernels.
 //!
 //! The paper runs GraphSAGE on an NVIDIA A100; this reproduction substitutes
-//! data-parallel CPU kernels (crossbeam scoped threads over row blocks),
+//! data-parallel CPU kernels (scoped threads over row blocks),
 //! which preserves the batching/parallelism story of Figures 7 and 8 at CPU
 //! scale. Only the operations the GNN stack needs are implemented.
 //!

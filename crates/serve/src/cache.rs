@@ -6,7 +6,8 @@
 //!
 //! * the **identity index**, `(identity digest, node count) → slot`: the
 //!   128-bit order-sensitive [`identity_fingerprint`] of the exact
-//!   numbering that was cached;
+//!   numbering that was cached, and of each numbering the transfer tier
+//!   has served from the slot since (see *Remembered numberings* below);
 //! * the **structural key map**, [`CacheKey`] `→ slot`: the canonical
 //!   whole-graph hash of
 //!   [`gamora_aig::hasher::structural_fingerprint`] plus the
@@ -33,6 +34,22 @@
 //!    structurally identical cones can still predict differently — or if
 //!    any submission hash cannot be resolved (a genuine fingerprint
 //!    collision).
+//!
+//! **Remembered numberings.** A transfer's answer depends only on the entry
+//! it was transferred from and on the submission's numbering, so the
+//! caller may hand it back through [`PredictionCache::remember_transfer`]
+//! as a verbatim-only [`CacheEntry::verbatim_only`] (the twin's identity
+//! and the predictions it was served; no hash index). The slot then keeps
+//! it beside its inserted entry, at most [`MAX_TRANSFERRED`] of them,
+//! dropping the oldest at the cap, and the identity index maps that
+//! numbering to the slot: the next submission of the same twin is a
+//! verbatim hit that skips the structural hash and the re-indexing. A
+//! numbering is only attached while the slot still holds the entry it was
+//! transferred from, and an in-place refresh or an eviction unlinks every
+//! numbering of the slot, so a remembered answer is always the one a
+//! fresh transfer would give. Memory: at most `capacity × (1 +
+//! MAX_TRANSFERRED)` prediction vectors; the hash indexes are never
+//! duplicated.
 //!
 //! [`GraphSignature::of`] + [`PredictionCache::probe`] +
 //! [`CacheEntry::resolve`] is the same lookup done eagerly (everything
@@ -193,6 +210,19 @@ impl CacheEntry {
         self.transfer(sig).map(|p| (p, HitKind::Transferred))
     }
 
+    /// A verbatim-only entry: one numbering's identity digest and the
+    /// predictions it was served, with no canonical-hash index — it never
+    /// transfers. What [`PredictionCache::remember_transfer`] attaches to a
+    /// slot. Call *outside* any cache lock.
+    pub fn verbatim_only(identity: u128, predictions: Predictions) -> CacheEntry {
+        CacheEntry {
+            identity,
+            predictions,
+            by_hash: FxHashMap::default(),
+            hashes_unique: false,
+        }
+    }
+
     /// The stored predictions, cloned: what a
     /// [`PredictionCache::probe_identity`] hit serves. O(nodes) — run it
     /// with no lock held.
@@ -223,24 +253,40 @@ impl CacheEntry {
     }
 }
 
+/// Transferred numberings one slot remembers beyond its inserted one; at
+/// the cap the oldest is dropped.
+pub const MAX_TRANSFERRED: usize = 4;
+
 struct Slot {
     key: CacheKey,
     entry: Arc<CacheEntry>,
+    /// Verbatim-only entries of the numberings the transfer tier served
+    /// from `entry`, oldest first.
+    transferred: Vec<Arc<CacheEntry>>,
     prev: usize,
     next: usize,
 }
 
 const NIL: usize = usize::MAX;
 
+/// Drops `id_key`'s identity mapping if slot `idx` owns it — a digest
+/// collision may have handed it to another slot since, which keeps it.
+fn unlink(by_identity: &mut FxHashMap<(u128, usize), usize>, id_key: (u128, usize), idx: usize) {
+    if by_identity.get(&id_key) == Some(&idx) {
+        by_identity.remove(&id_key);
+    }
+}
+
 /// An LRU-bounded store of predictions, indexed by structural key and by
 /// identity digest (see the module doc).
 pub struct PredictionCache {
     capacity: usize,
     map: FxHashMap<CacheKey, usize>,
-    /// `(identity digest, node count) → slot` of the numbering each slot
-    /// holds. Two slots can claim one identity only through a digest
-    /// collision; the later insert owns the mapping then, and the other
-    /// slot stays reachable through `map` alone.
+    /// `(identity digest, node count) → slot` of every numbering each slot
+    /// holds: the inserted one and the remembered transfers. Two slots can
+    /// claim one identity only through a digest collision; the later insert
+    /// owns the mapping then, and the other slot stays reachable through
+    /// `map` alone.
     by_identity: FxHashMap<(u128, usize), usize>,
     slab: Vec<Slot>,
     free: Vec<usize>,
@@ -314,36 +360,73 @@ impl PredictionCache {
         (slot.entry.identity, slot.key.num_nodes)
     }
 
-    /// Drops slot `idx`'s identity mapping — unless a digest collision has
-    /// handed that identity to another slot since, which keeps it.
-    fn unlink_identity(&mut self, idx: usize) {
-        let id_key = self.identity_key(idx);
-        if self.by_identity.get(&id_key) == Some(&idx) {
-            self.by_identity.remove(&id_key);
+    /// Drops the identity mappings of every numbering slot `idx` holds
+    /// (those a digest collision has handed to another slot stay) and
+    /// forgets its remembered transfers.
+    fn unlink_identities(&mut self, idx: usize) {
+        let slot = &mut self.slab[idx];
+        let num_nodes = slot.key.num_nodes;
+        for entry in std::iter::once(&slot.entry).chain(&slot.transferred) {
+            unlink(&mut self.by_identity, (entry.identity, num_nodes), idx);
         }
+        slot.transferred.clear();
     }
 
     /// O(1) probe of the identity index: finds the slot caching exactly
     /// this numbering (128-bit digest and node count, the latter checked
-    /// against the stored prediction length as well) and marks it most
-    /// recently used, exactly like [`PredictionCache::probe`]. A hit hands
-    /// back the slot's structural [`CacheKey`] — the caller never hashed
-    /// the graph structurally, and the scheduler's quarantine gate wants
-    /// the fingerprint — with the entry, whose
+    /// against the stored prediction length as well) — inserted, or
+    /// remembered from a transfer — and marks it most recently used,
+    /// exactly like [`PredictionCache::probe`]. A hit hands back the
+    /// slot's structural [`CacheKey`] — the caller never hashed the graph
+    /// structurally, and the scheduler's quarantine gate wants the
+    /// fingerprint — with the entry whose identity matched, whose
     /// [`CacheEntry::verbatim`] the caller runs after releasing the lock.
     pub fn probe_identity(
         &mut self,
         identity: u128,
         num_nodes: usize,
     ) -> Option<(CacheKey, Arc<CacheEntry>)> {
-        let idx = self
-            .by_identity
-            .get(&(identity, num_nodes))
-            .copied()
-            .filter(|&idx| self.slab[idx].entry.predictions.num_nodes() == num_nodes)?;
+        let &idx = self.by_identity.get(&(identity, num_nodes))?;
+        let slot = &self.slab[idx];
+        let entry = std::iter::once(&slot.entry)
+            .chain(&slot.transferred)
+            .find(|e| e.identity == identity && e.predictions.num_nodes() == num_nodes)
+            .map(Arc::clone)?;
+        let key = slot.key;
         self.detach(idx);
         self.push_front(idx);
-        Some((self.slab[idx].key, Arc::clone(&self.slab[idx].entry)))
+        Some((key, entry))
+    }
+
+    /// O(1) attach of a numbering the transfer tier served: `entry` (built
+    /// with [`CacheEntry::verbatim_only`] outside the lock) joins the slot
+    /// under `key`, and the identity index maps its numbering there, so
+    /// that numbering's next probe is a verbatim hit. Does nothing unless
+    /// the slot still holds `from`, the entry the transfer resolved
+    /// against (a refresh or eviction since would make the answer stale),
+    /// or if the numbering is already indexed. At [`MAX_TRANSFERRED`] the
+    /// slot's oldest remembered numbering is dropped. The LRU order is left
+    /// alone: the probe that found `from` has touched it already.
+    pub fn remember_transfer(
+        &mut self,
+        key: CacheKey,
+        from: &Arc<CacheEntry>,
+        entry: Arc<CacheEntry>,
+    ) {
+        let Some(&idx) = self.map.get(&key) else {
+            return;
+        };
+        let id_key = (entry.identity, key.num_nodes);
+        let slot = &mut self.slab[idx];
+        if !Arc::ptr_eq(&slot.entry, from) || self.by_identity.contains_key(&id_key) {
+            return;
+        }
+        if slot.transferred.len() == MAX_TRANSFERRED {
+            let oldest = slot.transferred.remove(0);
+            unlink(&mut self.by_identity, (oldest.identity, key.num_nodes), idx);
+        }
+        slot.transferred.push(entry);
+        self.by_identity.insert(id_key, idx);
     }
 
     /// O(1) probe: finds the entry for a key and marks it most recently
@@ -366,7 +449,7 @@ impl PredictionCache {
             // Refresh in place (e.g. re-inserted after a transfer miss):
             // the slot now holds another numbering of the same structure.
             self.detach(idx);
-            self.unlink_identity(idx);
+            self.unlink_identities(idx);
             self.slab[idx].entry = entry;
             self.by_identity.insert(self.identity_key(idx), idx);
             self.push_front(idx);
@@ -376,12 +459,13 @@ impl PredictionCache {
             let lru = self.tail;
             self.detach(lru);
             self.map.remove(&self.slab[lru].key);
-            self.unlink_identity(lru);
+            self.unlink_identities(lru);
             self.free.push(lru);
         }
         let slot = Slot {
             key,
             entry,
+            transferred: Vec::new(),
             prev: NIL,
             next: NIL,
         };
@@ -647,6 +731,153 @@ mod tests {
         assert!(cache
             .probe_identity(sig.identity, sig.key.num_nodes)
             .is_none());
+    }
+
+    /// `n` renumberings of `sig`: same structural key, other identities.
+    fn renumberings(sig: &GraphSignature, n: usize) -> Vec<GraphSignature> {
+        (1..=n as u128)
+            .map(|k| GraphSignature {
+                identity: sig.identity ^ k,
+                ..sig.clone()
+            })
+            .collect()
+    }
+
+    /// Transfers `twin` from the entry under its key and remembers it, as
+    /// the scheduler does; `false` if the transfer tier refused.
+    fn transfer_and_remember(cache: &mut PredictionCache, twin: &GraphSignature) -> bool {
+        let Some(from) = cache.probe(&twin.key) else {
+            return false;
+        };
+        let Some((preds, HitKind::Transferred)) = from.resolve(twin) else {
+            return false;
+        };
+        let entry = Arc::new(CacheEntry::verbatim_only(twin.identity, preds));
+        cache.remember_transfer(twin.key, &from, entry);
+        true
+    }
+
+    fn identity_hit(cache: &mut PredictionCache, sig: &GraphSignature) -> Option<Predictions> {
+        let (key, entry) = cache.probe_identity(sig.identity, sig.key.num_nodes)?;
+        assert_eq!(key, sig.key, "a hit hands back the slot's key");
+        Some(entry.verbatim())
+    }
+
+    /// A remembered numbering serves, verbatim, what its transfer served;
+    /// past [`MAX_TRANSFERRED`] the oldest goes first.
+    #[test]
+    fn remembered_numberings_serve_the_transfer_and_the_cap_drops_the_oldest() {
+        let aig = toy_aig(false);
+        let sig = GraphSignature::of(&aig);
+        let mut cache = PredictionCache::new(2);
+        insert(&mut cache, &sig, toy_predictions(&aig));
+        let twins = renumberings(&sig, MAX_TRANSFERRED + 1);
+        for twin in &twins[..MAX_TRANSFERRED] {
+            assert!(identity_hit(&mut cache, twin).is_none());
+            assert!(transfer_and_remember(&mut cache, twin));
+            let (transferred, _) = lookup(&mut cache, twin).expect("transfer hit");
+            assert_eq!(identity_hit(&mut cache, twin), Some(transferred));
+        }
+        assert!(transfer_and_remember(&mut cache, &twins[MAX_TRANSFERRED]));
+        assert!(
+            identity_hit(&mut cache, &twins[0]).is_none(),
+            "oldest dropped"
+        );
+        for twin in &twins[1..] {
+            assert!(identity_hit(&mut cache, twin).is_some());
+        }
+        assert!(identity_hit(&mut cache, &sig).is_some(), "inserted stays");
+        assert_eq!(cache.by_identity.len(), 1 + MAX_TRANSFERRED);
+    }
+
+    /// Evicting a slot unlinks every numbering it held.
+    #[test]
+    fn eviction_unlinks_every_remembered_numbering() {
+        let (a, b) = (toy_aig(false), toy_aig(true));
+        let (sig_a, sig_b) = (GraphSignature::of(&a), GraphSignature::of(&b));
+        let mut cache = PredictionCache::new(1);
+        insert(&mut cache, &sig_a, toy_predictions(&a));
+        let twins = renumberings(&sig_a, 3);
+        for twin in &twins {
+            assert!(transfer_and_remember(&mut cache, twin));
+        }
+        insert(&mut cache, &sig_b, toy_predictions(&b));
+        for sig in std::iter::once(&sig_a).chain(&twins) {
+            assert!(identity_hit(&mut cache, sig).is_none());
+        }
+        assert_eq!(cache.by_identity.len(), 1, "only b's numbering is left");
+    }
+
+    /// An in-place refresh replaces the entry every remembered numbering
+    /// was transferred from, so it unlinks them all.
+    #[test]
+    fn refresh_unlinks_every_remembered_numbering() {
+        let aig = toy_aig(false);
+        let sig = GraphSignature::of(&aig);
+        let mut cache = PredictionCache::new(2);
+        insert(&mut cache, &sig, toy_predictions(&aig));
+        let twins = renumberings(&sig, 3);
+        for twin in &twins[..2] {
+            assert!(transfer_and_remember(&mut cache, twin));
+        }
+        insert(&mut cache, &twins[2], toy_predictions(&aig));
+        assert!(identity_hit(&mut cache, &sig).is_none());
+        assert!(identity_hit(&mut cache, &twins[0]).is_none());
+        assert!(identity_hit(&mut cache, &twins[1]).is_none());
+        assert!(identity_hit(&mut cache, &twins[2]).is_some());
+        assert_eq!(cache.by_identity.len(), 1);
+    }
+
+    /// A transfer resolved against an entry the slot no longer holds is not
+    /// remembered, and neither is a numbering the index already knows.
+    #[test]
+    fn stale_sources_and_known_identities_are_refused() {
+        let aig = toy_aig(false);
+        let sig = GraphSignature::of(&aig);
+        let mut cache = PredictionCache::new(2);
+        insert(&mut cache, &sig, toy_predictions(&aig));
+        let twins = renumberings(&sig, 2);
+        let stale = cache.probe(&sig.key).expect("cached");
+        let (preds, _) = stale.resolve(&twins[0]).expect("transfer");
+        // Refresh the slot with an equal entry: another `Arc`, so stale.
+        insert(&mut cache, &sig, toy_predictions(&aig));
+        let remembered = Arc::new(CacheEntry::verbatim_only(twins[0].identity, preds));
+        cache.remember_transfer(sig.key, &stale, Arc::clone(&remembered));
+        assert!(
+            identity_hit(&mut cache, &twins[0]).is_none(),
+            "stale source"
+        );
+        // Under a key with no slot at all, nothing happens either.
+        let mut elsewhere = sig.key;
+        elsewhere.fingerprint ^= 1;
+        let current = cache.probe(&sig.key).expect("cached");
+        cache.remember_transfer(elsewhere, &current, remembered);
+        assert!(identity_hit(&mut cache, &twins[0]).is_none(), "no slot");
+
+        // The inserted numbering, and a remembered one, are indexed already.
+        let own = Arc::new(CacheEntry::verbatim_only(
+            sig.identity,
+            toy_predictions(&aig),
+        ));
+        cache.remember_transfer(sig.key, &current, own);
+        assert!(transfer_and_remember(&mut cache, &twins[1]));
+        assert!(transfer_and_remember(&mut cache, &twins[1]));
+        let slot = cache.map[&sig.key];
+        assert_eq!(cache.slab[slot].transferred.len(), 1, "attached once");
+        assert_eq!(cache.by_identity.len(), 2);
+    }
+
+    /// A verbatim-only entry serves its own numbering and never transfers.
+    #[test]
+    fn verbatim_only_entries_never_transfer() {
+        let aig = toy_aig(false);
+        let sig = GraphSignature::of(&aig);
+        let entry = CacheEntry::verbatim_only(sig.identity, toy_predictions(&aig));
+        assert_eq!(
+            entry.resolve(&sig),
+            Some((toy_predictions(&aig), HitKind::Verbatim))
+        );
+        assert!(entry.resolve(&renumberings(&sig, 1)[0]).is_none());
     }
 
     #[test]

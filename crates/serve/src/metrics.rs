@@ -29,9 +29,12 @@
 //!
 //! The cache itself records nothing: the scheduler times its plain calls
 //! through [`ServeMetrics::timed_probe`] and [`ServeMetrics::timed_resolve`]
-//! and counts the tiers — `cache_hits_verbatim_total` (identity hits
-//! included), `cache_hits_transferred_total`, `cache_probe_misses_total`
-//! (the structural key missed too) and `cache_resolve_misses_total`.
+//! and counts the tiers — `cache_hits_verbatim_total` (every identity hit,
+//! a renumbered twin whose numbering the cache remembers from an earlier
+//! transfer included), `cache_hits_transferred_total` (a renumbered twin
+//! the identity index did not know when its batch began),
+//! `cache_probe_misses_total` (the structural key missed too) and
+//! `cache_resolve_misses_total`.
 
 use crate::cache::HitKind;
 use gamora::Predictions;
@@ -148,10 +151,11 @@ pub struct ServeMetrics {
     pub cache_probe_micros: Arc<Histogram>,
     /// O(nodes) verbatim-clone / transfer-reindex latency (no lock held).
     pub cache_resolve_micros: Arc<Histogram>,
-    /// Resolutions served bit-exactly from the stored vectors (identity
-    /// hits included).
+    /// Resolutions served bit-exactly from the stored vectors (every
+    /// identity hit, remembered transfers included).
     pub cache_hits_verbatim_total: Arc<Counter>,
-    /// Resolutions transferred onto a renumbered isomorph.
+    /// Resolutions transferred onto a renumbered isomorph whose numbering
+    /// the identity index did not know.
     pub cache_hits_transferred_total: Arc<Counter>,
     /// Jobs with no entry for their graph: the structural-key probe
     /// missed (and so, before it, had the identity probe).
@@ -224,7 +228,7 @@ impl ServeMetrics {
     pub fn timed_resolve(
         &self,
         resolve: impl FnOnce() -> Option<(Predictions, HitKind)>,
-    ) -> Option<Predictions> {
+    ) -> Option<(Predictions, HitKind)> {
         let timer = StageTimer::start();
         let resolved = resolve();
         timer.observe(&self.cache_resolve_micros);
@@ -234,7 +238,7 @@ impl ServeMetrics {
             None => &self.cache_resolve_misses_total,
         };
         counter.inc();
-        resolved.map(|(predictions, _)| predictions)
+        resolved
     }
 
     /// The layer observer as the GNN-facing trait object, if enabled.

@@ -8,7 +8,8 @@
 //! shared queue in batches of up to `max_batch`, answer what they can from
 //! the [`PredictionCache`] — its identity index first, with that digest;
 //! structural hashing, the structural key and transfer only for jobs that
-//! miss it — coalesce the remaining misses into
+//! miss it, each transfer then remembered under the twin's numbering —
+//! coalesce the remaining misses into
 //! **one** GNN forward pass via
 //! [`GamoraReasoner::predict_batch_into_timed`],
 //! then fan the results back out — the serving analogue of the paper's
@@ -1368,7 +1369,10 @@ fn run_batch(
 
     // Tier accounting: one probe sample per probe of either index, a probe
     // miss only when the structural key misses too, and an identity hit
-    // counted and timed as a verbatim resolve.
+    // counted and timed as a verbatim resolve. Every transfer is handed
+    // back to the cache as a remembered numbering of its slot (built here,
+    // outside the lock; linked under one lock per batch that transferred),
+    // so the same twin's next submission is an identity hit.
     let mut served: Vec<Option<Predictions>> = if hashing {
         let probes: Vec<Option<Arc<CacheEntry>>> = match usable_cache {
             Some(cache) if lookups.iter().any(|l| matches!(l, Lookup::Hashed(_))) => {
@@ -1389,16 +1393,32 @@ fn run_batch(
             }
             _ => vec![None; batch.len()],
         };
-        lookups
+        let mut transfers: Vec<(CacheKey, Arc<CacheEntry>, Arc<CacheEntry>)> = Vec::new();
+        let served = lookups
             .iter()
             .zip(probes)
             .map(|(lookup, probed)| match lookup {
-                Lookup::Verbatim(_, entry) => {
-                    m.timed_resolve(|| Some((entry.verbatim(), HitKind::Verbatim)))
+                Lookup::Verbatim(_, entry) => m
+                    .timed_resolve(|| Some((entry.verbatim(), HitKind::Verbatim)))
+                    .map(|(predictions, _)| predictions),
+                Lookup::Hashed(sig) => {
+                    let from = probed?;
+                    let (predictions, kind) = m.timed_resolve(|| from.resolve(sig))?;
+                    if kind == HitKind::Transferred {
+                        let twin = CacheEntry::verbatim_only(sig.identity, predictions.clone());
+                        transfers.push((sig.key, from, Arc::new(twin)));
+                    }
+                    Some(predictions)
                 }
-                Lookup::Hashed(sig) => probed.and_then(|e| m.timed_resolve(|| e.resolve(sig))),
             })
-            .collect()
+            .collect();
+        if let Some(cache) = usable_cache.filter(|_| !transfers.is_empty()) {
+            let mut cache = cache.lock().expect("cache poisoned");
+            for (key, from, twin) in transfers {
+                cache.remember_transfer(key, &from, twin);
+            }
+        }
+        served
     } else {
         vec![None; batch.len()]
     };

@@ -4,7 +4,12 @@
 //! submitter took, and hashes structurally only the jobs that miss it. The
 //! eager order — `GraphSignature::of` on every job, `probe` by structural
 //! key, verbatim decided inside `resolve` — is still there as public API
-//! (the benchmark's replay uses it). These tests drive
+//! (the benchmark's replay uses it). A twin the transfer tier served is
+//! remembered by the cache (`remember_transfer`), so its next submission is
+//! an identity hit; the reference learns that through the same public call
+//! and counts a numbering the identity index knew at the start of a batch
+//! as verbatim, while still transferring it to check the answer. These
+//! tests drive
 //! seeded traffic of originals, renumbered twins, once-only graphs,
 //! duplicate-cone graphs and intra-batch duplicates through a real server,
 //! and through an [`Eager`] reference built from those public calls, and
@@ -49,13 +54,18 @@ fn tiny_trained() -> GamoraReasoner {
 }
 
 /// The eager worker: everything hashed up front, one structural-key probe
-/// per job, verbatim or transfer decided by `resolve`, misses coalesced
-/// into one pass and inserted — phases 1 and 2 of `run_batch` as they were
-/// before the identity index, from public calls only.
+/// per job, verbatim or transfer decided by `resolve`, transfers
+/// remembered, misses coalesced into one pass and inserted — phases 1 and
+/// 2 of `run_batch` as they were before the identity index, from public
+/// calls only. The identity index is read for one thing: whether a job's
+/// numbering was known when its batch began, which makes it a verbatim
+/// hit.
 struct Eager {
     cache: PredictionCache,
     model: Arc<GamoraReasoner>,
     verbatim: u64,
+    /// The verbatim hits that were numberings remembered from a transfer.
+    remembered: u64,
     transferred: u64,
     probe_misses: u64,
     resolve_misses: u64,
@@ -68,6 +78,7 @@ impl Eager {
             cache: PredictionCache::new(capacity),
             model,
             verbatim: 0,
+            remembered: 0,
             transferred: 0,
             probe_misses: 0,
             resolve_misses: 0,
@@ -78,10 +89,19 @@ impl Eager {
     /// Serves one batch; `(predictions, cache_hit)` per job, in order.
     fn serve(&mut self, batch: &[&Aig]) -> Vec<(Predictions, bool)> {
         let sigs: Vec<GraphSignature> = batch.iter().map(|aig| GraphSignature::of(aig)).collect();
+        let known: Vec<bool> = sigs
+            .iter()
+            .map(|sig| {
+                self.cache
+                    .probe_identity(sig.identity, sig.key.num_nodes)
+                    .is_some()
+            })
+            .collect();
         let probes: Vec<Option<Arc<CacheEntry>>> =
             sigs.iter().map(|sig| self.cache.probe(&sig.key)).collect();
         let mut served: Vec<Option<(Predictions, bool)>> = Vec::new();
-        for (probe, sig) in probes.iter().zip(&sigs) {
+        let mut transfers: Vec<(usize, Arc<CacheEntry>, Predictions)> = Vec::new();
+        for (i, (probe, sig)) in probes.iter().zip(&sigs).enumerate() {
             let Some(entry) = probe else {
                 self.probe_misses += 1;
                 served.push(None);
@@ -92,8 +112,14 @@ impl Eager {
                     self.verbatim += 1;
                     Some((preds, true))
                 }
+                Some((preds, HitKind::Transferred)) if known[i] => {
+                    self.verbatim += 1;
+                    self.remembered += 1;
+                    Some((preds, true))
+                }
                 Some((preds, HitKind::Transferred)) => {
                     self.transferred += 1;
+                    transfers.push((i, Arc::clone(entry), preds.clone()));
                     Some((preds, true))
                 }
                 None => {
@@ -101,6 +127,11 @@ impl Eager {
                     None
                 }
             });
+        }
+        for (i, from, preds) in transfers {
+            let twin = CacheEntry::verbatim_only(sigs[i].identity, preds);
+            self.cache
+                .remember_transfer(sigs[i].key, &from, Arc::new(twin));
         }
         // Misses: duplicates inside the batch share one model slot and
         // report as hits; every distinct miss is inserted, in job order.
@@ -297,6 +328,7 @@ fn one_job_at_a_time_matches_the_eager_path_through_lru_churn() {
     assert_counters_match(&server, &eager);
     // The trace must have exercised every tier and the eviction path.
     assert!(eager.verbatim > 50 && eager.transferred > 20, "tiers idle");
+    assert!(eager.remembered > 20, "no twin was answered from memory");
     assert!(eager.resolve_misses > 5, "duplicate cones never refused");
     assert!(
         misses > (corpus.once.len() + corpus.originals.len()) as u64,
@@ -361,14 +393,17 @@ fn whole_batches_with_duplicates_and_mixed_tiers_match_the_eager_path() {
     }
     assert_counters_match(&server, &eager);
     assert!(coalesced > 0, "no batch ever coalesced several misses");
+    assert!(eager.remembered > 0, "no twin was answered from memory");
     let stats = server.shutdown();
     assert_eq!(stats.batches, 60, "every burst ran as one batch");
 }
 
 /// Every cache tier once, one job per batch, with the exact samples and
 /// counters the worker books around the plain cache calls: a cold miss, a
-/// repeat (identity hit), a renumbered twin (transfer), and a renumbered
-/// duplicate-cone graph after its original (resolve refused).
+/// repeat (identity hit), a renumbered twin (transfer), a renumbered
+/// duplicate-cone graph after its original (resolve refused), and the twin
+/// again (an identity hit on the numbering its transfer left behind: no
+/// structural hash, counted verbatim).
 #[test]
 fn every_tier_once_books_exact_samples_and_counters() {
     let (original, twin) = original_and_twin(MultiplierKind::Csa, 3);
@@ -382,22 +417,44 @@ fn every_tier_once_books_exact_samples_and_counters() {
             ..ServeConfig::default()
         },
     );
-    let hits: Vec<bool> = [&original, &original, &twin, &cones, &cones_twin]
+    let send = |aig: &Aig| {
+        let ticket = server.submit(aig.clone(), AnalysisKind::Classify);
+        ticket.expect("admitted").wait().expect("served")
+    };
+    let outs: Vec<_> = [&original, &original, &twin, &cones, &cones_twin]
         .into_iter()
-        .map(|aig| {
-            let ticket = server.submit(aig.clone(), AnalysisKind::Classify);
-            ticket.expect("admitted").wait().expect("served").cache_hit
-        })
+        .map(send)
         .collect();
+    let hits: Vec<bool> = outs.iter().map(|out| out.cache_hit).collect();
     assert_eq!(hits, [false, true, true, false, false]);
+    // Every structural pass so far: the four identity misses, one batch
+    // each, plus one digest per submission.
+    let hash_samples = server
+        .metrics()
+        .histogram("stage_signature_hash_micros")
+        .unwrap()
+        .count();
+    let again = send(&twin);
+    assert!(again.cache_hit);
+    assert_eq!(
+        again.predictions, outs[2].predictions,
+        "what the transfer served"
+    );
 
     let snap = server.metrics();
+    assert_eq!(
+        snap.histogram("stage_signature_hash_micros")
+            .unwrap()
+            .count(),
+        hash_samples + 1,
+        "the twin's digest at submit, and no structural pass"
+    );
     // Two probes (identity, then structural key) for each of the four jobs
-    // the identity index missed, one for the repeat.
-    assert_eq!(snap.histogram("cache_probe_micros").unwrap().count(), 9);
-    // The repeat's clone, the transfer and the refusal.
-    assert_eq!(snap.histogram("cache_resolve_micros").unwrap().count(), 3);
-    assert_eq!(snap.counter("cache_hits_verbatim_total"), 1);
+    // the identity index missed, one for each of the two identity hits.
+    assert_eq!(snap.histogram("cache_probe_micros").unwrap().count(), 10);
+    // Two clones, the transfer and the refusal.
+    assert_eq!(snap.histogram("cache_resolve_micros").unwrap().count(), 4);
+    assert_eq!(snap.counter("cache_hits_verbatim_total"), 2);
     assert_eq!(snap.counter("cache_hits_transferred_total"), 1);
     assert_eq!(snap.counter("cache_probe_misses_total"), 2);
     assert_eq!(snap.counter("cache_resolve_misses_total"), 1);

@@ -21,23 +21,32 @@ fn count(bytes: usize) {
     let _ = REQUESTED.try_with(|r| r.set(r.get().map(|n| n + bytes)));
 }
 
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; `count` only touches a `const`-initialised
+// thread-local through `try_with`, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` (through this wrapper)
+        // with `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        // SAFETY: `ptr`, `layout` and `new_size` meet `realloc`'s contract
+        // by the caller's guarantee, and `ptr` came from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
