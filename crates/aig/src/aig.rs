@@ -368,11 +368,6 @@ impl Aig {
         }
     }
 
-    /// Whether node `n` is a primary input.
-    pub fn is_input(&self, n: NodeId) -> bool {
-        self.kind(n) == NodeKind::Input
-    }
-
     /// Whether node `n` is an AND gate.
     pub fn is_and(&self, n: NodeId) -> bool {
         self.kind(n) == NodeKind::And
@@ -387,16 +382,6 @@ impl Aig {
         let node = &self.nodes[n.index()];
         assert!(node.f0.is_valid(), "{n} is not an AND node");
         (node.f0, node.f1)
-    }
-
-    /// First fanin of an AND node. See [`Aig::fanins`] for panics.
-    pub fn fanin0(&self, n: NodeId) -> Lit {
-        self.fanins(n).0
-    }
-
-    /// Second fanin of an AND node. See [`Aig::fanins`] for panics.
-    pub fn fanin1(&self, n: NodeId) -> Lit {
-        self.fanins(n).1
     }
 
     /// Iterates over all node ids in topological order (constant first).

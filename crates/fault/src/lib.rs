@@ -1,6 +1,6 @@
 //! Deterministic fail-point injection for the gamora serving stack.
 //!
-//! Production recovery paths — worker respawn, poison quarantine,
+//! Production recovery paths — worker restart, poison quarantine,
 //! retry/backoff — are only trustworthy if a test can *provoke* the
 //! failures they recover from, on demand and reproducibly. This crate
 //! provides named injection points ([`FaultPoint`], one per serve stage)
@@ -44,8 +44,8 @@
 //! ## Actions
 //!
 //! * `panic` — panics at the check site with a descriptive message. In
-//!   the serve stack this kills the worker thread (the supervisor
-//!   respawns it).
+//!   the serve stack the worker catches it, drops the batch's unanswered
+//!   jobs and restarts in place with fresh scratch.
 //! * `delay(us)` — sleeps the given number of microseconds, then lets
 //!   the check pass. Widens race windows deterministically.
 //! * `err` — the check returns `Err(`[`Injected`]`)`; the caller turns

@@ -16,8 +16,9 @@ std::thread_local! {
 /// Caps the parallelism of every kernel call made *from the
 /// calling thread* to `limit` threads. `1` forces fully serial execution,
 /// `0` removes the cap. The cap takes precedence over `GAMORA_THREADS`
-/// and hardware detection — it is the per-worker budget a pool supervisor
-/// hands out after consulting [`num_threads`] itself.
+/// and hardware detection — it is the per-worker budget a worker pool
+/// sets once on each worker thread after consulting [`num_threads`]
+/// itself.
 pub fn set_intra_threads(limit: usize) {
     INTRA_LIMIT.with(|c| c.set(limit));
 }

@@ -79,20 +79,6 @@ impl Gauge {
         self.0.fetch_max(v, Relaxed);
     }
 
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Relaxed);
-    }
-
-    /// Decrement by one, saturating at zero.
-    #[inline]
-    pub fn dec(&self) {
-        let _ = self
-            .0
-            .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(1)));
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -137,15 +123,6 @@ impl StageTimer {
         hist.record(micros);
         micros
     }
-
-    /// Record the span since the last lap (or start) into `hist`, then
-    /// restart, returning the lap length in microseconds.
-    #[inline]
-    pub fn lap(&mut self, hist: &Histogram) -> u64 {
-        let micros = self.observe(hist);
-        self.start = Instant::now();
-        micros
-    }
 }
 
 #[cfg(test)]
@@ -164,22 +141,17 @@ mod tests {
         g.set_max(10);
         g.set_max(2);
         assert_eq!(g.get(), 10);
-        g.inc();
-        assert_eq!(g.get(), 11);
-        g.set(0);
-        g.dec();
-        assert_eq!(g.get(), 0, "dec saturates at zero");
     }
 
     #[test]
     fn stage_timer_records() {
         let h = Histogram::new();
-        let mut t = StageTimer::start();
+        let t = StageTimer::start();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let lap = t.lap(&h);
-        assert!(lap >= 1_000, "slept 2ms but measured {lap}us");
+        let first = t.observe(&h);
+        assert!(first >= 1_000, "slept 2ms but measured {first}us");
         let second = t.observe(&h);
-        assert!(second < lap + 2_000_000, "lap reset the timer");
+        assert!(second >= first, "observing does not restart the timer");
         let s = h.snapshot();
         assert_eq!(s.count(), 2);
     }

@@ -24,9 +24,9 @@
 //!   window so trickling traffic still forms real batches, per-job
 //!   deadlines honoured before the forward pass, and fail-fast
 //!   submission once shutdown begins. It is also **self-healing**: a
-//!   supervisor respawns workers killed by panicking batches,
-//!   submissions that repeatedly kill workers are quarantined by
-//!   structural fingerprint, and `Server::health` reports
+//!   worker whose batch panics accounts the dropped jobs and restarts in
+//!   place with fresh scratch, submissions whose batches panic
+//!   repeatedly are quarantined by structural fingerprint, and `Server::health` reports
 //!   healthy/degraded/shutting-down. The `gamora-fault` crate's fail
 //!   points (armable via `GAMORA_FAULTS` or `--faults`) make every one
 //!   of those recovery paths provokable on demand in tests.

@@ -10,7 +10,7 @@
 //! | metric | span |
 //! |---|---|
 //! | `stage_snapshot_load_micros` | snapshot open → model ready (cold start; recorded once per load by the binary via [`Server::record_snapshot_load`](crate::scheduler::Server::record_snapshot_load)) |
-//! | `stage_admission_micros` | submit call entry → job admitted into the queue (includes blocking waits for queue space) |
+//! | `stage_admission_micros` | job built (digested, `submitted` stamped) → admitted into the queue, including blocking waits for queue space; the jobs of a bulk submit are admitted one after another, so each one's span starts at the previous one's admission |
 //! | `stage_queue_wait_micros` | admission → a worker claims the job into a batch |
 //! | `stage_linger_micros` | time a short batch waited for companions |
 //! | `stage_signature_hash_micros` | hashing, wherever it runs: the identity digest of one submission, taken on the submitting thread before (not inside) its admission span, and the structural signature pass over one batch's identity-missed jobs in the worker |
@@ -18,7 +18,7 @@
 //! | `stage_gnn_forward_micros` | the coalesced GNN forward pass |
 //! | `stage_prediction_split_micros` | argmax decode, netlist by netlist |
 //! | `stage_postprocess_micros` | cut detection, pairing and LSB repair of one `ExtractAdders` job (`Classify` jobs record nothing) |
-//! | `stage_time_to_rejection_micros` | submit/queue entry → `Overloaded` or `DeadlineExpired` shed |
+//! | `stage_time_to_rejection_micros` | submission → shed: `Overloaded` at the door (one sample per refused call, a whole refused bulk submit included), `DeadlineExpired` or `AnalysisFailed` in a worker. Its count equals `rejected_overload + jobs_expired + jobs_failed` |
 //! | `latency_e2e_micros` | submission → answer sent (the `JobOutput::latency_micros` distribution) |
 //! | `cache_probe_micros` | one O(1) probe of either cache index, under the cache lock |
 //! | `cache_resolve_micros` | one verbatim clone or transfer re-index, with no lock held |
@@ -105,7 +105,7 @@ pub struct ServeMetrics {
     pub jobs_failed: Arc<Counter>,
     /// Submissions refused at the door with `Overloaded`.
     pub rejected_overload: Arc<Counter>,
-    /// Dead worker threads respawned by the supervisor.
+    /// Worker restarts after a caught batch panic.
     pub workers_respawned: Arc<Counter>,
     /// Fingerprints quarantined after repeated batch panics.
     pub quarantines: Arc<Counter>,
@@ -119,7 +119,7 @@ pub struct ServeMetrics {
     /// the binary records it once per load so the cold-start cost shows up
     /// in the same stage table / Prometheus text as the serving stages.
     pub stage_snapshot_load: Arc<Histogram>,
-    /// Submit entry → admission (includes blocking waits for space).
+    /// Submission → admission (includes blocking waits for space).
     pub stage_admission: Arc<Histogram>,
     /// Admission → batch claim.
     pub stage_queue_wait: Arc<Histogram>,
@@ -136,7 +136,8 @@ pub struct ServeMetrics {
     pub stage_split: Arc<Histogram>,
     /// Classical post-processing of one `ExtractAdders` job.
     pub stage_postprocess: Arc<Histogram>,
-    /// Submission → shed (`Overloaded` / `DeadlineExpired`).
+    /// Submission → shed (`Overloaded` / `DeadlineExpired` /
+    /// `AnalysisFailed`).
     pub stage_time_to_rejection: Arc<Histogram>,
     /// Submission → answer sent.
     pub latency_e2e: Arc<Histogram>,

@@ -23,8 +23,10 @@
 //!   [`ServeConfig::queue_capacity`] jobs. [`Server::try_submit`] rejects
 //!   with [`SubmitError::Overloaded`] instead of growing memory;
 //!   [`Server::submit`] blocks on a capacity condvar until a worker frees
-//!   space. A burst can therefore never inflate the server beyond
-//!   `queue_capacity` queued AIGs.
+//!   space. Every `submit*` variant admits through one loop: a single
+//!   submit is a burst of one job, [`Server::submit_all`] a burst of its
+//!   whole list, admitted in capacity-sized waves. A burst can therefore
+//!   never inflate the server beyond `queue_capacity` queued AIGs.
 //! * **Linger window.** A worker that finds fewer than `max_batch` jobs
 //!   waits up to [`ServeConfig::linger_micros`] (via
 //!   `Condvar::wait_timeout`) for companions before running a short
@@ -42,11 +44,15 @@
 //!
 //! The serve loop is also **self-healing** (PR 8):
 //!
-//! * **Worker supervision.** A batch panic kills its worker thread (a
-//!   fresh thread is strictly safer than one whose scratch may be
-//!   half-written); a supervisor thread detects the death and respawns
-//!   the worker with a fresh `WorkerState`, reusing the `Arc`'d model.
-//!   Respawns are counted in `workers_respawned`.
+//! * **Restart in place.** A worker catches a panic of its batch,
+//!   accounts the unanswered jobs as dropped, and replaces its whole
+//!   `WorkerState` with a fresh one over the same `Arc`'d model before
+//!   it claims the next batch, so no scratch a panic may have
+//!   half-written is ever reused. The state holds everything a worker
+//!   owns, and the kernel thread budget, its one thread-local, is set
+//!   once at spawn and never changed on the worker thread, so the
+//!   restarted worker is the one a fresh thread would be. Restarts are
+//!   counted in `workers_respawned`.
 //! * **Poison quarantine.** A structural fingerprint present in two
 //!   panicking batches is quarantined for
 //!   [`ServeConfig::quarantine_ttl_micros`]: further submissions of it
@@ -57,7 +63,7 @@
 //!   damage.)
 //! * **Health.** [`Server::health`] derives `Healthy`/`Degraded`/
 //!   `ShuttingDown` from the shutdown flag, active quarantines, and the
-//!   recency of incidents (sheds, panics, respawns).
+//!   recency of incidents (sheds, panics, restarts).
 //!
 //! Every stage checks a deterministic fail point (`gamora-fault`), so
 //! chaos tests can provoke each of these paths on demand; disarmed, each
@@ -300,13 +306,17 @@ pub(crate) struct Job {
     pub(crate) identity: Option<u128>,
     pub(crate) deadline: Option<Instant>,
     pub(crate) submitted: Instant,
-    /// When the job entered the queue (stamped by `admit`); together with
-    /// `submitted` this splits end-to-end latency into admission wait vs
-    /// queue wait. Initialised to `submitted` by constructors.
+    /// When the job entered the queue (stamped by the admission loop);
+    /// together with `submitted` this splits end-to-end latency into
+    /// admission wait vs queue wait. Initialised to `submitted` by
+    /// [`Server::job`].
     pub(crate) admitted: Instant,
-    /// Bulk-submission id (`0` = single submit): lets a burst aborted by
-    /// shutdown retract its own still-queued jobs instead of leaving them
-    /// to burn forward passes into dropped receivers.
+    /// Id of the burst the job was admitted in (`0` = a single submit, a
+    /// burst of one): lets a bulk submit aborted by shutdown retract its
+    /// own still-queued jobs instead of leaving them to burn forward
+    /// passes into dropped receivers. The admission loop retracts only
+    /// for a call that has admitted something, so the shared id `0` is
+    /// never retracted.
     pub(crate) burst: u64,
     pub(crate) tx: mpsc::Sender<Result<JobOutput, ServeError>>,
 }
@@ -327,7 +337,7 @@ pub enum Health {
     #[default]
     Healthy = 0,
     /// A fingerprint is quarantined, or an incident (overload shed,
-    /// batch panic, worker respawn) happened within the last
+    /// batch panic, worker restart) happened within the last
     /// [`INCIDENT_WINDOW`]. The server still serves.
     Degraded = 1,
     /// Shutdown has begun; new submissions fail fast.
@@ -345,7 +355,7 @@ impl Health {
     }
 }
 
-/// How long after the last incident (shed, panic, respawn, failed job)
+/// How long after the last incident (shed, panic, restart, failed job)
 /// a server still reports [`Health::Degraded`].
 pub const INCIDENT_WINDOW: Duration = Duration::from_millis(500);
 
@@ -382,10 +392,11 @@ pub struct ServeStats {
     /// Admitted jobs answered [`ServeError::AnalysisFailed`]
     /// (quarantined fingerprints, injected stage errors).
     pub jobs_failed: u64,
-    /// `try_submit` calls refused at the door with
-    /// [`SubmitError::Overloaded`] (these never count as submitted).
+    /// Submit calls refused at the door with [`SubmitError::Overloaded`]
+    /// (these never count as submitted; a refused bulk submit counts
+    /// once).
     pub rejected_overload: u64,
-    /// Dead worker threads respawned by the supervisor.
+    /// Worker restarts after a caught batch panic.
     pub workers_respawned: u64,
     /// Fingerprints quarantined after repeated batch panics.
     pub quarantines: u64,
@@ -417,20 +428,14 @@ struct QuarantineEntry {
 /// Batch panics before a fingerprint is quarantined.
 const QUARANTINE_STRIKES: u32 = 2;
 
-/// Supervisor-facing lifecycle state: indices of workers that died by
-/// panic (pushed by their [`DeathNotice`] guards) plus the stop flag.
-struct Lifecycle {
-    dead: Vec<usize>,
-    stop: bool,
-}
-
 struct Shared {
     queue: Mutex<QueueState>,
     /// Signalled when jobs arrive (workers wait here).
     available: Condvar,
     /// Signalled when queue space frees up (blocked submitters wait here).
     space: Condvar,
-    /// Allocator for [`Job::burst`] ids (`0` is reserved for singles).
+    /// Allocator for the [`Job::burst`] ids of bulk submits (`0` is
+    /// reserved for single submits, which never retract).
     burst_counter: AtomicU64,
     /// `None` in cold mode (`cache_capacity == 0`), which also switches
     /// off every hash: the digest at submit, the structural pass and
@@ -457,10 +462,6 @@ struct Shared {
     /// the batch path skip the quarantine lock entirely when zero.
     quarantine_active: AtomicU64,
     quarantine_ttl: Duration,
-    /// Dead-worker inbox + stop flag for the supervisor.
-    lifecycle: Mutex<Lifecycle>,
-    /// Signalled when a worker dies or shutdown begins.
-    reaper: Condvar,
 }
 
 impl Shared {
@@ -536,34 +537,14 @@ impl Shared {
 /// A running inference server over one trained reasoner.
 pub struct Server {
     shared: Arc<Shared>,
-    /// The supervisor owns the worker handles; joining it joins (the
-    /// final generation of) every worker.
-    supervisor: Option<JoinHandle<()>>,
+    /// The worker threads, joined by shutdown. A worker outlives every
+    /// batch panic (it restarts in place), so this is the whole pool for
+    /// the server's lifetime.
+    workers: Vec<JoinHandle<()>>,
 }
 
-/// Drop guard armed inside every worker thread: if the thread unwinds
-/// (a batch panic re-raised after accounting), the guard reports the
-/// worker index to the supervisor so it can join and respawn it. A
-/// normal shutdown exit does not report (nothing to heal).
-struct DeathNotice {
-    shared: Arc<Shared>,
-    index: usize,
-}
-
-impl Drop for DeathNotice {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let mut lc = self.shared.lifecycle.lock().expect("lifecycle poisoned");
-            lc.dead.push(self.index);
-            drop(lc);
-            self.shared.reaper.notify_all();
-        }
-    }
-}
-
-/// Spawns worker `index` over the shared state; used at startup and by
-/// the supervisor when respawning a dead worker (fresh scratch, same
-/// `Arc`'d model).
+/// Spawns worker `index` over the shared state with its kernel thread
+/// budget, the one thread-local a worker has.
 fn spawn_worker(
     shared: &Arc<Shared>,
     model: &Arc<GamoraReasoner>,
@@ -576,61 +557,9 @@ fn spawn_worker(
         .name(format!("gamora-serve-{index}"))
         .spawn(move || {
             gamora_gnn::parallel::set_intra_threads(intra_threads);
-            let death_notice = DeathNotice {
-                shared: Arc::clone(&shared),
-                index,
-            };
-            let mut state = WorkerState {
-                scratch: model.scratch(),
-                batch_ws: model.batch_scratch(),
-                outs: Vec::new(),
-                post: PostProcess::default(),
-                batch_fps: Vec::new(),
-            };
-            worker_loop(&shared, &model, &mut state);
-            drop(death_notice);
+            worker_loop(&shared, &model);
         })
         .expect("spawn serve worker")
-}
-
-/// The supervisor thread: waits for death notices, joins dead workers,
-/// and respawns them into the same slot (unless shutdown has begun).
-/// On stop it joins every remaining worker before exiting, so joining
-/// the supervisor is joining the pool.
-fn supervisor_loop(
-    shared: Arc<Shared>,
-    model: Arc<GamoraReasoner>,
-    intra_threads: usize,
-    mut slots: Vec<Option<JoinHandle<()>>>,
-) {
-    loop {
-        let (dead, stop) = {
-            let mut lc = shared.lifecycle.lock().expect("lifecycle poisoned");
-            while lc.dead.is_empty() && !lc.stop {
-                lc = shared.reaper.wait(lc).expect("lifecycle poisoned");
-            }
-            (std::mem::take(&mut lc.dead), lc.stop)
-        };
-        // Join (and maybe respawn) outside the lock: the dying worker's
-        // DeathNotice needs it, and a respawned worker may die again
-        // while we are still working through this list.
-        for index in dead {
-            if let Some(handle) = slots[index].take() {
-                let _ = handle.join();
-            }
-            if !stop {
-                slots[index] = Some(spawn_worker(&shared, &model, intra_threads, index));
-                shared.metrics.workers_respawned.inc();
-                shared.note_incident();
-            }
-        }
-        if stop {
-            for handle in slots.iter_mut().filter_map(Option::take) {
-                let _ = handle.join();
-            }
-            return;
-        }
-    }
 }
 
 impl Server {
@@ -680,11 +609,6 @@ impl Server {
             quarantine: Mutex::new(FxHashMap::default()),
             quarantine_active: AtomicU64::new(0),
             quarantine_ttl: Duration::from_micros(config.quarantine_ttl_micros),
-            lifecycle: Mutex::new(Lifecycle {
-                dead: Vec::new(),
-                stop: false,
-            }),
-            reaper: Condvar::new(),
         });
         // Split the machine's thread budget across the pool: N workers
         // each fanning kernels over the full core count would oversubscribe
@@ -694,20 +618,10 @@ impl Server {
         } else {
             (gamora_gnn::parallel::num_threads() / config.workers).max(1)
         };
-        let slots: Vec<Option<JoinHandle<()>>> = (0..config.workers)
-            .map(|i| Some(spawn_worker(&shared, &reasoner, intra_threads, i)))
+        let workers = (0..config.workers)
+            .map(|i| spawn_worker(&shared, &reasoner, intra_threads, i))
             .collect();
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gamora-serve-supervisor".into())
-                .spawn(move || supervisor_loop(shared, reasoner, intra_threads, slots))
-                .expect("spawn serve supervisor")
-        };
-        Server {
-            shared,
-            supervisor: Some(supervisor),
-        }
+        Server { shared, workers }
     }
 
     /// Records how long loading the model snapshot took, as the
@@ -724,7 +638,8 @@ impl Server {
     /// ticket to wait on. Fails fast with [`SubmitError::ShuttingDown`]
     /// once shutdown has begun.
     pub fn submit(&self, aig: Aig, kind: AnalysisKind) -> Result<JobTicket, SubmitError> {
-        self.enqueue(aig, kind, None, true)
+        let (job, ticket) = self.job(aig, kind, None, 0);
+        self.enqueue([job], true).map(|()| ticket)
     }
 
     /// Non-blocking admission: enqueues the job if there is queue space,
@@ -732,7 +647,8 @@ impl Server {
     /// the load-shedding entry point; memory stays bounded no matter how
     /// hard clients hammer.
     pub fn try_submit(&self, aig: Aig, kind: AnalysisKind) -> Result<JobTicket, SubmitError> {
-        self.enqueue(aig, kind, None, false)
+        let (job, ticket) = self.job(aig, kind, None, 0);
+        self.enqueue([job], false).map(|()| ticket)
     }
 
     /// Like [`Server::submit`], but the job carries a deadline `ttl` from
@@ -745,7 +661,31 @@ impl Server {
         kind: AnalysisKind,
         ttl: Duration,
     ) -> Result<JobTicket, SubmitError> {
-        self.enqueue(aig, kind, Some(Instant::now() + ttl), true)
+        let (job, ticket) = self.job(aig, kind, Some(Instant::now() + ttl), 0);
+        self.enqueue([job], true).map(|()| ticket)
+    }
+
+    /// Submits many jobs under one queue lock (so an idle worker sees them
+    /// as one coalescable burst) and waits for all of them, preserving
+    /// input order. Bursts larger than the queue capacity are admitted in
+    /// capacity-sized waves: the submitter blocks on the space condvar
+    /// between waves, so memory stays bounded even for huge bulk calls.
+    /// Fails with the first dropped job.
+    pub fn submit_all(&self, jobs: Vec<(Aig, AnalysisKind)>) -> Result<Vec<JobOutput>, ServeError> {
+        let tickets = self
+            .submit_batch(jobs)
+            .map_err(|_| ServeError::JobDropped)?;
+        tickets.into_iter().map(JobTicket::wait).collect()
+    }
+
+    /// Bulk enqueue behind `submit_all`: one burst, under a fresh id.
+    fn submit_batch(&self, jobs: Vec<(Aig, AnalysisKind)>) -> Result<Vec<JobTicket>, SubmitError> {
+        let id = self.shared.burst_counter.fetch_add(1, Ordering::Relaxed);
+        let (burst, tickets): (Vec<Job>, Vec<JobTicket>) = jobs
+            .into_iter()
+            .map(|(aig, kind)| self.job(aig, kind, None, id))
+            .unzip();
+        self.enqueue(burst, true).map(|()| tickets)
     }
 
     /// The identity digest a job of this server carries: none in cold mode
@@ -764,18 +704,17 @@ impl Server {
         Some(identity)
     }
 
-    /// The one single-job admission path behind the three `submit`
-    /// variants: `deadline` is the job's absolute expiry, `block` chooses
-    /// waiting for queue space over [`SubmitError::Overloaded`].
-    fn enqueue(
+    /// Builds a job and its ticket on the caller's thread: digests the
+    /// AIG, opens the answer channel and stamps `submitted`. `burst` is
+    /// the bulk id, `0` for a single submit.
+    fn job(
         &self,
         aig: Aig,
         kind: AnalysisKind,
         deadline: Option<Instant>,
-        block: bool,
-    ) -> Result<JobTicket, SubmitError> {
+        burst: u64,
+    ) -> (Job, JobTicket) {
         let identity = self.identity_of(&aig);
-        let timer = StageTimer::start();
         let (tx, rx) = mpsc::channel();
         let submitted = Instant::now();
         let job = Job {
@@ -785,156 +724,107 @@ impl Server {
             deadline,
             submitted,
             admitted: submitted,
-            burst: 0,
+            burst,
             tx,
         };
-        let m = &self.shared.metrics;
-        // Chaos seam: an injected admission fault sheds the submission at
+        (job, JobTicket { rx })
+    }
+
+    /// The one admission loop behind every `submit*` variant: admits a
+    /// burst built by [`Server::job`] in order under one queue lock, then
+    /// wakes the workers. `block` waits for queue space instead of
+    /// shedding [`SubmitError::Overloaded`], but never past a job's
+    /// deadline. Each job's admission span starts where the previous one
+    /// ended (the first at the burst's last `submitted` stamp), so the loop
+    /// reads the clock once per job. A burst refused part-way — shutdown
+    /// between waves — retracts the jobs it queued (their receivers die
+    /// with the error) and counts them as dropped; a call that admitted
+    /// nothing retracts nothing, so single submits (all burst `0`) never do.
+    fn enqueue<B>(&self, burst: B, block: bool) -> Result<(), SubmitError>
+    where
+        B: AsRef<[Job]> + IntoIterator<Item = Job>,
+    {
+        let shared = &*self.shared;
+        let m = &shared.metrics;
+        let Some(last) = burst.as_ref().last() else {
+            return Ok(());
+        };
+        let id = last.burst;
+        let mut since = last.submitted;
+        let shed = |since: Instant| {
+            m.rejected_overload.inc();
+            m.stage_time_to_rejection
+                .record(since.elapsed().as_micros() as u64);
+            SubmitError::Overloaded
+        };
+        // Chaos seam: an injected admission fault sheds the whole burst at
         // the door, before the queue lock (so a `panic` action can never
         // poison the queue mutex).
         if gamora_fault::armed() && admission_fault_fires() {
-            m.rejected_overload.inc();
-            timer.observe(&m.stage_time_to_rejection);
-            self.shared.note_incident();
-            return Err(SubmitError::Overloaded);
+            shared.note_incident();
+            return Err(shed(since));
         }
-        let mut queue = self.shared.queue.lock().expect("queue poisoned");
-        loop {
-            if queue.shutdown {
-                return Err(SubmitError::ShuttingDown);
-            }
-            if self.shared.queue_capacity == 0 || queue.jobs.len() < self.shared.queue_capacity {
-                break;
-            }
-            if !block {
-                m.rejected_overload.inc();
-                timer.observe(&m.stage_time_to_rejection);
-                return Err(SubmitError::Overloaded);
-            }
-            // A blocking submit with a deadline never waits past it: once
-            // the ttl elapses with the queue still full, the job is shed
-            // at the door — admitting it would only buy a guaranteed
-            // `DeadlineExpired` after occupying a queue slot.
-            queue = match job.deadline {
-                Some(d) => {
-                    let Some(left) = d.checked_duration_since(Instant::now()) else {
-                        m.rejected_overload.inc();
-                        timer.observe(&m.stage_time_to_rejection);
-                        return Err(SubmitError::Overloaded);
-                    };
-                    self.shared
-                        .space
-                        .wait_timeout(queue, left)
-                        .expect("queue poisoned")
-                        .0
-                }
-                None => self.shared.space.wait(queue).expect("queue poisoned"),
-            };
-        }
-        self.admit(&mut queue, job);
-        drop(queue);
-        timer.observe(&m.stage_admission);
-        self.shared.available.notify_one();
-        Ok(JobTicket { rx })
-    }
-
-    /// Pushes an admitted job and updates the admission metrics (the
-    /// submitted counter, the queue-depth distribution and its high-water
-    /// gauge). Caller holds the queue lock and has already checked
-    /// capacity + shutdown; the caller also records `stage_admission`,
-    /// which includes any blocking wait for queue space.
-    fn admit(&self, queue: &mut QueueState, mut job: Job) {
-        job.admitted = Instant::now();
-        queue.jobs.push_back(job);
-        let m = &self.shared.metrics;
-        m.jobs_submitted.inc();
-        m.queue_depth.record(queue.jobs.len() as u64);
-        m.peak_queued.set_max(queue.jobs.len() as u64);
-    }
-
-    /// Submits many jobs under one queue lock (so an idle worker sees them
-    /// as one coalescable burst) and waits for all of them, preserving
-    /// input order. Bursts larger than the queue capacity are admitted in
-    /// capacity-sized waves: the submitter blocks on the space condvar
-    /// between waves, so memory stays bounded even for huge bulk calls.
-    /// Fails with the first dropped job.
-    pub fn submit_all(&self, jobs: Vec<(Aig, AnalysisKind)>) -> Result<Vec<JobOutput>, ServeError> {
-        let tickets = self
-            .submit_batch(jobs)
-            .map_err(|_| ServeError::JobDropped)?;
-        tickets.into_iter().map(JobTicket::wait).collect()
-    }
-
-    /// Drops every still-queued job of `burst` (counted as
-    /// `jobs_dropped`). Jobs a worker already claimed still run.
-    fn retract_locked(shared: &Shared, queue: &mut QueueState, burst: u64) {
-        let before = queue.jobs.len();
-        queue.jobs.retain(|j| j.burst != burst);
-        shared
-            .metrics
-            .jobs_dropped
-            .add((before - queue.jobs.len()) as u64);
-    }
-
-    /// Bulk enqueue behind `submit_all`.
-    ///
-    /// A burst larger than the queue capacity can be interrupted by a
-    /// shutdown at a wave boundary; the aborted burst then retracts its
-    /// own still-queued prefix under the same lock (those jobs' receivers
-    /// die with the error return, so running them would spend forward
-    /// passes answering nobody) and counts the retracted jobs as dropped.
-    fn submit_batch(&self, jobs: Vec<(Aig, AnalysisKind)>) -> Result<Vec<JobTicket>, SubmitError> {
-        let burst = self.shared.burst_counter.fetch_add(1, Ordering::Relaxed);
-        // Chaos seam: a burst is admitted atomically, so the admission
-        // fail point is checked once per burst — an injection rejects the
-        // whole burst before anything is enqueued.
-        if gamora_fault::armed() && admission_fault_fires() {
-            self.shared.metrics.rejected_overload.inc();
-            self.shared.note_incident();
-            return Err(SubmitError::Overloaded);
-        }
-        // Digest the whole burst before the queue lock is taken.
-        let identities: Vec<Option<u128>> =
-            jobs.iter().map(|(aig, _)| self.identity_of(aig)).collect();
-        let mut tickets = Vec::with_capacity(jobs.len());
-        let mut queue = self.shared.queue.lock().expect("queue poisoned");
-        for ((aig, kind), identity) in jobs.into_iter().zip(identities) {
-            let timer = StageTimer::start();
-            loop {
+        let mut admitted = 0usize;
+        let mut queue = shared.queue.lock().expect("queue poisoned");
+        for mut job in burst {
+            let refused = loop {
                 if queue.shutdown {
-                    Self::retract_locked(&self.shared, &mut queue, burst);
-                    return Err(SubmitError::ShuttingDown);
+                    break Some(SubmitError::ShuttingDown);
                 }
-                if self.shared.queue_capacity == 0 || queue.jobs.len() < self.shared.queue_capacity
-                {
-                    break;
+                if shared.queue_capacity == 0 || queue.jobs.len() < shared.queue_capacity {
+                    break None;
                 }
-                // Wake the workers on what is already queued, then wait
-                // for them to free space.
-                self.shared.available.notify_all();
-                queue = self.shared.space.wait(queue).expect("queue poisoned");
+                if !block {
+                    break Some(shed(since));
+                }
+                if admitted > 0 {
+                    // Wake the workers on this burst's queued jobs, then
+                    // wait for them to free space.
+                    shared.available.notify_all();
+                }
+                // A blocking submit with a deadline never waits past it:
+                // once the ttl elapses with the queue still full, the job
+                // is shed at the door — admitting it would only buy a
+                // guaranteed `DeadlineExpired` after occupying a slot.
+                queue = match job.deadline {
+                    Some(d) => {
+                        let Some(left) = d.checked_duration_since(Instant::now()) else {
+                            break Some(shed(since));
+                        };
+                        shared
+                            .space
+                            .wait_timeout(queue, left)
+                            .expect("queue poisoned")
+                            .0
+                    }
+                    None => shared.space.wait(queue).expect("queue poisoned"),
+                };
+            };
+            if let Some(refusal) = refused {
+                if admitted > 0 {
+                    let before = queue.jobs.len();
+                    queue.jobs.retain(|j| j.burst != id);
+                    m.jobs_dropped.add((before - queue.jobs.len()) as u64);
+                }
+                return Err(refusal);
             }
-            let (tx, rx) = mpsc::channel();
-            let submitted = Instant::now();
-            self.admit(
-                &mut queue,
-                Job {
-                    aig,
-                    kind,
-                    identity,
-                    deadline: None,
-                    submitted,
-                    admitted: submitted,
-                    burst,
-                    tx,
-                },
-            );
-            timer.observe(&self.shared.metrics.stage_admission);
-            tickets.push(JobTicket { rx });
+            job.admitted = Instant::now();
+            m.stage_admission
+                .record(job.admitted.saturating_duration_since(since).as_micros() as u64);
+            since = job.admitted;
+            queue.jobs.push_back(job);
+            admitted += 1;
+            m.jobs_submitted.inc();
+            m.queue_depth.record(queue.jobs.len() as u64);
+            m.peak_queued.set_max(queue.jobs.len() as u64);
         }
         drop(queue);
-        self.shared.available.notify_all();
-        Ok(tickets)
+        if admitted == 1 {
+            shared.available.notify_one();
+        } else {
+            shared.available.notify_all();
+        }
+        Ok(())
     }
 
     /// Current counter values, read from the same metric registrations
@@ -964,7 +854,7 @@ impl Server {
     /// * [`Health::ShuttingDown`] once [`Server::begin_shutdown`] ran;
     /// * [`Health::Degraded`] while any fingerprint is quarantined, or
     ///   within [`INCIDENT_WINDOW`] of the last incident (overload shed,
-    ///   batch panic, worker respawn, failed job);
+    ///   batch panic, worker restart, failed job);
     /// * [`Health::Healthy`] otherwise.
     ///
     /// Each read refreshes the `serve_health` gauge (0/1/2), so metric
@@ -1011,14 +901,6 @@ impl Server {
         self.shared.available.notify_all();
         // Submitters blocked on capacity must wake to observe the flag.
         self.shared.space.notify_all();
-        // Stop the supervisor from respawning: it joins the remaining
-        // workers (drain first, then exit) and returns.
-        self.shared
-            .lifecycle
-            .lock()
-            .expect("lifecycle poisoned")
-            .stop = true;
-        self.shared.reaper.notify_all();
     }
 
     /// Drains outstanding work and stops the workers.
@@ -1029,15 +911,15 @@ impl Server {
 
     fn stop_workers(&mut self) {
         self.begin_shutdown();
-        // The supervisor joins every worker before exiting, so joining it
-        // joins the whole (current generation of the) pool.
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
+        // Workers drain the queue, then exit.
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
         // Defensive: should anything still sit in the queue once every
-        // worker is gone (possible only if a worker died), account for it
-        // and drop it so waiting clients observe `ServeError::JobDropped`
-        // instead of blocking forever.
+        // worker is gone (possible only if a worker died outside a batch,
+        // on a poisoned lock), account for it and drop it so waiting
+        // clients observe `ServeError::JobDropped` instead of blocking
+        // forever.
         if let Ok(mut queue) = self.shared.queue.lock() {
             let leftover = queue.jobs.len() as u64;
             if leftover > 0 {
@@ -1072,7 +954,8 @@ fn batch_can_grow(queue: &QueueState, shared: &Shared) -> bool {
 }
 
 /// Per-worker reusable state: every buffer a miss batch needs, preallocated
-/// and recycled so the steady state never allocates.
+/// and recycled so the steady state never allocates. It is all a worker
+/// owns, so replacing it after a batch panic restarts the worker.
 struct WorkerState {
     scratch: InferenceScratch,
     batch_ws: BatchScratch,
@@ -1082,12 +965,25 @@ struct WorkerState {
     post: PostProcess,
     /// Fingerprints of the batch currently being executed, recorded right
     /// after hashing so the post-panic handler can attribute strikes to
-    /// the submissions that were on the worker when it died. Empty in
+    /// the submissions of the batch that panicked. Empty in
     /// cold mode (no hashing → no fingerprints → no quarantine).
     batch_fps: Vec<u64>,
 }
 
-fn worker_loop(shared: &Shared, model: &GamoraReasoner, state: &mut WorkerState) {
+impl WorkerState {
+    fn new(model: &GamoraReasoner) -> WorkerState {
+        WorkerState {
+            scratch: model.scratch(),
+            batch_ws: model.batch_scratch(),
+            outs: Vec::new(),
+            post: PostProcess::default(),
+            batch_fps: Vec::new(),
+        }
+    }
+}
+
+fn worker_loop(shared: &Shared, model: &GamoraReasoner) {
+    let mut state = WorkerState::new(model);
     loop {
         let batch = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
@@ -1148,41 +1044,40 @@ fn worker_loop(shared: &Shared, model: &GamoraReasoner, state: &mut WorkerState)
         // A panicking batch (a pathological submission or an injected
         // fault) must not strand the jobs behind it: the unwinding batch
         // drops its senders — those clients observe
-        // [`ServeError::JobDropped`] — and the panic is accounted here
-        // before being re-raised, killing this worker. The supervisor
-        // joins the corpse and respawns a fresh one (fresh scratch, same
-        // `Arc`'d model), so capacity self-heals while the thread-local
-        // damage a panic may have left behind is discarded with the
-        // thread. `accounted` tracks how many of the batch's jobs were
-        // finalised (answered, failed or deadline-rejected) before the
-        // panic, so the dropped-job counter stays exact even for partial
-        // batches; the batch's fingerprints collect strikes so a
-        // submission that kills workers repeatedly is quarantined instead
-        // of respawn-looping the pool.
+        // [`ServeError::JobDropped`] — and the panic is accounted here.
+        // The worker then restarts in place: a fresh `WorkerState` over
+        // the same `Arc`'d model, so no scratch the panic may have
+        // half-written is reused. `accounted` tracks how many of the
+        // batch's jobs were finalised (answered, failed or
+        // deadline-rejected) before the panic, so the dropped-job counter
+        // stays exact even for partial batches; the batch's fingerprints
+        // collect strikes so a submission that panics batches repeatedly
+        // is quarantined instead of restart-looping the worker.
         let batch_len = batch.len() as u64;
         let accounted = Cell::new(0u64);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_batch(shared, model, state, batch, &accounted);
+            run_batch(shared, model, &mut state, batch, &accounted);
         }));
-        if let Err(payload) = outcome {
+        if outcome.is_err() {
             shared.metrics.jobs_dropped.add(batch_len - accounted.get());
             shared.strike_fingerprints(&state.batch_fps);
+            state = WorkerState::new(model);
+            shared.metrics.workers_respawned.inc();
             shared.note_incident();
             eprintln!(
                 "gamora-serve: batch panicked; its unanswered jobs were dropped \
-                 and the worker is being respawned"
+                 and the worker restarted"
             );
-            resume_unwind(payload);
         }
     }
 }
 
-/// Evaluates the admission fail point (armed chaos runs only — callers
-/// gate on [`gamora_fault::armed`]): any injection, an `err` or a
-/// contained `panic`, sheds the submission as `Overloaded`. The panic is
-/// caught *here*, before any queue lock is taken, so an injected
-/// admission panic can neither poison the queue mutex nor unwind into
-/// the client's thread.
+/// Evaluates the admission fail point (armed chaos runs only — the
+/// admission loop gates on [`gamora_fault::armed`]): any injection, an
+/// `err` or a contained `panic`, sheds the submission as `Overloaded`.
+/// The panic is caught *here*, before any queue lock is taken, so an
+/// injected admission panic can neither poison the queue mutex nor
+/// unwind into the client's thread.
 fn admission_fault_fires() -> bool {
     catch_unwind(|| gamora_fault::hit(FaultPoint::Admission)).map_or(true, |r| r.is_err())
 }
@@ -1463,7 +1358,7 @@ fn run_batch(
         // out in phase 3), keeping the worker alive. Any other payload
         // is a genuine crash (or an injected `panic` action rehearsing
         // one): re-raised so the worker-loop handler accounts it and the
-        // supervisor respawns the thread.
+        // worker restarts.
         let forward = {
             let aigs: Vec<&Aig> = unique.iter().map(|&i| &batch[i].aig).collect();
             let WorkerState {
@@ -1983,9 +1878,9 @@ mod tests {
         assert_eq!(results[1].as_ref().unwrap_err(), &ServeError::JobDropped);
         assert_eq!(results[2].as_ref().unwrap_err(), &ServeError::JobDropped);
 
-        // The panic killed the worker; the supervisor respawns it, so the
+        // The worker caught the panic and restarted in place, so the
         // server keeps serving (and the cache, living in `Shared`, stays
-        // warm across the worker generation).
+        // warm across the restart).
         let after = server
             .submit(aig.clone(), AnalysisKind::Classify)
             .expect("server still accepts work")

@@ -1,5 +1,5 @@
 //! Chaos suite: deterministic fail-point storms through a `Server`,
-//! exercising the self-healing serve layer end to end — worker respawn,
+//! exercising the self-healing serve layer end to end — worker restart,
 //! poison-fingerprint quarantine, shedding at the door, burst retraction
 //! on shutdown, and health reporting.
 //!
@@ -50,11 +50,29 @@ fn assert_balanced(stats: &gamora_serve::scheduler::ServeStats) {
     );
 }
 
+/// Every shed — `Overloaded` at the door, `DeadlineExpired` or
+/// `AnalysisFailed` in a worker — records exactly one
+/// `stage_time_to_rejection_micros` sample. Call on a quiescent server.
+fn assert_rejections_timed(server: &Server) {
+    let stats = server.stats();
+    let samples = server
+        .metrics()
+        .histogram("stage_time_to_rejection_micros")
+        .expect("registered")
+        .count();
+    assert_eq!(
+        samples,
+        stats.rejected_overload + stats.jobs_expired + stats.jobs_failed,
+        "one time-to-rejection sample per shed job: {stats:?}"
+    );
+}
+
 /// The acceptance storm: panic probability on *every* stage fail point,
 /// one server with four workers, hundreds of submissions. Each job is
 /// submitted, then waited on; a refusal at the door is that job's
-/// terminal outcome. Every job resolves exactly once, workers died and
-/// were respawned, the accounting equation balances, and once the storm
+/// terminal outcome. Every job resolves exactly once, batches panicked
+/// and workers restarted, the accounting equation balances, every shed
+/// is timed once, and once the storm
 /// passes (faults disarmed, quarantine TTLs and the incident window
 /// lapsed) the server reports `Healthy` again.
 #[test]
@@ -127,6 +145,7 @@ fn chaos_storm_every_job_gets_exactly_one_terminal_outcome() {
         Health::Healthy,
         "the server must return to Healthy once faults are disarmed and TTLs lapse"
     );
+    assert_rejections_timed(&server);
 
     let stats = server.shutdown();
     assert_balanced(&stats);
@@ -134,7 +153,7 @@ fn chaos_storm_every_job_gets_exactly_one_terminal_outcome() {
 
 /// A fingerprint whose batches kill two workers is quarantined: further
 /// submissions are answered `AnalysisFailed` *without running the
-/// model*, the pool stops respawn-looping, and after the TTL the
+/// model*, the worker stops restart-looping, and after the TTL the
 /// fingerprint gets a fresh chance.
 #[test]
 fn poison_fingerprint_is_quarantined_after_two_worker_deaths() {
@@ -433,6 +452,42 @@ fn admission_fault_sheds_as_overloaded() {
     assert_eq!(stats.rejected_overload, 2);
     assert_eq!(stats.jobs, 1);
     assert_balanced(&stats);
+}
+
+/// A bulk submit refused by an admission fault is one shed: the whole
+/// burst is refused at the door, counted once in `rejected_overload` and
+/// timed once in `stage_time_to_rejection_micros`, like a refused single
+/// submit.
+#[test]
+fn admission_fault_on_a_bulk_submit_records_one_rejection() {
+    let faults = gamora_fault::arm("");
+    let server = Server::start(
+        tiny_trained(),
+        ServeConfig {
+            max_batch: 2,
+            workers: 1,
+            cache_capacity: 0,
+            queue_capacity: 0,
+            linger_micros: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let subject = csa_multiplier(4).aig;
+
+    faults.rearm("admission:err");
+    let burst = vec![(subject.clone(), AnalysisKind::Classify); 2];
+    assert_eq!(
+        server.submit_all(burst).expect_err("the burst is refused"),
+        ServeError::JobDropped,
+        "submit_all reports a refused burst as dropped"
+    );
+    faults.rearm("");
+
+    let stats = server.stats();
+    assert_eq!(stats.rejected_overload, 1, "one refusal for the burst");
+    assert_eq!(stats.jobs_submitted, 0, "nothing was enqueued");
+    assert_rejections_timed(&server);
+    assert_balanced(&server.shutdown());
 }
 
 /// Shutdown racing a lingering worker while batch assembly is slowed by
