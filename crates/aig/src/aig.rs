@@ -215,11 +215,6 @@ impl Aig {
         self.or(t0, t1)
     }
 
-    /// Returns the XNOR of two literals.
-    pub fn xnor(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.xor(a, b)
-    }
-
     /// Returns the three-input XOR `a ^ b ^ c`.
     pub fn xor3(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
         let ab = self.xor(a, b);
@@ -241,19 +236,9 @@ impl Aig {
         self.or(st, se)
     }
 
-    /// Returns the implication `!a | b`.
-    pub fn implies(&mut self, a: Lit, b: Lit) -> Lit {
-        self.or(!a, b)
-    }
-
     /// Balanced AND over a list of literals; the empty list yields true.
     pub fn and_multi(&mut self, lits: &[Lit]) -> Lit {
         self.reduce_balanced(lits, Lit::TRUE, Self::and)
-    }
-
-    /// Balanced OR over a list of literals; the empty list yields false.
-    pub fn or_multi(&mut self, lits: &[Lit]) -> Lit {
-        self.reduce_balanced(lits, Lit::FALSE, Self::or)
     }
 
     /// Balanced XOR over a list of literals; the empty list yields false.
@@ -529,26 +514,6 @@ impl Aig {
         }
         (out, map)
     }
-
-    /// Copies the transitive fanin cone of `roots` into a fresh AIG whose
-    /// inputs are this AIG's inputs restricted to the cone's support.
-    /// Returns the cone and, for each root, its literal in the cone.
-    pub fn extract_cone(&self, roots: &[Lit]) -> (Aig, Vec<Lit>) {
-        let mut scratch = Aig::new();
-        scratch.nodes = self.nodes.clone();
-        scratch.inputs = self.inputs.clone();
-        scratch.outputs = roots.to_vec();
-        let (cone, map) = scratch.cleanup();
-        let lits = roots
-            .iter()
-            .map(|r| {
-                map[r.var().index()]
-                    .expect("root retained")
-                    .complement_if(r.is_complement())
-            })
-            .collect();
-        (cone, lits)
-    }
 }
 
 #[cfg(test)]
@@ -608,7 +573,6 @@ mod tests {
         let lits = aig.add_inputs(5);
         let all = aig.and_multi(&lits);
         assert_eq!(aig.and_multi(&[]), Lit::TRUE);
-        assert_eq!(aig.or_multi(&[]), Lit::FALSE);
         assert_eq!(aig.and_multi(&[lits[0]]), lits[0]);
         // the reduction is balanced: depth is ceil(log2(5)) = 3
         aig.add_output(all);
@@ -644,21 +608,6 @@ mod tests {
             .unwrap()
             .complement_if(keep.is_complement());
         assert_eq!(clean.outputs()[0], mapped);
-    }
-
-    #[test]
-    fn cone_extraction_restricts_support() {
-        let mut aig = Aig::new();
-        let ins = aig.add_inputs(4);
-        let x = aig.and(ins[0], ins[1]);
-        let y = aig.and(ins[2], ins[3]);
-        aig.add_output(x);
-        aig.add_output(y);
-        let (cone, roots) = aig.extract_cone(&[x]);
-        assert_eq!(cone.num_ands(), 1);
-        assert_eq!(roots.len(), 1);
-        // all four inputs are kept (stable input indexing), but only one AND
-        assert_eq!(cone.num_inputs(), 4);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Ablations of the reproduction's design choices (DESIGN.md §5):
+//! Ablations of the reproduction's design choices:
 //!
 //! * message-passing direction — fanin-only vs symmetrised adjacency
 //!   (roots must see their sibling through a shared fanin);

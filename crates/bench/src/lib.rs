@@ -16,7 +16,7 @@ use std::time::Instant;
 pub enum Scale {
     /// Minutes-level smoke run.
     Quick,
-    /// CPU-friendly defaults used for EXPERIMENTS.md.
+    /// CPU-friendly defaults (the scale when `GAMORA_SCALE` is unset).
     Default,
     /// Paper-sized sweeps (hours on a workstation).
     Paper,

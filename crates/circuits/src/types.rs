@@ -80,16 +80,6 @@ impl Provenance {
         });
     }
 
-    /// Records a full adder.
-    pub fn push_full(&mut self, a: Lit, b: Lit, c: Lit, sum: Lit, carry: Lit) {
-        self.adders.push(AdderRecord {
-            kind: AdderKind::Full,
-            sum,
-            carry,
-            inputs: [a, b, c],
-        });
-    }
-
     /// The records that survived constant folding as real adders.
     pub fn real_adders(&self) -> impl Iterator<Item = &AdderRecord> {
         self.adders.iter().filter(|r| !r.is_degenerate())

@@ -348,10 +348,6 @@ impl GamoraReasoner {
         outs: &mut Vec<Predictions>,
         observer: Option<&dyn ForwardObserver>,
     ) -> BatchTimings {
-        // Chaos seam: `assemble` fires before the merged graph is built.
-        // An injected `err` is thrown as a typed payload; the serve layer
-        // catches it and answers the batch `AnalysisFailed`.
-        gamora_fault::hit_or_panic(gamora_fault::FaultPoint::BatchAssemble);
         let assemble_start = Instant::now();
         assemble_batch_into(aigs, self.config.feature_mode, self.config.direction, batch);
         let assemble_micros = assemble_start.elapsed().as_micros() as u64;
@@ -369,9 +365,6 @@ impl GamoraReasoner {
             .model
             .infer(&batch.graph, &batch.features, scratch, observer);
         let forward_micros = forward_start.elapsed().as_micros() as u64;
-        // Chaos seam: `split` fires after the forward pass but before any
-        // per-netlist output is written.
-        gamora_fault::hit_or_panic(gamora_fault::FaultPoint::PredictionSplit);
         let decode_start = Instant::now();
         for ((out, &aig), &start) in outs.iter_mut().zip(aigs).zip(&batch.offsets) {
             self.decode_logits(logits, start..start + aig.num_nodes(), out);

@@ -427,10 +427,6 @@ fn read_section(
 /// Parses a complete snapshot image: validates the header, verifies both
 /// hashes, and copies every section into a freshly built model.
 fn parse_snapshot(bytes: &[u8]) -> Result<GamoraReasoner, SnapshotError> {
-    // Chaos seam: an injected `err` surfaces as a typed corruption error
-    // through the same path real corruption takes.
-    gamora_fault::hit(gamora_fault::FaultPoint::SnapshotLoad)
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
     let mut p = ByteParser { bytes, pos: 0 };
     if p.take(4)? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);

@@ -3,8 +3,8 @@
 //! For every AND node we enumerate 3-feasible cuts, shrink each cut function
 //! to its true support and classify it against the NPN-widened XOR/MAJ/AND
 //! classes — the functional-propagation half of conventional symbolic
-//! reasoning (the other half, structural shape hashing, lives in
-//! [`crate::shape`]).
+//! reasoning (the other half, structural shape hashing, is not
+//! implemented here).
 //!
 //! A 3-feasible cut function is one of 256 tables, so support, shrunken
 //! table and class all come from one lookup. The result, [`Candidates`],

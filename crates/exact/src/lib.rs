@@ -6,7 +6,7 @@
 //!
 //! The pipeline mirrors `&atree` (Yu et al., TCAD'17):
 //!
-//! 1. [`detect`] — enumerate 3-feasible cuts and classify each node's cut
+//! 1. [`detect`](fn@detect) — enumerate 3-feasible cuts and classify each node's cut
 //!    functions against the NPN-widened XOR2/XOR3/MAJ3/AND2 classes
 //!    (functional propagation);
 //! 2. [`extract_adders`] — pair XOR and MAJ/AND roots over identical leaf

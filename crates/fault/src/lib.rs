@@ -3,10 +3,10 @@
 //! Production recovery paths — worker restart, poison quarantine,
 //! retry/backoff — are only trustworthy if a test can *provoke* the
 //! failures they recover from, on demand and reproducibly. This crate
-//! provides named injection points ([`FaultPoint`], one per serve stage)
-//! that library code checks with [`hit`] / [`hit_or_panic`]. When no
-//! fault is armed, a check is **one relaxed atomic load** — the hot path
-//! pays nothing measurable (guarded by the serve crate's
+//! provides named injection points ([`FaultPoint`], one per serve stage
+//! with a failure path) that the serve layer checks with [`hit`] where it
+//! handles the failure. Disarmed, a check is **one relaxed atomic load**
+//! — the hot path pays nothing measurable (the serve crate's
 //! `fault_overhead` test). When armed from a spec string
 //! ([`configure`], the `GAMORA_FAULTS` env var via [`init_from_env`],
 //! or the RAII test helper [`arm`]), each matching check evaluates a
@@ -17,8 +17,7 @@
 //! ```text
 //! spec    := clause (';' clause)*
 //! clause  := point ':' action [':' trigger]
-//! point   := 'admission' | 'hash' | 'cache' | 'assemble'
-//!          | 'forward' | 'split' | 'snapshot' | 'all'
+//! point   := 'admission' | 'hash' | 'cache' | 'forward' | 'all'
 //! action  := 'panic' | 'err' | 'delay(' MICROS ')'
 //! trigger := 'every=' N | 'after=' N | 'prob=' P [',seed=' S]
 //! ```
@@ -27,9 +26,9 @@
 //! the clause to every point. Examples:
 //!
 //! ```text
-//! forward:panic:prob=0.05,seed=7     5% of forward passes panic
-//! assemble:delay(500):every=3       every 3rd batch assembly +500us
-//! snapshot:err:after=2              snapshot loads fail from the 3rd on
+//! forward:panic:prob=0.05,seed=7     5% of model calls panic
+//! forward:delay(500):every=3        every 3rd model call +500us
+//! hash:err:after=2                  batches fail hashing from the 3rd on
 //! all:panic:prob=0.02               2% of every stage panics
 //! ```
 //!
@@ -50,16 +49,13 @@
 //!   the check pass. Widens race windows deterministically.
 //! * `err` — the check returns `Err(`[`Injected`]`)`; the caller turns
 //!   it into its stage's graceful failure path (shed, degraded cache
-//!   miss, `AnalysisFailed`, `SnapshotError`). Sites with no error
-//!   channel use [`hit_or_panic`], which throws the typed [`Injected`]
-//!   payload so an upstream `catch_unwind` can tell an injected error
-//!   from a genuine panic.
+//!   miss, `AnalysisFailed`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
-/// A named injection point: one per serve stage.
+/// A named injection point: one per serve stage with a failure path.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
     /// Job admission (`submit*` entry, before the queue lock).
@@ -68,14 +64,9 @@ pub enum FaultPoint {
     SignatureHash = 1,
     /// Prediction-cache probe/resolve.
     CacheResolve = 2,
-    /// Merged batch graph/feature assembly.
-    BatchAssemble = 3,
-    /// The coalesced GNN forward pass.
-    GnnForward = 4,
-    /// Per-netlist prediction split/scatter.
-    PredictionSplit = 5,
-    /// Model snapshot deserialisation.
-    SnapshotLoad = 6,
+    /// The model call of a worker batch: assembly, the coalesced GNN
+    /// forward pass and the per-netlist split, checked once before it.
+    GnnForward = 3,
 }
 
 /// Every fault point, in index order.
@@ -83,13 +74,10 @@ pub const ALL_POINTS: [FaultPoint; NUM_POINTS] = [
     FaultPoint::Admission,
     FaultPoint::SignatureHash,
     FaultPoint::CacheResolve,
-    FaultPoint::BatchAssemble,
     FaultPoint::GnnForward,
-    FaultPoint::PredictionSplit,
-    FaultPoint::SnapshotLoad,
 ];
 
-const NUM_POINTS: usize = 7;
+const NUM_POINTS: usize = 4;
 
 impl FaultPoint {
     /// The spec-grammar name of this point.
@@ -98,10 +86,7 @@ impl FaultPoint {
             FaultPoint::Admission => "admission",
             FaultPoint::SignatureHash => "hash",
             FaultPoint::CacheResolve => "cache",
-            FaultPoint::BatchAssemble => "assemble",
             FaultPoint::GnnForward => "forward",
-            FaultPoint::PredictionSplit => "split",
-            FaultPoint::SnapshotLoad => "snapshot",
         }
     }
 
@@ -118,10 +103,7 @@ impl std::fmt::Display for FaultPoint {
     }
 }
 
-/// The typed payload of an injected `err` action. Doubles as the panic
-/// payload thrown by [`hit_or_panic`], so a `catch_unwind` upstream can
-/// `downcast_ref::<Injected>()` to distinguish an injected error from a
-/// genuine panic.
+/// The error an injected `err` action returns from [`hit`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Injected {
     /// The point that fired.
@@ -218,16 +200,6 @@ pub fn hit(point: FaultPoint) -> Result<(), Injected> {
     hit_slow(point)
 }
 
-/// [`hit`] for sites with no error channel: an injected `err` is thrown
-/// as a typed [`Injected`] panic payload (via `panic_any`) so an
-/// upstream `catch_unwind` can recognise and absorb it.
-#[inline]
-pub fn hit_or_panic(point: FaultPoint) {
-    if let Err(e) = hit(point) {
-        std::panic::panic_any(e);
-    }
-}
-
 #[cold]
 fn hit_slow(point: FaultPoint) -> Result<(), Injected> {
     let n = CALLS[point as usize].fetch_add(1, Ordering::Relaxed);
@@ -302,16 +274,16 @@ pub fn disarm() {
 /// Arms from the `GAMORA_FAULTS` environment variable when it is set and
 /// non-empty. Returns the number of armed clauses.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with the parse error when the variable holds a bad spec —
-/// silently ignoring a typo'd fault spec would fake chaos coverage.
-pub fn init_from_env() -> usize {
+/// Returns the parse error when the variable holds a bad spec — silently
+/// ignoring a typo'd fault spec would fake chaos coverage.
+pub fn init_from_env() -> Result<usize, String> {
     match std::env::var("GAMORA_FAULTS") {
         Ok(spec) if !spec.trim().is_empty() => {
-            configure(&spec).expect("GAMORA_FAULTS holds an invalid fault spec")
+            configure(&spec).map_err(|e| format!("GAMORA_FAULTS: {e}"))
         }
-        _ => 0,
+        _ => Ok(0),
     }
 }
 
@@ -340,9 +312,10 @@ fn parse_clause(raw: &str, out: &mut Vec<Clause>) -> Result<(), String> {
         return Ok(());
     }
     let point = FaultPoint::parse(point_s).ok_or_else(|| {
+        let names: Vec<&str> = ALL_POINTS.iter().map(|p| p.name()).collect();
         format!(
-            "clause '{raw}': unknown point '{point_s}' (want one of \
-             admission|hash|cache|assemble|forward|split|snapshot|all)"
+            "clause '{raw}': unknown point '{point_s}' (want one of {}|all)",
+            names.join("|")
         )
     })?;
     out.push(Clause {
@@ -483,11 +456,11 @@ mod tests {
 
     #[test]
     fn after_trigger_fires_from_the_kth_call() {
-        let _g = arm("snapshot:err:after=2");
-        assert!(hit(FaultPoint::SnapshotLoad).is_ok());
-        assert!(hit(FaultPoint::SnapshotLoad).is_ok());
-        assert!(hit(FaultPoint::SnapshotLoad).is_err());
-        assert!(hit(FaultPoint::SnapshotLoad).is_err());
+        let _g = arm("hash:err:after=2");
+        assert!(hit(FaultPoint::SignatureHash).is_ok());
+        assert!(hit(FaultPoint::SignatureHash).is_ok());
+        assert!(hit(FaultPoint::SignatureHash).is_err());
+        assert!(hit(FaultPoint::SignatureHash).is_err());
     }
 
     #[test]
@@ -513,9 +486,9 @@ mod tests {
 
     #[test]
     fn delay_action_sleeps_then_passes() {
-        let _g = arm("assemble:delay(20000)");
+        let _g = arm("forward:delay(20000)");
         let t = std::time::Instant::now();
-        assert_eq!(hit(FaultPoint::BatchAssemble), Ok(()));
+        assert_eq!(hit(FaultPoint::GnnForward), Ok(()));
         assert!(
             t.elapsed() >= Duration::from_millis(15),
             "delay(20000) must sleep ~20ms"
@@ -524,24 +497,13 @@ mod tests {
 
     #[test]
     fn panic_action_panics_with_a_catchable_message() {
-        let _g = arm("split:panic");
-        let caught = std::panic::catch_unwind(|| hit(FaultPoint::PredictionSplit));
+        let _g = arm("forward:panic");
+        let caught = std::panic::catch_unwind(|| hit(FaultPoint::GnnForward));
         let payload = caught.expect_err("panic action must panic");
         let msg = payload
             .downcast_ref::<String>()
             .expect("panic! message payload");
-        assert!(msg.contains("split"), "message names the point: {msg}");
-    }
-
-    #[test]
-    fn hit_or_panic_throws_a_typed_injected_payload() {
-        let _g = arm("forward:err");
-        let caught = std::panic::catch_unwind(|| hit_or_panic(FaultPoint::GnnForward));
-        let payload = caught.expect_err("err action must throw through hit_or_panic");
-        let injected = payload
-            .downcast_ref::<Injected>()
-            .expect("typed Injected payload");
-        assert_eq!(injected.point, FaultPoint::GnnForward);
+        assert!(msg.contains("forward"), "message names the point: {msg}");
     }
 
     #[test]
@@ -573,13 +535,21 @@ mod tests {
             "forward:err:prob=1.5",
             "forward:err:every=0",
             "forward:err:prob=0.1,sd=3",
+            "assemble:err",
+            "split:err",
+            "snapshot:err",
         ] {
             assert!(configure(bad).is_err(), "spec '{bad}' must be rejected");
             assert!(!armed(), "a rejected spec must not arm anything");
         }
+        let err = configure("snapshot:err").unwrap_err();
+        assert!(
+            err.contains("want one of admission|hash|cache|forward|all"),
+            "the unknown-point message lists every point: {err}"
+        );
         assert_eq!(configure("  ;; ").unwrap(), 0);
         assert!(!armed());
-        assert_eq!(configure("all:panic:prob=0.05,seed=9").unwrap(), 7);
+        assert_eq!(configure("all:panic:prob=0.05,seed=9").unwrap(), 4);
         assert!(armed());
         disarm();
         assert!(!armed());

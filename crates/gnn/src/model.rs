@@ -480,6 +480,9 @@ impl MultiTaskSage {
     /// those of the thread that took longest. When `None`, no clocks are
     /// read.
     ///
+    /// No fail point is checked here: the serve worker checks its
+    /// model-call point before calling in, where it can handle the error.
+    ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong feature width or row count.
@@ -490,10 +493,6 @@ impl MultiTaskSage {
         scratch: &'a mut InferenceScratch,
         observer: Option<&dyn ForwardObserver>,
     ) -> &'a Matrix {
-        // Chaos seam: the `forward` fail point fires before any layer
-        // runs, so an injected failure never leaves scratch half-written
-        // relative to a completed pass. Disarmed cost: one relaxed load.
-        gamora_fault::hit_or_panic(gamora_fault::FaultPoint::GnnForward);
         assert_eq!(x.cols(), self.config.in_dim, "feature width mismatch");
         assert_eq!(x.rows(), graph.num_nodes(), "one feature row per node");
         let InferenceScratch {

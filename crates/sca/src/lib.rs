@@ -15,7 +15,7 @@
 //!   variables, either node-by-node (naive symbolic evaluation) or
 //!   adder-cut-at-a-time when an extracted adder tree is supplied
 //!   (the fast flow of Yu et al. TCAD'17);
-//! * [`verify`] — checks a network's output signature against a word-level
+//! * [`verify`](fn@verify) — checks a network's output signature against a word-level
 //!   spec such as `A * B`.
 //!
 //! ```

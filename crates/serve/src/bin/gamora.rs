@@ -54,9 +54,10 @@ fault injection (infer):
     --faults SPEC     arm deterministic fail points for the whole run
                       (overrides the GAMORA_FAULTS environment variable).
                       SPEC is `point:action[:trigger]` clauses joined by
-                      ';' — points admission|hash|cache|assemble|forward|
-                      split|snapshot|all, actions panic|err|delay(MICROS),
-                      triggers every=N|after=N|prob=P[,seed=S].
+                      ';' — points admission|hash|cache|forward|all
+                      (forward is the model call), actions
+                      panic|err|delay(MICROS), triggers
+                      every=N|after=N|prob=P[,seed=S].
                       Example: `all:panic:prob=0.05,seed=7`
 
 observability (infer):
@@ -72,9 +73,6 @@ Serving throughput is measured by the benchmark, not this binary:
     cargo run --release -p gamora-bench --bin gamora-perf -- --smoke";
 
 fn main() -> ExitCode {
-    // Arm fail points from GAMORA_FAULTS before any serving starts;
-    // `--faults SPEC` (below) overrides the environment.
-    gamora_fault::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("train") => cmd_train(&args[1..]),
@@ -277,12 +275,15 @@ fn read_aiger_file(path: &str) -> Result<Aig, String> {
     Ok(aig)
 }
 
-/// Honours `--faults SPEC`: arms the fail-point subsystem, overriding
-/// any `GAMORA_FAULTS` environment configuration. A no-op when the flag
-/// is absent.
+/// Arms the fail-point subsystem for `infer`, the one subcommand with
+/// fail points to arm: from `--faults SPEC` when given, else from the
+/// `GAMORA_FAULTS` environment variable. A no-op when neither is set.
 fn arm_faults(flags: &Flags) -> Result<(), String> {
-    if let Some(spec) = flags.get("--faults") {
-        let n = gamora_fault::configure(spec).map_err(|e| format!("--faults: {e}"))?;
+    let n = match flags.get("--faults") {
+        Some(spec) => gamora_fault::configure(spec).map_err(|e| format!("--faults: {e}"))?,
+        None => gamora_fault::init_from_env()?,
+    };
+    if n > 0 {
         eprintln!("fail points armed: {n} clause(s)");
     }
     Ok(())

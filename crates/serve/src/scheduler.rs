@@ -65,10 +65,11 @@
 //!   `ShuttingDown` from the shutdown flag, active quarantines, and the
 //!   recency of incidents (sheds, panics, restarts).
 //!
-//! Every stage checks a deterministic fail point (`gamora-fault`), so
-//! chaos tests can provoke each of these paths on demand; disarmed, each
-//! check is one relaxed atomic load (guarded by the `fault_overhead`
-//! test).
+//! Admission, signature hashing, the cache probe and the model call each
+//! check a deterministic fail point (`gamora-fault`) here, where their
+//! failures are handled, so chaos tests can provoke each of these paths
+//! on demand; disarmed, each check is one relaxed atomic load (guarded by
+//! the `fault_overhead` test).
 //!
 //! Built on `std::thread` + `std::sync::mpsc` channels only (the same
 //! no-external-runtime discipline as `gamora_gnn::parallel`). The server
@@ -98,7 +99,7 @@ use gamora_fault::FaultPoint;
 use gamora_obs::{Registry, Snapshot, StageTimer};
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -1157,11 +1158,7 @@ fn run_batch(
     // there.
     let hashing = shared.cache.is_some();
     if hashing && gamora_fault::hit(FaultPoint::SignatureHash).is_err() {
-        shared.note_incident();
-        for job in batch {
-            fail_job(shared, job, accounted);
-        }
-        return;
+        return fail_batch(shared, batch, accounted);
     }
 
     // Cache-resolve fail point: an injected `err` skips both probes — every
@@ -1351,15 +1348,14 @@ fn run_batch(
                 unique.push(i);
             }
         }
-        // The model call hosts three fail points (assemble, forward,
-        // split). An injected `err` arrives as a typed [`Injected`]
-        // panic payload — converted here into `AnalysisFailed` for every
-        // job of the batch (none has been answered yet: phase-1 hits fan
-        // out in phase 3), keeping the worker alive. Any other payload
-        // is a genuine crash (or an injected `panic` action rehearsing
-        // one): re-raised so the worker-loop handler accounts it and the
-        // worker restarts.
-        let forward = {
+        // Model-call fail point, checked before assembly. An injected
+        // `err` fails the whole batch (none of it has been answered yet:
+        // phase-1 hits fan out in phase 3) and keeps the worker; a `panic`
+        // unwinds to the worker-loop handler like any batch panic.
+        if gamora_fault::hit(FaultPoint::GnnForward).is_err() {
+            return fail_batch(shared, batch, accounted);
+        }
+        let timings = {
             let aigs: Vec<&Aig> = unique.iter().map(|&i| &batch[i].aig).collect();
             let WorkerState {
                 scratch,
@@ -1367,25 +1363,7 @@ fn run_batch(
                 outs,
                 ..
             } = &mut *state;
-            catch_unwind(AssertUnwindSafe(|| {
-                model.predict_batch_into_timed(batch_ws, scratch, &aigs, outs, m.forward_observer())
-            }))
-        };
-        let timings = match forward {
-            Ok(t) => t,
-            Err(payload) => {
-                if payload.downcast_ref::<gamora_fault::Injected>().is_some() {
-                    // Stamp the incident before fanning out the errors:
-                    // a client that checks health the instant its job
-                    // fails must already see Degraded.
-                    shared.note_incident();
-                    for job in batch {
-                        fail_job(shared, job, accounted);
-                    }
-                    return;
-                }
-                resume_unwind(payload)
-            }
+            model.predict_batch_into_timed(batch_ws, scratch, &aigs, outs, m.forward_observer())
         };
         m.stage_assemble.record(timings.assemble_micros);
         m.stage_forward.record(timings.forward_micros);
@@ -1447,6 +1425,16 @@ fn run_batch(
         }
         accounted.set(accounted.get() + 1);
         let _ = job.tx.send(Ok(out));
+    }
+}
+
+/// Fails every job of a batch on an injected stage error. The incident
+/// is stamped before the errors fan out: a client that checks health the
+/// instant its job fails must already see Degraded.
+fn fail_batch(shared: &Shared, batch: Vec<Job>, accounted: &Cell<u64>) {
+    shared.note_incident();
+    for job in batch {
+        fail_job(shared, job, accounted);
     }
 }
 

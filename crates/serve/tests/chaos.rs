@@ -490,10 +490,10 @@ fn admission_fault_on_a_bulk_submit_records_one_rejection() {
     assert_balanced(&server.shutdown());
 }
 
-/// Shutdown racing a lingering worker while batch assembly is slowed by
-/// an injected delay: the linger aborts promptly, the admitted job is
-/// still served (never dropped), and shutdown completes without waiting
-/// out the full linger window.
+/// Shutdown racing a lingering worker while the model call (batch
+/// assembly onwards) is slowed by an injected delay: the linger aborts
+/// promptly, the admitted job is still served (never dropped), and
+/// shutdown completes without waiting out the full linger window.
 #[test]
 fn shutdown_during_linger_with_injected_assembly_delay() {
     let faults = gamora_fault::arm("");
@@ -508,7 +508,7 @@ fn shutdown_during_linger_with_injected_assembly_delay() {
             ..ServeConfig::default()
         },
     );
-    faults.rearm("assemble:delay(20000)");
+    faults.rearm("forward:delay(20000)");
 
     let start = Instant::now();
     let ticket = server
@@ -585,4 +585,34 @@ fn burst_retract_under_injected_forward_delay() {
         "the retracted wave is accounted as dropped: {stats:?}"
     );
     assert_balanced(&stats);
+}
+
+/// Fail points live in the serve layer, where the failures are handled:
+/// with every point armed to fail, training, direct prediction and a
+/// snapshot round trip — none of which goes through a `Server` — run
+/// untouched, and no point fires.
+#[test]
+fn fail_points_fire_only_in_the_serve_layer() {
+    let _faults = gamora_fault::arm("all:err");
+    let reasoner = tiny_trained();
+    let subject = csa_multiplier(4).aig;
+    let predictions = reasoner.predict(&subject);
+    assert_eq!(predictions.num_nodes(), subject.num_nodes());
+
+    let path = std::env::temp_dir().join(format!(
+        "gamora-chaos-model-crates-{}.gsnap",
+        std::process::id()
+    ));
+    reasoner.save(&path).expect("save with every point armed");
+    let loaded = GamoraReasoner::load(&path);
+    std::fs::remove_file(&path).ok();
+    let loaded = loaded.expect("load with every point armed");
+    assert_eq!(loaded.predict(&subject), predictions);
+    for point in gamora_fault::ALL_POINTS {
+        assert_eq!(
+            gamora_fault::fired(point),
+            0,
+            "'{point}' fired outside serve"
+        );
+    }
 }

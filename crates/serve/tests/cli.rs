@@ -274,3 +274,55 @@ fn removed_cone_tier_flags_are_unknown() {
         );
     }
 }
+
+/// Training checks no fail point: an armed `GAMORA_FAULTS` cannot fail
+/// (or panic) `train`, whose model calls never pass through a server.
+#[test]
+fn train_runs_with_fail_points_armed() {
+    let dir = tmpdir("train-faults");
+    let model_path = dir.join("model.gsnap");
+    for spec in ["forward:err", "all:err"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gamora"))
+            .env("GAMORA_FAULTS", spec)
+            .args([
+                "train", "--bits", "3", "--epochs", "2", "--depth", "2x8", "--quiet", "--out",
+            ])
+            .arg(&model_path)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{spec}: train failed ({:?}): {}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        GamoraReasoner::load(&model_path).expect("snapshot loads");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Assembly, split and snapshot load have no fail point of their own:
+/// `infer` refuses those names, from `--faults` or `GAMORA_FAULTS`, as a
+/// usage error before any model is opened.
+#[test]
+fn removed_fail_points_are_unknown() {
+    for spec in ["assemble:err", "split:err", "snapshot:err"] {
+        let point = spec.split(':').next().unwrap();
+        let stderr = usage_error(&["infer", "--model", "m.gsnap", "--faults", spec, "x.aag"]);
+        assert!(
+            stderr.contains(&format!("unknown point '{point}'")),
+            "{spec}: {stderr}"
+        );
+        let out = Command::new(env!("CARGO_BIN_EXE_gamora"))
+            .env("GAMORA_FAULTS", spec)
+            .args(["infer", "--model", "m.gsnap", "x.aag"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "GAMORA_FAULTS={spec}: {stderr}");
+        assert!(
+            stderr.contains(&format!("GAMORA_FAULTS: clause '{spec}': unknown point")),
+            "GAMORA_FAULTS={spec}: {stderr}"
+        );
+    }
+}

@@ -118,8 +118,8 @@ fn disarmed_fault_bill_is_within_one_percent_of_serving() {
 
     let stats = server.shutdown();
     // Upper bound on checks performed: one admission gate per
-    // submission, and one check per serve stage (hash, cache, assemble,
-    // forward, split) per batch — counted generously per point.
+    // submission, and one check per serve stage (hash, cache, the model
+    // call) per batch — counted generously per point.
     let checks = stats.jobs_submitted + stats.batches * ALL_POINTS.len() as u64;
     assert!(checks >= 64, "a 64-job run passes at least its admissions");
 
