@@ -101,12 +101,6 @@ impl Lit {
         self.0 & 1 != 0
     }
 
-    /// Returns the same literal with the complement flag set to `c`.
-    #[inline]
-    pub fn with_complement(self, c: bool) -> Lit {
-        Lit(self.0 & !1 | c as u32)
-    }
-
     /// Complements the literal if `c` is true (XOR of inverters).
     #[inline]
     pub fn complement_if(self, c: bool) -> Lit {
@@ -182,8 +176,6 @@ mod tests {
         let l = NodeId::new(4).lit();
         assert_eq!(l.complement_if(false), l);
         assert_eq!(l.complement_if(true), !l);
-        assert_eq!(l.with_complement(true), !l);
-        assert_eq!((!l).with_complement(false), l);
     }
 
     #[test]

@@ -82,12 +82,6 @@ pub fn support(tt: u64, k: usize) -> u32 {
         .fold(0, |m, i| m | 1 << i)
 }
 
-/// Negates variable `i` inside `tt` (swaps its cofactors).
-pub fn flip_var(tt: u64, i: usize) -> u64 {
-    let shift = 1usize << i;
-    ((tt & var(i)) >> shift) | ((tt & !var(i)) << shift)
-}
-
 /// Applies a full input transform to `tt` over `k` variables:
 /// the result `g` satisfies
 /// `g(x_0, .., x_{k-1}) = f(x_{perm[0]} ^ neg_0, .., x_{perm[k-1]} ^ neg_{k-1}) ^ out_neg`
@@ -322,15 +316,6 @@ mod tests {
         // a table vacuous in var 1
         let f = var(0) & mask(2); // f = a
         assert_eq!(support(f, 2), 0b01);
-    }
-
-    #[test]
-    fn flip_is_involution() {
-        for tt in [XOR3, MAJ3, MUX3, 0x5A, 0x33] {
-            for i in 0..3 {
-                assert_eq!(flip_var(flip_var(tt, i), i) & mask(3), tt & mask(3));
-            }
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! designs (Figures 5 and 6).
 
 use crate::columns::reduce_columns;
-use crate::types::{ArithCircuit, Provenance};
+use crate::types::{ArithCircuit, MultiplierKind, Provenance};
 use gamora_aig::{Aig, Lit};
 
 /// Generates an unsigned `bits x bits -> 2*bits` radix-4 Booth multiplier.
@@ -30,7 +30,10 @@ use gamora_aig::{Aig, Lit};
 /// assert_eq!(m.eval(255, 255), 255 * 255);
 /// ```
 pub fn booth_multiplier(bits: usize) -> ArithCircuit {
-    assert!(bits >= 2, "booth multiplier needs at least 2 bits");
+    assert!(
+        bits >= MultiplierKind::Booth.min_bits(),
+        "booth multiplier needs at least 2 bits"
+    );
     let n = bits;
     let width = 2 * n;
     let mut aig = Aig::with_capacity(16 * n * n);

@@ -3,7 +3,7 @@
 //! multiplier families.
 
 use crate::columns::{add_bits3, ripple_merge};
-use crate::types::{ArithCircuit, Provenance};
+use crate::types::{ArithCircuit, MultiplierKind, Provenance};
 use gamora_aig::{Aig, Lit};
 
 /// Generates an unsigned Dadda multiplier: partial products are compressed
@@ -23,7 +23,10 @@ use gamora_aig::{Aig, Lit};
 /// assert_eq!(m.eval(123, 45), 123 * 45);
 /// ```
 pub fn dadda_multiplier(bits: usize) -> ArithCircuit {
-    assert!(bits > 0, "multiplier width must be positive");
+    assert!(
+        bits >= MultiplierKind::Dadda.min_bits(),
+        "multiplier width must be positive"
+    );
     let mut aig = Aig::with_capacity(12 * bits * bits);
     aig.set_name(format!("dadda_mult{bits}"));
     let a = aig.add_inputs(bits);

@@ -1,7 +1,7 @@
 //! Carry-save-array multiplier generator.
 
 use crate::columns::reduce_columns;
-use crate::types::{ArithCircuit, Provenance};
+use crate::types::{ArithCircuit, MultiplierKind, Provenance};
 use gamora_aig::{Aig, Lit};
 
 /// Generates an unsigned `bits x bits -> 2*bits` carry-save-array (CSA)
@@ -23,7 +23,10 @@ use gamora_aig::{Aig, Lit};
 /// assert!(m.provenance.real_adders().count() > 0);
 /// ```
 pub fn csa_multiplier(bits: usize) -> ArithCircuit {
-    assert!(bits > 0, "multiplier width must be positive");
+    assert!(
+        bits >= MultiplierKind::Csa.min_bits(),
+        "multiplier width must be positive"
+    );
     let mut aig = Aig::with_capacity(12 * bits * bits);
     aig.set_name(format!("csa_mult{bits}"));
     let a = aig.add_inputs(bits);

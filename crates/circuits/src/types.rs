@@ -14,6 +14,17 @@ pub enum MultiplierKind {
     Dadda,
 }
 
+impl MultiplierKind {
+    /// Narrowest operand width the generator builds: radix-4 Booth needs a
+    /// full digit window of 2 bits, the others 1 bit.
+    pub fn min_bits(self) -> usize {
+        match self {
+            MultiplierKind::Booth => 2,
+            MultiplierKind::Csa | MultiplierKind::Dadda => 1,
+        }
+    }
+}
+
 impl fmt::Display for MultiplierKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

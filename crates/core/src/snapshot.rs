@@ -29,15 +29,16 @@
 //! ```
 //!
 //! Both hashes are computed as a single `FxHasher::write` over the
-//! covered byte range. The section table is redundant on purpose: the
-//! config fixes every layer shape, the shapes fix the one canonical
-//! section plan (`section_plan`), and the reader rejects a file whose
-//! table, section count or payload length deviates from that plan
-//! *before* it builds the model — so even a re-signed lying header can
-//! never size an allocation from attacker-chosen fields, and the model
-//! built for a file is never larger than the bytes the file actually
-//! holds. Every load reads the whole file and verifies both hashes before
-//! it copies the weights into the model.
+//! covered byte range. All of the header but the config and the payload
+//! hash is redundant on purpose: the config fixes every layer shape, the
+//! shapes fix the one canonical section plan (`section_plan`), and the
+//! plan fixes every other field. One encoder (`canonical_header`) writes
+//! the header, and the reader decodes only the config, then requires the
+//! file to begin with exactly the header that encoder emits for it and
+//! to be exactly as long as the plan — *before* it builds the model, so a
+//! re-signed lying header never sizes an allocation and the model built
+//! for a file is never larger than the file. With the gaps between
+//! sections required to be zero, every file that loads re-saves to itself.
 //!
 //! Floats are serialised via `f32::to_le_bytes`, so a save/load round trip
 //! is bit-exact and a reloaded reasoner reproduces in-process predictions
@@ -58,6 +59,7 @@ use std::fmt;
 use std::fs::File;
 use std::hash::Hasher;
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// File magic: "GaMoRa Snapshot".
@@ -74,6 +76,9 @@ pub const SNAPSHOT_ALIGN: usize = 64;
 
 /// Section tag of an `f32` tensor — the only element type.
 const SECTION_F32: u8 = 0;
+
+/// End of the config block, the last header byte the reader decodes.
+const CONFIG_END: usize = 28;
 
 /// Errors produced by snapshot I/O.
 #[derive(Debug)]
@@ -224,14 +229,8 @@ fn align_up(v: usize, align: usize) -> usize {
     v.div_ceil(align) * align
 }
 
-fn to_usize(v: u64, what: &str) -> Result<usize, SnapshotError> {
-    usize::try_from(v).map_err(|_| corrupt(format!("{what} overflows the address space")))
-}
-
-/// One entry of the header section table.
-#[derive(Debug, PartialEq, Eq)]
+/// One entry of the header section table; every section is `f32`.
 struct SectionEntry {
-    tag: u8,
     rows: u32,
     cols: u32,
     /// Payload-relative byte offset (64-aligned).
@@ -245,22 +244,28 @@ impl SectionEntry {
     fn end(&self) -> u64 {
         self.offset + self.len
     }
+
+    /// The section's payload-relative byte range, in a payload in memory.
+    fn range(&self) -> Range<usize> {
+        self.offset as usize..self.end() as usize
+    }
 }
 
 /// Byte size of one serialised [`SectionEntry`].
 const SECTION_ENTRY_BYTES: usize = 1 + 4 + 4 + 8 + 8;
 
-/// Byte size of the header around the section table: magic + version +
-/// config + count before it, payload_base/len/hash + header hash after.
-const FIXED_HEADER_BYTES: usize = 32 + 32;
+/// Byte length of a header holding `count` sections, padding excluded: 32
+/// bytes before the table (magic to count) and 32 after (payload_base on).
+fn header_len(count: usize) -> usize {
+    32 + SECTION_ENTRY_BYTES * count + 32
+}
 
 /// The canonical section plan for linear layers of the given `(rows,
 /// cols)` weight shapes: per layer an `f32` weight section and an `f32`
 /// bias section, each packed at the next 64-aligned payload offset; the
-/// payload ends where the last section does. The writer lays a file out
-/// by it, and the reader compares a file's table with it before anything
-/// is allocated — nothing is, here, and every product and sum is checked,
-/// so shapes read from a hostile header yield an error, not a wrap.
+/// payload ends where the last section does. Nothing is allocated here
+/// and every product and sum is checked, so the shapes of a hostile
+/// config yield an error, not a wrap.
 fn section_plan(
     shapes: impl Iterator<Item = (usize, usize)>,
 ) -> impl Iterator<Item = Result<SectionEntry, SnapshotError>> {
@@ -277,7 +282,6 @@ fn section_plan(
             .ok_or_else(overflow)?;
         cursor = offset.checked_add(len).ok_or_else(overflow)?;
         Ok(SectionEntry {
-            tag: SECTION_F32,
             rows: u32::try_from(rows).map_err(|_| overflow())?,
             cols: u32::try_from(cols).map_err(|_| overflow())?,
             offset,
@@ -286,63 +290,95 @@ fn section_plan(
     })
 }
 
-fn copy_f32s(dst: &mut [u8], src: &[f32]) {
-    for (chunk, &v) in dst.chunks_exact_mut(4).zip(src) {
-        chunk.copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Builds the complete file image in memory (payload first, then the
-/// hashes, then the header around them).
-fn build_image(reasoner: &GamoraReasoner) -> Result<Vec<u8>, SnapshotError> {
-    check_depth(reasoner.config().depth)?;
-    let linears = reasoner.model().linears();
-    let shapes = linears.iter().map(|lin| (lin.w.rows(), lin.w.cols()));
-    let sections = section_plan(shapes).collect::<Result<Vec<_>, _>>()?;
-    let payload_len = to_usize(sections.last().map_or(0, SectionEntry::end), "payload")?;
-    let header_len = FIXED_HEADER_BYTES + SECTION_ENTRY_BYTES * sections.len();
-    let payload_base = align_up(header_len, SNAPSHOT_ALIGN);
-    let mut image = vec![0u8; payload_base + payload_len];
-
-    // Payload region: every section at its canonical 64-aligned offset
-    // (the zero-init of the image is the inter-section padding).
-    let span = |entry: &SectionEntry| {
-        let at = payload_base + entry.offset as usize;
-        at..at + entry.len as usize
-    };
-    for (lin, pair) in linears.iter().zip(sections.chunks_exact(2)) {
-        copy_f32s(&mut image[span(&pair[0])], lin.w.as_slice());
-        copy_f32s(&mut image[span(&pair[1])], &lin.b);
-    }
-    let payload_hash = fx_hash(&image[payload_base..]);
-
-    // Header.
-    let cfg = reasoner.config();
-    let (tag, layers, hidden) = depth_tag(cfg.depth);
-    let mut header = Vec::with_capacity(header_len);
+/// The header, zero-padded to the payload base, for `config` over these
+/// sections and a payload hashing to `payload_hash` — every byte a function
+/// of the arguments. The writer emits it, and the reader requires a file
+/// to begin with exactly it.
+fn canonical_header(
+    config: &ReasonerConfig,
+    sections: &[SectionEntry],
+    payload_hash: u64,
+) -> Vec<u8> {
+    let payload_base = align_up(header_len(sections.len()), SNAPSHOT_ALIGN);
+    let (tag, layers, hidden) = depth_tag(config.depth);
+    let mut header = Vec::with_capacity(payload_base);
     header.extend_from_slice(&SNAPSHOT_MAGIC);
     header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     header.push(tag);
     header.extend_from_slice(&layers.to_le_bytes());
     header.extend_from_slice(&hidden.to_le_bytes());
-    header.push(feature_mode_tag(cfg.feature_mode));
-    header.push(direction_tag(cfg.direction));
-    header.push(cfg.multi_task as u8);
-    header.extend_from_slice(&cfg.seed.to_le_bytes());
+    header.push(feature_mode_tag(config.feature_mode));
+    header.push(direction_tag(config.direction));
+    header.push(config.multi_task as u8);
+    header.extend_from_slice(&config.seed.to_le_bytes());
     header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    for s in &sections {
-        header.push(s.tag);
+    for s in sections {
+        header.push(SECTION_F32);
         header.extend_from_slice(&s.rows.to_le_bytes());
         header.extend_from_slice(&s.cols.to_le_bytes());
         header.extend_from_slice(&s.offset.to_le_bytes());
         header.extend_from_slice(&s.len.to_le_bytes());
     }
     header.extend_from_slice(&(payload_base as u64).to_le_bytes());
-    header.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    header.extend_from_slice(&sections.last().map_or(0, SectionEntry::end).to_le_bytes());
     header.extend_from_slice(&payload_hash.to_le_bytes());
     header.extend_from_slice(&fx_hash(&header).to_le_bytes());
-    assert_eq!(header.len(), header_len, "header layout");
-    image[..header_len].copy_from_slice(&header);
+    header.resize(payload_base, 0);
+    header
+}
+
+/// Names the header field holding byte `at` of a header with `count`
+/// sections.
+fn header_field(at: usize, count: usize) -> String {
+    let tail = 32 + SECTION_ENTRY_BYTES * count;
+    match at {
+        ..CONFIG_END => "config".into(),
+        CONFIG_END..32 => "section count".into(),
+        _ if at < tail => format!("section {}'s table entry", (at - 32) / SECTION_ENTRY_BYTES),
+        _ if at < tail + 8 => "payload base".into(),
+        _ if at < tail + 16 => "payload length".into(),
+        // The payload hash at `tail + 16` is taken from the file.
+        _ if at < tail + 32 => "header hash".into(),
+        _ => "header padding".into(),
+    }
+}
+
+/// Encodes `src` as little-endian `f32`s. This and [`decode_f32s`] are
+/// functions of their own so that their two slices are known not to alias
+/// and the loop vectorises.
+fn encode_f32s(src: &[f32], out: &mut [u8]) {
+    for (chunk, v) in out.as_chunks_mut().0.iter_mut().zip(src) {
+        *chunk = v.to_le_bytes();
+    }
+}
+
+/// Decodes little-endian `f32`s into `out`.
+fn decode_f32s(bytes: &[u8], out: &mut [f32]) {
+    for (chunk, v) in bytes.as_chunks().0.iter().zip(out) {
+        *v = f32::from_le_bytes(*chunk);
+    }
+}
+
+/// Builds the complete file image in memory: the payload, then the
+/// header over its hash.
+fn build_image(reasoner: &GamoraReasoner) -> Result<Vec<u8>, SnapshotError> {
+    check_depth(reasoner.config().depth)?;
+    let linears = reasoner.model().linears();
+    let shapes = linears.iter().map(|lin| (lin.w.rows(), lin.w.cols()));
+    let sections = section_plan(shapes).collect::<Result<Vec<_>, _>>()?;
+    let payload_len = usize::try_from(sections.last().map_or(0, SectionEntry::end))
+        .map_err(|_| corrupt("payload overflows the address space"))?;
+    let payload_base = align_up(header_len(sections.len()), SNAPSHOT_ALIGN);
+    let mut image = vec![0u8; payload_base + payload_len];
+
+    // Each section at its offset; the zero-init is the padding between.
+    let payload = &mut image[payload_base..];
+    for (lin, pair) in linears.iter().zip(sections.chunks_exact(2)) {
+        encode_f32s(lin.w.as_slice(), &mut payload[pair[0].range()]);
+        encode_f32s(&lin.b, &mut payload[pair[1].range()]);
+    }
+    let header = canonical_header(reasoner.config(), &sections, fx_hash(payload));
+    image[..payload_base].copy_from_slice(&header);
     Ok(image)
 }
 
@@ -361,189 +397,75 @@ pub fn write_snapshot<W: Write>(reasoner: &GamoraReasoner, mut w: W) -> Result<(
     Ok(())
 }
 
-/// Zero-allocation cursor over an in-memory snapshot image; every read
-/// is bounds-checked into a typed error, never a panic.
-struct ByteParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The `N` bytes at `at`, or a truncation error.
+fn field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], SnapshotError> {
+    let span = bytes.get(at..at + N).and_then(|span| span.try_into().ok());
+    span.ok_or_else(|| corrupt("truncated snapshot"))
 }
 
-impl<'a> ByteParser<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| corrupt("header offset overflow"))?;
-        if end > self.bytes.len() {
-            return Err(corrupt("truncated snapshot"));
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-/// Decodes one validated section into `out` — through a checked
-/// sub-slice and a length comparison, so even a table that slipped past
-/// the canonical walk could only produce a typed error here, never an
-/// out-of-bounds index or a half-filled tensor.
-fn read_section(
-    payload: &[u8],
-    entry: &SectionEntry,
-    out: &mut [f32],
-) -> Result<(), SnapshotError> {
-    let bytes = usize::try_from(entry.offset)
-        .ok()
-        .zip(usize::try_from(entry.len).ok())
-        .and_then(|(offset, len)| payload.get(offset..offset.checked_add(len)?))
-        .filter(|bytes| bytes.len() == out.len() * 4)
-        .ok_or_else(|| {
-            corrupt(format!(
-                "section at {}+{} does not hold the {} scalars of its tensor in the {}-byte payload",
-                entry.offset,
-                entry.len,
-                out.len(),
-                payload.len()
-            ))
-        })?;
-    for (chunk, v) in bytes.chunks_exact(4).zip(out) {
-        *v = f32::from_le_bytes(chunk.try_into().unwrap());
-    }
-    Ok(())
-}
-
-/// Parses a complete snapshot image: validates the header, verifies both
-/// hashes, and copies every section into a freshly built model.
+/// Parses a complete snapshot image: decodes the config, requires the rest
+/// of the header to be canonical for it, verifies the payload hash and
+/// padding, and copies every section into a freshly built model.
 fn parse_snapshot(bytes: &[u8]) -> Result<GamoraReasoner, SnapshotError> {
-    let mut p = ByteParser { bytes, pos: 0 };
-    if p.take(4)? != SNAPSHOT_MAGIC {
+    if field(bytes, 0)? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = p.u32()?;
+    let version = u32::from_le_bytes(field(bytes, 4)?);
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-
-    let depth_tag = p.u8()?;
-    let layers = p.u32()?;
-    let hidden = p.u32()?;
+    let head: [u8; CONFIG_END] = field(bytes, 0)?;
+    let u32_at = |at| field(&head, at).map(u32::from_le_bytes);
     let config = ReasonerConfig {
-        depth: depth_from_tag(depth_tag, layers, hidden)?,
-        feature_mode: feature_mode_from_tag(p.u8()?)?,
-        direction: direction_from_tag(p.u8()?)?,
-        multi_task: match p.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(corrupt(format!("bad multi_task flag {t}"))),
-        },
-        seed: p.u64()?,
+        depth: depth_from_tag(head[8], u32_at(9)?, u32_at(13)?)?,
+        feature_mode: feature_mode_from_tag(head[17])?,
+        direction: direction_from_tag(head[18])?,
+        // A flag other than 0 or 1 fails the header comparison below.
+        multi_task: head[19] != 0,
+        seed: u64::from_le_bytes(field(&head, 20)?),
     };
 
-    let count = p.u32()? as usize;
-    // The table must fit in the file: a lying count cannot drive a large
-    // allocation.
-    if count > (bytes.len() - p.pos) / SECTION_ENTRY_BYTES {
-        return Err(corrupt(format!(
-            "section table ({count} entries) larger than file"
-        )));
+    // The header must fit the file before the plan is collected, and the
+    // payload must end at EOF before a model is built, so neither the plan
+    // nor the model outgrows the input.
+    let model = config.model_config();
+    let count = 2 * model.linear_shapes().count();
+    let payload_base = align_up(header_len(count), SNAPSHOT_ALIGN);
+    if payload_base > bytes.len() {
+        return Err(corrupt("truncated snapshot (header escapes file)"));
     }
-    let mut table = Vec::with_capacity(count);
-    for _ in 0..count {
-        table.push(SectionEntry {
-            tag: p.u8()?,
-            rows: p.u32()?,
-            cols: p.u32()?,
-            offset: p.u64()?,
-            len: p.u64()?,
-        });
-    }
-    let payload_base = p.u64()?;
-    let payload_len = p.u64()?;
-    let payload_hash = p.u64()?;
-    let hash_pos = p.pos;
-    let header_hash = p.u64()?;
-    let header_len = p.pos;
-
-    if fx_hash(&bytes[..hash_pos]) != header_hash {
-        return Err(corrupt("header checksum mismatch"));
+    let sections = section_plan(model.linear_shapes()).collect::<Result<Vec<_>, _>>()?;
+    let payload_len = sections.last().map_or(0, SectionEntry::end);
+    if (payload_base as u64).checked_add(payload_len) != Some(bytes.len() as u64) {
+        return Err(corrupt("payload length deviates from the section plan"));
     }
 
-    // Geometry: the payload region starts at the first 64-aligned offset
-    // after the header and runs exactly to EOF.
-    let base = to_usize(payload_base, "payload base")?;
-    if base != align_up(header_len, SNAPSHOT_ALIGN) {
+    // Past the config, only the payload hash is taken from the file.
+    let payload_hash = u64::from_le_bytes(field(bytes, header_len(count) - 16)?);
+    let header = canonical_header(&config, &sections, payload_hash);
+    if let Some(at) = bytes.iter().zip(&header).position(|(a, b)| a != b) {
         return Err(corrupt(format!(
-            "payload base {base} is not the canonical {} for this header",
-            align_up(header_len, SNAPSHOT_ALIGN)
+            "{} (byte {at}) deviates from the canonical header",
+            header_field(at, count)
         )));
     }
-    match base.checked_add(to_usize(payload_len, "payload length")?) {
-        Some(end) if end == bytes.len() => {}
-        Some(end) if end < bytes.len() => return Err(corrupt("trailing bytes after payload")),
-        _ => return Err(corrupt("truncated snapshot (payload escapes file)")),
-    }
-    if bytes[header_len..base].iter().any(|&b| b != 0) {
-        return Err(corrupt("nonzero header padding"));
-    }
-    if fx_hash(&bytes[base..]) != payload_hash {
+    let payload = &bytes[payload_base..];
+    if fx_hash(payload) != payload_hash {
         return Err(corrupt("payload checksum mismatch"));
     }
-
-    // The table against the plan of the *configured* shapes, before any
-    // model exists: every declared entry must equal the planned one (tag,
-    // shape, offset and length each have exactly one legal value), the
-    // counts must agree, and the plan must end exactly at `payload_len`,
-    // which the geometry check above tied to the file size. Only a config
-    // whose model fits the bytes actually present gets a skeleton.
-    let mut declared = table.iter();
-    for (i, planned) in section_plan(config.model_config().linear_shapes()).enumerate() {
-        let planned = planned?;
-        match declared.next() {
-            Some(entry) if *entry == planned => {}
-            Some(entry) => {
-                return Err(corrupt(format!(
-                    "section {i} deviates from the canonical layout \
-                     (declared {entry:?}, expected {planned:?})"
-                )))
-            }
-            None => {
-                return Err(corrupt(format!(
-                    "missing section {i} (table too short for model)"
-                )))
-            }
+    let mut gap = 0;
+    for (i, section) in sections.iter().enumerate() {
+        if payload[gap..section.range().start].iter().any(|&b| b != 0) {
+            return Err(corrupt(format!("nonzero padding before section {i}")));
         }
-    }
-    if declared.next().is_some() {
-        return Err(corrupt(format!(
-            "section table has {count} entries, more than the model consumes"
-        )));
-    }
-    let planned_end = table.last().map_or(0, SectionEntry::end);
-    if planned_end != payload_len {
-        return Err(corrupt(format!(
-            "payload length {payload_len} does not match the canonical {planned_end}"
-        )));
+        gap = section.range().end;
     }
 
-    // Fill every tensor from its validated section.
     let mut reasoner = GamoraReasoner::new_zeroed(config);
-    let payload = &bytes[base..];
     let linears = reasoner.model_mut().linears_mut();
-    for (lin, pair) in linears.into_iter().zip(table.chunks_exact(2)) {
-        read_section(payload, &pair[0], lin.w.as_mut_slice())?;
-        read_section(payload, &pair[1], &mut lin.b)?;
+    for (lin, pair) in linears.into_iter().zip(sections.chunks_exact(2)) {
+        decode_f32s(&payload[pair[0].range()], lin.w.as_mut_slice());
+        decode_f32s(&payload[pair[1].range()], &mut lin.b);
     }
     Ok(reasoner)
 }
@@ -867,8 +789,8 @@ mod tests {
         let err = read_snapshot(&buf[..]).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
 
-        // Claim a giant section table (the count cap rejects this before
-        // any signature check, so no re-sign is possible or needed).
+        // Claim a giant section table (the count the config fixes rejects
+        // this before any signature check, so no re-sign is needed).
         let mut buf = pristine.clone();
         buf[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = read_snapshot(&buf[..]).unwrap_err();

@@ -3,18 +3,21 @@
 //! [`SnapshotError`] — never a panic, and never an attempted allocation
 //! sized by attacker-controlled header fields.
 //!
-//! Why every single-byte corruption must fail: the header hash covers the
-//! header, the payload hash covers the payload, and the inter-region
-//! padding is required to be zero, so the three cases tile the whole
-//! file. Beyond blind flips, files are also fuzzed *re-signed* (mutate,
-//! recompute both FxHashes, load: valid checksums, lying geometry, a
-//! resized payload or a different model config): the reader derives the
-//! one canonical section plan from the config's layer shapes and requires
-//! the table, the section count and the payload length to equal it
+//! Why every single-byte corruption must fail: the reader decodes only the
+//! config and requires every other header byte, padding included, to be
+//! the one the writer emits for that config and the file's payload hash;
+//! the payload hash covers the payload. Beyond blind flips, files are
+//! also fuzzed *re-signed* (mutate, recompute both FxHashes, load: valid
+//! checksums, lying geometry, a resized payload, a different model config
+//! or bytes in the payload's alignment gaps). The config fixes the one
+//! canonical section plan, and the reader requires the file to be exactly
+//! as long as that plan and its header to be exactly the canonical one
 //! *before* it builds a model, so a signature alone never buys a deviant
 //! layout — nor a model larger than the file. The last is measured: a
 //! counting allocator bounds the bytes requested while a re-signed config
-//! is rejected by a small multiple of the input length. Run under
+//! is rejected by a small multiple of the input length. And since the gaps
+//! between sections must be zero, a re-signed payload either is `Corrupt`
+//! or loads as a model that saves back to the very same bytes. Run under
 //! `--release` in CI alongside the format-stability guard.
 
 use gamora::snapshot::{read_snapshot, write_snapshot};
@@ -115,8 +118,9 @@ fn with_resigned_depth(base: &[u8], tag: u8, layers: u32, hidden: u32) -> Vec<u8
 }
 
 /// Rejecting `bytes` may request at most this many bytes: the stream is
-/// read into a doubling `Vec`, the section table is at most the file's
-/// size again, and an error message is a few hundred bytes.
+/// read into a doubling `Vec`, the section plan and the canonical header
+/// are each at most the file's size again, and an error message is a few
+/// hundred bytes.
 fn rejection_allocation_bound(bytes: &[u8]) -> usize {
     8 * bytes.len() + 4096
 }
@@ -136,6 +140,29 @@ fn v3_payload_base(buf: &[u8]) -> usize {
     u64::from_le_bytes(buf[tail..tail + 8].try_into().unwrap()) as usize
 }
 
+/// Whether payload-relative byte `at` lies in an alignment gap: in no
+/// section of the file's table.
+fn v3_in_gap(buf: &[u8], at: usize) -> bool {
+    let count = u32::from_le_bytes(buf[28..32].try_into().unwrap()) as usize;
+    let u64_at = |i: usize| u64::from_le_bytes(buf[i..i + 8].try_into().unwrap()) as usize;
+    !(0..count).any(|i| {
+        let (offset, len) = (u64_at(32 + ENTRY * i + 9), u64_at(32 + ENTRY * i + 17));
+        (offset..offset + len).contains(&at)
+    })
+}
+
+/// `f32` bit patterns a payload run is filled with, besides arbitrary
+/// ones: quiet and signalling NaNs with payloads, −0.0, the smallest and
+/// largest denormals, and infinity.
+const PAYLOAD_PATTERNS: [u32; 6] = [
+    0x7FC0_0000,
+    0xFF80_0001,
+    0x8000_0000,
+    0x0000_0001,
+    0x807F_FFFF,
+    0x7F80_0000,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -150,10 +177,10 @@ proptest! {
 
     /// Corrupted-then-RE-SIGNED v3 geometry (the section table, the
     /// payload base and the payload length) is still rejected: both
-    /// checksums verify, but the canonical section walk
-    /// (tag/rows/cols/offset/len and the total recomputed from the
-    /// skeleton) accepts no deviation, so a lying header can never size
-    /// an allocation, a borrow or a slice.
+    /// checksums verify, but the reader compares every such byte with the
+    /// header the writer emits for the config (tag/rows/cols/offset/len,
+    /// base and length all fixed by the plan) and accepts no deviation, so
+    /// a lying header can never size an allocation, a borrow or a slice.
     #[test]
     fn v3_resigned_geometry_corruption_is_rejected(pos in any::<u64>(), value in any::<u8>()) {
         let base = v3_bytes();
@@ -211,6 +238,60 @@ proptest! {
         );
     }
 
+    /// Every file that loads is canonical. Overwrite a run of payload bytes
+    /// with an `f32` pattern (NaN, −0.0, denormals, or arbitrary bits; a
+    /// byte's place in the pattern is its place in its `f32`) and re-sign
+    /// both hashes: if the run puts a nonzero byte into an alignment gap
+    /// between sections, the file is `Corrupt`; otherwise it loads, and
+    /// saving the loaded model gives back the file byte for byte.
+    #[test]
+    fn v3_resigned_payload_loads_only_as_the_file_it_is(
+        start in any::<u64>(),
+        len in 1usize..40,
+        gap_start in any::<bool>(),
+        pattern in 0..PAYLOAD_PATTERNS.len() + 1,
+        arbitrary in any::<u32>(),
+    ) {
+        let base = v3_bytes();
+        let payload_base = v3_payload_base(base);
+        let payload_len = base.len() - payload_base;
+        // Half of the runs start inside a gap, so both outcomes are drawn.
+        let gaps: Vec<usize> = (0..payload_len).filter(|&at| v3_in_gap(base, at)).collect();
+        let start = if gap_start {
+            gaps[start as usize % gaps.len()]
+        } else {
+            start as usize % payload_len
+        };
+        let bits = PAYLOAD_PATTERNS.get(pattern).copied().unwrap_or(arbitrary);
+        let mut bytes = base.to_vec();
+        let mut dirty_gap = false;
+        for at in start..(start + len).min(payload_len) {
+            let value = bits.to_le_bytes()[at % 4];
+            bytes[payload_base + at] = value;
+            dirty_gap |= value != 0 && v3_in_gap(base, at);
+        }
+        resign_v3(&mut bytes, payload_base);
+
+        let result = read_snapshot(&bytes[..]);
+        if dirty_gap {
+            prop_assert!(
+                matches!(result, Err(SnapshotError::Corrupt(_))),
+                "{len} bytes of {bits:#010x} at payload byte {start} fill a gap: {:?}",
+                result.map(|_| "a loaded model")
+            );
+        } else {
+            let loaded = result.unwrap_or_else(|e| {
+                panic!("{len} bytes of {bits:#010x} at payload byte {start}: {e}")
+            });
+            let mut saved = Vec::new();
+            write_snapshot(&loaded, &mut saved).unwrap();
+            prop_assert!(
+                saved == bytes,
+                "{len} bytes of {bits:#010x} at payload byte {start} re-save differently"
+            );
+        }
+    }
+
     /// Any strict prefix of a valid stream is rejected as truncated.
     #[test]
     fn truncated_snapshots_are_rejected(cut in any::<u64>()) {
@@ -223,8 +304,8 @@ proptest! {
 
 /// A payload resized by any amount — file cut or zero-extended to match,
 /// `payload_len` rewritten, both hashes re-signed — is a typed error: the
-/// reader compares the canonical plan length with the declared one before
-/// it slices a single section. (The shrunk case indexed out of bounds
+/// reader compares the file's length with the one the canonical plan
+/// gives before it slices a single section. (The shrunk case indexed out of bounds
 /// before that order was fixed.)
 #[test]
 fn v3_resigned_resized_payload_is_rejected() {
@@ -245,11 +326,11 @@ fn v3_resigned_resized_payload_is_rejected() {
 }
 
 /// Header fields that size reads are validated before any allocation
-/// they could size. A 4-billion section count is capped by the file size
-/// before the table is allocated or walked; and the largest model the
-/// header admits — 1024 layers of 65536 hidden channels, 32 GiB of
-/// weights, correctly signed onto a kilobyte file — is `Corrupt` from the
-/// section plan alone. (Until the plan was checked first, the reader
+/// they could size. A 4-billion section count sizes nothing: the config
+/// fixes the count, and the stored one is just a deviating header byte.
+/// The largest model the header admits — 1024 layers of 65536 hidden
+/// channels, 32 GiB of weights, correctly signed onto a kilobyte file —
+/// is `Corrupt` from its header length alone. (Until the plan was checked first, the reader
 /// built that model's skeleton and the process died in `rust_oom`.)
 #[test]
 fn huge_header_lengths_fail_before_allocating() {

@@ -51,33 +51,12 @@ impl Int {
         self.mag.is_empty()
     }
 
-    /// Whether the value is strictly negative.
-    pub fn is_negative(&self) -> bool {
-        self.neg
-    }
-
     /// Number of significant bits of the magnitude (0 for zero).
     pub fn bits(&self) -> usize {
         match self.mag.last() {
             None => 0,
             Some(&top) => 64 * (self.mag.len() - 1) + (64 - top.leading_zeros() as usize),
         }
-    }
-
-    /// The value shifted left by `k` bits.
-    pub fn shl(&self, k: usize) -> Int {
-        if self.is_zero() {
-            return Int::zero();
-        }
-        let (limbs, bits) = (k / 64, k % 64);
-        let mut mag = vec![0u64; self.mag.len() + limbs + 1];
-        for (i, &w) in self.mag.iter().enumerate() {
-            mag[i + limbs] |= w << bits;
-            if bits > 0 {
-                mag[i + limbs + 1] |= w >> (64 - bits);
-            }
-        }
-        Int { neg: self.neg, mag }.normalised()
     }
 
     /// Converts to `i128`, if the value fits.
@@ -376,7 +355,6 @@ mod tests {
     fn zero_is_normalised() {
         let z = Int::from(5i64) - Int::from(5i64);
         assert!(z.is_zero());
-        assert!(!z.is_negative());
         assert_eq!(z, Int::zero());
         assert_eq!((-&z), Int::zero());
         assert_eq!(z.to_string(), "0");
@@ -386,8 +364,6 @@ mod tests {
     fn pow2_and_shifts() {
         assert_eq!(Int::pow2(0).to_i128(), Some(1));
         assert_eq!(Int::pow2(65).to_i128(), Some(1i128 << 65));
-        assert_eq!(Int::from(5i64).shl(3).to_i128(), Some(40));
-        assert_eq!(Int::from(1i64).shl(126).to_i128(), Some(1i128 << 126));
         assert_eq!(Int::pow2(64).bits(), 65);
     }
 

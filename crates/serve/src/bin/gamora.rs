@@ -30,7 +30,8 @@ USAGE:
                  [--kind csa|booth|dadda] [--depth shallow|deep|LxH]
                  [--seed N]
                  (LxH: 1-1024 SAGE layers of 1-65536 hidden channels,
-                 the depths a snapshot holds)
+                 the depths a snapshot holds; --bits widths are 1-256,
+                 2-256 for booth)
     gamora infer --model MODEL.gsnap [--extract] [--score] [--batch N]
                  [--workers N] [--cache N] [--queue-cap N]
                  [--compact] [--layer-times] [--metrics-out PATH]
@@ -43,8 +44,9 @@ USAGE:
 infer submits its whole file list as one burst and serves with no
 linger window: a short batch has no later companion to wait for.
 
-infer reads the whole snapshot and verifies its header and payload
-checksums before serving; a damaged file is refused, never served.
+infer reads the whole snapshot, requires its header to be the one its
+model config fixes and verifies its payload checksum before serving; a
+damaged file is refused, never served.
 Reports carry a `cold_start` block: snapshot bytes, load microseconds
 and first-inference latency. `gamora train --out` replaces a snapshot
 by renaming a new file over it, so a concurrent load never sees half
@@ -189,6 +191,10 @@ fn parse_depth(s: &str) -> Result<ModelDepth, String> {
     }
 }
 
+/// Widest multiplier `train --bits` builds: the 256-bit CSA is the largest
+/// subject anywhere in the workspace (the benchmark's `cold_giant`).
+const MAX_TRAIN_BITS: usize = 256;
+
 fn cmd_train(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         args,
@@ -202,6 +208,13 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let bits = flags.usize_list_or("--bits", &[3, 4, 5, 6, 7, 8])?;
     let epochs = flags.usize_or("--epochs", 300)?;
     let kind = parse_kind(flags.get("--kind").unwrap_or("csa"))?;
+    let widths = kind.min_bits()..=MAX_TRAIN_BITS;
+    if let Some(b) = bits.iter().find(|b| !widths.contains(b)) {
+        return Err(format!(
+            "--bits {b}: a {kind} multiplier is {}-{MAX_TRAIN_BITS} bits wide",
+            kind.min_bits()
+        ));
+    }
     let depth = parse_depth(flags.get("--depth").unwrap_or("shallow"))?;
     let seed: u64 = match flags.get("--seed") {
         None => ReasonerConfig::default().seed,

@@ -222,6 +222,37 @@ fn train_refuses_depths_a_snapshot_cannot_hold() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `train --bits` refuses, before any training, a width its generator
+/// would panic on (0 bits; 1 bit for Booth) or one past the widest
+/// subject the workspace builds (256 bits), which once aborted on an
+/// allocation of almost a terabyte.
+#[test]
+fn train_refuses_widths_the_generators_cannot_build() {
+    let dir = tmpdir("bits");
+    let model_path = dir.join("model.gsnap");
+    let out = model_path.to_str().unwrap();
+    for (kind, bits) in [
+        ("csa", "0"),
+        ("booth", "1"),
+        ("csa", "100000"),
+        ("dadda", "3,257"),
+    ] {
+        let stderr = usage_error(&[
+            "train", "--kind", kind, "--bits", bits, "--epochs", "1", "--quiet", "--out", out,
+        ]);
+        let width = bits.rsplit(',').next().unwrap();
+        assert!(
+            stderr.contains(&format!("--bits {width}")),
+            "{kind} {bits}: {stderr}"
+        );
+        assert!(
+            !model_path.exists(),
+            "{kind} {bits}: nothing may be written"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn train_subcommand_writes_a_loadable_snapshot() {
     let dir = tmpdir("train");
