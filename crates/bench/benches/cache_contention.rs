@@ -17,7 +17,7 @@
 //! Regenerate: `cargo bench -p gamora-bench --bench cache_contention`
 
 use gamora::Predictions;
-use gamora_bench::{time, workload, Scale, Table};
+use gamora_bench::{time, workload, Table};
 use gamora_circuits::MultiplierKind;
 use gamora_serve::cache::{CacheEntry, GraphSignature, PredictionCache};
 use std::sync::{Arc, Mutex};
@@ -86,17 +86,17 @@ fn hammer(
     (threads * iters) as f64 / secs
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let bits = scale.pick(8, 12, 16);
-    let iters = scale.pick(300, 1500, 6000);
+/// Width of the CSA subject.
+const BITS: usize = 12;
+/// Hit resolutions per thread.
+const ITERS: usize = 1500;
 
-    let subject = workload(MultiplierKind::Csa, bits);
+fn main() {
+    let subject = workload(MultiplierKind::Csa, BITS);
     let sig = GraphSignature::of(&subject.aig);
     let preds = dummy_predictions(subject.aig.num_nodes());
     println!(
-        "\n=== Cache lock-scope contention: {}-bit CSA ({} nodes), {iters} hits/thread ===",
-        bits,
+        "\n=== Cache lock-scope contention: {BITS}-bit CSA ({} nodes), {ITERS} hits/thread ===",
         subject.aig.num_nodes()
     );
 
@@ -127,8 +127,8 @@ fn main() {
             // the mutex, and only the O(1) `insert_entry` holds it.
             let entry = Arc::new(CacheEntry::new(&sig, preds.clone()));
             cache.lock().unwrap().insert_entry(sig.key, entry);
-            let locked = hammer(&cache, lookup_sig, by_identity, threads, iters, false);
-            let split = hammer(&cache, lookup_sig, by_identity, threads, iters, true);
+            let locked = hammer(&cache, lookup_sig, by_identity, threads, ITERS, false);
+            let split = hammer(&cache, lookup_sig, by_identity, threads, ITERS, true);
             measured.push((label, locked, split));
             table.row(vec![
                 label.to_string(),

@@ -1,46 +1,17 @@
-//! Shared infrastructure for the figure-regeneration benches: scale
-//! selection, workload/training helpers, result tables, and a
-//! peak-tracking allocator for the memory measurements of Figure 8.
+//! Shared infrastructure for the `gamora-perf` benchmark and the two
+//! `cargo bench` programs (`micro`, `cache_contention`): a timer, the
+//! multiplier workloads, an aligned result table, and the peak-tracking
+//! allocator behind `gamora-perf`'s `peak_heap_mib`.
+//!
+//! The paper's figures are not benches: `tests/end_to_end.rs` at the
+//! workspace root checks them against `REPRO.md`.
 
 #![warn(missing_docs)]
 
-use gamora::{FeatureMode, GamoraReasoner, ModelDepth, ReasonerConfig, TrainConfig};
 use gamora_circuits::{generate_multiplier, ArithCircuit, MultiplierKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Experiment scale, selected by the `GAMORA_SCALE` environment variable
-/// (`quick`, `default`, `paper`).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Scale {
-    /// Minutes-level smoke run.
-    Quick,
-    /// CPU-friendly defaults (the scale when `GAMORA_SCALE` is unset).
-    Default,
-    /// Paper-sized sweeps (hours on a workstation).
-    Paper,
-}
-
-impl Scale {
-    /// Reads the scale from the environment.
-    pub fn from_env() -> Scale {
-        match std::env::var("GAMORA_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Default,
-        }
-    }
-
-    /// Picks one of three values by scale.
-    pub fn pick<T>(self, quick: T, default: T, paper: T) -> T {
-        match self {
-            Scale::Quick => quick,
-            Scale::Default => default,
-            Scale::Paper => paper,
-        }
-    }
-}
 
 /// Times a closure, returning its result and elapsed seconds.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -52,33 +23,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// Generates (and caches nothing — generators are fast) a multiplier.
 pub fn workload(kind: MultiplierKind, bits: usize) -> ArithCircuit {
     generate_multiplier(kind, bits)
-}
-
-/// Trains a reasoner on multipliers of the given widths.
-pub fn train_reasoner(
-    kind: MultiplierKind,
-    widths: &[usize],
-    depth: ModelDepth,
-    feature_mode: FeatureMode,
-    multi_task: bool,
-    epochs: usize,
-) -> GamoraReasoner {
-    let circuits: Vec<ArithCircuit> = widths.iter().map(|&b| workload(kind, b)).collect();
-    let refs: Vec<&gamora_aig::Aig> = circuits.iter().map(|c| &c.aig).collect();
-    let mut reasoner = GamoraReasoner::new(ReasonerConfig {
-        depth,
-        feature_mode,
-        multi_task,
-        ..ReasonerConfig::default()
-    });
-    reasoner.fit(
-        &refs,
-        &TrainConfig {
-            epochs,
-            ..TrainConfig::default()
-        },
-    );
-    reasoner
 }
 
 /// A simple aligned text table for bench output.
@@ -132,25 +76,12 @@ impl Table {
     }
 }
 
-/// Formats a fraction as a percentage with two decimals.
-pub fn pct(x: f64) -> String {
-    format!("{:.2}", x * 100.0)
-}
-
-/// Formats seconds as engineering-friendly milliseconds/seconds.
-pub fn fmt_time(seconds: f64) -> String {
-    if seconds < 1.0 {
-        format!("{:.1} ms", seconds * 1e3)
-    } else {
-        format!("{seconds:.2} s")
-    }
-}
-
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 /// A system-allocator wrapper tracking live and peak heap usage — the
-/// stand-in for the paper's GPU memory meter in Figure 8.
+/// host-memory stand-in for the paper's GPU memory meter (Figure 8).
+/// Install it with `#[global_allocator]`; the counters are process-wide.
 pub struct PeakAlloc;
 
 // SAFETY: every allocation and deallocation is forwarded unchanged to
@@ -193,35 +124,14 @@ impl PeakAlloc {
     }
 }
 
-/// Bytes formatted as MiB/GiB.
-pub fn fmt_bytes(b: usize) -> String {
-    if b >= 1 << 30 {
-        format!("{:.2} GiB", b as f64 / (1u64 << 30) as f64)
-    } else {
-        format!("{:.1} MiB", b as f64 / (1u64 << 20) as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_pick() {
-        assert_eq!(Scale::Quick.pick(1, 2, 3), 1);
-        assert_eq!(Scale::Default.pick(1, 2, 3), 2);
-        assert_eq!(Scale::Paper.pick(1, 2, 3), 3);
-    }
 
     #[test]
     fn table_renders() {
         let mut t = Table::new(&["a", "bb"]);
         t.row(vec!["1".into(), "2".into()]);
         t.print(); // should not panic
-        assert_eq!(pct(0.5), "50.00");
-        assert!(fmt_time(0.001).contains("ms"));
-        assert!(fmt_time(2.0).contains("s"));
-        assert!(fmt_bytes(1 << 20).contains("MiB"));
-        assert!(fmt_bytes(1 << 31).contains("GiB"));
     }
 }

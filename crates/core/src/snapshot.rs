@@ -582,19 +582,18 @@ mod tests {
         let back = read_snapshot(&buf[..]).unwrap();
 
         assert_eq!(back.config(), reasoner.config());
-        let src: Vec<Vec<f32>> = reasoner
-            .model()
-            .param_slices()
-            .iter()
-            .map(|s| s.to_vec())
-            .collect();
-        let dst: Vec<Vec<f32>> = back
-            .model()
-            .param_slices()
-            .iter()
-            .map(|s| s.to_vec())
-            .collect();
-        assert_eq!(src, dst, "weights must survive bit-exactly");
+        let weights = |r: &GamoraReasoner| -> Vec<Vec<f32>> {
+            r.model()
+                .linears()
+                .iter()
+                .flat_map(|l| [l.w.as_slice().to_vec(), l.b.clone()])
+                .collect()
+        };
+        assert_eq!(
+            weights(&reasoner),
+            weights(&back),
+            "weights must survive bit-exactly"
+        );
 
         // And behaviour matches exactly on a fresh workload.
         let subject = csa_multiplier(4);

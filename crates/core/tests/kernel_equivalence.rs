@@ -73,26 +73,22 @@ fn fused_kernels_match_reference_on_16bit_csa() {
     let graph = build_graph(&m.aig, Direction::Bidirectional);
     let x = build_features(&m.aig, FeatureMode::StructuralFunctional);
 
-    // Reference forward through the snapshot-ordered parameter slices:
-    // trunk layers, shared linear, task heads (weights then bias each).
-    let slices = model.param_slices();
+    // Reference forward through the snapshot-ordered linears: trunk
+    // layers, shared linear, task heads.
+    let linears = model.linears();
     let mut h = x.clone();
-    for l in 0..layers {
+    for lin in &linears[..layers] {
         let agg = naive_mean_aggregate(&graph, &h);
         let concat = h.hconcat(&agg);
-        h = naive_linear(&concat, slices[2 * l], slices[2 * l + 1], true);
+        h = naive_linear(&concat, lin.w.as_slice(), &lin.b, true);
     }
-    let z = naive_linear(&h, slices[2 * layers], slices[2 * layers + 1], true);
-    let reference: Vec<Matrix> = (0..task_classes.len())
-        .map(|t| {
-            naive_linear(
-                &z,
-                slices[2 * layers + 2 + 2 * t],
-                slices[2 * layers + 2 + 2 * t + 1],
-                false,
-            )
-        })
+    let shared = linears[layers];
+    let z = naive_linear(&h, shared.w.as_slice(), &shared.b, true);
+    let reference: Vec<Matrix> = linears[layers + 1..]
+        .iter()
+        .map(|head| naive_linear(&z, head.w.as_slice(), &head.b, false))
         .collect();
+    assert_eq!(reference.len(), task_classes.len());
     assert_eq!(h.cols(), hidden);
 
     let fused = model.forward(&graph, &x);

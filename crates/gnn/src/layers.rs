@@ -132,18 +132,6 @@ impl Linear {
         visit(&mut self.b, &self.gb);
     }
 
-    /// Parameter tensors in the same stable order as
-    /// [`Linear::visit_param_grads`]
-    /// (weights, then bias) — the serialisation order of model snapshots.
-    pub fn param_slices(&self) -> Vec<&[f32]> {
-        vec![self.w.as_slice(), &self.b]
-    }
-
-    /// Mutable parameter tensors in snapshot order (weight injection).
-    pub fn param_slices_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.w.as_mut_slice(), &mut self.b]
-    }
-
     /// Number of scalar parameters.
     pub fn num_params(&self) -> usize {
         self.w.rows() * self.w.cols() + self.b.len()
@@ -488,16 +476,6 @@ impl SageLayer {
     /// See [`Linear::visit_param_grads`].
     pub fn visit_param_grads(&mut self, visit: &mut dyn FnMut(&mut [f32], &[f32])) {
         self.lin.visit_param_grads(visit);
-    }
-
-    /// Parameter tensors in snapshot order (see [`Linear::param_slices`]).
-    pub fn param_slices(&self) -> Vec<&[f32]> {
-        self.lin.param_slices()
-    }
-
-    /// Mutable parameter tensors in snapshot order (weight injection).
-    pub fn param_slices_mut(&mut self) -> Vec<&mut [f32]> {
-        self.lin.param_slices_mut()
     }
 
     /// Number of scalar parameters.

@@ -633,40 +633,10 @@ impl MultiTaskSage {
         }
     }
 
-    /// All parameter tensors, in the same stable order as
-    /// [`MultiTaskSage::visit_param_grads`] — the canonical serialisation
-    /// order for model snapshots (trunk layers, shared linear, task heads;
-    /// each layer contributes weights then bias).
-    pub fn param_slices(&self) -> Vec<&[f32]> {
-        let mut out = Vec::new();
-        for l in &self.sage {
-            out.extend(l.param_slices());
-        }
-        out.extend(self.shared.param_slices());
-        for h in &self.heads {
-            out.extend(h.param_slices());
-        }
-        out
-    }
-
-    /// Mutable access to all parameter tensors in snapshot order, for
-    /// injecting deserialised weights into a freshly constructed model.
-    pub fn param_slices_mut(&mut self) -> Vec<&mut [f32]> {
-        let mut out = Vec::new();
-        for l in &mut self.sage {
-            out.extend(l.param_slices_mut());
-        }
-        out.extend(self.shared.param_slices_mut());
-        for h in &mut self.heads {
-            out.extend(h.param_slices_mut());
-        }
-        out
-    }
-
     /// Every linear layer in snapshot order (trunk SAGE linears, shared
     /// linear, task heads) — each contributes its weight tensor then its
-    /// bias to the serialised stream, so this is the layer-level view of
-    /// [`MultiTaskSage::param_slices`].
+    /// bias to the serialised stream, the order of
+    /// [`MultiTaskSage::visit_param_grads`].
     pub fn linears(&self) -> Vec<&Linear> {
         let mut out: Vec<&Linear> = Vec::with_capacity(self.sage.len() + 1 + self.heads.len());
         out.extend(self.sage.iter().map(SageLayer::linear));
@@ -898,21 +868,30 @@ mod tests {
         }
     }
 
-    /// `param_slices` exposes every parameter exactly once, in an order
-    /// stable enough that injecting them into a differently seeded model
+    /// `linears` exposes every parameter exactly once (each layer's
+    /// weights, then its bias), in an order stable enough that injecting
+    /// them through `linears_mut` into a differently seeded model
     /// reproduces the source model bit for bit.
     #[test]
     fn param_slices_roundtrip_into_fresh_model() {
         let src = tiny_model();
-        let total: usize = src.param_slices().iter().map(|s| s.len()).sum();
+        let saved: Vec<Vec<f32>> = src
+            .linears()
+            .iter()
+            .flat_map(|l| [l.w.as_slice().to_vec(), l.b.clone()])
+            .collect();
+        let total: usize = saved.iter().map(Vec::len).sum();
         assert_eq!(total, src.num_params());
 
-        let saved: Vec<Vec<f32>> = src.param_slices().iter().map(|s| s.to_vec()).collect();
         let mut dst = MultiTaskSage::new(ModelConfig {
             seed: 0xBEEF,
             ..src.config().clone()
         });
-        let mut slots = dst.param_slices_mut();
+        let mut slots: Vec<&mut [f32]> = dst
+            .linears_mut()
+            .into_iter()
+            .flat_map(|Linear { w, b, .. }| [w.as_mut_slice(), b.as_mut_slice()])
+            .collect();
         assert_eq!(slots.len(), saved.len());
         for (slot, tensor) in slots.iter_mut().zip(&saved) {
             slot.copy_from_slice(tensor);

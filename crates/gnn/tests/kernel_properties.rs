@@ -120,12 +120,12 @@ proptest! {
 
         // Reference: materialise the concat and push it through the
         // combined weight matrix with the naive loop.
-        let slices = layer.param_slices();
-        let w = Matrix::from_vec(2 * d_in, d_out, slices[0].to_vec());
+        let lin = layer.linear();
+        let w = Matrix::from_vec(2 * d_in, d_out, lin.w.as_slice().to_vec());
         let agg = graph.mean_aggregate(&h);
         let concat = h.hconcat(&agg);
         let mut want = naive_matmul(&concat, &w);
-        want.add_row_vector(slices[1]);
+        want.add_row_vector(&lin.b);
         want.relu_in_place();
 
         let got = layer.forward(&graph, &h);

@@ -404,7 +404,8 @@ pub struct ServeStats {
     /// High-water mark of the queue depth (bounded by `queue_capacity`
     /// when one is set).
     pub peak_queued: u64,
-    /// Health at snapshot time.
+    /// Health at snapshot time. In the report [`Server::shutdown`]
+    /// returns, the health of the drained server's failure state.
     pub health: Health,
 }
 
@@ -870,6 +871,13 @@ impl Server {
         if self.shared.queue.lock().expect("queue poisoned").shutdown {
             return Health::ShuttingDown;
         }
+        self.failure_health()
+    }
+
+    /// The health the failure state alone implies: `Degraded` under an
+    /// active quarantine or within [`INCIDENT_WINDOW`] of an incident,
+    /// `Healthy` otherwise.
+    fn failure_health(&self) -> Health {
         if self.shared.quarantine_active.load(Ordering::Relaxed) > 0 {
             // Expired quarantines must lapse back to Healthy without
             // waiting for a batch to purge them.
@@ -904,10 +912,15 @@ impl Server {
         self.shared.space.notify_all();
     }
 
-    /// Drains outstanding work and stops the workers.
+    /// Drains outstanding work and stops the workers. The returned
+    /// report's `health` is what the drained server's failure state
+    /// implies (`Healthy` or `Degraded`), never `ShuttingDown`.
     pub fn shutdown(mut self) -> ServeStats {
         self.stop_workers();
-        self.stats()
+        ServeStats {
+            health: self.failure_health(),
+            ..self.stats()
+        }
     }
 
     fn stop_workers(&mut self) {
@@ -1896,6 +1909,24 @@ mod tests {
             stats.cache_hits + stats.cache_misses,
             "completions partition into hits and misses"
         );
+    }
+
+    /// The report `shutdown` returns names the drained server's health,
+    /// not the shutdown: `Healthy` after a clean run, `Degraded` within
+    /// [`INCIDENT_WINDOW`] of an incident (the stamp a failed job leaves).
+    #[test]
+    fn shutdown_reports_the_drained_servers_health() {
+        let clean = Server::start(tiny_trained(), ServeConfig::default());
+        clean
+            .submit(csa_multiplier(3).aig, AnalysisKind::Classify)
+            .expect("admitted")
+            .wait()
+            .expect("job answered");
+        assert_eq!(clean.shutdown().health, Health::Healthy);
+
+        let incident = Server::start(tiny_trained(), ServeConfig::default());
+        incident.shared.note_incident();
+        assert_eq!(incident.shutdown().health, Health::Degraded);
     }
 
     /// Regression: once shutdown has begun, submission fails fast instead

@@ -148,6 +148,11 @@ fn chaos_storm_every_job_gets_exactly_one_terminal_outcome() {
     assert_rejections_timed(&server);
 
     let stats = server.shutdown();
+    assert_eq!(
+        stats.health,
+        Health::Healthy,
+        "the drained server is healthy"
+    );
     assert_balanced(&stats);
 }
 
@@ -346,6 +351,11 @@ fn injected_stage_error_fails_jobs_without_killing_workers() {
         .expect("the same worker serves once the fault is disarmed");
 
     let stats = server.shutdown();
+    assert_eq!(
+        stats.health,
+        Health::Degraded,
+        "the final report carries the failed job's incident, not the shutdown"
+    );
     assert_eq!(
         stats.workers_respawned, 0,
         "an injected error must not kill the worker"

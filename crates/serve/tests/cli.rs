@@ -87,6 +87,8 @@ fn saved_model_served_by_binary_reproduces_in_process_scores() {
     assert!(stdout.contains("\"cache_hit\":true"), "{stdout}");
     assert!(stdout.contains("\"forward_passes\":1"), "{stdout}");
     assert!(stdout.contains("\"cache_hits\":1"), "{stdout}");
+    // A clean run's final report is healthy, not "shutting_down".
+    assert!(stdout.contains("\"health\":\"healthy\""), "{stdout}");
 
     // The report and the metric registry both name the kernel variant the
     // numbers came from.
