@@ -64,22 +64,6 @@ pub fn eval(aig: &Aig, inputs: &[bool]) -> Vec<bool> {
         .collect()
 }
 
-/// Simulates `words` random 64-pattern words per input (deterministic in
-/// `seed`), returning the per-output words concatenated as
-/// `result[output][word]`.
-pub fn random_simulation(aig: &Aig, words: usize, seed: u64) -> Vec<Vec<u64>> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut out = vec![Vec::with_capacity(words); aig.num_outputs()];
-    for _ in 0..words {
-        let inputs: Vec<u64> = (0..aig.num_inputs()).map(|_| rng.gen()).collect();
-        let values = simulate(aig, &inputs);
-        for (o, w) in output_words(aig, &values).into_iter().enumerate() {
-            out[o].push(w);
-        }
-    }
-    out
-}
-
 /// Checks two AIGs with identical interfaces for equivalence on `words * 64`
 /// random patterns (a probabilistic refutation check, not a proof).
 ///

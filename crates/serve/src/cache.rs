@@ -535,24 +535,38 @@ mod tests {
 
     /// Resolving on a detached `Arc` (no cache access needed — the
     /// pattern the locked scheduler uses) serves what the inline `lookup`
-    /// helper serves.
+    /// helper serves, on every hit path: verbatim and transfer through the
+    /// structural key, and an identity-index hit through `verbatim()`. This
+    /// pins the lock-scope claim: each O(nodes) resolution runs after the
+    /// cache itself is gone.
     #[test]
     fn probe_then_resolve_matches_lookup() {
         let aig = toy_aig(false);
         let sig = GraphSignature::of(&aig);
+        let twin = &renumberings(&sig, 1)[0];
         let mut cache = PredictionCache::new(4);
         assert!(cache.probe(&sig.key).is_none(), "empty cache: no entry");
         insert(&mut cache, &sig, toy_predictions(&aig));
 
         let inline = lookup(&mut cache, &sig).expect("inline hit");
+        let inline_twin = lookup(&mut cache, twin).expect("inline transfer hit");
         let entry = cache.probe(&sig.key).expect("probe finds the entry");
-        // Resolution happens entirely on the Arc — drop the cache first to
+        let (key, identity_entry) = cache
+            .probe_identity(sig.identity, sig.key.num_nodes)
+            .expect("identity probe finds the entry");
+        assert_eq!(key, sig.key);
+        // Resolution happens entirely on the Arcs — drop the cache first to
         // prove no further cache access is involved.
         drop(cache);
         let detached = entry.resolve(&sig).expect("verbatim resolve");
         assert_eq!(detached, inline);
         assert_eq!(detached.1, HitKind::Verbatim);
         assert_eq!(detached.0, toy_predictions(&aig));
+        // The twin shares `sig`'s structural key, so the same probe serves it.
+        let transferred = entry.resolve(twin).expect("transfer resolve");
+        assert_eq!(transferred, inline_twin);
+        assert_eq!(transferred.1, HitKind::Transferred);
+        assert_eq!(identity_entry.verbatim(), inline.0);
     }
 
     #[test]
