@@ -16,7 +16,7 @@
 //! or prediction buffer to split.
 
 use crate::features::{build_features, write_features_at, FeatureMode, FEATURE_DIM};
-use crate::labels::{multi_task_targets, single_task_targets};
+use crate::labels::task_targets;
 use crate::Predictions;
 use gamora_aig::Aig;
 use gamora_exact::Analysis;
@@ -42,23 +42,15 @@ pub fn build_graph_into(aig: &Aig, direction: Direction, out: &mut Graph) {
 }
 
 /// Builds a labelled [`GraphData`] from an AIG, running exact analysis for
-/// ground truth. Returns the analysis alongside so callers can reuse the
+/// ground truth: one label vector per task, as [`task_targets`] encodes
+/// them. Returns the analysis alongside so callers can reuse the
 /// extracted adder tree.
-pub fn labelled_graph(
-    aig: &Aig,
-    mode: FeatureMode,
-    direction: Direction,
-    multi_task: bool,
-) -> (GraphData, Analysis) {
+pub fn labelled_graph(aig: &Aig, mode: FeatureMode, direction: Direction) -> (GraphData, Analysis) {
     let analysis = gamora_exact::analyze(aig);
     let data = GraphData {
         graph: build_graph(aig, direction),
         features: build_features(aig, mode),
-        labels: if multi_task {
-            multi_task_targets(&analysis.labels)
-        } else {
-            single_task_targets(&analysis.labels)
-        },
+        labels: task_targets(&analysis.labels),
     };
     (data, analysis)
 }
@@ -171,25 +163,12 @@ mod tests {
             &m.aig,
             FeatureMode::StructuralFunctional,
             Direction::Bidirectional,
-            true,
         );
         data.validate(3);
         assert_eq!(data.graph.num_nodes(), m.aig.num_nodes());
         // bidirectional: 2 aggregation edges per fanin edge
         assert_eq!(data.graph.num_edges(), 2 * 2 * m.aig.num_ands());
         assert_eq!(analysis.adders.len(), 6); // 3 FA + 3 HA (paper Fig. 3)
-    }
-
-    #[test]
-    fn single_task_dataset_has_one_label_vector() {
-        let m = csa_multiplier(2);
-        let (data, _) = labelled_graph(
-            &m.aig,
-            FeatureMode::StructuralFunctional,
-            Direction::Bidirectional,
-            false,
-        );
-        assert_eq!(data.labels.len(), 1);
     }
 
     /// The zero-copy assembly (features written straight into the merged

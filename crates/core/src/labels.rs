@@ -2,20 +2,11 @@
 
 use gamora_exact::Labels;
 
-/// Classes per task in the multi-task setting:
-/// root/leaf (4), XOR (2), MAJ (2).
+/// Classes per task, one head each: root/leaf (4), XOR (2), MAJ (2).
 pub const TASK_CLASSES: [usize; 3] = [4, 2, 2];
 
-/// Number of tasks.
-pub const NUM_TASKS: usize = 3;
-
-/// Number of classes in the collapsed single-task encoding
-/// (`4 * 2 * 2` joint assignments).
-pub const SINGLE_TASK_CLASSES: usize = 16;
-
-/// Converts exact labels into three per-node class vectors
-/// (multi-task encoding).
-pub fn multi_task_targets(labels: &Labels) -> Vec<Vec<u32>> {
+/// Converts exact labels into three per-node class vectors, one per task.
+pub fn task_targets(labels: &Labels) -> Vec<Vec<u32>> {
     let n = labels.num_nodes();
     let mut t1 = Vec::with_capacity(n);
     let mut t2 = Vec::with_capacity(n);
@@ -28,69 +19,21 @@ pub fn multi_task_targets(labels: &Labels) -> Vec<Vec<u32>> {
     vec![t1, t2, t3]
 }
 
-/// Collapses the three tasks into one joint 16-class label
-/// (the single-task ablation of Figure 4).
-pub fn single_task_targets(labels: &Labels) -> Vec<Vec<u32>> {
-    let joint = (0..labels.num_nodes())
-        .map(|i| {
-            encode_joint(
-                labels.root_leaf[i].as_index() as u32,
-                labels.is_xor[i] as u32,
-                labels.is_maj[i] as u32,
-            )
-        })
-        .collect();
-    vec![joint]
-}
-
-/// Packs (root/leaf class, xor flag, maj flag) into a joint class index.
-pub fn encode_joint(root_leaf: u32, xor: u32, maj: u32) -> u32 {
-    root_leaf | xor << 2 | maj << 3
-}
-
-/// Unpacks a joint class index back into the three task predictions.
-pub fn decode_joint(joint: u32) -> (u32, u32, u32) {
-    (joint & 3, joint >> 2 & 1, joint >> 3 & 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gamora_circuits::csa_multiplier;
 
     #[test]
-    fn joint_encoding_roundtrips() {
-        for rl in 0..4u32 {
-            for xor in 0..2u32 {
-                for maj in 0..2u32 {
-                    let j = encode_joint(rl, xor, maj);
-                    assert!(j < SINGLE_TASK_CLASSES as u32);
-                    assert_eq!(decode_joint(j), (rl, xor, maj));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn target_vectors_cover_every_node() {
         let m = csa_multiplier(4);
         let analysis = gamora_exact::analyze(&m.aig);
-        let multi = multi_task_targets(&analysis.labels);
-        assert_eq!(multi.len(), NUM_TASKS);
-        for (t, targets) in multi.iter().enumerate() {
-            assert_eq!(targets.len(), m.aig.num_nodes());
-            let max = *targets.iter().max().unwrap() as usize;
+        let targets = task_targets(&analysis.labels);
+        assert_eq!(targets.len(), TASK_CLASSES.len());
+        for (t, task) in targets.iter().enumerate() {
+            assert_eq!(task.len(), m.aig.num_nodes());
+            let max = *task.iter().max().unwrap() as usize;
             assert!(max < TASK_CLASSES[t], "task {t} class {max}");
-        }
-        let single = single_task_targets(&analysis.labels);
-        assert_eq!(single.len(), 1);
-        assert_eq!(single[0].len(), m.aig.num_nodes());
-        // Joint and multi encodings agree node by node.
-        for i in 0..m.aig.num_nodes() {
-            let (rl, x, mj) = decode_joint(single[0][i]);
-            assert_eq!(rl, multi[0][i]);
-            assert_eq!(x, multi[1][i]);
-            assert_eq!(mj, multi[2][i]);
         }
     }
 
@@ -98,10 +41,10 @@ mod tests {
     fn multiplier_has_all_three_positive_classes() {
         let m = csa_multiplier(4);
         let analysis = gamora_exact::analyze(&m.aig);
-        let multi = multi_task_targets(&analysis.labels);
-        assert!(multi[0].contains(&1), "roots exist");
-        assert!(multi[0].contains(&2), "leaves exist");
-        assert!(multi[1].contains(&1), "xors exist");
-        assert!(multi[2].contains(&1), "majs exist");
+        let targets = task_targets(&analysis.labels);
+        assert!(targets[0].contains(&1), "roots exist");
+        assert!(targets[0].contains(&2), "leaves exist");
+        assert!(targets[1].contains(&1), "xors exist");
+        assert!(targets[2].contains(&1), "majs exist");
     }
 }

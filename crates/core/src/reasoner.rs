@@ -3,7 +3,7 @@
 
 use crate::dataset::{assemble_batch_into, inference_graph, labelled_graph, BatchScratch};
 use crate::features::{FeatureMode, FEATURE_DIM};
-use crate::labels::{decode_joint, SINGLE_TASK_CLASSES, TASK_CLASSES};
+use crate::labels::TASK_CLASSES;
 use gamora_aig::Aig;
 use gamora_gnn::loss::argmax;
 use gamora_gnn::{
@@ -56,6 +56,10 @@ impl ModelDepth {
 }
 
 /// Configuration of a [`GamoraReasoner`].
+///
+/// The task layout is not a setting: every model has one head per task,
+/// sized by [`TASK_CLASSES`]. Fig. 4's collapsed single-task formulation
+/// scored no better on this substrate (`REPRO.md`).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct ReasonerConfig {
     /// Model capacity preset.
@@ -64,8 +68,6 @@ pub struct ReasonerConfig {
     pub feature_mode: FeatureMode,
     /// Message-passing direction over AIG edges.
     pub direction: Direction,
-    /// Multi-task heads (paper default) vs collapsed single-task ablation.
-    pub multi_task: bool,
     /// Weight-initialisation seed.
     pub seed: u64,
 }
@@ -76,7 +78,6 @@ impl Default for ReasonerConfig {
             depth: ModelDepth::Shallow,
             feature_mode: FeatureMode::StructuralFunctional,
             direction: Direction::Bidirectional,
-            multi_task: true,
             seed: 0xDAC23,
         }
     }
@@ -90,11 +91,7 @@ impl ReasonerConfig {
             hidden,
             layers,
             shared_dim: 32,
-            task_classes: if self.multi_task {
-                TASK_CLASSES.to_vec()
-            } else {
-                vec![SINGLE_TASK_CLASSES]
-            },
+            task_classes: TASK_CLASSES.to_vec(),
             seed: self.seed,
         }
     }
@@ -199,21 +196,9 @@ impl GamoraReasoner {
     pub fn fit(&mut self, aigs: &[&Aig], cfg: &TrainConfig) -> TrainReport {
         let data: Vec<GraphData> = aigs
             .iter()
-            .map(|aig| {
-                labelled_graph(
-                    aig,
-                    self.config.feature_mode,
-                    self.config.direction,
-                    self.config.multi_task,
-                )
-                .0
-            })
+            .map(|aig| labelled_graph(aig, self.config.feature_mode, self.config.direction).0)
             .collect();
-        let mut cfg = cfg.clone();
-        if !self.config.multi_task {
-            cfg.task_weights = vec![1.0];
-        }
-        train(&mut self.model, &data, &cfg)
+        train(&mut self.model, &data, cfg)
     }
 
     /// Creates a reusable inference workspace for this reasoner.
@@ -268,34 +253,7 @@ impl GamoraReasoner {
         out: &mut Predictions,
     ) {
         let logits = self.model.infer(graph, features, scratch, None);
-        self.decode_logits(logits, 0..graph.num_nodes(), out);
-    }
-
-    /// Argmax-decodes the rows `rows` of the logits — every task's classes
-    /// side by side in one row — into per-node predictions.
-    fn decode_logits(&self, logits: &Matrix, rows: std::ops::Range<usize>, out: &mut Predictions) {
-        out.root_leaf.clear();
-        out.is_xor.clear();
-        out.is_maj.clear();
-        out.root_leaf.reserve_exact(rows.len());
-        out.is_xor.reserve_exact(rows.len());
-        out.is_maj.reserve_exact(rows.len());
-        if self.config.multi_task {
-            for r in rows {
-                let (root_leaf, rest) = logits.row(r).split_at(TASK_CLASSES[0]);
-                let (xor, maj) = rest.split_at(TASK_CLASSES[1]);
-                out.root_leaf.push(argmax(root_leaf) as u32);
-                out.is_xor.push(argmax(xor) == 1);
-                out.is_maj.push(argmax(maj) == 1);
-            }
-        } else {
-            for r in rows {
-                let (rl, xor, maj) = decode_joint(argmax(logits.row(r)) as u32);
-                out.root_leaf.push(rl);
-                out.is_xor.push(xor == 1);
-                out.is_maj.push(maj == 1);
-            }
-        }
+        decode_logits(logits, 0..graph.num_nodes(), out);
     }
 
     /// Runs batched inference over several netlists in one forward pass
@@ -367,7 +325,7 @@ impl GamoraReasoner {
         let forward_micros = forward_start.elapsed().as_micros() as u64;
         let decode_start = Instant::now();
         for ((out, &aig), &start) in outs.iter_mut().zip(aigs).zip(&batch.offsets) {
-            self.decode_logits(logits, start..start + aig.num_nodes(), out);
+            decode_logits(logits, start..start + aig.num_nodes(), out);
         }
         BatchTimings {
             assemble_micros,
@@ -387,6 +345,24 @@ impl GamoraReasoner {
         let preds = self.predict(aig);
         let analysis = gamora_exact::analyze(aig);
         score_predictions(&preds, &analysis.labels)
+    }
+}
+
+/// Argmax-decodes the rows `rows` of the logits — every task's classes
+/// side by side in one row — into per-node predictions.
+fn decode_logits(logits: &Matrix, rows: std::ops::Range<usize>, out: &mut Predictions) {
+    out.root_leaf.clear();
+    out.is_xor.clear();
+    out.is_maj.clear();
+    out.root_leaf.reserve_exact(rows.len());
+    out.is_xor.reserve_exact(rows.len());
+    out.is_maj.reserve_exact(rows.len());
+    for r in rows {
+        let (root_leaf, rest) = logits.row(r).split_at(TASK_CLASSES[0]);
+        let (xor, maj) = rest.split_at(TASK_CLASSES[1]);
+        out.root_leaf.push(argmax(root_leaf) as u32);
+        out.is_xor.push(argmax(xor) == 1);
+        out.is_maj.push(argmax(maj) == 1);
     }
 }
 
@@ -499,29 +475,6 @@ mod tests {
         reasoner.fit(&[&train_m.aig], &quick_cfg());
         let report = reasoner.evaluate(&csa_multiplier(8).aig);
         assert!(report.mean() > 0.8, "{report}");
-    }
-
-    #[test]
-    fn single_task_predictions_decode() {
-        let m = csa_multiplier(3);
-        let mut reasoner = GamoraReasoner::new(ReasonerConfig {
-            multi_task: false,
-            depth: ModelDepth::Custom {
-                layers: 2,
-                hidden: 8,
-            },
-            ..ReasonerConfig::default()
-        });
-        reasoner.fit(
-            &[&m.aig],
-            &TrainConfig {
-                epochs: 5,
-                ..quick_cfg()
-            },
-        );
-        let preds = reasoner.predict(&m.aig);
-        assert_eq!(preds.num_nodes(), m.aig.num_nodes());
-        assert!(preds.root_leaf.iter().all(|&c| c < 4));
     }
 
     /// One scratch workspace and one output reused across differently

@@ -14,7 +14,8 @@
 //! magic         : 4 bytes  b"GMRS"
 //! version       : u32     (3)
 //! config        : depth tag u8, layers u32, hidden u32,
-//!                 feature_mode u8, direction u8, multi_task u8, seed u64
+//!                 feature_mode u8, direction u8,
+//!                 tasks flag u8 (always 1: one head per task), seed u64
 //! section_count : u32
 //! sections      : per section { tag u8 (0 = f32), rows u32, cols u32,
 //!                               offset u64 (payload-relative, 64-aligned),
@@ -309,7 +310,8 @@ fn canonical_header(
     header.extend_from_slice(&hidden.to_le_bytes());
     header.push(feature_mode_tag(config.feature_mode));
     header.push(direction_tag(config.direction));
-    header.push(config.multi_task as u8);
+    // The tasks flag: every model has one head per task.
+    header.push(1);
     header.extend_from_slice(&config.seed.to_le_bytes());
     header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     for s in sections {
@@ -420,8 +422,8 @@ fn parse_snapshot(bytes: &[u8]) -> Result<GamoraReasoner, SnapshotError> {
         depth: depth_from_tag(head[8], u32_at(9)?, u32_at(13)?)?,
         feature_mode: feature_mode_from_tag(head[17])?,
         direction: direction_from_tag(head[18])?,
-        // A flag other than 0 or 1 fails the header comparison below.
-        multi_task: head[19] != 0,
+        // Byte 19, the tasks flag, is not decoded: a file whose flag is not
+        // 1 fails the header comparison below.
         seed: u64::from_le_bytes(field(&head, 20)?),
     };
 
@@ -757,7 +759,8 @@ mod tests {
 
     /// A *re-signed* lying header (valid checksum, fields that deviate
     /// from the canonical layout) is still rejected: offsets, shapes,
-    /// payload base and section count all have exactly one legal value.
+    /// tasks flag, payload base and section count all have exactly one
+    /// legal value.
     #[test]
     fn v3_resigned_lying_headers_are_rejected() {
         let pristine = image_of(&trained_reasoner());
@@ -779,6 +782,17 @@ mod tests {
         resign_v3(&mut buf);
         let err = read_snapshot(&buf[..]).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+
+        // Claim the collapsed single-task layout (tasks flag 0), which no
+        // model has.
+        let mut buf = pristine.clone();
+        buf[19] = 0;
+        resign_v3(&mut buf);
+        let err = read_snapshot(&buf[..]).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt(m) if m.contains("config")),
+            "{err}"
+        );
 
         // Move the payload base.
         let mut buf = pristine.clone();

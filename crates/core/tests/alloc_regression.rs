@@ -769,10 +769,17 @@ fn a_training_epoch_is_allocation_free_after_one_step_per_graph_size() {
         .map(|bits| {
             let aig = csa_multiplier(bits).aig;
             let mode = FeatureMode::StructuralFunctional;
-            labelled_graph(&aig, mode, Direction::Bidirectional, true).0
+            labelled_graph(&aig, mode, Direction::Bidirectional).0
         })
         .collect();
-    let mut model = MultiTaskSage::new(ModelConfig::shallow(3, vec![4, 2, 2]));
+    let mut model = MultiTaskSage::new(ModelConfig {
+        in_dim: 3,
+        hidden: 32,
+        layers: 4,
+        shared_dim: 32,
+        task_classes: vec![4, 2, 2],
+        seed: 0x6A3017A,
+    });
     let mut trainer = Trainer::new(&TrainConfig::default());
     let warm_up = trainer.epoch(&mut model, &data);
 

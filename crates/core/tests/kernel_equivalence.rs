@@ -64,7 +64,14 @@ fn naive_mean_aggregate(graph: &Graph, h: &Matrix) -> Matrix {
 
 #[test]
 fn fused_kernels_match_reference_on_16bit_csa() {
-    let config = ModelConfig::shallow(3, vec![4, 2, 2]);
+    let config = ModelConfig {
+        in_dim: 3,
+        hidden: 32,
+        layers: 4,
+        shared_dim: 32,
+        task_classes: vec![4, 2, 2],
+        seed: 0x6A3017A,
+    };
     let (hidden, layers) = (config.hidden, config.layers);
     let task_classes = config.task_classes.clone();
     let model = MultiTaskSage::new(config);

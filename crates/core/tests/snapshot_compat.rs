@@ -3,13 +3,15 @@
 //! There is one format (version 3). Three things pin it: a walk of the
 //! documented byte layout from first principles; the Fx hash of the image
 //! of fixed seeded reasoners, recorded from the writer at commit bfcfe20
-//! (the last one that also carried v1/v2 streams and i8 sections); and a
-//! file that commit wrote, `tests/fixtures/parent_v3.gsnap`, which must
+//! (the last one that also carried v1/v2 streams and i8 sections) and at
+//! 885be8c (the last one with a single-task option); and a
+//! file bfcfe20 wrote, `tests/fixtures/parent_v3.gsnap`, which must
 //! load, serve the predictions its source model served, and re-serialise
 //! to the same bytes. Files written before the
 //! legacy paths were retired keep working, and files written after are
 //! readable by builds from before. What those builds could also read is
-//! now a typed error: version 1 and 2 headers, and i8 (tag 1) sections.
+//! now a typed error: version 1 and 2 headers, i8 (tag 1) sections and
+//! single-task files (tasks flag 0).
 //! Run under `--release` in CI.
 
 use gamora::snapshot::{read_snapshot, write_snapshot, SNAPSHOT_ALIGN, SNAPSHOT_MAGIC};
@@ -54,8 +56,10 @@ fn image_of(reasoner: &GamoraReasoner) -> Vec<u8> {
 }
 
 /// Untrained reasoners are a pure function of their config (seeded
-/// Glorot weights, zero biases), so their images are too. The hashes were
-/// printed by `write_snapshot` at commit bfcfe20.
+/// Glorot weights, zero biases), so their images are too. The `shallow`
+/// hash was printed by `write_snapshot` at commit bfcfe20, the `custom`
+/// one by `write_snapshot` at commit 885be8c, the last writer with a
+/// single-task option, for the same config with one head per task.
 #[test]
 fn v3_image_hash_is_pinned_to_the_parent_commit() {
     let shallow = GamoraReasoner::new(ReasonerConfig::default());
@@ -66,12 +70,11 @@ fn v3_image_hash_is_pinned_to_the_parent_commit() {
         },
         feature_mode: FeatureMode::Structural,
         direction: Direction::Fanin,
-        multi_task: false,
         seed: 0x5EED,
     });
     for (reasoner, len, want) in [
         (shallow, 31752, 0x5fb3e4fa562f8faf_u64),
-        (custom, 30784, 0xddcf0c2a1fec46c5),
+        (custom, 29960, 0xa76ff000c67bfc85),
     ] {
         let image = image_of(&reasoner);
         let got = fx(&image);
@@ -185,6 +188,7 @@ fn v3_snapshot_uses_the_exact_documented_layout() {
     assert_eq!(buf[8], 2, "custom depth tag");
     assert_eq!(u32_at(9), 2, "layers");
     assert_eq!(u32_at(13), 8, "hidden");
+    assert_eq!(buf[19], 1, "tasks flag");
 
     const ENTRY: usize = 1 + 4 + 4 + 8 + 8; // tag, rows, cols, offset, len
     let count = u32_at(28) as usize;

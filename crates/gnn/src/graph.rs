@@ -28,7 +28,9 @@ type EdgeStream<'a> = &'a dyn Fn(&mut dyn FnMut(u32, u32));
 /// The AIG's natural edges run fanin → node. Adder roots must "see" their
 /// sibling root through a shared fanin (two hops against the edge
 /// direction), so the paper-faithful default in the pipeline crate is
-/// [`Direction::Bidirectional`]; the others exist for the ablation bench.
+/// [`Direction::Bidirectional`]; the others are the message-direction
+/// ablation, recorded as the `direction-*` rows of the workspace's
+/// `REPRO.md`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Direction {
     /// Aggregate from fanins (edge sources).

@@ -274,27 +274,6 @@ pub struct ModelConfig {
 }
 
 impl ModelConfig {
-    /// The paper's shallow model: 4 layers, 32 hidden channels.
-    pub fn shallow(in_dim: usize, task_classes: Vec<usize>) -> ModelConfig {
-        ModelConfig {
-            in_dim,
-            hidden: 32,
-            layers: 4,
-            shared_dim: 32,
-            task_classes,
-            seed: 0x6A3017A,
-        }
-    }
-
-    /// The paper's deep model: 8 layers, 80 hidden channels.
-    pub fn deep(in_dim: usize, task_classes: Vec<usize>) -> ModelConfig {
-        ModelConfig {
-            hidden: 80,
-            layers: 8,
-            ..ModelConfig::shallow(in_dim, task_classes)
-        }
-    }
-
     /// Rows per group of the inference forward: as many as keep the
     /// widest activation matrix of a group within 256 KiB, a measured
     /// constant of this crate.
@@ -840,24 +819,27 @@ mod tests {
         assert_eq!(cut(1, &[1, 1]), [(0, 1), (1, 2)]);
     }
 
-    #[test]
-    fn paper_configs() {
-        let shallow = ModelConfig::shallow(3, vec![4, 2, 2]);
-        assert_eq!((shallow.layers, shallow.hidden), (4, 32));
-        let deep = ModelConfig::deep(3, vec![4, 2, 2]);
-        assert_eq!((deep.layers, deep.hidden), (8, 80));
-        let m = MultiTaskSage::new(deep);
-        assert_eq!(m.num_tasks(), 3);
-        assert!(m.num_params() > 50_000, "deep model is non-trivial");
-    }
-
     /// `ModelConfig::linear_shapes` is exactly what a built model holds.
     #[test]
     fn linear_shapes_match_the_built_model() {
         for config in [
             tiny_model().config().clone(),
-            ModelConfig::deep(3, vec![4, 2, 2]),
-            ModelConfig::shallow(5, vec![7]),
+            ModelConfig {
+                in_dim: 3,
+                hidden: 80,
+                layers: 8,
+                shared_dim: 32,
+                task_classes: vec![4, 2, 2],
+                seed: 0x6A3017A,
+            },
+            ModelConfig {
+                in_dim: 5,
+                hidden: 32,
+                layers: 4,
+                shared_dim: 32,
+                task_classes: vec![7],
+                seed: 0x6A3017A,
+            },
         ] {
             let built: Vec<(usize, usize)> = MultiTaskSage::new_zeroed(config.clone())
                 .linears()

@@ -274,7 +274,14 @@ fn model_embeddings_cap_invariant_large() {
         &mut graph,
     );
     let x = feature_ramp(num_nodes, 3);
-    let model = MultiTaskSage::new(ModelConfig::shallow(3, vec![4, 2, 2]));
+    let model = MultiTaskSage::new(ModelConfig {
+        in_dim: 3,
+        hidden: 32,
+        layers: 4,
+        shared_dim: 32,
+        task_classes: vec![4, 2, 2],
+        seed: 0x6A3017A,
+    });
     let serial_logits = {
         let _one = CapGuard::set(1);
         model.forward(&graph, &x)

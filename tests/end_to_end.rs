@@ -208,16 +208,6 @@ fn corrupt_snapshots_are_rejected() {
     ));
 }
 
-/// Multi-task training stays within one point of mean accuracy of the
-/// collapsed single-task formulation on the same budget (`REPRO.md` rows
-/// `fig4-full` and `fig4-tasks`). The paper's Figure 4 has multi-task
-/// ahead; on this shallow setup single-task leads by a fraction of a
-/// point, so the row's verdict is "no".
-#[test]
-fn multi_task_beats_single_task() {
-    figures::assert_rows_hold(figures::task_rows());
-}
-
 /// Every row of `REPRO.md` whose bound is a range holds it; prints the
 /// table with the fresh numbers.
 #[test]
