@@ -30,13 +30,16 @@ pub fn build_graph(aig: &Aig, direction: Direction) -> Graph {
 }
 
 /// [`build_graph`] into a caller-owned graph: streams `aig`'s edges
-/// directly into the reused CSR arrays (no intermediate edge vector, no
-/// heap allocation once `out` is at capacity).
+/// directly into the reused CSR arrays as one section (no intermediate
+/// edge vector, no heap allocation once `out` is at capacity).
 pub fn build_graph_into(aig: &Aig, direction: Direction, out: &mut Graph) {
-    Graph::from_edges_into(
-        aig.num_nodes(),
+    let n = aig.num_nodes();
+    Graph::from_sections_into(
+        n,
         direction,
-        |sink| aig.for_each_edge(|s, d| sink(s.as_u32(), d.as_u32())),
+        1,
+        |_| (0, n),
+        |_, sink| aig.for_each_edge(|s, d| sink(s.as_u32(), d.as_u32())),
         out,
     );
 }
@@ -53,11 +56,6 @@ pub fn labelled_graph(aig: &Aig, mode: FeatureMode, direction: Direction) -> (Gr
         labels: task_targets(&analysis.labels),
     };
     (data, analysis)
-}
-
-/// Builds an *unlabelled* [`GraphData`] (inference only; labels empty).
-pub fn inference_graph(aig: &Aig, mode: FeatureMode, direction: Direction) -> (Graph, Matrix) {
-    (build_graph(aig, direction), build_features(aig, mode))
 }
 
 /// Reusable buffers for zero-copy batch assembly: the merged

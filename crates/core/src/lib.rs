@@ -12,7 +12,11 @@
 //! 1. [`features`] — the paper's 3-bit functional node encoding;
 //! 2. [`labels`] — ground-truth targets from exact analysis
 //!    (`gamora-exact`);
-//! 3. [`GamoraReasoner`] — train on small multipliers, infer on large ones;
+//! 3. [`GamoraReasoner`] — train on small multipliers, infer on large
+//!    ones. Inference has one path,
+//!    [`GamoraReasoner::predict_batch_into_timed`]: netlists are merged
+//!    into one disjoint-union graph (the paper's Fig. 8 batching), and a
+//!    lone netlist is a batch of one;
 //! 4. [`extract_from_predictions`] — pair predicted XOR/MAJ roots into
 //!    adders;
 //! 5. [`lsb_correction`] — the paper's post-processing fix for the

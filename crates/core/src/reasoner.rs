@@ -1,13 +1,13 @@
 //! The Gamora reasoner: train on small netlists, infer node functions on
 //! large ones (paper §III).
 
-use crate::dataset::{assemble_batch_into, inference_graph, labelled_graph, BatchScratch};
+use crate::dataset::{assemble_batch_into, labelled_graph, BatchScratch};
 use crate::features::{FeatureMode, FEATURE_DIM};
 use crate::labels::TASK_CLASSES;
 use gamora_aig::Aig;
 use gamora_gnn::loss::argmax;
 use gamora_gnn::{
-    for_each_group, train, Direction, ForwardObserver, Graph, GraphData, InferenceScratch, Matrix,
+    for_each_group, train, Direction, ForwardObserver, GraphData, InferenceScratch, Matrix,
     ModelConfig, MultiTaskSage, TrainConfig, TrainReport,
 };
 use std::time::Instant;
@@ -201,59 +201,10 @@ impl GamoraReasoner {
         train(&mut self.model, &data, cfg)
     }
 
-    /// Creates a reusable inference workspace for this reasoner.
-    ///
-    /// Buffers are sized lazily on first use, so a fresh scratch is cheap;
-    /// the point is to *keep* one per worker/thread and pass it to
-    /// [`GamoraReasoner::predict_prepared_into`] /
-    /// [`GamoraReasoner::predict_batch_into_timed`], which then run
-    /// allocation-free once warmed up.
-    pub fn scratch(&self) -> InferenceScratch {
-        InferenceScratch::default()
-    }
-
-    /// Creates a reusable batch-assembly workspace for this reasoner.
-    ///
-    /// Like [`GamoraReasoner::scratch`], buffers are sized lazily: keep
-    /// one per worker and pass it to
-    /// [`GamoraReasoner::predict_batch_into_timed`], which then assembles
-    /// the merged batch graph and features without heap allocation once
-    /// warmed up.
-    pub fn batch_scratch(&self) -> BatchScratch {
-        BatchScratch::default()
-    }
-
-    /// Predicts node functions for a netlist.
+    /// Predicts node functions for a netlist: a batch of one.
     pub fn predict(&self, aig: &Aig) -> Predictions {
-        let (graph, features) =
-            inference_graph(aig, self.config.feature_mode, self.config.direction);
-        let mut out = Predictions::default();
-        self.predict_prepared_into(
-            &mut InferenceScratch::default(),
-            &graph,
-            &features,
-            &mut out,
-        );
-        out
-    }
-
-    /// The allocation-free single-graph core: predicts on a pre-built
-    /// graph into a caller-owned [`Predictions`] through a caller-owned
-    /// workspace.
-    /// After one warmup call at a given graph size, subsequent calls at
-    /// the same or smaller size perform **zero heap allocations** (guarded
-    /// by the `alloc_regression` test) while the tensor kernels stay
-    /// serial; graphs large enough to cross `gamora_gnn::parallel`'s
-    /// per-thread row cutoff spawn scoped worker threads, which allocate.
-    pub fn predict_prepared_into(
-        &self,
-        scratch: &mut InferenceScratch,
-        graph: &Graph,
-        features: &Matrix,
-        out: &mut Predictions,
-    ) {
-        let logits = self.model.infer(graph, features, scratch, None);
-        decode_logits(logits, 0..graph.num_nodes(), out);
+        let mut outs = self.predict_batch(&[aig]);
+        outs.pop().expect("one prediction per netlist")
     }
 
     /// Runs batched inference over several netlists in one forward pass
@@ -285,8 +236,11 @@ impl GamoraReasoner {
     /// given size, the entire pipeline — graph construction included —
     /// performs **zero heap allocations** at the same or smaller sizes,
     /// even with fluctuating batch sizes, while the kernels stay on their
-    /// serial path (see [`GamoraReasoner::predict_prepared_into`]); guarded
-    /// by the `alloc_regression` test.
+    /// serial path (one kernel thread, or a batch below
+    /// `gamora_gnn::parallel`'s per-thread row cutoff; above it, the
+    /// scoped worker threads spawned per call allocate); guarded by the
+    /// `alloc_regression` test. Keep one `batch` and one `scratch` per
+    /// worker: both start empty (`Default`) and grow on first use.
     ///
     /// Returns the wall time of batch assembly, GNN forward and prediction
     /// decode, and reports per-layer forward stages to `observer` when one
@@ -398,7 +352,7 @@ pub fn score_predictions(preds: &Predictions, labels: &gamora_exact::Labels) -> 
 
 /// Estimated heap a batched prediction holds, in bytes, for netlists of
 /// `job_nodes` nodes each and `num_edges` aggregation edges in all
-/// ([`Graph::num_edges`]: two per AIG edge under
+/// ([`gamora_gnn::Graph::num_edges`]: two per AIG edge under
 /// [`Direction::Bidirectional`]) — the analytic model behind the Figure 8
 /// memory column. Two kinds of term:
 ///
@@ -477,9 +431,9 @@ mod tests {
         assert!(report.mean() > 0.8, "{report}");
     }
 
-    /// One scratch workspace and one output reused across differently
-    /// sized netlists yield predictions bit-identical to fresh-scratch
-    /// calls.
+    /// One batch and one inference scratch, and one output, reused across
+    /// one-netlist batches of different sizes yield predictions
+    /// bit-identical to fresh `predict` calls.
     #[test]
     fn reused_scratch_is_bit_identical() {
         let m1 = csa_multiplier(3);
@@ -498,18 +452,14 @@ mod tests {
                 ..quick_cfg()
             },
         );
-        let mut scratch = reasoner.scratch();
-        let mut out = Predictions::default();
+        let mut batch = BatchScratch::default();
+        let mut scratch = InferenceScratch::default();
+        let mut outs = Vec::new();
         // Big netlist first, then a smaller one into the same buffers,
         // then the small one again (refill without drift).
         for aig in [&m2.aig, &m1.aig, &m1.aig] {
-            let (graph, features) = inference_graph(
-                aig,
-                reasoner.config().feature_mode,
-                reasoner.config().direction,
-            );
-            reasoner.predict_prepared_into(&mut scratch, &graph, &features, &mut out);
-            assert_eq!(out, reasoner.predict(aig));
+            reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &[aig], &mut outs, None);
+            assert_eq!(outs, [reasoner.predict(aig)]);
         }
     }
 

@@ -1,14 +1,13 @@
 //! Steady-state allocation regression guard for the inference hot path.
 //!
-//! The whole point of the tape/scratch refactor is that a warmed-up
-//! `predict_prepared_into` call performs **zero** heap allocations: every
-//! buffer (per-layer activations, aggregation scratch, logits, the output
-//! `Predictions`) is reused at its high-water capacity. Since the
-//! zero-copy batch-assembly work, the same holds for the **full** path
-//! from raw `&Aig`s — graph construction, feature encoding, batch
-//! assembly and the forward pass (`predict_batch_into_timed`). These tests
-//! install a counting global allocator and fail if either steady state
-//! ever touches the heap again.
+//! A lone netlist is a batch of one, so there is one inference path: from
+//! raw `&Aig`s — graph construction, feature encoding, batch assembly and
+//! the forward pass (`predict_batch_into_timed`) — a warmed-up call
+//! performs **zero** heap allocations, every buffer (CSR arrays, merged
+//! features, per-layer activations, logits, the output `Predictions`)
+//! reused at its high-water capacity. These tests install the shared
+//! counting global allocator and fail if that steady state ever touches
+//! the heap again.
 //!
 //! The allocator also keeps the *bytes* the measuring thread holds, for
 //! the footprint guards: what a worker's scratch retains is sized by the
@@ -16,130 +15,23 @@
 //! there, and not by the batch times the hidden width.
 //!
 //! The allocator is process-wide, so the tests in this binary serialise
-//! on a mutex and counting is additionally gated on a thread-local flag:
-//! only the measuring thread inside its measured window is observed — the
-//! libtest harness thread runs concurrently and its channel waits can
-//! allocate at arbitrary points.
+//! on a mutex, and it counts only the measuring thread inside its
+//! measured window.
 
-use gamora::{GamoraReasoner, ModelDepth, Predictions, ReasonerConfig, TrainConfig};
+use gamora::{
+    BatchScratch, GamoraReasoner, InferenceScratch, ModelDepth, Predictions, ReasonerConfig,
+    TrainConfig,
+};
 use gamora_aig::Aig;
 use gamora_circuits::csa_multiplier;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use request_counting::counting;
 use std::sync::Mutex;
 
-/// Serialises the measuring tests (one process-wide counter).
+#[path = "../../../tests/support/request_counting.rs"]
+mod request_counting;
+
+/// Serialises the measuring tests (one process-wide allocator).
 static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
-
-/// Bytes requested minus bytes released by the measuring thread inside its
-/// measured windows (wrapping: a window may release what an earlier one
-/// requested).
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-std::thread_local! {
-    /// Set only on the measuring thread, only around the measured window.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counting_here() -> bool {
-    // `try_with` so allocations during TLS teardown never panic.
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-/// System allocator wrapper that counts allocation calls on the opted-in
-/// thread (deallocations are free to happen; only new acquisitions
-/// indicate churn).
-struct CountingAlloc;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the wrapper only bumps atomic counters and reads
-// a thread-local flag, neither of which allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_here() {
-            ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-            LIVE_BYTES.fetch_add(layout.size(), Ordering::SeqCst);
-        }
-        // SAFETY: the caller's `layout` obligations pass through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if counting_here() {
-            LIVE_BYTES.fetch_sub(layout.size(), Ordering::SeqCst);
-        }
-        // SAFETY: `ptr` was allocated by `System` (through this wrapper)
-        // with `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_here() {
-            ALLOC_CALLS.fetch_add(1, Ordering::SeqCst);
-            LIVE_BYTES.fetch_add(new_size.wrapping_sub(layout.size()), Ordering::SeqCst);
-        }
-        // SAFETY: `ptr`, `layout` and `new_size` meet `realloc`'s contract
-        // by the caller's guarantee, and `ptr` came from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-#[test]
-fn predict_prepared_into_is_allocation_free_after_warmup() {
-    let _guard = TEST_LOCK.lock().unwrap();
-    let m = csa_multiplier(4);
-    let mut reasoner = GamoraReasoner::new(ReasonerConfig {
-        depth: ModelDepth::Custom {
-            layers: 3,
-            hidden: 16,
-        },
-        ..ReasonerConfig::default()
-    });
-    reasoner.fit(
-        &[&m.aig],
-        &TrainConfig {
-            epochs: 5,
-            ..TrainConfig::default()
-        },
-    );
-    let reasoner = reasoner; // frozen: inference is `&self` from here on
-
-    let (graph, features) = gamora::dataset::inference_graph(
-        &m.aig,
-        reasoner.config().feature_mode,
-        reasoner.config().direction,
-    );
-    let mut scratch = reasoner.scratch();
-    let mut out = Predictions::default();
-
-    // Warmup: buffers grow to their high-water marks.
-    reasoner.predict_prepared_into(&mut scratch, &graph, &features, &mut out);
-    let expected = out.clone();
-
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..32 {
-        reasoner.predict_prepared_into(&mut scratch, &graph, &features, &mut out);
-    }
-    COUNTING.with(|c| c.set(false));
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state predict_prepared_into must not allocate"
-    );
-
-    // And the allocation-free passes still compute the right thing.
-    assert_eq!(out.root_leaf, expected.root_leaf);
-    assert_eq!(out.is_xor, expected.is_xor);
-    assert_eq!(out.is_maj, expected.is_maj);
-}
 
 /// The *entire* batch pipeline from raw `&Aig`s — streaming graph
 /// construction, feature encoding, disjoint-union batch assembly, the
@@ -171,8 +63,8 @@ fn predict_batch_into_full_path_is_allocation_free_after_warmup() {
     // Mixed sizes in one batch, largest not first, so the split offsets
     // and capacity-reuse paths all get exercised.
     let aigs: Vec<&Aig> = vec![&m4.aig, &m3.aig, &m5.aig];
-    let mut batch = reasoner.batch_scratch();
-    let mut scratch = reasoner.scratch();
+    let mut batch = BatchScratch::default();
+    let mut scratch = InferenceScratch::default();
     let mut outs: Vec<Predictions> = Vec::new();
 
     // Warmup: every buffer — CSR arrays, merged features, forward
@@ -181,16 +73,13 @@ fn predict_batch_into_full_path_is_allocation_free_after_warmup() {
     reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
     let expected = outs.clone();
 
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..32 {
-        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
-    }
-    COUNTING.with(|c| c.set(false));
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    let ((), counts) = counting(|| {
+        for _ in 0..32 {
+            reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        counts.calls, 0,
         "steady-state predict_batch_into_timed (graph build + features + batch \
          assembly + forward) must not allocate"
     );
@@ -202,16 +91,14 @@ fn predict_batch_into_full_path_is_allocation_free_after_warmup() {
     let small: Vec<&Aig> = vec![&m3.aig];
     reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &small, &mut outs, None);
     let expected_small = outs.clone();
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..8 {
-        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &small, &mut outs, None);
-        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
-    }
-    COUNTING.with(|c| c.set(false));
+    let ((), counts) = counting(|| {
+        for _ in 0..8 {
+            reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &small, &mut outs, None);
+            reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
+        }
+    });
     assert_eq!(
-        ALLOC_CALLS.load(Ordering::SeqCst) - before,
-        0,
+        counts.calls, 0,
         "alternating batch sizes must recycle warmed buffers, not reallocate"
     );
     assert_eq!(outs, expected);
@@ -280,8 +167,8 @@ fn instrumented_batch_path_is_allocation_free_after_warmup() {
     };
 
     let aigs: Vec<&Aig> = vec![&m4.aig, &m3.aig];
-    let mut batch = reasoner.batch_scratch();
-    let mut scratch = reasoner.scratch();
+    let mut batch = BatchScratch::default();
+    let mut scratch = InferenceScratch::default();
     let mut outs: Vec<Predictions> = Vec::new();
 
     // Warmup (already instrumented: the observer must never allocate,
@@ -289,22 +176,19 @@ fn instrumented_batch_path_is_allocation_free_after_warmup() {
     reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, Some(&observer));
     let expected = outs.clone();
 
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..32 {
-        reasoner.predict_batch_into_timed(
-            &mut batch,
-            &mut scratch,
-            &aigs,
-            &mut outs,
-            Some(&observer),
-        );
-    }
-    COUNTING.with(|c| c.set(false));
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    let ((), counts) = counting(|| {
+        for _ in 0..32 {
+            reasoner.predict_batch_into_timed(
+                &mut batch,
+                &mut scratch,
+                &aigs,
+                &mut outs,
+                Some(&observer),
+            );
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        counts.calls, 0,
         "steady-state instrumented predict_batch_into_timed (stage timing \
          + per-layer histogram recording) must not allocate"
     );
@@ -350,24 +234,21 @@ fn sectioned_assembly_serial_dispatch_is_allocation_free_after_warmup() {
     let reasoner = reasoner;
 
     let aigs: Vec<&Aig> = vec![&m16.aig, &m16.aig, &m16.aig, &m16.aig];
-    let mut batch = reasoner.batch_scratch();
-    let mut scratch = reasoner.scratch();
+    let mut batch = BatchScratch::default();
+    let mut scratch = InferenceScratch::default();
     let mut outs: Vec<Predictions> = Vec::new();
 
     reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
     let expected = outs.clone();
 
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..4 {
-        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
-    }
-    COUNTING.with(|c| c.set(false));
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    let ((), counts) = counting(|| {
+        for _ in 0..4 {
+            reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
+        }
+    });
     gamora_gnn::parallel::set_intra_threads(prev_cap);
     assert_eq!(
-        after - before,
-        0,
+        counts.calls, 0,
         "serial-dispatch sectioned batch assembly must not allocate after warmup"
     );
     assert_eq!(outs, expected);
@@ -406,16 +287,14 @@ fn sectioned_build_at_a_two_thread_cap_is_allocation_free_after_warmup() {
     build(&mut graph);
     let edges = graph.num_edges();
 
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..4 {
-        build(&mut graph);
-    }
-    COUNTING.with(|c| c.set(false));
-    let allocations = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    let ((), counts) = counting(|| {
+        for _ in 0..4 {
+            build(&mut graph);
+        }
+    });
     gamora_gnn::parallel::set_intra_threads(prev_cap);
     assert_eq!(
-        allocations, 0,
+        counts.calls, 0,
         "a warm sectioned build must not allocate at a two-thread cap"
     );
     assert_eq!(graph.num_edges(), edges);
@@ -451,13 +330,9 @@ fn postprocess_allocates_only_its_result_after_warmup() {
     let expected = post.run(&subject.aig, &preds);
     assert!(!expected.is_empty());
 
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    let adders = post.run(&subject.aig, &preds);
-    COUNTING.with(|c| c.set(false));
+    let (adders, counts) = counting(|| post.run(&subject.aig, &preds));
     assert_eq!(
-        ALLOC_CALLS.load(Ordering::SeqCst) - before,
-        1,
+        counts.calls, 1,
         "a warm post-process allocates the returned list and nothing else"
     );
     assert_eq!(adders, expected);
@@ -465,13 +340,9 @@ fn postprocess_allocates_only_its_result_after_warmup() {
     for params in [CutParams::for_adder_extraction(), CutParams::default()] {
         let mut cuts = CutSets::default();
         cuts.fill(&subject.aig, &params);
-        let before = ALLOC_CALLS.load(Ordering::SeqCst);
-        COUNTING.with(|c| c.set(true));
-        cuts.fill(&subject.aig, &params);
-        COUNTING.with(|c| c.set(false));
+        let ((), counts) = counting(|| cuts.fill(&subject.aig, &params));
         assert_eq!(
-            ALLOC_CALLS.load(Ordering::SeqCst) - before,
-            0,
+            counts.calls, 0,
             "enumerating into a warm arena must not allocate"
         );
     }
@@ -494,27 +365,25 @@ fn live_bytes_after(reasoner: &GamoraReasoner, aig: &Aig, batches: &[usize]) -> 
     let largest: Vec<&Aig> = vec![aig; *batches.iter().max().expect("one batch")];
     let prev_cap = gamora_gnn::parallel::intra_threads();
     gamora_gnn::parallel::set_intra_threads(1);
-    let before = LIVE_BYTES.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    let mut batch = reasoner.batch_scratch();
-    let mut scratch = reasoner.scratch();
-    let mut outs: Vec<Predictions> = Vec::new();
-    for &jobs in batches {
-        reasoner.predict_batch_into_timed(
-            &mut batch,
-            &mut scratch,
-            &largest[..jobs],
-            &mut outs,
-            None,
-        );
-    }
-    COUNTING.with(|c| c.set(false));
-    let live = LIVE_BYTES.load(Ordering::SeqCst).wrapping_sub(before);
+    // The scratch is returned, so it is released outside the window.
+    let ((_, _, outs), counts) = counting(|| {
+        let mut batch = BatchScratch::default();
+        let mut scratch = InferenceScratch::default();
+        let mut outs: Vec<Predictions> = Vec::new();
+        for &jobs in batches {
+            reasoner.predict_batch_into_timed(
+                &mut batch,
+                &mut scratch,
+                &largest[..jobs],
+                &mut outs,
+                None,
+            );
+        }
+        (batch, scratch, outs)
+    });
     gamora_gnn::parallel::set_intra_threads(prev_cap);
     assert_eq!(outs.len(), *batches.last().expect("one batch"));
-    // The scratch is released outside the window: rewind the counter.
-    LIVE_BYTES.store(before, Ordering::SeqCst);
-    live
+    counts.live
 }
 
 /// A worker's scratch does not remember how it grew: a batch one netlist
@@ -637,15 +506,8 @@ fn the_reverse_adjacency_is_derived_by_the_first_backward_only() {
         let n = graph.num_nodes();
         let grad = Matrix::from_vec(n, 3, (0..3 * n).map(|i| (i % 17) as f32 - 8.0).collect());
         let mut out = Matrix::zeros(n, 3);
-        let (calls, bytes) = (
-            ALLOC_CALLS.load(Ordering::SeqCst),
-            LIVE_BYTES.load(Ordering::SeqCst),
-        );
-        COUNTING.with(|c| c.set(true));
-        graph.mean_aggregate_backward_add(&grad, &mut out);
-        COUNTING.with(|c| c.set(false));
-        let bytes = LIVE_BYTES.load(Ordering::SeqCst).wrapping_sub(bytes);
-        (bytes, ALLOC_CALLS.load(Ordering::SeqCst) - calls, out)
+        let ((), counts) = counting(|| graph.mean_aggregate_backward_add(&grad, &mut out));
+        (counts.live, counts.calls, out)
     }
     /// The reverse adjacency is a boxed `Graph` of its own: offsets and
     /// fill cursor, a neighbour per edge, an inverse degree per node.
@@ -707,7 +569,7 @@ fn the_reverse_adjacency_is_derived_by_the_first_backward_only() {
 #[test]
 fn several_groups_are_allocation_free_after_warmup_observed_or_not() {
     use gamora::{ForwardObserver, ForwardStage};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[derive(Default)]
     struct Calls(AtomicU64);
@@ -723,23 +585,30 @@ fn several_groups_are_allocation_free_after_warmup_observed_or_not() {
     let aigs: Vec<&Aig> = vec![&subject.aig, &small.aig, &subject.aig, &subject.aig];
     let prev_cap = gamora_gnn::parallel::intra_threads();
     gamora_gnn::parallel::set_intra_threads(1);
-    let mut batch = reasoner.batch_scratch();
-    let mut scratch = reasoner.scratch();
+    let mut batch = BatchScratch::default();
+    let mut scratch = InferenceScratch::default();
     let mut outs: Vec<Predictions> = Vec::new();
     let calls = Calls::default();
     reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, Some(&calls));
     let expected = outs.clone();
 
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..4 {
-        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
-        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, Some(&calls));
-    }
-    COUNTING.with(|c| c.set(false));
-    let allocations = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    let ((), counts) = counting(|| {
+        for _ in 0..4 {
+            reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
+            reasoner.predict_batch_into_timed(
+                &mut batch,
+                &mut scratch,
+                &aigs,
+                &mut outs,
+                Some(&calls),
+            );
+        }
+    });
     gamora_gnn::parallel::set_intra_threads(prev_cap);
-    assert_eq!(allocations, 0, "warm group-major batches must not allocate");
+    assert_eq!(
+        counts.calls, 0,
+        "warm group-major batches must not allocate"
+    );
     assert_eq!(outs, expected);
     for (out, aig) in outs.iter().zip(&aigs) {
         assert_eq!(
@@ -783,13 +652,9 @@ fn a_training_epoch_is_allocation_free_after_one_step_per_graph_size() {
     let mut trainer = Trainer::new(&TrainConfig::default());
     let warm_up = trainer.epoch(&mut model, &data);
 
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    let loss = trainer.epoch(&mut model, &data);
-    COUNTING.with(|c| c.set(false));
-    let allocations = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    let (loss, counts) = counting(|| trainer.epoch(&mut model, &data));
     assert_eq!(
-        allocations, 0,
+        counts.calls, 0,
         "a steady-state training epoch must not allocate"
     );
     assert!(loss.is_finite() && loss < warm_up, "{warm_up} -> {loss}");

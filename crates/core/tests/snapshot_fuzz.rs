@@ -24,7 +24,7 @@ use gamora::snapshot::{read_snapshot, write_snapshot};
 use gamora::{GamoraReasoner, ModelDepth, ReasonerConfig, SnapshotError, TrainConfig};
 use gamora_aig::hasher::FxHasher;
 use proptest::prelude::*;
-use request_counting::counting_requests;
+use request_counting::counting;
 use std::hash::Hasher;
 use std::sync::OnceLock;
 
@@ -224,7 +224,8 @@ proptest! {
             return; // the file's own config
         }
         let bytes = with_resigned_depth(base, tag, layers, hidden);
-        let (result, requested) = counting_requests(|| read_snapshot(&bytes[..]));
+        let (result, counts) = counting(|| read_snapshot(&bytes[..]));
+        let requested = counts.requested;
         prop_assert!(
             matches!(result, Err(SnapshotError::Corrupt(_))),
             "depth ({tag}, {layers}, {hidden}) must be Corrupt, got {:?}",
@@ -341,7 +342,8 @@ fn huge_header_lengths_fail_before_allocating() {
     assert!(err.to_string().contains("corrupt"), "{err}");
 
     let bytes = with_resigned_depth(base, 2, 1024, 65536);
-    let (result, requested) = counting_requests(|| read_snapshot(&bytes[..]));
+    let (result, counts) = counting(|| read_snapshot(&bytes[..]));
+    let requested = counts.requested;
     let err = result.expect_err("1024 x 65536 config");
     assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
     assert!(

@@ -45,7 +45,7 @@ pub enum Direction {
 /// A fixed graph in CSR form, ready for mean aggregation and its backward
 /// pass.
 ///
-/// A `Graph` is also its own assembly scratch: [`Graph::from_edges_into`]
+/// A `Graph` is also its own assembly scratch: [`Graph::from_sections_into`]
 /// rebuilds every CSR array in place, reusing high-water capacity, so a
 /// serve worker can stream a fresh (batch) graph into the same instance on
 /// every request without touching the heap. An array that is too small
@@ -54,7 +54,7 @@ pub enum Direction {
 pub struct Graph {
     num_nodes: usize,
     /// First node of every section, as [`Graph::from_sections_into`]
-    /// checked them; empty when the graph was built any other way.
+    /// checked them.
     sections: Vec<usize>,
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
@@ -68,17 +68,20 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds a graph from `(src, dst)` edges under the given direction.
+    /// Builds a graph from `(src, dst)` edges under the given direction:
+    /// one section over every node.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of `0..num_nodes`.
     pub fn from_edges(num_nodes: usize, edges: &[(u32, u32)], direction: Direction) -> Graph {
         let mut out = Graph::default();
-        Graph::from_edges_into(
+        Graph::from_sections_into(
             num_nodes,
             direction,
-            |sink| {
+            1,
+            |_| (0, num_nodes),
+            |_, sink| {
                 for &(s, d) in edges {
                     sink(s, d);
                 }
@@ -88,49 +91,33 @@ impl Graph {
         out
     }
 
-    /// Streams edges into a caller-owned graph, rebuilding its CSR arrays
-    /// in place: no intermediate edge list, no reverse-pair
-    /// materialisation, and zero heap allocation once `out`'s buffers have
-    /// reached their high-water capacity.
+    /// Streams edges into a caller-owned graph over a *sectioned* node
+    /// space, rebuilding its CSR arrays in place: no intermediate edge
+    /// list, no reverse-pair materialisation, and zero heap allocation once
+    /// `out`'s buffers have reached their high-water capacity.
     ///
-    /// `edges` must stream the same `(src, dst)` sequence every time it is
-    /// invoked — it is called twice, once to count per-node degrees and
-    /// once to fill the CSR slots. A reverse adjacency `out` derived for
-    /// its previous graph is dropped.
+    /// The nodes `0..num_nodes` are tiled by `num_sections` contiguous
+    /// sections (`span(i)` returns section `i`'s `(first_node,
+    /// node_count)`), and `edges(i, sink)` streams section `i`'s edges,
+    /// **both endpoints of which must lie inside section `i`**.
+    /// Disjoint-union batches satisfy this by construction — one section
+    /// per constituent, no cross-constituent edges — and a lone graph is
+    /// the one section `(0, num_nodes)`.
     ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of `0..num_nodes`, if the prefix-summed
-    /// edge count overflows the u32 CSR index, or (debug only) if the two
-    /// `edges` invocations stream different sequences.
-    pub fn from_edges_into<F>(num_nodes: usize, direction: Direction, edges: F, out: &mut Graph)
-    where
-        F: Fn(&mut dyn FnMut(u32, u32)),
-    {
-        out.sections.clear();
-        out.reverse.take();
-        Graph::build_csr(num_nodes, direction, &edges, out);
-    }
-
-    /// [`Graph::from_edges_into`] over a *sectioned* node space: the nodes
-    /// `0..num_nodes` are tiled by `num_sections` contiguous sections
-    /// (`span(i)` returns section `i`'s `(first_node, node_count)`), and
-    /// `edges(i, sink)` streams section `i`'s edges, **both endpoints of
-    /// which must lie inside section `i`**. Disjoint-union batches satisfy
-    /// this by construction — one section per constituent, no
-    /// cross-constituent edges.
-    ///
-    /// The sections stream, in order, through the same single pass as
-    /// [`Graph::from_edges_into`], so the CSR arrays are those of the
-    /// concatenated stream and a warm `out` is rebuilt without touching the
-    /// heap. What the sections add is the starts the graph keeps, which
-    /// the containment check on every edge makes safe to cut at.
+    /// The sections stream, in order, through one pass, so the CSR arrays
+    /// are those of the concatenated stream. What the sections add is the
+    /// starts the graph keeps, which the containment check on every edge
+    /// makes safe to cut at. `edges` must stream the same sequence every
+    /// time it is invoked — it is called twice per section, once to count
+    /// per-node degrees and once to fill the CSR slots. A reverse adjacency
+    /// `out` derived for its previous graph is dropped.
     ///
     /// # Panics
     ///
     /// Panics if the sections do not tile `0..num_nodes` in order, if an
-    /// edge endpoint leaves its section, or if the prefix-summed edge
-    /// count overflows the u32 CSR index.
+    /// edge endpoint leaves its section, if the prefix-summed edge count
+    /// overflows the u32 CSR index, or (debug only) if the two `edges`
+    /// invocations stream different sequences.
     pub fn from_sections_into<S, F>(
         num_nodes: usize,
         direction: Direction,
@@ -170,8 +157,8 @@ impl Graph {
         );
     }
 
-    /// The CSR build every entry point shares: zero heap allocation once
-    /// `out` is at capacity.
+    /// The CSR build under [`Graph::from_sections_into`] and the reverse
+    /// adjacency: zero heap allocation once `out` is at capacity.
     fn build_csr(num_nodes: usize, direction: Direction, edges: EdgeStream<'_>, out: &mut Graph) {
         assert_node_count(num_nodes);
         let Graph {
@@ -248,16 +235,10 @@ impl Graph {
     }
 
     /// Node count of every section, in order: the spans
-    /// [`Graph::from_sections_into`] was given, or the whole node range as
-    /// one section for a graph built any other way.
+    /// [`Graph::from_sections_into`] was given.
     pub(crate) fn section_rows(&self) -> impl Iterator<Item = usize> + '_ {
-        let starts: &[usize] = if self.sections.is_empty() {
-            &[0]
-        } else {
-            &self.sections
-        };
-        let ends = starts[1..].iter().chain([&self.num_nodes]);
-        starts.iter().zip(ends).map(|(lo, hi)| hi - lo)
+        let ends = self.sections.iter().skip(1).chain([&self.num_nodes]);
+        self.sections.iter().zip(ends).map(|(lo, hi)| hi - lo)
     }
 
     /// The aggregation neighborhood of node `v`.
@@ -489,11 +470,11 @@ mod tests {
         assert_eq!(agg.row(1), &[5.0]);
     }
 
-    /// An in-place rebuild into a reused graph (grow-then-shrink and
-    /// shrink-then-grow) is indistinguishable from fresh construction,
-    /// including the derived reverse adjacency.
+    /// An in-place one-section rebuild into a reused graph
+    /// (grow-then-shrink and shrink-then-grow) is indistinguishable from
+    /// fresh construction, including the derived reverse adjacency.
     #[test]
-    fn from_edges_into_reuse_matches_fresh() {
+    fn one_section_reuse_matches_fresh() {
         let mut g = Graph::default();
         for n in [6usize, 3, 9] {
             let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -502,10 +483,12 @@ mod tests {
                 Direction::Fanout,
                 Direction::Bidirectional,
             ] {
-                Graph::from_edges_into(
+                Graph::from_sections_into(
                     n,
                     dir,
-                    |sink| {
+                    1,
+                    |_| (0, n),
+                    |_, sink| {
                         for &(s, d) in &edges {
                             sink(s, d);
                         }
@@ -546,8 +529,8 @@ mod tests {
         prefix_sum(&mut counts);
     }
 
-    /// A sectioned build over three sections, one of them empty, matches
-    /// the plain streamed build.
+    /// A build over three sections, one of them empty, matches the same
+    /// edges streamed as one section.
     #[test]
     fn sectioned_build_matches_streamed_build() {
         let sections: [&[(u32, u32)]; 3] = [&[(0, 1), (1, 2), (0, 2)], &[], &[(3, 4), (4, 3)]];

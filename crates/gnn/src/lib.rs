@@ -8,8 +8,9 @@
 //!   multi-threaded, register-blocked matmul kernels and fused bias/ReLU
 //!   epilogues (scoped-thread row blocks stand in for the paper's GPU);
 //! * [`Graph`] — CSR message passing with exact adjoint backward;
-//!   [`Graph::from_edges_into`] streams an edge list into a reused
-//!   instance with zero steady-state allocation;
+//!   [`Graph::from_sections_into`] streams the edges of one or more
+//!   disjoint sections into a reused instance with zero steady-state
+//!   allocation;
 //! * [`SageLayer`]/[`Linear`] — layers with hand-derived backward passes,
 //!   validated by finite-difference gradient checks;
 //! * [`MultiTaskSage`] — K-layer trunk + shared linear + per-task softmax

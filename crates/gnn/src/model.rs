@@ -3,9 +3,10 @@
 //! `K` GraphSAGE layers produce node embeddings that fuse structural and
 //! functional information; a shared linear layer (hard parameter sharing)
 //! feeds one softmax classification head per task. The paper's two
-//! configurations are provided as constructors: a *shallow* 4-layer /
-//! 32-hidden model for CSA multipliers and a *deep* 8-layer / 80-hidden
-//! model for Booth multipliers and complex technology mapping.
+//! configurations — a *shallow* 4-layer / 32-hidden model for CSA
+//! multipliers and a *deep* 8-layer / 80-hidden model for Booth
+//! multipliers and complex technology mapping — are the pipeline crate's
+//! `gamora::ModelDepth::dims()` presets.
 //!
 //! **The inference forward is group-major.** The paper merges a batch of
 //! netlists into one graph to fill a GPU; on a CPU, running one layer over

@@ -15,10 +15,9 @@ std::thread_local! {
 
 /// Caps the parallelism of every kernel call made *from the
 /// calling thread* to `limit` threads. `1` forces fully serial execution,
-/// `0` removes the cap. The cap takes precedence over `GAMORA_THREADS`
-/// and hardware detection — it is the per-worker budget a worker pool
-/// sets once on each worker thread after consulting [`num_threads`]
-/// itself.
+/// `0` removes the cap. The cap takes precedence over hardware detection
+/// — it is the per-worker budget a worker pool sets once on each worker
+/// thread after consulting [`num_threads`] itself.
 pub fn set_intra_threads(limit: usize) {
     INTRA_LIMIT.with(|c| c.set(limit));
 }
@@ -29,8 +28,7 @@ pub fn intra_threads() -> usize {
 }
 
 /// Number of worker threads: the calling thread's [`set_intra_threads`]
-/// cap if one is installed, else the `GAMORA_THREADS` env override, else
-/// the machine's available parallelism.
+/// cap if one is installed, else the machine's available parallelism.
 ///
 /// Hardware detection is cached: `available_parallelism` reads cgroup
 /// files on Linux (allocating on every call), which would put heap churn
@@ -39,11 +37,6 @@ pub fn num_threads() -> usize {
     let cap = INTRA_LIMIT.with(|c| c.get());
     if cap > 0 {
         return cap;
-    }
-    if let Ok(v) = std::env::var("GAMORA_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
     }
     static DETECTED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *DETECTED.get_or_init(|| {
@@ -254,6 +247,10 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(num_threads() >= 1);
+        // Uncapped, the count is the machine's and nothing else's.
+        set_intra_threads(0);
+        let detected = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(num_threads(), detected);
     }
 
     #[test]

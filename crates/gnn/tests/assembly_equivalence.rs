@@ -1,5 +1,5 @@
 //! Assembly and cap equivalence: a graph built from sections is
-//! **bit-identical** to the same edges streamed as one list, for every
+//! **bit-identical** to the same edges streamed as one section, for every
 //! direction and across awkward shapes (empty sections, isolated nodes,
 //! duplicate edges), and a rebuilt graph keeps nothing of the one before.
 //! The tiled aggregation kernels and the whole forward give the same bits
@@ -50,17 +50,19 @@ fn spans_of(sections: &[(usize, Vec<(u32, u32)>)]) -> Vec<(usize, usize)> {
     spans.collect()
 }
 
-/// Builds the same sectioned edge set through both entry points and
-/// asserts every observable array is bit-identical.
+/// Builds the same edge set cut into its sections and streamed as one
+/// section, and asserts every observable array is bit-identical.
 fn assert_sectioned_matches_streamed(sections: &[(usize, Vec<(u32, u32)>)], direction: Direction) {
     let spans = spans_of(sections);
     let num_nodes: usize = sections.iter().map(|(n, _)| *n).sum();
 
     let mut serial = Graph::default();
-    Graph::from_edges_into(
+    Graph::from_sections_into(
         num_nodes,
         direction,
-        |sink| {
+        1,
+        |_| (0, num_nodes),
+        |_, sink| {
             for ((_, edges), &(base, _)) in sections.iter().zip(&spans) {
                 for &(s, d) in edges {
                     sink(s + base as u32, d + base as u32);
@@ -149,7 +151,7 @@ proptest! {
     }
 
     /// Under a 1-thread cap, the budget multi-section unions are served
-    /// at, the sectioned entry point still matches the streamed build.
+    /// at, the sectioned build still matches the streamed build.
     #[test]
     fn sectioned_equals_streamed_forced_serial(sections in sections()) {
         let _guard = CapGuard::set(1);
@@ -323,7 +325,7 @@ fn bits(m: &Matrix) -> Vec<u32> {
 
 /// The three ways to put `sections` through `model` agree on every logit
 /// bit: the sectioned union (group-major), the same union streamed as one
-/// edge list (no cuts: one group, layer by layer) and each section as a
+/// section (no cuts: one group, layer by layer) and each section as a
 /// graph of its own. The training forward over the sectioned union is a
 /// fourth.
 fn assert_group_major_matches(
@@ -349,10 +351,12 @@ fn assert_group_major_matches(
         &mut sectioned,
     );
     let mut whole = Graph::default();
-    Graph::from_edges_into(
+    Graph::from_sections_into(
         num_nodes,
         direction,
-        |sink| (0..sections.len()).for_each(|i| offset_edges(i, sink)),
+        1,
+        |_| (0, num_nodes),
+        |_, sink| (0..sections.len()).for_each(|i| offset_edges(i, sink)),
         &mut whole,
     );
     let x = feature_ramp(num_nodes, 3);

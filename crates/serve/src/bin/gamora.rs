@@ -38,8 +38,8 @@ USAGE:
                  [--intra-threads N] [--faults SPEC] FILE.aag [FILE.aig ...]
                  (--batch and --workers are at least 1;
                  --cache 0 disables the structural-hash cache;
-                 --intra-threads 0 = auto: the machine's thread budget,
-                 GAMORA_THREADS if set, divided by --workers)
+                 --intra-threads 0 = auto: the machine's detected cores
+                 divided by --workers)
 
 infer submits its whole file list as one burst and serves with no
 linger window: a short batch has no later companion to wait for.

@@ -46,8 +46,8 @@
 //!
 //! * **Restart in place.** A worker catches a panic of its batch,
 //!   accounts the unanswered jobs as dropped, and replaces its whole
-//!   `WorkerState` with a fresh one over the same `Arc`'d model before
-//!   it claims the next batch, so no scratch a panic may have
+//!   `WorkerState` with a fresh one, keeping the same `Arc`'d model,
+//!   before it claims the next batch, so no scratch a panic may have
 //!   half-written is ever reused. The state holds everything a worker
 //!   owns, and the kernel thread budget, its one thread-local, is set
 //!   once at spawn and never changed on the worker thread, so the
@@ -157,11 +157,11 @@ pub struct ServeConfig {
     pub layer_timing: bool,
     /// Intra-subject parallelism budget per worker: the number of threads
     /// each worker's kernel calls may fan out over (million-node subjects
-    /// parallelise feature encoding, aggregation, and GEMM row blocks). `0` (the default) divides the
-    /// machine's thread budget — `GAMORA_THREADS` if set, detected cores
-    /// otherwise — evenly across `workers`, so worker-level and
-    /// intra-subject parallelism never oversubscribe the machine. `1`
-    /// forces fully serial kernels per worker.
+    /// parallelise feature encoding, aggregation, and GEMM row blocks).
+    /// `0` (the default) divides the machine's detected cores evenly
+    /// across `workers`, so worker-level and intra-subject parallelism
+    /// never oversubscribe the machine. `1` forces fully serial kernels
+    /// per worker.
     pub intra_threads: usize,
     /// How long a poisoned fingerprint (two batch panics) stays
     /// quarantined, in microseconds. While quarantined, submissions of
@@ -970,6 +970,7 @@ fn batch_can_grow(queue: &QueueState, shared: &Shared) -> bool {
 /// Per-worker reusable state: every buffer a miss batch needs, preallocated
 /// and recycled so the steady state never allocates. It is all a worker
 /// owns, so replacing it after a batch panic restarts the worker.
+#[derive(Default)]
 struct WorkerState {
     scratch: InferenceScratch,
     batch_ws: BatchScratch,
@@ -984,20 +985,8 @@ struct WorkerState {
     batch_fps: Vec<u64>,
 }
 
-impl WorkerState {
-    fn new(model: &GamoraReasoner) -> WorkerState {
-        WorkerState {
-            scratch: model.scratch(),
-            batch_ws: model.batch_scratch(),
-            outs: Vec::new(),
-            post: PostProcess::default(),
-            batch_fps: Vec::new(),
-        }
-    }
-}
-
 fn worker_loop(shared: &Shared, model: &GamoraReasoner) {
-    let mut state = WorkerState::new(model);
+    let mut state = WorkerState::default();
     loop {
         let batch = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
@@ -1059,8 +1048,8 @@ fn worker_loop(shared: &Shared, model: &GamoraReasoner) {
         // fault) must not strand the jobs behind it: the unwinding batch
         // drops its senders — those clients observe
         // [`ServeError::JobDropped`] — and the panic is accounted here.
-        // The worker then restarts in place: a fresh `WorkerState` over
-        // the same `Arc`'d model, so no scratch the panic may have
+        // The worker then restarts in place: a fresh `WorkerState`, the
+        // same `Arc`'d model, so no scratch the panic may have
         // half-written is reused. `accounted` tracks how many of the
         // batch's jobs were finalised (answered, failed or
         // deadline-rejected) before the panic, so the dropped-job counter
@@ -1075,7 +1064,7 @@ fn worker_loop(shared: &Shared, model: &GamoraReasoner) {
         if outcome.is_err() {
             shared.metrics.jobs_dropped.add(batch_len - accounted.get());
             shared.strike_fingerprints(&state.batch_fps);
-            state = WorkerState::new(model);
+            state = WorkerState::default();
             shared.metrics.workers_respawned.inc();
             shared.note_incident();
             eprintln!(

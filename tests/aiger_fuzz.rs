@@ -21,7 +21,7 @@ use gamora_aig::Aig;
 use gamora_serve::cache::GraphSignature;
 use gamora_serve::scheduler::{AnalysisKind, ServeConfig, Server};
 use proptest::prelude::*;
-use request_counting::counting_requests;
+use request_counting::counting;
 use std::sync::OnceLock;
 
 #[path = "support/request_counting.rs"]
@@ -30,7 +30,8 @@ mod request_counting;
 /// Reads `bytes` and returns the result with the bytes this thread
 /// requested from the allocator meanwhile.
 fn read_counting(bytes: &[u8]) -> (Result<Aig, ParseAigerError>, usize) {
-    counting_requests(|| aiger::read(bytes))
+    let (result, counts) = counting(|| aiger::read(bytes));
+    (result, counts.requested)
 }
 
 /// Reading `bytes` may request at most this much; `believed_inputs` is

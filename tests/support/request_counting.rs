@@ -1,50 +1,79 @@
-//! A global allocator that adds up the bytes a thread requests while it
-//! counts — shared by the fuzz tests that bound what a hostile input can
+//! A global allocator that counts what a thread asks of it while it
+//! counts — shared by the allocation guards of the inference and training
+//! hot paths and by the fuzz tests that bound what a hostile input can
 //! make a reader ask for. Each includes this file with
 //! `#[path = "…/tests/support/request_counting.rs"] mod request_counting;`.
+//!
+//! Only the thread inside [`counting`] is observed: the libtest harness
+//! thread runs concurrently, and its channel waits can allocate at
+//! arbitrary points.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+/// What one thread asked of the allocator inside one [`counting`] window.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct Counts {
+    /// Allocation calls: `alloc`, `alloc_zeroed` and `realloc` (releases
+    /// are free to happen; only acquisitions are churn).
+    pub calls: usize,
+    /// Bytes requested: every allocation's size and every reallocation's
+    /// new size (releases are not credited back).
+    pub requested: usize,
+    /// Bytes requested minus bytes released, wrapping: a window may
+    /// release what was allocated before it.
+    pub live: usize,
+}
+
 std::thread_local! {
-    /// Bytes the current thread has requested from the allocator while
-    /// it was counting (`None` = not counting).
-    static REQUESTED: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The current thread's counts while it is counting (`None` = not
+    /// counting).
+    static COUNTS: Cell<Option<Counts>> = const { Cell::new(None) };
 }
 
-/// System allocator wrapper that adds up the sizes a counting thread
-/// asks for (frees are not credited back: the bound is on requests).
-struct CountingAlloc;
-
-fn count(bytes: usize) {
+/// Adds to the current thread's counts if it is counting; `live` is a
+/// wrapping delta.
+fn count(calls: usize, requested: usize, live: usize) {
     // `try_with` so allocations during TLS teardown never panic.
-    let _ = REQUESTED.try_with(|r| r.set(r.get().map(|n| n + bytes)));
+    let _ = COUNTS.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(Counts {
+                calls: n.calls + calls,
+                requested: n.requested + requested,
+                live: n.live.wrapping_add(live),
+            }));
+        }
+    });
 }
+
+/// System allocator wrapper that counts a counting thread's requests.
+struct CountingAlloc;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; `count` only touches a `const`-initialised
 // thread-local through `try_with`, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(1, layout.size(), layout.size());
         // SAFETY: the caller's `layout` obligations pass through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(1, layout.size(), layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, 0, layout.size().wrapping_neg());
         // SAFETY: `ptr` was allocated by `System` (through this wrapper)
         // with `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count(1, new_size, new_size.wrapping_sub(layout.size()));
         // SAFETY: `ptr`, `layout` and `new_size` meet `realloc`'s contract
         // by the caller's guarantee, and `ptr` came from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -54,11 +83,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns its result with the bytes this thread requested
-/// from the allocator meanwhile.
-pub fn counting_requests<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    REQUESTED.with(|r| r.set(Some(0)));
+/// Runs `f` and returns its result with what this thread asked of the
+/// allocator meanwhile. What `f` returns is dropped outside the window.
+pub fn counting<T>(f: impl FnOnce() -> T) -> (T, Counts) {
+    COUNTS.with(|c| c.set(Some(Counts::default())));
     let out = f();
-    let requested = REQUESTED.with(|r| r.replace(None));
-    (out, requested.expect("counting was on"))
+    let counts = COUNTS.with(|c| c.replace(None));
+    (out, counts.expect("counting was on"))
 }
