@@ -353,36 +353,40 @@ pub fn score_predictions(preds: &Predictions, labels: &gamora_exact::Labels) -> 
 /// Estimated heap a batched prediction holds, in bytes, for netlists of
 /// `job_nodes` nodes each and `num_edges` aggregation edges in all
 /// ([`gamora_gnn::Graph::num_edges`]: two per AIG edge under
-/// [`Direction::Bidirectional`]) — the analytic model behind the Figure 8
-/// memory column. Two kinds of term:
+/// [`Direction::Bidirectional`]), whose forward found `classes` classes per
+/// refinement round (what [`InferenceScratch::classes`] reports after the
+/// pass) — the analytic model behind the Figure 8 memory column. Two kinds
+/// of term:
 ///
 /// - **per node of the batch**: the feature row, the CSR arrays (two
 ///   `u32` offset arrays and the inverse degrees per node, one neighbour
 ///   per edge — the reverse adjacency is training's), the one
 ///   `nodes x Σclasses` logit matrix and the decoded predictions;
-/// - **per group** ([`for_each_group`]): the two ping-pong embeddings of
-///   the largest run of netlists the forward takes through the model
-///   together, and the one row block the layers and the fused shared +
-///   heads tail work in ([`ModelConfig::block_bytes`], on the serial
-///   path). This is the part that does not grow with the batch.
+/// - **per group** ([`for_each_group`]): what the forward holds for the
+///   largest run of netlists it takes through the model together
+///   ([`ModelConfig::group_bytes`]: the colour refinement's arrays, two
+///   matrices of class rows and one row block, on the serial path). This
+///   is the part that does not grow with the batch.
 pub fn inference_memory_estimate(
     config: &ReasonerConfig,
     job_nodes: &[usize],
     num_edges: usize,
+    classes: &[usize],
 ) -> usize {
     const F32: usize = 4;
     let model = config.model_config();
-    let classes: usize = model.task_classes.iter().sum();
+    let logit_width: usize = model.task_classes.iter().sum();
     let num_nodes: usize = job_nodes.iter().sum();
     let per_node = FEATURE_DIM * F32        // features
         + 3 * 4                             // offsets, cursor, 1/degree
-        + classes * F32                     // logits
+        + logit_width * F32                 // logits
         + 4 + 1 + 1; // root/leaf class, XOR flag, MAJ flag
     let mut group_rows = 0;
     for_each_group(model.group_rows(), job_nodes.iter().copied(), |lo, hi| {
         group_rows = group_rows.max(hi - lo)
     });
-    num_nodes * per_node + num_edges * 4 + group_rows * 2 * model.hidden * F32 + model.block_bytes()
+    let group_edges = num_edges * group_rows / num_nodes.max(1);
+    num_nodes * per_node + num_edges * 4 + model.group_bytes(group_rows, group_edges, classes)
 }
 
 #[cfg(test)]
@@ -490,14 +494,16 @@ mod tests {
     }
 
     /// Past one group the estimate is linear in the batch, in a step that
-    /// leaves the activations out — they are a per-group term — while a
-    /// single netlist of the same size pays for two hidden-wide rows for
-    /// every one of its rows, and nothing more.
+    /// leaves the forward's group terms out, while a single netlist of the
+    /// same size pays for the refinement of every one of its rows, and
+    /// nothing more when its rounds find as many classes.
     #[test]
     fn memory_estimate_scales_linearly() {
         let cfg = ReasonerConfig::default();
-        let est =
-            |jobs: &[usize]| inference_memory_estimate(&cfg, jobs, 4 * jobs.iter().sum::<usize>());
+        let classes = [5, 40, 300, 700, 900];
+        let est = |jobs: &[usize]| {
+            inference_memory_estimate(&cfg, jobs, 4 * jobs.iter().sum::<usize>(), &classes)
+        };
         // 2048 rows a group under the shallow model: two of these netlists.
         let step = est(&[1_000; 16]) - est(&[1_000; 8]);
         assert_eq!(est(&[1_000; 24]) - est(&[1_000; 16]), step);
@@ -505,6 +511,8 @@ mod tests {
             step < 8 * est(&[1_000]) / 2,
             "eight more netlists, no more activations"
         );
-        assert_eq!(est(&[8_000]) - est(&[1_000; 8]), 6_000 * 2 * 32 * 4);
+        // Two class arrays, a 16-byte key and two representative slots a
+        // row.
+        assert_eq!(est(&[8_000]) - est(&[1_000; 8]), 6_000 * (4 + 4 + 16 + 8));
     }
 }

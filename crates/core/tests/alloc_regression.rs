@@ -360,13 +360,18 @@ fn footprint_subject() -> (GamoraReasoner, gamora_circuits::ArithCircuit) {
 
 /// Bytes a fresh worker scratch (`BatchScratch` + `InferenceScratch` +
 /// outputs) holds after serving batches of the given sizes in turn, on
-/// the serial kernel path. Must run under [`TEST_LOCK`].
-fn live_bytes_after(reasoner: &GamoraReasoner, aig: &Aig, batches: &[usize]) -> usize {
+/// the serial kernel path, and the class counts of the last pass's
+/// refinement rounds. Must run under [`TEST_LOCK`].
+fn live_bytes_after(
+    reasoner: &GamoraReasoner,
+    aig: &Aig,
+    batches: &[usize],
+) -> (usize, Vec<usize>) {
     let largest: Vec<&Aig> = vec![aig; *batches.iter().max().expect("one batch")];
     let prev_cap = gamora_gnn::parallel::intra_threads();
     gamora_gnn::parallel::set_intra_threads(1);
     // The scratch is returned, so it is released outside the window.
-    let ((_, _, outs), counts) = counting(|| {
+    let ((_, scratch, outs), counts) = counting(|| {
         let mut batch = BatchScratch::default();
         let mut scratch = InferenceScratch::default();
         let mut outs: Vec<Predictions> = Vec::new();
@@ -383,7 +388,7 @@ fn live_bytes_after(reasoner: &GamoraReasoner, aig: &Aig, batches: &[usize]) -> 
     });
     gamora_gnn::parallel::set_intra_threads(prev_cap);
     assert_eq!(outs.len(), *batches.last().expect("one batch"));
-    counts.live
+    (counts.live, scratch.classes().to_vec())
 }
 
 /// A worker's scratch does not remember how it grew: a batch one netlist
@@ -395,13 +400,13 @@ fn live_bytes_after(reasoner: &GamoraReasoner, aig: &Aig, batches: &[usize]) -> 
 fn a_one_job_step_up_leaves_what_a_fresh_batch_would() {
     let _guard = TEST_LOCK.lock().unwrap();
     let (reasoner, subject) = footprint_subject();
-    let fresh = live_bytes_after(&reasoner, &subject.aig, &[64]);
+    let (fresh, _) = live_bytes_after(&reasoner, &subject.aig, &[64]);
     for history in [
         &[63, 64][..],
         &[33, 64],
         &[1, 2, 3, 5, 8, 13, 21, 34, 55, 64],
     ] {
-        let stepped = live_bytes_after(&reasoner, &subject.aig, history);
+        let (stepped, _) = live_bytes_after(&reasoner, &subject.aig, history);
         let drift = stepped.abs_diff(fresh) as f64 / fresh as f64;
         assert!(
             drift <= 0.02,
@@ -419,8 +424,8 @@ fn a_one_job_step_up_leaves_what_a_fresh_batch_would() {
 fn a_larger_batch_grows_the_scratch_by_per_node_buffers_only() {
     let _guard = TEST_LOCK.lock().unwrap();
     let (reasoner, subject) = footprint_subject();
-    let small = live_bytes_after(&reasoner, &subject.aig, &[8]);
-    let grown = live_bytes_after(&reasoner, &subject.aig, &[8, 64]);
+    let (small, _) = live_bytes_after(&reasoner, &subject.aig, &[8]);
+    let (grown, _) = live_bytes_after(&reasoner, &subject.aig, &[8, 64]);
     let graph = gamora::dataset::build_graph(&subject.aig, reasoner.config().direction);
     let (nodes, edges) = (graph.num_nodes(), graph.num_edges());
     // Features 3 x f32; offsets, slot cursor, 1/degree; one neighbour per
@@ -444,11 +449,12 @@ fn memory_estimate_tracks_the_allocator() {
     let (reasoner, subject) = footprint_subject();
     let graph = gamora::dataset::build_graph(&subject.aig, reasoner.config().direction);
     for jobs in [1usize, 8, 64] {
-        let held = live_bytes_after(&reasoner, &subject.aig, &[jobs]);
+        let (held, classes) = live_bytes_after(&reasoner, &subject.aig, &[jobs]);
         let estimate = gamora::inference_memory_estimate(
             reasoner.config(),
             &vec![graph.num_nodes(); jobs],
             jobs * graph.num_edges(),
+            &classes,
         );
         assert!(
             estimate.abs_diff(held) as f64 <= 0.05 * held as f64,
@@ -458,10 +464,13 @@ fn memory_estimate_tracks_the_allocator() {
 }
 
 /// A lone subject above the group budget is one group of its own size, and
-/// what the scratch holds for it is two hidden-wide matrices and one
-/// `nodes x Σclasses` logit matrix beside the per-node inputs and outputs:
-/// no shared-layer output (128 bytes a node here), no second head-width
-/// matrix (32) and no reverse adjacency (over 12 a node), each of which
+/// what the scratch holds for it is, beside the per-node inputs and
+/// outputs, one `nodes x Σclasses` logit matrix, the colour refinement's
+/// arrays and two hidden-wide matrices of *class* rows — round 0's
+/// feature rows and the even rounds' rows in one, the odd rounds' in the
+/// other: no shared-layer output (128 bytes a class row here), no second
+/// head-width matrix (32 a node), no hidden-wide matrix over the nodes
+/// (128 a node) and no reverse adjacency (over 12 a node), each of which
 /// would take the count past the half head-width slack.
 #[test]
 fn a_lone_group_holds_two_hidden_matrices_and_one_logit_matrix() {
@@ -475,16 +484,35 @@ fn a_lone_group_holds_two_hidden_matrices_and_one_logit_matrix() {
         nodes > 4 * 2048,
         "one group, and above the kernels' fork cutoff"
     );
-    let held = live_bytes_after(&reasoner, &subject.aig, &[1]);
+    let (held, rounds) = live_bytes_after(&reasoner, &subject.aig, &[1]);
+    assert_eq!(rounds.len(), 5, "round 0 and one per layer");
+    assert!(
+        rounds[4] < nodes / 2,
+        "classes {rounds:?} of {nodes} rows: the quotient is smaller"
+    );
     // Features; offsets, slot cursor, 1/degree; neighbours; the decoded
     // class and two flags.
     let inputs_and_outputs = nodes * (12 + 12 + 6) + edges * 4;
-    let activations = 2 * nodes * hidden * 4 + nodes * classes * 4;
-    let expected = inputs_and_outputs + activations;
+    let logits = nodes * classes * 4;
+    // Two class arrays, a 16-byte key and two representative slots a
+    // node; for the largest round, a 4-byte table slot per class at most
+    // half full and the quotient's offset, 1/degree, self row and
+    // neighbours.
+    let most = rounds.iter().copied().max().expect("a round");
+    let refinement = nodes * (4 + 4 + 16 + 8)
+        + 4 * (2 * most).next_power_of_two()
+        + 4 * (3 * most + most * edges / nodes);
+    let even = (rounds[0] * 3)
+        .max(rounds[2] * hidden)
+        .max(rounds[4] * hidden);
+    let odd = rounds[1].max(rounds[3]) * hidden;
+    let activations = 4 * (even + odd);
+    let expected = inputs_and_outputs + logits + refinement + activations;
     assert!(
         held.abs_diff(expected) <= nodes * classes * 4 / 2,
         "a {nodes}-node subject holds {held} bytes, where two {hidden}-wide \
-         matrices, one {classes}-wide logit matrix and the per-node buffers are {expected}"
+         matrices of {rounds:?} class rows, the refinement, one {classes}-wide \
+         logit matrix and the per-node buffers are {expected}"
     );
 }
 

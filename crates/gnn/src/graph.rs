@@ -5,8 +5,8 @@
 //! section starts next to its CSR arrays. Nothing about aggregation
 //! depends on them: they tell [`crate::MultiTaskSage::infer`] where the
 //! node range may be cut so that a run of rows can go through every layer
-//! on its own, gathering only from rows of the same run
-//! ([`Graph::aggregate_rows`] checks exactly that).
+//! on its own, refined and aggregated from rows of the same run only (the
+//! aggregation kernel checks that for a window of rows).
 //!
 //! Every builder is one pass on the calling thread: count degrees, prefix
 //! sum, fill. It writes the forward adjacency only; the reverse one, which
@@ -276,35 +276,17 @@ impl Graph {
         out.reshape_for_overwrite(self.num_nodes, dim);
         let h = Rows::all(h);
         parallel::for_each_row_block(out.as_mut_slice(), dim.max(1), BLOCK_ROWS, |v0, block| {
-            self.aggregate_rows(kernels, v0, h, block)
+            self.adjacency().aggregate(kernels, v0, h, block)
         });
     }
 
-    /// Mean aggregation of the nodes `v0 .. v0 + out.len() / h.cols` into
-    /// the whole rows of `out`, gathering from `h` — which may hold only
-    /// the rows of the sections these nodes belong to.
-    ///
-    /// # Panics
-    ///
-    /// Panics, before anything is gathered, if one of the nodes has a
-    /// neighbour among the rows `h` does not hold.
-    pub(crate) fn aggregate_rows(
-        &self,
-        kernels: &Kernels,
-        v0: usize,
-        h: Rows<'_>,
-        out: &mut [f32],
-    ) {
-        if out.is_empty() {
-            return;
-        }
-        let args = AggArgs {
+    /// The forward CSR arrays, as the aggregation kernel reads them.
+    pub(crate) fn adjacency(&self) -> Adjacency<'_> {
+        Adjacency {
             offsets: &self.offsets,
             neighbors: &self.neighbors,
             inv_deg: &self.inv_deg,
-            h,
-        };
-        kernels.aggregate_block(&args, v0, out);
+        }
     }
 
     /// Backward of [`Graph::mean_aggregate`], added onto `out`: given
@@ -361,6 +343,40 @@ impl Graph {
         let mut rev = Graph::default();
         Graph::build_csr(self.num_nodes, Direction::Fanout, &consumers, &mut rev);
         rev
+    }
+}
+
+/// A CSR adjacency the mean-aggregation kernel gathers over: a graph's
+/// own, or a quotient of one, whose rows are classes and whose
+/// neighbours are classes of the round before
+/// ([`crate::refine::Refinement`]).
+#[derive(Copy, Clone)]
+pub(crate) struct Adjacency<'a> {
+    pub offsets: &'a [u32],
+    pub neighbors: &'a [u32],
+    /// `1 / degree` of every row (0 for an isolated one).
+    pub inv_deg: &'a [f32],
+}
+
+impl Adjacency<'_> {
+    /// Mean aggregation of the rows `v0 .. v0 + out.len() / h.cols` into
+    /// the whole rows of `out`, gathering from `h`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is gathered, if one of the rows has a
+    /// neighbour among the rows `h` does not hold.
+    pub(crate) fn aggregate(&self, kernels: &Kernels, v0: usize, h: Rows<'_>, out: &mut [f32]) {
+        if out.is_empty() {
+            return;
+        }
+        let args = AggArgs {
+            offsets: self.offsets,
+            neighbors: self.neighbors,
+            inv_deg: self.inv_deg,
+            h,
+        };
+        kernels.aggregate_block(&args, v0, out);
     }
 }
 

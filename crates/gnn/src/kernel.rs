@@ -80,7 +80,7 @@ impl<'a> Rows<'a> {
 
     /// Row `r` of the whole matrix.
     #[inline(always)]
-    fn row(&self, r: usize) -> &'a [f32] {
+    pub(crate) fn row(&self, r: usize) -> &'a [f32] {
         let i = r - self.first;
         &self.data[i * self.cols..(i + 1) * self.cols]
     }

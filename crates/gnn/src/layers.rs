@@ -20,7 +20,7 @@
 //! Only the training forward materialises it — the weight gradient needs
 //! every row.
 
-use crate::graph::Graph;
+use crate::graph::{Adjacency, Graph};
 use crate::kernel::{self, GemmArgs, Operand, Rows, BLOCK_ROWS};
 use crate::parallel;
 use crate::tensor::{fused_gemm_into, Epilogue, Matrix};
@@ -251,7 +251,8 @@ fn dense<'a>(x: Rows<'a>, w: &'a [f32], bias: &'a [f32], relu: bool) -> GemmArgs
 
 /// The one row block of aggregated neighbourhoods an inference forward
 /// through a [`SageLayer`] holds at a time (one block per kernel thread on
-/// the row-block-parallel path) — shared by every layer of a model, since
+/// the row-block-parallel path), next to the block of self rows a layer
+/// over a quotient gathers — shared by every layer of a model, since
 /// layers run in sequence, and by the shared layer's output in the fused
 /// tail after them (`FusedLinears::forward_rows_after`).
 ///
@@ -316,7 +317,10 @@ impl SageLayer {
     }
 
     /// Inference forward pass into caller-owned buffers (no heap
-    /// allocation once `ws` and `out` have enough capacity).
+    /// allocation once `ws` and `out` have enough capacity): per row
+    /// block, the neighbour mean goes into `ws` and straight on into the
+    /// split-weight GEMM ([`SageLayer::fused_into`]'s arithmetic, row for
+    /// row).
     ///
     /// # Panics
     ///
@@ -324,33 +328,50 @@ impl SageLayer {
     pub fn forward_into(&self, graph: &Graph, h: &Matrix, ws: &mut SageScratch, out: &mut Matrix) {
         assert_eq!(h.rows(), graph.num_nodes(), "one embedding row per node");
         out.reshape_for_overwrite(h.rows(), self.lin.w.cols());
-        self.forward_rows(graph, 0, Rows::all(h), ws, out.as_mut_slice());
+        self.forward_adjacency(
+            graph.adjacency(),
+            None,
+            Rows::all(h),
+            ws,
+            out.as_mut_slice(),
+        );
     }
 
-    /// The convolution for the nodes `lo .. lo + out.len() / out_dim`,
-    /// written to the whole rows of `out`: per row block, the neighbour
-    /// mean goes into `ws` and straight on into the split-weight GEMM
-    /// ([`SageLayer::fused_into`]'s arithmetic, row for row). `h` may hold
-    /// only the rows of the sections these nodes belong to.
+    /// The convolution over a quotient of the graph
+    /// ([`crate::refine::Refinement::quotient`]): output row `c` is that of
+    /// the representative of class `c`, whose self term is the row
+    /// `own[c]` of `h` and whose neighbour mean is row `c` of `adj`,
+    /// gathered from `h`. Row for row, the arithmetic of
+    /// [`SageLayer::forward_into`] at the representative.
     ///
     /// # Panics
     ///
-    /// Panics if `h` is not `in_dim` wide, does not hold the nodes' own
-    /// rows, or misses one of their neighbours.
-    pub(crate) fn forward_rows(
+    /// Panics if `h` is not `in_dim` wide or misses a row `own` or `adj`
+    /// names.
+    pub(crate) fn forward_quotient(
         &self,
-        graph: &Graph,
-        lo: usize,
+        adj: Adjacency<'_>,
+        own: &[u32],
+        h: Rows<'_>,
+        ws: &mut SageScratch,
+        out: &mut [f32],
+    ) {
+        self.forward_adjacency(adj, Some(own), h, ws, out);
+    }
+
+    /// The convolution over `adj`, one output row per row of it; the self
+    /// term of row `v` is row `own[v]` of `h`, gathered into `ws` next to
+    /// the aggregate, or row `v` itself without `own`.
+    fn forward_adjacency(
+        &self,
+        adj: Adjacency<'_>,
+        own: Option<&[u32]>,
         h: Rows<'_>,
         ws: &mut SageScratch,
         out: &mut [f32],
     ) {
         let (k, n) = (self.in_dim, self.lin.w.cols());
         assert_eq!(h.cols, k, "embedding width mismatch");
-        assert!(
-            h.first <= lo && lo + out.len().checked_div(n).unwrap_or(0) <= h.end(),
-            "the activation window must hold the rows it is asked for"
-        );
         let (w_self, w_neigh) = self.lin.w.as_slice().split_at(k * n);
         let epilogue = Epilogue {
             bias: Some(&self.lin.b),
@@ -363,19 +384,38 @@ impl SageLayer {
             n,
             BLOCK_ROWS,
             lanes,
-            BLOCK_ROWS * k,
-            |i0, block, agg| {
-                let row0 = lo + i0;
-                let agg = &mut agg[..block.len() / n * k];
-                graph.aggregate_rows(kernels, row0, h, agg);
+            2 * BLOCK_ROWS * k,
+            |row0, block, lane| {
+                let rows = block.len() / n;
+                let (agg, gathered) = lane.split_at_mut(BLOCK_ROWS * k);
+                let agg = &mut agg[..rows * k];
+                adj.aggregate(kernels, row0, h, agg);
                 let aggregated = Rows {
                     data: agg,
                     cols: k,
                     first: row0,
                 };
+                let x_self = match own {
+                    None => h,
+                    Some(own) => {
+                        let gathered = &mut gathered[..rows * k];
+                        let own = &own[row0..row0 + rows];
+                        for (dst, &r) in gathered.chunks_exact_mut(k).zip(own) {
+                            dst.copy_from_slice(h.row(r as usize));
+                        }
+                        Rows {
+                            data: gathered,
+                            cols: k,
+                            first: row0,
+                        }
+                    }
+                };
                 let args = GemmArgs {
                     operands: [
-                        Operand { x: h, w: w_self },
+                        Operand {
+                            x: x_self,
+                            w: w_self,
+                        },
                         Operand {
                             x: aggregated,
                             w: w_neigh,

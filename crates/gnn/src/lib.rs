@@ -21,7 +21,10 @@
 //! serve workers, each carrying its own [`InferenceScratch`] so warmed-up
 //! forward passes never touch the heap; a batch assembled from sections
 //! goes through the model one cache-sized group of sections at a time, so
-//! that scratch does not grow with the batch. Training state — every
+//! that scratch does not grow with the batch, and each group on the
+//! quotient of its colour refinement — one row per class of nodes whose
+//! neighbourhoods agree, bit-identical to the row-per-node forward — so
+//! that a layer computes each distinct row once. Training state — every
 //! layer's activations and the buffers the backward pass works in — lives
 //! in a [`Tape`] owned by the [`Trainer`], not inside the layers; the
 //! backward GEMMs run through the same dispatched kernel in a K order
@@ -52,6 +55,7 @@ mod layers;
 pub mod loss;
 mod model;
 pub mod parallel;
+mod refine;
 mod tensor;
 mod trainer;
 

@@ -24,14 +24,33 @@
 //! its own. A graph with one section is one group — the layer-major order
 //! — and so is a section larger than the budget.
 //!
+//! **A group goes through the model on its quotient.** Nodes whose
+//! feature rows, degrees and neighbours' rows agree, neighbour by neighbour
+//! in CSR order, get bit-identical rows from a layer, so layer `l` computes
+//! one row per class of round `l + 1` of the group's colour refinement
+//! ([`crate::refine`]), from the class's representative: its self row is
+//! gathered from the previous round's class rows, its neighbour mean runs
+//! over the quotient adjacency (the representative's CSR row with
+//! neighbours replaced by their classes). Each class row gets exactly the
+//! operations the representative's row would get in the row-per-node
+//! forward, and so does every member, so the logits are bit-identical to
+//! [`MultiTaskSage::forward_train`]'s. The two activation buffers hold
+//! class rows, not node rows: on the 256-bit CSA, 10% of the trunk's rows
+//! and 31% of the heads'. Once a round's classes reach a fixed share of
+//! the group's rows, the later rounds are the identity partition, through
+//! the same code.
+//!
 //! **The tail is fused:** the shared layer and the heads run one row block
-//! at a time ([`FusedLinears::forward_rows_after`]) into one
-//! `nodes x Σclasses` logit matrix, every task's logits a column range.
+//! at a time ([`FusedLinears::forward_rows_after`]) on the last round's
+//! class rows into the group's first rows of one `nodes x Σclasses` logit
+//! matrix, every task's logits a column range, and each node then copies
+//! its class's row.
 
 use crate::graph::Graph;
 use crate::kernel::{Rows, BLOCK_ROWS};
 use crate::layers::{BackwardScratch, FusedLinears, Linear, SageLayer, SageScratch, SageTape};
 use crate::parallel;
+use crate::refine::{table_slots, Refinement};
 use crate::tensor::Matrix;
 use rand::SeedableRng;
 use std::sync::atomic::AtomicU64;
@@ -101,16 +120,24 @@ pub fn for_each_group(
 #[derive(Clone, Debug, Default)]
 struct Lane {
     ws: SageScratch,
-    h_in: Matrix,
-    h_out: Matrix,
+    /// The class rows of the even refinement rounds (round 0's are feature
+    /// rows) and of the odd ones: a layer reads one and writes the other,
+    /// and each keeps its rounds from pass to pass, so a warm pass finds
+    /// both at their high-water size.
+    rows: [Matrix; 2],
+    refine: Refinement,
     /// Nanoseconds per stage (trunk layers, shared, heads), summed over
     /// the groups this lane took in the current pass.
     stage_ns: Vec<u64>,
+    /// Classes per round, the most of any group this lane took in the
+    /// current pass.
+    classes: Vec<usize>,
 }
 
 /// Reusable per-worker buffers for allocation-free inference: per lane,
-/// two ping-pong embedding matrices sized by the largest *group* seen and
-/// the row block each kernel thread aggregates in and holds the fused
+/// a group's colour refinement and quotient adjacency, two ping-pong
+/// embedding matrices with one row per *class* of the largest group seen,
+/// and the row block each kernel thread aggregates in and holds the fused
 /// tail's shared-layer output in; and one `nodes x Σclasses` logit matrix.
 ///
 /// A warmed-up scratch (after one [`MultiTaskSage::infer`] call at a given
@@ -126,6 +153,20 @@ pub struct InferenceScratch {
     heads: FusedLinears,
     /// `(first_row, end_row)` of every group of the current pass.
     groups: Vec<(usize, usize)>,
+    /// Classes per round of the last pass, the most of any group.
+    classes: Vec<usize>,
+}
+
+impl InferenceScratch {
+    /// The class count of every refinement round of the last
+    /// [`MultiTaskSage::infer`] through this scratch — round 0 (feature
+    /// rows) to round `layers`, the most of any group — which sizes the
+    /// activations the pass held ([`ModelConfig::group_bytes`]). A round
+    /// past [`MultiTaskSage::infer`]'s identity share counts every row of
+    /// its group. Empty before the first pass.
+    pub fn classes(&self) -> &[usize] {
+        &self.classes
+    }
 }
 
 /// What the groups of one [`MultiTaskSage::infer`] call share.
@@ -161,45 +202,54 @@ impl Pass<'_> {
         } = *self;
         let Lane {
             ws,
-            h_in,
-            h_out,
+            rows: [even, odd],
+            refine,
             stage_ns,
+            classes: seen,
         } = lane;
         let trunk = model.sage.len();
         let classes = heads.width();
         stage_ns.clear();
         stage_ns.resize(trunk + 2, 0);
+        seen.clear();
+        seen.resize(trunk + 1, 0);
         for &(lo, hi) in groups {
+            // Round 0 and the feature row of each of its classes are the
+            // first layer's work, round l + 1 is layer l's.
+            let mut started = timed.then(Instant::now);
+            refine.features(x, lo, hi);
+            even.reshape_for_overwrite(refine.classes(), x.cols());
+            for (c, &r) in refine.reps().iter().enumerate() {
+                even.row_mut(c).copy_from_slice(x.row(lo + r as usize));
+            }
+            seen[0] = seen[0].max(refine.classes());
             for (l, layer) in model.sage.iter().enumerate() {
-                let started = timed.then(Instant::now);
-                // The first layer reads the graph's own feature rows; the
-                // others the previous layer's output, which holds this
-                // group's rows and nothing else.
-                let input = if l == 0 {
-                    Rows::all(x)
+                refine.step(graph, lo);
+                seen[l + 1] = seen[l + 1].max(refine.classes());
+                let (input, output) = if l % 2 == 0 {
+                    (&*even, &mut *odd)
                 } else {
-                    Rows {
-                        first: lo,
-                        ..Rows::all(h_in)
-                    }
+                    (&*odd, &mut *even)
                 };
-                h_out.reshape_for_overwrite(hi - lo, model.config.hidden);
-                layer.forward_rows(graph, lo, input, ws, h_out.as_mut_slice());
-                std::mem::swap(h_in, h_out);
+                output.reshape_for_overwrite(refine.classes(), model.config.hidden);
+                let (adj, own) = refine.quotient();
+                layer.forward_quotient(adj, own, Rows::all(input), ws, output.as_mut_slice());
                 if let Some(t) = started {
-                    stage_ns[l] += t.elapsed().as_nanos() as u64;
+                    let now = Instant::now();
+                    stage_ns[l] += (now - t).as_nanos() as u64;
+                    started = Some(now);
                 }
             }
-            // The tail's wall time goes to the shared layer and the heads
-            // in the proportion its blocks' clock reads give them.
-            let started = timed.then(Instant::now);
+            // The tail writes the logits of the last round's classes to
+            // the group's first rows, and every node copies its class's.
+            // Its wall time goes to the shared layer and the heads in the
+            // proportion its blocks' clock reads give them.
             let split = [AtomicU64::new(0), AtomicU64::new(0)];
-            let h = Rows {
-                first: lo,
-                ..Rows::all(h_in)
-            };
             let rows = &mut logits[(lo - base) * classes..(hi - base) * classes];
-            heads.forward_rows_after(&model.shared, h, lo, ws, rows, timed.then_some(&split));
+            let class_rows = &mut rows[..refine.classes() * classes];
+            let h = Rows::all(if trunk % 2 == 0 { &*even } else { &*odd });
+            heads.forward_rows_after(&model.shared, h, 0, ws, class_rows, timed.then_some(&split));
+            scatter_classes(rows, refine.node_classes(), classes);
             if let Some(t) = started {
                 let wall = t.elapsed().as_nanos();
                 let [in_shared, in_heads] = split.map(|ns| u128::from(ns.into_inner()));
@@ -256,6 +306,19 @@ impl Pass<'_> {
     }
 }
 
+/// Gives every node of a group the logit row of its class, which the
+/// fused tail wrote to row `class` of `rows`. A class's id is never above
+/// a member's index, so walking the nodes downwards copies every class row
+/// before a node's row overwrites it.
+fn scatter_classes(rows: &mut [f32], node_classes: &[u32], width: usize) {
+    for (v, &c) in node_classes.iter().enumerate().rev() {
+        let c = c as usize;
+        if c != v {
+            rows.copy_within(c * width..(c + 1) * width, v * width);
+        }
+    }
+}
+
 /// Hyper-parameters of a [`MultiTaskSage`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModelConfig {
@@ -285,10 +348,38 @@ impl ModelConfig {
 
     /// Bytes of the row block each kernel thread of the inference forward
     /// works in next to its group's activations: a layer aggregates its
-    /// input into it, and the fused tail holds the shared layer's output
-    /// there on its way into the heads.
+    /// input into one half and gathers its self rows into the other, and
+    /// the fused tail holds the shared layer's output there on its way into
+    /// the heads.
     pub fn block_bytes(&self) -> usize {
-        4 * BLOCK_ROWS * self.in_dim.max(self.hidden).max(self.shared_dim)
+        4 * BLOCK_ROWS * (2 * self.in_dim.max(self.hidden)).max(self.shared_dim)
+    }
+
+    /// Bytes one lane of the inference forward holds for a group of `rows`
+    /// rows and `edges` aggregation edges whose refinement rounds had
+    /// `classes` classes each ([`InferenceScratch::classes`]):
+    ///
+    /// - the two ping-pong class-row matrices, round 0's feature rows and
+    ///   the even rounds' hidden rows in one, the odd rounds' in the other;
+    /// - per row, the refinement's two class arrays, a 16-byte key and two
+    ///   representative slots (the run's and the group's);
+    /// - per class of the largest round, the quotient's offset, inverse
+    ///   degree and self row, its neighbours at the group's mean degree,
+    ///   and the class table's 4-byte slots (an upper bound when a round
+    ///   ran on the identity partition, which uses no table);
+    /// - one row block ([`ModelConfig::block_bytes`], on the serial path).
+    pub fn group_bytes(&self, rows: usize, edges: usize, classes: &[usize]) -> usize {
+        const WORD: usize = 4;
+        let mut matrices = [0usize; 2];
+        for (r, &c) in classes.iter().enumerate() {
+            let width = if r == 0 { self.in_dim } else { self.hidden };
+            matrices[r % 2] = matrices[r % 2].max(c * width);
+        }
+        let most = classes.iter().copied().max().unwrap_or(0);
+        let refinement = rows * (2 * WORD + 16 + 2 * WORD);
+        let quotient = (3 * most + 1) * WORD + most * edges / rows.max(1) * WORD;
+        let table = 4 * table_slots(most);
+        WORD * (matrices[0] + matrices[1]) + refinement + quotient + table + self.block_bytes()
     }
 
     /// `(in_dim, out_dim)` of every linear layer's weight matrix, in
@@ -318,7 +409,11 @@ pub enum ForwardStage {
     Heads,
 }
 
-/// Receives per-stage wall times from [`MultiTaskSage::infer`].
+/// Receives per-stage wall times from [`MultiTaskSage::infer`]. A trunk
+/// layer's time ([`ForwardStage::Sage`]`(l)`) includes the refinement
+/// round its rows are the classes of — round `l + 1`, and for layer 0
+/// round 0 as well — and the quotient adjacency it runs over; the heads'
+/// time includes copying every node's logits from its class's.
 ///
 /// This is the seam serving-side observability hooks into: the GNN crate
 /// only reports `(stage, micros)` pairs and gains no dependency on any
@@ -441,8 +536,11 @@ impl MultiTaskSage {
     /// Returns the logits, which live inside `scratch` (they stay valid
     /// until the next call with the same scratch): one row per node, each
     /// task's classes side by side in task order (columns 0–3, 4–5, 6–7 for
-    /// `[4, 2, 2]`). The graph's sections are taken through the whole model
-    /// one cache-sized group at a time (see the module docs). After a
+    /// `[4, 2, 2]`), bit for bit those of [`MultiTaskSage::forward_train`].
+    /// The graph's sections are taken through the whole model one
+    /// cache-sized group at a time, each on the quotient of its colour
+    /// refinement (see the module docs); [`InferenceScratch::classes`]
+    /// reports the class counts the pass found. After a
     /// warmup call at a given graph size, subsequent calls perform **zero
     /// heap allocations** as long as the kernels stay on their serial path
     /// (one kernel thread, or a graph below `parallel`'s per-thread row
@@ -451,7 +549,8 @@ impl MultiTaskSage {
     /// *groups* are dealt to the threads, once per call; a lone group goes
     /// to the row-block-parallel kernels instead.
     ///
-    /// When `observer` is `Some`, each trunk layer, the shared linear and
+    /// When `observer` is `Some`, each trunk layer — with the refinement
+    /// round that sizes it, see [`ForwardObserver`] — the shared linear and
     /// the combined heads report their wall time — summed over the groups,
     /// the fused tail's split between the two by three clock reads per row
     /// block — through [`ForwardObserver::record_stage`], once per stage
@@ -480,6 +579,7 @@ impl MultiTaskSage {
             logits,
             heads,
             groups,
+            classes,
         } = scratch;
         heads.gather(&self.heads);
         logits.reshape_for_overwrite(x.rows(), heads.width());
@@ -503,6 +603,13 @@ impl MultiTaskSage {
             pass.run_groups(groups, &mut lanes[0], 0, logits.as_mut_slice());
         } else {
             pass.fork_groups(groups, lanes, logits.as_mut_slice());
+        }
+        classes.clear();
+        classes.resize(self.sage.len() + 1, 0);
+        for lane in lanes.iter() {
+            for (most, &c) in classes.iter_mut().zip(&lane.classes) {
+                *most = (*most).max(c);
+            }
         }
         if let Some(obs) = observer {
             // What the call waited for: the lane that was busy longest.

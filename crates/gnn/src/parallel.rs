@@ -137,17 +137,62 @@ pub(crate) fn for_each_row_block_with<F>(
             rest = tail;
             lanes_rest = lanes_tail;
         }
-        // Joined here, not by the scope: an unjoined thread's panic leaves
-        // the scope as "a scoped thread panicked", its message lost.
-        let mut first_panic = None;
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                first_panic.get_or_insert(payload);
-            }
+        join_all(handles);
+    });
+}
+
+/// Joins every handle, then re-raises the first panic among them with its
+/// own payload. (Joined here, not by the scope: an unjoined thread's panic
+/// leaves the scope as "a scoped thread panicked", its message lost.)
+fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    let mut first_panic = None;
+    for handle in handles {
+        if let Err(payload) = handle.join() {
+            first_panic.get_or_insert(payload);
         }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
+    }
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
+}
+
+/// Cuts `data` into one run of consecutive elements per state, of equal
+/// length but for a shorter last one, and calls `f(run, first_index,
+/// elements, state)` for each: the first run on the calling thread, every
+/// other one on a scoped thread of its own. The same length and state
+/// count always give the same runs.
+///
+/// # Panics
+///
+/// A panic in `f` is re-raised on the calling thread with its own payload.
+pub(crate) fn for_each_run_with<T, S, F>(data: &mut [T], states: &mut [S], f: F)
+where
+    T: Send,
+    S: Send,
+    F: Fn(usize, usize, &mut [T], &mut S) + Sync,
+{
+    let per = data.len().div_ceil(states.len().max(1)).max(1);
+    let mut runs = data
+        .chunks_mut(per)
+        .chain(std::iter::repeat_with(|| &mut [][..]));
+    let Some((first, rest)) = states.split_first_mut() else {
+        return;
+    };
+    let head = runs.next().expect("an endless chain");
+    if rest.is_empty() {
+        f(0, 0, head, first);
+        return;
+    }
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .zip(runs)
+            .enumerate()
+            .map(|(i, (state, run))| s.spawn(move || f(i + 1, (i + 1) * per, run, state)))
+            .collect();
+        f(0, 0, head, first);
+        join_all(handles);
     });
 }
 

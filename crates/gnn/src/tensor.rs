@@ -535,7 +535,7 @@ impl KernelVariant {
 
     /// Mean aggregation of the nodes `nodes` alone, gathering from a
     /// buffer that holds only the embedding rows `first .. first +
-    /// h.rows()` — what the group-major forward does per row block.
+    /// h.rows()`.
     ///
     /// # Panics
     ///
@@ -553,7 +553,9 @@ impl KernelVariant {
             first,
             ..Rows::all(h)
         };
-        graph.aggregate_rows(self.0, nodes.start, h, out.as_mut_slice());
+        graph
+            .adjacency()
+            .aggregate(self.0, nodes.start, h, out.as_mut_slice());
     }
 }
 

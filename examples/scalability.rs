@@ -5,7 +5,10 @@
 //! Run with: `cargo run --release --example scalability [max_bits]`
 //! (default 128; pass 512 or more on a fast machine).
 
-use gamora::{inference_memory_estimate, GamoraReasoner, ReasonerConfig, TrainConfig};
+use gamora::{
+    inference_memory_estimate, BatchScratch, GamoraReasoner, InferenceScratch, ReasonerConfig,
+    TrainConfig,
+};
 use gamora_circuits::csa_multiplier;
 use std::time::Instant;
 
@@ -40,13 +43,20 @@ fn main() {
         let analysis = gamora_exact::analyze(&m.aig);
         let exact_ms = t.elapsed().as_secs_f64() * 1e3;
 
+        // A fresh worker's scratch, as `predict` would hold it; it also
+        // reports the class counts the memory estimate is a function of.
         let t = Instant::now();
-        let preds = reasoner.predict(&m.aig);
+        let mut scratch = InferenceScratch::default();
+        let mut outs = Vec::new();
+        let (mut batch, aigs) = (BatchScratch::default(), [&m.aig]);
+        reasoner.predict_batch_into_timed(&mut batch, &mut scratch, &aigs, &mut outs, None);
+        let preds = outs.pop().expect("one netlist");
         let gamora_ms = t.elapsed().as_secs_f64() * 1e3;
 
         // Two aggregation edges per AIG edge (bidirectional message passing).
         let nodes = m.aig.num_nodes();
-        let held = inference_memory_estimate(reasoner.config(), &[nodes], 4 * m.aig.num_ands());
+        let edges = 4 * m.aig.num_ands();
+        let held = inference_memory_estimate(reasoner.config(), &[nodes], edges, scratch.classes());
         let per_node = held as f64 / nodes as f64;
 
         let eval = gamora::score_predictions(&preds, &analysis.labels);

@@ -214,3 +214,72 @@ fn corrupt_snapshots_are_rejected() {
 fn paper_figures_hold_their_recorded_bounds() {
     figures::assert_table_holds();
 }
+
+/// A `/proc` field of this process or host, in bytes (Linux; `None`
+/// elsewhere).
+fn proc_kib(file: &str, field: &str) -> Option<usize> {
+    let text = std::fs::read_to_string(file).ok()?;
+    let line = text.lines().find(|l| l.starts_with(field))?;
+    let kib = line[field.len()..].trim().trim_end_matches("kB").trim();
+    Some(kib.parse::<usize>().ok()? * 1024)
+}
+
+/// `REPRO.md` row `fig7-scale`: the largest CSA multiplier this host
+/// holds, served end to end — one cold `Classify` job through a `Server`
+/// on the shallow model, answered with a prediction per node. The paper's
+/// row is CSA-2048 (≈ 46M nodes). The width served is the largest of 256,
+/// 512, 1,024 and 2,048 whose footprint, extrapolated from CSA-256's
+/// growth of the resident set at 11 n² nodes, fits in half of the memory
+/// the host reports available. Prints the width, the seconds from submit
+/// to answer and the process's peak resident GiB. Run with
+/// `cargo test --release --test end_to_end fig7_scale -- --ignored --nocapture`.
+#[test]
+#[ignore = "seconds to minutes and gigabytes: the fig7-scale row, run by hand"]
+fn fig7_scale_serves_the_largest_csa_this_host_holds() {
+    let train: Vec<_> = (3..=6).map(csa_multiplier).collect();
+    let refs: Vec<&gamora_aig::Aig> = train.iter().map(|m| &m.aig).collect();
+    let mut reasoner = GamoraReasoner::new(ReasonerConfig::default());
+    reasoner.fit(&refs, &train_cfg(100));
+    let server = Server::start(
+        reasoner,
+        ServeConfig {
+            max_batch: 1,
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let serve = |bits: usize| {
+        let aig = csa_multiplier(bits).aig;
+        let nodes = aig.num_nodes();
+        let started = std::time::Instant::now();
+        let answer = server
+            .submit(aig, AnalysisKind::Classify)
+            .expect("admitted")
+            .wait()
+            .expect("answered");
+        let seconds = started.elapsed().as_secs_f64();
+        assert_eq!(answer.predictions.num_nodes(), nodes);
+        (nodes, seconds)
+    };
+
+    let resident = || proc_kib("/proc/self/status", "VmRSS:").expect("a Linux host");
+    let before = resident();
+    let (probe_nodes, _) = serve(256);
+    let peak = proc_kib("/proc/self/status", "VmHWM:").expect("a Linux host");
+    let per_node = (peak.saturating_sub(before) / probe_nodes).max(1);
+    let budget = proc_kib("/proc/meminfo", "MemAvailable:").expect("a Linux host") / 2;
+    let bits = [512, 1024, 2048]
+        .into_iter()
+        .take_while(|&bits| 11 * bits * bits * per_node <= budget)
+        .last()
+        .unwrap_or(256);
+    let (nodes, seconds) = serve(bits);
+    let peak = proc_kib("/proc/self/status", "VmHWM:").expect("a Linux host");
+    server.shutdown();
+    println!(
+        "fig7-scale: CSA-{bits}, {nodes} nodes, {seconds:.2} s submit to answer, \
+         peak resident {:.2} GiB ({per_node} B a node over CSA-256, budget {:.2} GiB)",
+        peak as f64 / f64::from(1 << 30),
+        budget as f64 / f64::from(1 << 30),
+    );
+}
