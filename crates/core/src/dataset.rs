@@ -17,6 +17,7 @@
 
 use crate::features::{build_features, write_features_at, FeatureMode, FEATURE_DIM};
 use crate::labels::task_targets;
+use crate::reasoner::ClassPrediction;
 use crate::Predictions;
 use gamora_aig::Aig;
 use gamora_exact::Analysis;
@@ -78,6 +79,9 @@ pub struct BatchScratch {
     /// allocating fresh `Predictions` (queue-drain sizes fluctuate in the
     /// serve steady state).
     pub(crate) spare: Vec<Predictions>,
+    /// The decoded prediction of every class logit row of the last
+    /// forward, which each node of the class copies.
+    pub(crate) decoded: Vec<ClassPrediction>,
 }
 
 impl BatchScratch {

@@ -7,8 +7,8 @@ use crate::labels::TASK_CLASSES;
 use gamora_aig::Aig;
 use gamora_gnn::loss::argmax;
 use gamora_gnn::{
-    for_each_group, train, Direction, ForwardObserver, GraphData, InferenceScratch, Matrix,
-    ModelConfig, MultiTaskSage, TrainConfig, TrainReport,
+    for_each_group, train, Direction, ForwardObserver, GraphData, InferenceScratch, ModelConfig,
+    MultiTaskSage, TrainConfig, TrainReport,
 };
 use std::time::Instant;
 
@@ -278,8 +278,13 @@ impl GamoraReasoner {
             .infer(&batch.graph, &batch.features, scratch, observer);
         let forward_micros = forward_start.elapsed().as_micros() as u64;
         let decode_start = Instant::now();
+        let decoded = &mut batch.decoded;
+        decoded.clear();
+        decoded.reserve_exact(logits.class_rows().len());
+        decoded.extend(logits.class_rows().map(ClassPrediction::decode));
         for ((out, &aig), &start) in outs.iter_mut().zip(aigs).zip(&batch.offsets) {
-            decode_logits(logits, start..start + aig.num_nodes(), out);
+            let rows = &logits.row_of()[start..start + aig.num_nodes()];
+            copy_class_predictions(decoded, rows, out);
         }
         BatchTimings {
             assemble_micros,
@@ -302,21 +307,42 @@ impl GamoraReasoner {
     }
 }
 
-/// Argmax-decodes the rows `rows` of the logits — every task's classes
-/// side by side in one row — into per-node predictions.
-fn decode_logits(logits: &Matrix, rows: std::ops::Range<usize>, out: &mut Predictions) {
+/// The argmax decode of one class logit row — every task's classes side
+/// by side — which every node of the class copies: the root/leaf class in
+/// the low bits, the XOR and MAJ flags in the top two.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct ClassPrediction(u8);
+
+impl ClassPrediction {
+    const XOR: u8 = 1 << 6;
+    const MAJ: u8 = 1 << 7;
+
+    fn decode(row: &[f32]) -> ClassPrediction {
+        let (root_leaf, rest) = row.split_at(TASK_CLASSES[0]);
+        let (xor, maj) = rest.split_at(TASK_CLASSES[1]);
+        let flag = |task: &[f32], bit: u8| if argmax(task) == 1 { bit } else { 0 };
+        ClassPrediction(argmax(root_leaf) as u8 | flag(xor, Self::XOR) | flag(maj, Self::MAJ))
+    }
+}
+
+// A root/leaf class fits below the two flag bits.
+const _: () = assert!(TASK_CLASSES[0] <= ClassPrediction::XOR as usize);
+
+/// Gives every node of one netlist the decoded prediction of its class
+/// row (`rows`, in node order).
+fn copy_class_predictions(decoded: &[ClassPrediction], rows: &[u32], out: &mut Predictions) {
     out.root_leaf.clear();
     out.is_xor.clear();
     out.is_maj.clear();
     out.root_leaf.reserve_exact(rows.len());
     out.is_xor.reserve_exact(rows.len());
     out.is_maj.reserve_exact(rows.len());
-    for r in rows {
-        let (root_leaf, rest) = logits.row(r).split_at(TASK_CLASSES[0]);
-        let (xor, maj) = rest.split_at(TASK_CLASSES[1]);
-        out.root_leaf.push(argmax(root_leaf) as u32);
-        out.is_xor.push(argmax(xor) == 1);
-        out.is_maj.push(argmax(maj) == 1);
+    for &r in rows {
+        let ClassPrediction(class) = decoded[r as usize];
+        out.root_leaf
+            .push(u32::from(class & (ClassPrediction::XOR - 1)));
+        out.is_xor.push(class & ClassPrediction::XOR != 0);
+        out.is_maj.push(class & ClassPrediction::MAJ != 0);
     }
 }
 
@@ -355,38 +381,59 @@ pub fn score_predictions(preds: &Predictions, labels: &gamora_exact::Labels) -> 
 /// ([`gamora_gnn::Graph::num_edges`]: two per AIG edge under
 /// [`Direction::Bidirectional`]), whose forward found `classes` classes per
 /// refinement round (what [`InferenceScratch::classes`] reports after the
-/// pass) — the analytic model behind the Figure 8 memory column. Two kinds
-/// of term:
+/// pass), with `kernel_threads` kernel threads — the analytic model behind
+/// the Figure 8 memory column. Three kinds of term:
 ///
-/// - **per node of the batch**: the feature row, the CSR arrays (two
-///   `u32` offset arrays and the inverse degrees per node, one neighbour
-///   per edge — the reverse adjacency is training's), the one
-///   `nodes x Σclasses` logit matrix and the decoded predictions;
+/// - **per node of the batch**: the feature row, the CSR arrays (a `u32`
+///   offset per node, one neighbour per edge — the inverse degrees and the
+///   reverse adjacency are training's), the row of the node's class in the
+///   class logits and the decoded predictions;
+/// - **per class row**: a logit row of `Σclasses` floats and its decoded
+///   prediction, for the last round's classes of every group (at most its
+///   rows);
 /// - **per group** ([`for_each_group`]): what the forward holds for the
 ///   largest run of netlists it takes through the model together
 ///   ([`ModelConfig::group_bytes`]: the colour refinement's arrays, two
-///   matrices of class rows and one row block, on the serial path). This
-///   is the part that does not grow with the batch.
+///   matrices of class rows and a row block per kernel thread). This is
+///   the part that does not grow with the batch. A lone group forks its
+///   kernels to the threads; several groups are dealt to them, and each
+///   thread then holds a group's buffers and a share of the class logits.
 pub fn inference_memory_estimate(
     config: &ReasonerConfig,
     job_nodes: &[usize],
     num_edges: usize,
     classes: &[usize],
+    kernel_threads: usize,
 ) -> usize {
     const F32: usize = 4;
     let model = config.model_config();
     let logit_width: usize = model.task_classes.iter().sum();
     let num_nodes: usize = job_nodes.iter().sum();
     let per_node = FEATURE_DIM * F32        // features
-        + 3 * 4                             // offsets, cursor, 1/degree
-        + logit_width * F32                 // logits
+        + 4                                 // offsets
+        + 4                                 // class row
         + 4 + 1 + 1; // root/leaf class, XOR flag, MAJ flag
-    let mut group_rows = 0;
+    let per_class_row = logit_width * F32 + std::mem::size_of::<ClassPrediction>();
+    let last = classes.last().copied().unwrap_or(0);
+    let (mut group_rows, mut groups, mut class_rows) = (0, 0, 0);
     for_each_group(model.group_rows(), job_nodes.iter().copied(), |lo, hi| {
-        group_rows = group_rows.max(hi - lo)
+        group_rows = group_rows.max(hi - lo);
+        groups += 1;
+        class_rows += last.min(hi - lo);
     });
     let group_edges = num_edges * group_rows / num_nodes.max(1);
-    num_nodes * per_node + num_edges * 4 + model.group_bytes(group_rows, group_edges, classes)
+    let lanes = gamora_gnn::parallel::threads_for(num_nodes, kernel_threads).min(groups.max(1));
+    let (group, logits) = if lanes > 1 {
+        let group = lanes * model.group_bytes(group_rows, group_edges, classes, 1);
+        (
+            group,
+            class_rows * per_class_row + class_rows * logit_width * F32 * (lanes - 1) / lanes,
+        )
+    } else {
+        let group = model.group_bytes(group_rows, group_edges, classes, kernel_threads);
+        (group, class_rows * per_class_row)
+    };
+    num_nodes * per_node + num_edges * 4 + logits + group
 }
 
 #[cfg(test)]
@@ -495,14 +542,16 @@ mod tests {
 
     /// Past one group the estimate is linear in the batch, in a step that
     /// leaves the forward's group terms out, while a single netlist of the
-    /// same size pays for the refinement of every one of its rows, and
-    /// nothing more when its rounds find as many classes.
+    /// same size pays for the two class arrays of every one of its rows and
+    /// holds one group's class logit rows instead of four, and nothing
+    /// more when its rounds find as many classes.
     #[test]
     fn memory_estimate_scales_linearly() {
         let cfg = ReasonerConfig::default();
         let classes = [5, 40, 300, 700, 900];
         let est = |jobs: &[usize]| {
-            inference_memory_estimate(&cfg, jobs, 4 * jobs.iter().sum::<usize>(), &classes)
+            inference_memory_estimate(&cfg, jobs, 4 * jobs.iter().sum::<usize>(), &classes, 1)
+                as isize
         };
         // 2048 rows a group under the shallow model: two of these netlists.
         let step = est(&[1_000; 16]) - est(&[1_000; 8]);
@@ -511,8 +560,12 @@ mod tests {
             step < 8 * est(&[1_000]) / 2,
             "eight more netlists, no more activations"
         );
-        // Two class arrays, a 16-byte key and two representative slots a
+        // Two class arrays a row; 8 logits and a decoded prediction a class
         // row.
-        assert_eq!(est(&[8_000]) - est(&[1_000; 8]), 6_000 * (4 + 4 + 16 + 8));
+        let class_row = 8 * 4 + std::mem::size_of::<ClassPrediction>() as isize;
+        assert_eq!(
+            est(&[8_000]) - est(&[1_000; 8]),
+            6_000 * (4 + 4) - 3 * 900 * class_row
+        );
     }
 }

@@ -9,10 +9,12 @@
 //! counting global allocator and fail if that steady state ever touches
 //! the heap again.
 //!
-//! The allocator also keeps the *bytes* the measuring thread holds, for
-//! the footprint guards: what a worker's scratch retains is sized by the
-//! largest batch it saw and by one group of netlists — not by how it got
-//! there, and not by the batch times the hidden width.
+//! The allocator also keeps the *bytes* the process holds, for the
+//! footprint guards: what a worker's scratch retains — including what the
+//! kernel threads it forks to allocate for it — is sized by the largest
+//! batch it saw, by one group of netlists and by the classes of its
+//! colour refinement — not by how it got there, and not by the batch
+//! times the hidden width.
 //!
 //! The allocator is process-wide, so the tests in this binary serialise
 //! on a mutex, and it counts only the measuring thread inside its
@@ -24,7 +26,7 @@ use gamora::{
 };
 use gamora_aig::Aig;
 use gamora_circuits::csa_multiplier;
-use request_counting::counting;
+use request_counting::{counting, held_by};
 use std::sync::Mutex;
 
 #[path = "../../../tests/support/request_counting.rs"]
@@ -359,19 +361,20 @@ fn footprint_subject() -> (GamoraReasoner, gamora_circuits::ArithCircuit) {
 }
 
 /// Bytes a fresh worker scratch (`BatchScratch` + `InferenceScratch` +
-/// outputs) holds after serving batches of the given sizes in turn, on
-/// the serial kernel path, and the class counts of the last pass's
+/// outputs) holds after serving batches of the given sizes in turn, at
+/// `threads` kernel threads, and the class counts of the last pass's
 /// refinement rounds. Must run under [`TEST_LOCK`].
 fn live_bytes_after(
     reasoner: &GamoraReasoner,
     aig: &Aig,
     batches: &[usize],
+    threads: usize,
 ) -> (usize, Vec<usize>) {
     let largest: Vec<&Aig> = vec![aig; *batches.iter().max().expect("one batch")];
     let prev_cap = gamora_gnn::parallel::intra_threads();
-    gamora_gnn::parallel::set_intra_threads(1);
+    gamora_gnn::parallel::set_intra_threads(threads);
     // The scratch is returned, so it is released outside the window.
-    let ((_, scratch, outs), counts) = counting(|| {
+    let ((_, scratch, outs), held) = held_by(|| {
         let mut batch = BatchScratch::default();
         let mut scratch = InferenceScratch::default();
         let mut outs: Vec<Predictions> = Vec::new();
@@ -388,7 +391,7 @@ fn live_bytes_after(
     });
     gamora_gnn::parallel::set_intra_threads(prev_cap);
     assert_eq!(outs.len(), *batches.last().expect("one batch"));
-    (counts.live, scratch.classes().to_vec())
+    (held, scratch.classes().to_vec())
 }
 
 /// A worker's scratch does not remember how it grew: a batch one netlist
@@ -400,13 +403,13 @@ fn live_bytes_after(
 fn a_one_job_step_up_leaves_what_a_fresh_batch_would() {
     let _guard = TEST_LOCK.lock().unwrap();
     let (reasoner, subject) = footprint_subject();
-    let (fresh, _) = live_bytes_after(&reasoner, &subject.aig, &[64]);
+    let (fresh, _) = live_bytes_after(&reasoner, &subject.aig, &[64], 1);
     for history in [
         &[63, 64][..],
         &[33, 64],
         &[1, 2, 3, 5, 8, 13, 21, 34, 55, 64],
     ] {
-        let (stepped, _) = live_bytes_after(&reasoner, &subject.aig, history);
+        let (stepped, _) = live_bytes_after(&reasoner, &subject.aig, history, 1);
         let drift = stepped.abs_diff(fresh) as f64 / fresh as f64;
         assert!(
             drift <= 0.02,
@@ -416,22 +419,24 @@ fn a_one_job_step_up_leaves_what_a_fresh_batch_would() {
 }
 
 /// Going from 8 to 64 netlists a batch, a warm worker grows by what is
-/// per node — graph, features, logits, outputs — and by nothing else: the
-/// activations are those of one group either way. (A single hidden-wide
-/// matrix over the batch would be 128 more bytes a node, twice this
-/// growth's tolerance band and more.)
+/// per node — graph, features, class rows, outputs — and per class row of
+/// a netlist's last refinement round — logits and their decode — and by
+/// nothing else: the activations are those of one group either way. (A
+/// single hidden-wide matrix over the batch would be 128 more bytes a
+/// node, twice this growth's tolerance band and more.)
 #[test]
 fn a_larger_batch_grows_the_scratch_by_per_node_buffers_only() {
     let _guard = TEST_LOCK.lock().unwrap();
     let (reasoner, subject) = footprint_subject();
-    let (small, _) = live_bytes_after(&reasoner, &subject.aig, &[8]);
-    let (grown, _) = live_bytes_after(&reasoner, &subject.aig, &[8, 64]);
+    let (small, _) = live_bytes_after(&reasoner, &subject.aig, &[8], 1);
+    let (grown, classes) = live_bytes_after(&reasoner, &subject.aig, &[8, 64], 1);
     let graph = gamora::dataset::build_graph(&subject.aig, reasoner.config().direction);
     let (nodes, edges) = (graph.num_nodes(), graph.num_edges());
-    // Features 3 x f32; offsets, slot cursor, 1/degree; one neighbour per
-    // edge; 4 + 2 + 2 logits; class + two flags — plus a `Predictions` and
-    // an offset per netlist.
-    let per_job = nodes * (12 + 12 + 32 + 6) + edges * 4 + 72 + 8;
+    // Features 3 x f32; an offset; one neighbour per edge; the class row;
+    // class + two flags; 4 + 2 + 2 logits and a decoded byte per class row
+    // of the last round — plus a `Predictions` and an offset per netlist.
+    let class_rows = classes.last().expect("a round");
+    let per_job = nodes * (12 + 4 + 4 + 6) + edges * 4 + class_rows * (32 + 1) + 72 + 8;
     let growth = grown - small;
     assert!(
         growth.abs_diff(56 * per_job) * 20 <= 56 * per_job,
@@ -442,38 +447,54 @@ fn a_larger_batch_grows_the_scratch_by_per_node_buffers_only() {
 
 /// `inference_memory_estimate` — the memory column of the fig. 8 bench —
 /// stays within 5% of what a fresh batched prediction really holds, at
-/// 1, 8 and 64 netlists.
+/// 1, 8 and 64 netlists on one kernel thread, and for a lone CSA-32 —
+/// above the kernels' fork cutoff — at two, where the colour refinement
+/// runs on both threads and each keeps its own class arrays.
 #[test]
 fn memory_estimate_tracks_the_allocator() {
     let _guard = TEST_LOCK.lock().unwrap();
     let (reasoner, subject) = footprint_subject();
-    let graph = gamora::dataset::build_graph(&subject.aig, reasoner.config().direction);
-    for jobs in [1usize, 8, 64] {
-        let (held, classes) = live_bytes_after(&reasoner, &subject.aig, &[jobs]);
+    let csa32 = csa_multiplier(32).aig;
+    let cases = [
+        (&subject.aig, 1usize, 1usize),
+        (&subject.aig, 8, 1),
+        (&subject.aig, 64, 1),
+        (&csa32, 1, 2),
+    ];
+    for (aig, jobs, threads) in cases {
+        let graph = gamora::dataset::build_graph(aig, reasoner.config().direction);
+        assert!(threads == 1 || graph.num_nodes() >= 2 * 4096, "forks");
+        let (held, classes) = live_bytes_after(&reasoner, aig, &[jobs], threads);
         let estimate = gamora::inference_memory_estimate(
             reasoner.config(),
             &vec![graph.num_nodes(); jobs],
             jobs * graph.num_edges(),
             &classes,
+            threads,
         );
         assert!(
             estimate.abs_diff(held) as f64 <= 0.05 * held as f64,
-            "{jobs} netlists hold {held} bytes, estimated {estimate}"
+            "{jobs} netlists of {} nodes hold {held} bytes at {threads} kernel threads, \
+             estimated {estimate}",
+            graph.num_nodes()
         );
     }
 }
 
 /// A lone subject above the group budget is one group of its own size, and
 /// what the scratch holds for it is, beside the per-node inputs and
-/// outputs, one `nodes x Σclasses` logit matrix, the colour refinement's
-/// arrays and two hidden-wide matrices of *class* rows — round 0's
-/// feature rows and the even rounds' rows in one, the odd rounds' in the
-/// other: no shared-layer output (128 bytes a class row here), no second
-/// head-width matrix (32 a node), no hidden-wide matrix over the nodes
-/// (128 a node) and no reverse adjacency (over 12 a node), each of which
-/// would take the count past the half head-width slack.
+/// outputs: the class rows of every refinement round but the last, round
+/// 0's feature rows and the even rounds' hidden rows in one matrix and the
+/// odd rounds' in the other; one logit row per class of the last round
+/// and its decode, with a 4-byte class row per node; the refinement's two
+/// per-node class arrays; and its other arrays, sized by the classes. No
+/// matrix of the last round's rows (128 bytes a class row here), no
+/// shared-layer output (128 a class row), no logit row per node (32 a
+/// node), no refinement key and representative slots per node (34 a node)
+/// and no reverse adjacency (over 12 a node) — each of which would take
+/// the count past the slack of 16 bytes a node.
 #[test]
-fn a_lone_group_holds_two_hidden_matrices_and_one_logit_matrix() {
+fn a_lone_group_holds_class_rows_short_of_the_last_round_and_class_logits() {
     let _guard = TEST_LOCK.lock().unwrap();
     let reasoner = GamoraReasoner::new(ReasonerConfig::default());
     let subject = csa_multiplier(32);
@@ -484,43 +505,46 @@ fn a_lone_group_holds_two_hidden_matrices_and_one_logit_matrix() {
         nodes > 4 * 2048,
         "one group, and above the kernels' fork cutoff"
     );
-    let (held, rounds) = live_bytes_after(&reasoner, &subject.aig, &[1]);
+    let (held, rounds) = live_bytes_after(&reasoner, &subject.aig, &[1], 1);
     assert_eq!(rounds.len(), 5, "round 0 and one per layer");
     assert!(
         rounds[4] < nodes / 2,
         "classes {rounds:?} of {nodes} rows: the quotient is smaller"
     );
-    // Features; offsets, slot cursor, 1/degree; neighbours; the decoded
-    // class and two flags.
-    let inputs_and_outputs = nodes * (12 + 12 + 6) + edges * 4;
-    let logits = nodes * classes * 4;
-    // Two class arrays, a 16-byte key and two representative slots a
-    // node; for the largest round, a 4-byte table slot per class at most
-    // half full and the quotient's offset, 1/degree, self row and
+    // Features; offsets; neighbours; the class row, the decoded class and
+    // two flags.
+    let inputs_and_outputs = nodes * (12 + 4 + 4 + 6) + edges * 4;
+    let logits = rounds[4] * (classes * 4 + 1);
+    // Two class arrays a node. For the largest round: the one run's
+    // 16-byte keys and representatives, grown by doubling (the run's
+    // representatives are the group's); a 4-byte table slot per class at
+    // most half full; and the quotient's offset, 1/degree, self row and
     // neighbours.
     let most = rounds.iter().copied().max().expect("a round");
-    let refinement = nodes * (4 + 4 + 16 + 8)
+    let refinement = nodes * (4 + 4)
+        + (16 + 4) * most.next_power_of_two()
         + 4 * (2 * most).next_power_of_two()
         + 4 * (3 * most + most * edges / nodes);
-    let even = (rounds[0] * 3)
-        .max(rounds[2] * hidden)
-        .max(rounds[4] * hidden);
+    let even = (rounds[0] * 3).max(rounds[2] * hidden);
     let odd = rounds[1].max(rounds[3]) * hidden;
     let activations = 4 * (even + odd);
     let expected = inputs_and_outputs + logits + refinement + activations;
     assert!(
-        held.abs_diff(expected) <= nodes * classes * 4 / 2,
+        held.abs_diff(expected) <= 16 * nodes,
         "a {nodes}-node subject holds {held} bytes, where two {hidden}-wide \
-         matrices of {rounds:?} class rows, the refinement, one {classes}-wide \
-         logit matrix and the per-node buffers are {expected}"
+         matrices of {rounds:?} class rows short of the last round, the \
+         refinement, {} {classes}-wide logit rows and the per-node buffers \
+         are {expected}",
+        rounds[4]
     );
 }
 
 /// The reverse adjacency is derived by the first backward pass over a
 /// graph and by nothing else: a graph from `build_graph`, from the
 /// sectioned builder, and the one a warm `BatchScratch` rebuilt after a
-/// backward all hold none (their first backward allocates exactly the
-/// reverse graph's bytes), the second backward allocates nothing, and a
+/// backward all hold none, nor inverse degrees (their first backward
+/// allocates exactly the reverse graph's bytes and the inverse degrees'),
+/// the second backward allocates nothing, and a
 /// graph rebuilt in place as a different graph after a backward gives the
 /// freshly built graph's backward, bit for bit.
 #[test]
@@ -537,11 +561,12 @@ fn the_reverse_adjacency_is_derived_by_the_first_backward_only() {
         let ((), counts) = counting(|| graph.mean_aggregate_backward_add(&grad, &mut out));
         (counts.live, counts.calls, out)
     }
-    /// The reverse adjacency is a boxed `Graph` of its own: offsets and
-    /// fill cursor, a neighbour per edge, an inverse degree per node.
+    /// The reverse adjacency is a boxed `Graph` of its own: offsets and a
+    /// neighbour per edge. The first backward over a graph no aggregation
+    /// has run over derives its inverse degrees too, one per node.
     fn reverse_bytes(graph: &Graph) -> usize {
         let n = graph.num_nodes();
-        std::mem::size_of::<Graph>() + 4 * (2 * (n + 1) + n) + 4 * graph.num_edges()
+        std::mem::size_of::<Graph>() + 4 * (n + 1) + 4 * graph.num_edges() + 4 * n
     }
 
     let _guard = TEST_LOCK.lock().unwrap();

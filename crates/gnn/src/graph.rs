@@ -9,8 +9,11 @@
 //! aggregation kernel checks that for a window of rows).
 //!
 //! Every builder is one pass on the calling thread: count degrees, prefix
-//! sum, fill. It writes the forward adjacency only; the reverse one, which
-//! only training reads, is derived on first use by
+//! sum, fill. It writes the forward offsets and neighbours only. The
+//! inverse degrees, which only an aggregation over the whole graph reads
+//! (the inference forward runs over quotients, which take their rows'
+//! from the offsets), are derived by the first such aggregation; the
+//! reverse adjacency, which only training reads, by the first
 //! [`Graph::mean_aggregate_backward_add`]. The parallelism is in the
 //! aggregation and GEMM row blocks, which cost far more per node.
 
@@ -61,10 +64,11 @@ pub struct Graph {
     /// The reverse adjacency ([`Graph::reversed`]), derived by the first
     /// backward pass over this graph and dropped by every rebuild.
     reverse: OnceLock<Box<Graph>>,
-    /// 1 / degree(v) for the forward adjacency (0 for isolated nodes).
-    inv_deg: Vec<f32>,
-    /// Reusable slot cursor for the in-place CSR fill passes.
-    cursor: Vec<u32>,
+    /// [`inverse_degree`] of every node, derived by the first aggregation
+    /// or backward pass over the whole graph and dropped by every rebuild:
+    /// the inference forward runs over quotients, whose rows take their
+    /// representatives' from the offsets.
+    inv_deg: OnceLock<Vec<f32>>,
 }
 
 impl Graph {
@@ -132,6 +136,7 @@ impl Graph {
         // Sections must tile the node space contiguously, in order.
         out.sections.clear();
         out.reverse.take();
+        out.inv_deg.take();
         let mut covered = 0usize;
         for i in 0..num_sections {
             let (start, len) = span(i);
@@ -159,17 +164,28 @@ impl Graph {
 
     /// The CSR build under [`Graph::from_sections_into`] and the reverse
     /// adjacency: zero heap allocation once `out` is at capacity.
+    ///
+    /// The fill needs no cursor array: `offsets[v + 1]` holds row `v`'s
+    /// start after the exclusive prefix sum, takes one slot per edge
+    /// streamed into the row and so ends as the row's end, which is where
+    /// the next row starts.
     fn build_csr(num_nodes: usize, direction: Direction, edges: EdgeStream<'_>, out: &mut Graph) {
         assert_node_count(num_nodes);
         let Graph {
             num_nodes: out_nodes,
             offsets,
             neighbors,
-            inv_deg,
-            cursor,
             ..
         } = out;
         *out_nodes = num_nodes;
+        // The edge sequence of the count pass, checked against the fill
+        // pass's in debug builds.
+        let mut streamed = [SEQUENCE_SEED; 2];
+        let mut sequence = |pass: usize, s: u32, d: u32| {
+            if cfg!(debug_assertions) {
+                streamed[pass] = mix_edge(streamed[pass], s, d);
+            }
+        };
 
         // Pass 1: count aggregation edges per CSR row.
         refill(offsets, num_nodes + 1);
@@ -178,6 +194,7 @@ impl Graph {
                 (s as usize) < num_nodes && (d as usize) < num_nodes,
                 "edge ({s}, {d}) out of range"
             );
+            sequence(0, s, d);
             match direction {
                 Direction::Fanin => offsets[d as usize + 1] += 1, // node gathers from fanin
                 Direction::Fanout => offsets[s as usize + 1] += 1, // node gathers from fanout
@@ -187,15 +204,14 @@ impl Graph {
                 }
             }
         });
-        let total = prefix_sum(&mut offsets[1..]);
+        let total = exclusive_prefix_sum(&mut offsets[1..]);
 
-        // Pass 2: fill the forward CSR slots.
-        clear_exact(cursor, num_nodes + 1);
-        cursor.extend_from_slice(offsets);
+        // Pass 2: fill the forward CSR slots, each row in stream order.
         refill(neighbors, total);
         edges(&mut |s: u32, d: u32| {
+            sequence(1, s, d);
             let mut put = |v: u32, u: u32| {
-                let slot = &mut cursor[v as usize];
+                let slot = &mut offsets[v as usize + 1];
                 neighbors[*slot as usize] = u;
                 *slot += 1;
             };
@@ -209,19 +225,9 @@ impl Graph {
             }
         });
         debug_assert!(
-            (0..num_nodes).all(|v| cursor[v] == offsets[v + 1]),
+            streamed[0] == streamed[1],
             "edge stream changed between the count and fill passes"
         );
-
-        clear_exact(inv_deg, num_nodes);
-        inv_deg.extend((0..num_nodes).map(|v| {
-            let deg = offsets[v + 1] - offsets[v];
-            if deg == 0 {
-                0.0
-            } else {
-                1.0 / deg as f32
-            }
-        }));
     }
 
     /// Number of nodes.
@@ -259,7 +265,8 @@ impl Graph {
     }
 
     /// [`Graph::mean_aggregate`] into a caller-owned buffer (no heap
-    /// allocation once `out` has enough capacity).
+    /// allocation once `out` has enough capacity and the first call after
+    /// a build has derived the inverse degrees).
     ///
     /// # Panics
     ///
@@ -274,19 +281,34 @@ impl Graph {
         let dim = h.cols();
         // Every element is written by the kernel: no zero-fill pass.
         out.reshape_for_overwrite(self.num_nodes, dim);
-        let h = Rows::all(h);
+        let (h, adj) = (Rows::all(h), self.adjacency());
         parallel::for_each_row_block(out.as_mut_slice(), dim.max(1), BLOCK_ROWS, |v0, block| {
-            self.adjacency().aggregate(kernels, v0, h, block)
+            adj.aggregate(kernels, v0, h, block)
         });
     }
 
-    /// The forward CSR arrays, as the aggregation kernel reads them.
+    /// The forward CSR arrays, as the aggregation kernel reads them (the
+    /// first call after a build derives the inverse degrees).
     pub(crate) fn adjacency(&self) -> Adjacency<'_> {
         Adjacency {
             offsets: &self.offsets,
             neighbors: &self.neighbors,
-            inv_deg: &self.inv_deg,
+            inv_deg: self.inv_deg(),
         }
+    }
+
+    /// The forward CSR's offsets and neighbours, without the inverse
+    /// degrees.
+    pub(crate) fn csr(&self) -> (&[u32], &[u32]) {
+        (&self.offsets, &self.neighbors)
+    }
+
+    /// [`inverse_degree`] of every node, derived on first use.
+    fn inv_deg(&self) -> &[f32] {
+        self.inv_deg.get_or_init(|| {
+            let degrees = self.offsets.windows(2).map(|w| w[1] - w[0]);
+            degrees.map(inverse_degree).collect()
+        })
     }
 
     /// Backward of [`Graph::mean_aggregate`], added onto `out`: given
@@ -295,9 +317,10 @@ impl Graph {
     /// before it meets what `out` holds — the order a separate gradient
     /// matrix added afterwards would give.
     ///
-    /// The first call after a build derives the reverse CSR and keeps it
-    /// with the graph (a training graph pays it once per `fit`); later
-    /// calls allocate nothing.
+    /// The first call after a build derives the reverse CSR (and the
+    /// inverse degrees, if no aggregation has) and keeps it with the graph
+    /// (a training graph pays it once per `fit`); later calls allocate
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -309,6 +332,7 @@ impl Graph {
         /// Columns summed together in registers.
         const LANES: usize = 16;
         let rev = self.reverse.get_or_init(|| Box::new(self.reversed()));
+        let inv_deg = self.inv_deg();
         let width = grad.cols().max(1);
         parallel::for_each_row_block(out.as_mut_slice(), width, BLOCK_ROWS, |u0, block| {
             for (i, row) in block.chunks_mut(width).enumerate() {
@@ -316,7 +340,7 @@ impl Graph {
                 for (chunk, lanes) in row.chunks_mut(LANES).enumerate() {
                     let mut acc = [0.0f32; LANES];
                     for &v in rev.neighbors(u) {
-                        let inv = self.inv_deg[v as usize];
+                        let inv = inv_deg[v as usize];
                         let g = &grad.row(v as usize)[chunk * LANES..][..lanes.len()];
                         for (a, &g) in acc.iter_mut().zip(g) {
                             *a += g * inv;
@@ -380,6 +404,16 @@ impl Adjacency<'_> {
     }
 }
 
+/// `1 / degree` of a node (0 for an isolated one): the factor its
+/// neighbour sum is scaled by.
+pub(crate) fn inverse_degree(degree: u32) -> f32 {
+    if degree == 0 {
+        0.0
+    } else {
+        1.0 / degree as f32
+    }
+}
+
 /// Makes `v` hold `len` zeros, growing to exactly `len` (see
 /// [`clear_exact`]).
 fn refill<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
@@ -429,15 +463,27 @@ fn csr_overflow(total: u64) -> ! {
     );
 }
 
-/// In-place inclusive prefix sum over per-node counts (the `[1..]` tail of
-/// an offsets array), overflow-checked; returns the edge total.
-fn prefix_sum(counts: &mut [u32]) -> usize {
+/// In-place exclusive prefix sum over per-node counts (the `[1..]` tail
+/// of an offsets array, which then holds every row's start),
+/// overflow-checked; returns the edge total.
+fn exclusive_prefix_sum(counts: &mut [u32]) -> usize {
     let mut acc = 0u64;
     for slot in counts.iter_mut() {
-        acc += u64::from(*slot);
-        *slot = checked_csr_index(acc);
+        let count = u64::from(*slot);
+        *slot = acc as u32;
+        acc += count;
+        checked_csr_index(acc);
     }
     acc as usize
+}
+
+const SEQUENCE_SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// One edge into a running digest of an edge sequence (order-sensitive).
+fn mix_edge(h: u64, s: u32, d: u32) -> u64 {
+    (h ^ (u64::from(s) << 32 | u64::from(d)))
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(27)
 }
 
 #[cfg(test)]
@@ -535,14 +581,15 @@ mod tests {
     fn csr_index_accepts_the_u32_boundary() {
         assert_eq!(checked_csr_index(u64::from(u32::MAX)), u32::MAX);
         let mut counts = vec![u32::MAX, 0, 0];
-        assert_eq!(prefix_sum(&mut counts), u32::MAX as usize);
+        assert_eq!(exclusive_prefix_sum(&mut counts), u32::MAX as usize);
+        assert_eq!(counts, [0, u32::MAX, u32::MAX]);
     }
 
     #[test]
     #[should_panic(expected = "exceed the u32 index limit")]
     fn csr_index_panics_past_the_u32_boundary() {
         let mut counts = vec![u32::MAX, 1];
-        prefix_sum(&mut counts);
+        exclusive_prefix_sum(&mut counts);
     }
 
     /// A build over three sections, one of them empty, matches the same

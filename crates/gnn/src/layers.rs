@@ -21,7 +21,7 @@
 //! every row.
 
 use crate::graph::{Adjacency, Graph};
-use crate::kernel::{self, GemmArgs, Operand, Rows, BLOCK_ROWS};
+use crate::kernel::{self, GemmArgs, Kernels, Operand, Rows, BLOCK_ROWS};
 use crate::parallel;
 use crate::tensor::{fused_gemm_into, Epilogue, Matrix};
 use rand::Rng;
@@ -184,29 +184,32 @@ impl FusedLinears {
         self.bias.len()
     }
 
-    /// `before`, then the gathered layers on its output, for the rows
-    /// `row0 ..` of `h` that `out` has room for: per row block, `before`'s
-    /// output goes into `ws` and straight on into the gathered GEMM, so it
-    /// never exists for more than one block per kernel thread. Row for
-    /// row, the arithmetic of the two `forward_into`s. With `split`, each
-    /// GEMM's nanoseconds are added to its slot.
+    /// The model's tail for every row of a quotient: `layer` over
+    /// `quotient` ([`SageLayer::forward_quotient`], reading `h`), then
+    /// `shared`, then the gathered layers, one output row in `out` per
+    /// row of the quotient. Per row block, the layer's output and the
+    /// shared layer's go into `ws` and straight on into the next GEMM, so
+    /// neither exists for more than one block per kernel thread. Row for
+    /// row, the arithmetic of `forward_quotient` and the two
+    /// `forward_into`s. With `split`, the nanoseconds of the layer (its
+    /// aggregation and gather included), of the shared GEMM and of the
+    /// gathered one are added to its three slots.
     ///
     /// # Panics
     ///
-    /// Panics if `h` is not `before`'s input width or does not hold the
-    /// rows asked for.
+    /// Panics if `h` is not `layer`'s input width or misses a row the
+    /// quotient names, or if `shared` does not take `layer`'s output.
     pub(crate) fn forward_rows_after(
         &self,
-        before: &Linear,
+        (layer, shared): (&SageLayer, &Linear),
+        quotient: (Adjacency<'_>, &[u32]),
         h: Rows<'_>,
-        row0: usize,
         ws: &mut SageScratch,
         out: &mut [f32],
-        split: Option<&[AtomicU64; 2]>,
+        split: Option<&[AtomicU64; 3]>,
     ) {
-        assert_eq!(h.cols, before.w.rows(), "embedding width mismatch");
-        let (mid, n) = (before.w.cols(), self.width());
-        let into_mid = dense(h, before.w.as_slice(), &before.b, before.relu);
+        let (hidden, mid, n) = (layer.out_dim(), shared.w.cols(), self.width());
+        assert_eq!(shared.w.rows(), hidden, "embedding width mismatch");
         let kernels = kernel::active();
         let clock = || split.map(|_| Instant::now());
         parallel::for_each_row_block_with(
@@ -214,22 +217,37 @@ impl FusedLinears {
             n,
             BLOCK_ROWS,
             &mut ws.block,
-            BLOCK_ROWS * mid,
-            |i0, block, z| {
-                let row0 = row0 + i0;
-                let z = &mut z[..block.len() / n * mid];
+            BLOCK_ROWS * (hidden + (2 * layer.in_dim).max(mid)),
+            |row0, block, lane| {
+                let rows = block.len() / n;
+                let (y, lane) = lane.split_at_mut(BLOCK_ROWS * hidden);
+                let y = &mut y[..rows * hidden];
                 let t0 = clock();
-                kernels.gemm_block(&into_mid, row0, z);
+                layer.block(kernels, quotient.0, Some(quotient.1), h, row0, lane, y);
                 let t1 = clock();
+                let y = Rows {
+                    data: y,
+                    cols: hidden,
+                    first: row0,
+                };
+                let z = &mut lane[..rows * mid];
+                kernels.gemm_block(
+                    &dense(y, shared.w.as_slice(), &shared.b, shared.relu),
+                    row0,
+                    z,
+                );
+                let t2 = clock();
                 let z = Rows {
                     data: z,
                     cols: mid,
                     first: row0,
                 };
                 kernels.gemm_block(&dense(z, &self.w, &self.bias, self.relu), row0, block);
-                if let (Some(split), Some(t0), Some(t1)) = (split, t0, t1) {
-                    split[0].fetch_add((t1 - t0).as_nanos() as u64, Ordering::Relaxed);
-                    split[1].fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                if let (Some(split), Some(t0), Some(t1), Some(t2)) = (split, t0, t1, t2) {
+                    let spans = [t1 - t0, t2 - t1, t2.elapsed()];
+                    for (slot, span) in split.iter().zip(spans) {
+                        slot.fetch_add(span.as_nanos() as u64, Ordering::Relaxed);
+                    }
                 }
             },
         );
@@ -253,8 +271,9 @@ fn dense<'a>(x: Rows<'a>, w: &'a [f32], bias: &'a [f32], relu: bool) -> GemmArgs
 /// through a [`SageLayer`] holds at a time (one block per kernel thread on
 /// the row-block-parallel path), next to the block of self rows a layer
 /// over a quotient gathers — shared by every layer of a model, since
-/// layers run in sequence, and by the shared layer's output in the fused
-/// tail after them (`FusedLinears::forward_rows_after`).
+/// layers run in sequence, and by the fused tail, which holds the last
+/// layer's output block beside them and the shared layer's in their place
+/// (`FusedLinears::forward_rows_after`).
 ///
 /// There is deliberately no concat buffer either: the split-weight forward
 /// multiplies `h` and the aggregate against the two row halves of the
@@ -317,7 +336,8 @@ impl SageLayer {
     }
 
     /// Inference forward pass into caller-owned buffers (no heap
-    /// allocation once `ws` and `out` have enough capacity): per row
+    /// allocation once `ws` and `out` have enough capacity and the graph's
+    /// inverse degrees are derived, by its first aggregation): per row
     /// block, the neighbour mean goes into `ws` and straight on into the
     /// split-weight GEMM ([`SageLayer::fused_into`]'s arithmetic, row for
     /// row).
@@ -370,64 +390,82 @@ impl SageLayer {
         ws: &mut SageScratch,
         out: &mut [f32],
     ) {
-        let (k, n) = (self.in_dim, self.lin.w.cols());
-        assert_eq!(h.cols, k, "embedding width mismatch");
-        let (w_self, w_neigh) = self.lin.w.as_slice().split_at(k * n);
-        let epilogue = Epilogue {
-            bias: Some(&self.lin.b),
-            relu: true,
-        };
         let kernels = kernel::active();
-        let lanes = &mut ws.block;
         parallel::for_each_row_block_with(
             out,
-            n,
+            self.out_dim(),
             BLOCK_ROWS,
-            lanes,
-            2 * BLOCK_ROWS * k,
-            |row0, block, lane| {
-                let rows = block.len() / n;
-                let (agg, gathered) = lane.split_at_mut(BLOCK_ROWS * k);
-                let agg = &mut agg[..rows * k];
-                adj.aggregate(kernels, row0, h, agg);
-                let aggregated = Rows {
-                    data: agg,
+            &mut ws.block,
+            2 * BLOCK_ROWS * self.in_dim,
+            |row0, block, lane| self.block(kernels, adj, own, h, row0, lane, block),
+        );
+    }
+
+    /// Output width.
+    fn out_dim(&self) -> usize {
+        self.lin.w.cols()
+    }
+
+    /// The rows `row0 ..` of the convolution over `adj` that `block` has
+    /// room for, the aggregate and the gathered self rows held in `lane`
+    /// (two blocks of `in_dim`-wide rows).
+    #[allow(clippy::too_many_arguments)]
+    fn block(
+        &self,
+        kernels: &Kernels,
+        adj: Adjacency<'_>,
+        own: Option<&[u32]>,
+        h: Rows<'_>,
+        row0: usize,
+        lane: &mut [f32],
+        block: &mut [f32],
+    ) {
+        let (k, n) = (self.in_dim, self.out_dim());
+        assert_eq!(h.cols, k, "embedding width mismatch");
+        let (w_self, w_neigh) = self.lin.w.as_slice().split_at(k * n);
+        let rows = block.len() / n;
+        let (agg, gathered) = lane.split_at_mut(BLOCK_ROWS * k);
+        let agg = &mut agg[..rows * k];
+        adj.aggregate(kernels, row0, h, agg);
+        let aggregated = Rows {
+            data: agg,
+            cols: k,
+            first: row0,
+        };
+        let x_self = match own {
+            None => h,
+            Some(own) => {
+                let gathered = &mut gathered[..rows * k];
+                let own = &own[row0..row0 + rows];
+                for (dst, &r) in gathered.chunks_exact_mut(k).zip(own) {
+                    dst.copy_from_slice(h.row(r as usize));
+                }
+                Rows {
+                    data: gathered,
                     cols: k,
                     first: row0,
-                };
-                let x_self = match own {
-                    None => h,
-                    Some(own) => {
-                        let gathered = &mut gathered[..rows * k];
-                        let own = &own[row0..row0 + rows];
-                        for (dst, &r) in gathered.chunks_exact_mut(k).zip(own) {
-                            dst.copy_from_slice(h.row(r as usize));
-                        }
-                        Rows {
-                            data: gathered,
-                            cols: k,
-                            first: row0,
-                        }
-                    }
-                };
-                let args = GemmArgs {
-                    operands: [
-                        Operand {
-                            x: x_self,
-                            w: w_self,
-                        },
-                        Operand {
-                            x: aggregated,
-                            w: w_neigh,
-                        },
-                    ],
-                    epilogue,
-                    n,
-                    accumulate: false,
-                };
-                kernels.gemm_block(&args, row0, block);
+                }
+            }
+        };
+        let args = GemmArgs {
+            operands: [
+                Operand {
+                    x: x_self,
+                    w: w_self,
+                },
+                Operand {
+                    x: aggregated,
+                    w: w_neigh,
+                },
+            ],
+            epilogue: Epilogue {
+                bias: Some(&self.lin.b),
+                relu: true,
             },
-        );
+            n,
+            accumulate: false,
+        };
+        kernels.gemm_block(&args, row0, block);
     }
 
     /// The split-weight fused convolution: `ReLU(h @ W_self + agg @

@@ -41,7 +41,8 @@
 //! let x = Matrix::zeros(4, 3);
 //! let per_task = model.forward(&graph, &x);
 //! assert_eq!(per_task.len(), 3);
-//! // Hot loops reuse a scratch; tasks are column ranges of one matrix:
+//! // Hot loops reuse a scratch; a node's row is its class's, and tasks are
+//! // column ranges of it:
 //! let mut scratch = InferenceScratch::default();
 //! assert_eq!(&model.infer(&graph, &x, &mut scratch, None).row(2)[4..6], per_task[1].row(2));
 //! ```
@@ -63,8 +64,8 @@ pub use adam::Adam;
 pub use graph::{Direction, Graph};
 pub use layers::{BackwardScratch, Linear, SageLayer, SageScratch, SageTape};
 pub use model::{
-    for_each_group, ForwardObserver, ForwardStage, InferenceScratch, ModelConfig, MultiTaskSage,
-    Tape,
+    for_each_group, ForwardObserver, ForwardStage, InferenceScratch, Logits, ModelConfig,
+    MultiTaskSage, Tape,
 };
 pub use tensor::Matrix;
 #[doc(hidden)]

@@ -18,7 +18,8 @@
 //! layer, the shared layer and the heads before it touches the next: the
 //! two ping-pong embedding buffers are group-sized, stay cache-resident
 //! from layer to layer, and only the per-node inputs and outputs
-//! (features, CSR, logits) scale with the batch. A row's arithmetic does
+//! (features, CSR, each node's class row) and the class logits scale with
+//! the batch. A row's arithmetic does
 //! not depend on which rows are computed with it, so the logits are
 //! bit-identical to those of the union taken whole, or of each section on
 //! its own. A graph with one section is one group — the layer-major order
@@ -35,23 +36,25 @@
 //! operations the representative's row would get in the row-per-node
 //! forward, and so does every member, so the logits are bit-identical to
 //! [`MultiTaskSage::forward_train`]'s. The two activation buffers hold
-//! class rows, not node rows: on the 256-bit CSA, 10% of the trunk's rows
-//! and 31% of the heads'. Once a round's classes reach a fixed share of
-//! the group's rows, the later rounds are the identity partition, through
-//! the same code.
+//! class rows, not node rows: on the 256-bit CSA, 10% of the trunk's rows.
+//! Once a round's classes reach a fixed share of the group's rows, the
+//! later rounds are the identity partition, through the same code.
 //!
-//! **The tail is fused:** the shared layer and the heads run one row block
-//! at a time ([`FusedLinears::forward_rows_after`]) on the last round's
-//! class rows into the group's first rows of one `nodes x Σclasses` logit
-//! matrix, every task's logits a column range, and each node then copies
-//! its class's row.
+//! **The tail is fused:** the last trunk layer, the shared layer and the
+//! heads run one row block at a time ([`FusedLinears::forward_rows_after`])
+//! on the last round's classes — 31% of the rows on the 256-bit CSA — so
+//! neither the last layer's rows nor the shared layer's are ever written
+//! out. What the pass returns ([`Logits`]) is one logit row per class of
+//! every group's last round, every task's logits a column range, and for
+//! every node the row of its class: no node copies a logit row, and a
+//! decoder can take each class row's argmax once.
 
 use crate::graph::Graph;
 use crate::kernel::{Rows, BLOCK_ROWS};
 use crate::layers::{BackwardScratch, FusedLinears, Linear, SageLayer, SageScratch, SageTape};
 use crate::parallel;
 use crate::refine::{table_slots, Refinement};
-use crate::tensor::Matrix;
+use crate::tensor::{clear_exact, grow_within, Matrix};
 use rand::SeedableRng;
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
@@ -120,12 +123,14 @@ pub fn for_each_group(
 #[derive(Clone, Debug, Default)]
 struct Lane {
     ws: SageScratch,
-    /// The class rows of the even refinement rounds (round 0's are feature
-    /// rows) and of the odd ones: a layer reads one and writes the other,
-    /// and each keeps its rounds from pass to pass, so a warm pass finds
-    /// both at their high-water size.
+    /// The class rows of the even refinement rounds short of the last
+    /// (round 0's are feature rows) and of the odd ones: a layer reads one
+    /// and writes the other, and each keeps its rounds from pass to pass,
+    /// so a warm pass finds both at their high-water size. The last
+    /// round's rows live in the fused tail's row blocks only.
     rows: [Matrix; 2],
     refine: Refinement,
+    logits: ClassLogits,
     /// Nanoseconds per stage (trunk layers, shared, heads), summed over
     /// the groups this lane took in the current pass.
     stage_ns: Vec<u64>,
@@ -134,21 +139,50 @@ struct Lane {
     classes: Vec<usize>,
 }
 
+/// The class logit rows of the groups a lane took, in order, in the first
+/// `len` floats; on a forked pass, the first lane's then take the other
+/// lanes' after its own.
+#[derive(Clone, Debug, Default)]
+struct ClassLogits {
+    data: Vec<f32>,
+    len: usize,
+}
+
+impl ClassLogits {
+    /// `rows` more rows of `width` floats after the ones written, the
+    /// buffer grown by doubling but never past `bound` rows in all — a
+    /// bound of the rows still to come in this pass, so that it ends no
+    /// larger than a row per node would be.
+    fn more(&mut self, rows: usize, width: usize, bound: usize) -> &mut [f32] {
+        let (from, to) = (self.len, self.len + rows * width);
+        if self.data.len() < to {
+            grow_within(&mut self.data, to, from + bound * width);
+            self.data.resize(to, 0.0);
+        }
+        self.len = to;
+        &mut self.data[from..to]
+    }
+}
+
 /// Reusable per-worker buffers for allocation-free inference: per lane,
 /// a group's colour refinement and quotient adjacency, two ping-pong
-/// embedding matrices with one row per *class* of the largest group seen,
-/// and the row block each kernel thread aggregates in and holds the fused
-/// tail's shared-layer output in; and one `nodes x Σclasses` logit matrix.
+/// embedding matrices with one row per *class* of the largest group seen
+/// (of every round but the last), the row block each kernel thread
+/// aggregates in and holds the fused tail's last-layer and shared-layer
+/// outputs in, and the class logit rows; and the row of every node's class.
 ///
 /// A warmed-up scratch (after one [`MultiTaskSage::infer`] call at a given
 /// graph size) lets every subsequent inference at the same or smaller size
 /// run without touching the heap. One scratch serves models and graphs of
 /// any shape — buffers are resized lazily, reusing capacity, and one that
-/// is too small grows to exactly the size asked for.
+/// is too small grows to exactly the size asked for, or, for the class
+/// logits and the refinement's per-class arrays, by doubling up to what
+/// the pass can need.
 #[derive(Clone, Debug, Default)]
 pub struct InferenceScratch {
     lanes: Vec<Lane>,
-    logits: Matrix,
+    /// Per node, the row of its class in the first lane's logits.
+    row_of: Vec<u32>,
     /// Column-concatenated task-head weights (rebuilt every pass).
     heads: FusedLinears,
     /// `(first_row, end_row)` of every group of the current pass.
@@ -169,6 +203,47 @@ impl InferenceScratch {
     }
 }
 
+/// The logits of one [`MultiTaskSage::infer`] pass, which live in its
+/// scratch: one row per class of every group's last refinement round, each
+/// task's classes side by side in task order (columns 0–3, 4–5, 6–7 for
+/// `[4, 2, 2]`), and for every node the row of its class. A node's row is
+/// bit for bit its row of [`MultiTaskSage::forward_train`]'s logits.
+#[derive(Copy, Clone, Debug)]
+pub struct Logits<'a> {
+    classes: &'a [f32],
+    width: usize,
+    row_of: &'a [u32],
+}
+
+impl<'a> Logits<'a> {
+    /// Number of nodes.
+    pub fn rows(&self) -> usize {
+        self.row_of.len()
+    }
+
+    /// Logits per row: every task's classes.
+    pub fn cols(&self) -> usize {
+        self.width
+    }
+
+    /// The logits of node `v`: its class's row.
+    pub fn row(&self, v: usize) -> &'a [f32] {
+        let r = self.row_of[v] as usize * self.width;
+        &self.classes[r..r + self.width]
+    }
+
+    /// The class rows, in order: every group's last-round classes, the
+    /// groups in node order.
+    pub fn class_rows(&self) -> std::slice::ChunksExact<'a, f32> {
+        self.classes.chunks_exact(self.width.max(1))
+    }
+
+    /// The class row of every node, in node order.
+    pub fn row_of(&self) -> &'a [u32] {
+        self.row_of
+    }
+}
+
 /// What the groups of one [`MultiTaskSage::infer`] call share.
 #[derive(Copy, Clone)]
 struct Pass<'a> {
@@ -182,16 +257,17 @@ struct Pass<'a> {
 
 impl Pass<'_> {
     /// Takes `groups` through the whole model, one after the other, in
-    /// `lane`'s buffers: every trunk layer, then the shared layer and all
-    /// task heads fused block by block ([`FusedLinears`]) into `logits`,
-    /// the logit rows from `base` on — the whole matrix on a serial pass,
-    /// one lane's stretch of it on a forked one.
+    /// `lane`'s buffers: every trunk layer but the last, then the last
+    /// one, the shared layer and all task heads fused block by block
+    /// ([`FusedLinears`]) into the lane's logit rows, and each node's row
+    /// into `row_of`, which holds the nodes from `base` on — every node
+    /// on a serial pass, one lane's stretch of them on a forked one.
     fn run_groups(
         &self,
         groups: &[(usize, usize)],
         lane: &mut Lane,
         base: usize,
-        logits: &mut [f32],
+        row_of: &mut [u32],
     ) {
         let Pass {
             model,
@@ -204,15 +280,18 @@ impl Pass<'_> {
             ws,
             rows: [even, odd],
             refine,
+            logits,
             stage_ns,
             classes: seen,
         } = lane;
         let trunk = model.sage.len();
-        let classes = heads.width();
+        let width = heads.width();
+        logits.len = 0;
         stage_ns.clear();
         stage_ns.resize(trunk + 2, 0);
         seen.clear();
         seen.resize(trunk + 1, 0);
+        let end = groups.last().map_or(base, |g| g.1);
         for &(lo, hi) in groups {
             // Round 0 and the feature row of each of its classes are the
             // first layer's work, round l + 1 is layer l's.
@@ -226,6 +305,9 @@ impl Pass<'_> {
             for (l, layer) in model.sage.iter().enumerate() {
                 refine.step(graph, lo);
                 seen[l + 1] = seen[l + 1].max(refine.classes());
+                if l + 1 == trunk {
+                    break;
+                }
                 let (input, output) = if l % 2 == 0 {
                     (&*even, &mut *odd)
                 } else {
@@ -240,36 +322,52 @@ impl Pass<'_> {
                     started = Some(now);
                 }
             }
-            // The tail writes the logits of the last round's classes to
-            // the group's first rows, and every node copies its class's.
-            // Its wall time goes to the shared layer and the heads in the
-            // proportion its blocks' clock reads give them.
-            let split = [AtomicU64::new(0), AtomicU64::new(0)];
-            let rows = &mut logits[(lo - base) * classes..(hi - base) * classes];
-            let class_rows = &mut rows[..refine.classes() * classes];
-            let h = Rows::all(if trunk % 2 == 0 { &*even } else { &*odd });
-            heads.forward_rows_after(&model.shared, h, 0, ws, class_rows, timed.then_some(&split));
-            scatter_classes(rows, refine.node_classes(), classes);
-            if let Some(t) = started {
+            // The last round's refinement is the last layer's; the tail
+            // takes its classes through that layer, the shared layer and
+            // the heads, and every node is given its class's row. The
+            // tail's wall time goes to the three in the proportion its
+            // blocks' clock reads give them.
+            let tail_started = started.map(|t| {
+                let now = Instant::now();
+                stage_ns[trunk - 1] += (now - t).as_nanos() as u64;
+                now
+            });
+            let split = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+            let h = Rows::all(if trunk % 2 == 1 { &*even } else { &*odd });
+            let first = (logits.len / width.max(1)) as u32;
+            let out = logits.more(refine.classes(), width, end - lo);
+            let last = (&model.sage[trunk - 1], &model.shared);
+            heads.forward_rows_after(last, refine.quotient(), h, ws, out, timed.then_some(&split));
+            let nodes = &mut row_of[lo - base..hi - base];
+            for (row, &class) in nodes.iter_mut().zip(refine.node_classes()) {
+                *row = first + class;
+            }
+            if let Some(t) = tail_started {
                 let wall = t.elapsed().as_nanos();
-                let [in_shared, in_heads] = split.map(|ns| u128::from(ns.into_inner()));
-                let shared_ns = wall * in_shared / (in_shared + in_heads).max(1);
-                stage_ns[trunk] += shared_ns as u64;
-                stage_ns[trunk + 1] += (wall - shared_ns) as u64;
+                let spans = split.map(|ns| u128::from(ns.into_inner()));
+                let total = spans.iter().sum::<u128>().max(1);
+                let mut left = wall;
+                for (stage, span) in [trunk - 1, trunk].into_iter().zip(spans) {
+                    let ns = wall * span / total;
+                    stage_ns[stage] += ns as u64;
+                    left -= ns;
+                }
+                stage_ns[trunk + 1] += left as u64;
             }
         }
     }
 
     /// [`Pass::run_groups`] with the groups dealt to one scoped thread per
     /// lane — consecutive groups of about equal row counts, so every
-    /// thread owns one stretch of the logit matrix — instead of a
-    /// fork-join inside every kernel call.
-    fn fork_groups(&self, groups: &[(usize, usize)], lanes: &mut [Lane], logits: &mut [f32]) {
+    /// thread owns one stretch of the nodes — instead of a fork-join inside
+    /// every kernel call. The first lane's logit rows then take the
+    /// others', and their nodes' rows move past the first lane's.
+    fn fork_groups(&self, groups: &[(usize, usize)], lanes: &mut [Lane], row_of: &mut [u32]) {
         let per_lane = self.x.rows().div_ceil(lanes.len());
         let last = lanes.len() - 1;
-        let classes = self.heads.width();
-        let mut rest = logits;
+        let mut rest = &mut *row_of;
         let mut dealt = 0;
+        let mut stretches = Vec::with_capacity(lanes.len());
         std::thread::scope(|s| {
             let handles: Vec<_> = lanes
                 .iter_mut()
@@ -287,8 +385,9 @@ impl Pass<'_> {
                     let mine = &groups[from..dealt];
                     let base = mine.first().map_or(0, |g| g.0);
                     let rows = mine.last().map_or(0, |g| g.1) - base;
-                    let (stretch, tail) = std::mem::take(&mut rest).split_at_mut(rows * classes);
+                    let (stretch, tail) = std::mem::take(&mut rest).split_at_mut(rows);
                     rest = tail;
+                    stretches.push(base..base + rows);
                     s.spawn(move || {
                         // The fork is here: the kernels inside stay serial.
                         parallel::set_intra_threads(1);
@@ -303,18 +402,18 @@ impl Pass<'_> {
                 }
             }
         });
-    }
-}
-
-/// Gives every node of a group the logit row of its class, which the
-/// fused tail wrote to row `class` of `rows`. A class's id is never above
-/// a member's index, so walking the nodes downwards copies every class row
-/// before a node's row overwrites it.
-fn scatter_classes(rows: &mut [f32], node_classes: &[u32], width: usize) {
-    for (v, &c) in node_classes.iter().enumerate().rev() {
-        let c = c as usize;
-        if c != v {
-            rows.copy_within(c * width..(c + 1) * width, v * width);
+        let (first, others) = lanes.split_first_mut().expect("one lane at least");
+        let ClassLogits { data, len } = &mut first.logits;
+        let total = *len + others.iter().map(|lane| lane.logits.len).sum::<usize>();
+        data.truncate(*len);
+        data.reserve_exact(total - *len);
+        for (lane, nodes) in others.iter().zip(&stretches[1..]) {
+            let shift = (*len / self.heads.width().max(1)) as u32;
+            for row in &mut row_of[nodes.clone()] {
+                *row += shift;
+            }
+            data.extend_from_slice(&lane.logits.data[..lane.logits.len]);
+            *len = data.len();
         }
     }
 }
@@ -349,37 +448,61 @@ impl ModelConfig {
     /// Bytes of the row block each kernel thread of the inference forward
     /// works in next to its group's activations: a layer aggregates its
     /// input into one half and gathers its self rows into the other, and
-    /// the fused tail holds the shared layer's output there on its way into
-    /// the heads.
+    /// the fused tail holds the last layer's output block beside them and
+    /// the shared layer's output in their place on its way into the heads.
     pub fn block_bytes(&self) -> usize {
-        4 * BLOCK_ROWS * (2 * self.in_dim.max(self.hidden)).max(self.shared_dim)
+        let last_in = if self.layers > 1 {
+            self.hidden
+        } else {
+            self.in_dim
+        };
+        let tail = self.hidden + (2 * last_in).max(self.shared_dim);
+        4 * BLOCK_ROWS * (2 * self.in_dim.max(self.hidden)).max(tail)
     }
 
     /// Bytes one lane of the inference forward holds for a group of `rows`
     /// rows and `edges` aggregation edges whose refinement rounds had
-    /// `classes` classes each ([`InferenceScratch::classes`]):
+    /// `classes` classes each ([`InferenceScratch::classes`]), with
+    /// `threads` kernel threads to fork to:
     ///
-    /// - the two ping-pong class-row matrices, round 0's feature rows and
-    ///   the even rounds' hidden rows in one, the odd rounds' in the other;
-    /// - per row, the refinement's two class arrays, a 16-byte key and two
-    ///   representative slots (the run's and the group's);
+    /// - the two ping-pong class-row matrices of every round but the last,
+    ///   round 0's feature rows and the even rounds' hidden rows in one,
+    ///   the odd rounds' in the other;
+    /// - per row, the refinement's two class arrays;
     /// - per class of the largest round, the quotient's offset, inverse
-    ///   degree and self row, its neighbours at the group's mean degree,
-    ///   and the class table's 4-byte slots (an upper bound when a round
-    ///   ran on the identity partition, which uses no table);
-    /// - one row block ([`ModelConfig::block_bytes`], on the serial path).
-    pub fn group_bytes(&self, rows: usize, edges: usize, classes: &[usize]) -> usize {
+    ///   degree and self row and its neighbours at the group's mean degree;
+    /// - per refinement run (one per kernel thread the group's rows fork
+    ///   to), a 16-byte key and a representative for each class it finds —
+    ///   taken as an even share of the largest round's — and its class
+    ///   table of 4-byte slots, all grown by doubling (the keys and
+    ///   representatives up to the run's rows); the first run's arrays
+    ///   take every class of the group (the table's an upper bound when a
+    ///   round ran on the identity partition, which uses no table);
+    /// - one row block per kernel thread ([`ModelConfig::block_bytes`]).
+    pub fn group_bytes(
+        &self,
+        rows: usize,
+        edges: usize,
+        classes: &[usize],
+        threads: usize,
+    ) -> usize {
         const WORD: usize = 4;
+        const KEY: usize = 16;
         let mut matrices = [0usize; 2];
-        for (r, &c) in classes.iter().enumerate() {
+        for (r, &c) in classes.iter().enumerate().take(self.layers) {
             let width = if r == 0 { self.in_dim } else { self.hidden };
             matrices[r % 2] = matrices[r % 2].max(c * width);
         }
         let most = classes.iter().copied().max().unwrap_or(0);
-        let refinement = rows * (2 * WORD + 16 + 2 * WORD);
+        let runs = parallel::threads_for(rows, threads);
+        let per_run = most.div_ceil(runs);
+        let grown = per_run.next_power_of_two().min(rows.div_ceil(runs));
+        let first_run = (KEY + WORD) * grown.max(most) + WORD * table_slots(most);
+        let later_runs = (runs - 1) * ((KEY + WORD) * grown + WORD * table_slots(per_run));
+        let refinement = rows * 2 * WORD + first_run + later_runs;
         let quotient = (3 * most + 1) * WORD + most * edges / rows.max(1) * WORD;
-        let table = 4 * table_slots(most);
-        WORD * (matrices[0] + matrices[1]) + refinement + quotient + table + self.block_bytes()
+        let blocks = parallel::threads_for(most, threads) * self.block_bytes();
+        WORD * (matrices[0] + matrices[1]) + refinement + quotient + blocks
     }
 
     /// `(in_dim, out_dim)` of every linear layer's weight matrix, in
@@ -412,8 +535,13 @@ pub enum ForwardStage {
 /// Receives per-stage wall times from [`MultiTaskSage::infer`]. A trunk
 /// layer's time ([`ForwardStage::Sage`]`(l)`) includes the refinement
 /// round its rows are the classes of — round `l + 1`, and for layer 0
-/// round 0 as well — and the quotient adjacency it runs over; the heads'
-/// time includes copying every node's logits from its class's.
+/// round 0 as well — and the quotient adjacency it runs over. The last
+/// layer runs inside the fused tail with the shared layer and the heads,
+/// row block by row block. The tail's wall time, writing every node's
+/// class row included, is split between the three in the proportion of
+/// the clock reads around each block's three GEMMs, and the last layer's
+/// share is reported as its own `Sage` stage, so the stages stay one per
+/// layer.
 ///
 /// This is the seam serving-side observability hooks into: the GNN crate
 /// only reports `(stage, micros)` pairs and gains no dependency on any
@@ -523,7 +651,7 @@ impl MultiTaskSage {
         let logits = self.infer(graph, x, &mut scratch, None);
         let mut c0 = 0;
         let tasks = self.config.task_classes.iter().map(|&c| {
-            let rows = logits.as_slice().chunks_exact(logits.cols().max(1));
+            let rows = (0..logits.rows()).map(|v| logits.row(v));
             let task = rows.flat_map(|row| &row[c0..c0 + c]).copied().collect();
             c0 += c;
             Matrix::from_vec(x.rows(), c, task)
@@ -534,30 +662,30 @@ impl MultiTaskSage {
     /// Inference forward pass through caller-owned scratch buffers.
     ///
     /// Returns the logits, which live inside `scratch` (they stay valid
-    /// until the next call with the same scratch): one row per node, each
-    /// task's classes side by side in task order (columns 0–3, 4–5, 6–7 for
-    /// `[4, 2, 2]`), bit for bit those of [`MultiTaskSage::forward_train`].
-    /// The graph's sections are taken through the whole model one
-    /// cache-sized group at a time, each on the quotient of its colour
-    /// refinement (see the module docs); [`InferenceScratch::classes`]
-    /// reports the class counts the pass found. After a
-    /// warmup call at a given graph size, subsequent calls perform **zero
-    /// heap allocations** as long as the kernels stay on their serial path
-    /// (one kernel thread, or a graph below `parallel`'s per-thread row
-    /// cutoff); above it, the scoped worker threads spawned per call
-    /// allocate. With several kernel threads and several groups the
-    /// *groups* are dealt to the threads, once per call; a lone group goes
-    /// to the row-block-parallel kernels instead.
+    /// until the next call with the same scratch): one row per class of
+    /// every group's last refinement round and the row of every node's
+    /// class ([`Logits`]), a node's row bit for bit its row of
+    /// [`MultiTaskSage::forward_train`]'s. The graph's sections are taken
+    /// through the whole model one cache-sized group at a time, each on
+    /// the quotient of its colour refinement (see the module docs);
+    /// [`InferenceScratch::classes`] reports the class counts the pass
+    /// found. After a warmup call at a given graph size, subsequent calls
+    /// perform **zero heap allocations** as long as the kernels stay on
+    /// their serial path (one kernel thread, or a graph below
+    /// `parallel`'s per-thread row cutoff); above it, the scoped worker
+    /// threads spawned per call allocate. With several kernel threads and
+    /// several groups the *groups* are dealt to the threads, once per
+    /// call; a lone group goes to the row-block-parallel kernels instead.
     ///
     /// When `observer` is `Some`, each trunk layer — with the refinement
     /// round that sizes it, see [`ForwardObserver`] — the shared linear and
     /// the combined heads report their wall time — summed over the groups,
-    /// the fused tail's split between the two by three clock reads per row
-    /// block — through [`ForwardObserver::record_stage`], once per stage
-    /// and call, in order (two monotonic clock reads per stage and group,
-    /// no allocations); when groups ran on several threads, the times are
-    /// those of the thread that took longest. When `None`, no clocks are
-    /// read.
+    /// the fused tail's split between the last layer, the shared layer and
+    /// the heads by four clock reads per row block — through
+    /// [`ForwardObserver::record_stage`], once per stage and call, in order
+    /// (two monotonic clock reads per stage and group, no allocations);
+    /// when groups ran on several threads, the times are those of the
+    /// thread that took longest. When `None`, no clocks are read.
     ///
     /// No fail point is checked here: the serve worker checks its
     /// model-call point before calling in, where it can handle the error.
@@ -571,18 +699,21 @@ impl MultiTaskSage {
         x: &Matrix,
         scratch: &'a mut InferenceScratch,
         observer: Option<&dyn ForwardObserver>,
-    ) -> &'a Matrix {
+    ) -> Logits<'a> {
         assert_eq!(x.cols(), self.config.in_dim, "feature width mismatch");
         assert_eq!(x.rows(), graph.num_nodes(), "one feature row per node");
         let InferenceScratch {
             lanes,
-            logits,
+            row_of,
             heads,
             groups,
             classes,
         } = scratch;
         heads.gather(&self.heads);
-        logits.reshape_for_overwrite(x.rows(), heads.width());
+        if row_of.capacity() < x.rows() {
+            clear_exact(row_of, x.rows());
+        }
+        row_of.resize(x.rows(), 0);
         groups.clear();
         for_each_group(self.config.group_rows(), graph.section_rows(), |lo, hi| {
             groups.push((lo, hi))
@@ -600,9 +731,9 @@ impl MultiTaskSage {
         };
         let lanes = &mut lanes[..threads];
         if threads == 1 {
-            pass.run_groups(groups, &mut lanes[0], 0, logits.as_mut_slice());
+            pass.run_groups(groups, &mut lanes[0], 0, row_of);
         } else {
-            pass.fork_groups(groups, lanes, logits.as_mut_slice());
+            pass.fork_groups(groups, lanes, row_of);
         }
         classes.clear();
         classes.resize(self.sage.len() + 1, 0);
@@ -621,7 +752,12 @@ impl MultiTaskSage {
                 obs.record_stage(stage, ns / 1_000);
             }
         }
-        logits
+        let ClassLogits { data, len } = &lanes[0].logits;
+        Logits {
+            classes: &data[..*len],
+            width: heads.width(),
+            row_of,
+        }
     }
 
     /// Training forward pass: like [`MultiTaskSage::forward`], but every
@@ -767,6 +903,13 @@ mod tests {
         )
     }
 
+    /// Every node's logit row, bit patterns, in node order.
+    fn node_bits(logits: Logits<'_>) -> Vec<u32> {
+        (0..logits.rows())
+            .flat_map(|v| logits.row(v).iter().map(|x| x.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn forward_shapes() {
         let model = tiny_model();
@@ -803,11 +946,10 @@ mod tests {
             for r in 0..n {
                 x.set(r, r % 3, 1.0);
             }
-            let expected = model
-                .infer(&graph, &x, &mut InferenceScratch::default(), None)
-                .clone();
+            let expected =
+                node_bits(model.infer(&graph, &x, &mut InferenceScratch::default(), None));
             let logits = model.infer(&graph, &x, &mut scratch, None);
-            assert_eq!(logits, &expected, "n = {n}");
+            assert_eq!(node_bits(logits), expected, "n = {n}");
         }
     }
 
@@ -871,9 +1013,8 @@ mod tests {
             for r in 0..n {
                 x.set(r, r % 3, 1.0);
             }
-            let expected = model
-                .infer(&graph, &x, &mut InferenceScratch::default(), None)
-                .clone();
+            let expected =
+                node_bits(model.infer(&graph, &x, &mut InferenceScratch::default(), None));
             let recorder = Recorder(RefCell::new(Vec::new()));
             let mut scratch = InferenceScratch::default();
             parallel::set_intra_threads(threads);
@@ -881,7 +1022,11 @@ mod tests {
             let logits = model.infer(&graph, &x, &mut scratch, Some(&recorder));
             let wall = started.elapsed().as_micros() as u64;
             parallel::set_intra_threads(0);
-            assert_eq!(logits, &expected, "observation must not change the forward");
+            assert_eq!(
+                node_bits(logits),
+                expected,
+                "observation must not change the forward"
+            );
             assert_eq!(scratch.groups.len(), groups);
             assert_eq!(scratch.lanes.len(), threads, "groups dealt to every thread");
             let (stages, micros): (Vec<_>, Vec<_>) = recorder.0.into_inner().into_iter().unzip();

@@ -201,11 +201,21 @@ where
 /// completely free of [`num_threads`]' env lookup and its allocation (it
 /// is the steady state of warmed-up inference).
 pub fn effective_threads(rows: usize) -> usize {
+    if rows / MIN_ROWS_PER_THREAD <= 1 {
+        1
+    } else {
+        threads_for(rows, num_threads())
+    }
+}
+
+/// How many of `threads` threads a `rows`-sized workload forks to:
+/// [`effective_threads`] under a cap of `threads`.
+pub fn threads_for(rows: usize, threads: usize) -> usize {
     let max_useful = rows / MIN_ROWS_PER_THREAD;
     if max_useful <= 1 {
         1
     } else {
-        num_threads().min(max_useful)
+        threads.clamp(1, max_useful)
     }
 }
 

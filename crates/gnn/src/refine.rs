@@ -35,9 +35,9 @@
 //! the later rounds are the identity partition: every node its own class,
 //! through the same quotient code, with no hashing.
 
-use crate::graph::{Adjacency, Graph};
+use crate::graph::{inverse_degree, Adjacency, Graph};
 use crate::parallel;
-use crate::tensor::{clear_exact, Matrix};
+use crate::tensor::{clear_exact, grow_within, Matrix};
 
 /// Share of a group's rows, as `(numerator, denominator)`, at which
 /// refinement stops: once a round has at least this many classes per row,
@@ -116,8 +116,11 @@ pub(crate) fn table_slots(classes: usize) -> usize {
 }
 
 /// The refinement of one group of sections and the quotient adjacency of
-/// the layer it is at. Every array is reused from group to group and grows
-/// to exactly the size asked for, so a warm pass allocates nothing.
+/// the layer it is at. Every array is reused from group to group, so a
+/// warm pass allocates nothing. Only the two class arrays have a slot per
+/// node; every other array holds one entry per class, and those a round
+/// fills while it finds its classes grow by doubling, as the class table
+/// does, up to a class per node.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Refinement {
     /// Class of every node of the group (group-local indices) in the round
@@ -125,9 +128,9 @@ pub(crate) struct Refinement {
     prev: Vec<u32>,
     /// Class of every node in the round the current layer writes.
     next: Vec<u32>,
-    /// Representative (first node) of every class of `next`.
-    reps: Vec<u32>,
-    /// One run of the nodes per kernel thread of the round.
+    /// One run of the nodes per kernel thread of the round; the first
+    /// run's representatives are, after the merge, the representative
+    /// (first node) of every class of `next`.
     runs: Vec<Run>,
     /// Whether the rounds after `next` are the identity partition.
     saturated: bool,
@@ -159,7 +162,6 @@ impl Refinement {
             clear_exact(classes, n);
             classes.resize(n, 0);
         }
-        clear_exact(&mut self.reps, n);
         let keys = Keys::EXACT;
         let key_of = |v: usize| {
             let row = x.row(lo + v);
@@ -174,11 +176,9 @@ impl Refinement {
             let (a, b) = (x.row(lo + v), x.row(lo + r));
             a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits())
         };
-        let Refinement {
-            next, reps, runs, ..
-        } = self;
-        assign(key_of, keys.spread, same, 0, next, reps, runs);
-        self.saturated = saturated(self.reps.len(), n);
+        let Refinement { next, runs, .. } = self;
+        assign(key_of, keys.spread, same, 0, next, runs);
+        self.saturated = saturated(self.classes(), n);
     }
 
     /// Moves on one round: the classes of the last round become those the
@@ -194,29 +194,28 @@ impl Refinement {
     fn step_with(&mut self, graph: &Graph, lo: usize, keys: Keys) {
         std::mem::swap(&mut self.prev, &mut self.next);
         let n = self.prev.len();
-        let adj = graph.adjacency();
+        let csr = graph.csr();
         let neighbors = |v: usize| {
-            let (a, b) = (adj.offsets[lo + v], adj.offsets[lo + v + 1]);
-            &adj.neighbors[a as usize..b as usize]
+            let (a, b) = (csr.0[lo + v], csr.0[lo + v + 1]);
+            &csr.1[a as usize..b as usize]
         };
         let Refinement {
-            prev,
-            next,
-            reps,
-            runs,
-            ..
+            prev, next, runs, ..
         } = self;
+        let before = runs[0].reps.len();
         if self.saturated {
             for (v, class) in next.iter_mut().enumerate() {
                 *class = v as u32;
             }
+            let reps = &mut runs[0].reps;
             reps.clear();
+            grow_within(reps, n, n);
             reps.extend(0..n as u32);
         } else {
             let class = |u: u32| prev[u as usize - lo];
             // The degree in its own bits, then the node's class and its
             // neighbours', each as wide as the last round's ids.
-            let bits = id_bits(reps.len());
+            let bits = id_bits(before);
             let key_of = |v: usize| {
                 let around = neighbors(v);
                 let head = (around.len() as u32, DEGREE_BITS);
@@ -229,28 +228,30 @@ impl Refinement {
                     && a.len() == b.len()
                     && a.iter().zip(b).all(|(&u, &w)| class(u) == class(w))
             };
-            assign(key_of, keys.spread, same, reps.len(), next, reps, runs);
-            self.saturated = saturated(reps.len(), n);
+            assign(key_of, keys.spread, same, before, next, runs);
+            self.saturated = saturated(self.classes(), n);
         }
-        self.build_quotient(adj, lo);
+        self.build_quotient(csr, lo);
     }
 
     /// The quotient CSR of the current layer from the representatives of
-    /// `next` and the classes of `prev`.
-    fn build_quotient(&mut self, adj: Adjacency<'_>, lo: usize) {
+    /// `next` and the classes of `prev`, over the graph's `(offsets,
+    /// neighbors)`.
+    fn build_quotient(&mut self, (graph_offsets, graph_neighbors): (&[u32], &[u32]), lo: usize) {
         let Refinement {
             prev,
-            reps,
+            runs,
             offsets,
             neighbors,
             inv_deg,
             own,
             ..
         } = self;
+        let reps = &runs[0].reps;
         let classes = reps.len();
         let row = |r: u32| {
             let v = lo + r as usize;
-            adj.offsets[v] as usize..adj.offsets[v + 1] as usize
+            graph_offsets[v] as usize..graph_offsets[v + 1] as usize
         };
         clear_exact(offsets, classes + 1);
         offsets.push(0);
@@ -264,20 +265,20 @@ impl Refinement {
         clear_exact(own, classes);
         for &r in reps.iter() {
             own.push(prev[r as usize]);
-            inv_deg.push(adj.inv_deg[lo + r as usize]);
-            let around = &adj.neighbors[row(r)];
+            let around = &graph_neighbors[row(r)];
+            inv_deg.push(inverse_degree(around.len() as u32));
             neighbors.extend(around.iter().map(|&u| prev[u as usize - lo]));
         }
     }
 
     /// Classes of the last round refined.
     pub(crate) fn classes(&self) -> usize {
-        self.reps.len()
+        self.reps().len()
     }
 
     /// The representative of every class of the last round.
     pub(crate) fn reps(&self) -> &[u32] {
-        &self.reps
+        self.runs.first().map_or(&[], |run| &run.reps)
     }
 
     /// The class of every node of the group in the last round.
@@ -399,7 +400,8 @@ impl Table {
 struct Run {
     table: Table,
     /// The representative of every class of the run; after the merge,
-    /// the group's class it is.
+    /// for the first run, of every class of the group, and for a later
+    /// one, the group's class each of its classes is.
     reps: Vec<u32>,
     /// The key of every class of the run, and for the first run, after
     /// the merge, of every class of the group.
@@ -410,36 +412,41 @@ struct Run {
 /// before it with its key — equal keys, and for a hashed key also
 /// `same(v, r)` — or opens a new class with itself as representative;
 /// classes are numbered in first-seen order. Writes every node's class to
-/// `classes` and the representatives to `reps`.
+/// `classes` and the representatives to the first run's.
 ///
 /// Each kernel thread enters a run of consecutive nodes, in order, into a
 /// table of its own, sized for `expected` classes among the threads. The
 /// first run's classes are the group's first; every later run's classes
 /// are then entered, in order, into the first run's table, which numbers
 /// the new ones next — first-seen order over the group — and the later
-/// runs' nodes are relabelled.
+/// runs' nodes are relabelled. A run's keys and representatives grow with
+/// the classes it finds; the first run's then take at most the later
+/// runs' classes more, which is what they are given room for before the
+/// merge.
 fn assign(
     key_of: impl Fn(usize) -> Key + Sync,
     spread: fn(Key) -> u64,
     same: impl Fn(usize, usize) -> bool + Sync,
     expected: usize,
     classes: &mut [u32],
-    reps: &mut Vec<u32>,
     runs: &mut Vec<Run>,
 ) {
-    let (n, threads) = (classes.len(), parallel::effective_threads(classes.len()));
+    let threads = parallel::effective_threads(classes.len());
     if runs.len() < threads {
         runs.resize_with(threads, Run::default);
     }
     let runs = &mut runs[..threads];
     let start = table_slots(expected / threads);
-    parallel::for_each_run_with(classes, runs, |t, v0, nodes, run| {
-        // The first run's arrays take the merged classes too.
-        let room = if t == 0 { n } else { nodes.len() };
-        clear_exact(&mut run.reps, room);
-        clear_exact(&mut run.keys, room);
+    parallel::for_each_run_with(classes, runs, |_, v0, nodes, run| {
+        run.reps.clear();
+        run.keys.clear();
         run.table.reset(start);
+        let most = nodes.len();
         for (i, class) in nodes.iter_mut().enumerate() {
+            // Room for a new class; a run has at most one per node.
+            let found = run.reps.len();
+            grow_within(&mut run.reps, found + 1, most);
+            grow_within(&mut run.keys, found + 1, most);
             let v = v0 + i;
             *class = run
                 .table
@@ -447,14 +454,15 @@ fn assign(
         }
     });
     let (first, later) = runs.split_first_mut().expect("one run at least");
-    reps.clear();
-    reps.extend_from_slice(&first.reps);
+    let merged: usize = later.iter().map(|run| run.reps.len()).sum();
+    first.reps.reserve_exact(merged);
+    first.keys.reserve_exact(merged);
     for run in later.iter_mut() {
         for (r, &key) in run.reps.iter_mut().zip(&run.keys) {
             let v = *r as usize;
             *r = first
                 .table
-                .enter(key, v, spread, &same, &mut first.keys, reps);
+                .enter(key, v, spread, &same, &mut first.keys, &mut first.reps);
         }
     }
     parallel::for_each_run_with(classes, runs, |t, _, nodes, run| {

@@ -329,6 +329,18 @@ pub(crate) fn clear_exact<T>(v: &mut Vec<T>, len: usize) {
     }
 }
 
+/// Makes room in `v` for `need` elements in all, for a buffer whose final
+/// size is not known when it starts to fill: it grows by doubling, as
+/// `Vec::push` would, but never past `most` elements (unless `need` is
+/// more), a bound of what it can come to hold, so that it ends no larger
+/// than a buffer sized by the bound up front.
+pub(crate) fn grow_within<T>(v: &mut Vec<T>, need: usize, most: usize) {
+    if v.capacity() < need {
+        let want = (2 * v.capacity()).min(most).max(need);
+        v.reserve_exact(want - v.len());
+    }
+}
+
 /// The post-accumulation work fused into the GEMM: optional bias add,
 /// optional ReLU. Both run on the accumulator tile before it is stored.
 #[derive(Copy, Clone, Default)]

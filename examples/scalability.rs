@@ -1,6 +1,7 @@
 //! Scalability sweep (a miniature of the paper's Figure 7): netlist size,
-//! exact and GNN runtime, and the heap inference holds (also scaled to
-//! the paper's 33M nodes) as multiplier width grows.
+//! exact and GNN runtime, and the heap inference holds at a serve worker's
+//! two kernel threads (also scaled to the paper's 33M nodes) as multiplier
+//! width grows.
 //!
 //! Run with: `cargo run --release --example scalability [max_bits]`
 //! (default 128; pass 512 or more on a fast machine).
@@ -53,10 +54,12 @@ fn main() {
         let preds = outs.pop().expect("one netlist");
         let gamora_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        // Two aggregation edges per AIG edge (bidirectional message passing).
+        // Two aggregation edges per AIG edge (bidirectional message
+        // passing), at a serve worker's two kernel threads.
         let nodes = m.aig.num_nodes();
         let edges = 4 * m.aig.num_ands();
-        let held = inference_memory_estimate(reasoner.config(), &[nodes], edges, scratch.classes());
+        let held =
+            inference_memory_estimate(reasoner.config(), &[nodes], edges, scratch.classes(), 2);
         let per_node = held as f64 / nodes as f64;
 
         let eval = gamora::score_predictions(&preds, &analysis.labels);

@@ -10,6 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// What one thread asked of the allocator inside one [`counting`] window.
 #[derive(Copy, Clone, Debug, Default)]
@@ -31,9 +32,13 @@ std::thread_local! {
     static COUNTS: Cell<Option<Counts>> = const { Cell::new(None) };
 }
 
-/// Adds to the current thread's counts if it is counting; `live` is a
-/// wrapping delta.
+/// Bytes every thread of the process holds, wrapping.
+static HELD: AtomicUsize = AtomicUsize::new(0);
+
+/// Adds to the current thread's counts if it is counting, and to the
+/// process's held bytes; `live` is a wrapping delta.
 fn count(calls: usize, requested: usize, live: usize) {
+    HELD.fetch_add(live, Ordering::Relaxed);
     // `try_with` so allocations during TLS teardown never panic.
     let _ = COUNTS.try_with(|c| {
         if let Some(n) = c.get() {
@@ -90,4 +95,16 @@ pub fn counting<T>(f: impl FnOnce() -> T) -> (T, Counts) {
     let out = f();
     let counts = COUNTS.with(|c| c.replace(None));
     (out, counts.expect("counting was on"))
+}
+
+/// Runs `f` and returns its result with the bytes the whole process holds
+/// more after it than before: what `f` keeps, including what threads it
+/// forked allocated and left behind. Every other thread's allocations
+/// count too, so callers keep the process otherwise quiet (the tests of a
+/// binary serialise on a lock).
+#[allow(dead_code)] // the footprint guards' only
+pub fn held_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = HELD.load(Ordering::Relaxed);
+    let out = f();
+    (out, HELD.load(Ordering::Relaxed).wrapping_sub(before))
 }
