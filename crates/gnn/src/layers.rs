@@ -339,7 +339,7 @@ impl SageLayer {
     /// allocation once `ws` and `out` have enough capacity and the graph's
     /// inverse degrees are derived, by its first aggregation): per row
     /// block, the neighbour mean goes into `ws` and straight on into the
-    /// split-weight GEMM ([`SageLayer::fused_into`]'s arithmetic, row for
+    /// split-weight GEMM (`SageLayer::fused_into`'s arithmetic, row for
     /// row).
     ///
     /// # Panics

@@ -33,7 +33,7 @@ USAGE:
                  the depths a snapshot holds; --bits widths are 1-256,
                  2-256 for booth)
     gamora infer --model MODEL.gsnap [--extract] [--score] [--batch N]
-                 [--workers N] [--cache N] [--queue-cap N]
+                 [--workers N] [--cache N]
                  [--compact] [--layer-times] [--metrics-out PATH]
                  [--intra-threads N] [--faults SPEC] FILE.aag [FILE.aig ...]
                  (--batch and --workers are at least 1;
@@ -376,7 +376,6 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
             "--batch",
             "--workers",
             "--cache",
-            "--queue-cap",
             "--metrics-out",
             "--intra-threads",
             "--faults",
@@ -398,7 +397,6 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
         }
     }
     let cache_capacity = flags.usize_or("--cache", defaults.cache_capacity)?;
-    let queue_capacity = flags.usize_or("--queue-cap", defaults.queue_capacity)?;
     let intra_threads = flags.usize_or("--intra-threads", 0)?;
     let kind = if flags.has("--extract") {
         AnalysisKind::ExtractAdders
@@ -414,7 +412,7 @@ fn cmd_infer(args: &[String]) -> Result<(), String> {
             max_batch,
             workers,
             cache_capacity,
-            queue_capacity,
+            queue_capacity: defaults.queue_capacity,
             linger_micros: 0,
             layer_timing: flags.has("--layer-times"),
             intra_threads,

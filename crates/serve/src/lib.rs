@@ -20,7 +20,7 @@
 //!   — and each worker carries only a reusable scratch workspace, so a
 //!   warmed-up worker serves repeat-sized traffic without heap churn.
 //!   The ingress is production-hardened: bounded queues with explicit
-//!   admission (`try_submit` → `SubmitError::Overloaded`), a linger
+//!   admission (`Admit::Shed` → `SubmitError::Overloaded`), a linger
 //!   window so trickling traffic still forms real batches, per-job
 //!   deadlines honoured before the forward pass, and fail-fast
 //!   submission once shutdown begins. It is also **self-healing**: a
@@ -74,6 +74,6 @@ pub use cache::{CacheEntry, CacheKey, GraphSignature, HitKind, PredictionCache};
 pub use metrics::{LayerObserver, ServeMetrics};
 pub use report::Json;
 pub use scheduler::{
-    AnalysisKind, Health, JobOutput, JobTicket, ServeConfig, ServeError, ServeStats, Server,
+    Admit, AnalysisKind, Health, JobOutput, JobTicket, ServeConfig, ServeError, ServeStats, Server,
     SubmitError,
 };

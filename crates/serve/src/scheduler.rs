@@ -2,7 +2,7 @@
 //! ingress.
 //!
 //! Jobs (an AIG plus the requested analysis) are submitted from any thread
-//! and answered through per-job channels. Every `submit*` call digests its
+//! and answered through per-job channels. Every submit digests its
 //! AIG on the caller's thread (one streaming pass, the 128-bit
 //! `identity_fingerprint`; nothing in cold mode). Worker threads drain the
 //! shared queue in batches of up to `max_batch`, answer what they can from
@@ -20,26 +20,29 @@
 //! The ingress is hardened for overload:
 //!
 //! * **Bounded queue.** The submission queue holds at most
-//!   [`ServeConfig::queue_capacity`] jobs. [`Server::try_submit`] rejects
-//!   with [`SubmitError::Overloaded`] instead of growing memory;
-//!   [`Server::submit`] blocks on a capacity condvar until a worker frees
-//!   space. Every `submit*` variant admits through one loop: a single
-//!   submit is a burst of one job, [`Server::submit_all`] a burst of its
-//!   whole list, admitted in capacity-sized waves. A burst can therefore
-//!   never inflate the server beyond `queue_capacity` queued AIGs.
+//!   [`ServeConfig::queue_capacity`] jobs. A single job enters through
+//!   [`Server::submit_with`], whose [`Admit`] policy says what a full
+//!   queue does to it: [`Admit::Shed`] rejects with
+//!   [`SubmitError::Overloaded`] instead of growing memory, while
+//!   [`Admit::Block`] ([`Server::submit`]) blocks on a capacity condvar
+//!   until a worker frees space. Every submit admits through one loop: a
+//!   single submit is a burst of one job, [`Server::submit_all`] a burst
+//!   of its whole list, admitted in capacity-sized waves. A burst can
+//!   therefore never inflate the server beyond `queue_capacity` queued
+//!   AIGs.
 //! * **Linger window.** A worker that finds fewer than `max_batch` jobs
 //!   waits up to [`ServeConfig::linger_micros`] (via
 //!   `Condvar::wait_timeout`) for companions before running a short
 //!   batch, so trickling arrival rates still form real batches instead of
 //!   degenerating to size-1 forward passes.
-//! * **Deadlines.** [`Server::submit_within`] attaches a time-to-live;
-//!   workers reject already-expired jobs with
-//!   [`ServeError::DeadlineExpired`] *before* probing, hashing or running
-//!   the model, so a backed-up server does not burn forward passes on
-//!   answers nobody is waiting for.
+//! * **Deadlines.** [`Admit::Within`] attaches a time-to-live: the submit
+//!   waits for queue space no longer than that, and workers reject
+//!   already-expired jobs with [`ServeError::DeadlineExpired`] *before*
+//!   probing, hashing or running the model, so a backed-up server does
+//!   not burn forward passes on answers nobody is waiting for.
 //! * **Shutdown is observed under the queue lock.** Once
 //!   [`Server::begin_shutdown`] (or drop/`shutdown`) flips the flag, every
-//!   `submit` variant fails fast with [`SubmitError::ShuttingDown`] — a
+//!   submit fails fast with [`SubmitError::ShuttingDown`] — a
 //!   job can never be enqueued into a queue no worker will drain.
 //!
 //! The serve loop is also **self-healing** (PR 8):
@@ -141,9 +144,10 @@ pub struct ServeConfig {
     /// slot (the cold-path throughput benchmark).
     pub cache_capacity: usize,
     /// Maximum queued (admitted but not yet claimed) jobs. `0` means
-    /// unbounded. When full, [`Server::try_submit`] fails with
-    /// [`SubmitError::Overloaded`] and [`Server::submit`] blocks until a
-    /// worker drains the queue.
+    /// unbounded. When full, an [`Admit::Shed`] submit fails with
+    /// [`SubmitError::Overloaded`] at once, an [`Admit::Within`] one once
+    /// its ttl passes, and [`Admit::Block`] (with [`Server::submit_all`])
+    /// waits until a worker drains the queue.
     pub queue_capacity: usize,
     /// How long a worker holding a short batch waits for more jobs before
     /// running it, in microseconds. `0` is fully greedy (run whatever is
@@ -200,13 +204,33 @@ pub struct JobOutput {
     pub latency_micros: u64,
 }
 
+/// How [`Server::submit_with`] admits a job while the bounded queue is
+/// full.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Admit {
+    /// Wait for a worker to free space, however long that takes
+    /// ([`Server::submit`]).
+    Block,
+    /// Refuse at once with [`SubmitError::Overloaded`]: the load-shedding
+    /// entry, so memory stays bounded however hard clients hammer.
+    Shed,
+    /// Wait for space at most this long, then refuse with
+    /// [`SubmitError::Overloaded`]. An admitted job carries the deadline
+    /// `ttl` from submission: a worker that reaches it later answers
+    /// [`ServeError::DeadlineExpired`] instead of spending a forward pass
+    /// on an answer nobody is waiting for.
+    Within(Duration),
+}
+
 /// Why a submission was refused at the door (the job never entered the
 /// queue; nothing was enqueued and no ticket exists).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded queue is at capacity ([`Server::try_submit`] only;
-    /// blocking submits wait instead). Back off and retry, or treat as
-    /// load shedding.
+    /// Shed at the door: the bounded queue was full for an
+    /// [`Admit::Shed`] submit, or stayed full until an [`Admit::Within`]
+    /// submit's ttl ran out, or an admission fault is armed (any submit,
+    /// bulk ones whole). [`Admit::Block`] waits on a full queue instead.
+    /// Back off and retry, or treat as load shedding.
     Overloaded,
     /// Shutdown has begun; no worker will ever drain a new job. Observed
     /// under the queue lock, so this cannot race with the workers exiting.
@@ -637,34 +661,27 @@ impl Server {
     }
 
     /// Enqueues a job, blocking while the queue is at capacity; returns a
-    /// ticket to wait on. Fails fast with [`SubmitError::ShuttingDown`]
-    /// once shutdown has begun.
+    /// ticket to wait on. Shorthand for [`Server::submit_with`] under
+    /// [`Admit::Block`].
     pub fn submit(&self, aig: Aig, kind: AnalysisKind) -> Result<JobTicket, SubmitError> {
-        let (job, ticket) = self.job(aig, kind, None, 0);
-        self.enqueue([job], true).map(|()| ticket)
+        self.submit_with(aig, kind, Admit::Block)
     }
 
-    /// Non-blocking admission: enqueues the job if there is queue space,
-    /// otherwise fails immediately with [`SubmitError::Overloaded`] —
-    /// the load-shedding entry point; memory stays bounded no matter how
-    /// hard clients hammer.
-    pub fn try_submit(&self, aig: Aig, kind: AnalysisKind) -> Result<JobTicket, SubmitError> {
-        let (job, ticket) = self.job(aig, kind, None, 0);
-        self.enqueue([job], false).map(|()| ticket)
-    }
-
-    /// Like [`Server::submit`], but the job carries a deadline `ttl` from
-    /// now: a worker that reaches it later rejects it with
-    /// [`ServeError::DeadlineExpired`] instead of spending a forward pass
-    /// on an answer nobody is waiting for.
-    pub fn submit_within(
+    /// Enqueues one job, admitted as `admit` says, and returns a ticket to
+    /// wait on. Fails fast with [`SubmitError::ShuttingDown`] once
+    /// shutdown has begun.
+    pub fn submit_with(
         &self,
         aig: Aig,
         kind: AnalysisKind,
-        ttl: Duration,
+        admit: Admit,
     ) -> Result<JobTicket, SubmitError> {
-        let (job, ticket) = self.job(aig, kind, Some(Instant::now() + ttl), 0);
-        self.enqueue([job], true).map(|()| ticket)
+        let deadline = match admit {
+            Admit::Within(ttl) => Some(Instant::now() + ttl),
+            Admit::Block | Admit::Shed => None,
+        };
+        let (job, ticket) = self.job(aig, kind, deadline, 0);
+        self.enqueue([job], admit != Admit::Shed).map(|()| ticket)
     }
 
     /// Submits many jobs under one queue lock (so an idle worker sees them
@@ -673,6 +690,11 @@ impl Server {
     /// capacity-sized waves: the submitter blocks on the space condvar
     /// between waves, so memory stays bounded even for huge bulk calls.
     /// Fails with the first dropped job.
+    ///
+    /// This is the one entry that admits a whole list under a single lock;
+    /// a loop over [`Server::submit`] lets a worker wake on the first job
+    /// and run it alone. `gamora infer` relies on it to serve its file
+    /// list as one batch.
     pub fn submit_all(&self, jobs: Vec<(Aig, AnalysisKind)>) -> Result<Vec<JobOutput>, ServeError> {
         let tickets = self
             .submit_batch(jobs)
@@ -732,7 +754,7 @@ impl Server {
         (job, JobTicket { rx })
     }
 
-    /// The one admission loop behind every `submit*` variant: admits a
+    /// The one admission loop behind every submit entry: admits a
     /// burst built by [`Server::job`] in order under one queue lock, then
     /// wakes the workers. `block` waits for queue space instead of
     /// shedding [`SubmitError::Overloaded`], but never past a job's
@@ -1426,6 +1448,10 @@ fn run_batch(
             m.cache_misses.inc();
         }
         accounted.set(accounted.get() + 1);
+        // Free the subject before answering: a client that builds its next
+        // subject on the answer would otherwise find this one still alive
+        // (on a 717k-node subject, an 18 MiB step in the heap peak).
+        drop(job.aig);
         let _ = job.tx.send(Ok(out));
     }
 }
@@ -1931,18 +1957,19 @@ mod tests {
             .submit(aig.clone(), AnalysisKind::Classify)
             .expect("admitted before shutdown");
         server.begin_shutdown();
-        assert_eq!(
-            server
-                .submit(aig.clone(), AnalysisKind::Classify)
-                .unwrap_err(),
-            SubmitError::ShuttingDown
-        );
-        assert_eq!(
-            server
-                .try_submit(aig.clone(), AnalysisKind::Classify)
-                .unwrap_err(),
-            SubmitError::ShuttingDown
-        );
+        for admit in [
+            Admit::Block,
+            Admit::Shed,
+            Admit::Within(Duration::from_secs(1)),
+        ] {
+            assert_eq!(
+                server
+                    .submit_with(aig.clone(), AnalysisKind::Classify, admit)
+                    .unwrap_err(),
+                SubmitError::ShuttingDown,
+                "{admit:?}"
+            );
+        }
         assert!(
             server
                 .submit_batch(vec![(aig, AnalysisKind::Classify)])
@@ -2094,10 +2121,10 @@ mod tests {
             },
         );
         let out = server
-            .submit_within(
+            .submit_with(
                 csa_multiplier(3).aig,
                 AnalysisKind::Classify,
-                Duration::from_millis(200),
+                Admit::Within(Duration::from_millis(200)),
             )
             .expect("admitted")
             .wait()
@@ -2108,11 +2135,11 @@ mod tests {
         assert_eq!(stats.jobs, 1);
     }
 
-    /// A blocking deadline submit never waits past its own ttl on a full
+    /// An `Admit::Within` submit never waits past its own ttl on a full
     /// queue: it is shed at the door instead of being admitted into a
     /// guaranteed `DeadlineExpired`.
     #[test]
-    fn blocking_submit_within_gives_up_at_its_deadline() {
+    fn within_submit_gives_up_at_its_deadline() {
         let server = Server::start(
             tiny_trained(),
             ServeConfig {
@@ -2141,8 +2168,11 @@ mod tests {
             .submit(subject.clone(), AnalysisKind::SleepForTest)
             .expect("admitted");
         let start = Instant::now();
-        let shed =
-            server.submit_within(subject, AnalysisKind::Classify, Duration::from_micros(100));
+        let shed = server.submit_with(
+            subject,
+            AnalysisKind::Classify,
+            Admit::Within(Duration::from_micros(100)),
+        );
         assert_eq!(
             shed.map(|_| ()).unwrap_err(),
             SubmitError::Overloaded,
@@ -2354,7 +2384,7 @@ mod tests {
         let mut shed = 0u64;
         while shed == 0 {
             if server
-                .try_submit(subject.clone(), AnalysisKind::Classify)
+                .submit_with(subject.clone(), AnalysisKind::Classify, Admit::Shed)
                 .is_err()
             {
                 shed = 1;

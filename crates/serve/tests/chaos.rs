@@ -19,7 +19,9 @@
 
 use gamora::{GamoraReasoner, ModelDepth, ReasonerConfig, TrainConfig};
 use gamora_circuits::csa_multiplier;
-use gamora_serve::scheduler::{AnalysisKind, Health, ServeConfig, ServeError, Server, SubmitError};
+use gamora_serve::scheduler::{
+    Admit, AnalysisKind, Health, ServeConfig, ServeError, Server, SubmitError,
+};
 use std::time::{Duration, Instant};
 
 fn tiny_trained() -> GamoraReasoner {
@@ -443,7 +445,7 @@ fn admission_fault_sheds_as_overloaded() {
         faults.rearm(spec);
         assert_eq!(
             server
-                .try_submit(subject.clone(), AnalysisKind::Classify)
+                .submit_with(subject.clone(), AnalysisKind::Classify, Admit::Shed)
                 .expect_err(spec),
             SubmitError::Overloaded,
             "{spec}: an admission fault sheds instead of enqueueing"

@@ -292,6 +292,9 @@ fn removed_cone_tier_flags_are_unknown() {
         ["infer", "--model", "m.gsnap", "--cone-capacity", "8"],
         // `--batches` was a typo of `--batch` that used to pass silently.
         ["infer", "--model", "m.gsnap", "--batches", "4"],
+        // `infer` has parsed every file before it submits, so a queue cap
+        // bounded no memory; it only cut the burst into short batches.
+        ["infer", "--model", "m.gsnap", "--queue-cap", "4"],
         ["infer", "--model", "m.gsnap", "--kind", "booth"],
         // `infer` queues its whole file list at once: a linger window
         // could only add dead time.

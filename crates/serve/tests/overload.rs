@@ -12,7 +12,7 @@
 use gamora::{GamoraReasoner, ModelDepth, ReasonerConfig, TrainConfig};
 use gamora_circuits::csa_multiplier;
 use gamora_serve::scheduler::{
-    AnalysisKind, JobTicket, ServeConfig, ServeError, Server, SubmitError,
+    Admit, AnalysisKind, JobTicket, ServeConfig, ServeError, Server, SubmitError,
 };
 use std::time::{Duration, Instant};
 
@@ -36,7 +36,7 @@ fn tiny_trained() -> GamoraReasoner {
     reasoner
 }
 
-/// Fill a bounded queue 4x over with `try_submit`: rejections come back
+/// Fill a bounded queue 4x over with `Admit::Shed`: rejections come back
 /// promptly (`Overloaded`, never a block), the queue's high-water mark
 /// respects the bound (memory stays bounded), and every admitted job
 /// still completes.
@@ -61,7 +61,7 @@ fn saturated_bounded_queue_sheds_load_and_completes_admitted_jobs() {
     let mut rejected = 0usize;
     let submit_loop = Instant::now();
     for _ in 0..attempts {
-        match server.try_submit(subject.clone(), AnalysisKind::Classify) {
+        match server.submit_with(subject.clone(), AnalysisKind::Classify, Admit::Shed) {
             Ok(t) => tickets.push(t),
             Err(SubmitError::Overloaded) => rejected += 1,
             Err(e) => panic!("unexpected submit error: {e}"),
@@ -78,7 +78,7 @@ fn saturated_bounded_queue_sheds_load_and_completes_admitted_jobs() {
     // time than serving even one queue's worth of forwards.
     assert!(
         submit_elapsed < Duration::from_secs(2),
-        "try_submit must not block: {attempts} attempts took {submit_elapsed:?}"
+        "a shedding submit must not block: {attempts} attempts took {submit_elapsed:?}"
     );
 
     // Every admitted job completes; nobody hangs.
@@ -107,7 +107,7 @@ fn saturated_bounded_queue_sheds_load_and_completes_admitted_jobs() {
 /// With hashing on, every submit digests its AIG on the caller's thread
 /// before the queue lock — shed attempts included. The digest is one
 /// streaming pass, so time-to-rejection against a full queue stays
-/// bounded: each refused `try_submit` of a ~10k-node subject returns in
+/// bounded: each refused `Admit::Shed` submit of a ~10k-node subject returns in
 /// milliseconds at worst, and the loop as a whole far faster than the
 /// forwards it is shedding.
 #[test]
@@ -137,7 +137,7 @@ fn shed_submissions_stay_prompt_with_the_digest_in_the_submit_path() {
     for i in 0..attempts {
         let aig = subjects[i % subjects.len()].clone();
         let start = Instant::now();
-        let outcome = server.try_submit(aig, AnalysisKind::Classify);
+        let outcome = server.submit_with(aig, AnalysisKind::Classify, Admit::Shed);
         let took = start.elapsed();
         in_submit += took;
         match outcome {
@@ -155,11 +155,11 @@ fn shed_submissions_stay_prompt_with_the_digest_in_the_submit_path() {
     );
     assert!(
         slowest_rejection < Duration::from_millis(250),
-        "a refused try_submit took {slowest_rejection:?}: the digest must not stall the door"
+        "a refused shedding submit took {slowest_rejection:?}: the digest must not stall the door"
     );
     assert!(
         in_submit < Duration::from_secs(2),
-        "{attempts} try_submit calls spent {in_submit:?} in the submit path"
+        "{attempts} shedding submits spent {in_submit:?} in the submit path"
     );
 
     for (i, ticket) in tickets.iter().enumerate() {
@@ -202,10 +202,10 @@ fn expired_job_is_rejected_without_a_forward_pass() {
         .submit(csa_multiplier(8).aig, AnalysisKind::Classify)
         .expect("admitted");
     let doomed = server
-        .submit_within(
+        .submit_with(
             csa_multiplier(6).aig,
             AnalysisKind::Classify,
-            Duration::from_micros(1),
+            Admit::Within(Duration::from_micros(1)),
         )
         .expect("admitted");
 
@@ -235,10 +235,10 @@ fn expired_job_is_rejected_without_a_forward_pass() {
 fn unexpired_deadline_jobs_are_served_normally() {
     let server = Server::start(tiny_trained(), ServeConfig::default());
     let out = server
-        .submit_within(
+        .submit_with(
             csa_multiplier(4).aig,
             AnalysisKind::Classify,
-            Duration::from_secs(600),
+            Admit::Within(Duration::from_secs(600)),
         )
         .expect("admitted")
         .wait()
